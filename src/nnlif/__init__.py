@@ -17,12 +17,10 @@ from .norms import l2_distance, linf_distance, norm_grid
 from .onepop import OnePopParams, PopulationState, RunRecord, firing_rate, solve, step
 from .quadrature import QuadratureRule, gauss_laguerre, gauss_legendre, map_affine
 from .twopop import (
-    FiringHistory,
     TwoPopParams,
     TwoPopRunRecord,
     TwoPopState,
     coefficients,
-    delayed_rate,
     recovery,
     solve_twopop,
     step_twopop,
@@ -34,7 +32,6 @@ __all__ = [
     "BasisSet",
     "Domain",
     "FdmGrid",
-    "FiringHistory",
     "GalerkinMatrices",
     "GaussianIC",
     "OnePopParams",
@@ -46,7 +43,6 @@ __all__ = [
     "TwoPopState",
     "assemble",
     "coefficients",
-    "delayed_rate",
     "dump_matrices",
     "fdm_reference",
     "fdm_solve",

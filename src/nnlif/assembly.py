@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSet, BoundaryTraces
-from .errors import IllConditionedBasisError
+from .errors import ConfigurationError, IllConditionedBasisError, check_finite
 from .quadrature import gauss_laguerre, gauss_legendre, map_affine
 
 # width of the composite panels used for projection right-hand sides; the
@@ -38,9 +38,9 @@ class GalerkinMatrices:
 
     H: mass matrix, A: drift (leak) matrix, B: rate-drift matrix,
     C: stiffness matrix, D: threshold-flux coupling (nonzero only in the
-    interface row), G: threshold trace coupling (identically zero for this
-    basis since every member vanishes at the threshold), F: reset-point
-    values, mass: integrals of each basis function.
+    interface row), F: reset-point values, mass: integrals of each basis
+    function.  The threshold trace coupling needs no matrix: every basis
+    member vanishes at the threshold, so that term is identically zero.
     """
 
     basis: BasisSet
@@ -50,14 +50,13 @@ class GalerkinMatrices:
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
-    G: np.ndarray
     F: np.ndarray
     mass: np.ndarray
     traces: BoundaryTraces
 
 
 def assemble(basis: BasisSet, n_q: int | None = None) -> GalerkinMatrices:
-    """Assemble H, A, B, C, D, G, F and the mass functional.
+    """Assemble H, A, B, C, D, F and the mass functional.
 
     ``n_q`` defaults to 2M+8 which is exact (with margin) for every
     integrand; orders below 2M+6 are rejected.
@@ -66,7 +65,7 @@ def assemble(basis: BasisSet, n_q: int | None = None) -> GalerkinMatrices:
     if n_q is None:
         n_q = 2 * m + 8
     if n_q < 2 * m + 6:
-        raise ValueError(f"quadrature order {n_q} too small, need >= {2 * m + 6}")
+        raise ConfigurationError(f"quadrature order {n_q} too small, need >= {2 * m + 6}")
     dom = basis.domain
 
     H = np.zeros((dim, dim))
@@ -113,7 +112,6 @@ def assemble(basis: BasisSet, n_q: int | None = None) -> GalerkinMatrices:
 
     traces = basis.traces()
     D = np.outer(traces.value_at_reset - traces.value_at_threshold, traces.deriv_at_threshold)
-    G = np.outer(traces.value_at_threshold, traces.deriv_at_threshold)
     F = traces.value_at_reset.copy()
 
     mass = np.zeros(dim)
@@ -124,7 +122,7 @@ def assemble(basis: BasisSet, n_q: int | None = None) -> GalerkinMatrices:
     mass += vals @ w
 
     return GalerkinMatrices(
-        basis=basis, n_q=n_q, H=H, A=A, B=B, C=C, D=D, G=G, F=F, mass=mass, traces=traces
+        basis=basis, n_q=n_q, H=H, A=A, B=B, C=C, D=D, F=F, mass=mass, traces=traces
     )
 
 
@@ -146,8 +144,10 @@ class GaussianIC:
 
 def normalize_gaussian(v0: float, sigma0_sq: float, domain) -> GaussianIC:
     """Normalization factor so the Gaussian integrates to 1 on (-inf, v_threshold]."""
+    check_finite("v0", v0)
+    check_finite("sigma0_sq", sigma0_sq)
     if sigma0_sq <= 0:
-        raise ValueError(f"variance must be positive, got {sigma0_sq}")
+        raise ConfigurationError(f"variance must be positive, got {sigma0_sq}")
     sigma = math.sqrt(sigma0_sq)
     z = (domain.v_threshold - v0) / sigma
     m0 = 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
@@ -219,7 +219,6 @@ def dump_matrices(matrices: GalerkinMatrices, directory: str) -> None:
         "B": matrices.B,
         "C": matrices.C,
         "D": matrices.D,
-        "G": matrices.G,
         "F": matrices.F.reshape(1, -1),
         "mass": matrices.mass.reshape(1, -1),
     }

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigurationError, check_finite
+
 
 @dataclass(frozen=True)
 class Domain:
@@ -36,12 +38,16 @@ class Domain:
     beta: float | None = None
 
     def __post_init__(self):
+        check_finite("v_reset", self.v_reset)
+        check_finite("v_threshold", self.v_threshold)
+        if self.beta is not None:
+            check_finite("beta", self.beta)
         if not self.v_reset < self.v_threshold:
-            raise ValueError(
+            raise ConfigurationError(
                 f"need v_reset < v_threshold, got {self.v_reset} >= {self.v_threshold}"
             )
         if self.beta is not None and self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+            raise ConfigurationError(f"beta must be positive, got {self.beta}")
 
     @property
     def width(self) -> float:
@@ -160,9 +166,9 @@ class BasisSet:
 
     def __init__(self, domain: Domain, m: int, left_scale: float | None = None):
         if m < 1:
-            raise ValueError(f"expansion number must be >= 1, got {m}")
-        if left_scale is not None and left_scale <= 0:
-            raise ValueError(f"left_scale must be positive, got {left_scale}")
+            raise ConfigurationError(f"expansion number must be >= 1, got {m}")
+        if left_scale is not None and not left_scale > 0:
+            raise ConfigurationError(f"left_scale must be positive, got {left_scale}")
         self.domain = domain
         self.m = m
         self.dim = 2 * m + 1

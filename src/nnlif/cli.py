@@ -86,7 +86,7 @@ def _dump_matrices(args) -> int:
         return _fail("config-invalid", str(exc), EXIT_CONFIG)
     except OSError as exc:
         return _fail("io-error", str(exc), EXIT_IO)
-    print(f"dump-matrices: wrote H,A,B,C,D,G,F,mass (M={args.m}) to {args.out}")
+    print(f"dump-matrices: wrote H,A,B,C,D,F,mass (M={args.m}) to {args.out}")
     return EXIT_OK
 
 

@@ -1,12 +1,16 @@
 """Exception types shared across the solver library."""
 
+import math
+import numbers
+
 
 class NnlifError(Exception):
     """Base class for all library-specific errors."""
 
 
-class ConfigurationError(NnlifError):
-    """A run configuration is invalid (misaligned delays, bad grids, ...)."""
+class ConfigurationError(NnlifError, ValueError):
+    """A run configuration is invalid (misaligned delays, bad grids,
+    non-finite parameters, ...)."""
 
 
 class IllConditionedBasisError(NnlifError):
@@ -27,3 +31,9 @@ class LinearSolveError(NnlifError):
 
 class NonpositiveDiffusionError(NnlifError):
     """The effective diffusion coefficient dropped to zero or below."""
+
+
+def check_finite(name: str, value) -> None:
+    """Reject a parameter that is not a finite real number."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")

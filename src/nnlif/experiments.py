@@ -44,8 +44,8 @@ from scipy.signal import find_peaks
 
 from .assembly import assemble, normalize_gaussian
 from .basis import BasisSet, Domain
-from .errors import ConfigurationError
-from .fdm import FdmGrid, cfl_timestep, fdm_reference, fdm_reference_twopop, fdm_solve
+from .errors import ConfigurationError, check_finite
+from .fdm import FdmGrid, fdm_reference, fdm_solve, reference_timestep
 from .norms import l2_distance, linf_distance, norm_grid
 from .onepop import OnePopParams, solve
 from .records import emit_run_record, emit_snapshot, emit_table, emit_twopop_record
@@ -69,6 +69,17 @@ _DETECTION_DEFAULTS = {
     "steady_fluctuation": 0.01,
     "peak_amplitude_fraction": 0.05,
     "peak_spacing_tolerance": 0.2,
+}
+
+# numerics keys each experiment kind reads without a default
+_REQUIRED_NUMERICS = {
+    "convergence-time": ("dt_values", "t_final"),
+    "convergence-space": ("m_values", "dt", "t_final"),
+    "stability-grid": ("m_values", "dt_values", "t_final"),
+    "efficiency": ("dt", "t_final"),
+    "blowup": ("dt", "t_final"),
+    "twopop-regimes": ("dt", "t_final"),
+    "compare-fdm": ("dt", "t_final"),
 }
 
 
@@ -119,6 +130,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     initial = dict(raw.get("initial", {}))
     numerics = dict(raw.get("numerics", {}))
     detection = {**_DETECTION_DEFAULTS, **raw.get("detection", {})}
+    blowup_threshold = raw.get("blowup_threshold", 1e3)
+    _positive(blowup_threshold, "blowup_threshold")
 
     cfg = ExperimentConfig(
         kind=kind,
@@ -128,7 +141,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         numerics=numerics,
         reference=dict(raw.get("reference", {"method": "fdm", "h": 1.0 / 512.0, "richardson": True})),
         snapshot_times=tuple(raw.get("snapshot_times", ())),
-        blowup_threshold=float(raw.get("blowup_threshold", 1e3)),
+        blowup_threshold=float(blowup_threshold),
         detection=detection,
         sweep=dict(raw.get("sweep", {})),
         raw=raw,
@@ -137,25 +150,54 @@ def parse_config(raw: dict) -> ExperimentConfig:
     return cfg
 
 
+def _positive(value, what: str) -> None:
+    check_finite(what, value)
+    if value <= 0:
+        raise ConfigurationError(f"{what} must be positive, got {value}")
+
+
+def _count(value, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigurationError(f"{what} must be a positive integer, got {value!r}")
+
+
+# the check for every numerics key a runner reads; *_values keys are lists
+_NUMERICS_CHECKS = {
+    "dt": _positive, "t_final": _positive, "fdm_h": _positive, "dt_values": _positive,
+    "h_values": _positive, "m": _count, "reference_m": _count, "repetitions": _count, "m_values": _count,
+    "n_q": _count,
+}
+
+
 def _validate(cfg: ExperimentConfig) -> None:
-    num = cfg.numerics
+    num, ref = cfg.numerics, cfg.reference
+    for key in _REQUIRED_NUMERICS[cfg.kind]:
+        if key not in num:
+            raise ConfigurationError(f"{cfg.kind} needs numerics.{key}")
+    for key, check in _NUMERICS_CHECKS.items():
+        if key not in num:
+            continue
+        values = num[key] if key.endswith("_values") else [num[key]]
+        if not (isinstance(values, list) and values):
+            raise ConfigurationError(f"numerics.{key} must be a non-empty list")
+        for value in values:
+            check(value, f"numerics.{key}")
+    for key in ("h", "dt"):
+        if key in ref:
+            _positive(ref[key], f"reference.{key}")
+    check_finite("reference.v_min", ref.get("v_min", -6.0))
+    check_finite("bound", cfg.raw.get("bound", 0.2))
+    for ts in cfg.snapshot_times:
+        check_finite("snapshot time", ts)
+
     dt = num.get("dt")
     t_final = num.get("t_final")
-    if cfg.kind in ("convergence-time",):
-        ladder = num.get("dt_values")
-        if not ladder:
-            raise ConfigurationError("convergence-time needs numerics.dt_values")
-        if any(dtv <= 0 for dtv in ladder):
-            raise ConfigurationError("dt_values must be positive")
+    if cfg.kind == "convergence-time":
+        ladder = num["dt_values"]
         # equal neighbours are tolerated and yield a NaN order sentinel
         for a, b in zip(ladder[:-1], ladder[1:]):
             if b > a:
                 raise ConfigurationError("dt_values must be non-increasing")
-    if cfg.kind in ("convergence-space", "stability-grid"):
-        if not num.get("m_values"):
-            raise ConfigurationError(f"{cfg.kind} needs numerics.m_values")
-    if cfg.kind == "stability-grid" and not num.get("dt_values"):
-        raise ConfigurationError("stability-grid needs numerics.dt_values")
     if cfg.kind == "twopop-regimes" and not cfg.sweep.get("b_e_to_e"):
         raise ConfigurationError("twopop-regimes needs sweep.b_e_to_e")
     if dt is not None and t_final is not None:
@@ -168,10 +210,14 @@ def _validate(cfg: ExperimentConfig) -> None:
         for dtv in num.get("dt_values", ()):
             _check_divisible(dtv, t_final, "t_final")
     if cfg.two_population:
-        for dtv in [dt] if dt is not None else []:
+        _initial_two(cfg, cfg.domain)
+        for b_e_to_e in cfg.sweep.get("b_e_to_e", [None]):
+            _twopop_params(cfg, b_e_to_e)
+        for dtv in ([dt] if dt is not None else []) + list(num.get("dt_values", ())):
             _twopop_params(cfg).delay_lags(dtv)
-        for dtv in num.get("dt_values", ()):
-            _twopop_params(cfg).delay_lags(dtv)
+    else:
+        _onepop_params(cfg)
+        _initial_one(cfg, cfg.domain)
 
 
 def _check_divisible(dt: float, t: float, what: str) -> None:
@@ -190,7 +236,10 @@ def _twopop_params(cfg: ExperimentConfig, b_e_to_e: float | None = None) -> TwoP
     m.pop("population", None)
     if b_e_to_e is not None:
         m["b_e_to_e"] = b_e_to_e
-    return TwoPopParams(**m)
+    try:
+        return TwoPopParams(**m)
+    except TypeError as exc:  # unknown or missing model keys
+        raise ConfigurationError(f"model: {exc}") from exc
 
 
 def _initial_one(cfg: ExperimentConfig, domain: Domain):
@@ -202,6 +251,9 @@ def _initial_two(cfg: ExperimentConfig, domain: Domain):
     ini = cfg.initial
     e = ini.get("e", {"v0": -1.0, "sigma0_sq": 0.5})
     i = ini.get("i", {"v0": -1.0, "sigma0_sq": 0.5})
+    for spec in (e, i):
+        if not (isinstance(spec, dict) and "v0" in spec and "sigma0_sq" in spec):
+            raise ConfigurationError("initial.e and initial.i each need v0 and sigma0_sq")
     return (
         normalize_gaussian(e["v0"], e["sigma0_sq"], domain),
         normalize_gaussian(i["v0"], i["sigma0_sq"], domain),
@@ -225,18 +277,25 @@ def _provenance(cfg: ExperimentConfig) -> dict:
 
 
 def _reference_density(cfg: ExperimentConfig, t_final: float):
-    """Reference density (one population) on the comparison grid."""
+    """Reference density on the comparison grid; for two populations an
+    (E, I) pair."""
     ref = cfg.reference
     if ref.get("method", "fdm") == "fdm":
+        if cfg.two_population:
+            p0, params = _initial_two(cfg, cfg.domain), _twopop_params(cfg)
+        else:
+            p0, params = _initial_one(cfg, cfg.domain), _onepop_params(cfg)
         return fdm_reference(
-            _initial_one(cfg, cfg.domain),
-            _onepop_params(cfg),
+            p0,
+            params,
             cfg.domain,
             t_final,
             h=ref.get("h", 1.0 / 512.0),
             v_min=ref.get("v_min", -6.0),
             richardson=ref.get("richardson", True),
         )
+    if cfg.two_population:
+        raise ConfigurationError("two-population ladders use the fdm reference")
     # self reference: the scheme itself at dt/16 of the finest step in play
     ladder = cfg.numerics.get("dt_values") or [cfg.numerics["dt"]]
     dt_ref = ref.get("dt", min(ladder) / 16.0)
@@ -248,19 +307,6 @@ def _reference_density(cfg: ExperimentConfig, t_final: float):
         dt=dt_ref, t_final=t_final, snapshot_times=(t_final,),
     )
     return rec.snapshots[0].density
-
-
-def _reference_density_two(cfg: ExperimentConfig, t_final: float):
-    ref = cfg.reference
-    ic_e, ic_i = _initial_two(cfg, cfg.domain)
-    if ref.get("method", "fdm") != "fdm":
-        raise ConfigurationError("two-population ladders use the fdm reference")
-    return fdm_reference_twopop(
-        ic_e, ic_i, _twopop_params(cfg), cfg.domain, t_final,
-        h=ref.get("h", 1.0 / 512.0),
-        v_min=ref.get("v_min", -6.0),
-        richardson=ref.get("richardson", True),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -419,26 +465,18 @@ def run_convergence_time(cfg: ExperimentConfig, out_dir: str, workers: int = 1) 
     grid = norm_grid(cfg.domain)
     results: dict = {}
 
-    if cfg.two_population:
-        ref_e, ref_i = _reference_density_two(cfg, t_final)
-        cells = _map_cells(_cell_twopop_final, [(cfg.raw, m, dt, t_final) for dt in ladder], workers)
-        for tag, ref in (("e", ref_e), ("i", ref_i)):
-            l2 = [l2_distance(c[f"density_{tag}"], ref, grid) for c in cells]
-            linf = [linf_distance(c[f"density_{tag}"], ref) for c in cells]
-            table = {
-                "dt": ladder,
-                "l2_error": l2,
-                "order_l2": _orders(l2),
-                "linf_error": linf,
-                "order_linf": _orders(linf),
-            }
-            emit_table(os.path.join(out_dir, f"convergence_time_{tag}.csv"), table, _provenance(cfg))
-            results[tag] = table
-    else:
-        ref = _reference_density(cfg, t_final)
-        cells = _map_cells(_cell_onepop_final, [(cfg.raw, m, dt, t_final) for dt in ladder], workers)
-        l2 = [l2_distance(c["density"], ref, grid) for c in cells]
-        linf = [linf_distance(c["density"], ref) for c in cells]
+    ref = _reference_density(cfg, t_final)
+    cell = _cell_twopop_final if cfg.two_population else _cell_onepop_final
+    cells = _map_cells(cell, [(cfg.raw, m, dt, t_final) for dt in ladder], workers)
+    # (result key, cell density key, reference, output file) per population
+    series = (
+        [("e", "density_e", ref[0], "convergence_time_e.csv"), ("i", "density_i", ref[1], "convergence_time_i.csv")]
+        if cfg.two_population
+        else [("one", "density", ref, "convergence_time.csv")]
+    )
+    for tag, key, ref_tag, name in series:
+        l2 = [l2_distance(c[key], ref_tag, grid) for c in cells]
+        linf = [linf_distance(c[key], ref_tag) for c in cells]
         table = {
             "dt": ladder,
             "l2_error": l2,
@@ -446,8 +484,8 @@ def run_convergence_time(cfg: ExperimentConfig, out_dir: str, workers: int = 1) 
             "linf_error": linf,
             "order_linf": _orders(linf),
         }
-        emit_table(os.path.join(out_dir, "convergence_time.csv"), table, _provenance(cfg))
-        results["one"] = table
+        emit_table(os.path.join(out_dir, name), table, _provenance(cfg))
+        results[tag] = table
     return results
 
 
@@ -606,9 +644,7 @@ def run_efficiency(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> dic
                             v_min=cfg.reference.get("v_min", -6.0), richardson=True)
     for h in h_values:
         fgrid = FdmGrid.build(cfg.domain, v_min=cfg.reference.get("v_min", -6.0), h=h)
-        bound = 0.9 * cfl_timestep(fgrid, params.a0 + params.a1, 1.0, params.b)
-        n_steps = int(np.ceil(t_final / bound))
-        dt_f = t_final / n_steps
+        dt_f = reference_timestep(fgrid, params, t_final)
         wall, rec = _median_wall_time(
             lambda: fdm_solve(ic, params, fgrid, dt_f, t_final), reps,
         )
@@ -645,8 +681,7 @@ def run_compare_fdm(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> di
     p_spec = rec_s.snapshots[0].density
 
     fgrid = FdmGrid.build(cfg.domain, v_min=cfg.reference.get("v_min", -6.0), h=fdm_h)
-    bound = 0.9 * cfl_timestep(fgrid, params.a0 + params.a1, 1.0, params.b)
-    dt_f = t_final / int(np.ceil(t_final / bound))
+    dt_f = reference_timestep(fgrid, params, t_final)
     wall_f, rec_f = _median_wall_time(lambda: fdm_solve(ic, params, fgrid, dt_f, t_final), reps)
 
     table = {

@@ -16,28 +16,25 @@ the same discretization family.
 
 from __future__ import annotations
 
-import time
+import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .basis import Domain
-from .errors import ConfigurationError, SingularFiringRateError
+from .errors import ConfigurationError, NnlifError, SingularFiringRateError
+from .integrate import DEFAULT_BLOWUP_THRESHOLD, STATUS_COMPLETED, integrate
 from .norms import norm_grid
-from .onepop import (
-    DEFAULT_BLOWUP_THRESHOLD,
-    STATUS_BLOWUP,
-    STATUS_COMPLETED,
-    STATUS_SOLVER_FAILURE,
-    DensitySnapshot,
-    OnePopParams,
-    RunRecord,
-    _validate_times,
-)
+from .onepop import DensitySnapshot, OnePopParams, RunRecord
 from .twopop import (
     DIFFUSION_CONSTANT,
     TwoPopParams,
     TwoPopRunRecord,
+    TwoPopState,
+    coefficients,
+    delayed_rates,
     recovery,
 )
 
@@ -72,7 +69,7 @@ class FdmGrid:
     def centers(self) -> np.ndarray:
         return self.v_min + (np.arange(self.n_cells) + 0.5) * self.h
 
-    @property
+    @cached_property
     def inner_edges(self) -> np.ndarray:
         return self.v_min + np.arange(1, self.n_cells) * self.h
 
@@ -92,13 +89,11 @@ def _rate_from_slope(p_last: float, h: float, params: OnePopParams) -> float:
     return params.a0 * g / denom
 
 
-def fdm_step(p: np.ndarray, params: OnePopParams, grid: FdmGrid, dt: float):
-    """One explicit step; returns (new density, firing rate at entry)."""
+def _advance(p: np.ndarray, grid: FdmGrid, dt: float, drift_offset: float, diffusion: float, inflow: float):
+    """One explicit step of the cell values with drift -v + ``drift_offset``,
+    the given diffusion, and ``inflow`` re-injected at the reset edge."""
     h = grid.h
-    rate = _rate_from_slope(p[-1], h, params)
-    diffusion = params.a0 + params.a1 * rate
-
-    u = -grid.inner_edges + params.b * rate
+    u = -grid.inner_edges + drift_offset
     flux = np.empty(grid.n_cells + 1)
     flux[0] = 0.0  # zero-flux wall at v_min
     flux[1:-1] = np.where(u >= 0.0, u * p[:-1], u * p[1:]) - diffusion * np.diff(p) / h
@@ -107,8 +102,14 @@ def fdm_step(p: np.ndarray, params: OnePopParams, grid: FdmGrid, dt: float):
     flux[-1] = diffusion * p[-1] / h
 
     p_new = p - (dt / h) * np.diff(flux)
-    p_new[grid.i_reset] += rate * dt / h
-    return p_new, rate
+    p_new[grid.i_reset] += inflow * dt / h
+    return p_new
+
+
+def fdm_step(p: np.ndarray, params: OnePopParams, grid: FdmGrid, dt: float):
+    """One explicit step; returns (new density, firing rate at entry)."""
+    rate = _rate_from_slope(p[-1], grid.h, params)
+    return _advance(p, grid, dt, params.b * rate, params.a0 + params.a1 * rate, rate), rate
 
 
 def _initial_cells(p0, grid: FdmGrid) -> np.ndarray:
@@ -128,6 +129,108 @@ def _to_norm_grid(p: np.ndarray, grid: FdmGrid, out_grid: np.ndarray) -> np.ndar
     return np.interp(out_grid, xs, ys, left=0.0, right=0.0)
 
 
+def _stable_timestep(grid: FdmGrid, params, rate_cap: float) -> float:
+    """:func:`cfl_timestep` for either model while its rates stay below
+    ``rate_cap``."""
+    if isinstance(params, TwoPopParams):
+        # the largest drift offset either population can see
+        offset = (
+            max(abs(params.b_e_to_e) + abs(params.b_i_to_e), abs(params.b_e_to_i) + abs(params.b_i_to_i)) * rate_cap
+            + abs(params.b_e_to_i - params.b_e_to_e) * params.nu_ext
+        )
+        return cfl_timestep(grid, params.diffusion_constant, 1.0, offset)
+    return cfl_timestep(grid, params.a0 + params.a1 * rate_cap, rate_cap, params.b)
+
+
+def reference_timestep(grid: FdmGrid, params, t_final: float, safety: float = 0.9) -> float:
+    """Largest step below ``safety`` times the stability bound that divides
+    t_final, for one-population (OnePopParams) or two-population
+    (TwoPopParams) reference runs.
+
+    One population allows for mild rate-driven growth of drift and diffusion
+    (rates up to 1); two populations bound the external drive only.
+    """
+    rate_cap = 0.0 if isinstance(params, TwoPopParams) else 1.0
+    bound = safety * _stable_timestep(grid, params, rate_cap)
+    return t_final / math.ceil(t_final / bound)
+
+
+class _CellState(NamedTuple):
+    p: np.ndarray
+    step_index: int
+    t: float
+    rate: float
+
+
+class _FdmOnePop:
+    """The finite-volume single-population model as a :class:`Stepper`."""
+
+    populations = 1
+
+    def __init__(self, p0, params: OnePopParams, grid: FdmGrid, dt: float):
+        self.p0, self.params, self.grid, self.dt = p0, params, grid, dt
+
+    def start(self, rates) -> _CellState:
+        p = _initial_cells(self.p0, self.grid)
+        return _CellState(p, 0, 0.0, _rate_from_slope(p[-1], self.grid.h, self.params))
+
+    def step(self, state: _CellState) -> _CellState:
+        p, _ = fdm_step(state.p, self.params, self.grid, self.dt)
+        n = state.step_index + 1
+        return _CellState(p, n, n * self.dt, _rate_from_slope(p[-1], self.grid.h, self.params))
+
+    def observe(self, state: _CellState):
+        return state.rate, float(state.p.sum() * self.grid.h)
+
+
+class _FdmTwoPop:
+    """The finite-volume two-population model (constant diffusion) as a
+    :class:`Stepper`; the reset inflow is the recovery rate M_alpha."""
+
+    populations = 2
+
+    def __init__(self, p0_e, p0_i, params: TwoPopParams, grid: FdmGrid, dt: float, r0_e: float, r0_i: float):
+        self.p0_e, self.p0_i, self.params, self.grid, self.dt = p0_e, p0_i, params, grid, dt
+        self.r0_e, self.r0_i = r0_e, r0_i
+
+    def _rate(self, p: np.ndarray) -> float:
+        return self.params.diffusion_constant * p[-1] / self.grid.h
+
+    def start(self, rates) -> TwoPopState:
+        self.lags = self.params.delay_lags(self.dt)
+        p_e = _initial_cells(self.p0_e, self.grid)
+        p_i = _initial_cells(self.p0_i, self.grid)
+        return TwoPopState(
+            p_e, p_i, self.r0_e, self.r0_i, 0.0, 0, self._rate(p_e), self._rate(p_i), *rates
+        )
+
+    def step(self, state: TwoPopState) -> TwoPopState:
+        params, grid, dt = self.params, self.grid, self.dt
+        delayed_for_e, delayed_for_i = delayed_rates(state, self.lags)
+        v_e, a_e = coefficients(params, *delayed_for_e, "e")
+        v_i, a_i = coefficients(params, *delayed_for_i, "i")
+        m_e = recovery(state.r_e, state.rate_e, params, "e")
+        m_i = recovery(state.r_i, state.rate_i, params, "i")
+        p_e = _advance(state.u_e, grid, dt, v_e, a_e, m_e)
+        p_i = _advance(state.u_i, grid, dt, v_i, a_i, m_i)
+        n = state.step_index + 1
+        return TwoPopState(
+            p_e, p_i,
+            state.r_e + dt * (state.rate_e - m_e),
+            state.r_i + dt * (state.rate_i - m_i),
+            n * dt, n, self._rate(p_e), self._rate(p_i),
+            state.history_e, state.history_i,
+        )
+
+    def observe(self, state: TwoPopState):
+        h = self.grid.h
+        return (
+            state.rate_e, state.rate_i,
+            float(state.u_e.sum() * h), float(state.u_i.sum() * h),
+            state.r_e, state.r_i,
+        )
+
+
 def fdm_solve(
     p0,
     params: OnePopParams,
@@ -140,103 +243,16 @@ def fdm_solve(
 ) -> RunRecord:
     """Explicit run recording (t, N, mass) every step, same record shape as
     the spectral solver."""
-    n_steps = _validate_times(dt, t_final, snapshot_times)
-    if dt > cfl_timestep(grid, params.a0 + params.a1 * cfl_rate_cap, cfl_rate_cap, params.b):
+    if dt > _stable_timestep(grid, params, cfl_rate_cap):
         raise ConfigurationError(
             f"dt={dt} violates the explicit stability bound for h={grid.h}"
         )
-    snap_lookup = {round(ts / dt): ts for ts in snapshot_times}
+    run = integrate(_FdmOnePop(p0, params, grid, dt), dt, t_final, snapshot_times, blowup_threshold)
     out_grid = norm_grid(grid.domain)
-
-    p = _initial_cells(p0, grid)
-    times = np.empty(n_steps + 1)
-    rates = np.empty(n_steps + 1)
-    masses = np.empty(n_steps + 1)
-    snapshots: list[DensitySnapshot] = []
-    status = STATUS_COMPLETED
-    negative_rate = False
-    blowup_time = None
-
-    def record(n: int, t: float, rate: float):
-        times[n] = t
-        rates[n] = rate
-        masses[n] = float(np.sum(p) * grid.h)
-        if n in snap_lookup:
-            snapshots.append(DensitySnapshot(snap_lookup[n], out_grid, _to_norm_grid(p, grid, out_grid)))
-
-    record(0, 0.0, _rate_from_slope(p[-1], grid.h, params))
-    last = 0
-    t_start = time.perf_counter()
-    for n in range(1, n_steps + 1):
-        try:
-            p, _ = fdm_step(p, params, grid, dt)
-            rate = _rate_from_slope(p[-1], grid.h, params)
-        except SingularFiringRateError:
-            status = STATUS_SOLVER_FAILURE
-            break
-        record(n, n * dt, rate)
-        last = n
-        if rate < -1e-12:
-            negative_rate = True
-        if not np.all(np.isfinite(p)) or rate > blowup_threshold:
-            status = STATUS_BLOWUP
-            blowup_time = n * dt
-            break
-    wall = time.perf_counter() - t_start
-
-    keep = last + 1
-    record_out = RunRecord(
-        times=times[:keep],
-        rates=rates[:keep],
-        masses=masses[:keep],
-        status=status,
-        snapshots=snapshots,
-        negative_rate=negative_rate,
-        blowup_time=blowup_time,
-        wall_time=wall,
-        dt=dt,
-    )
-    record_out.final_density = _to_norm_grid(p, grid, out_grid)
-    return record_out
-
-
-def fdm_reference(
-    p0,
-    params: OnePopParams,
-    domain: Domain,
-    t_final: float,
-    h: float = DEFAULT_H,
-    v_min: float = DEFAULT_V_MIN,
-    richardson: bool = True,
-    dt_safety: float = 0.9,
-) -> np.ndarray:
-    """Reference density at t_final on the comparison grid.
-
-    With ``richardson`` the leading O(h) upwind error is cancelled from a
-    (h, h/2) pair; each run picks the largest stable step that divides
-    t_final.
-    """
-
-    def run(h_run: float) -> np.ndarray:
-        grid = FdmGrid.build(domain, v_min=v_min, h=h_run)
-        # allow for mild rate-driven growth of drift and diffusion
-        bound = dt_safety * cfl_timestep(grid, params.a0 + params.a1, 1.0, params.b)
-        n_steps = int(np.ceil(t_final / bound))
-        dt = t_final / n_steps
-        p = _initial_cells(p0, grid)
-        for _ in range(n_steps):
-            p, _ = fdm_step(p, params, grid, dt)
-        return _to_norm_grid(p, grid, norm_grid(domain))
-
-    coarse = run(h)
-    if not richardson:
-        return coarse
-    fine = run(0.5 * h)
-    return 2.0 * fine - coarse
-
-
-def _twopop_rates(p_e_last, p_i_last, h, a_const):
-    return a_const * p_e_last / h, a_const * p_i_last / h
+    snapshots = [DensitySnapshot(t, out_grid, _to_norm_grid(st.p, grid, out_grid)) for t, st in run.snapshots]
+    record = RunRecord.from_integration(run, dt, snapshots)
+    record.final_density = _to_norm_grid(run.state.p, grid, out_grid)
+    return record
 
 
 def fdm_solve_twopop(
@@ -259,133 +275,51 @@ def fdm_solve_twopop(
     """
     if params.diffusion_mode != DIFFUSION_CONSTANT:
         raise ConfigurationError("the finite-difference oracle supports constant diffusion only")
-    a_const = params.diffusion_constant
-    n_steps = _validate_times(dt, t_final, ())
-    lags = params.delay_lags(dt)
-    drift_cap = max(abs(params.b_e_to_e) + abs(params.b_i_to_e), abs(params.b_e_to_i) + abs(params.b_i_to_i))
-    u_extra = drift_cap * cfl_rate_cap + abs(params.b_e_to_i - params.b_e_to_e) * params.nu_ext
-    bound = grid.h * grid.h / (2.0 * a_const + (max(abs(grid.v_min), grid.domain.v_threshold) + u_extra) * grid.h)
-    if dt > bound:
+    if dt > _stable_timestep(grid, params, cfl_rate_cap):
         raise ConfigurationError(f"dt={dt} violates the explicit stability bound for h={grid.h}")
-
-    h = grid.h
-    p_e = _initial_cells(p0_e, grid)
-    p_i = _initial_cells(p0_i, grid)
-    r_e, r_i = r0_e, r0_i
-    hist_e = np.empty(n_steps + 1)
-    hist_i = np.empty(n_steps + 1)
-
-    times = np.empty(n_steps + 1)
-    rate_e = np.empty(n_steps + 1)
-    rate_i = np.empty(n_steps + 1)
-    mass_e = np.empty(n_steps + 1)
-    mass_i = np.empty(n_steps + 1)
-    refr_e = np.empty(n_steps + 1)
-    refr_i = np.empty(n_steps + 1)
-    status = STATUS_COMPLETED
-    trip_e = trip_i = None
-
-    inner = grid.inner_edges
-
-    def one_step(p, v_drift, diffusion, m_in):
-        u = -inner + v_drift
-        flux = np.empty(grid.n_cells + 1)
-        flux[0] = 0.0
-        flux[1:-1] = np.where(u >= 0.0, u * p[:-1], u * p[1:]) - diffusion * np.diff(p) / h
-        flux[-1] = diffusion * p[-1] / h
-        p_new = p - (dt / h) * np.diff(flux)
-        p_new[grid.i_reset] += m_in * dt / h
-        return p_new
-
-    t_start = time.perf_counter()
-    last = 0
-    for n in range(0, n_steps + 1):
-        ne = a_const * p_e[-1] / h
-        ni = a_const * p_i[-1] / h
-        hist_e[n] = ne
-        hist_i[n] = ni
-        times[n] = n * dt
-        rate_e[n] = ne
-        rate_i[n] = ni
-        mass_e[n] = float(np.sum(p_e) * h)
-        mass_i[n] = float(np.sum(p_i) * h)
-        refr_e[n] = r_e
-        refr_i[n] = r_i
-        last = n
-        finite = np.all(np.isfinite(p_e)) and np.all(np.isfinite(p_i))
-        if trip_e is None and (ne > blowup_threshold or not finite):
-            trip_e = n * dt
-        if trip_i is None and (ni > blowup_threshold or not finite):
-            trip_i = n * dt
-        if (trip_e is not None and trip_i is not None) or not finite:
-            status = STATUS_BLOWUP
-            break
-        if n == n_steps:
-            break
-
-        ne_d_ee = hist_e[max(0, n - lags["delay_e_to_e"])]
-        ni_d_ie = hist_i[max(0, n - lags["delay_i_to_e"])]
-        ne_d_ei = hist_e[max(0, n - lags["delay_e_to_i"])]
-        ni_d_ii = hist_i[max(0, n - lags["delay_i_to_i"])]
-        v_e = params.b_e_to_e * ne_d_ee - params.b_i_to_e * ni_d_ie
-        v_i = (
-            params.b_e_to_i * ne_d_ei
-            - params.b_i_to_i * ni_d_ii
-            + (params.b_e_to_i - params.b_e_to_e) * params.nu_ext
-        )
-        m_e = recovery(r_e, ne, params, "e")
-        m_i = recovery(r_i, ni, params, "i")
-        p_e = one_step(p_e, v_e, a_const, m_e)
-        p_i = one_step(p_i, v_i, a_const, m_i)
-        r_e += dt * (ne - m_e)
-        r_i += dt * (ni - m_i)
-    wall = time.perf_counter() - t_start
-
-    keep = last + 1
-    rec = TwoPopRunRecord(
-        times=times[:keep],
-        rate_e=rate_e[:keep],
-        rate_i=rate_i[:keep],
-        mass_e=mass_e[:keep],
-        mass_i=mass_i[:keep],
-        refractory_e=refr_e[:keep],
-        refractory_i=refr_i[:keep],
-        status=status,
-        trip_time_e=trip_e,
-        trip_time_i=trip_i,
-        wall_time=wall,
-        dt=dt,
-    )
-    rec.final_density_e = _to_norm_grid(p_e, grid, norm_grid(grid.domain))
-    rec.final_density_i = _to_norm_grid(p_i, grid, norm_grid(grid.domain))
-    return rec
+    run = integrate(_FdmTwoPop(p0_e, p0_i, params, grid, dt, r0_e, r0_i), dt, t_final, (), blowup_threshold)
+    out_grid = norm_grid(grid.domain)
+    record = TwoPopRunRecord.from_integration(run, dt, [], [])
+    record.final_density_e = _to_norm_grid(run.state.u_e, grid, out_grid)
+    record.final_density_i = _to_norm_grid(run.state.u_i, grid, out_grid)
+    return record
 
 
-def fdm_reference_twopop(
-    p0_e,
-    p0_i,
-    params: TwoPopParams,
+def fdm_reference(
+    p0,
+    params,
     domain: Domain,
     t_final: float,
     h: float = DEFAULT_H,
     v_min: float = DEFAULT_V_MIN,
     richardson: bool = True,
     dt_safety: float = 0.9,
-):
-    """Reference densities (E, I) at t_final on the comparison grid."""
+) -> np.ndarray:
+    """Reference density at t_final on the comparison grid.
 
-    def run(h_run: float):
+    ``p0`` and ``params`` are one density callable and OnePopParams, or an
+    (E, I) pair of callables and TwoPopParams; the latter gives a (2, n)
+    array whose rows are the E and I densities.  With ``richardson`` the
+    leading O(h) upwind error is cancelled from a (h, h/2) pair; each run
+    takes :func:`reference_timestep`.
+    """
+    two = isinstance(params, TwoPopParams)
+
+    def run(h_run: float) -> np.ndarray:
         grid = FdmGrid.build(domain, v_min=v_min, h=h_run)
-        a_const = params.diffusion_constant
-        u_max = max(abs(grid.v_min), domain.v_threshold) + abs(params.b_e_to_i - params.b_e_to_e) * params.nu_ext
-        bound = dt_safety * grid.h * grid.h / (2.0 * a_const + u_max * grid.h)
-        n_steps = int(np.ceil(t_final / bound))
-        dt = t_final / n_steps
-        rec = fdm_solve_twopop(p0_e, p0_i, params, grid, dt, t_final)
-        return rec.final_density_e, rec.final_density_i
+        dt = reference_timestep(grid, params, t_final, dt_safety)
+        if two:
+            rec = fdm_solve_twopop(*p0, params, grid, dt, t_final)
+            final = np.array([rec.final_density_e, rec.final_density_i])
+        else:
+            rec = fdm_solve(p0, params, grid, dt, t_final)
+            final = rec.final_density
+        if rec.status != STATUS_COMPLETED:
+            raise NnlifError(f"reference run at h={h_run} ended with status {rec.status}")
+        return final
 
-    ce, ci = run(h)
+    coarse = run(h)
     if not richardson:
-        return ce, ci
-    fe, fi = run(0.5 * h)
-    return 2.0 * fe - ce, 2.0 * fi - ci
+        return coarse
+    fine = run(0.5 * h)
+    return 2.0 * fine - coarse

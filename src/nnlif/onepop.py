@@ -12,22 +12,16 @@ that is negligible and keeps the code obviously correct.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .assembly import GalerkinMatrices, project_initial, reconstruct
-from .errors import ConfigurationError, LinearSolveError, SingularFiringRateError
+from .errors import ConfigurationError, LinearSolveError, SingularFiringRateError, check_finite
+from .integrate import DEFAULT_BLOWUP_THRESHOLD, integrate
 from .norms import norm_grid
 
 _RATE_DENOM_TOL = 1e-12
-_NEGATIVE_RATE_TOL = -1e-12
-DEFAULT_BLOWUP_THRESHOLD = 1e3
-
-STATUS_COMPLETED = "completed"
-STATUS_BLOWUP = "blow-up-detected"
-STATUS_SOLVER_FAILURE = "solver-failure"
 
 
 @dataclass(frozen=True)
@@ -40,10 +34,12 @@ class OnePopParams:
     b: float = 0.0
 
     def __post_init__(self):
+        for name in ("a0", "a1", "b"):
+            check_finite(name, getattr(self, name))
         if self.a0 <= 0:
-            raise ValueError(f"a0 must be positive, got {self.a0}")
+            raise ConfigurationError(f"a0 must be positive, got {self.a0}")
         if self.a1 < 0:
-            raise ValueError(f"a1 must be nonnegative, got {self.a1}")
+            raise ConfigurationError(f"a1 must be nonnegative, got {self.a1}")
 
 
 @dataclass(frozen=True)
@@ -74,6 +70,13 @@ class RunRecord:
     wall_time: float = 0.0
     dt: float = 0.0
     final_density: np.ndarray | None = None
+
+    @classmethod
+    def from_integration(cls, run, dt: float, snapshots: list[DensitySnapshot]) -> "RunRecord":
+        return cls(
+            run.times, *run.columns, run.status, snapshots, run.negative_rate,
+            run.trip_times[0], run.wall_time, dt,
+        )
 
 
 def firing_rate(u_hat: np.ndarray, deriv_at_threshold: np.ndarray, params: OnePopParams) -> float:
@@ -111,10 +114,14 @@ def system_matrix(
 
 
 def step(state: PopulationState, params: OnePopParams, matrices: GalerkinMatrices, dt: float) -> PopulationState:
-    """Advance one time increment; raises on singular systems."""
+    """Advance one time increment; raises on singular systems.
+
+    ``state.rate`` must be the firing rate of ``state.u_hat``, as it is for
+    every state that :func:`solve` or this function produces.
+    """
     if dt <= 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
-    rate = firing_rate(state.u_hat, matrices.traces.deriv_at_threshold, params)
+    rate = state.rate
     diffusion = params.a0 + params.a1 * rate
     lhs = system_matrix(matrices, params.b * rate, diffusion, dt)
     rhs = matrices.H @ state.u_hat / dt
@@ -127,17 +134,24 @@ def step(state: PopulationState, params: OnePopParams, matrices: GalerkinMatrice
     return PopulationState(u_hat=u_next, t=t_next, rate=rate_next)
 
 
-def _validate_times(dt: float, t_final: float, snapshot_times) -> int:
-    if dt <= 0 or t_final <= 0:
-        raise ConfigurationError(f"need dt > 0 and t_final > 0, got {dt}, {t_final}")
-    n_steps = round(t_final / dt)
-    if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
-        raise ConfigurationError(f"dt={dt} does not divide t_final={t_final}")
-    for ts in snapshot_times:
-        k = round(ts / dt)
-        if ts < 0 or ts > t_final or abs(k * dt - ts) > 1e-9 * max(1.0, abs(ts)):
-            raise ConfigurationError(f"snapshot time {ts} is not a multiple of dt={dt}")
-    return n_steps
+class _OnePop:
+    """The spectral single-population model as a :class:`Stepper`."""
+
+    populations = 1
+
+    def __init__(self, p0, params: OnePopParams, matrices: GalerkinMatrices, dt: float):
+        self.p0, self.params, self.matrices, self.dt = p0, params, matrices, dt
+
+    def start(self, rates) -> PopulationState:
+        mats = self.matrices
+        u0 = project_initial(mats.basis, mats, self.p0)
+        return PopulationState(u_hat=u0, t=0.0, rate=firing_rate(u0, mats.traces.deriv_at_threshold, self.params))
+
+    def step(self, state: PopulationState) -> PopulationState:
+        return step(state, self.params, self.matrices, self.dt)
+
+    def observe(self, state: PopulationState):
+        return state.rate, float(np.dot(self.matrices.mass, state.u_hat))
 
 
 def solve(
@@ -157,65 +171,11 @@ def solve(
     coefficients go non-finite; singular systems stop the run with status
     "solver-failure" instead of raising.
     """
-    basis = matrices.basis
-    n_steps = _validate_times(dt, t_final, snapshot_times)
     if snapshot_grid is None:
-        snapshot_grid = norm_grid(basis.domain)
-    snap_lookup = {round(ts / dt): ts for ts in snapshot_times}
-
-    u0 = project_initial(basis, matrices, p0)
-    deriv_tr = matrices.traces.deriv_at_threshold
-    state = PopulationState(u_hat=u0, t=0.0, rate=firing_rate(u0, deriv_tr, params))
-
-    times = np.empty(n_steps + 1)
-    rates = np.empty(n_steps + 1)
-    masses = np.empty(n_steps + 1)
-    snapshots: list[DensitySnapshot] = []
-    status = STATUS_COMPLETED
-    negative_rate = False
-    blowup_time = None
-
-    def record(n: int, st: PopulationState):
-        times[n] = st.t
-        rates[n] = st.rate
-        masses[n] = float(np.dot(matrices.mass, st.u_hat))
-        if n in snap_lookup:
-            snapshots.append(
-                DensitySnapshot(
-                    t=snap_lookup[n],
-                    grid=snapshot_grid,
-                    density=reconstruct(basis, st.u_hat, snapshot_grid),
-                )
-            )
-
-    record(0, state)
-    last = 0
-    t_start = time.perf_counter()
-    for n in range(1, n_steps + 1):
-        try:
-            state = step(state, params, matrices, dt)
-        except (SingularFiringRateError, LinearSolveError):
-            status = STATUS_SOLVER_FAILURE
-            break
-        record(n, state)
-        last = n
-        if state.rate < _NEGATIVE_RATE_TOL:
-            negative_rate = True
-        if not np.all(np.isfinite(state.u_hat)) or state.rate > blowup_threshold:
-            status = STATUS_BLOWUP
-            blowup_time = state.t
-            break
-    wall = time.perf_counter() - t_start
-
-    keep = last + 1
-    return RunRecord(
-        times=times[:keep],
-        rates=rates[:keep],
-        masses=masses[:keep],
-        status=status,
-        snapshots=snapshots,
-        negative_rate=negative_rate,
-        blowup_time=blowup_time,
-        wall_time=wall,
-        dt=dt,
-    )
+        snapshot_grid = norm_grid(matrices.basis.domain)
+    run = integrate(_OnePop(p0, params, matrices, dt), dt, t_final, snapshot_times, blowup_threshold)
+    basis = matrices.basis
+    snapshots = [
+        DensitySnapshot(t, snapshot_grid, reconstruct(basis, st.u_hat, snapshot_grid)) for t, st in run.snapshots
+    ]
+    return RunRecord.from_integration(run, dt, snapshots)

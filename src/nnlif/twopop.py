@@ -6,6 +6,11 @@ population, with drift offset V_alpha and diffusion a_alpha evaluated from
 delayed firing rates.  The refractory masses follow the forward-Euler update
 R^{n+1} = R^n + dt (N^n - M^n).
 
+Delayed rates are read from the run's recorded rate columns at the clamped
+step max(0, n - delay/dt); the current step's rates travel on the state,
+where the previous step left them.  A step only reads the record, so it has
+no effect outside the state it returns.
+
 Recovery modes:
 
 * ``pass-through`` (M_alpha = N_alpha): the reset inflow equals the
@@ -21,7 +26,8 @@ strength with which the excitatory rate drives the inhibitory population.
 
 from __future__ import annotations
 
-import time
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,27 +38,16 @@ from .errors import (
     LinearSolveError,
     NonpositiveDiffusionError,
     SingularFiringRateError,
+    check_finite,
 )
+from .integrate import DEFAULT_BLOWUP_THRESHOLD, integrate
 from .norms import norm_grid
-from .onepop import (
-    DEFAULT_BLOWUP_THRESHOLD,
-    STATUS_BLOWUP,
-    STATUS_COMPLETED,
-    STATUS_SOLVER_FAILURE,
-    _NEGATIVE_RATE_TOL,
-    DensitySnapshot,
-    _validate_times,
-    system_matrix,
-)
+from .onepop import DensitySnapshot, system_matrix
 
 RECOVERY_PASS_THROUGH = "pass-through"
 RECOVERY_EXPONENTIAL = "exponential"
 DIFFUSION_CONSTANT = "constant"
 DIFFUSION_MODEL = "model"
-
-# once one population has tripped the blow-up threshold, keep integrating at
-# most this much longer waiting for the other one
-_POST_TRIP_WINDOW = 1.0
 
 
 @dataclass(frozen=True)
@@ -84,22 +79,25 @@ class TwoPopParams:
     refractory_mode: str = RECOVERY_PASS_THROUGH
 
     def __post_init__(self):
-        for name in (
+        nonnegative = (
             "b_e_to_e", "b_e_to_i", "b_i_to_e", "b_i_to_i",
             "d_e_to_e", "d_e_to_i", "d_i_to_e", "d_i_to_i",
             "delay_e_to_e", "delay_e_to_i", "delay_i_to_e", "delay_i_to_i",
             "nu_ext",
-        ):
+        )
+        for name in nonnegative + ("tau_e", "tau_i", "diffusion_constant"):
+            check_finite(name, getattr(self, name))
+        for name in nonnegative:
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+                raise ConfigurationError(f"{name} must be nonnegative")
         if self.diffusion_mode not in (DIFFUSION_CONSTANT, DIFFUSION_MODEL):
-            raise ValueError(f"unknown diffusion mode {self.diffusion_mode!r}")
+            raise ConfigurationError(f"unknown diffusion mode {self.diffusion_mode!r}")
         if self.refractory_mode not in (RECOVERY_PASS_THROUGH, RECOVERY_EXPONENTIAL):
-            raise ValueError(f"unknown refractory mode {self.refractory_mode!r}")
+            raise ConfigurationError(f"unknown refractory mode {self.refractory_mode!r}")
         if self.diffusion_mode == DIFFUSION_CONSTANT and self.diffusion_constant <= 0:
-            raise ValueError("constant diffusion coefficient must be positive")
+            raise ConfigurationError("constant diffusion coefficient must be positive")
         if self.refractory_mode == RECOVERY_EXPONENTIAL and (self.tau_e <= 0 or self.tau_i <= 0):
-            raise ValueError("exponential recovery needs positive refractory durations")
+            raise ConfigurationError("exponential recovery needs positive refractory durations")
 
     def delay_lags(self, dt: float) -> dict[str, int]:
         """Delays as integer step counts; rejects non-divisible delays."""
@@ -111,44 +109,6 @@ class TwoPopParams:
                 raise ConfigurationError(f"{name}={d} is not an integer multiple of dt={dt}")
             lags[name] = lag
         return lags
-
-
-class FiringHistory:
-    """Ring buffer of past firing rates addressed by absolute step index.
-
-    Capacity is max-lag + 1, enough for every clamped lookup
-    idx = max(0, n - lag).
-    """
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("history capacity must be >= 1")
-        self.capacity = capacity
-        self._buf = np.zeros(capacity)
-        self._count = 0
-
-    def append(self, value: float) -> None:
-        self._buf[self._count % self.capacity] = value
-        self._count += 1
-
-    def value_at(self, step: int) -> float:
-        step = max(0, step)
-        if step >= self._count:
-            raise IndexError(f"step {step} not yet recorded (count={self._count})")
-        if step < self._count - self.capacity:
-            raise IndexError(f"step {step} fell out of the retained window")
-        return float(self._buf[step % self.capacity])
-
-    def __len__(self) -> int:
-        return self._count
-
-
-def delayed_rate(history: FiringHistory, n: int, delay: float, dt: float) -> float:
-    """Rate at the clamped delayed index max(0, n - delay/dt)."""
-    lag = round(delay / dt)
-    if abs(lag * dt - delay) > 1e-9 * max(1.0, delay):
-        raise ConfigurationError(f"delay {delay} is not an integer multiple of dt={dt}")
-    return history.value_at(max(0, n - lag))
 
 
 def recovery(r_mass: float, rate: float, params: TwoPopParams, pop: str) -> float:
@@ -184,18 +144,45 @@ def coefficients(params: TwoPopParams, n_e_delayed: float, n_i_delayed: float, p
     return v_drift, diff
 
 
-@dataclass
+def lagged_rate(history, current: float, n: int, lag: int) -> float:
+    """Rate at the clamped delayed step max(0, n - lag) seen from step n:
+    ``current`` when that is step n itself, else the recorded ``history``
+    entry of that step."""
+    i = max(0, n - lag)
+    return current if i == n else float(history[i])
+
+
+@dataclass(frozen=True)
 class TwoPopState:
+    """Densities (coefficients or cell values), refractory masses and rates
+    of both populations at step ``step_index``.
+
+    ``rate_e``/``rate_i`` are the rates of this state.  ``history_e`` and
+    ``history_i`` hold the recorded rates of the run, entry k for step k; a
+    step reads the entries before its own index that its delays reach, which
+    with zero delays is none.
+    """
+
     u_e: np.ndarray
     u_i: np.ndarray
     r_e: float
     r_i: float
     t: float
     step_index: int
-    history_e: FiringHistory
-    history_i: FiringHistory
-    rate_e: float = 0.0
-    rate_i: float = 0.0
+    rate_e: float
+    rate_i: float
+    history_e: Sequence[float] = ()
+    history_i: Sequence[float] = ()
+
+
+def delayed_rates(state: TwoPopState, lags: dict[str, int]):
+    """Delayed (N_E, N_I) arguments of the excitatory and of the inhibitory
+    population's coefficients at the state's step."""
+    n, hist_e, hist_i, n_e, n_i = state.step_index, state.history_e, state.history_i, state.rate_e, state.rate_i
+    return (
+        (lagged_rate(hist_e, n_e, n, lags["delay_e_to_e"]), lagged_rate(hist_i, n_i, n, lags["delay_i_to_e"])),
+        (lagged_rate(hist_e, n_e, n, lags["delay_e_to_i"]), lagged_rate(hist_i, n_i, n, lags["delay_i_to_i"])),
+    )
 
 
 @dataclass
@@ -218,67 +205,48 @@ class TwoPopRunRecord:
     final_density_e: np.ndarray | None = None
     final_density_i: np.ndarray | None = None
 
+    @classmethod
+    def from_integration(cls, run, dt: float, snapshots_e: list, snapshots_i: list) -> "TwoPopRunRecord":
+        return cls(
+            run.times, *run.columns, run.status, *run.trip_times, run.negative_rate,
+            run.wall_time, dt, snapshots_e, snapshots_i,
+        )
 
-def _resolve_rates(state: TwoPopState, params: TwoPopParams, s_e: float, s_i: float, lags):
-    """Current rates N_E^n, N_I^n together with the delayed arguments of each
-    population's coefficients.
 
-    Lookups whose clamped index equals the current step are implicit: with
+def _resolve_rates(params: TwoPopParams, n: int, s_e: float, s_i: float, lags, history_e, history_i):
+    """Rates N_E^n, N_I^n of a state at step n with threshold slopes s_e, s_i.
+
+    Delayed lookups whose clamped index is n itself are implicit: with
     constant diffusion they drop out of the rate (N = -a s), with model-mode
     diffusion the two rate relations stay affine in (N_E, N_I) and the 2x2
-    system is solved exactly.
+    system is solved exactly.  Earlier steps are read from the histories.
     """
-    n = state.step_index
-
-    def idx(lag):
-        return max(0, n - lag)
-
-    # delayed-index table per (source -> target)
-    i_ee = idx(lags["delay_e_to_e"])
-    i_ei = idx(lags["delay_e_to_i"])
-    i_ie = idx(lags["delay_i_to_e"])
-    i_ii = idx(lags["delay_i_to_i"])
-
     if params.diffusion_mode == DIFFUSION_CONSTANT:
         a_const = params.diffusion_constant
-        n_e = -a_const * s_e
-        n_i = -a_const * s_i
-    else:
-        # rows: relations for N_E and N_I; unknown entries are the lookups
-        # that clamp to the current step
-        mat = np.eye(2)
-        rhs = np.zeros(2)
-        rhs[0] = -s_e * params.d_e_to_e * params.nu_ext
-        rhs[1] = -s_i * params.d_e_to_i * params.nu_ext
+        return -a_const * s_e, -a_const * s_i
 
-        def accruals(row, s_val, d_from_e, d_from_i, idx_e, idx_i):
-            if idx_e == n:
-                mat[row, 0] += s_val * d_from_e
-            else:
-                rhs[row] -= s_val * d_from_e * state.history_e.value_at(idx_e)
-            if idx_i == n:
-                mat[row, 1] += s_val * d_from_i
-            else:
-                rhs[row] -= s_val * d_from_i * state.history_i.value_at(idx_i)
-
-        accruals(0, s_e, params.d_e_to_e, params.d_i_to_e, i_ee, i_ie)
-        accruals(1, s_i, params.d_e_to_i, params.d_i_to_i, i_ei, i_ii)
-        det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-        if abs(det) < 1e-12:
-            raise SingularFiringRateError(
-                f"implicit two-population rate system singular (det={det:.3e})"
-            )
-        n_e, n_i = np.linalg.solve(mat, rhs)
-
-    def lookup_e(i):
-        return n_e if i == n else state.history_e.value_at(i)
-
-    def lookup_i(i):
-        return n_i if i == n else state.history_i.value_at(i)
-
-    delayed_for_e = (lookup_e(i_ee), lookup_i(i_ie))
-    delayed_for_i = (lookup_e(i_ei), lookup_i(i_ii))
-    return float(n_e), float(n_i), delayed_for_e, delayed_for_i
+    # rows: relations for N_E and N_I; unknown entries are the lookups
+    # that clamp to the current step
+    mat = np.eye(2)
+    rhs = np.array([-s_e * params.d_e_to_e * params.nu_ext, -s_i * params.d_e_to_i * params.nu_ext])
+    for row, col, s_val, d, delay, history in (
+        (0, 0, s_e, params.d_e_to_e, "delay_e_to_e", history_e),
+        (0, 1, s_e, params.d_i_to_e, "delay_i_to_e", history_i),
+        (1, 0, s_i, params.d_e_to_i, "delay_e_to_i", history_e),
+        (1, 1, s_i, params.d_i_to_i, "delay_i_to_i", history_i),
+    ):
+        i = max(0, n - lags[delay])
+        if i == n:
+            mat[row, col] += s_val * d
+        else:
+            rhs[row] -= s_val * d * float(history[i])
+    det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
+    if abs(det) < 1e-12:
+        raise SingularFiringRateError(
+            f"implicit two-population rate system singular (det={det:.3e})"
+        )
+    n_e, n_i = np.linalg.solve(mat, rhs)
+    return float(n_e), float(n_i)
 
 
 def step_twopop(
@@ -288,14 +256,19 @@ def step_twopop(
     dt: float,
     lags: dict[str, int] | None = None,
 ) -> TwoPopState:
-    """Advance both populations and the refractory masses by one step."""
+    """Advance both populations and the refractory masses by one step.
+
+    The current rates come from ``state`` and the delayed ones from its
+    histories; ``state`` itself is left untouched.  When the new state's
+    rates cannot be resolved they are NaN, and stepping that state raises
+    :class:`SingularFiringRateError`.
+    """
     if lags is None:
         lags = params.delay_lags(dt)
-    deriv_tr = matrices.traces.deriv_at_threshold
-    s_e = float(np.dot(deriv_tr, state.u_e))
-    s_i = float(np.dot(deriv_tr, state.u_i))
-
-    n_e, n_i, delayed_for_e, delayed_for_i = _resolve_rates(state, params, s_e, s_i, lags)
+    n_e, n_i = state.rate_e, state.rate_i
+    if math.isnan(n_e) or math.isnan(n_i):
+        raise SingularFiringRateError(f"firing rates at t={state.t:.6g} are unresolved")
+    delayed_for_e, delayed_for_i = delayed_rates(state, lags)
     m_e = recovery(state.r_e, n_e, params, "e")
     m_i = recovery(state.r_i, n_i, params, "i")
 
@@ -307,7 +280,6 @@ def step_twopop(
     ):
         v_drift, diff = coefficients(params, delayed[0], delayed[1], pop)
         lhs = system_matrix(matrices, v_drift, diff, dt, flux_shift_implicit=implicit_flux)
-        lhs = lhs + diff * matrices.G
         rhs = matrices.H @ u_old / dt
         if not implicit_flux:
             rhs = rhs + m_rate * matrices.F
@@ -318,31 +290,61 @@ def step_twopop(
                 f"population {pop} system singular at t={state.t:.6g}: {exc}"
             ) from exc
 
-    state.history_e.append(n_e)
-    state.history_i.append(n_i)
-    new_state = TwoPopState(
+    deriv_tr = matrices.traces.deriv_at_threshold
+    try:
+        rate_e, rate_i = _resolve_rates(
+            params, state.step_index + 1,
+            float(np.dot(deriv_tr, new_u["e"])), float(np.dot(deriv_tr, new_u["i"])),
+            lags, state.history_e, state.history_i,
+        )
+    except (SingularFiringRateError, np.linalg.LinAlgError):
+        rate_e = rate_i = float("nan")
+    return TwoPopState(
         u_e=new_u["e"],
         u_i=new_u["i"],
         r_e=state.r_e + dt * (n_e - m_e),
         r_i=state.r_i + dt * (n_i - m_i),
         t=state.t + dt,
         step_index=state.step_index + 1,
+        rate_e=rate_e,
+        rate_i=rate_i,
         history_e=state.history_e,
         history_i=state.history_i,
     )
-    # rates carried on the state belong to its own time level; the next step
-    # resolves the same values again from the histories, so this stays
-    # consistent (and cheap at these dimensions)
-    try:
-        s_e_new = float(np.dot(deriv_tr, new_state.u_e))
-        s_i_new = float(np.dot(deriv_tr, new_state.u_i))
-        new_state.rate_e, new_state.rate_i, _, _ = _resolve_rates(
-            new_state, params, s_e_new, s_i_new, lags
+
+
+class _TwoPop:
+    """The spectral two-population model as a :class:`Stepper`."""
+
+    populations = 2
+
+    def __init__(self, p0_e, p0_i, params, matrices, dt, r0_e, r0_i):
+        self.p0_e, self.p0_i, self.params, self.matrices = p0_e, p0_i, params, matrices
+        self.dt, self.r0_e, self.r0_i = dt, r0_e, r0_i
+
+    def start(self, rates) -> TwoPopState:
+        mats, params = self.matrices, self.params
+        self.lags = params.delay_lags(self.dt)
+        u_e = project_initial(mats.basis, mats, self.p0_e)
+        u_i = project_initial(mats.basis, mats, self.p0_i)
+        # rates at t=0 follow the delayed-coefficient rule of the first step
+        # (every lookup clamps to the current step)
+        deriv_tr = mats.traces.deriv_at_threshold
+        rate_e, rate_i = _resolve_rates(
+            params, 0, float(np.dot(deriv_tr, u_e)), float(np.dot(deriv_tr, u_i)), self.lags, *rates
         )
-    except (SingularFiringRateError, np.linalg.LinAlgError):
-        new_state.rate_e = float("nan")
-        new_state.rate_i = float("nan")
-    return new_state
+        return TwoPopState(u_e, u_i, self.r0_e, self.r0_i, 0.0, 0, rate_e, rate_i, *rates)
+
+    def step(self, state: TwoPopState) -> TwoPopState:
+        return step_twopop(state, self.params, self.matrices, self.dt, self.lags)
+
+    def observe(self, state: TwoPopState):
+        mass = self.matrices.mass
+        return (
+            state.rate_e, state.rate_i,
+            float(np.dot(mass, state.u_e)), float(np.dot(mass, state.u_i)),
+            state.r_e, state.r_i,
+        )
 
 
 def solve_twopop(
@@ -364,112 +366,15 @@ def solve_twopop(
     threshold (up to a bounded window) so near-simultaneous events yield a
     trip time for each population.
     """
-    basis = matrices.basis
-    n_steps = _validate_times(dt, t_final, snapshot_times)
-    lags = params.delay_lags(dt)
-    capacity = max(lags.values()) + 1
     if snapshot_grid is None:
-        snapshot_grid = norm_grid(basis.domain)
-    snap_lookup = {round(ts / dt): ts for ts in snapshot_times}
+        snapshot_grid = norm_grid(matrices.basis.domain)
+    stepper = _TwoPop(p0_e, p0_i, params, matrices, dt, r0_e, r0_i)
+    run = integrate(stepper, dt, t_final, snapshot_times, blowup_threshold)
 
-    state = TwoPopState(
-        u_e=project_initial(basis, matrices, p0_e),
-        u_i=project_initial(basis, matrices, p0_i),
-        r_e=r0_e,
-        r_i=r0_i,
-        t=0.0,
-        step_index=0,
-        history_e=FiringHistory(capacity),
-        history_i=FiringHistory(capacity),
-    )
+    def snapshots(pop: str) -> list[DensitySnapshot]:
+        return [
+            DensitySnapshot(t, snapshot_grid, reconstruct(matrices.basis, getattr(st, pop), snapshot_grid))
+            for t, st in run.snapshots
+        ]
 
-    times = np.empty(n_steps + 1)
-    rate_e = np.empty(n_steps + 1)
-    rate_i = np.empty(n_steps + 1)
-    mass_e = np.empty(n_steps + 1)
-    mass_i = np.empty(n_steps + 1)
-    refr_e = np.empty(n_steps + 1)
-    refr_i = np.empty(n_steps + 1)
-    snaps_e: list[DensitySnapshot] = []
-    snaps_i: list[DensitySnapshot] = []
-
-    status = STATUS_COMPLETED
-    negative = False
-    trip_e: float | None = None
-    trip_i: float | None = None
-
-    def record(n: int, st: TwoPopState):
-        times[n] = st.t
-        rate_e[n] = st.rate_e
-        rate_i[n] = st.rate_i
-        mass_e[n] = float(np.dot(matrices.mass, st.u_e))
-        mass_i[n] = float(np.dot(matrices.mass, st.u_i))
-        refr_e[n] = st.r_e
-        refr_i[n] = st.r_i
-        if n in snap_lookup:
-            ts = snap_lookup[n]
-            snaps_e.append(DensitySnapshot(ts, snapshot_grid, reconstruct(basis, st.u_e, snapshot_grid)))
-            snaps_i.append(DensitySnapshot(ts, snapshot_grid, reconstruct(basis, st.u_i, snapshot_grid)))
-
-    # rates at t=0 are the initial slopes under the same delayed-coefficient
-    # rule used by the first step (all lookups clamp to the current step)
-    deriv_tr = matrices.traces.deriv_at_threshold
-    s_e0 = float(np.dot(deriv_tr, state.u_e))
-    s_i0 = float(np.dot(deriv_tr, state.u_i))
-    n_e0, n_i0, _, _ = _resolve_rates(state, params, s_e0, s_i0, lags)
-    state.rate_e, state.rate_i = n_e0, n_i0
-
-    record(0, state)
-    last = 0
-    t_start = time.perf_counter()
-    for n in range(1, n_steps + 1):
-        try:
-            state = step_twopop(state, params, matrices, dt, lags)
-        except (SingularFiringRateError, LinearSolveError, NonpositiveDiffusionError):
-            status = STATUS_SOLVER_FAILURE
-            break
-        record(n, state)
-        last = n
-        if state.rate_e < _NEGATIVE_RATE_TOL or state.rate_i < _NEGATIVE_RATE_TOL:
-            negative = True
-        finite_e = np.all(np.isfinite(state.u_e))
-        finite_i = np.all(np.isfinite(state.u_i))
-        if trip_e is None and (state.rate_e > blowup_threshold or not finite_e):
-            trip_e = state.t
-        if trip_i is None and (state.rate_i > blowup_threshold or not finite_i):
-            trip_i = state.t
-        if trip_e is not None and trip_i is not None:
-            status = STATUS_BLOWUP
-            break
-        if not (finite_e and finite_i):
-            # the still-finite population cannot be advanced any further
-            if trip_e is None:
-                trip_e = state.t
-            if trip_i is None:
-                trip_i = state.t
-            status = STATUS_BLOWUP
-            break
-        first_trip = trip_e if trip_e is not None else trip_i
-        if first_trip is not None and state.t - first_trip > _POST_TRIP_WINDOW:
-            status = STATUS_BLOWUP
-            break
-    wall = time.perf_counter() - t_start
-
-    keep = last + 1
-    return TwoPopRunRecord(
-        times=times[:keep],
-        rate_e=rate_e[:keep],
-        rate_i=rate_i[:keep],
-        mass_e=mass_e[:keep],
-        mass_i=mass_i[:keep],
-        refractory_e=refr_e[:keep],
-        refractory_i=refr_i[:keep],
-        status=status,
-        trip_time_e=trip_e,
-        trip_time_i=trip_i,
-        negative_rate=negative,
-        wall_time=wall,
-        dt=dt,
-        snapshots_e=snaps_e,
-        snapshots_i=snaps_i,
-    )
+    return TwoPopRunRecord.from_integration(run, dt, snapshots("u_e"), snapshots("u_i"))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nnlif import Domain, OnePopParams, TwoPopParams, normalize_gaussian
-from nnlif.fdm import fdm_reference, fdm_reference_twopop
+from nnlif.fdm import fdm_reference
 
 # canonical geometry of every experiment
 V_RESET = 1.0
@@ -62,8 +62,8 @@ def twopop_ics(domain):
 @pytest.fixture(scope="session")
 def twopop_reference(domain, twopop_ladder_params, twopop_ics):
     ic_e, ic_i = twopop_ics
-    return fdm_reference_twopop(
-        ic_e, ic_i, twopop_ladder_params, domain, 0.2, h=REFERENCE_H, richardson=True
+    return fdm_reference(
+        (ic_e, ic_i), twopop_ladder_params, domain, 0.2, h=REFERENCE_H, richardson=True
     )
 
 

@@ -19,7 +19,7 @@ from nnlif.norms import l2_distance, linf_distance, norm_grid
 from nnlif.onepop import OnePopParams, PopulationState, firing_rate, solve, step
 from nnlif.quadrature import gauss_laguerre, gauss_legendre
 from nnlif.experiments import classify_regime
-from nnlif.twopop import FiringHistory, TwoPopParams, TwoPopState, solve_twopop, step_twopop
+from nnlif.twopop import TwoPopParams, TwoPopState, solve_twopop, step_twopop
 
 _TABLE1_L2 = (4.58e-3, 2.36e-3, 1.20e-3, 6.09e-4)
 _TABLE1_L2_ORDERS = (0.95, 0.97, 0.98)
@@ -326,9 +326,11 @@ def test_criterion_10_reduction_equivalence(domain, gaussian_ic):
     dt = 1e-3
     u0 = project_initial(basis, mats, gaussian_ic)
     one = PopulationState(u0, 0.0, firing_rate(u0, mats.traces.deriv_at_threshold, params1))
+    # constant diffusion: N = -a s for each population
+    rate0 = -params2.diffusion_constant * float(np.dot(mats.traces.deriv_at_threshold, u0))
     two = TwoPopState(
         u_e=u0.copy(), u_i=u0.copy(), r_e=0.0, r_i=0.0, t=0.0, step_index=0,
-        history_e=FiringHistory(1), history_i=FiringHistory(1),
+        rate_e=rate0, rate_i=rate0,
     )
     lags = params2.delay_lags(dt)
     worst = 0.0

@@ -78,7 +78,6 @@ def test_threshold_coupling_from_traces(m8):
     assert np.array_equal(mats.D, expect)
     # only the interface row can be nonzero
     assert np.all(mats.D[1:] == 0.0)
-    assert np.array_equal(mats.G, np.zeros_like(mats.G))
     expect_f = np.zeros(basis.dim)
     expect_f[0] = 1.0
     assert np.array_equal(mats.F, expect_f)

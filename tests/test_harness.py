@@ -297,6 +297,55 @@ def test_cli_bad_schema_config_error(tmp_path, capsys):
     assert "error-category: config-invalid" in capsys.readouterr().err
 
 
+def _without_dt(cfg):
+    del cfg["numerics"]["dt"]
+
+
+def _set(section, key, value):
+    def edit(cfg):
+        cfg.setdefault(section, {})[key] = value
+    return edit
+
+
+def _twopop(key, value):
+    def edit(cfg):
+        cfg["model"] = {"population": "two", "b_e_to_e": 0.5, key: value}
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set("model", "a0", -1.0),
+        _set("model", "a0", float("nan")),
+        _set("model", "a1", float("inf")),
+        _set("model", "b", float("-inf")),
+        _set("numerics", "dt", float("nan")),
+        _set("numerics", "t_final", float("inf")),
+        _set("initial", "sigma0_sq", float("nan")),
+        _set("initial", "v0", float("inf")),
+        _set("domain", "v_threshold", float("inf")),
+        _set("numerics", "n_q", 5),
+        _twopop("b_i_to_e", float("nan")),
+        _twopop("nu_ext", float("inf")),
+        _twopop("a0", 1.0),
+        _without_dt,
+    ],
+    ids=[
+        "a0-negative", "a0-nan", "a1-inf", "b-minus-inf", "dt-nan", "t_final-inf",
+        "sigma0_sq-nan", "v0-inf", "v_threshold-inf", "n_q-too-small", "twopop-nan", "twopop-inf", "twopop-unknown-key",
+        "missing-dt",
+    ],
+)
+def test_cli_bad_config_values_are_config_errors(tmp_path, capsys, edit):
+    cfg = _base_onepop()
+    edit(cfg)
+    cfg_path = _write(tmp_path, "cfg.json", cfg)
+    rc = main(["blowup", "--config", cfg_path, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "error-category: config-invalid" in capsys.readouterr().err
+
+
 def test_cli_kind_mismatch(tmp_path, capsys):
     cfg_path = _write(tmp_path, "cfg.json", _base_onepop())
     rc = main(["stability-grid", "--config", cfg_path, "--out", str(tmp_path)])

@@ -5,12 +5,12 @@ from nnlif.assembly import assemble, normalize_gaussian, project_initial
 from nnlif.basis import BasisSet
 from nnlif.errors import ConfigurationError, NonpositiveDiffusionError
 from nnlif.onepop import OnePopParams, solve
+from nnlif import twopop
 from nnlif.twopop import (
-    FiringHistory,
     TwoPopParams,
     TwoPopState,
     coefficients,
-    delayed_rate,
+    lagged_rate,
     recovery,
     solve_twopop,
     step_twopop,
@@ -32,62 +32,41 @@ def _decoupled(b_e_to_e=0.5):
     )
 
 
-# --- firing history / delays ------------------------------------------------
+# --- delayed lookups over recorded rates ------------------------------------
 
 
 def test_history_lag_zero_returns_most_recent():
-    h = FiringHistory(3)
-    for n, value in enumerate((0.1, 0.2, 0.3)):
-        h.append(value)
-    assert delayed_rate(h, 2, 0.0, 0.1) == 0.3
+    recorded = np.array([0.1, 0.2])
+    assert lagged_rate(recorded, 0.3, 2, 0) == 0.3
 
 
 def test_history_clamps_to_first_step():
-    h = FiringHistory(11)
-    h.append(7.0)
-    for _ in range(3):
-        h.append(1.0)
-    assert delayed_rate(h, 3, 1.0, 0.1) == 7.0  # lag 10 from step 3 -> step 0
+    recorded = np.array([7.0, 1.0, 1.0])
+    assert lagged_rate(recorded, 1.0, 3, 10) == 7.0  # lag 10 from step 3 -> step 0
 
 
 def test_history_direct_index_arithmetic():
-    h = FiringHistory(5)
-    for n in range(11):
-        h.append(float(n))
-    assert delayed_rate(h, 10, 0.4, 0.1) == 6.0  # lag 4 from step 10 -> step 6
+    recorded = np.arange(10.0)
+    assert lagged_rate(recorded, 10.0, 10, 4) == 6.0  # lag 4 from step 10 -> step 6
 
 
 def test_history_shift_invariance(rng):
-    # shifting the lookup step by k while adding k*dt to the delay reads the
+    # shifting the lookup step by k while adding k to the lag reads the
     # same recorded sample, clamped region included (exact index arithmetic)
-    dt = 0.1
-    h = FiringHistory(64)
-    for v in rng.standard_normal(40):
-        h.append(v)
+    recorded = rng.standard_normal(40)
     for lag in (0, 3, 7):
         for k in (1, 5, 9):
             for n in range(0, 30 - k):
-                a = delayed_rate(h, n, lag * dt, dt)
-                b = delayed_rate(h, n + k, (lag + k) * dt, dt)
+                a = lagged_rate(recorded, recorded[n], n, lag)
+                b = lagged_rate(recorded, recorded[n + k], n + k, lag + k)
                 assert a == b
 
 
-def test_history_retention_window():
-    h = FiringHistory(4)
-    for n in range(10):
-        h.append(float(n))
-    with pytest.raises(IndexError):
-        h.value_at(2)  # fell out of the window
-    with pytest.raises(IndexError):
-        h.value_at(10)  # not recorded yet
-    assert h.value_at(9) == 9.0
-
-
-def test_delay_must_divide_dt():
-    h = FiringHistory(8)
-    h.append(1.0)
+def test_delay_must_divide_dt(m16, domain):
+    _, mats = m16
+    ic = normalize_gaussian(-1.0, 0.5, domain)
     with pytest.raises(ConfigurationError):
-        delayed_rate(h, 0, 0.05, 0.02)
+        solve_twopop(ic, ic, TwoPopParams(delay_e_to_e=0.05), mats, dt=0.02, t_final=0.1)
 
 
 # --- coefficients and recovery ----------------------------------------------
@@ -161,12 +140,39 @@ def test_zero_state_stays_zero(m16):
     dim = basis.dim
     state = TwoPopState(
         u_e=np.zeros(dim), u_i=np.zeros(dim), r_e=0.0, r_i=0.0,
-        t=0.0, step_index=0, history_e=FiringHistory(1), history_i=FiringHistory(1),
+        t=0.0, step_index=0, rate_e=0.0, rate_i=0.0,
     )
     out = step_twopop(state, params, mats, 1e-3)
     assert np.array_equal(out.u_e, np.zeros(dim))
     assert np.array_equal(out.u_i, np.zeros(dim))
     assert out.r_e == 0.0 and out.r_i == 0.0
+
+
+def test_discarded_probe_step_leaves_trajectory_unchanged(m16, domain, monkeypatch):
+    # one step of the run is preceded by a probe step from the same state
+    # whose result is thrown away; with 1-step delays anything the probe
+    # leaves behind would shift the delayed rates of the following steps
+    _, mats = m16
+    ic = normalize_gaussian(-1.0, 0.5, domain)
+    dt = 1e-3
+    params = TwoPopParams(
+        b_e_to_e=3.5, b_e_to_i=4.0, b_i_to_e=0.75, b_i_to_i=3.0,
+        nu_ext=20.0, tau_e=0.025, tau_i=0.025,
+        delay_e_to_e=dt, delay_e_to_i=dt, delay_i_to_e=dt, delay_i_to_i=dt,
+        refractory_mode="exponential",
+    )
+    plain = solve_twopop(ic, ic, params, mats, dt=dt, t_final=0.05)
+    original = twopop.step_twopop
+
+    def probing(state, *args):
+        if state.step_index == 10:
+            original(state, *args)
+        return original(state, *args)
+
+    monkeypatch.setattr(twopop, "step_twopop", probing)
+    probed = solve_twopop(ic, ic, params, mats, dt=dt, t_final=0.05)
+    for name in ("rate_e", "rate_i", "mass_e", "mass_i", "refractory_e", "refractory_i"):
+        assert np.array_equal(getattr(probed, name), getattr(plain, name)), name
 
 
 def test_reduction_to_single_population(m16, domain):
