@@ -2,8 +2,12 @@
 
 Each experiment kind reads a JSON config (schema below), runs its ladder or
 grid of deterministic cells, and writes CSV tables via :mod:`records`.
-Independent cells can execute in a process pool; aggregation is keyed, so
-results are identical for any worker count.
+The config is parsed once into typed model parameters and initial
+densities, and each runner assembles the Galerkin matrices once per
+distinct expansion number before any reference run; every cell receives
+the parsed config and its prebuilt matrices.  Independent cells can execute
+in a process pool; aggregation is keyed, so results are identical for any
+worker count.
 
 Config schema (version 1)::
 
@@ -15,10 +19,11 @@ Config schema (version 1)::
       "model":     one-population {"population": "one", "a0", "a1", "b"}
                    or two-population {"population": "two", "b_e_to_e", ...},
       "initial":   {"v0", "sigma0_sq"} or {"e": {...}, "i": {...}},
-      "numerics":  {"m", "dt", "t_final", "dt_values", "m_values", ...},
+      "numerics":  {"m", "dt", "t_final", "dt_values", "m_values", "n_q", ...},
       "reference": {"method": "fdm"|"self", "h", "richardson", "v_min"},
       "snapshot_times": [...],
       "blowup_threshold": ...,
+      "bound": ...,                                      # stability-grid only
       "detection": {"warmup_fraction", "steady_window_fraction",
                     "steady_fluctuation", "peak_amplitude_fraction",
                     "peak_spacing_tolerance"},
@@ -37,15 +42,16 @@ import os
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.signal import find_peaks
 
-from .assembly import assemble, normalize_gaussian
+from .assembly import GaussianIC, assemble, normalize_gaussian
 from .basis import BasisSet, Domain
-from .errors import ConfigurationError, check_finite
+from .errors import ConfigurationError, NnlifError, check_finite
 from .fdm import FdmGrid, fdm_reference, fdm_solve, reference_timestep
+from .integrate import STATUS_COMPLETED
 from .norms import l2_distance, linf_distance, norm_grid
 from .onepop import OnePopParams, solve
 from .records import emit_run_record, emit_snapshot, emit_table, emit_twopop_record
@@ -62,6 +68,9 @@ EXPERIMENT_KINDS = (
     "twopop-regimes",
     "compare-fdm",
 )
+
+# kinds whose runners only know the one-population model
+_ONE_POPULATION_KINDS = ("convergence-space", "stability-grid", "efficiency", "compare-fdm")
 
 _DETECTION_DEFAULTS = {
     "warmup_fraction": 0.2,
@@ -85,21 +94,26 @@ _REQUIRED_NUMERICS = {
 
 @dataclass
 class ExperimentConfig:
+    """A validated config.  ``params`` and ``ic`` are the parsed model: for
+    two populations TwoPopParams and an (E, I) pair of initial densities.
+    ``model`` is the model section as given, echoed into output headers."""
+
     kind: str
     domain: Domain
     model: dict
-    initial: dict
+    params: OnePopParams | TwoPopParams
+    ic: GaussianIC | tuple
     numerics: dict
     reference: dict
     snapshot_times: tuple
     blowup_threshold: float
+    bound: float
     detection: dict
     sweep: dict
-    raw: dict = field(repr=False, default_factory=dict)
 
     @property
     def two_population(self) -> bool:
-        return self.model.get("population") == "two"
+        return isinstance(self.params, TwoPopParams)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -125,26 +139,31 @@ def parse_config(raw: dict) -> ExperimentConfig:
         beta=dom_raw.get("beta"),
     )
     model = dict(raw.get("model", {}))
-    if model.get("population") not in ("one", "two"):
+    initial = raw.get("initial", {})
+    if model.get("population") == "one":
+        params, ic = _onepop_params(model), _initial_one(initial, domain)
+    elif model.get("population") == "two":
+        params, ic = _twopop_params(model), _initial_two(initial, domain)
+    else:
         raise ConfigurationError("model.population must be 'one' or 'two'")
-    initial = dict(raw.get("initial", {}))
-    numerics = dict(raw.get("numerics", {}))
-    detection = {**_DETECTION_DEFAULTS, **raw.get("detection", {})}
     blowup_threshold = raw.get("blowup_threshold", 1e3)
     _positive(blowup_threshold, "blowup_threshold")
+    bound = raw.get("bound", 0.2)
+    check_finite("bound", bound)
 
     cfg = ExperimentConfig(
         kind=kind,
         domain=domain,
         model=model,
-        initial=initial,
-        numerics=numerics,
+        params=params,
+        ic=ic,
+        numerics=dict(raw.get("numerics", {})),
         reference=dict(raw.get("reference", {"method": "fdm", "h": 1.0 / 512.0, "richardson": True})),
         snapshot_times=tuple(raw.get("snapshot_times", ())),
         blowup_threshold=float(blowup_threshold),
-        detection=detection,
+        bound=float(bound),
+        detection={**_DETECTION_DEFAULTS, **raw.get("detection", {})},
         sweep=dict(raw.get("sweep", {})),
-        raw=raw,
     )
     _validate(cfg)
     return cfg
@@ -171,6 +190,10 @@ _NUMERICS_CHECKS = {
 
 def _validate(cfg: ExperimentConfig) -> None:
     num, ref = cfg.numerics, cfg.reference
+    if cfg.two_population and cfg.kind in _ONE_POPULATION_KINDS:
+        raise ConfigurationError(f"{cfg.kind} needs a one-population model")
+    if cfg.two_population and cfg.kind == "convergence-time" and _reference_m(cfg):
+        raise ConfigurationError("two-population ladders use the fdm reference")
     for key in _REQUIRED_NUMERICS[cfg.kind]:
         if key not in num:
             raise ConfigurationError(f"{cfg.kind} needs numerics.{key}")
@@ -186,7 +209,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         if key in ref:
             _positive(ref[key], f"reference.{key}")
     check_finite("reference.v_min", ref.get("v_min", -6.0))
-    check_finite("bound", cfg.raw.get("bound", 0.2))
     for ts in cfg.snapshot_times:
         check_finite("snapshot time", ts)
 
@@ -198,8 +220,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         for a, b in zip(ladder[:-1], ladder[1:]):
             if b > a:
                 raise ConfigurationError("dt_values must be non-increasing")
-    if cfg.kind == "twopop-regimes" and not cfg.sweep.get("b_e_to_e"):
-        raise ConfigurationError("twopop-regimes needs sweep.b_e_to_e")
+    if cfg.kind == "twopop-regimes" and not (cfg.two_population and cfg.sweep.get("b_e_to_e")):
+        raise ConfigurationError("twopop-regimes needs a two-population model and sweep.b_e_to_e")
     if dt is not None and t_final is not None:
         _check_divisible(dt, t_final, "t_final")
         for ts in cfg.snapshot_times:
@@ -210,14 +232,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         for dtv in num.get("dt_values", ()):
             _check_divisible(dtv, t_final, "t_final")
     if cfg.two_population:
-        _initial_two(cfg, cfg.domain)
-        for b_e_to_e in cfg.sweep.get("b_e_to_e", [None]):
-            _twopop_params(cfg, b_e_to_e)
+        for b_e_to_e in cfg.sweep.get("b_e_to_e", ()):
+            replace(cfg.params, b_e_to_e=b_e_to_e)
         for dtv in ([dt] if dt is not None else []) + list(num.get("dt_values", ())):
-            _twopop_params(cfg).delay_lags(dtv)
-    else:
-        _onepop_params(cfg)
-        _initial_one(cfg, cfg.domain)
+            cfg.params.delay_lags(dtv)
 
 
 def _check_divisible(dt: float, t: float, what: str) -> None:
@@ -226,31 +244,25 @@ def _check_divisible(dt: float, t: float, what: str) -> None:
         raise ConfigurationError(f"{what}={t} is not an integer multiple of dt={dt}")
 
 
-def _onepop_params(cfg: ExperimentConfig) -> OnePopParams:
-    m = cfg.model
-    return OnePopParams(a0=m.get("a0", 1.0), a1=m.get("a1", 0.0), b=m.get("b", 0.0))
+def _onepop_params(model: dict) -> OnePopParams:
+    return OnePopParams(a0=model.get("a0", 1.0), a1=model.get("a1", 0.0), b=model.get("b", 0.0))
 
 
-def _twopop_params(cfg: ExperimentConfig, b_e_to_e: float | None = None) -> TwoPopParams:
-    m = dict(cfg.model)
-    m.pop("population", None)
-    if b_e_to_e is not None:
-        m["b_e_to_e"] = b_e_to_e
+def _twopop_params(model: dict) -> TwoPopParams:
+    kwargs = {key: value for key, value in model.items() if key != "population"}
     try:
-        return TwoPopParams(**m)
+        return TwoPopParams(**kwargs)
     except TypeError as exc:  # unknown or missing model keys
         raise ConfigurationError(f"model: {exc}") from exc
 
 
-def _initial_one(cfg: ExperimentConfig, domain: Domain):
-    ini = cfg.initial
-    return normalize_gaussian(ini.get("v0", -1.0), ini.get("sigma0_sq", 0.5), domain)
+def _initial_one(initial: dict, domain: Domain) -> GaussianIC:
+    return normalize_gaussian(initial.get("v0", -1.0), initial.get("sigma0_sq", 0.5), domain)
 
 
-def _initial_two(cfg: ExperimentConfig, domain: Domain):
-    ini = cfg.initial
-    e = ini.get("e", {"v0": -1.0, "sigma0_sq": 0.5})
-    i = ini.get("i", {"v0": -1.0, "sigma0_sq": 0.5})
+def _initial_two(initial: dict, domain: Domain) -> tuple:
+    e = initial.get("e", {"v0": -1.0, "sigma0_sq": 0.5})
+    i = initial.get("i", {"v0": -1.0, "sigma0_sq": 0.5})
     for spec in (e, i):
         if not (isinstance(spec, dict) and "v0" in spec and "sigma0_sq" in spec):
             raise ConfigurationError("initial.e and initial.i each need v0 and sigma0_sq")
@@ -273,88 +285,75 @@ def _provenance(cfg: ExperimentConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# reference solutions
+# spectral runs and reference solutions
 
 
-def _reference_density(cfg: ExperimentConfig, t_final: float):
+def _matrices(cfg: ExperimentConfig, m_values) -> dict:
+    """Galerkin matrices for each distinct expansion number, assembled once
+    with the config's quadrature order."""
+    n_q = cfg.numerics.get("n_q")
+    return {m: assemble(BasisSet(cfg.domain, m), n_q) for m in dict.fromkeys(m_values)}
+
+
+def _run(cfg: ExperimentConfig, mats, dt: float, t_final: float, snapshot_times=()):
+    """The spectral run of the config's model on prebuilt matrices."""
+    options = dict(dt=dt, t_final=t_final, snapshot_times=snapshot_times, blowup_threshold=cfg.blowup_threshold)
+    if cfg.two_population:
+        return solve_twopop(*cfg.ic, cfg.params, mats, **options)
+    return solve(cfg.ic, cfg.params, mats, **options)
+
+
+def _spectral_reference(cfg: ExperimentConfig, mats, dt: float, t_final: float):
+    """Density at t_final of a one-population spectral reference run."""
+    rec = _run(cfg, mats, dt, t_final, (t_final,))
+    if rec.status != STATUS_COMPLETED:
+        raise NnlifError(f"reference run at dt={dt} ended with status {rec.status}")
+    return rec.snapshots[0].density
+
+
+def _reference_m(cfg: ExperimentConfig) -> list:
+    """The expansion number of the self reference, if the config uses one."""
+    return [] if cfg.reference.get("method", "fdm") == "fdm" else [cfg.numerics.get("m", 16)]
+
+
+def _reference_density(cfg: ExperimentConfig, t_final: float, mats: dict):
     """Reference density on the comparison grid; for two populations an
-    (E, I) pair."""
+    (E, I) pair.  ``mats`` holds the matrices of :func:`_reference_m`."""
     ref = cfg.reference
     if ref.get("method", "fdm") == "fdm":
-        if cfg.two_population:
-            p0, params = _initial_two(cfg, cfg.domain), _twopop_params(cfg)
-        else:
-            p0, params = _initial_one(cfg, cfg.domain), _onepop_params(cfg)
         return fdm_reference(
-            p0,
-            params,
+            cfg.ic,
+            cfg.params,
             cfg.domain,
             t_final,
             h=ref.get("h", 1.0 / 512.0),
             v_min=ref.get("v_min", -6.0),
             richardson=ref.get("richardson", True),
         )
-    if cfg.two_population:
-        raise ConfigurationError("two-population ladders use the fdm reference")
     # self reference: the scheme itself at dt/16 of the finest step in play
     ladder = cfg.numerics.get("dt_values") or [cfg.numerics["dt"]]
     dt_ref = ref.get("dt", min(ladder) / 16.0)
-    m = cfg.numerics.get("m", 16)
-    basis = BasisSet(cfg.domain, m)
-    mats = assemble(basis)
-    rec = solve(
-        _initial_one(cfg, cfg.domain), _onepop_params(cfg), mats,
-        dt=dt_ref, t_final=t_final, snapshot_times=(t_final,),
-    )
-    return rec.snapshots[0].density
+    return _spectral_reference(cfg, mats[cfg.numerics.get("m", 16)], dt_ref, t_final)
 
 
 # ---------------------------------------------------------------------------
 # experiment cells (top level so they can cross a process boundary)
 
 
-def _cell_onepop_final(raw_cfg: dict, m: int, dt: float, t_final: float):
-    cfg = parse_config(raw_cfg)
-    basis = BasisSet(cfg.domain, m)
-    mats = assemble(basis, cfg.numerics.get("n_q"))
-    rec = solve(
-        _initial_one(cfg, cfg.domain), _onepop_params(cfg), mats,
-        dt=dt, t_final=t_final, snapshot_times=(t_final,),
-        blowup_threshold=cfg.blowup_threshold,
-    )
-    density = rec.snapshots[0].density if rec.snapshots else None
-    return {"status": rec.status, "density": density, "wall_time": rec.wall_time}
+def _cell_final(cfg: ExperimentConfig, mats, dt: float, t_final: float):
+    """One run to t_final; the final density of each population, or None
+    for a run that stopped before it."""
+    rec = _run(cfg, mats, dt, t_final, (t_final,))
+    snapshots = (rec.snapshots_e, rec.snapshots_i) if cfg.two_population else (rec.snapshots,)
+    densities = [snaps[0].density if snaps else None for snaps in snapshots]
+    return {"status": rec.status, "densities": densities, "wall_time": rec.wall_time}
 
 
-def _cell_twopop_final(raw_cfg: dict, m: int, dt: float, t_final: float):
-    cfg = parse_config(raw_cfg)
-    basis = BasisSet(cfg.domain, m)
-    mats = assemble(basis, cfg.numerics.get("n_q"))
-    ic_e, ic_i = _initial_two(cfg, cfg.domain)
-    rec = solve_twopop(
-        ic_e, ic_i, _twopop_params(cfg), mats, dt=dt, t_final=t_final,
-        snapshot_times=(t_final,), blowup_threshold=cfg.blowup_threshold,
-    )
-    return {
-        "status": rec.status,
-        "density_e": rec.snapshots_e[0].density if rec.snapshots_e else None,
-        "density_i": rec.snapshots_i[0].density if rec.snapshots_i else None,
-        "wall_time": rec.wall_time,
-    }
-
-
-def _cell_regime(raw_cfg: dict, b_e_to_e: float):
-    cfg = parse_config(raw_cfg)
+def _cell_regime(cfg: ExperimentConfig, mats):
     num = cfg.numerics
-    basis = BasisSet(cfg.domain, num.get("m", 16))
-    mats = assemble(basis, num.get("n_q"))
-    ic_e, ic_i = _initial_two(cfg, cfg.domain)
-    rec = solve_twopop(
-        ic_e, ic_i, _twopop_params(cfg, b_e_to_e=b_e_to_e), mats,
-        dt=num["dt"], t_final=num["t_final"], blowup_threshold=cfg.blowup_threshold,
-    )
+    rec = _run(cfg, mats, num["dt"], num["t_final"])
     result = classify_regime(rec, **cfg.detection)
-    result["b_e_to_e"] = b_e_to_e
+    result["b_e_to_e"] = cfg.params.b_e_to_e
     result["record"] = rec
     return result
 
@@ -463,20 +462,19 @@ def run_convergence_time(cfg: ExperimentConfig, out_dir: str, workers: int = 1) 
     t_final = num["t_final"]
     m = num.get("m", 16)
     grid = norm_grid(cfg.domain)
-    results: dict = {}
-
-    ref = _reference_density(cfg, t_final)
-    cell = _cell_twopop_final if cfg.two_population else _cell_onepop_final
-    cells = _map_cells(cell, [(cfg.raw, m, dt, t_final) for dt in ladder], workers)
-    # (result key, cell density key, reference, output file) per population
+    mats = _matrices(cfg, [m, *_reference_m(cfg)])
+    ref = _reference_density(cfg, t_final, mats)
+    cells = _map_cells(_cell_final, [(cfg, mats[m], dt, t_final) for dt in ladder], workers)
+    # (result key, output file, reference) per population
     series = (
-        [("e", "density_e", ref[0], "convergence_time_e.csv"), ("i", "density_i", ref[1], "convergence_time_i.csv")]
+        [("e", "convergence_time_e.csv", ref[0]), ("i", "convergence_time_i.csv", ref[1])]
         if cfg.two_population
-        else [("one", "density", ref, "convergence_time.csv")]
+        else [("one", "convergence_time.csv", ref)]
     )
-    for tag, key, ref_tag, name in series:
-        l2 = [l2_distance(c[key], ref_tag, grid) for c in cells]
-        linf = [linf_distance(c[key], ref_tag) for c in cells]
+    results: dict = {}
+    for k, (tag, name, ref_k) in enumerate(series):
+        l2 = [l2_distance(c["densities"][k], ref_k, grid) for c in cells]
+        linf = [linf_distance(c["densities"][k], ref_k) for c in cells]
         table = {
             "dt": ladder,
             "l2_error": l2,
@@ -496,9 +494,10 @@ def run_convergence_space(cfg: ExperimentConfig, out_dir: str, workers: int = 1)
     dt = num["dt"]
     t_final = num["t_final"]
     grid = norm_grid(cfg.domain)
-    ref = _reference_density(cfg, t_final)
-    cells = _map_cells(_cell_onepop_final, [(cfg.raw, m, dt, t_final) for m in m_values], workers)
-    errors = {m: l2_distance(c["density"], ref, grid) for m, c in zip(m_values, cells)}
+    mats = _matrices(cfg, m_values + _reference_m(cfg))
+    ref = _reference_density(cfg, t_final, mats)
+    cells = _map_cells(_cell_final, [(cfg, mats[m], dt, t_final) for m in m_values], workers)
+    errors = {m: l2_distance(c["densities"][0], ref, grid) for m, c in zip(m_values, cells)}
 
     results = {}
     for parity, label in ((1, "odd"), (0, "even")):
@@ -521,32 +520,31 @@ def run_stability_grid(cfg: ExperimentConfig, out_dir: str, workers: int = 1) ->
     """Full (M, dt) error matrix; per-cell failures recorded, not fatal."""
     num = cfg.numerics
     m_values = list(num["m_values"])
-    dt_values = list(num["dt_values"])
     t_final = num["t_final"]
-    bound = float(cfg.raw.get("bound", 0.2))
     grid = norm_grid(cfg.domain)
-    ref = _reference_density(cfg, t_final)
+    mats = _matrices(cfg, m_values + _reference_m(cfg))
+    ref = _reference_density(cfg, t_final, mats)
 
-    tasks = [(cfg.raw, m, dt, t_final) for m in m_values for dt in dt_values]
-    cells = _map_cells(_cell_onepop_final, tasks, workers)
+    keys = [(m, dt) for m in m_values for dt in num["dt_values"]]
+    cells = _map_cells(_cell_final, [(cfg, mats[m], dt, t_final) for m, dt in keys], workers)
 
-    rows_m, rows_dt, errs, statuses, flags = [], [], [], [], []
-    for (raw, m, dt, tf), cell in zip(tasks, cells):
-        rows_m.append(m)
-        rows_dt.append(dt)
-        if cell["density"] is None or cell["status"] != "completed":
+    errs, statuses, flags = [], [], []
+    for cell in cells:
+        density = cell["densities"][0]
+        statuses.append(cell["status"])
+        if density is None or cell["status"] != STATUS_COMPLETED:
             errs.append(float("nan"))
-            statuses.append(cell["status"])
             flags.append(1)
         else:
-            e = l2_distance(cell["density"], ref, grid)
+            e = l2_distance(density, ref, grid)
             errs.append(e)
-            statuses.append(cell["status"])
-            flags.append(int(not math.isfinite(e) or e > bound))
+            flags.append(int(not math.isfinite(e) or e > cfg.bound))
+    rows_m = [m for m, _ in keys]
+    rows_dt = [dt for _, dt in keys]
     emit_table(
         os.path.join(out_dir, "stability_grid.csv"),
         {"m": rows_m, "dt": rows_dt, "l2_error": errs, "status": statuses, "exceeds_bound": flags},
-        {**_provenance(cfg), "bound": bound},
+        {**_provenance(cfg), "bound": cfg.bound},
     )
     return {"m": rows_m, "dt": rows_dt, "l2_error": errs, "flags": flags}
 
@@ -555,34 +553,27 @@ def run_blowup(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> dict:
     """Blow-up study: full rate series plus density snapshots."""
     num = cfg.numerics
     m = num.get("m", 16)
-    basis = BasisSet(cfg.domain, m)
-    mats = assemble(basis, num.get("n_q"))
+    rec = _run(cfg, _matrices(cfg, [m])[m], num["dt"], num["t_final"], cfg.snapshot_times)
+    path = os.path.join(out_dir, "blowup_run.csv")
     if cfg.two_population:
-        ic_e, ic_i = _initial_two(cfg, cfg.domain)
-        rec = solve_twopop(
-            ic_e, ic_i, _twopop_params(cfg), mats, dt=num["dt"], t_final=num["t_final"],
-            snapshot_times=cfg.snapshot_times, blowup_threshold=cfg.blowup_threshold,
-        )
-        emit_twopop_record(os.path.join(out_dir, "blowup_run.csv"), rec, _provenance(cfg))
-        for tag, snaps in (("e", rec.snapshots_e), ("i", rec.snapshots_i)):
-            for snap in snaps:
-                emit_snapshot(os.path.join(out_dir, f"density_{tag}_t{snap.t:g}.csv"), snap)
-        return {"record": rec}
-    rec = solve(
-        _initial_one(cfg, cfg.domain), _onepop_params(cfg), mats,
-        dt=num["dt"], t_final=num["t_final"],
-        snapshot_times=cfg.snapshot_times, blowup_threshold=cfg.blowup_threshold,
-    )
-    emit_run_record(os.path.join(out_dir, "blowup_run.csv"), rec, _provenance(cfg))
-    for snap in rec.snapshots:
-        emit_snapshot(os.path.join(out_dir, f"density_t{snap.t:g}.csv"), snap)
+        emit_twopop_record(path, rec, _provenance(cfg))
+        populations = (("e_", rec.snapshots_e), ("i_", rec.snapshots_i))
+    else:
+        emit_run_record(path, rec, _provenance(cfg))
+        populations = (("", rec.snapshots),)
+    for tag, snaps in populations:
+        for snap in snaps:
+            emit_snapshot(os.path.join(out_dir, f"density_{tag}t{snap.t:g}.csv"), snap)
     return {"record": rec}
 
 
 def run_twopop_regimes(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> dict:
     """Sweep the excitatory self-coupling and classify each run."""
     values = list(cfg.sweep["b_e_to_e"])
-    cells = _map_cells(_cell_regime, [(cfg.raw, v) for v in values], workers)
+    m = cfg.numerics.get("m", 16)
+    mats = _matrices(cfg, [m])[m]
+    tasks = [(replace(cfg, params=replace(cfg.params, b_e_to_e=v)), mats) for v in values]
+    cells = _map_cells(_cell_regime, tasks, workers)
     regimes, trips_e, trips_i = [], [], []
     for cell in cells:
         regimes.append(cell["regime"])
@@ -619,46 +610,36 @@ def run_efficiency(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> dic
     h_values = list(num.get("h_values", [1.0 / 32, 1.0 / 64, 1.0 / 128]))
     reps = int(num.get("repetitions", 3))
     m_ref = int(num.get("reference_m", max(m_values) + 8))
+    v_min = cfg.reference.get("v_min", -6.0)
     grid = norm_grid(cfg.domain)
-    params = _onepop_params(cfg)
-    ic = _initial_one(cfg, cfg.domain)
-
-    ref_basis = BasisSet(cfg.domain, m_ref)
-    ref_rec = solve(ic, params, assemble(ref_basis), dt=dt, t_final=t_final, snapshot_times=(t_final,))
-    spectral_ref = ref_rec.snapshots[0].density
+    mats = _matrices(cfg, [m_ref, *m_values])
+    spectral_ref = _spectral_reference(cfg, mats[m_ref], dt, t_final)
 
     methods, resolutions, errors, walls = [], [], [], []
     for m in m_values:
-        mats = assemble(BasisSet(cfg.domain, m))
-        wall, rec = _median_wall_time(
-            lambda: solve(ic, params, mats, dt=dt, t_final=t_final, snapshot_times=(t_final,)),
-            reps,
-        )
+        wall, rec = _median_wall_time(lambda: _run(cfg, mats[m], dt, t_final, (t_final,)), reps)
         methods.append("spectral")
         resolutions.append(m)
         errors.append(l2_distance(rec.snapshots[0].density, spectral_ref, grid))
         walls.append(wall)
 
-    h_ref = min(h_values) / 2.0
-    fdm_ref = fdm_reference(ic, params, cfg.domain, t_final, h=h_ref,
-                            v_min=cfg.reference.get("v_min", -6.0), richardson=True)
+    fdm_ref = fdm_reference(cfg.ic, cfg.params, cfg.domain, t_final, h=min(h_values) / 2.0,
+                            v_min=v_min, richardson=True)
     for h in h_values:
-        fgrid = FdmGrid.build(cfg.domain, v_min=cfg.reference.get("v_min", -6.0), h=h)
-        dt_f = reference_timestep(fgrid, params, t_final)
+        fgrid = FdmGrid.build(cfg.domain, v_min=v_min, h=h)
+        dt_f = reference_timestep(fgrid, cfg.params, t_final)
         wall, rec = _median_wall_time(
-            lambda: fdm_solve(ic, params, fgrid, dt_f, t_final), reps,
+            lambda: fdm_solve(cfg.ic, cfg.params, fgrid, dt_f, t_final, blowup_threshold=cfg.blowup_threshold),
+            reps,
         )
         methods.append("fdm")
         resolutions.append(h)
         errors.append(l2_distance(rec.final_density, fdm_ref, grid))
         walls.append(wall)
 
-    emit_table(
-        os.path.join(out_dir, "efficiency.csv"),
-        {"method": methods, "resolution": resolutions, "l2_error": errors, "wall_time_s": walls},
-        _provenance(cfg),
-    )
-    return {"method": methods, "resolution": resolutions, "l2_error": errors, "wall_time_s": walls}
+    table = {"method": methods, "resolution": resolutions, "l2_error": errors, "wall_time_s": walls}
+    emit_table(os.path.join(out_dir, "efficiency.csv"), table, _provenance(cfg))
+    return table
 
 
 def run_compare_fdm(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> dict:
@@ -670,19 +651,18 @@ def run_compare_fdm(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> di
     fdm_h = num.get("fdm_h", 1.0 / 512.0)
     reps = int(num.get("repetitions", 3))
     grid = norm_grid(cfg.domain)
-    params = _onepop_params(cfg)
-    ic = _initial_one(cfg, cfg.domain)
-    ref = _reference_density(cfg, t_final)
+    mats = _matrices(cfg, [m, *_reference_m(cfg)])
+    ref = _reference_density(cfg, t_final, mats)
 
-    mats = assemble(BasisSet(cfg.domain, m))
-    wall_s, rec_s = _median_wall_time(
-        lambda: solve(ic, params, mats, dt=dt, t_final=t_final, snapshot_times=(t_final,)), reps,
-    )
+    wall_s, rec_s = _median_wall_time(lambda: _run(cfg, mats[m], dt, t_final, (t_final,)), reps)
     p_spec = rec_s.snapshots[0].density
 
     fgrid = FdmGrid.build(cfg.domain, v_min=cfg.reference.get("v_min", -6.0), h=fdm_h)
-    dt_f = reference_timestep(fgrid, params, t_final)
-    wall_f, rec_f = _median_wall_time(lambda: fdm_solve(ic, params, fgrid, dt_f, t_final), reps)
+    dt_f = reference_timestep(fgrid, cfg.params, t_final)
+    wall_f, rec_f = _median_wall_time(
+        lambda: fdm_solve(cfg.ic, cfg.params, fgrid, dt_f, t_final, blowup_threshold=cfg.blowup_threshold),
+        reps,
+    )
 
     table = {
         "method": ["spectral", "fdm"],

@@ -80,9 +80,10 @@ def cfl_timestep(grid: FdmGrid, diffusion: float, rate_cap: float = 0.0, b: floa
     return grid.h * grid.h / (2.0 * diffusion + u_max * grid.h)
 
 
-def _rate_from_slope(p_last: float, h: float, params: OnePopParams) -> float:
-    """Firing rate from the discrete threshold slope: N = a(N) p_last / h."""
-    g = p_last / h
+def fdm_rate(p: np.ndarray, params: OnePopParams, grid: FdmGrid) -> float:
+    """Firing rate of the cell values from the discrete threshold slope:
+    N = a(N) p_last / h."""
+    g = p[-1] / grid.h
     denom = 1.0 - params.a1 * g
     if abs(denom) < 1e-12:
         raise SingularFiringRateError("discrete firing-rate relation singular")
@@ -106,10 +107,11 @@ def _advance(p: np.ndarray, grid: FdmGrid, dt: float, drift_offset: float, diffu
     return p_new
 
 
-def fdm_step(p: np.ndarray, params: OnePopParams, grid: FdmGrid, dt: float):
-    """One explicit step; returns (new density, firing rate at entry)."""
-    rate = _rate_from_slope(p[-1], grid.h, params)
-    return _advance(p, grid, dt, params.b * rate, params.a0 + params.a1 * rate, rate), rate
+def fdm_step(p: np.ndarray, rate: float, params: OnePopParams, grid: FdmGrid, dt: float):
+    """One explicit step from cell values ``p`` whose firing rate is
+    ``rate``; returns (new cell values, their firing rate)."""
+    p_new = _advance(p, grid, dt, params.b * rate, params.a0 + params.a1 * rate, rate)
+    return p_new, fdm_rate(p_new, params, grid)
 
 
 def _initial_cells(p0, grid: FdmGrid) -> np.ndarray:
@@ -142,8 +144,8 @@ def _stable_timestep(grid: FdmGrid, params, rate_cap: float) -> float:
     return cfl_timestep(grid, params.a0 + params.a1 * rate_cap, rate_cap, params.b)
 
 
-def reference_timestep(grid: FdmGrid, params, t_final: float, safety: float = 0.9) -> float:
-    """Largest step below ``safety`` times the stability bound that divides
+def reference_timestep(grid: FdmGrid, params, t_final: float) -> float:
+    """Largest step below 0.9 times the stability bound that divides
     t_final, for one-population (OnePopParams) or two-population
     (TwoPopParams) reference runs.
 
@@ -151,7 +153,7 @@ def reference_timestep(grid: FdmGrid, params, t_final: float, safety: float = 0.
     (rates up to 1); two populations bound the external drive only.
     """
     rate_cap = 0.0 if isinstance(params, TwoPopParams) else 1.0
-    bound = safety * _stable_timestep(grid, params, rate_cap)
+    bound = 0.9 * _stable_timestep(grid, params, rate_cap)
     return t_final / math.ceil(t_final / bound)
 
 
@@ -172,12 +174,12 @@ class _FdmOnePop:
 
     def start(self, rates) -> _CellState:
         p = _initial_cells(self.p0, self.grid)
-        return _CellState(p, 0, 0.0, _rate_from_slope(p[-1], self.grid.h, self.params))
+        return _CellState(p, 0, 0.0, fdm_rate(p, self.params, self.grid))
 
     def step(self, state: _CellState) -> _CellState:
-        p, _ = fdm_step(state.p, self.params, self.grid, self.dt)
+        p, rate = fdm_step(state.p, state.rate, self.params, self.grid, self.dt)
         n = state.step_index + 1
-        return _CellState(p, n, n * self.dt, _rate_from_slope(p[-1], self.grid.h, self.params))
+        return _CellState(p, n, n * self.dt, rate)
 
     def observe(self, state: _CellState):
         return state.rate, float(state.p.sum() * self.grid.h)
@@ -189,9 +191,8 @@ class _FdmTwoPop:
 
     populations = 2
 
-    def __init__(self, p0_e, p0_i, params: TwoPopParams, grid: FdmGrid, dt: float, r0_e: float, r0_i: float):
+    def __init__(self, p0_e, p0_i, params: TwoPopParams, grid: FdmGrid, dt: float):
         self.p0_e, self.p0_i, self.params, self.grid, self.dt = p0_e, p0_i, params, grid, dt
-        self.r0_e, self.r0_i = r0_e, r0_i
 
     def _rate(self, p: np.ndarray) -> float:
         return self.params.diffusion_constant * p[-1] / self.grid.h
@@ -201,7 +202,7 @@ class _FdmTwoPop:
         p_e = _initial_cells(self.p0_e, self.grid)
         p_i = _initial_cells(self.p0_i, self.grid)
         return TwoPopState(
-            p_e, p_i, self.r0_e, self.r0_i, 0.0, 0, self._rate(p_e), self._rate(p_i), *rates
+            p_e, p_i, 0.0, 0.0, 0.0, 0, self._rate(p_e), self._rate(p_i), *rates
         )
 
     def step(self, state: TwoPopState) -> TwoPopState:
@@ -262,12 +263,11 @@ def fdm_solve_twopop(
     grid: FdmGrid,
     dt: float,
     t_final: float,
-    r0_e: float = 0.0,
-    r0_i: float = 0.0,
     blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
     cfl_rate_cap: float = 0.0,
 ) -> TwoPopRunRecord:
-    """Two-population variant with the same stencil per population.
+    """Two-population variant with the same stencil per population, from
+    empty refractory states.
 
     Restricted to constant diffusion (the configuration of every experiment
     that uses this oracle); the reset inflow is the recovery rate M_alpha
@@ -277,7 +277,7 @@ def fdm_solve_twopop(
         raise ConfigurationError("the finite-difference oracle supports constant diffusion only")
     if dt > _stable_timestep(grid, params, cfl_rate_cap):
         raise ConfigurationError(f"dt={dt} violates the explicit stability bound for h={grid.h}")
-    run = integrate(_FdmTwoPop(p0_e, p0_i, params, grid, dt, r0_e, r0_i), dt, t_final, (), blowup_threshold)
+    run = integrate(_FdmTwoPop(p0_e, p0_i, params, grid, dt), dt, t_final, (), blowup_threshold)
     out_grid = norm_grid(grid.domain)
     record = TwoPopRunRecord.from_integration(run, dt, [], [])
     record.final_density_e = _to_norm_grid(run.state.u_e, grid, out_grid)
@@ -293,7 +293,6 @@ def fdm_reference(
     h: float = DEFAULT_H,
     v_min: float = DEFAULT_V_MIN,
     richardson: bool = True,
-    dt_safety: float = 0.9,
 ) -> np.ndarray:
     """Reference density at t_final on the comparison grid.
 
@@ -307,7 +306,7 @@ def fdm_reference(
 
     def run(h_run: float) -> np.ndarray:
         grid = FdmGrid.build(domain, v_min=v_min, h=h_run)
-        dt = reference_timestep(grid, params, t_final, dt_safety)
+        dt = reference_timestep(grid, params, t_final)
         if two:
             rec = fdm_solve_twopop(*p0, params, grid, dt, t_final)
             final = np.array([rec.final_density_e, rec.final_density_i])

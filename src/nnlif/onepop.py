@@ -162,20 +162,17 @@ def solve(
     t_final: float,
     snapshot_times=(),
     blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
-    snapshot_grid: np.ndarray | None = None,
 ) -> RunRecord:
     """Run the scheme from a density callable up to t_final.
 
-    Records (t, N, mass) at every step.  Stops early with status
+    Records (t, N, mass) at every step and the density on the comparison
+    grid at each snapshot time.  Stops early with status
     "blow-up-detected" when the rate passes the threshold or the
     coefficients go non-finite; singular systems stop the run with status
     "solver-failure" instead of raising.
     """
-    if snapshot_grid is None:
-        snapshot_grid = norm_grid(matrices.basis.domain)
     run = integrate(_OnePop(p0, params, matrices, dt), dt, t_final, snapshot_times, blowup_threshold)
     basis = matrices.basis
-    snapshots = [
-        DensitySnapshot(t, snapshot_grid, reconstruct(basis, st.u_hat, snapshot_grid)) for t, st in run.snapshots
-    ]
+    grid = norm_grid(basis.domain)
+    snapshots = [DensitySnapshot(t, grid, reconstruct(basis, st.u_hat, grid)) for t, st in run.snapshots]
     return RunRecord.from_integration(run, dt, snapshots)

@@ -318,9 +318,8 @@ class _TwoPop:
 
     populations = 2
 
-    def __init__(self, p0_e, p0_i, params, matrices, dt, r0_e, r0_i):
-        self.p0_e, self.p0_i, self.params, self.matrices = p0_e, p0_i, params, matrices
-        self.dt, self.r0_e, self.r0_i = dt, r0_e, r0_i
+    def __init__(self, p0_e, p0_i, params, matrices, dt):
+        self.p0_e, self.p0_i, self.params, self.matrices, self.dt = p0_e, p0_i, params, matrices, dt
 
     def start(self, rates) -> TwoPopState:
         mats, params = self.matrices, self.params
@@ -333,7 +332,7 @@ class _TwoPop:
         rate_e, rate_i = _resolve_rates(
             params, 0, float(np.dot(deriv_tr, u_e)), float(np.dot(deriv_tr, u_i)), self.lags, *rates
         )
-        return TwoPopState(u_e, u_i, self.r0_e, self.r0_i, 0.0, 0, rate_e, rate_i, *rates)
+        return TwoPopState(u_e, u_i, 0.0, 0.0, 0.0, 0, rate_e, rate_i, *rates)
 
     def step(self, state: TwoPopState) -> TwoPopState:
         return step_twopop(state, self.params, self.matrices, self.dt, self.lags)
@@ -354,27 +353,22 @@ def solve_twopop(
     matrices: GalerkinMatrices,
     dt: float,
     t_final: float,
-    r0_e: float = 0.0,
-    r0_i: float = 0.0,
     blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
     snapshot_times=(),
-    snapshot_grid: np.ndarray | None = None,
 ) -> TwoPopRunRecord:
-    """Run the coupled scheme; records rates, masses and refractory states.
+    """Run the coupled scheme from empty refractory states; records rates,
+    masses and refractory states, and the densities on the comparison grid
+    at each snapshot time.
 
     The run keeps going after the first population trips the blow-up
     threshold (up to a bounded window) so near-simultaneous events yield a
     trip time for each population.
     """
-    if snapshot_grid is None:
-        snapshot_grid = norm_grid(matrices.basis.domain)
-    stepper = _TwoPop(p0_e, p0_i, params, matrices, dt, r0_e, r0_i)
-    run = integrate(stepper, dt, t_final, snapshot_times, blowup_threshold)
+    run = integrate(_TwoPop(p0_e, p0_i, params, matrices, dt), dt, t_final, snapshot_times, blowup_threshold)
+    basis = matrices.basis
+    grid = norm_grid(basis.domain)
 
     def snapshots(pop: str) -> list[DensitySnapshot]:
-        return [
-            DensitySnapshot(t, snapshot_grid, reconstruct(matrices.basis, getattr(st, pop), snapshot_grid))
-            for t, st in run.snapshots
-        ]
+        return [DensitySnapshot(t, grid, reconstruct(basis, getattr(st, pop), grid)) for t, st in run.snapshots]
 
     return TwoPopRunRecord.from_integration(run, dt, snapshots("u_e"), snapshots("u_i"))

@@ -14,7 +14,7 @@ import numpy as np
 
 from nnlif.assembly import assemble, project_initial
 from nnlif.basis import BasisSet
-from nnlif.fdm import FdmGrid, cfl_timestep, fdm_solve
+from nnlif.fdm import FdmGrid, fdm_solve, reference_timestep
 from nnlif.norms import l2_distance, linf_distance, norm_grid
 from nnlif.onepop import OnePopParams, PopulationState, firing_rate, solve, step
 from nnlif.quadrature import gauss_laguerre, gauss_legendre
@@ -355,9 +355,7 @@ def test_criterion_11_cross_method_agreement_and_speed(domain, linear_params, ga
     # h = 1/512 lands at the same ~1e-4 error level; a single timing each is
     # enough at the observed margin
     fgrid = FdmGrid.build(domain, v_min=-6.0, h=1.0 / 512.0)
-    bound = 0.9 * cfl_timestep(fgrid, linear_params.a0 + linear_params.a1, 1.0, linear_params.b)
-    n_steps = int(np.ceil(0.2 / bound))
-    frec = fdm_solve(gaussian_ic, linear_params, fgrid, 0.2 / n_steps, 0.2)
+    frec = fdm_solve(gaussian_ic, linear_params, fgrid, reference_timestep(fgrid, linear_params, 0.2), 0.2)
     err_fdm = l2_distance(frec.final_density, onepop_reference, grid)
     assert err_fdm < 5e-4  # both methods sit at the ~1e-4 level
     assert frec.wall_time >= 2.0 * rec.wall_time

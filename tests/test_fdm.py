@@ -9,8 +9,10 @@ from nnlif.fdm import (
     cfl_timestep,
     fdm_reference,
     fdm_solve,
+    fdm_rate,
     fdm_solve_twopop,
     fdm_step,
+    reference_timestep,
 )
 from nnlif.norms import l2_distance, norm_grid
 from nnlif.onepop import OnePopParams, solve
@@ -22,7 +24,7 @@ def grid(domain):
     return FdmGrid.build(domain, v_min=-6.0, h=1.0 / 128.0)
 
 
-def _stable_dt(grid, params, t_final, rate_cap=0.0):
+def _stable_dt(grid, params, t_final, rate_cap):
     bound = 0.9 * cfl_timestep(grid, params.a0 + params.a1, max(1.0, rate_cap), params.b)
     n = int(np.ceil(t_final / bound))
     return t_final / n
@@ -41,7 +43,7 @@ def test_grid_alignment(domain):
 def test_zero_density_stays_zero(grid):
     params = OnePopParams(a0=1.0, a1=0.1, b=0.5)
     p = np.zeros(grid.n_cells)
-    p_new, rate = fdm_step(p, params, grid, 1e-5)
+    p_new, rate = fdm_step(p, 0.0, params, grid, 1e-5)
     assert np.array_equal(p_new, p)
     assert rate == 0.0
 
@@ -51,14 +53,14 @@ def test_single_step_mass_exact(grid, domain):
     ic = normalize_gaussian(-1.0, 0.5, domain)
     p = np.asarray(ic(grid.centers))
     mass0 = float(np.sum(p) * grid.h)
-    p_new, _ = fdm_step(p, params, grid, 1e-5)
+    p_new, _ = fdm_step(p, fdm_rate(p, params, grid), params, grid, 1e-5)
     assert abs(float(np.sum(p_new) * grid.h) - mass0) < 1e-12
 
 
 def test_run_mass_exact(grid, domain):
     params = OnePopParams(a0=1.0, a1=0.1, b=0.0)
     ic = normalize_gaussian(-1.0, 0.5, domain)
-    dt = _stable_dt(grid, params, 0.2)
+    dt = reference_timestep(grid, params, 0.2)
     rec = fdm_solve(ic, params, grid, dt, 0.2)
     assert rec.status == "completed"
     assert np.max(np.abs(rec.masses - 1.0)) < 1e-10
@@ -74,11 +76,12 @@ def test_cfl_violation_rejected(grid, domain):
 def test_nonnegativity_linear_case(grid, domain):
     params = OnePopParams(a0=1.0, a1=0.0, b=0.0)
     ic = normalize_gaussian(-1.0, 0.5, domain)
-    dt = _stable_dt(grid, params, 0.05)
+    dt = reference_timestep(grid, params, 0.05)
     p = np.asarray(ic(grid.centers))
     p /= float(np.sum(p) * grid.h)
+    rate = fdm_rate(p, params, grid)
     for _ in range(round(0.05 / dt)):
-        p, _ = fdm_step(p, params, grid, dt)
+        p, rate = fdm_step(p, rate, params, grid, dt)
     assert p.min() >= 0.0
 
 
@@ -115,9 +118,7 @@ def test_twopop_combined_mass_exact(domain):
         tau_e=0.025, tau_i=0.025, refractory_mode="exponential",
     )
     ic = normalize_gaussian(-1.0, 0.5, domain)
-    bound = 0.9 * g.h * g.h / (2.0 + 6.0 * g.h)
-    n = int(np.ceil(0.1 / bound))
-    rec = fdm_solve_twopop(ic, ic, params, g, 0.1 / n, 0.1)
+    rec = fdm_solve_twopop(ic, ic, params, g, reference_timestep(g, params, 0.1), 0.1)
     assert rec.status == "completed"
     assert np.max(np.abs(rec.mass_e + rec.refractory_e - 1.0)) < 1e-10
     assert np.max(np.abs(rec.mass_i + rec.refractory_i - 1.0)) < 1e-10
@@ -128,7 +129,7 @@ def test_twopop_reduces_to_onepop(domain):
     params1 = OnePopParams(a0=1.0, a1=0.0, b=0.5)
     params2 = TwoPopParams(b_e_to_e=0.5, refractory_mode="pass-through")
     ic = normalize_gaussian(-1.0, 0.5, domain)
-    dt = _stable_dt(g, params1, 0.1)
+    dt = reference_timestep(g, params1, 0.1)
     rec1 = fdm_solve(ic, params1, g, dt, 0.1)
     rec2 = fdm_solve_twopop(ic, ic, params2, g, dt, 0.1)
     assert np.max(np.abs(rec2.rate_e - rec1.rates)) < 1e-12

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from nnlif import experiments
 from nnlif.basis import BasisSet
 from nnlif.assembly import assemble, normalize_gaussian
 from nnlif.cli import main
@@ -98,6 +99,11 @@ def test_config_schema_and_kind_validation():
         parse_config({"schema": 1, "kind": "nonsense", "model": {"population": "one"}})
     with pytest.raises(ConfigurationError, match="population"):
         parse_config({"schema": 1, "kind": "blowup", "model": {}})
+    twopop = {"population": "two", "b_e_to_e": 0.5}
+    with pytest.raises(ConfigurationError, match="one-population"):
+        parse_config(_base_onepop(kind="compare-fdm", model=twopop))
+    with pytest.raises(ConfigurationError, match="two-population"):
+        parse_config(_base_onepop(kind="twopop-regimes", sweep={"b_e_to_e": [0.5]}))
 
 
 def test_config_rejects_misaligned_times():
@@ -256,22 +262,87 @@ def test_stability_grid_records_cells(tmp_path):
     assert not any(res["flags"])
 
 
+_ONEPOP_MODEL = {"population": "one", "a0": 1.0, "a1": 0.0, "b": 0.0}
+_ONEPOP_INITIAL = {"v0": -1.0, "sigma0_sq": 0.5}
+_TWOPOP_MODEL = {
+    "population": "two", "b_e_to_e": 0.5, "b_e_to_i": 0.5, "b_i_to_e": 0.75, "b_i_to_i": 0.25,
+    "tau_e": 0.025, "tau_i": 0.025, "delay_e_to_e": 0.02, "refractory_mode": "exponential",
+}
+_TWOPOP_INITIAL = {"e": {"v0": -1.0, "sigma0_sq": 0.5}, "i": {"v0": 0.0, "sigma0_sq": 0.25}}
+
+
+def _tiny(kind, numerics, reference=None, model=_ONEPOP_MODEL, initial=_ONEPOP_INITIAL, **extra):
+    raw = {"schema": 1, "kind": kind, "model": model, "initial": initial, "numerics": numerics, **extra}
+    if reference is not None:
+        raw["reference"] = reference
+    return raw
+
+
 def test_worker_pool_matches_serial(tmp_path):
-    raw = {
-        "schema": 1,
-        "kind": "convergence-space",
-        "model": {"population": "one", "a0": 1.0, "a1": 0.0, "b": 0.0},
-        "initial": {"v0": -1.0, "sigma0_sq": 0.5},
-        "numerics": {"m_values": [4, 5, 6, 7], "dt": 0.01, "t_final": 0.1},
-        "reference": {"method": "fdm", "h": 1.0 / 64.0, "richardson": True},
+    fdm_ref = {"method": "fdm", "h": 1.0 / 64.0, "richardson": True}
+    configs = {
+        "convergence-space": _tiny("convergence-space", {"m_values": [4, 5, 6, 7], "dt": 0.01, "t_final": 0.1},
+                                   fdm_ref),
+        "stability-grid": _tiny("stability-grid", {"m": 6, "m_values": [4, 6], "dt_values": [0.05, 0.025],
+                                                   "t_final": 0.1}, {"method": "self"}, bound=0.5),
+        "twopop-regimes": _tiny("twopop-regimes", {"m": 6, "dt": 0.01, "t_final": 0.2}, model=_TWOPOP_MODEL,
+                                initial=_TWOPOP_INITIAL, sweep={"b_e_to_e": [0.5, 1.0, 1.5]}),
+        "convergence-time-twopop": _tiny("convergence-time", {"m": 6, "dt_values": [0.02, 0.01], "t_final": 0.04},
+                                         {"method": "fdm", "h": 1.0 / 16.0, "richardson": True},
+                                         model=_TWOPOP_MODEL, initial=_TWOPOP_INITIAL),
     }
-    out1 = str(tmp_path / "serial")
-    out2 = str(tmp_path / "pool")
-    run_experiment(parse_config(raw), out1, workers=1)
-    run_experiment(parse_config(raw), out2, workers=2)
-    for name in sorted(os.listdir(out1)):
-        with open(os.path.join(out1, name), "rb") as fa, open(os.path.join(out2, name), "rb") as fb:
-            assert fa.read() == fb.read(), name
+    for label, raw in configs.items():
+        out1 = str(tmp_path / label / "serial")
+        out2 = str(tmp_path / label / "pool")
+        run_experiment(parse_config(raw), out1, workers=1)
+        run_experiment(parse_config(raw), out2, workers=2)
+        names = sorted(os.listdir(out1))
+        assert names and names == sorted(os.listdir(out2)), label
+        for name in names:
+            with open(os.path.join(out1, name), "rb") as fa, open(os.path.join(out2, name), "rb") as fb:
+                assert fa.read() == fb.read(), (label, name)
+
+
+def test_matrices_assembled_once_per_distinct_m(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_assemble(basis, n_q=None):
+        calls.append(basis.m)
+        return assemble(basis, n_q)
+
+    monkeypatch.setattr(experiments, "assemble", counting_assemble)
+    raw = _tiny("stability-grid", {"m": 6, "m_values": [4, 5, 6], "dt_values": [0.05, 0.025], "t_final": 0.1},
+                {"method": "self", "dt": 0.0125})
+    res = run_experiment(parse_config(raw), str(tmp_path / "res"))
+    assert len(res["l2_error"]) == 6
+    assert sorted(calls) == [4, 5, 6]
+
+
+def _reference_started(*args, **kwargs):
+    raise AssertionError("a reference run started before the matrices were assembled")
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        _tiny("efficiency", {"dt": 0.01, "t_final": 0.1, "m_values": [4], "h_values": [0.125],
+                             "reference_m": 6, "repetitions": 1, "n_q": 5}),
+        _tiny("compare-fdm", {"m": 4, "dt": 0.01, "t_final": 0.1, "fdm_h": 0.125, "repetitions": 1, "n_q": 5},
+              {"method": "fdm", "h": 0.125, "richardson": False}),
+        _tiny("convergence-time", {"m": 4, "dt_values": [0.02, 0.01], "t_final": 0.1, "n_q": 5},
+              {"method": "self"}),
+    ],
+    ids=["efficiency", "compare-fdm", "convergence-time-self"],
+)
+def test_cli_small_n_q_fails_before_reference(tmp_path, capsys, monkeypatch, raw):
+    for name in ("fdm_reference", "solve", "solve_twopop"):
+        monkeypatch.setattr(experiments, name, _reference_started)
+    cfg_path = _write(tmp_path, "cfg.json", raw)
+    rc = main([raw["kind"], "--config", cfg_path, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error-category: config-invalid" in err
+    assert "quadrature order 5 too small" in err
 
 
 # --- CLI ---------------------------------------------------------------------
