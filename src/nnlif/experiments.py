@@ -349,6 +349,14 @@ def _cell_final(cfg: ExperimentConfig, mats, dt: float, t_final: float):
     return {"status": rec.status, "densities": densities, "wall_time": rec.wall_time}
 
 
+def _require_finished(cells, name: str, values) -> None:
+    """Raise unless every ``_cell_final`` result reached t_final; a ladder
+    has no error to report for a cell that stopped before it."""
+    for value, cell in zip(values, cells):
+        if cell["densities"][0] is None:
+            raise NnlifError(f"cell at {name}={value} ended with status {cell['status']} before t_final")
+
+
 def _cell_regime(cfg: ExperimentConfig, mats):
     num = cfg.numerics
     rec = _run(cfg, mats, num["dt"], num["t_final"])
@@ -465,6 +473,7 @@ def run_convergence_time(cfg: ExperimentConfig, out_dir: str, workers: int = 1) 
     mats = _matrices(cfg, [m, *_reference_m(cfg)])
     ref = _reference_density(cfg, t_final, mats)
     cells = _map_cells(_cell_final, [(cfg, mats[m], dt, t_final) for dt in ladder], workers)
+    _require_finished(cells, "dt", ladder)
     # (result key, output file, reference) per population
     series = (
         [("e", "convergence_time_e.csv", ref[0]), ("i", "convergence_time_i.csv", ref[1])]
@@ -497,6 +506,7 @@ def run_convergence_space(cfg: ExperimentConfig, out_dir: str, workers: int = 1)
     mats = _matrices(cfg, m_values + _reference_m(cfg))
     ref = _reference_density(cfg, t_final, mats)
     cells = _map_cells(_cell_final, [(cfg, mats[m], dt, t_final) for m in m_values], workers)
+    _require_finished(cells, "M", m_values)
     errors = {m: l2_distance(c["densities"][0], ref, grid) for m, c in zip(m_values, cells)}
 
     results = {}

@@ -6,15 +6,23 @@ One step solves
 
 with the rate-dependent diffusion a^n = a0 + a1 N^n evaluated explicitly
 and the firing rate obtained in closed form from the threshold slope.
-The system matrix is refactored every step; at these dimensions (<= 49)
-that is negligible and keeps the code obviously correct.
+
+The operator is K0 + N^n E with K0 = H/dt + A + a0 (C + D) and
+E = a1 (C + D) - b B, so it changes between steps only through the rate.
+A run of more than 2 dim steps factors it once (:class:`ShiftedSystem`)
+and then solves each step in O(dim^2); a shorter run, which the
+factorisation would not pay for, solves the assembled system densely at
+every step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import schur
+from scipy.linalg.lapack import ztrtrs
 
 from .assembly import GalerkinMatrices, project_initial, reconstruct
 from .errors import ConfigurationError, LinearSolveError, SingularFiringRateError, check_finite
@@ -113,22 +121,90 @@ def system_matrix(
     return s
 
 
-def step(state: PopulationState, params: OnePopParams, matrices: GalerkinMatrices, dt: float) -> PopulationState:
+class ShiftedSystem:
+    """Solves (K0 + sigma E) u = H u_old / dt + m F for any scalar shift
+    sigma after one factorisation; K0 = H / dt + G.
+
+    A step is solved for its increment: u = u_old - K_sigma^-1 r with
+    K_sigma = K0 + sigma E and r = (G + sigma E) u_old - m F, and the
+    complex Schur form K0^-1 E = Z T Z^* gives
+    K_sigma^-1 = Z (I + sigma T)^-1 Z^* K0^-1.  So a step costs one real
+    matvec ([G; E] u_old), one complex matvec (R = Z^* K0^-1), a triangular
+    solve and one more complex matvec (Z).  Two choices keep a long run as
+    close to the dense solve as a second dense solver would be:
+
+    * the unitary Z is well conditioned, where an eigenvector basis of
+      K0^-1 E is not (condition 1e8 at M = 16 for E = a1 (C + D) - b B);
+    * the rounding error of the factors, the same at every step, only
+      multiplies the increment, which is O(dt).  Applied to u_old itself,
+      through a precomputed Z^* K0^-1 H / dt, it adds up step after step.
+
+    ``g`` is the operator without its mass term,
+    ``system_matrix(matrices, 0, a, inf)``; ``source`` selects whether the
+    inflow m F is part of the right-hand side.
+    """
+
+    def __init__(self, g: np.ndarray, e: np.ndarray, matrices: GalerkinMatrices, dt: float, source: bool = False):
+        try:
+            k0_inv = np.linalg.inv(matrices.H / dt + g)
+        except np.linalg.LinAlgError as exc:
+            raise LinearSolveError(f"unshifted step operator singular: {exc}") from exc
+        self.t, self.z = schur(k0_inv @ e, output="complex")
+        self.r = self.z.conj().T @ k0_inv
+        self.g_e = np.stack([g, e])
+        self.f = matrices.F if source else None
+        self.eye = np.eye(g.shape[0])
+
+    def solve(self, u_old: np.ndarray, sigma: float, inflow: float = 0.0) -> np.ndarray:
+        """u of the step from ``u_old`` at shift ``sigma`` with reset inflow
+        ``inflow``; raises :class:`LinearSolveError` when some 1 + sigma
+        lambda (a diagonal entry of I + sigma T) is zero."""
+        gu, eu = self.g_e @ u_old
+        residual = gu + sigma * eu
+        if self.f is not None:
+            residual -= inflow * self.f
+        y, info = ztrtrs(self.eye + sigma * self.t, self.r @ residual)
+        if info > 0:
+            raise LinearSolveError(f"shifted step system singular at shift {sigma:.6g}")
+        return u_old - (self.z @ y).real
+
+
+def factor_pays_off(rates, matrices: GalerkinMatrices) -> bool:
+    """Whether a run with these record rate columns, one per population,
+    makes more than 2 dim solves (populations times steps).  Building a
+    :class:`ShiftedSystem` costs about what its cheaper solves save over
+    2 dim solves (measured at M = 8, 16, 24), and one factorisation serves
+    every population."""
+    return len(rates) * (len(rates[0]) - 1) > 2 * matrices.H.shape[0]
+
+
+def step(
+    state: PopulationState,
+    params: OnePopParams,
+    matrices: GalerkinMatrices,
+    dt: float,
+    shifted: ShiftedSystem | None = None,
+) -> PopulationState:
     """Advance one time increment; raises on singular systems.
 
     ``state.rate`` must be the firing rate of ``state.u_hat``, as it is for
-    every state that :func:`solve` or this function produces.
+    every state that :func:`solve` or this function produces.  ``shifted``,
+    the run's factored operator, replaces the dense solve; it must have
+    been built from the same parameters, matrices and dt.
     """
     if dt <= 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
     rate = state.rate
-    diffusion = params.a0 + params.a1 * rate
-    lhs = system_matrix(matrices, params.b * rate, diffusion, dt)
-    rhs = matrices.H @ state.u_hat / dt
-    try:
-        u_next = np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise LinearSolveError(f"step system singular at t={state.t:.6g}: {exc}") from exc
+    if shifted is not None:
+        u_next = shifted.solve(state.u_hat, rate)
+    else:
+        diffusion = params.a0 + params.a1 * rate
+        lhs = system_matrix(matrices, params.b * rate, diffusion, dt)
+        rhs = matrices.H @ state.u_hat / dt
+        try:
+            u_next = np.linalg.solve(lhs, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise LinearSolveError(f"step system singular at t={state.t:.6g}: {exc}") from exc
     t_next = state.t + dt
     rate_next = firing_rate(u_next, matrices.traces.deriv_at_threshold, params)
     return PopulationState(u_hat=u_next, t=t_next, rate=rate_next)
@@ -143,12 +219,16 @@ class _OnePop:
         self.p0, self.params, self.matrices, self.dt = p0, params, matrices, dt
 
     def start(self, rates) -> PopulationState:
-        mats = self.matrices
+        mats, params, dt = self.matrices, self.params, self.dt
+        self.shifted = None
+        if factor_pays_off(rates, mats):
+            e = params.a1 * (mats.C + mats.D) - params.b * mats.B
+            self.shifted = ShiftedSystem(system_matrix(mats, 0.0, params.a0, math.inf), e, mats, dt)
         u0 = project_initial(mats.basis, mats, self.p0)
-        return PopulationState(u_hat=u0, t=0.0, rate=firing_rate(u0, mats.traces.deriv_at_threshold, self.params))
+        return PopulationState(u_hat=u0, t=0.0, rate=firing_rate(u0, mats.traces.deriv_at_threshold, params))
 
     def step(self, state: PopulationState) -> PopulationState:
-        return step(state, self.params, self.matrices, self.dt)
+        return step(state, self.params, self.matrices, self.dt, self.shifted)
 
     def observe(self, state: PopulationState):
         return state.rate, float(np.dot(self.matrices.mass, state.u_hat))

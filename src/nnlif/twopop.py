@@ -6,6 +6,14 @@ population, with drift offset V_alpha and diffusion a_alpha evaluated from
 delayed firing rates.  The refractory masses follow the forward-Euler update
 R^{n+1} = R^n + dt (N^n - M^n).
 
+With constant diffusion the operator of population alpha is K0 - V_alpha B,
+so it changes between steps only through the drift offset V_alpha, and K0
+is the same for both populations.  A run of more than dim steps (2 dim
+solves) then factors K0^-1 B once (:class:`onepop.ShiftedSystem`) and
+solves each population's step in O(dim^2).  Model-mode diffusion, whose
+operator moves with two independent scalars, and shorter runs solve the
+assembled system densely at every step.
+
 Delayed rates are read from the run's recorded rate columns at the clamped
 step max(0, n - delay/dt); the current step's rates travel on the state,
 where the previous step left them.  A step only reads the record, so it has
@@ -42,7 +50,7 @@ from .errors import (
 )
 from .integrate import DEFAULT_BLOWUP_THRESHOLD, integrate
 from .norms import norm_grid
-from .onepop import DensitySnapshot, system_matrix
+from .onepop import DensitySnapshot, ShiftedSystem, factor_pays_off, system_matrix
 
 RECOVERY_PASS_THROUGH = "pass-through"
 RECOVERY_EXPONENTIAL = "exponential"
@@ -255,13 +263,16 @@ def step_twopop(
     matrices: GalerkinMatrices,
     dt: float,
     lags: dict[str, int] | None = None,
+    shifted: ShiftedSystem | None = None,
 ) -> TwoPopState:
     """Advance both populations and the refractory masses by one step.
 
     The current rates come from ``state`` and the delayed ones from its
     histories; ``state`` itself is left untouched.  When the new state's
     rates cannot be resolved they are NaN, and stepping that state raises
-    :class:`SingularFiringRateError`.
+    :class:`SingularFiringRateError`.  ``shifted``, the run's factored
+    constant-diffusion operator, replaces the dense solves; it must have
+    been built from the same parameters, matrices and dt.
     """
     if lags is None:
         lags = params.delay_lags(dt)
@@ -279,6 +290,9 @@ def step_twopop(
         ("i", state.u_i, delayed_for_i, m_i),
     ):
         v_drift, diff = coefficients(params, delayed[0], delayed[1], pop)
+        if shifted is not None:
+            new_u[pop] = shifted.solve(u_old, v_drift, m_rate)
+            continue
         lhs = system_matrix(matrices, v_drift, diff, dt, flux_shift_implicit=implicit_flux)
         rhs = matrices.H @ u_old / dt
         if not implicit_flux:
@@ -324,6 +338,11 @@ class _TwoPop:
     def start(self, rates) -> TwoPopState:
         mats, params = self.matrices, self.params
         self.lags = params.delay_lags(self.dt)
+        self.shifted = None
+        if params.diffusion_mode == DIFFUSION_CONSTANT and factor_pays_off(rates, mats):
+            implicit_flux = params.refractory_mode == RECOVERY_PASS_THROUGH
+            g = system_matrix(mats, 0.0, params.diffusion_constant, math.inf, flux_shift_implicit=implicit_flux)
+            self.shifted = ShiftedSystem(g, -mats.B, mats, self.dt, source=not implicit_flux)
         u_e = project_initial(mats.basis, mats, self.p0_e)
         u_i = project_initial(mats.basis, mats, self.p0_i)
         # rates at t=0 follow the delayed-coefficient rule of the first step
@@ -335,7 +354,7 @@ class _TwoPop:
         return TwoPopState(u_e, u_i, 0.0, 0.0, 0.0, 0, rate_e, rate_i, *rates)
 
     def step(self, state: TwoPopState) -> TwoPopState:
-        return step_twopop(state, self.params, self.matrices, self.dt, self.lags)
+        return step_twopop(state, self.params, self.matrices, self.dt, self.lags, self.shifted)
 
     def observe(self, state: TwoPopState):
         mass = self.matrices.mass

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from nnlif import Domain, OnePopParams, TwoPopParams, normalize_gaussian
 from nnlif.fdm import fdm_reference
@@ -11,6 +12,11 @@ V_THRESHOLD = 2.0
 # reference-solver resolution used by the acceptance gate; richardson pairs
 # (h, h/2) cancel the leading upwind error
 REFERENCE_H = 1.0 / 512.0
+
+# randomized tests draw the same examples on every run, and a slow example
+# (an assembly at a new M) is not a failure
+settings.register_profile("nnlif", derandomize=True, deadline=None)
+settings.load_profile("nnlif")
 
 
 @pytest.fixture(scope="session")

@@ -345,6 +345,27 @@ def test_cli_small_n_q_fails_before_reference(tmp_path, capsys, monkeypatch, raw
     assert "quadrature order 5 too small" in err
 
 
+@pytest.mark.parametrize(
+    "raw, cell",
+    [
+        (_tiny("convergence-space", {"m_values": [4, 6], "dt": 0.01, "t_final": 3.2},
+               {"method": "fdm", "h": 1.0 / 16.0}, model={"population": "one", "a0": 1.0, "a1": 0.0, "b": 3.0},
+               blowup_threshold=3.0), "M=6"),
+        (_tiny("convergence-time", {"m": 6, "dt_values": [0.02, 0.01], "t_final": 3.2},
+               {"method": "fdm", "h": 1.0 / 16.0}, model={"population": "one", "a0": 1.0, "a1": 0.0, "b": 3.0},
+               blowup_threshold=3.0), "dt=0.01"),
+    ],
+    ids=["convergence-space", "convergence-time"],
+)
+def test_cli_ladder_cell_that_stopped_is_a_run_failure(tmp_path, capsys, raw, cell):
+    cfg_path = _write(tmp_path, "cfg.json", raw)
+    rc = main([raw["kind"], "--config", cfg_path, "--out", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "error-category: run-failed" in err
+    assert f"cell at {cell} ended with status blow-up-detected" in err
+
+
 # --- CLI ---------------------------------------------------------------------
 
 

@@ -1,0 +1,280 @@
+"""The factored (shifted-system) step against the dense step it replaces.
+
+A run that makes more than twice the system's dimension in solves (a
+two-population step makes two) factors its operator once and solves each
+step through :class:`nnlif.onepop.ShiftedSystem`; shorter runs and
+model-mode two-population runs solve densely.  The dense solve is
+the oracle here: one factored solve agrees with it to rounding, a factored
+run agrees with a loop over the dense step to a small multiple of that, and
+a run that takes the dense path is bit-identical to the loop.
+"""
+
+import math
+from dataclasses import replace
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nnlif import Domain, normalize_gaussian
+from nnlif.assembly import assemble, reconstruct
+from nnlif.basis import BasisSet
+from nnlif.errors import LinearSolveError
+from nnlif.integrate import STATUS_COMPLETED, STATUS_SOLVER_FAILURE, integrate
+from nnlif.norms import norm_grid
+from nnlif.onepop import OnePopParams, ShiftedSystem, _OnePop, solve, step, system_matrix
+from nnlif.twopop import TwoPopParams, _TwoPop, solve_twopop, step_twopop
+
+DOMAIN = Domain(1.0, 2.0)
+IC = normalize_gaussian(-1.0, 0.5, DOMAIN)
+IC_I = normalize_gaussian(0.0, 0.25, DOMAIN)
+
+# one factored solve against np.linalg.solve, relative 2-norm
+SOLVE_RTOL = 1e-12
+# a factored run against the dense step loop, relative to each series' scale
+RUN_RTOL = 1e-9
+
+
+@lru_cache(maxsize=None)
+def _mats(m: int):
+    return assemble(BasisSet(DOMAIN, m))
+
+
+def _dim(m: int) -> int:
+    return _mats(m).H.shape[0]
+
+
+def _close(got, want, rtol=RUN_RTOL):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    scale = max(float(np.max(np.abs(want))), 1e-300)
+    assert float(np.max(np.abs(got - want))) <= rtol * scale
+
+
+def _rel(got, want) -> float:
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+# --- dense step loops (the oracle) -------------------------------------------
+
+
+def _dense_onepop(params, mats, dt, n_steps):
+    """(rates, masses, final coefficients) of ``n_steps`` dense steps."""
+    state = _OnePop(IC, params, mats, dt).start([np.empty(1)])
+    rates, masses = [state.rate], [float(np.dot(mats.mass, state.u_hat))]
+    for _ in range(n_steps):
+        state = step(state, params, mats, dt)
+        rates.append(state.rate)
+        masses.append(float(np.dot(mats.mass, state.u_hat)))
+    return np.array(rates), np.array(masses), state.u_hat
+
+
+def _dense_twopop(params, mats, dt, n_steps):
+    """({rate_e, rate_i, mass_e, mass_i} series, final u_e, final u_i) of
+    ``n_steps`` dense steps from the stepper's initial state, with the
+    delayed rates read from columns filled as the integrator fills them."""
+    cols = [np.empty(n_steps + 1), np.empty(n_steps + 1)]
+    state = _TwoPop(IC, IC_I, params, mats, dt).start(cols)
+    series = {key: [] for key in ("rate_e", "rate_i", "mass_e", "mass_i")}
+    for n in range(n_steps + 1):
+        if n:
+            state = step_twopop(state, params, mats, dt)
+        cols[0][n], cols[1][n] = state.rate_e, state.rate_i
+        series["rate_e"].append(state.rate_e)
+        series["rate_i"].append(state.rate_i)
+        series["mass_e"].append(float(np.dot(mats.mass, state.u_e)))
+        series["mass_i"].append(float(np.dot(mats.mass, state.u_i)))
+    return {key: np.array(v) for key, v in series.items()}, state.u_e, state.u_i
+
+
+def _density(mats, u):
+    return reconstruct(mats.basis, u, norm_grid(DOMAIN))
+
+
+# --- strategies ----------------------------------------------------------------
+
+m_values = st.integers(4, 24)
+dts = st.sampled_from([1e-4, 5e-4, 1e-3, 5e-3, 1e-2])
+onepop_params = st.builds(
+    OnePopParams,
+    a0=st.floats(0.2, 3.0),
+    a1=st.floats(0.0, 1.0),
+    b=st.floats(-3.0, 3.0),
+)
+
+
+@st.composite
+def twopop_params(draw, refractory_mode):
+    couplings = {name: draw(st.floats(0.0, 3.0)) for name in ("b_e_to_e", "b_e_to_i", "b_i_to_e", "b_i_to_i")}
+    lag = draw(st.integers(0, 4))
+    params = TwoPopParams(
+        **couplings,
+        nu_ext=draw(st.floats(0.0, 5.0)),
+        diffusion_constant=draw(st.floats(0.5, 2.0)),
+        refractory_mode=refractory_mode,
+        tau_e=draw(st.floats(0.01, 0.1)) if refractory_mode == "exponential" else 0.0,
+        tau_i=draw(st.floats(0.01, 0.1)) if refractory_mode == "exponential" else 0.0,
+    )
+    return params, lag
+
+
+def _with_delays(params, lag, dt):
+    return replace(params, **{f"delay_{x}_to_{y}": lag * dt for x in "ei" for y in "ei"})
+
+
+# --- one factored solve --------------------------------------------------------
+
+
+@settings(max_examples=60)
+@given(m=m_values, dt=dts, params=onepop_params, rate=st.floats(0.0, 20.0), seed=st.integers(0, 2**16))
+def test_onepop_shifted_solve_matches_dense(m, dt, params, rate, seed):
+    mats = _mats(m)
+    e = params.a1 * (mats.C + mats.D) - params.b * mats.B
+    shifted = ShiftedSystem(system_matrix(mats, 0.0, params.a0, math.inf), e, mats, dt)
+    u_old = np.random.default_rng(seed).standard_normal(_dim(m))
+    lhs = system_matrix(mats, params.b * rate, params.a0 + params.a1 * rate, dt)
+    want = np.linalg.solve(lhs, mats.H @ u_old / dt)
+    assert _rel(shifted.solve(u_old, rate), want) <= SOLVE_RTOL
+
+
+@settings(max_examples=60)
+@given(
+    m=m_values,
+    dt=dts,
+    diffusion=st.floats(0.5, 2.0),
+    refractory_mode=st.sampled_from(["pass-through", "exponential"]),
+    shift=st.floats(-20.0, 40.0),
+    inflow=st.floats(0.0, 50.0),
+    seed=st.integers(0, 2**16),
+)
+def test_twopop_shifted_solve_matches_dense(m, dt, diffusion, refractory_mode, shift, inflow, seed):
+    mats = _mats(m)
+    implicit_flux = refractory_mode == "pass-through"
+    g = system_matrix(mats, 0.0, diffusion, math.inf, flux_shift_implicit=implicit_flux)
+    shifted = ShiftedSystem(g, -mats.B, mats, dt, source=not implicit_flux)
+    u_old = np.random.default_rng(seed).standard_normal(_dim(m))
+    lhs = system_matrix(mats, shift, diffusion, dt, flux_shift_implicit=implicit_flux)
+    rhs = mats.H @ u_old / dt
+    if not implicit_flux:
+        rhs = rhs + inflow * mats.F
+    assert _rel(shifted.solve(u_old, shift, inflow), np.linalg.solve(lhs, rhs)) <= SOLVE_RTOL
+
+
+# --- factored runs against the dense step loop -----------------------------
+
+
+@settings(max_examples=25)
+@given(m=m_values, dt=dts, params=onepop_params, extra=st.integers(1, 30))
+def test_onepop_factored_run_matches_dense_loop(m, dt, params, extra):
+    mats = _mats(m)
+    n_steps = 2 * _dim(m) + extra
+    t_final = n_steps * dt
+    rec = solve(IC, params, mats, dt, t_final, snapshot_times=(t_final,), blowup_threshold=np.inf)
+    assert rec.status == STATUS_COMPLETED
+    rates, masses, u_final = _dense_onepop(params, mats, dt, n_steps)
+    _close(rec.rates, rates)
+    _close(rec.masses, masses)
+    _close(rec.snapshots[0].density, _density(mats, u_final))
+
+
+@settings(max_examples=25)
+@given(
+    m=m_values,
+    dt=dts,
+    drawn=st.sampled_from(["pass-through", "exponential"]).flatmap(twopop_params),
+    extra=st.integers(1, 30),
+)
+def test_twopop_factored_run_matches_dense_loop(m, dt, drawn, extra):
+    params, lag = drawn
+    params = _with_delays(params, lag, dt)
+    mats = _mats(m)
+    n_steps = _dim(m) + extra
+    t_final = n_steps * dt
+    rec = solve_twopop(IC, IC_I, params, mats, dt, t_final, blowup_threshold=np.inf, snapshot_times=(t_final,))
+    assert rec.status == STATUS_COMPLETED
+    series, u_e, u_i = _dense_twopop(params, mats, dt, n_steps)
+    for key, want in series.items():
+        _close(getattr(rec, key), want)
+    _close(rec.snapshots_e[0].density, _density(mats, u_e))
+    _close(rec.snapshots_i[0].density, _density(mats, u_i))
+
+
+# --- path selection ------------------------------------------------------------
+
+
+def test_fast_path_only_past_2dim_solves():
+    mats = _mats(8)
+    dim = _dim(8)
+    onepop = _OnePop(IC, OnePopParams(1.0, 0.1, 0.5), mats, 1e-3)
+    onepop.start([np.empty(2 * dim + 1)])
+    assert onepop.shifted is None
+    onepop.start([np.empty(2 * dim + 2)])
+    assert onepop.shifted is not None
+
+    constant = TwoPopParams(b_e_to_e=0.5, b_e_to_i=0.5)
+    model = replace(constant, diffusion_mode="model", d_e_to_e=0.5, d_e_to_i=0.5, nu_ext=2.0)
+    long_run = [np.empty(dim + 2), np.empty(dim + 2)]
+    for params, factored in ((constant, True), (model, False)):
+        twopop = _TwoPop(IC, IC_I, params, mats, 1e-3)
+        twopop.start(long_run)
+        assert (twopop.shifted is not None) == factored
+        twopop.start([np.empty(dim + 1), np.empty(dim + 1)])
+        assert twopop.shifted is None
+
+
+@pytest.mark.parametrize("extra", [-20, 0])
+def test_short_onepop_run_is_the_dense_loop(extra):
+    mats = _mats(8)
+    params, dt = OnePopParams(1.0, 0.1, 0.5), 1e-3
+    n_steps = 2 * _dim(8) + extra
+    t_final = n_steps * dt
+    rec = solve(IC, params, mats, dt, t_final, snapshot_times=(t_final,))
+    rates, masses, u_final = _dense_onepop(params, mats, dt, n_steps)
+    assert np.array_equal(rec.rates, rates)
+    assert np.array_equal(rec.masses, masses)
+    assert np.array_equal(rec.snapshots[0].density, _density(mats, u_final))
+
+
+@pytest.mark.parametrize(
+    "params, extra",
+    [
+        (TwoPopParams(b_e_to_e=1.0, b_e_to_i=0.5, b_i_to_e=0.75, delay_e_to_e=2e-3, delay_i_to_e=1e-3), 0),
+        (TwoPopParams(b_e_to_e=1.0, b_e_to_i=0.5, b_i_to_e=0.75, diffusion_mode="model", d_e_to_e=0.5,
+                      d_e_to_i=0.5, d_i_to_e=0.25, d_i_to_i=0.25, nu_ext=2.0, delay_e_to_e=2e-3,
+                      refractory_mode="exponential", tau_e=0.02, tau_i=0.02), 20),
+    ],
+    ids=["short-constant", "long-model-mode"],
+)
+def test_dense_twopop_runs_are_the_dense_loop(params, extra):
+    mats = _mats(8)
+    dt = 1e-3
+    n_steps = _dim(8) + extra
+    t_final = n_steps * dt
+    rec = solve_twopop(IC, IC_I, params, mats, dt, t_final, snapshot_times=(t_final,))
+    series, u_e, u_i = _dense_twopop(params, mats, dt, n_steps)
+    for key, want in series.items():
+        assert np.array_equal(getattr(rec, key), want), key
+    assert np.array_equal(rec.snapshots_e[0].density, _density(mats, u_e))
+    assert np.array_equal(rec.snapshots_i[0].density, _density(mats, u_i))
+
+
+def test_zero_shift_denominator_is_a_solver_failure():
+    mats = _mats(8)
+    params, dt = OnePopParams(1.0, 0.1, 0.5), 1e-3
+    n_steps = 2 * _dim(8) + 10
+    stepper = _OnePop(IC, params, mats, dt)
+    start = stepper.start
+
+    def start_at_singular_shift(rates):
+        state = replace(start(rates), rate=0.5)
+        # the eigenvalue -2 makes 1 + rate * lambda exactly zero
+        stepper.shifted.t[0, 0] = -2.0
+        return state
+
+    stepper.start = start_at_singular_shift
+    run = integrate(stepper, dt, n_steps * dt)
+    assert run.status == STATUS_SOLVER_FAILURE
+    assert run.times.size == 1
+    with pytest.raises(LinearSolveError):
+        step(run.state, params, mats, dt, stepper.shifted)
