@@ -13,12 +13,12 @@ from .assembly import (
 )
 from .basis import BasisSet, Domain
 from .fdm import FdmGrid, fdm_reference, fdm_solve, fdm_solve_twopop
+from .integrate import RunRecord
 from .norms import l2_distance, linf_distance, norm_grid
-from .onepop import OnePopParams, PopulationState, RunRecord, firing_rate, solve, step
+from .onepop import OnePopParams, PopulationState, firing_rate, solve, step
 from .quadrature import QuadratureRule, gauss_laguerre, gauss_legendre, map_affine
 from .twopop import (
     TwoPopParams,
-    TwoPopRunRecord,
     TwoPopState,
     coefficients,
     recovery,
@@ -39,7 +39,6 @@ __all__ = [
     "QuadratureRule",
     "RunRecord",
     "TwoPopParams",
-    "TwoPopRunRecord",
     "TwoPopState",
     "assemble",
     "coefficients",

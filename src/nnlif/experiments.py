@@ -30,8 +30,9 @@ Config schema (version 1)::
       "sweep":     {"b_e_to_e": [...]}                  # twopop-regimes only
     }
 
-Values mirror the canonical experiment tables; every default used is echoed
-into the output headers.
+Values mirror the canonical experiment tables.  The output headers echo the
+model, numerics and reference sections as given, plus ``blowup_threshold``;
+defaults the config leaves out, ``domain`` and ``detection`` are not echoed.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .fdm import FdmGrid, fdm_reference, fdm_solve, reference_timestep
 from .integrate import STATUS_COMPLETED
 from .norms import l2_distance, linf_distance, norm_grid
 from .onepop import OnePopParams, solve
-from .records import emit_run_record, emit_snapshot, emit_table, emit_twopop_record
+from .records import emit_run_record, emit_snapshot, emit_table
 from .twopop import TwoPopParams, solve_twopop
 
 SCHEMA_VERSION = 1
@@ -317,8 +318,8 @@ def _reference_m(cfg: ExperimentConfig) -> list:
 
 
 def _reference_density(cfg: ExperimentConfig, t_final: float, mats: dict):
-    """Reference density on the comparison grid; for two populations an
-    (E, I) pair.  ``mats`` holds the matrices of :func:`_reference_m`."""
+    """Reference density on the comparison grid, (2, n) with rows E, I for
+    two populations.  ``mats`` holds the matrices of :func:`_reference_m`."""
     ref = cfg.reference
     if ref.get("method", "fdm") == "fdm":
         return fdm_reference(
@@ -341,20 +342,32 @@ def _reference_density(cfg: ExperimentConfig, t_final: float, mats: dict):
 
 
 def _cell_final(cfg: ExperimentConfig, mats, dt: float, t_final: float):
-    """One run to t_final; the final density of each population, or None
-    for a run that stopped before it."""
+    """One run to t_final; its final density, or None for a run that
+    stopped before it."""
     rec = _run(cfg, mats, dt, t_final, (t_final,))
-    snapshots = (rec.snapshots_e, rec.snapshots_i) if cfg.two_population else (rec.snapshots,)
-    densities = [snaps[0].density if snaps else None for snaps in snapshots]
-    return {"status": rec.status, "densities": densities, "wall_time": rec.wall_time}
+    return {"status": rec.status, "density": rec.snapshots[0].density if rec.snapshots else None}
 
 
 def _require_finished(cells, name: str, values) -> None:
     """Raise unless every ``_cell_final`` result reached t_final; a ladder
     has no error to report for a cell that stopped before it."""
     for value, cell in zip(values, cells):
-        if cell["densities"][0] is None:
+        if cell["density"] is None:
             raise NnlifError(f"cell at {name}={value} ended with status {cell['status']} before t_final")
+
+
+def _density_at_t_final(rec, what: str) -> np.ndarray:
+    """The density of a run at t_final, its only snapshot time; raises for
+    a run that stopped before it, whose error would be at another time."""
+    if not rec.snapshots:
+        raise NnlifError(f"{what} ended with status {rec.status} before t_final")
+    return rec.snapshots[0].density
+
+
+def _population_suffixes(record) -> list[str]:
+    """"" for one population, "_e" and "_i" for two: the record's rate
+    columns, which come first, without their "rate" prefix."""
+    return [name.removeprefix("rate") for name in list(record.columns)[: len(record.trips)]]
 
 
 def _cell_regime(cfg: ExperimentConfig, mats):
@@ -367,7 +380,9 @@ def _cell_regime(cfg: ExperimentConfig, mats):
 
 
 def _map_cells(fn, tasks, workers: int):
-    """Deterministic keyed map over cells, optionally in processes."""
+    """Deterministic keyed map over cells, optionally in processes, at most
+    one per cell."""
+    workers = min(workers, len(tasks))
     if workers <= 1:
         return [fn(*args) for args in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -387,28 +402,29 @@ def classify_regime(
     peak_amplitude_fraction: float = 0.05,
     peak_spacing_tolerance: float = 0.2,
 ) -> dict:
-    """Label a two-population run as blow-up, periodic, steady or ambiguous.
+    """Label a run as blow-up, periodic, steady or ambiguous.
 
     Pure function of the recorded series, so labels can be recomputed
     offline from the emitted CSVs.
 
     * blow-up: the run tripped the rate threshold.
-    * periodic: after the warm-up window, the inhibitory rate has >= 3 local
-      maxima of prominence >= ``peak_amplitude_fraction`` * mean whose mean
-      height exceeds the series mean by the same fraction, with successive
-      peak spacings within ``peak_spacing_tolerance`` of their mean.
-    * steady: both rates fluctuate by less than ``steady_fluctuation``
+    * periodic: after the warm-up window, the last population's rate (the
+      inhibitory one of two) has >= 3 local maxima of prominence >=
+      ``peak_amplitude_fraction`` * mean whose mean height exceeds the series
+      mean by the same fraction, with successive peak spacings within
+      ``peak_spacing_tolerance`` of their mean.
+    * steady: every rate fluctuates by less than ``steady_fluctuation``
       (relative) over the trailing window.
     """
     if record.status == "blow-up-detected":
-        return {"regime": "blow-up", "trip_time_e": record.trip_time_e,
-                "trip_time_i": record.trip_time_i}
+        return {"regime": "blow-up", **record.trips}
     if record.status != "completed":
         return {"regime": "ambiguous", "reason": record.status}
 
+    suffixes = _population_suffixes(record)
     t = record.times
     start = int(math.floor(warmup_fraction * (t.size - 1)))
-    sig = record.rate_i[start:]
+    sig = record.columns["rate" + suffixes[-1]][start:]
     mean = float(np.mean(sig))
     prominence = peak_amplitude_fraction * abs(mean)
     peaks, props = find_peaks(sig, prominence=prominence if prominence > 0 else None)
@@ -429,24 +445,14 @@ def classify_regime(
         }
 
     tail = int(math.floor((1.0 - steady_window_fraction) * (t.size - 1)))
-    steady = True
     fluctuations = {}
-    for name, series in (("e", record.rate_e), ("i", record.rate_i)):
-        window = series[tail:]
+    for suffix in suffixes:
+        window = record.columns["rate" + suffix][tail:]
         mean_w = float(np.mean(window))
-        flux = float((np.max(window) - np.min(window)) / max(abs(mean_w), 1e-300))
-        fluctuations[name] = flux
-        steady = steady and flux < steady_fluctuation
-    if steady:
-        return {"regime": "steady", "fluctuation_e": fluctuations["e"],
-                "fluctuation_i": fluctuations["i"]}
-    return {
-        "regime": "ambiguous",
-        "n_peaks": int(peaks.size),
-        "spacing_spread": spacing_spread,
-        "fluctuation_e": fluctuations["e"],
-        "fluctuation_i": fluctuations["i"],
-    }
+        fluctuations["fluctuation" + suffix] = float((np.max(window) - np.min(window)) / max(abs(mean_w), 1e-300))
+    if all(flux < steady_fluctuation for flux in fluctuations.values()):
+        return {"regime": "steady", **fluctuations}
+    return {"regime": "ambiguous", "n_peaks": int(peaks.size), "spacing_spread": spacing_spread, **fluctuations}
 
 
 # ---------------------------------------------------------------------------
@@ -474,16 +480,18 @@ def run_convergence_time(cfg: ExperimentConfig, out_dir: str, workers: int = 1) 
     ref = _reference_density(cfg, t_final, mats)
     cells = _map_cells(_cell_final, [(cfg, mats[m], dt, t_final) for dt in ladder], workers)
     _require_finished(cells, "dt", ladder)
-    # (result key, output file, reference) per population
-    series = (
-        [("e", "convergence_time_e.csv", ref[0]), ("i", "convergence_time_i.csv", ref[1])]
+    # one table per population, from the rows of a two-population density
+    files = (
+        {"e": "convergence_time_e.csv", "i": "convergence_time_i.csv"}
         if cfg.two_population
-        else [("one", "convergence_time.csv", ref)]
+        else {"one": "convergence_time.csv"}
     )
+    refs = np.atleast_2d(ref)
+    densities = [np.atleast_2d(c["density"]) for c in cells]
     results: dict = {}
-    for k, (tag, name, ref_k) in enumerate(series):
-        l2 = [l2_distance(c["densities"][k], ref_k, grid) for c in cells]
-        linf = [linf_distance(c["densities"][k], ref_k) for c in cells]
+    for k, (tag, name) in enumerate(files.items()):
+        l2 = [l2_distance(d[k], refs[k], grid) for d in densities]
+        linf = [linf_distance(d[k], refs[k]) for d in densities]
         table = {
             "dt": ladder,
             "l2_error": l2,
@@ -507,7 +515,7 @@ def run_convergence_space(cfg: ExperimentConfig, out_dir: str, workers: int = 1)
     ref = _reference_density(cfg, t_final, mats)
     cells = _map_cells(_cell_final, [(cfg, mats[m], dt, t_final) for m in m_values], workers)
     _require_finished(cells, "M", m_values)
-    errors = {m: l2_distance(c["densities"][0], ref, grid) for m, c in zip(m_values, cells)}
+    errors = {m: l2_distance(c["density"], ref, grid) for m, c in zip(m_values, cells)}
 
     results = {}
     for parity, label in ((1, "odd"), (0, "even")):
@@ -540,7 +548,7 @@ def run_stability_grid(cfg: ExperimentConfig, out_dir: str, workers: int = 1) ->
 
     errs, statuses, flags = [], [], []
     for cell in cells:
-        density = cell["densities"][0]
+        density = cell["density"]
         statuses.append(cell["status"])
         if density is None or cell["status"] != STATUS_COMPLETED:
             errs.append(float("nan"))
@@ -564,16 +572,11 @@ def run_blowup(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> dict:
     num = cfg.numerics
     m = num.get("m", 16)
     rec = _run(cfg, _matrices(cfg, [m])[m], num["dt"], num["t_final"], cfg.snapshot_times)
-    path = os.path.join(out_dir, "blowup_run.csv")
-    if cfg.two_population:
-        emit_twopop_record(path, rec, _provenance(cfg))
-        populations = (("e_", rec.snapshots_e), ("i_", rec.snapshots_i))
-    else:
-        emit_run_record(path, rec, _provenance(cfg))
-        populations = (("", rec.snapshots),)
-    for tag, snaps in populations:
-        for snap in snaps:
-            emit_snapshot(os.path.join(out_dir, f"density_{tag}t{snap.t:g}.csv"), snap)
+    emit_run_record(os.path.join(out_dir, "blowup_run.csv"), rec, _provenance(cfg))
+    # density_t*.csv, or density_e_t*.csv and density_i_t*.csv
+    for snap in rec.snapshots:
+        for suffix, density in zip(_population_suffixes(rec), np.atleast_2d(snap.density)):
+            emit_snapshot(os.path.join(out_dir, f"density{suffix}_t{snap.t:g}.csv"), replace(snap, density=density))
     return {"record": rec}
 
 
@@ -584,19 +587,17 @@ def run_twopop_regimes(cfg: ExperimentConfig, out_dir: str, workers: int = 1) ->
     mats = _matrices(cfg, [m])[m]
     tasks = [(replace(cfg, params=replace(cfg.params, b_e_to_e=v)), mats) for v in values]
     cells = _map_cells(_cell_regime, tasks, workers)
-    regimes, trips_e, trips_i = [], [], []
     for cell in cells:
-        regimes.append(cell["regime"])
-        trips_e.append(cell.get("trip_time_e") or float("nan"))
-        trips_i.append(cell.get("trip_time_i") or float("nan"))
-        emit_twopop_record(
+        emit_run_record(
             os.path.join(out_dir, f"regime_b{cell['b_e_to_e']:g}.csv"),
             cell["record"],
             {**_provenance(cfg), "regime": cell["regime"]},
         )
+    # a trip time is reported for a blow-up only
+    trips = {key: [cell.get(key) or float("nan") for cell in cells] for key in cells[0]["record"].trips}
     emit_table(
         os.path.join(out_dir, "regimes.csv"),
-        {"b_e_to_e": values, "regime": regimes, "trip_time_e": trips_e, "trip_time_i": trips_i},
+        {"b_e_to_e": values, "regime": [cell["regime"] for cell in cells], **trips},
         _provenance(cfg),
     )
     return {v: c for v, c in zip(values, cells)}
@@ -630,7 +631,7 @@ def run_efficiency(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> dic
         wall, rec = _median_wall_time(lambda: _run(cfg, mats[m], dt, t_final, (t_final,)), reps)
         methods.append("spectral")
         resolutions.append(m)
-        errors.append(l2_distance(rec.snapshots[0].density, spectral_ref, grid))
+        errors.append(l2_distance(_density_at_t_final(rec, f"spectral run at M={m}"), spectral_ref, grid))
         walls.append(wall)
 
     fdm_ref = fdm_reference(cfg.ic, cfg.params, cfg.domain, t_final, h=min(h_values) / 2.0,
@@ -639,12 +640,11 @@ def run_efficiency(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> dic
         fgrid = FdmGrid.build(cfg.domain, v_min=v_min, h=h)
         dt_f = reference_timestep(fgrid, cfg.params, t_final)
         wall, rec = _median_wall_time(
-            lambda: fdm_solve(cfg.ic, cfg.params, fgrid, dt_f, t_final, blowup_threshold=cfg.blowup_threshold),
-            reps,
+            lambda: fdm_solve(cfg.ic, cfg.params, fgrid, dt_f, t_final, (t_final,), cfg.blowup_threshold), reps
         )
         methods.append("fdm")
         resolutions.append(h)
-        errors.append(l2_distance(rec.final_density, fdm_ref, grid))
+        errors.append(l2_distance(_density_at_t_final(rec, f"fdm run at h={h:g}"), fdm_ref, grid))
         walls.append(wall)
 
     table = {"method": methods, "resolution": resolutions, "l2_error": errors, "wall_time_s": walls}
@@ -665,23 +665,23 @@ def run_compare_fdm(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> di
     ref = _reference_density(cfg, t_final, mats)
 
     wall_s, rec_s = _median_wall_time(lambda: _run(cfg, mats[m], dt, t_final, (t_final,)), reps)
-    p_spec = rec_s.snapshots[0].density
+    p_spec = _density_at_t_final(rec_s, f"spectral run at M={m}")
 
     fgrid = FdmGrid.build(cfg.domain, v_min=cfg.reference.get("v_min", -6.0), h=fdm_h)
     dt_f = reference_timestep(fgrid, cfg.params, t_final)
     wall_f, rec_f = _median_wall_time(
-        lambda: fdm_solve(cfg.ic, cfg.params, fgrid, dt_f, t_final, blowup_threshold=cfg.blowup_threshold),
-        reps,
+        lambda: fdm_solve(cfg.ic, cfg.params, fgrid, dt_f, t_final, (t_final,), cfg.blowup_threshold), reps
     )
+    p_fdm = _density_at_t_final(rec_f, f"fdm run at h={fdm_h:g}")
 
     table = {
         "method": ["spectral", "fdm"],
         "resolution": [m, fdm_h],
         "l2_error_vs_reference": [
             l2_distance(p_spec, ref, grid),
-            l2_distance(rec_f.final_density, ref, grid),
+            l2_distance(p_fdm, ref, grid),
         ],
-        "cross_l2_distance": [l2_distance(p_spec, rec_f.final_density, grid)] * 2,
+        "cross_l2_distance": [l2_distance(p_spec, p_fdm, grid)] * 2,
         "wall_time_s": [wall_s, wall_f],
     }
     emit_table(os.path.join(out_dir, "compare_fdm.csv"), table, _provenance(cfg))

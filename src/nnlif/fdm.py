@@ -25,13 +25,14 @@ import numpy as np
 
 from .basis import Domain
 from .errors import ConfigurationError, NnlifError, SingularFiringRateError
-from .integrate import DEFAULT_BLOWUP_THRESHOLD, STATUS_COMPLETED, integrate
+from .integrate import (
+    DEFAULT_BLOWUP_THRESHOLD, ONE_POPULATION, STATUS_COMPLETED, TWO_POPULATIONS, RunRecord, integrate,
+)
 from .norms import norm_grid
-from .onepop import DensitySnapshot, OnePopParams, RunRecord
+from .onepop import OnePopParams
 from .twopop import (
     DIFFUSION_CONSTANT,
     TwoPopParams,
-    TwoPopRunRecord,
     TwoPopState,
     coefficients,
     delayed_rates,
@@ -167,10 +168,11 @@ class _CellState(NamedTuple):
 class _FdmOnePop:
     """The finite-volume single-population model as a :class:`Stepper`."""
 
-    populations = 1
+    layout = ONE_POPULATION
 
     def __init__(self, p0, params: OnePopParams, grid: FdmGrid, dt: float):
         self.p0, self.params, self.grid, self.dt = p0, params, grid, dt
+        self.out_grid = norm_grid(grid.domain)
 
     def start(self, rates) -> _CellState:
         p = _initial_cells(self.p0, self.grid)
@@ -184,15 +186,19 @@ class _FdmOnePop:
     def observe(self, state: _CellState):
         return state.rate, float(state.p.sum() * self.grid.h)
 
+    def densities(self, state: _CellState) -> np.ndarray:
+        return _to_norm_grid(state.p, self.grid, self.out_grid)
+
 
 class _FdmTwoPop:
     """The finite-volume two-population model (constant diffusion) as a
     :class:`Stepper`; the reset inflow is the recovery rate M_alpha."""
 
-    populations = 2
+    layout = TWO_POPULATIONS
 
     def __init__(self, p0_e, p0_i, params: TwoPopParams, grid: FdmGrid, dt: float):
         self.p0_e, self.p0_i, self.params, self.grid, self.dt = p0_e, p0_i, params, grid, dt
+        self.out_grid = norm_grid(grid.domain)
 
     def _rate(self, p: np.ndarray) -> float:
         return self.params.diffusion_constant * p[-1] / self.grid.h
@@ -231,6 +237,9 @@ class _FdmTwoPop:
             state.r_e, state.r_i,
         )
 
+    def densities(self, state: TwoPopState) -> np.ndarray:
+        return np.array([_to_norm_grid(p, self.grid, self.out_grid) for p in (state.u_e, state.u_i)])
+
 
 def fdm_solve(
     p0,
@@ -248,12 +257,7 @@ def fdm_solve(
         raise ConfigurationError(
             f"dt={dt} violates the explicit stability bound for h={grid.h}"
         )
-    run = integrate(_FdmOnePop(p0, params, grid, dt), dt, t_final, snapshot_times, blowup_threshold)
-    out_grid = norm_grid(grid.domain)
-    snapshots = [DensitySnapshot(t, out_grid, _to_norm_grid(st.p, grid, out_grid)) for t, st in run.snapshots]
-    record = RunRecord.from_integration(run, dt, snapshots)
-    record.final_density = _to_norm_grid(run.state.p, grid, out_grid)
-    return record
+    return integrate(_FdmOnePop(p0, params, grid, dt), dt, t_final, snapshot_times, blowup_threshold)
 
 
 def fdm_solve_twopop(
@@ -264,8 +268,9 @@ def fdm_solve_twopop(
     dt: float,
     t_final: float,
     blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
+    snapshot_times=(),
     cfl_rate_cap: float = 0.0,
-) -> TwoPopRunRecord:
+) -> RunRecord:
     """Two-population variant with the same stencil per population, from
     empty refractory states.
 
@@ -277,12 +282,7 @@ def fdm_solve_twopop(
         raise ConfigurationError("the finite-difference oracle supports constant diffusion only")
     if dt > _stable_timestep(grid, params, cfl_rate_cap):
         raise ConfigurationError(f"dt={dt} violates the explicit stability bound for h={grid.h}")
-    run = integrate(_FdmTwoPop(p0_e, p0_i, params, grid, dt), dt, t_final, (), blowup_threshold)
-    out_grid = norm_grid(grid.domain)
-    record = TwoPopRunRecord.from_integration(run, dt, [], [])
-    record.final_density_e = _to_norm_grid(run.state.u_e, grid, out_grid)
-    record.final_density_i = _to_norm_grid(run.state.u_i, grid, out_grid)
-    return record
+    return integrate(_FdmTwoPop(p0_e, p0_i, params, grid, dt), dt, t_final, snapshot_times, blowup_threshold)
 
 
 def fdm_reference(
@@ -308,14 +308,12 @@ def fdm_reference(
         grid = FdmGrid.build(domain, v_min=v_min, h=h_run)
         dt = reference_timestep(grid, params, t_final)
         if two:
-            rec = fdm_solve_twopop(*p0, params, grid, dt, t_final)
-            final = np.array([rec.final_density_e, rec.final_density_i])
+            rec = fdm_solve_twopop(*p0, params, grid, dt, t_final, snapshot_times=(t_final,))
         else:
-            rec = fdm_solve(p0, params, grid, dt, t_final)
-            final = rec.final_density
+            rec = fdm_solve(p0, params, grid, dt, t_final, snapshot_times=(t_final,))
         if rec.status != STATUS_COMPLETED:
             raise NnlifError(f"reference run at h={h_run} ended with status {rec.status}")
-        return final
+        return rec.snapshots[0].density
 
     coarse = run(h)
     if not richardson:

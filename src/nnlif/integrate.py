@@ -1,9 +1,10 @@
 """The one time-integration loop shared by every solver.
 
-A model hands :func:`integrate` a :class:`Stepper`: its initial state, a pure
-step and its observables.  The loop owns the rest: the record buffers, the
-states kept at snapshot times, solver-failure handling, the loop timer and
-the trip policy.
+A model hands :func:`integrate` a :class:`Stepper`: its record layout, its
+initial state, a pure step, its observables and its densities.  The loop
+owns the rest: the record buffers, the states kept at snapshot times,
+solver-failure handling, the loop timer and the trip policy, and it returns
+one :class:`RunRecord` for every model.
 A population trips when its rate passes the blow-up threshold; the run stops
 when every population has tripped, when the state goes non-finite (the
 populations not yet tripped trip then), or ``_POST_TRIP_WINDOW`` after the
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Any, Protocol
+from typing import Any, NamedTuple, Protocol
 
 import numpy as np
 
@@ -33,20 +34,67 @@ STATUS_SOLVER_FAILURE = "solver-failure"
 _SOLVER_ERRORS = (SingularFiringRateError, LinearSolveError, NonpositiveDiffusionError)
 
 
+class Layout(NamedTuple):
+    """Names of a run's CSV columns, in ``observe`` order with one rate per
+    population first, and of its trip times, one per population."""
+
+    columns: tuple[str, ...]
+    trips: tuple[str, ...]
+
+
+ONE_POPULATION = Layout(("rate", "mass"), ("blowup_time",))
+TWO_POPULATIONS = Layout(
+    ("rate_e", "rate_i", "mass_e", "mass_i", "refractory_e", "refractory_i"), ("trip_time_e", "trip_time_i")
+)
+
+
+@dataclass(frozen=True)
+class DensitySnapshot:
+    """Density at time ``t`` on the comparison ``grid``: shape (n,) for one
+    population, (2, n) with rows E, I for two."""
+
+    t: float
+    grid: np.ndarray
+    density: np.ndarray
+
+
+@dataclass
+class RunRecord:
+    """Every recorded step of one run, whatever its model.
+
+    ``columns`` maps the layout's column names to per-step series and
+    ``trips`` its trip keys to the time each population passed the blow-up
+    threshold (None if it did not); ``wall_time`` covers the stepping loop
+    only.  ``snapshots`` holds the densities at the snapshot times reached.
+    """
+
+    times: np.ndarray
+    columns: dict[str, np.ndarray]
+    trips: dict[str, float | None]
+    status: str
+    negative_rate: bool
+    wall_time: float
+    dt: float
+    snapshots: list[DensitySnapshot]
+
+
 class Stepper(Protocol):
     """One model as :func:`integrate` drives it.
 
-    ``start`` gets the record's rate columns, one per population, and returns
-    the initial state; entry k of a column holds the rate of step k once that
-    step is recorded, so a step may read the entries before its own index.
+    ``layout`` names the record's columns and trips.  ``start`` gets the
+    record's rate columns, one per population, and returns the initial
+    state; entry k of a column holds the rate of step k once that step is
+    recorded, so a step may read the entries before its own index.
     ``step`` returns the next state without modifying its argument; every
-    state has a time ``t``.  ``observe`` returns the ``populations`` rates,
-    as many masses, then optionally as many refractory masses; a mass is
-    non-finite whenever any entry of its density is, so finiteness is tested
-    on it.
+    state has a time ``t``.  ``observe`` returns a state's values in the
+    layout's column order: the rates, as many masses, then optionally as
+    many refractory masses; a mass is non-finite whenever any entry of its
+    density is, so finiteness is tested on it.  ``densities`` returns the
+    state's density on ``out_grid`` in the :class:`DensitySnapshot` shape.
     """
 
-    populations: int
+    layout: Layout
+    out_grid: np.ndarray
 
     def start(self, rates: list[np.ndarray]) -> Any: ...
 
@@ -54,21 +102,7 @@ class Stepper(Protocol):
 
     def observe(self, state: Any) -> tuple[float, ...]: ...
 
-
-@dataclass
-class Integration:
-    """Per-step columns in ``observe`` order, cut at the last recorded step,
-    termination bookkeeping, the (time, state) pairs at the snapshot times
-    reached and the last recorded state."""
-
-    times: np.ndarray
-    columns: list[np.ndarray]
-    status: str
-    trip_times: list[float | None]
-    negative_rate: bool
-    wall_time: float
-    snapshots: list[tuple[float, Any]]
-    state: Any
+    def densities(self, state: Any) -> np.ndarray: ...
 
 
 def _validate_times(dt: float, t_final: float, snapshot_times) -> int:
@@ -91,17 +125,17 @@ def integrate(
     t_final: float,
     snapshot_times=(),
     blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
-) -> Integration:
+) -> RunRecord:
     """Step ``stepper`` from its initial state to ``t_final``, recording
     every step; a solver error in a step ends the run with status
-    "solver-failure".  ``wall_time`` covers the stepping loop only."""
+    "solver-failure".  The snapshot densities are taken after the loop."""
     n_steps = _validate_times(dt, t_final, snapshot_times)
     snap_lookup = {round(ts / dt): ts for ts in snapshot_times}
-    k = stepper.populations
+    layout = stepper.layout
+    k = len(layout.trips)
     rates = [np.empty(n_steps + 1) for _ in range(k)]
     state = stepper.start(rates)
-    values = stepper.observe(state)
-    columns = rates + [np.empty(n_steps + 1) for _ in values[k:]]
+    columns = rates + [np.empty(n_steps + 1) for _ in layout.columns[k:]]
     times = np.empty(n_steps + 1)
     snapshots: list[tuple[float, Any]] = []
     step, observe = stepper.step, stepper.observe
@@ -113,7 +147,7 @@ def integrate(
         if n in snap_lookup:
             snapshots.append((snap_lookup[n], st))
 
-    record(0, state, values)
+    record(0, state, observe(state))
     status = STATUS_COMPLETED
     negative = False
     trips: list[float | None] = [None] * k
@@ -148,6 +182,13 @@ def integrate(
     wall = time.perf_counter() - t_start
 
     keep = last + 1
-    return Integration(
-        times[:keep], [col[:keep] for col in columns], status, trips, negative, wall, snapshots, state
+    return RunRecord(
+        times[:keep],
+        {name: col[:keep] for name, col in zip(layout.columns, columns)},
+        dict(zip(layout.trips, trips)),
+        status,
+        negative,
+        wall,
+        dt,
+        [DensitySnapshot(t, stepper.out_grid, stepper.densities(st)) for t, st in snapshots],
     )

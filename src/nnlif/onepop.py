@@ -18,7 +18,7 @@ every step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import schur
@@ -26,7 +26,7 @@ from scipy.linalg.lapack import ztrtrs
 
 from .assembly import GalerkinMatrices, project_initial, reconstruct
 from .errors import ConfigurationError, LinearSolveError, SingularFiringRateError, check_finite
-from .integrate import DEFAULT_BLOWUP_THRESHOLD, integrate
+from .integrate import DEFAULT_BLOWUP_THRESHOLD, ONE_POPULATION, RunRecord, integrate
 from .norms import norm_grid
 
 _RATE_DENOM_TOL = 1e-12
@@ -55,36 +55,6 @@ class PopulationState:
     u_hat: np.ndarray
     t: float
     rate: float
-
-
-@dataclass(frozen=True)
-class DensitySnapshot:
-    t: float
-    grid: np.ndarray
-    density: np.ndarray
-
-
-@dataclass
-class RunRecord:
-    """Per-step time series of one run plus termination bookkeeping."""
-
-    times: np.ndarray
-    rates: np.ndarray
-    masses: np.ndarray
-    status: str
-    snapshots: list[DensitySnapshot] = field(default_factory=list)
-    negative_rate: bool = False
-    blowup_time: float | None = None
-    wall_time: float = 0.0
-    dt: float = 0.0
-    final_density: np.ndarray | None = None
-
-    @classmethod
-    def from_integration(cls, run, dt: float, snapshots: list[DensitySnapshot]) -> "RunRecord":
-        return cls(
-            run.times, *run.columns, run.status, snapshots, run.negative_rate,
-            run.trip_times[0], run.wall_time, dt,
-        )
 
 
 def firing_rate(u_hat: np.ndarray, deriv_at_threshold: np.ndarray, params: OnePopParams) -> float:
@@ -213,10 +183,11 @@ def step(
 class _OnePop:
     """The spectral single-population model as a :class:`Stepper`."""
 
-    populations = 1
+    layout = ONE_POPULATION
 
     def __init__(self, p0, params: OnePopParams, matrices: GalerkinMatrices, dt: float):
         self.p0, self.params, self.matrices, self.dt = p0, params, matrices, dt
+        self.out_grid = norm_grid(matrices.basis.domain)
 
     def start(self, rates) -> PopulationState:
         mats, params, dt = self.matrices, self.params, self.dt
@@ -232,6 +203,9 @@ class _OnePop:
 
     def observe(self, state: PopulationState):
         return state.rate, float(np.dot(self.matrices.mass, state.u_hat))
+
+    def densities(self, state: PopulationState) -> np.ndarray:
+        return reconstruct(self.matrices.basis, state.u_hat, self.out_grid)
 
 
 def solve(
@@ -251,8 +225,4 @@ def solve(
     coefficients go non-finite; singular systems stop the run with status
     "solver-failure" instead of raising.
     """
-    run = integrate(_OnePop(p0, params, matrices, dt), dt, t_final, snapshot_times, blowup_threshold)
-    basis = matrices.basis
-    grid = norm_grid(basis.domain)
-    snapshots = [DensitySnapshot(t, grid, reconstruct(basis, st.u_hat, grid)) for t, st in run.snapshots]
-    return RunRecord.from_integration(run, dt, snapshots)
+    return integrate(_OnePop(p0, params, matrices, dt), dt, t_final, snapshot_times, blowup_threshold)

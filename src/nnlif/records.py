@@ -75,40 +75,11 @@ def parse_table(path: str):
 
 
 def emit_run_record(path: str, record, meta: dict | None = None) -> None:
-    """Time series of a single-population run."""
-    base = dict(meta or {})
-    base["status"] = record.status
-    base["dt"] = record.dt
-    if record.blowup_time is not None:
-        base["blowup_time"] = record.blowup_time
-    emit_table(
-        path,
-        {"t": record.times, "rate": record.rates, "mass": record.masses},
-        base,
-    )
-
-
-def emit_twopop_record(path: str, record, meta: dict | None = None) -> None:
-    base = dict(meta or {})
-    base["status"] = record.status
-    base["dt"] = record.dt
-    if record.trip_time_e is not None:
-        base["trip_time_e"] = record.trip_time_e
-    if record.trip_time_i is not None:
-        base["trip_time_i"] = record.trip_time_i
-    emit_table(
-        path,
-        {
-            "t": record.times,
-            "rate_e": record.rate_e,
-            "rate_i": record.rate_i,
-            "mass_e": record.mass_e,
-            "mass_i": record.mass_i,
-            "refractory_e": record.refractory_e,
-            "refractory_i": record.refractory_i,
-        },
-        base,
-    )
+    """Time series of a run: ``t`` and the record's columns, with its
+    status, dt and the trip times it reached in the header."""
+    base = {**(meta or {}), "status": record.status, "dt": record.dt}
+    base.update((key, trip) for key, trip in record.trips.items() if trip is not None)
+    emit_table(path, {"t": record.times, **record.columns}, base)
 
 
 def emit_snapshot(path: str, snapshot, meta: dict | None = None) -> None:

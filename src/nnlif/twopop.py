@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,9 +48,9 @@ from .errors import (
     SingularFiringRateError,
     check_finite,
 )
-from .integrate import DEFAULT_BLOWUP_THRESHOLD, integrate
+from .integrate import DEFAULT_BLOWUP_THRESHOLD, TWO_POPULATIONS, RunRecord, integrate
 from .norms import norm_grid
-from .onepop import DensitySnapshot, ShiftedSystem, factor_pays_off, system_matrix
+from .onepop import ShiftedSystem, factor_pays_off, system_matrix
 
 RECOVERY_PASS_THROUGH = "pass-through"
 RECOVERY_EXPONENTIAL = "exponential"
@@ -193,34 +193,6 @@ def delayed_rates(state: TwoPopState, lags: dict[str, int]):
     )
 
 
-@dataclass
-class TwoPopRunRecord:
-    times: np.ndarray
-    rate_e: np.ndarray
-    rate_i: np.ndarray
-    mass_e: np.ndarray
-    mass_i: np.ndarray
-    refractory_e: np.ndarray
-    refractory_i: np.ndarray
-    status: str
-    trip_time_e: float | None = None
-    trip_time_i: float | None = None
-    negative_rate: bool = False
-    wall_time: float = 0.0
-    dt: float = 0.0
-    snapshots_e: list = field(default_factory=list)
-    snapshots_i: list = field(default_factory=list)
-    final_density_e: np.ndarray | None = None
-    final_density_i: np.ndarray | None = None
-
-    @classmethod
-    def from_integration(cls, run, dt: float, snapshots_e: list, snapshots_i: list) -> "TwoPopRunRecord":
-        return cls(
-            run.times, *run.columns, run.status, *run.trip_times, run.negative_rate,
-            run.wall_time, dt, snapshots_e, snapshots_i,
-        )
-
-
 def _resolve_rates(params: TwoPopParams, n: int, s_e: float, s_i: float, lags, history_e, history_i):
     """Rates N_E^n, N_I^n of a state at step n with threshold slopes s_e, s_i.
 
@@ -330,10 +302,11 @@ def step_twopop(
 class _TwoPop:
     """The spectral two-population model as a :class:`Stepper`."""
 
-    populations = 2
+    layout = TWO_POPULATIONS
 
     def __init__(self, p0_e, p0_i, params, matrices, dt):
         self.p0_e, self.p0_i, self.params, self.matrices, self.dt = p0_e, p0_i, params, matrices, dt
+        self.out_grid = norm_grid(matrices.basis.domain)
 
     def start(self, rates) -> TwoPopState:
         mats, params = self.matrices, self.params
@@ -364,6 +337,9 @@ class _TwoPop:
             state.r_e, state.r_i,
         )
 
+    def densities(self, state: TwoPopState) -> np.ndarray:
+        return np.array([reconstruct(self.matrices.basis, u, self.out_grid) for u in (state.u_e, state.u_i)])
+
 
 def solve_twopop(
     p0_e,
@@ -374,20 +350,13 @@ def solve_twopop(
     t_final: float,
     blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
     snapshot_times=(),
-) -> TwoPopRunRecord:
+) -> RunRecord:
     """Run the coupled scheme from empty refractory states; records rates,
-    masses and refractory states, and the densities on the comparison grid
-    at each snapshot time.
+    masses and refractory states, and the densities of both populations on
+    the comparison grid at each snapshot time.
 
     The run keeps going after the first population trips the blow-up
     threshold (up to a bounded window) so near-simultaneous events yield a
     trip time for each population.
     """
-    run = integrate(_TwoPop(p0_e, p0_i, params, matrices, dt), dt, t_final, snapshot_times, blowup_threshold)
-    basis = matrices.basis
-    grid = norm_grid(basis.domain)
-
-    def snapshots(pop: str) -> list[DensitySnapshot]:
-        return [DensitySnapshot(t, grid, reconstruct(basis, getattr(st, pop), grid)) for t, st in run.snapshots]
-
-    return TwoPopRunRecord.from_integration(run, dt, snapshots("u_e"), snapshots("u_i"))
+    return integrate(_TwoPop(p0_e, p0_i, params, matrices, dt), dt, t_final, snapshot_times, blowup_threshold)

@@ -205,8 +205,8 @@ def test_criterion_05_temporal_order_two_population(domain, twopop_ladder_params
     for dt in _DT_LADDER:
         rec = solve_twopop(ic_e, ic_i, twopop_ladder_params, mats, dt=dt, t_final=0.2,
                            snapshot_times=(0.2,))
-        errs["e"].append(l2_distance(rec.snapshots_e[0].density, ref_e, grid))
-        errs["i"].append(l2_distance(rec.snapshots_i[0].density, ref_i, grid))
+        errs["e"].append(l2_distance(rec.snapshots[0].density[0], ref_e, grid))
+        errs["i"].append(l2_distance(rec.snapshots[0].density[1], ref_i, grid))
     orders = {
         tag: [math.log2(a / b) for a, b in zip(series[:-1], series[1:])]
         for tag, series in errs.items()
@@ -242,19 +242,19 @@ def test_criterion_07_mass_and_refractory_bookkeeping(domain, gaussian_ic):
     mats = assemble(BasisSet(domain, 16))
 
     rec = solve(gaussian_ic, OnePopParams(a0=1.0, a1=0.1, b=0.0), mats, dt=1e-4, t_final=0.5)
-    drift_one = float(np.max(np.abs(rec.masses - 1.0)))
+    drift_one = float(np.max(np.abs(rec.columns["mass"] - 1.0)))
     assert drift_one <= 1e-2
 
     rec2 = solve_twopop(gaussian_ic, gaussian_ic, _regimes_params(3.5), mats, dt=1e-4, t_final=0.5)
     assert rec2.status == "completed"
-    drift_e = float(np.max(np.abs(rec2.mass_e + rec2.refractory_e - 1.0)))
-    drift_i = float(np.max(np.abs(rec2.mass_i + rec2.refractory_i - 1.0)))
+    drift_e = float(np.max(np.abs(rec2.columns["mass_e"] + rec2.columns["refractory_e"] - 1.0)))
+    drift_i = float(np.max(np.abs(rec2.columns["mass_i"] + rec2.columns["refractory_i"] - 1.0)))
     assert drift_e <= 1e-2 and drift_i <= 1e-2
 
     # the refractory update is exactly the forward-Euler balance
     for r_series, n_series, tau in (
-        (rec2.refractory_e, rec2.rate_e, 0.025),
-        (rec2.refractory_i, rec2.rate_i, 0.025),
+        (rec2.columns["refractory_e"], rec2.columns["rate_e"], 0.025),
+        (rec2.columns["refractory_i"], rec2.columns["rate_i"], 0.025),
     ):
         replay = np.empty_like(r_series)
         replay[0] = 0.0
@@ -277,7 +277,7 @@ def test_criterion_08_blowup_regimes(domain, gaussian_ic):
     rec = solve(gaussian_ic, OnePopParams(a0=1.0, a1=0.0, b=3.0), mats, dt=1e-3,
                 t_final=3.5, snapshot_times=(2.95, 3.15, 3.35), blowup_threshold=5.0)
     assert rec.status == "blow-up-detected"
-    assert rec.blowup_time is not None and rec.blowup_time < 3.5
+    assert rec.trips["blowup_time"] is not None and rec.trips["blowup_time"] < 3.5
     window = (grid >= domain.v_reset - 0.2) & (grid <= domain.v_reset + 0.2)
     peaks = [float(s.density[window].max()) for s in rec.snapshots]
     assert len(peaks) == 3
@@ -291,12 +291,12 @@ def test_criterion_08_blowup_regimes(domain, gaussian_ic):
     rec2 = solve_twopop(gaussian_ic, gaussian_ic, params2, mats, dt=1e-3, t_final=6.0,
                         blowup_threshold=5.0)
     assert rec2.status == "blow-up-detected"
-    assert rec2.trip_time_e is not None and rec2.trip_time_i is not None
-    gap = abs(rec2.trip_time_e - rec2.trip_time_i)
+    assert rec2.trips["trip_time_e"] is not None and rec2.trips["trip_time_i"] is not None
+    gap = abs(rec2.trips["trip_time_e"] - rec2.trips["trip_time_i"])
     assert gap <= 0.5
 
     _report(8, time.perf_counter() - t0, 180.0,
-            f"one-pop trip {rec.blowup_time:.2f}, two-pop gap {gap:.3f}")
+            f"one-pop trip {rec.trips['blowup_time']:.2f}, two-pop gap {gap:.3f}")
 
 
 def test_criterion_09_regime_transitions(domain, gaussian_ic):
@@ -355,8 +355,9 @@ def test_criterion_11_cross_method_agreement_and_speed(domain, linear_params, ga
     # h = 1/512 lands at the same ~1e-4 error level; a single timing each is
     # enough at the observed margin
     fgrid = FdmGrid.build(domain, v_min=-6.0, h=1.0 / 512.0)
-    frec = fdm_solve(gaussian_ic, linear_params, fgrid, reference_timestep(fgrid, linear_params, 0.2), 0.2)
-    err_fdm = l2_distance(frec.final_density, onepop_reference, grid)
+    frec = fdm_solve(gaussian_ic, linear_params, fgrid, reference_timestep(fgrid, linear_params, 0.2), 0.2,
+                     snapshot_times=(0.2,))
+    err_fdm = l2_distance(frec.snapshots[0].density, onepop_reference, grid)
     assert err_fdm < 5e-4  # both methods sit at the ~1e-4 level
     assert frec.wall_time >= 2.0 * rec.wall_time
 

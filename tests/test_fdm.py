@@ -63,7 +63,7 @@ def test_run_mass_exact(grid, domain):
     dt = reference_timestep(grid, params, 0.2)
     rec = fdm_solve(ic, params, grid, dt, 0.2)
     assert rec.status == "completed"
-    assert np.max(np.abs(rec.masses - 1.0)) < 1e-10
+    assert np.max(np.abs(rec.columns["mass"] - 1.0)) < 1e-10
 
 
 def test_cfl_violation_rejected(grid, domain):
@@ -108,7 +108,7 @@ def test_blowup_escalation_window_matches_spectral(domain):
     dt = _stable_dt(g, params, 4.0, rate_cap=6.0)
     fdm_rec = fdm_solve(ic, params, g, dt, 4.0, blowup_threshold=5.0, cfl_rate_cap=6.0)
     assert fdm_rec.status == "blow-up-detected"
-    assert fdm_rec.blowup_time == pytest.approx(spec_rec.blowup_time, rel=0.10)
+    assert fdm_rec.trips["blowup_time"] == pytest.approx(spec_rec.trips["blowup_time"], rel=0.10)
 
 
 def test_twopop_combined_mass_exact(domain):
@@ -120,8 +120,8 @@ def test_twopop_combined_mass_exact(domain):
     ic = normalize_gaussian(-1.0, 0.5, domain)
     rec = fdm_solve_twopop(ic, ic, params, g, reference_timestep(g, params, 0.1), 0.1)
     assert rec.status == "completed"
-    assert np.max(np.abs(rec.mass_e + rec.refractory_e - 1.0)) < 1e-10
-    assert np.max(np.abs(rec.mass_i + rec.refractory_i - 1.0)) < 1e-10
+    assert np.max(np.abs(rec.columns["mass_e"] + rec.columns["refractory_e"] - 1.0)) < 1e-10
+    assert np.max(np.abs(rec.columns["mass_i"] + rec.columns["refractory_i"] - 1.0)) < 1e-10
 
 
 def test_twopop_reduces_to_onepop(domain):
@@ -132,8 +132,28 @@ def test_twopop_reduces_to_onepop(domain):
     dt = reference_timestep(g, params1, 0.1)
     rec1 = fdm_solve(ic, params1, g, dt, 0.1)
     rec2 = fdm_solve_twopop(ic, ic, params2, g, dt, 0.1)
-    assert np.max(np.abs(rec2.rate_e - rec1.rates)) < 1e-12
-    assert np.max(np.abs(rec2.mass_e - rec1.masses)) < 1e-12
+    assert np.max(np.abs(rec2.columns["rate_e"] - rec1.columns["rate"])) < 1e-12
+    assert np.max(np.abs(rec2.columns["mass_e"] - rec1.columns["mass"])) < 1e-12
+
+
+@pytest.mark.parametrize("two", [False, True], ids=["one-population", "two-population"])
+def test_final_snapshot_is_the_unextrapolated_reference(domain, two):
+    h, t_final = 1.0 / 32.0, 0.05
+    g = FdmGrid.build(domain, v_min=-6.0, h=h)
+    ic = normalize_gaussian(-1.0, 0.5, domain)
+    if two:
+        ic = (ic, normalize_gaussian(0.0, 0.25, domain))
+        params = TwoPopParams(b_e_to_e=0.5, b_e_to_i=0.5, b_i_to_e=0.75, tau_e=0.025, tau_i=0.025,
+                              refractory_mode="exponential")
+        rec = fdm_solve_twopop(*ic, params, g, reference_timestep(g, params, t_final), t_final,
+                               snapshot_times=(t_final,))
+    else:
+        params = OnePopParams(a0=1.0, a1=0.1, b=0.5)
+        rec = fdm_solve(ic, params, g, reference_timestep(g, params, t_final), t_final, snapshot_times=(t_final,))
+    ref = fdm_reference(ic, params, domain, t_final, h=h, richardson=False)
+    assert ref.shape == ((2, 2001) if two else (2001,))
+    assert [s.t for s in rec.snapshots] == [t_final]
+    assert np.array_equal(rec.snapshots[0].density, ref)
 
 
 def test_twopop_requires_constant_diffusion(domain):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -16,10 +17,12 @@ from nnlif.experiments import (
     parse_config,
     run_experiment,
 )
+from nnlif.fdm import FdmGrid, fdm_solve, fdm_solve_twopop, reference_timestep
+from nnlif.integrate import ONE_POPULATION, TWO_POPULATIONS, RunRecord
 from nnlif.norms import norm_grid
 from nnlif.onepop import OnePopParams, solve
-from nnlif.records import emit_table, parse_table
-from nnlif.twopop import TwoPopRunRecord
+from nnlif.records import emit_run_record, emit_table, parse_table
+from nnlif.twopop import TwoPopParams, solve_twopop
 
 
 def _write(tmp_path, name, payload):
@@ -89,6 +92,51 @@ def test_snapshot_file_matches_reconstruction(tmp_path, domain):
     assert np.array_equal(cols["density"], rec.snapshots[0].density)
 
 
+@pytest.mark.parametrize(
+    "solver, layout",
+    [
+        ("solve", ONE_POPULATION),
+        ("solve_twopop", TWO_POPULATIONS),
+        ("fdm_solve", ONE_POPULATION),
+        ("fdm_solve_twopop", TWO_POPULATIONS),
+    ],
+    ids=["solve", "solve_twopop", "fdm_solve", "fdm_solve_twopop"],
+)
+@pytest.mark.parametrize("blowup_threshold", [1e3, 1e-6], ids=["completed", "tripped"])
+def test_emit_run_record_writes_the_layout(tmp_path, domain, solver, layout, blowup_threshold):
+    ic = normalize_gaussian(-1.0, 0.5, domain)
+    one, two = OnePopParams(a0=1.0), TwoPopParams(b_e_to_e=0.5, b_e_to_i=0.5, b_i_to_e=0.25)
+    mats = assemble(BasisSet(domain, 6))
+    grid = FdmGrid.build(domain, h=1.0 / 16.0)
+    t_final = 0.1
+    runs = {
+        "solve": lambda: solve(ic, one, mats, 0.01, t_final, blowup_threshold=blowup_threshold),
+        "solve_twopop": lambda: solve_twopop(ic, ic, two, mats, 0.01, t_final, blowup_threshold=blowup_threshold),
+        "fdm_solve": lambda: fdm_solve(
+            ic, one, grid, reference_timestep(grid, one, t_final), t_final, blowup_threshold=blowup_threshold
+        ),
+        "fdm_solve_twopop": lambda: fdm_solve_twopop(
+            ic, ic, two, grid, reference_timestep(grid, two, t_final), t_final, blowup_threshold=blowup_threshold
+        ),
+    }
+    rec = runs[solver]()
+    path = str(tmp_path / "run.csv")
+    emit_run_record(path, rec, {"kind": "demo"})
+    meta, cols = parse_table(path)
+    assert list(cols) == ["t", *layout.columns]
+    assert np.array_equal(cols["t"], rec.times)
+    for name in layout.columns:
+        assert np.array_equal(cols[name], rec.columns[name]), name
+    assert (meta["kind"], meta["status"], float(meta["dt"])) == ("demo", rec.status, rec.dt)
+    written = {key: float(meta[key]) for key in layout.trips if key in meta}
+    if blowup_threshold < 1.0:
+        assert rec.status == "blow-up-detected"
+        assert written == rec.trips and None not in written.values()
+    else:
+        assert rec.status == "completed"
+        assert written == {} and set(rec.trips.values()) == {None}
+
+
 # --- config parsing ----------------------------------------------------------
 
 
@@ -143,18 +191,16 @@ def test_config_rejects_nondivisible_delay():
 
 def _fake_record(rate_e, rate_i, status="completed", trip_e=None, trip_i=None):
     n = len(rate_i)
-    return TwoPopRunRecord(
-        times=np.linspace(0.0, 10.0, n),
-        rate_e=np.asarray(rate_e, dtype=float),
-        rate_i=np.asarray(rate_i, dtype=float),
-        mass_e=np.ones(n),
-        mass_i=np.ones(n),
-        refractory_e=np.zeros(n),
-        refractory_i=np.zeros(n),
-        status=status,
-        trip_time_e=trip_e,
-        trip_time_i=trip_i,
-    )
+    columns = {
+        "rate_e": np.asarray(rate_e, dtype=float),
+        "rate_i": np.asarray(rate_i, dtype=float),
+        "mass_e": np.ones(n),
+        "mass_i": np.ones(n),
+        "refractory_e": np.zeros(n),
+        "refractory_i": np.zeros(n),
+    }
+    trips = {"trip_time_e": trip_e, "trip_time_i": trip_i}
+    return RunRecord(np.linspace(0.0, 10.0, n), columns, trips, status, False, 0.0, 0.0, [])
 
 
 def test_classifier_blowup_label():
@@ -303,6 +349,36 @@ def test_worker_pool_matches_serial(tmp_path):
                 assert fa.read() == fb.read(), (label, name)
 
 
+@pytest.mark.parametrize("sweep, pool_sizes", [([0.5, 1.0, 1.5], [3]), ([0.5], [])], ids=["3-cells", "1-cell"])
+def test_workers_capped_at_cell_count(tmp_path, monkeypatch, sweep, pool_sizes):
+    started = []
+
+    class InlineExecutor:
+        """Stands in for the process pool: records its size and runs each
+        submitted cell at once, in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlineExecutor)
+    raw = _tiny("twopop-regimes", {"m": 6, "dt": 0.01, "t_final": 0.05}, model=_TWOPOP_MODEL,
+                initial=_TWOPOP_INITIAL, sweep={"b_e_to_e": sweep})
+    res = run_experiment(parse_config(raw), str(tmp_path / "res"), workers=64)
+    assert started == pool_sizes
+    assert sorted(k for k in res if k != "_elapsed_s") == sorted(sweep)
+
+
 def test_matrices_assembled_once_per_distinct_m(tmp_path, monkeypatch):
     calls = []
 
@@ -364,6 +440,29 @@ def test_cli_ladder_cell_that_stopped_is_a_run_failure(tmp_path, capsys, raw, ce
     err = capsys.readouterr().err
     assert "error-category: run-failed" in err
     assert f"cell at {cell} ended with status blow-up-detected" in err
+
+
+@pytest.mark.parametrize(
+    "raw, run",
+    [
+        (_tiny("compare-fdm", {"m": 8, "dt": 0.01, "t_final": 0.2, "fdm_h": 1.0 / 16.0, "repetitions": 1},
+               {"method": "fdm", "h": 1.0 / 16.0, "richardson": False},
+               model={"population": "one", "a0": 1.0, "a1": 0.1, "b": 0.0}, blowup_threshold=0.005),
+         "spectral run at M=8"),
+        (_tiny("efficiency", {"dt": 0.01, "t_final": 2.0, "m_values": [4], "h_values": [1.0 / 16.0, 1.0 / 32.0],
+                              "reference_m": 10, "repetitions": 1},
+               model={"population": "one", "a0": 1.0, "a1": 0.0, "b": 3.0}, blowup_threshold=0.2109),
+         "fdm run at h=0.03125"),
+    ],
+    ids=["compare-fdm", "efficiency"],
+)
+def test_cli_run_that_stopped_before_t_final_is_a_run_failure(tmp_path, capsys, raw, run):
+    cfg_path = _write(tmp_path, "cfg.json", raw)
+    rc = main([raw["kind"], "--config", cfg_path, "--out", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "error-category: run-failed" in err
+    assert f"{run} ended with status blow-up-detected before t_final" in err
 
 
 # --- CLI ---------------------------------------------------------------------

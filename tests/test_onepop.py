@@ -128,7 +128,7 @@ def test_mass_near_conservation(m16, domain):
     _, mats = m16
     params = OnePopParams(a0=1.0, a1=0.0, b=0.0)
     rec = solve(normalize_gaussian(-1.0, 0.5, domain), params, mats, dt=1e-4, t_final=0.5)
-    assert np.max(np.abs(rec.masses - 1.0)) < 1e-2
+    assert np.max(np.abs(rec.columns["mass"] - 1.0)) < 1e-2
 
 
 def test_excitatory_run_escalates(m16, domain):
@@ -136,8 +136,8 @@ def test_excitatory_run_escalates(m16, domain):
     params = OnePopParams(a0=1.0, a1=0.0, b=3.0)
     rec = solve(normalize_gaussian(-1.0, 0.5, domain), params, mats, dt=1e-3, t_final=3.5)
     i1 = np.argmin(np.abs(rec.times - 1.0))
-    n1 = rec.rates[i1]
-    crossed = rec.times[rec.rates > 10.0 * n1]
+    n1 = rec.columns["rate"][i1]
+    crossed = rec.times[rec.columns["rate"] > 10.0 * n1]
     assert crossed.size > 0 and crossed[0] < 3.5
 
 
@@ -184,7 +184,7 @@ def test_negative_rate_flagged_not_fatal(m16):
                 dt=1e-3, t_final=0.01)
     assert rec.status == "completed"
     assert rec.negative_rate
-    assert rec.rates[0] < 0.0
+    assert rec.columns["rate"][0] < 0.0
 
 
 def test_timestamps_uniform(m16, domain):
@@ -201,8 +201,8 @@ def test_determinism(m16, domain):
     ic = normalize_gaussian(-1.0, 0.5, domain)
     a = solve(ic, params, mats, dt=1e-3, t_final=0.05, snapshot_times=(0.05,))
     b = solve(ic, params, mats, dt=1e-3, t_final=0.05, snapshot_times=(0.05,))
-    assert np.array_equal(a.rates, b.rates)
-    assert np.array_equal(a.masses, b.masses)
+    assert np.array_equal(a.columns["rate"], b.columns["rate"])
+    assert np.array_equal(a.columns["mass"], b.columns["mass"])
     assert np.array_equal(a.snapshots[0].density, b.snapshots[0].density)
 
 

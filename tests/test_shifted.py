@@ -173,8 +173,8 @@ def test_onepop_factored_run_matches_dense_loop(m, dt, params, extra):
     rec = solve(IC, params, mats, dt, t_final, snapshot_times=(t_final,), blowup_threshold=np.inf)
     assert rec.status == STATUS_COMPLETED
     rates, masses, u_final = _dense_onepop(params, mats, dt, n_steps)
-    _close(rec.rates, rates)
-    _close(rec.masses, masses)
+    _close(rec.columns["rate"], rates)
+    _close(rec.columns["mass"], masses)
     _close(rec.snapshots[0].density, _density(mats, u_final))
 
 
@@ -195,9 +195,9 @@ def test_twopop_factored_run_matches_dense_loop(m, dt, drawn, extra):
     assert rec.status == STATUS_COMPLETED
     series, u_e, u_i = _dense_twopop(params, mats, dt, n_steps)
     for key, want in series.items():
-        _close(getattr(rec, key), want)
-    _close(rec.snapshots_e[0].density, _density(mats, u_e))
-    _close(rec.snapshots_i[0].density, _density(mats, u_i))
+        _close(rec.columns[key], want)
+    _close(rec.snapshots[0].density[0], _density(mats, u_e))
+    _close(rec.snapshots[0].density[1], _density(mats, u_i))
 
 
 # --- path selection ------------------------------------------------------------
@@ -231,8 +231,8 @@ def test_short_onepop_run_is_the_dense_loop(extra):
     t_final = n_steps * dt
     rec = solve(IC, params, mats, dt, t_final, snapshot_times=(t_final,))
     rates, masses, u_final = _dense_onepop(params, mats, dt, n_steps)
-    assert np.array_equal(rec.rates, rates)
-    assert np.array_equal(rec.masses, masses)
+    assert np.array_equal(rec.columns["rate"], rates)
+    assert np.array_equal(rec.columns["mass"], masses)
     assert np.array_equal(rec.snapshots[0].density, _density(mats, u_final))
 
 
@@ -254,9 +254,9 @@ def test_dense_twopop_runs_are_the_dense_loop(params, extra):
     rec = solve_twopop(IC, IC_I, params, mats, dt, t_final, snapshot_times=(t_final,))
     series, u_e, u_i = _dense_twopop(params, mats, dt, n_steps)
     for key, want in series.items():
-        assert np.array_equal(getattr(rec, key), want), key
-    assert np.array_equal(rec.snapshots_e[0].density, _density(mats, u_e))
-    assert np.array_equal(rec.snapshots_i[0].density, _density(mats, u_i))
+        assert np.array_equal(rec.columns[key], want), key
+    assert np.array_equal(rec.snapshots[0].density[0], _density(mats, u_e))
+    assert np.array_equal(rec.snapshots[0].density[1], _density(mats, u_i))
 
 
 def test_zero_shift_denominator_is_a_solver_failure():
@@ -265,16 +265,17 @@ def test_zero_shift_denominator_is_a_solver_failure():
     n_steps = 2 * _dim(8) + 10
     stepper = _OnePop(IC, params, mats, dt)
     start = stepper.start
+    started = []
 
     def start_at_singular_shift(rates):
-        state = replace(start(rates), rate=0.5)
+        started.append(replace(start(rates), rate=0.5))
         # the eigenvalue -2 makes 1 + rate * lambda exactly zero
         stepper.shifted.t[0, 0] = -2.0
-        return state
+        return started[0]
 
     stepper.start = start_at_singular_shift
     run = integrate(stepper, dt, n_steps * dt)
     assert run.status == STATUS_SOLVER_FAILURE
     assert run.times.size == 1
     with pytest.raises(LinearSolveError):
-        step(run.state, params, mats, dt, stepper.shifted)
+        step(started[0], params, mats, dt, stepper.shifted)

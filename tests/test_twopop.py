@@ -171,8 +171,8 @@ def test_discarded_probe_step_leaves_trajectory_unchanged(m16, domain, monkeypat
 
     monkeypatch.setattr(twopop, "step_twopop", probing)
     probed = solve_twopop(ic, ic, params, mats, dt=dt, t_final=0.05)
-    for name in ("rate_e", "rate_i", "mass_e", "mass_i", "refractory_e", "refractory_i"):
-        assert np.array_equal(getattr(probed, name), getattr(plain, name)), name
+    for name, column in plain.columns.items():
+        assert np.array_equal(probed.columns[name], column), name
 
 
 def test_reduction_to_single_population(m16, domain):
@@ -180,8 +180,8 @@ def test_reduction_to_single_population(m16, domain):
     ic = normalize_gaussian(-1.0, 0.5, domain)
     rec1 = solve(ic, OnePopParams(a0=1.0, a1=0.0, b=0.5), mats, dt=1e-3, t_final=0.1)
     rec2 = solve_twopop(ic, ic, _decoupled(0.5), mats, dt=1e-3, t_final=0.1)
-    assert np.max(np.abs(rec2.rate_e - rec1.rates)) <= 1e-10
-    assert np.max(np.abs(rec2.mass_e - rec1.masses)) <= 1e-10
+    assert np.max(np.abs(rec2.columns["rate_e"] - rec1.columns["rate"])) <= 1e-10
+    assert np.max(np.abs(rec2.columns["mass_e"] - rec1.columns["mass"])) <= 1e-10
 
 
 def test_refractory_balance_identity(m16, domain):
@@ -196,8 +196,8 @@ def test_refractory_balance_identity(m16, domain):
     # replay the forward-Euler balance from the recorded rates; the stored
     # refractory series must match bit for bit
     for tag, r_series, n_series, tau in (
-        ("e", rec.refractory_e, rec.rate_e, 0.025),
-        ("i", rec.refractory_i, rec.rate_i, 0.025),
+        ("e", rec.columns["refractory_e"], rec.columns["rate_e"], 0.025),
+        ("i", rec.columns["refractory_i"], rec.columns["rate_i"], 0.025),
     ):
         replay = np.empty_like(r_series)
         replay[0] = 0.0
@@ -217,8 +217,8 @@ def test_combined_mass_conserved_exponential_mode(m16, domain):
     )
     rec = solve_twopop(ic, ic, params, mats, dt=1e-3, t_final=0.5)
     assert rec.status == "completed"
-    assert np.max(np.abs(rec.mass_e + rec.refractory_e - 1.0)) < 1e-2
-    assert np.max(np.abs(rec.mass_i + rec.refractory_i - 1.0)) < 1e-2
+    assert np.max(np.abs(rec.columns["mass_e"] + rec.columns["refractory_e"] - 1.0)) < 1e-2
+    assert np.max(np.abs(rec.columns["mass_i"] + rec.columns["refractory_i"] - 1.0)) < 1e-2
 
 
 def test_implicit_rate_resolution_model_mode(m16, domain):
@@ -236,7 +236,7 @@ def test_implicit_rate_resolution_model_mode(m16, domain):
     u_e = project_initial(basis, mats, ic)
     deriv = mats.traces.deriv_at_threshold
     s = float(np.dot(deriv, u_e))
-    n_e, n_i = rec.rate_e[0], rec.rate_i[0]
+    n_e, n_i = rec.columns["rate_e"][0], rec.columns["rate_i"][0]
     a_e = params.d_e_to_e * (params.nu_ext + n_e) + params.d_i_to_e * n_i
     a_i = params.d_e_to_i * (params.nu_ext + n_e) + params.d_i_to_i * n_i
     assert abs(n_e + a_e * s) < 1e-12
@@ -257,7 +257,7 @@ def test_delay_changes_transient(m16, domain):
                      delay_i_to_e=0.1, delay_i_to_i=0.1),
         mats, dt=1e-2, t_final=0.5,
     )
-    assert np.max(np.abs(instant.rate_e - lagged.rate_e)) > 1e-6
+    assert np.max(np.abs(instant.columns["rate_e"] - lagged.columns["rate_e"])) > 1e-6
 
 
 def test_determinism(m16, domain):
@@ -271,6 +271,6 @@ def test_determinism(m16, domain):
     )
     a = solve_twopop(ic, ic, params, mats, dt=1e-3, t_final=0.3)
     b = solve_twopop(ic, ic, params, mats, dt=1e-3, t_final=0.3)
-    assert np.array_equal(a.rate_e, b.rate_e)
-    assert np.array_equal(a.rate_i, b.rate_i)
-    assert np.array_equal(a.refractory_e, b.refractory_e)
+    assert np.array_equal(a.columns["rate_e"], b.columns["rate_e"])
+    assert np.array_equal(a.columns["rate_i"], b.columns["rate_i"])
+    assert np.array_equal(a.columns["refractory_e"], b.columns["refractory_e"])
