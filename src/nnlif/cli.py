@@ -43,7 +43,7 @@ def _dirs_equal(a: str, b: str) -> bool:
 def _run_kind(args) -> int:
     try:
         cfg = load_config(args.config)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         return _fail("io-error", str(exc), EXIT_IO)
     except ConfigurationError as exc:
         return _fail("config-invalid", str(exc), EXIT_CONFIG)

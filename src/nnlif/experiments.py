@@ -7,7 +7,9 @@ densities, and each runner assembles the Galerkin matrices once per
 distinct expansion number before any reference run; every cell receives
 the parsed config and its prebuilt matrices.  Independent cells can execute
 in a process pool; aggregation is keyed, so results are identical for any
-worker count.
+worker count.  The pool and ``scipy.signal`` (for the regime classifier's
+peak finder) are imported where they are used, so a serial run that
+classifies no regime loads neither.
 
 Config schema (version 1)::
 
@@ -42,11 +44,9 @@ import math
 import os
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .assembly import GaussianIC, assemble, normalize_gaussian
 from .basis import BasisSet, Domain
@@ -80,6 +80,18 @@ _DETECTION_DEFAULTS = {
     "peak_amplitude_fraction": 0.05,
     "peak_spacing_tolerance": 0.2,
 }
+
+# the interval each detection setting must lie in, and its test
+_DETECTION_RANGES = {
+    "warmup_fraction": ("[0, 1)", lambda x: 0 <= x < 1),
+    "steady_window_fraction": ("(0, 1]", lambda x: 0 < x <= 1),
+    "steady_fluctuation": ("(0, inf)", lambda x: x > 0),
+    "peak_amplitude_fraction": ("[0, inf)", lambda x: x >= 0),
+    "peak_spacing_tolerance": ("[0, inf)", lambda x: x >= 0),
+}
+
+# config sections that must be JSON objects when given
+_SECTIONS = ("domain", "model", "initial", "numerics", "reference", "detection", "sweep")
 
 # numerics keys each experiment kind reads without a default
 _REQUIRED_NUMERICS = {
@@ -123,10 +135,22 @@ def load_config(path: str) -> ExperimentConfig:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}: not valid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text ({exc})") from exc
     return parse_config(raw)
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"a config must be a JSON object, got {type(raw).__name__}")
+    for section in _SECTIONS:
+        if not isinstance(raw.get(section, {}), dict):
+            raise ConfigurationError(f"config section {section!r} must be a JSON object, got {raw[section]!r}")
+    snapshot_times = raw.get("snapshot_times", [])
+    sweep = raw.get("sweep", {})
+    for name, value in (("snapshot_times", snapshot_times), ("sweep.b_e_to_e", sweep.get("b_e_to_e", []))):
+        if not isinstance(value, list):
+            raise ConfigurationError(f"{name} must be a JSON array, got {value!r}")
     if raw.get("schema") != SCHEMA_VERSION:
         raise ConfigurationError(f"unsupported config schema {raw.get('schema')!r}")
     kind = raw.get("kind")
@@ -160,11 +184,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
         ic=ic,
         numerics=dict(raw.get("numerics", {})),
         reference=dict(raw.get("reference", {"method": "fdm", "h": 1.0 / 512.0, "richardson": True})),
-        snapshot_times=tuple(raw.get("snapshot_times", ())),
+        snapshot_times=tuple(snapshot_times),
         blowup_threshold=float(blowup_threshold),
         bound=float(bound),
         detection={**_DETECTION_DEFAULTS, **raw.get("detection", {})},
-        sweep=dict(raw.get("sweep", {})),
+        sweep=dict(sweep),
     )
     _validate(cfg)
     return cfg
@@ -212,6 +236,13 @@ def _validate(cfg: ExperimentConfig) -> None:
     check_finite("reference.v_min", ref.get("v_min", -6.0))
     for ts in cfg.snapshot_times:
         check_finite("snapshot time", ts)
+    for key, value in cfg.detection.items():
+        if key not in _DETECTION_RANGES:
+            raise ConfigurationError(f"unknown detection key {key!r}; known keys are {sorted(_DETECTION_RANGES)}")
+        check_finite(f"detection.{key}", value)
+        interval, admissible = _DETECTION_RANGES[key]
+        if not admissible(value):
+            raise ConfigurationError(f"detection.{key} must lie in {interval}, got {value}")
 
     dt = num.get("dt")
     t_final = num.get("t_final")
@@ -385,6 +416,8 @@ def _map_cells(fn, tasks, workers: int):
     workers = min(workers, len(tasks))
     if workers <= 1:
         return [fn(*args) for args in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, *args) for args in tasks]
         return [f.result() for f in futures]
@@ -416,6 +449,8 @@ def classify_regime(
     * steady: every rate fluctuates by less than ``steady_fluctuation``
       (relative) over the trailing window.
     """
+    from scipy.signal import find_peaks
+
     if record.status == "blow-up-detected":
         return {"regime": "blow-up", **record.trips}
     if record.status != "completed":
@@ -427,7 +462,7 @@ def classify_regime(
     sig = record.columns["rate" + suffixes[-1]][start:]
     mean = float(np.mean(sig))
     prominence = peak_amplitude_fraction * abs(mean)
-    peaks, props = find_peaks(sig, prominence=prominence if prominence > 0 else None)
+    peaks, _ = find_peaks(sig, prominence=prominence if prominence > 0 else None)
     periodic = False
     spacing_spread = float("nan")
     amplitude = float("nan")
@@ -700,6 +735,7 @@ RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> dict:
+    _count(workers, "workers")
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
     result = RUNNERS[cfg.kind](cfg, out_dir, workers)

@@ -12,7 +12,9 @@ E = a1 (C + D) - b B, so it changes between steps only through the rate.
 A run of more than 2 dim steps factors it once (:class:`ShiftedSystem`)
 and then solves each step in O(dim^2); a shorter run, which the
 factorisation would not pay for, solves the assembled system densely at
-every step.
+every step.  Only the factorisation needs scipy (``schur`` and LAPACK
+``ztrtrs``): :class:`ShiftedSystem` imports ``scipy.linalg`` when it is
+built, so a run that solves densely never loads it.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
-from scipy.linalg.lapack import ztrtrs
 
 from .assembly import GalerkinMatrices, project_initial, reconstruct
 from .errors import ConfigurationError, LinearSolveError, SingularFiringRateError, check_finite
@@ -115,6 +115,10 @@ class ShiftedSystem:
     """
 
     def __init__(self, g: np.ndarray, e: np.ndarray, matrices: GalerkinMatrices, dt: float, source: bool = False):
+        from scipy.linalg import schur
+        from scipy.linalg.lapack import ztrtrs
+
+        self.ztrtrs = ztrtrs
         try:
             k0_inv = np.linalg.inv(matrices.H / dt + g)
         except np.linalg.LinAlgError as exc:
@@ -133,7 +137,7 @@ class ShiftedSystem:
         residual = gu + sigma * eu
         if self.f is not None:
             residual -= inflow * self.f
-        y, info = ztrtrs(self.eye + sigma * self.t, self.r @ residual)
+        y, info = self.ztrtrs(self.eye + sigma * self.t, self.r @ residual)
         if info > 0:
             raise LinearSolveError(f"shifted step system singular at shift {sigma:.6g}")
         return u_old - (self.z @ y).real

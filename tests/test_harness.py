@@ -1,6 +1,9 @@
+import concurrent.futures
 import json
 import math
 import os
+import subprocess
+import sys
 from concurrent.futures import Future
 
 import numpy as np
@@ -371,7 +374,7 @@ def test_workers_capped_at_cell_count(tmp_path, monkeypatch, sweep, pool_sizes):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     raw = _tiny("twopop-regimes", {"m": 6, "dt": 0.01, "t_final": 0.05}, model=_TWOPOP_MODEL,
                 initial=_TWOPOP_INITIAL, sweep={"b_e_to_e": sweep})
     res = run_experiment(parse_config(raw), str(tmp_path / "res"), workers=64)
@@ -392,6 +395,49 @@ def test_matrices_assembled_once_per_distinct_m(tmp_path, monkeypatch):
     res = run_experiment(parse_config(raw), str(tmp_path / "res"))
     assert len(res["l2_error"]) == 6
     assert sorted(calls) == [4, 5, 6]
+
+
+_SCIPY_MODULES = """
+import json, sys
+{body}
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+_GRID_RUN = """
+import tempfile
+from nnlif.experiments import parse_config, run_experiment
+raw = {{"schema": 1, "kind": "stability-grid", "model": {{"population": "one", "a0": 1.0, "a1": 0.1, "b": 0.0}},
+       "initial": {{"v0": -1.0, "sigma0_sq": 0.5}}, "reference": {{"method": "self", "dt": 0.0125}},
+       "numerics": {{"m_values": [4], "dt_values": {dt_values}, "t_final": 0.1}}}}
+with tempfile.TemporaryDirectory() as out:
+    run_experiment(parse_config(raw), out)
+"""
+
+
+@pytest.mark.parametrize(
+    "body, factored",
+    [
+        ("import nnlif.cli", False),
+        # 2 and 4 steps at dim 9: every run, the reference included, solves densely
+        (_GRID_RUN.format(dt_values=[0.05, 0.025]), False),
+        # 20 steps at dim 9 pass factor_pays_off: the run factors its operator
+        (_GRID_RUN.format(dt_values=[0.005]), True),
+    ],
+    ids=["import-cli", "dense-grid", "factored-grid"],
+)
+def test_scipy_imported_only_where_used(body, factored):
+    """A fresh interpreter loads scipy only for the factored stepper
+    (scipy.linalg) and the regime classifier (scipy.signal)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", _SCIPY_MODULES.format(body=body)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    modules = json.loads(out)
+    if factored:
+        assert "scipy.linalg" in modules
+        assert not [m for m in modules if m.startswith("scipy.signal")]
+    else:
+        assert modules == []
 
 
 def _reference_started(*args, **kwargs):
@@ -488,6 +534,71 @@ def test_cli_bad_schema_config_error(tmp_path, capsys):
     assert "error-category: config-invalid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", '"str"', "null"], ids=["array", "string", "null"])
+def test_cli_config_that_is_not_an_object_is_a_config_error(tmp_path, capsys, text):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    rc = main(["blowup", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "error-category: config-invalid: a config must be a JSON object" in capsys.readouterr().err
+
+
+def _run_started(*args, **kwargs):
+    raise AssertionError("a run started before the config was checked")
+
+
+@pytest.mark.parametrize(
+    "detection, message",
+    [
+        ({"bogus": 1}, "unknown detection key 'bogus'"),
+        ({"warmup_fraction": 1.0}, "detection.warmup_fraction must lie in [0, 1)"),
+        ({"steady_window_fraction": 0.0}, "detection.steady_window_fraction must lie in (0, 1]"),
+        ({"steady_fluctuation": -0.01}, "detection.steady_fluctuation must lie in (0, inf)"),
+        ({"peak_amplitude_fraction": float("nan")}, "detection.peak_amplitude_fraction must be a finite number"),
+        ({"peak_spacing_tolerance": "wide"}, "detection.peak_spacing_tolerance must be a finite number"),
+    ],
+    ids=["unknown-key", "warmup-1", "window-0", "fluctuation-negative", "amplitude-nan", "tolerance-string"],
+)
+def test_cli_bad_detection_fails_before_any_cell(tmp_path, capsys, monkeypatch, detection, message):
+    monkeypatch.setattr(experiments, "_run", _run_started)
+    raw = _tiny("twopop-regimes", {"m": 6, "dt": 0.01, "t_final": 0.05}, model=_TWOPOP_MODEL,
+                initial=_TWOPOP_INITIAL, sweep={"b_e_to_e": [0.5, 1.0]}, detection=detection)
+    cfg_path = _write(tmp_path, "cfg.json", raw)
+    rc = main(["twopop-regimes", "--config", cfg_path, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error-category: config-invalid" in err
+    assert message in err
+
+
+def test_cli_config_directory_is_an_io_error(tmp_path, capsys):
+    rc = main(["blowup", "--config", str(tmp_path), "--out", str(tmp_path / "out")])
+    assert rc == 4
+    assert "error-category: io-error" in capsys.readouterr().err
+
+
+def test_cli_config_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(json.dumps(_base_onepop(note="caf\u00e9"), ensure_ascii=False).encode("latin-1"))
+    rc = main(["blowup", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error-category: config-invalid" in err
+    assert "not UTF-8 text" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_workers_below_one_is_a_config_error(tmp_path, capsys, monkeypatch, workers):
+    monkeypatch.setattr(experiments, "_run", _run_started)
+    cfg_path = _write(tmp_path, "cfg.json", _base_onepop())
+    rc = main(["blowup", "--config", cfg_path, "--out", str(tmp_path / "out"), "--workers", workers])
+    assert rc == 2
+    assert f"workers must be a positive integer, got {workers}" in capsys.readouterr().err
+
+
+_SECTIONS = ("domain", "model", "initial", "numerics", "reference", "detection", "sweep")
+
+
 def _without_dt(cfg):
     del cfg["numerics"]["dt"]
 
@@ -495,6 +606,12 @@ def _without_dt(cfg):
 def _set(section, key, value):
     def edit(cfg):
         cfg.setdefault(section, {})[key] = value
+    return edit
+
+
+def _replace(key, value):
+    def edit(cfg):
+        cfg[key] = value
     return edit
 
 
@@ -521,11 +638,16 @@ def _twopop(key, value):
         _twopop("nu_ext", float("inf")),
         _twopop("a0", 1.0),
         _without_dt,
+        *[_replace(section, [1]) for section in _SECTIONS],
+        _replace("snapshot_times", 0.05),
+        _replace("sweep", {"b_e_to_e": 0.5}),
+        _set("detection", "bogus", 1),
     ],
     ids=[
         "a0-negative", "a0-nan", "a1-inf", "b-minus-inf", "dt-nan", "t_final-inf",
         "sigma0_sq-nan", "v0-inf", "v_threshold-inf", "n_q-too-small", "twopop-nan", "twopop-inf", "twopop-unknown-key",
-        "missing-dt",
+        "missing-dt", *[f"{section}-array" for section in _SECTIONS], "snapshot_times-scalar", "sweep-scalar",
+        "detection-unknown-key",
     ],
 )
 def test_cli_bad_config_values_are_config_errors(tmp_path, capsys, edit):
