@@ -154,10 +154,11 @@ def normalize_gaussian(v0: float, sigma0_sq: float, domain) -> GaussianIC:
     return GaussianIC(v0=v0, sigma0_sq=sigma0_sq, m0=m0, v_threshold=domain.v_threshold)
 
 
-def _projection_nodes(basis: BasisSet, n_q: int):
-    """Composite quadrature nodes covering [v_reset - span, v_threshold]."""
+def _projection_nodes(basis: BasisSet):
+    """Composite Gauss-Legendre nodes, 4M+32 per panel, covering
+    [v_reset - span, v_threshold]."""
     dom = basis.domain
-    ref = gauss_legendre(n_q)
+    ref = gauss_legendre(4 * basis.m + 32)
     edges = np.linspace(dom.v_reset - _PROJECTION_SPAN, dom.v_reset, _PROJECTION_PANELS + 1)
     nodes, weights = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -170,20 +171,15 @@ def _projection_nodes(basis: BasisSet, n_q: int):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def project_initial(
-    basis: BasisSet,
-    matrices: GalerkinMatrices,
-    p0,
-    n_q: int | None = None,
-) -> np.ndarray:
-    """Expansion coefficients of the L2 projection of a density callable.
+def project_initial(matrices: GalerkinMatrices, p0) -> np.ndarray:
+    """Expansion coefficients of the L2 projection of a density callable
+    onto the span of ``matrices.basis``.
 
     Solves H u = r with r_j = int p0 psi_j dv, followed by one step of
     iterative refinement so the residual sits at rounding level.
     """
-    if n_q is None:
-        n_q = 4 * basis.m + 32
-    nodes, weights = _projection_nodes(basis, n_q)
+    basis = matrices.basis
+    nodes, weights = _projection_nodes(basis)
     vals = basis.values_at(nodes)
     r = vals @ (weights * np.asarray(p0(nodes), dtype=float))
 

@@ -17,12 +17,12 @@ Config schema (version 1)::
       "schema": 1,
       "kind": "convergence-time" | "convergence-space" | "stability-grid" |
               "efficiency" | "blowup" | "twopop-regimes" | "compare-fdm",
-      "domain":    {"v_reset": 1.0, "v_threshold": 2.0},          # optional
+      "domain":    {"v_reset": 1.0, "v_threshold": 2.0, "beta"},  # optional
       "model":     one-population {"population": "one", "a0", "a1", "b"}
                    or two-population {"population": "two", "b_e_to_e", ...},
       "initial":   {"v0", "sigma0_sq"} or {"e": {...}, "i": {...}},
       "numerics":  {"m", "dt", "t_final", "dt_values", "m_values", "n_q", ...},
-      "reference": {"method": "fdm"|"self", "h", "richardson", "v_min"},
+      "reference": {"method": "fdm"|"self", "h", "richardson", "v_min", "dt"},
       "snapshot_times": [...],
       "blowup_threshold": ...,
       "bound": ...,                                      # stability-grid only
@@ -32,6 +32,7 @@ Config schema (version 1)::
       "sweep":     {"b_e_to_e": [...]}                  # twopop-regimes only
     }
 
+A key the schema does not name, in any section, is a configuration error.
 Values mirror the canonical experiment tables.  The output headers echo the
 model, numerics and reference sections as given, plus ``blowup_threshold``;
 defaults the config leaves out, ``domain`` and ``detection`` are not echoed.
@@ -153,6 +154,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigurationError(f"{name} must be a JSON array, got {value!r}")
     if raw.get("schema") != SCHEMA_VERSION:
         raise ConfigurationError(f"unsupported config schema {raw.get('schema')!r}")
+    _check_keys(raw, _TOP_LEVEL_KEYS, "top-level")
+    for section, known in _SECTION_KEYS.items():
+        _check_keys(raw.get(section, {}), known, section)
     kind = raw.get("kind")
     if kind not in EXPERIMENT_KINDS:
         raise ConfigurationError(f"unknown experiment kind {kind!r}")
@@ -212,6 +216,22 @@ _NUMERICS_CHECKS = {
     "n_q": _count,
 }
 
+_TOP_LEVEL_KEYS = ("schema", "kind", "snapshot_times", "blowup_threshold", "bound", *_SECTIONS)
+# the keys of the sections whose keys do not depend on the population count
+_SECTION_KEYS = {
+    "domain": ("v_reset", "v_threshold", "beta"),
+    "numerics": tuple(_NUMERICS_CHECKS),
+    "reference": ("method", "h", "richardson", "v_min", "dt"),
+    "detection": tuple(_DETECTION_RANGES),
+    "sweep": ("b_e_to_e",),
+}
+
+
+def _check_keys(section: dict, known, where: str) -> None:
+    for key in section:
+        if key not in known:
+            raise ConfigurationError(f"unknown {where} key {key!r}; known keys are {sorted(known)}")
+
 
 def _validate(cfg: ExperimentConfig) -> None:
     num, ref = cfg.numerics, cfg.reference
@@ -230,6 +250,10 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigurationError(f"numerics.{key} must be a non-empty list")
         for value in values:
             check(value, f"numerics.{key}")
+    if ref.get("method", "fdm") not in ("fdm", "self"):
+        raise ConfigurationError(f"reference.method must be 'fdm' or 'self', got {ref['method']!r}")
+    if not isinstance(ref.get("richardson", True), bool):
+        raise ConfigurationError(f"reference.richardson must be true or false, got {ref['richardson']!r}")
     for key in ("h", "dt"):
         if key in ref:
             _positive(ref[key], f"reference.{key}")
@@ -237,8 +261,6 @@ def _validate(cfg: ExperimentConfig) -> None:
     for ts in cfg.snapshot_times:
         check_finite("snapshot time", ts)
     for key, value in cfg.detection.items():
-        if key not in _DETECTION_RANGES:
-            raise ConfigurationError(f"unknown detection key {key!r}; known keys are {sorted(_DETECTION_RANGES)}")
         check_finite(f"detection.{key}", value)
         interval, admissible = _DETECTION_RANGES[key]
         if not admissible(value):
@@ -277,6 +299,7 @@ def _check_divisible(dt: float, t: float, what: str) -> None:
 
 
 def _onepop_params(model: dict) -> OnePopParams:
+    _check_keys(model, ("population", "a0", "a1", "b"), "model")
     return OnePopParams(a0=model.get("a0", 1.0), a1=model.get("a1", 0.0), b=model.get("b", 0.0))
 
 
@@ -289,15 +312,18 @@ def _twopop_params(model: dict) -> TwoPopParams:
 
 
 def _initial_one(initial: dict, domain: Domain) -> GaussianIC:
+    _check_keys(initial, ("v0", "sigma0_sq"), "initial")
     return normalize_gaussian(initial.get("v0", -1.0), initial.get("sigma0_sq", 0.5), domain)
 
 
 def _initial_two(initial: dict, domain: Domain) -> tuple:
+    _check_keys(initial, ("e", "i"), "initial")
     e = initial.get("e", {"v0": -1.0, "sigma0_sq": 0.5})
     i = initial.get("i", {"v0": -1.0, "sigma0_sq": 0.5})
-    for spec in (e, i):
+    for name, spec in (("e", e), ("i", i)):
         if not (isinstance(spec, dict) and "v0" in spec and "sigma0_sq" in spec):
             raise ConfigurationError("initial.e and initial.i each need v0 and sigma0_sq")
+        _check_keys(spec, ("v0", "sigma0_sq"), f"initial.{name}")
     return (
         normalize_gaussian(e["v0"], e["sigma0_sq"], domain),
         normalize_gaussian(i["v0"], i["sigma0_sq"], domain),

@@ -199,7 +199,7 @@ class _OnePop:
         if factor_pays_off(rates, mats):
             e = params.a1 * (mats.C + mats.D) - params.b * mats.B
             self.shifted = ShiftedSystem(system_matrix(mats, 0.0, params.a0, math.inf), e, mats, dt)
-        u0 = project_initial(mats.basis, mats, self.p0)
+        u0 = project_initial(mats, self.p0)
         return PopulationState(u_hat=u0, t=0.0, rate=firing_rate(u0, mats.traces.deriv_at_threshold, params))
 
     def step(self, state: PopulationState) -> PopulationState:

@@ -2,9 +2,12 @@
 
 Two families are provided: Gauss-Legendre on [-1, 1] (mapped to finite
 subintervals with :func:`map_affine`) and Gauss-Laguerre on [0, inf) with
-weight exp(-x).  Nodes are computed by Newton iteration on the three-term
-recurrences, polished to a residual below 1e-14, so the rules are
-self-contained and reproducible.
+weight exp(-x).  Both come from one routine: the eigenvalues of the
+family's Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969), polished by
+a fixed number of vectorized Newton steps on the recurrences of
+:mod:`basis`, which also give the closed-form weights.  A rule whose nodes
+are not strictly increasing, or whose Newton correction at the nodes
+exceeds a stated bound, raises ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -13,8 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_NEWTON_TOL = 1e-14
-_NEWTON_MAX_ITER = 200
+from .basis import laguerre_fn_table, legendre_table
+
+# eigenvalues are accurate to rounding times the Jacobi matrix's norm; two
+# quadratically convergent steps take every node to rounding level
+_NEWTON_STEPS = 2
+# largest Newton correction accepted at the final nodes, relative to max(1, |x|)
+_MAX_CORRECTION = 1e-12
 
 
 @dataclass(frozen=True)
@@ -29,29 +37,37 @@ class QuadratureRule:
     weights: np.ndarray
     kind: str
 
-    @property
-    def order(self) -> int:
-        return self.nodes.size
-
     def integrate(self, f) -> float:
         """Apply the rule to a callable (the exp(-x) weight is implicit
         for Laguerre rules)."""
         return float(np.dot(self.weights, f(self.nodes)))
 
 
-def _legendre_pair(n: int, x: np.ndarray):
-    """Values of (P_n, P'_n) via the recurrence, carried jointly so the
-    derivative is exact at the endpoints as well."""
-    p_prev = np.zeros_like(x)
-    p = np.ones_like(x)
-    d_prev = np.zeros_like(x)
-    d = np.zeros_like(x)
-    for k in range(n):
-        p_next = ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
-        d_next = ((2 * k + 1) * (p + x * d) - k * d_prev) / (k + 1)
-        p_prev, p = p, p_next
-        d_prev, d = d, d_next
-    return p, d
+def _gauss(n_q: int, diagonal, off_diagonal, table):
+    """Roots of the degree-n_q member of an orthogonal family.
+
+    ``diagonal(k)`` (k = 0..n_q-1) and ``off_diagonal(k)`` (k = 1..n_q-1)
+    are the entries of the family's Jacobi matrix; ``table(n, x)`` returns
+    the values and derivatives of degrees 0..n at x.  Returns the nodes and
+    the table of degrees 0..n_q+1 at them, which the weights are read from.
+    """
+    if n_q < 1:
+        raise ValueError(f"quadrature order must be >= 1, got {n_q}")
+    k = np.arange(n_q, dtype=float)
+    x = np.linalg.eigvalsh(np.diag(diagonal(k)) + np.diag(off_diagonal(k[1:]), -1), UPLO="L")
+    for _ in range(_NEWTON_STEPS):
+        vals, ders = table(n_q, x)
+        x = x - vals[n_q] / ders[n_q]
+    vals, ders = table(n_q + 1, x)
+    correction = np.abs(vals[n_q] / ders[n_q])
+    # a NaN node or correction fails the check
+    bound = _MAX_CORRECTION * np.maximum(1.0, np.abs(x))
+    if not (np.all(np.diff(x) > 0) and np.all(correction <= bound)):
+        raise RuntimeError(
+            f"Gauss rule for n_q={n_q} failed its check: nodes not strictly increasing "
+            f"or a Newton correction above {_MAX_CORRECTION:g} (largest {correction.max():.3g})"
+        )
+    return x, vals, ders
 
 
 def gauss_legendre(n_q: int) -> QuadratureRule:
@@ -59,90 +75,18 @@ def gauss_legendre(n_q: int) -> QuadratureRule:
 
     Exact for polynomials of degree <= 2*n_q - 1.
     """
-    if n_q < 1:
-        raise ValueError(f"quadrature order must be >= 1, got {n_q}")
-    if n_q == 1:
-        return QuadratureRule(np.zeros(1), np.full(1, 2.0), "finite-legendre")
-
-    # Tricomi-style initial guesses; one node per index, symmetric pairs
-    # converge to mirrored roots.
-    i = np.arange(n_q)
-    x = np.cos(np.pi * (i + 0.75) / (n_q + 0.5))
-    for _ in range(_NEWTON_MAX_ITER):
-        p, dp = _legendre_pair(n_q, x)
-        dx = p / dp
-        x = x - dx
-        if np.max(np.abs(dx)) < _NEWTON_TOL:
-            break
-    else:
-        raise RuntimeError(f"Legendre root iteration failed to converge for n_q={n_q}")
-    p, dp = _legendre_pair(n_q, x)
-    if np.max(np.abs(p)) > 1e-12:
-        raise RuntimeError(f"Legendre root residual too large for n_q={n_q}")
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    order = np.argsort(x)
-    return QuadratureRule(x[order], w[order], "finite-legendre")
-
-
-def _laguerre_weighted_pair(n: int, x: np.ndarray):
-    """Values of the weighted Laguerre function exp(-x/2)*L_n(x) and of the
-    previous degree, computed by the recurrence applied to the weighted form
-    directly (no overflow at large x)."""
-    f_prev = np.zeros_like(x)
-    f = np.exp(-0.5 * x)
-    for k in range(n):
-        f_next = ((2 * k + 1 - x) * f - k * f_prev) / (k + 1)
-        f_prev, f = f, f_next
-    return f, f_prev
+    x, _, ders = _gauss(n_q, np.zeros_like, lambda k: k / np.sqrt(4.0 * k * k - 1.0), legendre_table)
+    return QuadratureRule(x, 2.0 / ((1.0 - x * x) * ders[n_q] ** 2), "finite-legendre")
 
 
 def gauss_laguerre(n_q: int) -> QuadratureRule:
     """n_q-point Gauss-Laguerre rule: sum w_i f(x_i) = int_0^inf exp(-x) f(x) dx
     exactly for polynomial f of degree <= 2*n_q - 1.
     """
-    if n_q < 1:
-        raise ValueError(f"quadrature order must be >= 1, got {n_q}")
-
-    nodes = np.empty(n_q)
-    for i in range(n_q):
-        # Stroud-Secrest asymptotic guesses, marching from the smallest root.
-        if i == 0:
-            z = 3.0 / (1.0 + 2.4 * n_q)
-        elif i == 1:
-            z = nodes[0] + 15.0 / (1.0 + 2.5 * n_q)
-        else:
-            ai = i - 1
-            z = nodes[i - 1] + ((1.0 + 2.55 * ai) / (1.9 * ai)) * (nodes[i - 1] - nodes[i - 2])
-        z_arr = np.array([z])
-        prev_step = np.inf
-        converged = False
-        for _ in range(_NEWTON_MAX_ITER):
-            f, f_prev = _laguerre_weighted_pair(n_q, z_arr)
-            # x * L'_n = n (L_n - L_{n-1}) carried over to the weighted form.
-            df = n_q * (f - f_prev) / z_arr - 0.5 * f
-            dz = f / df
-            z_arr = z_arr - dz
-            step = abs(dz[0])
-            scale = max(1.0, abs(z_arr[0]))
-            if step < _NEWTON_TOL * scale:
-                converged = True
-                break
-            if step >= prev_step and prev_step < 1e-11 * scale:
-                # increments stopped shrinking at the rounding plateau
-                converged = True
-                break
-            prev_step = step
-        if not converged:
-            raise RuntimeError(f"Laguerre root iteration failed to converge for n_q={n_q}")
-        nodes[i] = z_arr[0]
-
-    f_next, _ = _laguerre_weighted_pair(n_q + 1, nodes)
-    # w_i = x_i / ((n+1)^2 L_{n+1}(x_i)^2) with the exp(-x) factor folded in.
-    weights = nodes * np.exp(-nodes) / ((n_q + 1) ** 2 * f_next * f_next)
-
-    if np.any(np.diff(nodes) <= 0):
-        raise RuntimeError(f"Laguerre nodes not increasing for n_q={n_q}")
-    return QuadratureRule(nodes, weights, "semi-infinite-laguerre")
+    x, vals, _ = _gauss(n_q, lambda k: 2.0 * k + 1.0, lambda k: k,
+                        lambda n, x: laguerre_fn_table(n, x, derivatives=True))
+    # w_i = x_i / ((n+1)^2 L_{n+1}(x_i)^2), the tables holding exp(-x/2) L_k
+    return QuadratureRule(x, x * np.exp(-x) / ((n_q + 1) ** 2 * vals[n_q + 1] ** 2), "semi-infinite-laguerre")
 
 
 def map_affine(rule: QuadratureRule, a: float, b: float) -> QuadratureRule:

@@ -316,8 +316,8 @@ class _TwoPop:
             implicit_flux = params.refractory_mode == RECOVERY_PASS_THROUGH
             g = system_matrix(mats, 0.0, params.diffusion_constant, math.inf, flux_shift_implicit=implicit_flux)
             self.shifted = ShiftedSystem(g, -mats.B, mats, self.dt, source=not implicit_flux)
-        u_e = project_initial(mats.basis, mats, self.p0_e)
-        u_i = project_initial(mats.basis, mats, self.p0_i)
+        u_e = project_initial(mats, self.p0_e)
+        u_i = project_initial(mats, self.p0_i)
         # rates at t=0 follow the delayed-coefficient rule of the first step
         # (every lookup clamps to the current step)
         deriv_tr = mats.traces.deriv_at_threshold

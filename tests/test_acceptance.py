@@ -324,7 +324,7 @@ def test_criterion_10_reduction_equivalence(domain, gaussian_ic):
         refractory_mode="pass-through",
     )
     dt = 1e-3
-    u0 = project_initial(basis, mats, gaussian_ic)
+    u0 = project_initial(mats, gaussian_ic)
     one = PopulationState(u0, 0.0, firing_rate(u0, mats.traces.deriv_at_threshold, params1))
     # constant diffusion: N = -a s for each population
     rate0 = -params2.diffusion_constant * float(np.dot(mats.traces.deriv_at_threshold, u0))

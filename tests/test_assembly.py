@@ -121,7 +121,7 @@ def test_quadrature_order_too_small_rejected(domain):
 
 def test_projecting_a_span_member_returns_coordinates(m8):
     basis, mats = m8
-    u = project_initial(basis, mats, lambda v: basis.values_at(v)[0])
+    u = project_initial(mats, lambda v: basis.values_at(v)[0])
     expect = np.zeros(basis.dim)
     expect[0] = 1.0
     assert np.max(np.abs(u - expect)) < 1e-10
@@ -131,7 +131,7 @@ def test_projection_mass_defect(domain):
     basis = BasisSet(domain, 16)
     mats = assemble(basis)
     ic = normalize_gaussian(-1.0, 0.5, domain)
-    u0 = project_initial(basis, mats, ic)
+    u0 = project_initial(mats, ic)
     assert abs(float(np.dot(mats.mass, u0)) - 1.0) < 2e-3
 
 
@@ -145,7 +145,7 @@ def test_projection_error_decreases_with_m(domain):
     for m in (4, 8, 12, 16):
         basis = BasisSet(domain, m)
         mats = assemble(basis)
-        u = project_initial(basis, mats, ic)
+        u = project_initial(mats, ic)
         resid = reconstruct(basis, u, grid) - ic(grid)
         errs.append(math.sqrt(float(np.sum(w * resid * resid))))
     assert all(b < a for a, b in zip(errs[:-1], errs[1:]))

@@ -9,7 +9,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from nnlif import experiments
+from nnlif import cli, experiments
 from nnlif.basis import BasisSet
 from nnlif.assembly import assemble, normalize_gaussian
 from nnlif.cli import main
@@ -152,9 +152,22 @@ def test_config_schema_and_kind_validation():
         parse_config({"schema": 1, "kind": "blowup", "model": {}})
     twopop = {"population": "two", "b_e_to_e": 0.5}
     with pytest.raises(ConfigurationError, match="one-population"):
-        parse_config(_base_onepop(kind="compare-fdm", model=twopop))
+        parse_config(_base_onepop(kind="compare-fdm", model=twopop, initial=_TWOPOP_INITIAL))
     with pytest.raises(ConfigurationError, match="two-population"):
         parse_config(_base_onepop(kind="twopop-regimes", sweep={"b_e_to_e": [0.5]}))
+
+
+def test_config_errors_name_the_key():
+    with pytest.raises(ConfigurationError, match="unknown top-level key 'snapshot_time'"):
+        parse_config(_base_onepop(snapshot_time=[0.05]))
+    with pytest.raises(ConfigurationError, match="unknown numerics key 'dt_vaules'"):
+        parse_config(_base_onepop(numerics={"m": 8, "dt": 0.01, "t_final": 0.1, "dt_vaules": [0.01]}))
+    with pytest.raises(ConfigurationError, match="unknown model key 'B'"):
+        parse_config(_base_onepop(model={"population": "one", "B": 3.0}))
+    with pytest.raises(ConfigurationError, match="reference.method must be 'fdm' or 'self', got 'FDM'"):
+        parse_config(_base_onepop(reference={"method": "FDM"}))
+    with pytest.raises(ConfigurationError, match="reference.richardson must be true or false, got 1"):
+        parse_config(_base_onepop(reference={"richardson": 1}))
 
 
 def test_config_rejects_misaligned_times():
@@ -185,6 +198,7 @@ def test_config_rejects_nondivisible_delay():
         "delay_e_to_e": 0.005,
         "refractory_mode": "pass-through",
     }
+    cfg["initial"] = _TWOPOP_INITIAL
     with pytest.raises(ConfigurationError, match="integer multiple"):
         parse_config(cfg)
 
@@ -521,6 +535,45 @@ def test_cli_runs_and_is_deterministic(tmp_path):
     assert os.path.exists(os.path.join(out, "blowup_run.csv"))
 
 
+_TINY_EFFICIENCY = _tiny("efficiency", {"dt": 0.01, "t_final": 0.1, "m_values": [4], "h_values": [0.125],
+                                         "reference_m": 6, "repetitions": 1})
+
+
+@pytest.mark.parametrize(
+    "raw, stale",
+    [(_base_onepop(), True), (_TINY_EFFICIENCY, False)],
+    ids=["stale-file-in-out", "efficiency-wall-times"],
+)
+def test_cli_determinism_check_passes_deterministic_runs(tmp_path, raw, stale):
+    out = tmp_path / "out"
+    if stale:
+        out.mkdir()
+        (out / "stale.csv").write_text("left over from an earlier run\n")
+    cfg_path = _write(tmp_path, "cfg.json", raw)
+    assert main([raw["kind"], "--config", cfg_path, "--out", str(out), "--check-determinism"]) == 0
+
+
+def test_cli_determinism_check_flags_a_changed_value(tmp_path, capsys, monkeypatch):
+    runs = []
+
+    def run_then_perturb(cfg, out_dir, workers=1):
+        result = experiments.run_experiment(cfg, out_dir, workers=workers)
+        runs.append(out_dir)
+        if len(runs) == 2:  # the repeat: move one error value by one ulp
+            path = os.path.join(out_dir, "efficiency.csv")
+            meta, columns = parse_table(path)
+            columns["l2_error"][0] = np.nextafter(columns["l2_error"][0], np.inf)
+            emit_table(path, columns, meta)
+        return result
+
+    monkeypatch.setattr(cli, "run_experiment", run_then_perturb)
+    cfg_path = _write(tmp_path, "cfg.json", _TINY_EFFICIENCY)
+    rc = main(["efficiency", "--config", cfg_path, "--out", str(tmp_path / "out"), "--check-determinism"])
+    assert rc == 5
+    assert len(runs) == 2
+    assert "error-category: determinism-violation" in capsys.readouterr().err
+
+
 def test_cli_missing_config_io_error(tmp_path, capsys):
     rc = main(["blowup", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert rc == 4
@@ -621,6 +674,13 @@ def _twopop(key, value):
     return edit
 
 
+def _twopop_initial(initial):
+    def edit(cfg):
+        cfg["model"] = {"population": "two", "b_e_to_e": 0.5}
+        cfg["initial"] = initial
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -642,12 +702,25 @@ def _twopop(key, value):
         _replace("snapshot_times", 0.05),
         _replace("sweep", {"b_e_to_e": 0.5}),
         _set("detection", "bogus", 1),
+        _replace("snapshot_time", [0.05]),
+        _set("domain", "v_thresold", 2.0),
+        _set("numerics", "dt_vaules", [0.01]),
+        _set("reference", "H", 0.01),
+        _set("reference", "method", "FDM"),
+        _set("reference", "richardson", 1),
+        _set("initial", "sigma_sq", 0.5),
+        _set("model", "B", 3.0),
+        _set("sweep", "b_e_to_ee", [1.0]),
+        _twopop_initial({"e": _ONEPOP_INITIAL, "i": _ONEPOP_INITIAL, "x": _ONEPOP_INITIAL}),
+        _twopop_initial({"e": {**_ONEPOP_INITIAL, "mean": 0.0}, "i": _ONEPOP_INITIAL}),
     ],
     ids=[
         "a0-negative", "a0-nan", "a1-inf", "b-minus-inf", "dt-nan", "t_final-inf",
         "sigma0_sq-nan", "v0-inf", "v_threshold-inf", "n_q-too-small", "twopop-nan", "twopop-inf", "twopop-unknown-key",
         "missing-dt", *[f"{section}-array" for section in _SECTIONS], "snapshot_times-scalar", "sweep-scalar",
-        "detection-unknown-key",
+        "detection-unknown-key", "top-level-unknown-key", "domain-unknown-key", "numerics-unknown-key",
+        "reference-unknown-key", "reference-method-uppercase", "richardson-not-bool", "initial-unknown-key",
+        "model-unknown-key", "sweep-unknown-key", "initial-twopop-unknown-key", "initial-e-unknown-key",
     ],
 )
 def test_cli_bad_config_values_are_config_errors(tmp_path, capsys, edit):

@@ -77,7 +77,7 @@ def test_zero_state_is_fixed_point(m16):
 def test_one_step_increment_scales_linearly_with_dt(m16, domain):
     basis, mats = m16
     params = OnePopParams(a0=1.0, a1=0.1)
-    u0 = project_initial(basis, mats, normalize_gaussian(-1.0, 0.5, domain))
+    u0 = project_initial(mats, normalize_gaussian(-1.0, 0.5, domain))
     state = PopulationState(u0, 0.0, firing_rate(u0, mats.traces.deriv_at_threshold, params))
     # march past the projection transient so the stiff modes have decayed
     # and the one-step map is in its smooth regime
@@ -93,7 +93,7 @@ def test_one_step_increment_scales_linearly_with_dt(m16, domain):
 def test_one_step_mass_drift_small(m16, domain):
     basis, mats = m16
     params = OnePopParams(a0=1.0, a1=0.1, b=0.0)
-    u0 = project_initial(basis, mats, normalize_gaussian(-1.0, 0.5, domain))
+    u0 = project_initial(mats, normalize_gaussian(-1.0, 0.5, domain))
     state = PopulationState(u0, 0.0, firing_rate(u0, mats.traces.deriv_at_threshold, params))
     out = step(state, params, mats, 0.01)
     drift = abs(float(np.dot(mats.mass, out.u_hat) - np.dot(mats.mass, u0)))
@@ -103,7 +103,7 @@ def test_one_step_mass_drift_small(m16, domain):
 def test_linear_run_relaxes_to_steady_profile(m16, domain):
     basis, mats = m16
     params = OnePopParams(a0=1.0, a1=0.0, b=0.0)
-    u = project_initial(basis, mats, normalize_gaussian(-1.0, 0.5, domain))
+    u = project_initial(mats, normalize_gaussian(-1.0, 0.5, domain))
     state = PopulationState(u, 0.0, firing_rate(u, mats.traces.deriv_at_threshold, params))
     dt = 1e-2
     for _ in range(1000):  # to t = 10
@@ -116,7 +116,7 @@ def test_linear_run_relaxes_to_steady_profile(m16, domain):
 def test_firing_rate_consistency_along_run(m16, domain):
     basis, mats = m16
     params = OnePopParams(a0=1.0, a1=0.1, b=0.5)
-    u = project_initial(basis, mats, normalize_gaussian(-1.0, 0.5, domain))
+    u = project_initial(mats, normalize_gaussian(-1.0, 0.5, domain))
     state = PopulationState(u, 0.0, firing_rate(u, mats.traces.deriv_at_threshold, params))
     for _ in range(50):
         state = step(state, params, mats, 1e-3)

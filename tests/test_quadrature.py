@@ -102,3 +102,38 @@ def test_order_below_one_rejected():
         gauss_legendre(0)
     with pytest.raises(ValueError):
         gauss_laguerre(0)
+
+
+@pytest.mark.parametrize("n_q", [24, 40, 56])
+def test_rules_match_mpmath_at_50_digits(n_q):
+    mpmath = pytest.importorskip("mpmath")
+    lag, leg = gauss_laguerre(n_q), gauss_legendre(n_q)
+    with mpmath.workdps(50):
+        # roots of p_n / p_n', which behaves like x - root, seeded from the rule under test
+        def laguerre_step(t):
+            return mpmath.laguerre(n_q, 0, t) / mpmath.laguerre(n_q - 1, 1, t)
+
+        def legendre_step(t):
+            p_n, p_prev = mpmath.legendre(n_q, t), mpmath.legendre(n_q - 1, t)
+            return p_n * (t * t - 1) / (n_q * (t * p_n - p_prev))
+
+        x = [mpmath.findroot(laguerre_step, float(v)) for v in lag.nodes]
+        y = [mpmath.findroot(legendre_step, float(v)) for v in leg.nodes]
+        # weights from L_n' = -L_{n-1}^(1) and P_n' = n P_{n-1} / (1 - x^2) at the roots, a
+        # different closed form from the rules' own
+        w_lag = [1 / (xi * mpmath.laguerre(n_q - 1, 1, xi) ** 2) for xi in x]
+        w_leg = [2 * (1 - yi * yi) / (n_q * mpmath.legendre(n_q - 1, yi)) ** 2 for yi in y]
+        assert max(abs(a / b - 1) for a, b in zip(lag.nodes, x)) < 5e-14
+        assert max(abs(a - b) for a, b in zip(leg.nodes, y)) < 5e-14
+        assert max(abs(a / b - 1) for a, b in zip(lag.weights, w_lag)) < 1e-11
+        assert max(abs(a / b - 1) for a, b in zip(leg.weights, w_leg)) < 1e-11
+        for k in range(2 * n_q):
+            moment = mpmath.fsum(mpmath.mpf(w) * mpmath.mpf(v) ** k for w, v in zip(lag.weights, lag.nodes))
+            assert abs(moment / mpmath.factorial(k) - 1) < 1e-12
+
+
+def test_laguerre_rule_beyond_double_range_fails_its_check():
+    # past n_q ~ 370 exp(-x/2) underflows at the largest nodes; the NaN
+    # corrections must fail the post-check rather than pass as a rule
+    with pytest.raises(RuntimeError, match="n_q=400"), np.errstate(invalid="ignore"):
+        gauss_laguerre(400)
