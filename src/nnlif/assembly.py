@@ -41,6 +41,8 @@ class GalerkinMatrices:
     interface row), F: reset-point values, mass: integrals of each basis
     function.  The threshold trace coupling needs no matrix: every basis
     member vanishes at the threshold, so that term is identically zero.
+    ``projection_nodes`` and ``projection_weights`` are the composite rule
+    of :func:`project_initial`, built once with the matrices.
     """
 
     basis: BasisSet
@@ -53,6 +55,8 @@ class GalerkinMatrices:
     F: np.ndarray
     mass: np.ndarray
     traces: BoundaryTraces
+    projection_nodes: np.ndarray
+    projection_weights: np.ndarray
 
 
 def assemble(basis: BasisSet, n_q: int | None = None) -> GalerkinMatrices:
@@ -121,8 +125,10 @@ def assemble(basis: BasisSet, n_q: int | None = None) -> GalerkinMatrices:
         mass[k] = np.dot(lag.weights, q[0]) / c
     mass += vals @ w
 
+    nodes, weights = _projection_rule(basis)
     return GalerkinMatrices(
-        basis=basis, n_q=n_q, H=H, A=A, B=B, C=C, D=D, F=F, mass=mass, traces=traces
+        basis=basis, n_q=n_q, H=H, A=A, B=B, C=C, D=D, F=F, mass=mass, traces=traces,
+        projection_nodes=nodes, projection_weights=weights,
     )
 
 
@@ -154,7 +160,7 @@ def normalize_gaussian(v0: float, sigma0_sq: float, domain) -> GaussianIC:
     return GaussianIC(v0=v0, sigma0_sq=sigma0_sq, m0=m0, v_threshold=domain.v_threshold)
 
 
-def _projection_nodes(basis: BasisSet):
+def _projection_rule(basis: BasisSet):
     """Composite Gauss-Legendre nodes, 4M+32 per panel, covering
     [v_reset - span, v_threshold]."""
     dom = basis.domain
@@ -178,10 +184,9 @@ def project_initial(matrices: GalerkinMatrices, p0) -> np.ndarray:
     Solves H u = r with r_j = int p0 psi_j dv, followed by one step of
     iterative refinement so the residual sits at rounding level.
     """
-    basis = matrices.basis
-    nodes, weights = _projection_nodes(basis)
-    vals = basis.values_at(nodes)
-    r = vals @ (weights * np.asarray(p0(nodes), dtype=float))
+    nodes = matrices.projection_nodes
+    vals = matrices.basis.values_at(nodes)
+    r = vals @ (matrices.projection_weights * np.asarray(p0(nodes), dtype=float))
 
     H = matrices.H
     try:

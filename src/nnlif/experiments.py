@@ -4,12 +4,17 @@ Each experiment kind reads a JSON config (schema below), runs its ladder or
 grid of deterministic cells, and writes CSV tables via :mod:`records`.
 The config is parsed once into typed model parameters and initial
 densities, and each runner assembles the Galerkin matrices once per
-distinct expansion number before any reference run; every cell receives
-the parsed config and its prebuilt matrices.  Independent cells can execute
-in a process pool; aggregation is keyed, so results are identical for any
-worker count.  The pool and ``scipy.signal`` (for the regime classifier's
-peak finder) are imported where they are used, so a serial run that
-classifies no regime loads neither.
+distinct expansion number before any reference run.  Every cell is one
+spectral run (:func:`_run`) of the parsed config on its prebuilt matrices,
+and returns its run record.  One completion rule decides every density at
+t_final: a run has one only if its status is "completed"
+(:meth:`~nnlif.integrate.RunRecord.final_density`), so a ladder cell,
+reference or timed run that stopped or tripped is a run failure;
+stability-grid records such a cell with a NaN error and its status instead.
+Independent cells can execute in a process pool; aggregation is keyed, so
+results are identical for any worker count.  The pool and ``scipy.signal``
+(for the regime classifier's peak finder) are imported where they are used,
+so a serial run that classifies no regime loads neither.
 
 Config schema (version 1)::
 
@@ -51,8 +56,8 @@ import numpy as np
 
 from .assembly import GaussianIC, assemble, normalize_gaussian
 from .basis import BasisSet, Domain
-from .errors import ConfigurationError, NnlifError, check_finite
-from .fdm import FdmGrid, fdm_reference, fdm_solve, reference_timestep
+from .errors import ConfigurationError, check_finite
+from .fdm import DEFAULT_V_MIN, FdmGrid, fdm_reference, fdm_solve, reference_timestep
 from .integrate import STATUS_COMPLETED
 from .norms import l2_distance, linf_distance, norm_grid
 from .onepop import OnePopParams, solve
@@ -129,6 +134,22 @@ class ExperimentConfig:
     def two_population(self) -> bool:
         return isinstance(self.params, TwoPopParams)
 
+    @property
+    def m(self) -> int:
+        """The expansion number of single-M runs and of the self reference."""
+        return self.numerics.get("m", 16)
+
+    @property
+    def self_reference(self) -> bool:
+        """Whether the reference is the scheme itself (method "self") rather
+        than the FDM oracle (method "fdm", the default)."""
+        return self.reference.get("method") == "self"
+
+    @property
+    def v_min(self) -> float:
+        """The left end of every FDM grid."""
+        return self.reference.get("v_min", DEFAULT_V_MIN)
+
 
 def load_config(path: str) -> ExperimentConfig:
     try:
@@ -187,7 +208,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         params=params,
         ic=ic,
         numerics=dict(raw.get("numerics", {})),
-        reference=dict(raw.get("reference", {"method": "fdm", "h": 1.0 / 512.0, "richardson": True})),
+        reference=dict(raw.get("reference", {})),
         snapshot_times=tuple(snapshot_times),
         blowup_threshold=float(blowup_threshold),
         bound=float(bound),
@@ -237,7 +258,7 @@ def _validate(cfg: ExperimentConfig) -> None:
     num, ref = cfg.numerics, cfg.reference
     if cfg.two_population and cfg.kind in _ONE_POPULATION_KINDS:
         raise ConfigurationError(f"{cfg.kind} needs a one-population model")
-    if cfg.two_population and cfg.kind == "convergence-time" and _reference_m(cfg):
+    if cfg.two_population and cfg.kind == "convergence-time" and cfg.self_reference:
         raise ConfigurationError("two-population ladders use the fdm reference")
     for key in _REQUIRED_NUMERICS[cfg.kind]:
         if key not in num:
@@ -250,14 +271,14 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigurationError(f"numerics.{key} must be a non-empty list")
         for value in values:
             check(value, f"numerics.{key}")
-    if ref.get("method", "fdm") not in ("fdm", "self"):
+    if "method" in ref and ref["method"] not in ("fdm", "self"):
         raise ConfigurationError(f"reference.method must be 'fdm' or 'self', got {ref['method']!r}")
     if not isinstance(ref.get("richardson", True), bool):
         raise ConfigurationError(f"reference.richardson must be true or false, got {ref['richardson']!r}")
     for key in ("h", "dt"):
         if key in ref:
             _positive(ref[key], f"reference.{key}")
-    check_finite("reference.v_min", ref.get("v_min", -6.0))
+    check_finite("reference.v_min", cfg.v_min)
     for ts in cfg.snapshot_times:
         check_finite("snapshot time", ts)
     for key, value in cfg.detection.items():
@@ -343,7 +364,7 @@ def _provenance(cfg: ExperimentConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# spectral runs and reference solutions
+# spectral runs, reference solutions and cells
 
 
 def _matrices(cfg: ExperimentConfig, m_values) -> dict:
@@ -354,86 +375,54 @@ def _matrices(cfg: ExperimentConfig, m_values) -> dict:
 
 
 def _run(cfg: ExperimentConfig, mats, dt: float, t_final: float, snapshot_times=()):
-    """The spectral run of the config's model on prebuilt matrices."""
+    """The spectral run of the config's model on prebuilt matrices.  Every
+    spectral run starts here, and it is the cell of every ladder, grid and
+    sweep (top level, so it can cross a process boundary)."""
     options = dict(dt=dt, t_final=t_final, snapshot_times=snapshot_times, blowup_threshold=cfg.blowup_threshold)
     if cfg.two_population:
         return solve_twopop(*cfg.ic, cfg.params, mats, **options)
     return solve(cfg.ic, cfg.params, mats, **options)
 
 
-def _spectral_reference(cfg: ExperimentConfig, mats, dt: float, t_final: float):
-    """Density at t_final of a one-population spectral reference run."""
-    rec = _run(cfg, mats, dt, t_final, (t_final,))
-    if rec.status != STATUS_COMPLETED:
-        raise NnlifError(f"reference run at dt={dt} ended with status {rec.status}")
-    return rec.snapshots[0].density
-
-
 def _reference_m(cfg: ExperimentConfig) -> list:
     """The expansion number of the self reference, if the config uses one."""
-    return [] if cfg.reference.get("method", "fdm") == "fdm" else [cfg.numerics.get("m", 16)]
+    return [cfg.m] if cfg.self_reference else []
 
 
 def _reference_density(cfg: ExperimentConfig, t_final: float, mats: dict):
     """Reference density on the comparison grid, (2, n) with rows E, I for
     two populations.  ``mats`` holds the matrices of :func:`_reference_m`."""
     ref = cfg.reference
-    if ref.get("method", "fdm") == "fdm":
+    if not cfg.self_reference:
         return fdm_reference(
             cfg.ic,
             cfg.params,
             cfg.domain,
             t_final,
             h=ref.get("h", 1.0 / 512.0),
-            v_min=ref.get("v_min", -6.0),
+            v_min=cfg.v_min,
             richardson=ref.get("richardson", True),
         )
     # self reference: the scheme itself at dt/16 of the finest step in play
     ladder = cfg.numerics.get("dt_values") or [cfg.numerics["dt"]]
     dt_ref = ref.get("dt", min(ladder) / 16.0)
-    return _spectral_reference(cfg, mats[cfg.numerics.get("m", 16)], dt_ref, t_final)
+    return _run(cfg, mats[cfg.m], dt_ref, t_final, (t_final,)).final_density(f"reference run at dt={dt_ref}")
 
 
-# ---------------------------------------------------------------------------
-# experiment cells (top level so they can cross a process boundary)
-
-
-def _cell_final(cfg: ExperimentConfig, mats, dt: float, t_final: float):
-    """One run to t_final; its final density, or None for a run that
-    stopped before it."""
-    rec = _run(cfg, mats, dt, t_final, (t_final,))
-    return {"status": rec.status, "density": rec.snapshots[0].density if rec.snapshots else None}
-
-
-def _require_finished(cells, name: str, values) -> None:
-    """Raise unless every ``_cell_final`` result reached t_final; a ladder
-    has no error to report for a cell that stopped before it."""
-    for value, cell in zip(values, cells):
-        if cell["density"] is None:
-            raise NnlifError(f"cell at {name}={value} ended with status {cell['status']} before t_final")
-
-
-def _density_at_t_final(rec, what: str) -> np.ndarray:
-    """The density of a run at t_final, its only snapshot time; raises for
-    a run that stopped before it, whose error would be at another time."""
-    if not rec.snapshots:
-        raise NnlifError(f"{what} ended with status {rec.status} before t_final")
-    return rec.snapshots[0].density
+def _cells(cfg: ExperimentConfig, keys, workers: int) -> tuple:
+    """The reference density and the run record of each (M, dt) cell in
+    ``keys``, run to t_final with t_final as its snapshot; the matrices are
+    assembled once per distinct M, the reference's included, first."""
+    t_final = cfg.numerics["t_final"]
+    mats = _matrices(cfg, [m for m, _ in keys] + _reference_m(cfg))
+    ref = _reference_density(cfg, t_final, mats)
+    return ref, _map_cells(_run, [(cfg, mats[m], dt, t_final, (t_final,)) for m, dt in keys], workers)
 
 
 def _population_suffixes(record) -> list[str]:
     """"" for one population, "_e" and "_i" for two: the record's rate
     columns, which come first, without their "rate" prefix."""
     return [name.removeprefix("rate") for name in list(record.columns)[: len(record.trips)]]
-
-
-def _cell_regime(cfg: ExperimentConfig, mats):
-    num = cfg.numerics
-    rec = _run(cfg, mats, num["dt"], num["t_final"])
-    result = classify_regime(rec, **cfg.detection)
-    result["b_e_to_e"] = cfg.params.b_e_to_e
-    result["record"] = rec
-    return result
 
 
 def _map_cells(fn, tasks, workers: int):
@@ -532,15 +521,9 @@ def _orders(errors):
 
 def run_convergence_time(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> dict:
     """Temporal-order ladder against the configured reference."""
-    num = cfg.numerics
-    ladder = list(num["dt_values"])
-    t_final = num["t_final"]
-    m = num.get("m", 16)
+    ladder = list(cfg.numerics["dt_values"])
+    ref, records = _cells(cfg, [(cfg.m, dt) for dt in ladder], workers)
     grid = norm_grid(cfg.domain)
-    mats = _matrices(cfg, [m, *_reference_m(cfg)])
-    ref = _reference_density(cfg, t_final, mats)
-    cells = _map_cells(_cell_final, [(cfg, mats[m], dt, t_final) for dt in ladder], workers)
-    _require_finished(cells, "dt", ladder)
     # one table per population, from the rows of a two-population density
     files = (
         {"e": "convergence_time_e.csv", "i": "convergence_time_i.csv"}
@@ -548,7 +531,7 @@ def run_convergence_time(cfg: ExperimentConfig, out_dir: str, workers: int = 1) 
         else {"one": "convergence_time.csv"}
     )
     refs = np.atleast_2d(ref)
-    densities = [np.atleast_2d(c["density"]) for c in cells]
+    densities = [np.atleast_2d(rec.final_density(f"cell at dt={dt}")) for dt, rec in zip(ladder, records)]
     results: dict = {}
     for k, (tag, name) in enumerate(files.items()):
         l2 = [l2_distance(d[k], refs[k], grid) for d in densities]
@@ -567,16 +550,10 @@ def run_convergence_time(cfg: ExperimentConfig, out_dir: str, workers: int = 1) 
 
 def run_convergence_space(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> dict:
     """Expansion-number ladder at fixed dt; odd and even series separately."""
-    num = cfg.numerics
-    m_values = list(num["m_values"])
-    dt = num["dt"]
-    t_final = num["t_final"]
+    m_values = list(cfg.numerics["m_values"])
+    ref, records = _cells(cfg, [(m, cfg.numerics["dt"]) for m in m_values], workers)
     grid = norm_grid(cfg.domain)
-    mats = _matrices(cfg, m_values + _reference_m(cfg))
-    ref = _reference_density(cfg, t_final, mats)
-    cells = _map_cells(_cell_final, [(cfg, mats[m], dt, t_final) for m in m_values], workers)
-    _require_finished(cells, "M", m_values)
-    errors = {m: l2_distance(c["density"], ref, grid) for m, c in zip(m_values, cells)}
+    errors = {m: l2_distance(rec.final_density(f"cell at M={m}"), ref, grid) for m, rec in zip(m_values, records)}
 
     results = {}
     for parity, label in ((1, "odd"), (0, "even")):
@@ -596,33 +573,25 @@ def run_convergence_space(cfg: ExperimentConfig, out_dir: str, workers: int = 1)
 
 
 def run_stability_grid(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> dict:
-    """Full (M, dt) error matrix; per-cell failures recorded, not fatal."""
+    """Full (M, dt) error matrix; a cell that did not complete is recorded
+    with a NaN error and its status, not fatal."""
     num = cfg.numerics
-    m_values = list(num["m_values"])
-    t_final = num["t_final"]
+    keys = [(m, dt) for m in num["m_values"] for dt in num["dt_values"]]
+    ref, records = _cells(cfg, keys, workers)
     grid = norm_grid(cfg.domain)
-    mats = _matrices(cfg, m_values + _reference_m(cfg))
-    ref = _reference_density(cfg, t_final, mats)
-
-    keys = [(m, dt) for m in m_values for dt in num["dt_values"]]
-    cells = _map_cells(_cell_final, [(cfg, mats[m], dt, t_final) for m, dt in keys], workers)
-
-    errs, statuses, flags = [], [], []
-    for cell in cells:
-        density = cell["density"]
-        statuses.append(cell["status"])
-        if density is None or cell["status"] != STATUS_COMPLETED:
-            errs.append(float("nan"))
-            flags.append(1)
-        else:
-            e = l2_distance(density, ref, grid)
-            errs.append(e)
-            flags.append(int(not math.isfinite(e) or e > cfg.bound))
+    errs = [
+        l2_distance(rec.final_density(f"cell at M={m}, dt={dt}"), ref, grid)
+        if rec.status == STATUS_COMPLETED
+        else float("nan")
+        for (m, dt), rec in zip(keys, records)
+    ]
+    flags = [int(not math.isfinite(e) or e > cfg.bound) for e in errs]
     rows_m = [m for m, _ in keys]
     rows_dt = [dt for _, dt in keys]
     emit_table(
         os.path.join(out_dir, "stability_grid.csv"),
-        {"m": rows_m, "dt": rows_dt, "l2_error": errs, "status": statuses, "exceeds_bound": flags},
+        {"m": rows_m, "dt": rows_dt, "l2_error": errs, "status": [rec.status for rec in records],
+         "exceeds_bound": flags},
         {**_provenance(cfg), "bound": cfg.bound},
     )
     return {"m": rows_m, "dt": rows_dt, "l2_error": errs, "flags": flags}
@@ -631,8 +600,7 @@ def run_stability_grid(cfg: ExperimentConfig, out_dir: str, workers: int = 1) ->
 def run_blowup(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> dict:
     """Blow-up study: full rate series plus density snapshots."""
     num = cfg.numerics
-    m = num.get("m", 16)
-    rec = _run(cfg, _matrices(cfg, [m])[m], num["dt"], num["t_final"], cfg.snapshot_times)
+    rec = _run(cfg, _matrices(cfg, [cfg.m])[cfg.m], num["dt"], num["t_final"], cfg.snapshot_times)
     emit_run_record(os.path.join(out_dir, "blowup_run.csv"), rec, _provenance(cfg))
     # density_t*.csv, or density_e_t*.csv and density_i_t*.csv
     for snap in rec.snapshots:
@@ -644,100 +612,92 @@ def run_blowup(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> dict:
 def run_twopop_regimes(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> dict:
     """Sweep the excitatory self-coupling and classify each run."""
     values = list(cfg.sweep["b_e_to_e"])
-    m = cfg.numerics.get("m", 16)
-    mats = _matrices(cfg, [m])[m]
-    tasks = [(replace(cfg, params=replace(cfg.params, b_e_to_e=v)), mats) for v in values]
-    cells = _map_cells(_cell_regime, tasks, workers)
-    for cell in cells:
+    num = cfg.numerics
+    mats = _matrices(cfg, [cfg.m])[cfg.m]
+    tasks = [(replace(cfg, params=replace(cfg.params, b_e_to_e=v)), mats, num["dt"], num["t_final"]) for v in values]
+    records = _map_cells(_run, tasks, workers)
+    cells = [{**classify_regime(rec, **cfg.detection), "record": rec} for rec in records]
+    for v, cell in zip(values, cells):
         emit_run_record(
-            os.path.join(out_dir, f"regime_b{cell['b_e_to_e']:g}.csv"),
+            os.path.join(out_dir, f"regime_b{v:g}.csv"),
             cell["record"],
             {**_provenance(cfg), "regime": cell["regime"]},
         )
     # a trip time is reported for a blow-up only
-    trips = {key: [cell.get(key) or float("nan") for cell in cells] for key in cells[0]["record"].trips}
+    trips = {key: [cell.get(key) or float("nan") for cell in cells] for key in records[0].trips}
     emit_table(
         os.path.join(out_dir, "regimes.csv"),
         {"b_e_to_e": values, "regime": [cell["regime"] for cell in cells], **trips},
         _provenance(cfg),
     )
-    return {v: c for v, c in zip(values, cells)}
+    return dict(zip(values, cells))
 
 
-def _median_wall_time(run_once, repetitions: int = 3) -> tuple:
-    times, out = [], None
-    for _ in range(repetitions):
-        out = run_once()
-        times.append(out.wall_time)
-    return statistics.median(times), out
+def _timed_run(cfg: ExperimentConfig, method: str, resolution, mats=None) -> tuple:
+    """Median loop wall time of ``numerics.repetitions`` (default 3)
+    identical runs to t_final, and the t_final density of the last: the
+    "spectral" scheme on ``mats``, whose M is ``resolution``, or the "fdm"
+    solver at grid spacing ``resolution`` with its reference timestep."""
+    num = cfg.numerics
+    t_final = num["t_final"]
+    if method == "spectral":
+        what = f"spectral run at M={resolution}"
+
+        def run():
+            return _run(cfg, mats, num["dt"], t_final, (t_final,))
+    else:
+        what = f"fdm run at h={resolution:g}"
+        grid = FdmGrid.build(cfg.domain, v_min=cfg.v_min, h=resolution)
+        dt = reference_timestep(grid, cfg.params, t_final)
+
+        def run():
+            return fdm_solve(cfg.ic, cfg.params, grid, dt, t_final, snapshot_times=(t_final,),
+                             blowup_threshold=cfg.blowup_threshold)
+    walls = []
+    for _ in range(num.get("repetitions", 3)):
+        rec = run()
+        walls.append(rec.wall_time)
+    return statistics.median(walls), rec.final_density(what)
 
 
 def run_efficiency(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> dict:
     """Error-versus-time frontier: spectral M ladder and grid h ladder, each
     against its own refined reference; loop wall times are medians of 3."""
     num = cfg.numerics
-    dt = num["dt"]
     t_final = num["t_final"]
     m_values = list(num.get("m_values", [4, 8, 12, 16]))
     h_values = list(num.get("h_values", [1.0 / 32, 1.0 / 64, 1.0 / 128]))
-    reps = int(num.get("repetitions", 3))
-    m_ref = int(num.get("reference_m", max(m_values) + 8))
-    v_min = cfg.reference.get("v_min", -6.0)
+    m_ref = num.get("reference_m", max(m_values) + 8)
     grid = norm_grid(cfg.domain)
     mats = _matrices(cfg, [m_ref, *m_values])
-    spectral_ref = _spectral_reference(cfg, mats[m_ref], dt, t_final)
-
-    methods, resolutions, errors, walls = [], [], [], []
-    for m in m_values:
-        wall, rec = _median_wall_time(lambda: _run(cfg, mats[m], dt, t_final, (t_final,)), reps)
-        methods.append("spectral")
-        resolutions.append(m)
-        errors.append(l2_distance(_density_at_t_final(rec, f"spectral run at M={m}"), spectral_ref, grid))
-        walls.append(wall)
-
+    spectral_ref = _run(cfg, mats[m_ref], num["dt"], t_final, (t_final,)).final_density(
+        f"reference run at M={m_ref}"
+    )
     fdm_ref = fdm_reference(cfg.ic, cfg.params, cfg.domain, t_final, h=min(h_values) / 2.0,
-                            v_min=v_min, richardson=True)
-    for h in h_values:
-        fgrid = FdmGrid.build(cfg.domain, v_min=v_min, h=h)
-        dt_f = reference_timestep(fgrid, cfg.params, t_final)
-        wall, rec = _median_wall_time(
-            lambda: fdm_solve(cfg.ic, cfg.params, fgrid, dt_f, t_final, (t_final,), cfg.blowup_threshold), reps
-        )
-        methods.append("fdm")
-        resolutions.append(h)
-        errors.append(l2_distance(_density_at_t_final(rec, f"fdm run at h={h:g}"), fdm_ref, grid))
-        walls.append(wall)
+                            v_min=cfg.v_min, richardson=True)
+    runs = [("spectral", m, mats[m], spectral_ref) for m in m_values] + [("fdm", h, None, fdm_ref) for h in h_values]
 
-    table = {"method": methods, "resolution": resolutions, "l2_error": errors, "wall_time_s": walls}
+    table = {"method": [], "resolution": [], "l2_error": [], "wall_time_s": []}
+    for method, resolution, matrices, ref in runs:
+        wall, density = _timed_run(cfg, method, resolution, matrices)
+        for key, value in zip(table, (method, resolution, l2_distance(density, ref, grid), wall)):
+            table[key].append(value)
     emit_table(os.path.join(out_dir, "efficiency.csv"), table, _provenance(cfg))
     return table
 
 
 def run_compare_fdm(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> dict:
     """Cross-method agreement and matched-error timing comparison."""
-    num = cfg.numerics
-    dt = num["dt"]
-    t_final = num["t_final"]
-    m = num.get("m", 16)
-    fdm_h = num.get("fdm_h", 1.0 / 512.0)
-    reps = int(num.get("repetitions", 3))
+    fdm_h = cfg.numerics.get("fdm_h", 1.0 / 512.0)
+    mats = _matrices(cfg, [cfg.m, *_reference_m(cfg)])
+    ref = _reference_density(cfg, cfg.numerics["t_final"], mats)
+    wall_s, p_spec = _timed_run(cfg, "spectral", cfg.m, mats[cfg.m])
+    wall_f, p_fdm = _timed_run(cfg, "fdm", fdm_h)
     grid = norm_grid(cfg.domain)
-    mats = _matrices(cfg, [m, *_reference_m(cfg)])
-    ref = _reference_density(cfg, t_final, mats)
-
-    wall_s, rec_s = _median_wall_time(lambda: _run(cfg, mats[m], dt, t_final, (t_final,)), reps)
-    p_spec = _density_at_t_final(rec_s, f"spectral run at M={m}")
-
-    fgrid = FdmGrid.build(cfg.domain, v_min=cfg.reference.get("v_min", -6.0), h=fdm_h)
-    dt_f = reference_timestep(fgrid, cfg.params, t_final)
-    wall_f, rec_f = _median_wall_time(
-        lambda: fdm_solve(cfg.ic, cfg.params, fgrid, dt_f, t_final, (t_final,), cfg.blowup_threshold), reps
-    )
-    p_fdm = _density_at_t_final(rec_f, f"fdm run at h={fdm_h:g}")
 
     table = {
         "method": ["spectral", "fdm"],
-        "resolution": [m, fdm_h],
+        "resolution": [cfg.m, fdm_h],
         "l2_error_vs_reference": [
             l2_distance(p_spec, ref, grid),
             l2_distance(p_fdm, ref, grid),

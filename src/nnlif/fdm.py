@@ -24,10 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import Domain
-from .errors import ConfigurationError, NnlifError, SingularFiringRateError
-from .integrate import (
-    DEFAULT_BLOWUP_THRESHOLD, ONE_POPULATION, STATUS_COMPLETED, TWO_POPULATIONS, RunRecord, integrate,
-)
+from .errors import ConfigurationError, SingularFiringRateError
+from .integrate import DEFAULT_BLOWUP_THRESHOLD, ONE_POPULATION, TWO_POPULATIONS, RunRecord, integrate
 from .norms import norm_grid
 from .onepop import OnePopParams
 from .twopop import (
@@ -247,13 +245,13 @@ def fdm_solve(
     grid: FdmGrid,
     dt: float,
     t_final: float,
+    *,
     snapshot_times=(),
     blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
-    cfl_rate_cap: float = 0.0,
 ) -> RunRecord:
     """Explicit run recording (t, N, mass) every step, same record shape as
     the spectral solver."""
-    if dt > _stable_timestep(grid, params, cfl_rate_cap):
+    if dt > _stable_timestep(grid, params, 0.0):
         raise ConfigurationError(
             f"dt={dt} violates the explicit stability bound for h={grid.h}"
         )
@@ -267,9 +265,9 @@ def fdm_solve_twopop(
     grid: FdmGrid,
     dt: float,
     t_final: float,
-    blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
+    *,
     snapshot_times=(),
-    cfl_rate_cap: float = 0.0,
+    blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
 ) -> RunRecord:
     """Two-population variant with the same stencil per population, from
     empty refractory states.
@@ -280,7 +278,7 @@ def fdm_solve_twopop(
     """
     if params.diffusion_mode != DIFFUSION_CONSTANT:
         raise ConfigurationError("the finite-difference oracle supports constant diffusion only")
-    if dt > _stable_timestep(grid, params, cfl_rate_cap):
+    if dt > _stable_timestep(grid, params, 0.0):
         raise ConfigurationError(f"dt={dt} violates the explicit stability bound for h={grid.h}")
     return integrate(_FdmTwoPop(p0_e, p0_i, params, grid, dt), dt, t_final, snapshot_times, blowup_threshold)
 
@@ -311,9 +309,7 @@ def fdm_reference(
             rec = fdm_solve_twopop(*p0, params, grid, dt, t_final, snapshot_times=(t_final,))
         else:
             rec = fdm_solve(p0, params, grid, dt, t_final, snapshot_times=(t_final,))
-        if rec.status != STATUS_COMPLETED:
-            raise NnlifError(f"reference run at h={h_run} ended with status {rec.status}")
-        return rec.snapshots[0].density
+        return rec.final_density(f"reference run at h={h_run}")
 
     coarse = run(h)
     if not richardson:

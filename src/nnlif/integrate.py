@@ -9,6 +9,10 @@ A population trips when its rate passes the blow-up threshold; the run stops
 when every population has tripped, when the state goes non-finite (the
 populations not yet tripped trip then), or ``_POST_TRIP_WINDOW`` after the
 first trip, which gives near-simultaneous events a trip time each.
+Status "completed" means the run reached t_final with no population tripped:
+a run with a trip ends "blow-up-detected" even when it reaches t_final, and
+only a completed run has a density at t_final
+(:meth:`RunRecord.final_density`).
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Any, NamedTuple, Protocol
 
 import numpy as np
 
-from .errors import ConfigurationError, LinearSolveError, NonpositiveDiffusionError, SingularFiringRateError
+from .errors import ConfigurationError, LinearSolveError, NnlifError, NonpositiveDiffusionError, SingularFiringRateError
 
 DEFAULT_BLOWUP_THRESHOLD = 1e3
 _NEGATIVE_RATE_TOL = -1e-12
@@ -76,6 +80,15 @@ class RunRecord:
     wall_time: float
     dt: float
     snapshots: list[DensitySnapshot]
+
+    def final_density(self, what: str) -> np.ndarray:
+        """The density at t_final, which the caller made the run's last
+        snapshot time; raises :class:`NnlifError` naming ``what`` unless the
+        run completed, since a run that stopped or tripped has no error to
+        report at t_final."""
+        if self.status != STATUS_COMPLETED:
+            raise NnlifError(f"{what} ended with status {self.status} before t_final or tripped by it")
+        return self.snapshots[-1].density
 
 
 class Stepper(Protocol):
@@ -177,9 +190,11 @@ def integrate(
         ]
         first_trip = min((trip for trip in trips if trip is not None), default=None)
         if None not in trips or (first_trip is not None and state.t - first_trip > _POST_TRIP_WINDOW):
-            status = STATUS_BLOWUP
             break
     wall = time.perf_counter() - t_start
+    # a trip ends the run blown up, also when it reached t_final inside the window
+    if status == STATUS_COMPLETED and first_trip is not None:
+        status = STATUS_BLOWUP
 
     keep = last + 1
     return RunRecord(

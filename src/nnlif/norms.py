@@ -14,8 +14,8 @@ NORM_GRID_POINTS = 2001
 NORM_GRID_SPAN = 8.0
 
 
-def norm_grid(domain, n_points: int = NORM_GRID_POINTS, span: float = NORM_GRID_SPAN) -> np.ndarray:
-    return np.linspace(domain.v_reset - span, domain.v_threshold, n_points)
+def norm_grid(domain) -> np.ndarray:
+    return np.linspace(domain.v_reset - NORM_GRID_SPAN, domain.v_threshold, NORM_GRID_POINTS)
 
 
 def l2_distance(pa: np.ndarray, pb: np.ndarray, grid: np.ndarray) -> float:

@@ -218,6 +218,7 @@ def solve(
     matrices: GalerkinMatrices,
     dt: float,
     t_final: float,
+    *,
     snapshot_times=(),
     blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
 ) -> RunRecord:

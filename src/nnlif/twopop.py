@@ -348,8 +348,9 @@ def solve_twopop(
     matrices: GalerkinMatrices,
     dt: float,
     t_final: float,
-    blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
+    *,
     snapshot_times=(),
+    blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
 ) -> RunRecord:
     """Run the coupled scheme from empty refractory states; records rates,
     masses and refractory states, and the densities of both populations on

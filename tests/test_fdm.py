@@ -106,7 +106,7 @@ def test_blowup_escalation_window_matches_spectral(domain):
     assert spec_rec.status == "blow-up-detected"
     g = FdmGrid.build(domain, v_min=-6.0, h=1.0 / 128.0)
     dt = _stable_dt(g, params, 4.0, rate_cap=6.0)
-    fdm_rec = fdm_solve(ic, params, g, dt, 4.0, blowup_threshold=5.0, cfl_rate_cap=6.0)
+    fdm_rec = fdm_solve(ic, params, g, dt, 4.0, blowup_threshold=5.0)
     assert fdm_rec.status == "blow-up-detected"
     assert fdm_rec.trips["blowup_time"] == pytest.approx(spec_rec.trips["blowup_time"], rel=0.10)
 

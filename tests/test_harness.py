@@ -9,7 +9,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from nnlif import cli, experiments
+from nnlif import assembly, cli, experiments
 from nnlif.basis import BasisSet
 from nnlif.assembly import assemble, normalize_gaussian
 from nnlif.cli import main
@@ -24,6 +24,7 @@ from nnlif.fdm import FdmGrid, fdm_solve, fdm_solve_twopop, reference_timestep
 from nnlif.integrate import ONE_POPULATION, TWO_POPULATIONS, RunRecord
 from nnlif.norms import norm_grid
 from nnlif.onepop import OnePopParams, solve
+from nnlif.quadrature import gauss_legendre
 from nnlif.records import emit_run_record, emit_table, parse_table
 from nnlif.twopop import TwoPopParams, solve_twopop
 
@@ -262,6 +263,22 @@ def test_classifier_irregular_peaks_not_periodic(rng):
     assert out["regime"] == "ambiguous"
 
 
+def test_run_reaching_t_final_after_a_trip_is_a_blowup():
+    # E trips at t = 3.74, within the post-trip window of t_final = 4, and I
+    # never does: the run reaches t_final, but blown up
+    with open(os.path.join(os.path.dirname(__file__), "..", "configs", "blowup_twopop.json")) as fh:
+        raw = json.load(fh)
+    raw["numerics"] = {"m": 6, "dt": 0.01, "t_final": 4.0}
+    raw["snapshot_times"] = []
+    cfg = parse_config(raw)
+    mats = assemble(BasisSet(cfg.domain, 6))
+    rec = solve_twopop(*cfg.ic, cfg.params, mats, dt=0.01, t_final=4.0, blowup_threshold=cfg.blowup_threshold)
+    assert rec.times[-1] == pytest.approx(4.0)
+    assert rec.trips["trip_time_e"] == pytest.approx(3.74) and rec.trips["trip_time_i"] is None
+    assert rec.status == "blow-up-detected"
+    assert classify_regime(rec)["regime"] == "blow-up"
+
+
 # --- experiment plumbing -----------------------------------------------------
 
 
@@ -341,6 +358,27 @@ def _tiny(kind, numerics, reference=None, model=_ONEPOP_MODEL, initial=_ONEPOP_I
     return raw
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        _base_onepop(snapshot_times=[0.1]),
+        _base_onepop(kind="twopop-regimes", model=_TWOPOP_MODEL, initial=_TWOPOP_INITIAL,
+                     numerics={"m": 6, "dt": 0.01, "t_final": 0.05}, sweep={"b_e_to_e": [0.5]}),
+    ],
+    ids=["blowup", "twopop-regimes"],
+)
+def test_headers_echo_no_reference_the_config_leaves_out(tmp_path, raw):
+    out = tmp_path / "res"
+    run_experiment(parse_config(raw), str(out))
+    # density snapshots carry no provenance
+    names = [name for name in sorted(os.listdir(out)) if not name.startswith("density")]
+    assert names
+    for name in names:
+        meta, _ = parse_table(str(out / name))
+        assert meta["kind"] == raw["kind"], name
+        assert [key for key in meta if key.startswith("reference.")] == [], name
+
+
 def test_worker_pool_matches_serial(tmp_path):
     fdm_ref = {"method": "fdm", "h": 1.0 / 64.0, "richardson": True}
     configs = {
@@ -398,17 +436,25 @@ def test_workers_capped_at_cell_count(tmp_path, monkeypatch, sweep, pool_sizes):
 
 def test_matrices_assembled_once_per_distinct_m(tmp_path, monkeypatch):
     calls = []
+    legendre_calls = []
 
     def counting_assemble(basis, n_q=None):
         calls.append(basis.m)
         return assemble(basis, n_q)
 
+    def counting_gauss_legendre(n):
+        legendre_calls.append(n)
+        return gauss_legendre(n)
+
     monkeypatch.setattr(experiments, "assemble", counting_assemble)
+    monkeypatch.setattr(assembly, "gauss_legendre", counting_gauss_legendre)
     raw = _tiny("stability-grid", {"m": 6, "m_values": [4, 5, 6], "dt_values": [0.05, 0.025], "t_final": 0.1},
                 {"method": "self", "dt": 0.0125})
     res = run_experiment(parse_config(raw), str(tmp_path / "res"))
     assert len(res["l2_error"]) == 6
     assert sorted(calls) == [4, 5, 6]
+    # per distinct M: the assembly rule and the projection rule, none per run
+    assert len(legendre_calls) == 6
 
 
 _SCIPY_MODULES = """
@@ -490,8 +536,13 @@ def test_cli_small_n_q_fails_before_reference(tmp_path, capsys, monkeypatch, raw
         (_tiny("convergence-time", {"m": 6, "dt_values": [0.02, 0.01], "t_final": 3.2},
                {"method": "fdm", "h": 1.0 / 16.0}, model={"population": "one", "a0": 1.0, "a1": 0.0, "b": 3.0},
                blowup_threshold=3.0), "dt=0.01"),
+        # the dt=0.01 cell passes the threshold on its last step: it reaches
+        # t_final, but blown up, so it has no error to report either
+        (_tiny("convergence-time", {"m": 6, "dt_values": [0.02, 0.01], "t_final": 2.0},
+               {"method": "fdm", "h": 1.0 / 16.0}, model={"population": "one", "a0": 1.0, "a1": 0.0, "b": 3.0},
+               blowup_threshold=0.2133), "dt=0.01"),
     ],
-    ids=["convergence-space", "convergence-time"],
+    ids=["convergence-space", "convergence-time", "convergence-time-last-step-trip"],
 )
 def test_cli_ladder_cell_that_stopped_is_a_run_failure(tmp_path, capsys, raw, cell):
     cfg_path = _write(tmp_path, "cfg.json", raw)
