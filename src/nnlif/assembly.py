@@ -115,8 +115,8 @@ def assemble(basis: BasisSet, n_q: int | None = None) -> GalerkinMatrices:
     C += np.einsum("i,ai,bi->ab", w, ders, ders)
 
     traces = basis.traces()
-    D = np.outer(traces.value_at_reset - traces.value_at_threshold, traces.deriv_at_threshold)
     F = traces.value_at_reset.copy()
+    D = np.outer(F, traces.deriv_at_threshold)
 
     mass = np.zeros(dim)
     for k in range(m + 1):

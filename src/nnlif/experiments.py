@@ -58,7 +58,7 @@ from .assembly import GaussianIC, assemble, normalize_gaussian
 from .basis import BasisSet, Domain
 from .errors import ConfigurationError, check_finite
 from .fdm import DEFAULT_V_MIN, FdmGrid, fdm_reference, fdm_solve, reference_timestep
-from .integrate import STATUS_COMPLETED
+from .integrate import STATUS_COMPLETED, whole_steps
 from .norms import l2_distance, linf_distance, norm_grid
 from .onepop import OnePopParams, solve
 from .records import emit_run_record, emit_snapshot, emit_table
@@ -314,8 +314,7 @@ def _validate(cfg: ExperimentConfig) -> None:
 
 
 def _check_divisible(dt: float, t: float, what: str) -> None:
-    k = round(t / dt)
-    if abs(k * dt - t) > 1e-9 * max(1.0, abs(t)):
+    if whole_steps(t, dt) is None:
         raise ConfigurationError(f"{what}={t} is not an integer multiple of dt={dt}")
 
 

@@ -12,6 +12,11 @@ not tautology.  For reference duty the plain first-order scheme needs very
 fine grids; :func:`fdm_reference` optionally Richardson-extrapolates a
 (h, h/2) pair, which removes the leading O(h) error while staying inside
 the same discretization family.
+
+The two-population model keeps both populations' cells in one (2, n)
+array, rows E, I, and advances them with one stencil call; it takes its
+delayed rates, lagged [target][source], from :mod:`twopop`.  A reference
+run's step divides t_final and every nonzero delay.
 """
 
 from __future__ import annotations
@@ -25,20 +30,15 @@ import numpy as np
 
 from .basis import Domain
 from .errors import ConfigurationError, SingularFiringRateError
-from .integrate import DEFAULT_BLOWUP_THRESHOLD, ONE_POPULATION, TWO_POPULATIONS, RunRecord, integrate
+from .integrate import DEFAULT_BLOWUP_THRESHOLD, ONE_POPULATION, TWO_POPULATIONS, RunRecord, integrate, whole_steps
 from .norms import norm_grid
 from .onepop import OnePopParams
-from .twopop import (
-    DIFFUSION_CONSTANT,
-    TwoPopParams,
-    TwoPopState,
-    coefficients,
-    delayed_rates,
-    recovery,
-)
+from .twopop import DIFFUSION_CONSTANT, TwoPopParams, TwoPopState, coefficients, delayed_rates, recovery
 
 DEFAULT_V_MIN = -6.0
 DEFAULT_H = 1.0 / 128.0
+# step counts :func:`reference_timestep` tries, from the stability bound down
+_STEP_SEARCH = 100_000
 
 
 @dataclass(frozen=True)
@@ -89,20 +89,24 @@ def fdm_rate(p: np.ndarray, params: OnePopParams, grid: FdmGrid) -> float:
     return params.a0 * g / denom
 
 
-def _advance(p: np.ndarray, grid: FdmGrid, dt: float, drift_offset: float, diffusion: float, inflow: float):
+def _advance(p: np.ndarray, grid: FdmGrid, dt: float, drift_offset, diffusion, inflow):
     """One explicit step of the cell values with drift -v + ``drift_offset``,
-    the given diffusion, and ``inflow`` re-injected at the reset edge."""
+    the given diffusion, and ``inflow`` re-injected at the reset edge.
+
+    ``p`` holds one population's cells with scalar coefficients, or one row
+    per population with the coefficients as (2, 1) columns."""
     h = grid.h
     u = -grid.inner_edges + drift_offset
-    flux = np.empty(grid.n_cells + 1)
-    flux[0] = 0.0  # zero-flux wall at v_min
-    flux[1:-1] = np.where(u >= 0.0, u * p[:-1], u * p[1:]) - diffusion * np.diff(p) / h
+    left, right = p[..., :-1], p[..., 1:]
+    flux = np.empty(p.shape[:-1] + (grid.n_cells + 1,))
+    flux[..., 0] = 0.0  # zero-flux wall at v_min
+    flux[..., 1:-1] = np.where(u >= 0.0, u * left, u * right) - diffusion * (right - left) / h
     # threshold edge: absorbing value p(V_F)=0 kills the drift flux there,
     # the diffusive outflux is exactly the firing rate
-    flux[-1] = diffusion * p[-1] / h
+    flux[..., -1:] = diffusion * p[..., -1:] / h
 
-    p_new = p - (dt / h) * np.diff(flux)
-    p_new[grid.i_reset] += inflow * dt / h
+    p_new = p - (dt / h) * (flux[..., 1:] - flux[..., :-1])
+    p_new[..., grid.i_reset:grid.i_reset + 1] += inflow * dt / h
     return p_new
 
 
@@ -136,7 +140,7 @@ def _stable_timestep(grid: FdmGrid, params, rate_cap: float) -> float:
     if isinstance(params, TwoPopParams):
         # the largest drift offset either population can see
         offset = (
-            max(abs(params.b_e_to_e) + abs(params.b_i_to_e), abs(params.b_e_to_i) + abs(params.b_i_to_i)) * rate_cap
+            max(abs(b[0]) + abs(b[1]) for b in params.tables["b"]) * rate_cap
             + abs(params.b_e_to_i - params.b_e_to_e) * params.nu_ext
         )
         return cfl_timestep(grid, params.diffusion_constant, 1.0, offset)
@@ -144,16 +148,21 @@ def _stable_timestep(grid: FdmGrid, params, rate_cap: float) -> float:
 
 
 def reference_timestep(grid: FdmGrid, params, t_final: float) -> float:
-    """Largest step below 0.9 times the stability bound that divides
-    t_final, for one-population (OnePopParams) or two-population
-    (TwoPopParams) reference runs.
+    """Largest step at most 0.9 times the stability bound that divides
+    t_final and, for two populations (TwoPopParams), every nonzero delay;
+    the search looks at ``_STEP_SEARCH`` step counts.
 
     One population allows for mild rate-driven growth of drift and diffusion
     (rates up to 1); two populations bound the external drive only.
     """
-    rate_cap = 0.0 if isinstance(params, TwoPopParams) else 1.0
-    bound = 0.9 * _stable_timestep(grid, params, rate_cap)
-    return t_final / math.ceil(t_final / bound)
+    two = isinstance(params, TwoPopParams)
+    bound = 0.9 * _stable_timestep(grid, params, 0.0 if two else 1.0)
+    delays = [d for row in params.tables["delay"] for d in row if d > 0] if two else []
+    first = math.ceil(t_final / bound)
+    for n_steps in range(first, first + _STEP_SEARCH):
+        if all(whole_steps(d, t_final / n_steps) is not None for d in delays):
+            return t_final / n_steps
+    raise ConfigurationError(f"no reference timestep below {bound:.6g} divides t_final={t_final} and the delays")
 
 
 class _CellState(NamedTuple):
@@ -190,53 +199,36 @@ class _FdmOnePop:
 
 class _FdmTwoPop:
     """The finite-volume two-population model (constant diffusion) as a
-    :class:`Stepper`; the reset inflow is the recovery rate M_alpha."""
+    :class:`Stepper`; the state's cell values are one (2, n) array, rows E,
+    I, and the reset inflow is the recovery rate M_alpha."""
 
     layout = TWO_POPULATIONS
 
-    def __init__(self, p0_e, p0_i, params: TwoPopParams, grid: FdmGrid, dt: float):
-        self.p0_e, self.p0_i, self.params, self.grid, self.dt = p0_e, p0_i, params, grid, dt
+    def __init__(self, p0, params: TwoPopParams, grid: FdmGrid, dt: float):
+        self.p0, self.params, self.grid, self.dt = p0, params, grid, dt
         self.out_grid = norm_grid(grid.domain)
 
-    def _rate(self, p: np.ndarray) -> float:
-        return self.params.diffusion_constant * p[-1] / self.grid.h
+    def _rate(self, p: np.ndarray) -> list:
+        return (self.params.diffusion_constant * p[:, -1] / self.grid.h).tolist()
 
     def start(self, rates) -> TwoPopState:
         self.lags = self.params.delay_lags(self.dt)
-        p_e = _initial_cells(self.p0_e, self.grid)
-        p_i = _initial_cells(self.p0_i, self.grid)
-        return TwoPopState(
-            p_e, p_i, 0.0, 0.0, 0.0, 0, self._rate(p_e), self._rate(p_i), *rates
-        )
+        p = np.array([_initial_cells(p0, self.grid) for p0 in self.p0])
+        return TwoPopState(p, (0.0, 0.0), 0.0, 0, self._rate(p), rates)
 
     def step(self, state: TwoPopState) -> TwoPopState:
-        params, grid, dt = self.params, self.grid, self.dt
-        delayed_for_e, delayed_for_i = delayed_rates(state, self.lags)
-        v_e, a_e = coefficients(params, *delayed_for_e, "e")
-        v_i, a_i = coefficients(params, *delayed_for_i, "i")
-        m_e = recovery(state.r_e, state.rate_e, params, "e")
-        m_i = recovery(state.r_i, state.rate_i, params, "i")
-        p_e = _advance(state.u_e, grid, dt, v_e, a_e, m_e)
-        p_i = _advance(state.u_i, grid, dt, v_i, a_i, m_i)
+        inflow = recovery(state.r, state.rate, self.params)
+        coeffs = (*coefficients(self.params, delayed_rates(state, self.lags)), inflow)
+        p = _advance(state.u, self.grid, self.dt, *np.array(coeffs)[..., None])
         n = state.step_index + 1
-        return TwoPopState(
-            p_e, p_i,
-            state.r_e + dt * (state.rate_e - m_e),
-            state.r_i + dt * (state.rate_i - m_i),
-            n * dt, n, self._rate(p_e), self._rate(p_i),
-            state.history_e, state.history_i,
-        )
+        r = state.refractory_after(inflow, self.dt)
+        return TwoPopState(p, r, n * self.dt, n, self._rate(p), state.history)
 
     def observe(self, state: TwoPopState):
-        h = self.grid.h
-        return (
-            state.rate_e, state.rate_i,
-            float(state.u_e.sum() * h), float(state.u_i.sum() * h),
-            state.r_e, state.r_i,
-        )
+        return (*state.rate, *(state.u.sum(axis=1) * self.grid.h).tolist(), *state.r)
 
     def densities(self, state: TwoPopState) -> np.ndarray:
-        return np.array([_to_norm_grid(p, self.grid, self.out_grid) for p in (state.u_e, state.u_i)])
+        return np.array([_to_norm_grid(p, self.grid, self.out_grid) for p in state.u])
 
 
 def fdm_solve(
@@ -280,7 +272,7 @@ def fdm_solve_twopop(
         raise ConfigurationError("the finite-difference oracle supports constant diffusion only")
     if dt > _stable_timestep(grid, params, 0.0):
         raise ConfigurationError(f"dt={dt} violates the explicit stability bound for h={grid.h}")
-    return integrate(_FdmTwoPop(p0_e, p0_i, params, grid, dt), dt, t_final, snapshot_times, blowup_threshold)
+    return integrate(_FdmTwoPop((p0_e, p0_i), params, grid, dt), dt, t_final, snapshot_times, blowup_threshold)
 
 
 def fdm_reference(

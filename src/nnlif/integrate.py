@@ -118,16 +118,23 @@ class Stepper(Protocol):
     def densities(self, state: Any) -> np.ndarray: ...
 
 
+def whole_steps(t: float, dt: float) -> int | None:
+    """The number of dt steps in t, or None when t is not a whole number of
+    them (to 1e-9 max(1, |t|))."""
+    k = round(t / dt)
+    return k if abs(k * dt - t) <= 1e-9 * max(1.0, abs(t)) else None
+
+
 def _validate_times(dt: float, t_final: float, snapshot_times) -> int:
     """Number of steps; rejects non-finite times, a dt that does not divide
     t_final and snapshot times off the step lattice."""
     if not (0.0 < dt < math.inf and 0.0 < t_final < math.inf):
         raise ConfigurationError(f"need finite dt > 0 and t_final > 0, got {dt}, {t_final}")
-    n_steps = round(t_final / dt)
-    if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
+    n_steps = whole_steps(t_final, dt)
+    if not n_steps:
         raise ConfigurationError(f"dt={dt} does not divide t_final={t_final}")
     for ts in snapshot_times:
-        if not 0.0 <= ts <= t_final or abs(round(ts / dt) * dt - ts) > 1e-9 * max(1.0, abs(ts)):
+        if not 0.0 <= ts <= t_final or whole_steps(ts, dt) is None:
             raise ConfigurationError(f"snapshot time {ts} is not a multiple of dt={dt}")
     return n_steps
 

@@ -30,6 +30,10 @@ Recovery modes:
 
 Parameter names spell out the coupling direction: ``b_e_to_i`` is the
 strength with which the excitatory rate drives the inhibitory population.
+The model is written once for both populations: every pair (densities,
+refractory masses, rates, recorded rates, coefficients) is in E, I order,
+and the coupling, delay and lag tables and the delayed rates are indexed
+[target][source], so entry [y][x] is the influence of population x on y.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +54,7 @@ from .errors import (
     SingularFiringRateError,
     check_finite,
 )
-from .integrate import DEFAULT_BLOWUP_THRESHOLD, TWO_POPULATIONS, RunRecord, integrate
+from .integrate import DEFAULT_BLOWUP_THRESHOLD, TWO_POPULATIONS, RunRecord, integrate, whole_steps
 from .norms import norm_grid
 from .onepop import ShiftedSystem, factor_pays_off, system_matrix
 
@@ -56,6 +62,8 @@ RECOVERY_PASS_THROUGH = "pass-through"
 RECOVERY_EXPONENTIAL = "exponential"
 DIFFUSION_CONSTANT = "constant"
 DIFFUSION_MODEL = "model"
+# population tags, in the order of every pair and table index
+POPULATIONS = ("e", "i")
 
 
 @dataclass(frozen=True)
@@ -107,49 +115,49 @@ class TwoPopParams:
         if self.refractory_mode == RECOVERY_EXPONENTIAL and (self.tau_e <= 0 or self.tau_i <= 0):
             raise ConfigurationError("exponential recovery needs positive refractory durations")
 
-    def delay_lags(self, dt: float) -> dict[str, int]:
-        """Delays as integer step counts; rejects non-divisible delays."""
-        lags = {}
-        for name in ("delay_e_to_e", "delay_e_to_i", "delay_i_to_e", "delay_i_to_i"):
-            d = getattr(self, name)
-            lag = round(d / dt)
-            if abs(lag * dt - d) > 1e-9 * max(1.0, d):
-                raise ConfigurationError(f"{name}={d} is not an integer multiple of dt={dt}")
-            lags[name] = lag
-        return lags
+    @cached_property
+    def tables(self) -> dict[str, tuple]:
+        """The ``b``, ``d`` and ``delay`` couplings as tables indexed
+        [target][source], populations in E, I order: ``tables["b"][y][x]``
+        is ``b_x_to_y``."""
+        return {
+            kind: tuple(tuple(getattr(self, f"{kind}_{x}_to_{y}") for x in POPULATIONS) for y in POPULATIONS)
+            for kind in ("b", "d", "delay")
+        }
+
+    def delay_lags(self, dt: float) -> tuple:
+        """Delays as integer step counts indexed [target][source]; rejects
+        delays that are not whole numbers of steps."""
+        for source in POPULATIONS:
+            for target in POPULATIONS:
+                name = f"delay_{source}_to_{target}"
+                if whole_steps(getattr(self, name), dt) is None:
+                    raise ConfigurationError(f"{name}={getattr(self, name)} is not an integer multiple of dt={dt}")
+        return tuple(tuple(whole_steps(d, dt) for d in row) for row in self.tables["delay"])
 
 
-def recovery(r_mass: float, rate: float, params: TwoPopParams, pop: str) -> float:
-    """Recovery rate M for one population ('e' or 'i')."""
+def recovery(r, rates, params: TwoPopParams):
+    """Recovery rates M of both populations from their refractory masses
+    ``r`` and rates."""
     if params.refractory_mode == RECOVERY_PASS_THROUGH:
-        return rate
-    tau = params.tau_e if pop == "e" else params.tau_i
-    return r_mass / tau
+        return rates
+    return [mass / tau for mass, tau in zip(r, (params.tau_e, params.tau_i))]
 
 
-def coefficients(params: TwoPopParams, n_e_delayed: float, n_i_delayed: float, pop: str):
-    """Drift offset V_alpha and diffusion a_alpha for one population."""
-    if pop == "e":
-        v_drift = params.b_e_to_e * n_e_delayed - params.b_i_to_e * n_i_delayed
-        if params.diffusion_mode == DIFFUSION_CONSTANT:
-            diff = params.diffusion_constant
-        else:
-            diff = params.d_e_to_e * (params.nu_ext + n_e_delayed) + params.d_i_to_e * n_i_delayed
-    elif pop == "i":
-        v_drift = (
-            params.b_e_to_i * n_e_delayed
-            - params.b_i_to_i * n_i_delayed
-            + (params.b_e_to_i - params.b_e_to_e) * params.nu_ext
-        )
-        if params.diffusion_mode == DIFFUSION_CONSTANT:
-            diff = params.diffusion_constant
-        else:
-            diff = params.d_e_to_i * (params.nu_ext + n_e_delayed) + params.d_i_to_i * n_i_delayed
-    else:
-        raise ValueError(f"population tag must be 'e' or 'i', got {pop!r}")
-    if diff <= 0:
-        raise NonpositiveDiffusionError(f"diffusion for population {pop} is {diff:.6g} <= 0")
-    return v_drift, diff
+def coefficients(params: TwoPopParams, delayed):
+    """Drift offsets V and diffusions a of both populations, from the delayed
+    rates indexed [target][source] (:func:`delayed_rates`)."""
+    # the excitatory source (index 0) raises the drift, the inhibitory one lowers it
+    drift = [b[0] * seen[0] - b[1] * seen[1] for b, seen in zip(params.tables["b"], delayed)]
+    # the external input shifts the inhibitory drift only
+    drift[1] += (params.b_e_to_i - params.b_e_to_e) * params.nu_ext
+    if params.diffusion_mode == DIFFUSION_CONSTANT:
+        return drift, (params.diffusion_constant,) * 2
+    diffusion = [d[0] * (params.nu_ext + seen[0]) + d[1] * seen[1] for d, seen in zip(params.tables["d"], delayed)]
+    for pop, diff in zip(POPULATIONS, diffusion):
+        if diff <= 0:
+            raise NonpositiveDiffusionError(f"diffusion for population {pop} is {diff:.6g} <= 0")
+    return drift, diffusion
 
 
 def lagged_rate(history, current: float, n: int, lag: int) -> float:
@@ -160,73 +168,68 @@ def lagged_rate(history, current: float, n: int, lag: int) -> float:
     return current if i == n else float(history[i])
 
 
-@dataclass(frozen=True)
-class TwoPopState:
-    """Densities (coefficients or cell values), refractory masses and rates
-    of both populations at step ``step_index``.
+class TwoPopState(NamedTuple):
+    """Densities, refractory masses and rates of both populations at step
+    ``step_index``, populations in E, I order.
 
-    ``rate_e``/``rate_i`` are the rates of this state.  ``history_e`` and
-    ``history_i`` hold the recorded rates of the run, entry k for step k; a
-    step reads the entries before its own index that its delays reach, which
-    with zero delays is none.
+    ``u`` holds the densities: a pair of coefficient vectors (spectral) or
+    one (2, n) array of cell values (finite volumes).  ``r`` and ``rate``
+    are pairs, the latter the rates of this state.  ``history`` is the pair
+    of recorded rate columns of the run, entry k for step k; a step reads the
+    entries before its own index that its delays reach, which with zero
+    delays is none.
     """
 
-    u_e: np.ndarray
-    u_i: np.ndarray
-    r_e: float
-    r_i: float
+    u: Sequence[np.ndarray] | np.ndarray
+    r: Sequence[float]
     t: float
     step_index: int
-    rate_e: float
-    rate_i: float
-    history_e: Sequence[float] = ()
-    history_i: Sequence[float] = ()
+    rate: Sequence[float]
+    history: Sequence[Sequence[float]] = ((), ())
+
+    def refractory_after(self, inflow, dt: float) -> list:
+        """Refractory masses one forward-Euler step later, R + dt (N - M),
+        with recovery rates ``inflow``."""
+        return [r + dt * (rate - m) for r, rate, m in zip(self.r, self.rate, inflow)]
 
 
-def delayed_rates(state: TwoPopState, lags: dict[str, int]):
-    """Delayed (N_E, N_I) arguments of the excitatory and of the inhibitory
-    population's coefficients at the state's step."""
-    n, hist_e, hist_i, n_e, n_i = state.step_index, state.history_e, state.history_i, state.rate_e, state.rate_i
-    return (
-        (lagged_rate(hist_e, n_e, n, lags["delay_e_to_e"]), lagged_rate(hist_i, n_i, n, lags["delay_i_to_e"])),
-        (lagged_rate(hist_e, n_e, n, lags["delay_e_to_i"]), lagged_rate(hist_i, n_i, n, lags["delay_i_to_i"])),
-    )
+def delayed_rates(state: TwoPopState, lags):
+    """Delayed rates at the state's step indexed [target][source]: entry
+    [y][x] is the rate of population x that population y sees."""
+    n, rate, history = state.step_index, state.rate, state.history
+    return [[*map(lagged_rate, history, rate, (n, n), row)] for row in lags]
 
 
-def _resolve_rates(params: TwoPopParams, n: int, s_e: float, s_i: float, lags, history_e, history_i):
-    """Rates N_E^n, N_I^n of a state at step n with threshold slopes s_e, s_i.
+def _resolve_rates(params: TwoPopParams, n: int, slopes, lags, history):
+    """Rates (N_E^n, N_I^n) of a state at step n with threshold slopes
+    ``slopes``.
 
     Delayed lookups whose clamped index is n itself are implicit: with
     constant diffusion they drop out of the rate (N = -a s), with model-mode
     diffusion the two rate relations stay affine in (N_E, N_I) and the 2x2
-    system is solved exactly.  Earlier steps are read from the histories.
+    system is solved exactly.  Earlier steps are read from the history.
     """
     if params.diffusion_mode == DIFFUSION_CONSTANT:
         a_const = params.diffusion_constant
-        return -a_const * s_e, -a_const * s_i
+        return [-a_const * s for s in slopes]
 
-    # rows: relations for N_E and N_I; unknown entries are the lookups
-    # that clamp to the current step
+    # row y is the relation for N_y; unknown entries are the lookups that
+    # clamp to the current step
     mat = np.eye(2)
-    rhs = np.array([-s_e * params.d_e_to_e * params.nu_ext, -s_i * params.d_e_to_i * params.nu_ext])
-    for row, col, s_val, d, delay, history in (
-        (0, 0, s_e, params.d_e_to_e, "delay_e_to_e", history_e),
-        (0, 1, s_e, params.d_i_to_e, "delay_i_to_e", history_i),
-        (1, 0, s_i, params.d_e_to_i, "delay_e_to_i", history_e),
-        (1, 1, s_i, params.d_i_to_i, "delay_i_to_i", history_i),
-    ):
-        i = max(0, n - lags[delay])
-        if i == n:
-            mat[row, col] += s_val * d
-        else:
-            rhs[row] -= s_val * d * float(history[i])
+    rhs = np.array([-s * d_row[0] * params.nu_ext for s, d_row in zip(slopes, params.tables["d"])])
+    for y, (s, d_row, lag_row) in enumerate(zip(slopes, params.tables["d"], lags)):
+        for x, (d, lag) in enumerate(zip(d_row, lag_row)):
+            i = max(0, n - lag)
+            if i == n:
+                mat[y, x] += s * d
+            else:
+                rhs[y] -= s * d * float(history[x][i])
     det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
     if abs(det) < 1e-12:
         raise SingularFiringRateError(
             f"implicit two-population rate system singular (det={det:.3e})"
         )
-    n_e, n_i = np.linalg.solve(mat, rhs)
-    return float(n_e), float(n_i)
+    return [float(rate) for rate in np.linalg.solve(mat, rhs)]
 
 
 def step_twopop(
@@ -234,13 +237,13 @@ def step_twopop(
     params: TwoPopParams,
     matrices: GalerkinMatrices,
     dt: float,
-    lags: dict[str, int] | None = None,
+    lags: tuple | None = None,
     shifted: ShiftedSystem | None = None,
 ) -> TwoPopState:
     """Advance both populations and the refractory masses by one step.
 
     The current rates come from ``state`` and the delayed ones from its
-    histories; ``state`` itself is left untouched.  When the new state's
+    history; ``state`` itself is left untouched.  When the new state's
     rates cannot be resolved they are NaN, and stepping that state raises
     :class:`SingularFiringRateError`.  ``shifted``, the run's factored
     constant-diffusion operator, replaces the dense solves; it must have
@@ -248,64 +251,46 @@ def step_twopop(
     """
     if lags is None:
         lags = params.delay_lags(dt)
-    n_e, n_i = state.rate_e, state.rate_i
-    if math.isnan(n_e) or math.isnan(n_i):
+    if any(map(math.isnan, state.rate)):
         raise SingularFiringRateError(f"firing rates at t={state.t:.6g} are unresolved")
-    delayed_for_e, delayed_for_i = delayed_rates(state, lags)
-    m_e = recovery(state.r_e, n_e, params, "e")
-    m_i = recovery(state.r_i, n_i, params, "i")
-
+    inflow = recovery(state.r, state.rate, params)
     implicit_flux = params.refractory_mode == RECOVERY_PASS_THROUGH
-    new_u = {}
-    for pop, u_old, delayed, m_rate in (
-        ("e", state.u_e, delayed_for_e, m_e),
-        ("i", state.u_i, delayed_for_i, m_i),
-    ):
-        v_drift, diff = coefficients(params, delayed[0], delayed[1], pop)
-        if shifted is not None:
-            new_u[pop] = shifted.solve(u_old, v_drift, m_rate)
-            continue
-        lhs = system_matrix(matrices, v_drift, diff, dt, flux_shift_implicit=implicit_flux)
-        rhs = matrices.H @ u_old / dt
-        if not implicit_flux:
-            rhs = rhs + m_rate * matrices.F
-        try:
-            new_u[pop] = np.linalg.solve(lhs, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise LinearSolveError(
-                f"population {pop} system singular at t={state.t:.6g}: {exc}"
-            ) from exc
-
     deriv_tr = matrices.traces.deriv_at_threshold
+    u, slopes = [], []
+    drift, diffusion = coefficients(params, delayed_rates(state, lags))
+    for pop, u_old, v_drift, diff, m_rate in zip(POPULATIONS, state.u, drift, diffusion, inflow):
+        if shifted is not None:
+            u_new = shifted.solve(u_old, v_drift, m_rate)
+        else:
+            lhs = system_matrix(matrices, v_drift, diff, dt, flux_shift_implicit=implicit_flux)
+            rhs = matrices.H @ u_old / dt
+            if not implicit_flux:
+                rhs = rhs + m_rate * matrices.F
+            try:
+                u_new = np.linalg.solve(lhs, rhs)
+            except np.linalg.LinAlgError as exc:
+                raise LinearSolveError(
+                    f"population {pop} system singular at t={state.t:.6g}: {exc}"
+                ) from exc
+        u.append(u_new)
+        slopes.append(float(deriv_tr.dot(u_new)))
+
     try:
-        rate_e, rate_i = _resolve_rates(
-            params, state.step_index + 1,
-            float(np.dot(deriv_tr, new_u["e"])), float(np.dot(deriv_tr, new_u["i"])),
-            lags, state.history_e, state.history_i,
-        )
+        rate = _resolve_rates(params, state.step_index + 1, slopes, lags, state.history)
     except (SingularFiringRateError, np.linalg.LinAlgError):
-        rate_e = rate_i = float("nan")
-    return TwoPopState(
-        u_e=new_u["e"],
-        u_i=new_u["i"],
-        r_e=state.r_e + dt * (n_e - m_e),
-        r_i=state.r_i + dt * (n_i - m_i),
-        t=state.t + dt,
-        step_index=state.step_index + 1,
-        rate_e=rate_e,
-        rate_i=rate_i,
-        history_e=state.history_e,
-        history_i=state.history_i,
-    )
+        rate = [math.nan, math.nan]
+    r = state.refractory_after(inflow, dt)
+    return TwoPopState(u, r, state.t + dt, state.step_index + 1, rate, state.history)
 
 
 class _TwoPop:
-    """The spectral two-population model as a :class:`Stepper`."""
+    """The spectral two-population model as a :class:`Stepper`; ``p0`` is the
+    (E, I) pair of initial densities."""
 
     layout = TWO_POPULATIONS
 
-    def __init__(self, p0_e, p0_i, params, matrices, dt):
-        self.p0_e, self.p0_i, self.params, self.matrices, self.dt = p0_e, p0_i, params, matrices, dt
+    def __init__(self, p0, params, matrices, dt):
+        self.p0, self.params, self.matrices, self.dt = p0, params, matrices, dt
         self.out_grid = norm_grid(matrices.basis.domain)
 
     def start(self, rates) -> TwoPopState:
@@ -316,29 +301,21 @@ class _TwoPop:
             implicit_flux = params.refractory_mode == RECOVERY_PASS_THROUGH
             g = system_matrix(mats, 0.0, params.diffusion_constant, math.inf, flux_shift_implicit=implicit_flux)
             self.shifted = ShiftedSystem(g, -mats.B, mats, self.dt, source=not implicit_flux)
-        u_e = project_initial(mats, self.p0_e)
-        u_i = project_initial(mats, self.p0_i)
+        u = [project_initial(mats, p0) for p0 in self.p0]
         # rates at t=0 follow the delayed-coefficient rule of the first step
         # (every lookup clamps to the current step)
-        deriv_tr = mats.traces.deriv_at_threshold
-        rate_e, rate_i = _resolve_rates(
-            params, 0, float(np.dot(deriv_tr, u_e)), float(np.dot(deriv_tr, u_i)), self.lags, *rates
-        )
-        return TwoPopState(u_e, u_i, 0.0, 0.0, 0.0, 0, rate_e, rate_i, *rates)
+        slopes = [float(mats.traces.deriv_at_threshold.dot(c)) for c in u]
+        return TwoPopState(u, (0.0, 0.0), 0.0, 0, _resolve_rates(params, 0, slopes, self.lags, rates), rates)
 
     def step(self, state: TwoPopState) -> TwoPopState:
         return step_twopop(state, self.params, self.matrices, self.dt, self.lags, self.shifted)
 
     def observe(self, state: TwoPopState):
         mass = self.matrices.mass
-        return (
-            state.rate_e, state.rate_i,
-            float(np.dot(mass, state.u_e)), float(np.dot(mass, state.u_i)),
-            state.r_e, state.r_i,
-        )
+        return (*state.rate, *map(mass.dot, state.u), *state.r)
 
     def densities(self, state: TwoPopState) -> np.ndarray:
-        return np.array([reconstruct(self.matrices.basis, u, self.out_grid) for u in (state.u_e, state.u_i)])
+        return np.array([reconstruct(self.matrices.basis, c, self.out_grid) for c in state.u])
 
 
 def solve_twopop(
@@ -360,4 +337,4 @@ def solve_twopop(
     threshold (up to a bounded window) so near-simultaneous events yield a
     trip time for each population.
     """
-    return integrate(_TwoPop(p0_e, p0_i, params, matrices, dt), dt, t_final, snapshot_times, blowup_threshold)
+    return integrate(_TwoPop((p0_e, p0_i), params, matrices, dt), dt, t_final, snapshot_times, blowup_threshold)

@@ -329,15 +329,15 @@ def test_criterion_10_reduction_equivalence(domain, gaussian_ic):
     # constant diffusion: N = -a s for each population
     rate0 = -params2.diffusion_constant * float(np.dot(mats.traces.deriv_at_threshold, u0))
     two = TwoPopState(
-        u_e=u0.copy(), u_i=u0.copy(), r_e=0.0, r_i=0.0, t=0.0, step_index=0,
-        rate_e=rate0, rate_i=rate0,
+        u=(u0.copy(), u0.copy()), r=(0.0, 0.0), t=0.0, step_index=0,
+        rate=(rate0, rate0),
     )
     lags = params2.delay_lags(dt)
     worst = 0.0
     for _ in range(100):
         one = step(one, params1, mats, dt)
         two = step_twopop(two, params2, mats, dt, lags)
-        worst = max(worst, float(np.max(np.abs(two.u_e - one.u_hat))))
+        worst = max(worst, float(np.max(np.abs(two.u[0] - one.u_hat))))
     assert worst <= 1e-10
 
     _report(10, time.perf_counter() - t0, 10.0, f"max per-step coefficient gap {worst:.1e}")

@@ -162,3 +162,25 @@ def test_twopop_requires_constant_diffusion(domain):
     params = TwoPopParams(diffusion_mode="model", d_e_to_e=1.0)
     with pytest.raises(ConfigurationError, match="constant diffusion"):
         fdm_solve_twopop(ic, ic, params, g, 1e-5, 0.01)
+
+
+def test_reference_timestep_divides_t_final_and_every_delay(domain):
+    g = FdmGrid.build(domain, v_min=-6.0, h=1.0 / 32.0)
+    t_final = 0.2
+    undelayed = TwoPopParams(b_e_to_e=0.5, b_i_to_e=0.75)
+    bound = 0.9 * cfl_timestep(g, 1.0, 1.0, 0.0)
+    assert reference_timestep(g, undelayed, t_final) == t_final / np.ceil(t_final / bound)
+
+    delays = {"delay_e_to_e": 0.04, "delay_e_to_i": 0.0, "delay_i_to_e": 0.0125, "delay_i_to_i": 0.03}
+    dt = reference_timestep(g, TwoPopParams(b_e_to_e=0.5, b_i_to_e=0.75, **delays), t_final)
+    assert dt <= bound
+    n_steps = round(t_final / dt)
+    assert n_steps * dt == pytest.approx(t_final, rel=1e-12)
+    for name, delay in delays.items():
+        assert round(delay / dt) * dt == pytest.approx(delay, abs=1e-12), name
+    # every larger step of the form t_final/k misses one of the delays
+    for k in range(int(np.ceil(t_final / bound)), n_steps):
+        assert any(abs(round(d / (t_final / k)) * t_final / k - d) > 1e-9 for d in delays.values())
+    # no step count of the search divides an incommensurate delay
+    with pytest.raises(ConfigurationError, match="divides t_final"):
+        reference_timestep(g, TwoPopParams(delay_e_to_e=0.1 * np.pi), 2.0)

@@ -21,12 +21,17 @@ from nnlif.experiments import (
     run_experiment,
 )
 from nnlif.fdm import FdmGrid, fdm_solve, fdm_solve_twopop, reference_timestep
-from nnlif.integrate import ONE_POPULATION, TWO_POPULATIONS, RunRecord
+from nnlif.integrate import ONE_POPULATION, TWO_POPULATIONS, RunRecord, whole_steps
 from nnlif.norms import norm_grid
 from nnlif.onepop import OnePopParams, solve
 from nnlif.quadrature import gauss_legendre
 from nnlif.records import emit_run_record, emit_table, parse_table
 from nnlif.twopop import TwoPopParams, solve_twopop
+
+
+def _shipped_config(name):
+    with open(os.path.join(os.path.dirname(__file__), "..", "configs", name)) as f:
+        return json.load(f)
 
 
 def _write(tmp_path, name, payload):
@@ -202,6 +207,15 @@ def test_config_rejects_nondivisible_delay():
     cfg["initial"] = _TWOPOP_INITIAL
     with pytest.raises(ConfigurationError, match="integer multiple"):
         parse_config(cfg)
+
+
+def test_whole_steps_counts_steps_to_a_relative_tolerance():
+    assert whole_steps(0.2, 0.04) == 5
+    assert whole_steps(0.0, 0.04) == 0
+    assert whole_steps(0.05, 0.02) is None
+    assert whole_steps(0.2 + 1e-10, 0.04) == 5
+    assert whole_steps(2000.0 + 1e-7, 0.5) == 4000
+    assert whole_steps(2000.0 + 1e-5, 0.5) is None
 
 
 # --- classifier --------------------------------------------------------------
@@ -584,6 +598,22 @@ def test_cli_runs_and_is_deterministic(tmp_path):
     out = str(tmp_path / "out")
     assert main(["blowup", "--config", cfg_path, "--out", out, "--check-determinism"]) == 0
     assert os.path.exists(os.path.join(out, "blowup_run.csv"))
+
+
+def test_cli_delayed_twopop_ladder_against_fdm_reference(tmp_path, capsys):
+    # every delay a multiple of every ladder dt: the FDM reference picks a
+    # step that divides them too, where it used to fail on its own dt
+    raw = _shipped_config("convergence_time_twopop.json")
+    raw["model"].update(delay_e_to_e=0.04, delay_e_to_i=0.04, delay_i_to_e=0.04, delay_i_to_i=0.04)
+    raw["reference"]["h"] = 1.0 / 32.0
+    cfg_path = _write(tmp_path, "cfg.json", raw)
+    out = tmp_path / "out"
+    rc = main(["convergence-time", "--config", cfg_path, "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["convergence_time_e.csv", "convergence_time_i.csv"]
+    for name in os.listdir(out):
+        _, cols = parse_table(str(out / name))
+        assert np.all(np.isfinite(cols["l2_error"]))
 
 
 _TINY_EFFICIENCY = _tiny("efficiency", {"dt": 0.01, "t_final": 0.1, "m_values": [4], "h_values": [0.125],

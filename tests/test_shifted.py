@@ -75,17 +75,17 @@ def _dense_twopop(params, mats, dt, n_steps):
     ``n_steps`` dense steps from the stepper's initial state, with the
     delayed rates read from columns filled as the integrator fills them."""
     cols = [np.empty(n_steps + 1), np.empty(n_steps + 1)]
-    state = _TwoPop(IC, IC_I, params, mats, dt).start(cols)
+    state = _TwoPop((IC, IC_I), params, mats, dt).start(cols)
     series = {key: [] for key in ("rate_e", "rate_i", "mass_e", "mass_i")}
     for n in range(n_steps + 1):
         if n:
             state = step_twopop(state, params, mats, dt)
-        cols[0][n], cols[1][n] = state.rate_e, state.rate_i
-        series["rate_e"].append(state.rate_e)
-        series["rate_i"].append(state.rate_i)
-        series["mass_e"].append(float(np.dot(mats.mass, state.u_e)))
-        series["mass_i"].append(float(np.dot(mats.mass, state.u_i)))
-    return {key: np.array(v) for key, v in series.items()}, state.u_e, state.u_i
+        cols[0][n], cols[1][n] = state.rate
+        series["rate_e"].append(state.rate[0])
+        series["rate_i"].append(state.rate[1])
+        series["mass_e"].append(float(np.dot(mats.mass, state.u[0])))
+        series["mass_i"].append(float(np.dot(mats.mass, state.u[1])))
+    return {key: np.array(v) for key, v in series.items()}, state.u[0], state.u[1]
 
 
 def _density(mats, u):
@@ -216,7 +216,7 @@ def test_fast_path_only_past_2dim_solves():
     model = replace(constant, diffusion_mode="model", d_e_to_e=0.5, d_e_to_i=0.5, nu_ext=2.0)
     long_run = [np.empty(dim + 2), np.empty(dim + 2)]
     for params, factored in ((constant, True), (model, False)):
-        twopop = _TwoPop(IC, IC_I, params, mats, 1e-3)
+        twopop = _TwoPop((IC, IC_I), params, mats, 1e-3)
         twopop.start(long_run)
         assert (twopop.shifted is not None) == factored
         twopop.start([np.empty(dim + 1), np.empty(dim + 1)])

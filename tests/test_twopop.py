@@ -74,24 +74,22 @@ def test_delay_must_divide_dt(m16, domain):
 
 def test_external_offset_vanishes_for_excitatory():
     params = TwoPopParams(b_e_to_e=2.0, b_e_to_i=3.0, b_i_to_e=1.0, b_i_to_i=0.5, nu_ext=7.0)
-    v_e, _ = coefficients(params, 0.0, 0.0, "e")
+    (v_e, v_i), _ = coefficients(params, [[0.0, 0.0]] * 2)
     assert v_e == 0.0
-    v_i, _ = coefficients(params, 0.0, 0.0, "i")
     assert v_i == (3.0 - 2.0) * 7.0
 
 
 def test_drift_offsets_zero_without_input():
     params = TwoPopParams(b_e_to_e=2.0, b_e_to_i=3.0, b_i_to_e=1.0, b_i_to_i=0.5)
-    for pop in ("e", "i"):
-        v, a = coefficients(params, 0.0, 0.0, pop)
+    for v, a in zip(*coefficients(params, [[0.0, 0.0]] * 2)):
         assert v == 0.0
         assert a == 1.0
 
 
 def test_constant_diffusion_mode():
     params = TwoPopParams(diffusion_constant=1.0)
-    for pop in ("e", "i"):
-        assert coefficients(params, 0.7, 0.3, pop)[1] == 1.0
+    for a in coefficients(params, [[0.7, 0.3]] * 2)[1]:
+        assert a == 1.0
 
 
 def test_model_diffusion_mode():
@@ -99,25 +97,24 @@ def test_model_diffusion_mode():
         d_e_to_e=0.2, d_e_to_i=0.1, d_i_to_e=0.3, d_i_to_i=0.4,
         nu_ext=2.0, diffusion_mode="model",
     )
-    _, a_e = coefficients(params, 1.0, 2.0, "e")
+    _, (a_e, a_i) = coefficients(params, [[1.0, 2.0]] * 2)
     assert a_e == pytest.approx(0.2 * (2.0 + 1.0) + 0.3 * 2.0)
-    _, a_i = coefficients(params, 1.0, 2.0, "i")
     assert a_i == pytest.approx(0.1 * (2.0 + 1.0) + 0.4 * 2.0)
 
 
 def test_nonpositive_diffusion_rejected():
     params = TwoPopParams(diffusion_mode="model", d_e_to_e=0.1)
     with pytest.raises(NonpositiveDiffusionError):
-        coefficients(params, 0.0, 0.0, "e")
+        coefficients(params, [[0.0, 0.0]] * 2)
 
 
 def test_recovery_modes():
     exp = TwoPopParams(tau_e=0.025, tau_i=0.05, refractory_mode="exponential")
-    assert recovery(0.0, 1.0, exp, "e") == 0.0
-    assert recovery(0.05, 1.0, exp, "e") == pytest.approx(2.0)
-    assert recovery(0.05, 1.0, exp, "i") == pytest.approx(1.0)
+    assert recovery((0.0, 0.0), (1.0, 1.0), exp)[0] == 0.0
+    assert recovery((0.05, 0.05), (1.0, 1.0), exp)[0] == pytest.approx(2.0)
+    assert recovery((0.05, 0.05), (1.0, 1.0), exp)[1] == pytest.approx(1.0)
     passthrough = TwoPopParams(refractory_mode="pass-through")
-    assert recovery(0.33, 0.7, passthrough, "e") == 0.7
+    assert recovery((0.33, 0.33), (0.7, 0.7), passthrough)[0] == 0.7
 
 
 def test_params_validation():
@@ -131,6 +128,35 @@ def test_params_validation():
         TwoPopParams(delay_e_to_e=0.05).delay_lags(0.02)
 
 
+def test_pairs_are_indexed_target_then_source():
+    # four distinct delays and couplings: a transposed table or lookup reads
+    # another history entry or coupling than the one asserted
+    dt = 0.01
+    params = TwoPopParams(
+        b_e_to_e=1.0, b_e_to_i=2.0, b_i_to_e=3.0, b_i_to_i=5.0,
+        d_e_to_e=0.1, d_e_to_i=0.2, d_i_to_e=0.3, d_i_to_i=0.5,
+        delay_e_to_e=0.01, delay_e_to_i=0.02, delay_i_to_e=0.03, delay_i_to_i=0.04,
+        nu_ext=7.0, diffusion_mode="model",
+    )
+    lags = params.delay_lags(dt)
+    assert lags == ((1, 3), (2, 4))
+    history = (np.arange(10.0) + 100.0, np.arange(10.0) + 200.0)
+    n = 8
+    state = TwoPopState(u=(None, None), r=(0.0, 0.0), t=n * dt, step_index=n, rate=(-1.0, -2.0), history=history)
+    delayed = twopop.delayed_rates(state, lags)
+    # delayed[y][x]: the rate of source x that target y sees, from step n - lag
+    assert delayed == [[history[0][n - 1], history[1][n - 3]], [history[0][n - 2], history[1][n - 4]]]
+    drift, diffusion = coefficients(params, delayed)
+    assert drift[0] == 1.0 * 107.0 - 3.0 * 205.0
+    assert drift[1] == 2.0 * 106.0 - 5.0 * 204.0 + (2.0 - 1.0) * 7.0
+    assert diffusion[0] == pytest.approx(0.1 * (7.0 + 107.0) + 0.3 * 205.0)
+    assert diffusion[1] == pytest.approx(0.2 * (7.0 + 106.0) + 0.5 * 204.0)
+    # the implicit rate relations of step n read the same entries
+    rates = twopop._resolve_rates(params, n, (-1.0, -2.0), lags, history)
+    assert rates[0] == pytest.approx(1.0 * (0.1 * (7.0 + 107.0) + 0.3 * 205.0))
+    assert rates[1] == pytest.approx(2.0 * (0.2 * (7.0 + 106.0) + 0.5 * 204.0))
+
+
 # --- stepping ----------------------------------------------------------------
 
 
@@ -139,13 +165,13 @@ def test_zero_state_stays_zero(m16):
     params = _decoupled(b_e_to_e=1.0)
     dim = basis.dim
     state = TwoPopState(
-        u_e=np.zeros(dim), u_i=np.zeros(dim), r_e=0.0, r_i=0.0,
-        t=0.0, step_index=0, rate_e=0.0, rate_i=0.0,
+        u=(np.zeros(dim), np.zeros(dim)), r=(0.0, 0.0),
+        t=0.0, step_index=0, rate=(0.0, 0.0),
     )
     out = step_twopop(state, params, mats, 1e-3)
-    assert np.array_equal(out.u_e, np.zeros(dim))
-    assert np.array_equal(out.u_i, np.zeros(dim))
-    assert out.r_e == 0.0 and out.r_i == 0.0
+    assert np.array_equal(out.u[0], np.zeros(dim))
+    assert np.array_equal(out.u[1], np.zeros(dim))
+    assert out.r[0] == 0.0 and out.r[1] == 0.0
 
 
 def test_discarded_probe_step_leaves_trajectory_unchanged(m16, domain, monkeypatch):
