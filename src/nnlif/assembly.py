@@ -24,6 +24,7 @@ import numpy as np
 from .basis import BasisSet, BoundaryTraces
 from .errors import ConfigurationError, IllConditionedBasisError, check_finite
 from .quadrature import gauss_laguerre, gauss_legendre, map_affine
+from .records import write_rows
 
 # width of the composite panels used for projection right-hand sides; the
 # integrands decay at least like exp(-x/2), so 20 panels reach amplitudes
@@ -226,5 +227,4 @@ def dump_matrices(matrices: GalerkinMatrices, directory: str) -> None:
     for name, arr in items.items():
         path = os.path.join(directory, f"{name}.csv")
         with open(path, "w", encoding="utf-8") as fh:
-            for row in np.atleast_2d(arr):
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+            write_rows(fh, np.atleast_2d(arr).T)

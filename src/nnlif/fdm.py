@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
@@ -33,7 +34,7 @@ from .errors import ConfigurationError, SingularFiringRateError
 from .integrate import DEFAULT_BLOWUP_THRESHOLD, ONE_POPULATION, TWO_POPULATIONS, RunRecord, integrate, whole_steps
 from .norms import norm_grid
 from .onepop import OnePopParams
-from .twopop import DIFFUSION_CONSTANT, TwoPopParams, TwoPopState, coefficients, delayed_rates, recovery
+from .twopop import DELAY_NAMES, DIFFUSION_CONSTANT, TwoPopParams, TwoPopState, coefficients, delayed_rates, recovery
 
 DEFAULT_V_MIN = -6.0
 DEFAULT_H = 1.0 / 128.0
@@ -141,7 +142,7 @@ def _stable_timestep(grid: FdmGrid, params, rate_cap: float) -> float:
         # the largest drift offset either population can see
         offset = (
             max(abs(b[0]) + abs(b[1]) for b in params.tables["b"]) * rate_cap
-            + abs(params.b_e_to_i - params.b_e_to_e) * params.nu_ext
+            + abs(params.drive_shift)
         )
         return cfl_timestep(grid, params.diffusion_constant, 1.0, offset)
     return cfl_timestep(grid, params.a0 + params.a1 * rate_cap, rate_cap, params.b)
@@ -152,15 +153,27 @@ def reference_timestep(grid: FdmGrid, params, t_final: float) -> float:
     t_final and, for two populations (TwoPopParams), every nonzero delay;
     the search looks at ``_STEP_SEARCH`` step counts.
 
+    A nonzero delay must be, to rounding (1e-12 relative), a fraction p/q
+    of t_final with q below the search's last step count: only the step
+    counts that q divides hold it exactly.  Any other delay is rejected,
+    because it still comes within the 1e-9 of :func:`whole_steps` at some
+    step count, which can lie far past the stability bound.
+
     One population allows for mild rate-driven growth of drift and diffusion
     (rates up to 1); two populations bound the external drive only.
     """
     two = isinstance(params, TwoPopParams)
     bound = 0.9 * _stable_timestep(grid, params, 0.0 if two else 1.0)
-    delays = [d for row in params.tables["delay"] for d in row if d > 0] if two else []
     first = math.ceil(t_final / bound)
+    delays = {name: d for name in DELAY_NAMES if (d := getattr(params, name)) > 0} if two else {}
+    for name, delay in delays.items():
+        ratio = delay / t_final
+        if not math.isclose(Fraction(ratio).limit_denominator(first + _STEP_SEARCH - 1), ratio, rel_tol=1e-12):
+            raise ConfigurationError(
+                f"no reference timestep below {bound:.6g} divides t_final={t_final} and {name}={delay}"
+            )
     for n_steps in range(first, first + _STEP_SEARCH):
-        if all(whole_steps(d, t_final / n_steps) is not None for d in delays):
+        if all(whole_steps(d, t_final / n_steps) is not None for d in delays.values()):
             return t_final / n_steps
     raise ConfigurationError(f"no reference timestep below {bound:.6g} divides t_final={t_final} and the delays")
 

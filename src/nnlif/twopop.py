@@ -64,6 +64,7 @@ DIFFUSION_CONSTANT = "constant"
 DIFFUSION_MODEL = "model"
 # population tags, in the order of every pair and table index
 POPULATIONS = ("e", "i")
+DELAY_NAMES = tuple(f"delay_{source}_to_{target}" for source in POPULATIONS for target in POPULATIONS)
 
 
 @dataclass(frozen=True)
@@ -125,14 +126,28 @@ class TwoPopParams:
             for kind in ("b", "d", "delay")
         }
 
+    @cached_property
+    def drive_shift(self) -> float:
+        """Drift offset of the external input on the inhibitory population,
+        (b_e_to_i - b_e_to_e) nu_ext; the excitatory one has none."""
+        return (self.b_e_to_i - self.b_e_to_e) * self.nu_ext
+
+    @cached_property
+    def taus(self) -> tuple[float, float]:
+        """Refractory durations of both populations."""
+        return self.tau_e, self.tau_i
+
+    @cached_property
+    def constant_diffusions(self) -> tuple[float, float]:
+        """Diffusions of both populations in constant-diffusion mode."""
+        return (self.diffusion_constant,) * 2
+
     def delay_lags(self, dt: float) -> tuple:
         """Delays as integer step counts indexed [target][source]; rejects
         delays that are not whole numbers of steps."""
-        for source in POPULATIONS:
-            for target in POPULATIONS:
-                name = f"delay_{source}_to_{target}"
-                if whole_steps(getattr(self, name), dt) is None:
-                    raise ConfigurationError(f"{name}={getattr(self, name)} is not an integer multiple of dt={dt}")
+        for name in DELAY_NAMES:
+            if whole_steps(getattr(self, name), dt) is None:
+                raise ConfigurationError(f"{name}={getattr(self, name)} is not an integer multiple of dt={dt}")
         return tuple(tuple(whole_steps(d, dt) for d in row) for row in self.tables["delay"])
 
 
@@ -141,7 +156,7 @@ def recovery(r, rates, params: TwoPopParams):
     ``r`` and rates."""
     if params.refractory_mode == RECOVERY_PASS_THROUGH:
         return rates
-    return [mass / tau for mass, tau in zip(r, (params.tau_e, params.tau_i))]
+    return [mass / tau for mass, tau in zip(r, params.taus)]
 
 
 def coefficients(params: TwoPopParams, delayed):
@@ -149,10 +164,9 @@ def coefficients(params: TwoPopParams, delayed):
     rates indexed [target][source] (:func:`delayed_rates`)."""
     # the excitatory source (index 0) raises the drift, the inhibitory one lowers it
     drift = [b[0] * seen[0] - b[1] * seen[1] for b, seen in zip(params.tables["b"], delayed)]
-    # the external input shifts the inhibitory drift only
-    drift[1] += (params.b_e_to_i - params.b_e_to_e) * params.nu_ext
+    drift[1] += params.drive_shift
     if params.diffusion_mode == DIFFUSION_CONSTANT:
-        return drift, (params.diffusion_constant,) * 2
+        return drift, params.constant_diffusions
     diffusion = [d[0] * (params.nu_ext + seen[0]) + d[1] * seen[1] for d, seen in zip(params.tables["d"], delayed)]
     for pop, diff in zip(POPULATIONS, diffusion):
         if diff <= 0:

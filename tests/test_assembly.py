@@ -197,6 +197,17 @@ def test_normalize_gaussian_rejects_bad_variance(domain):
         normalize_gaussian(0.0, 0.0, domain)
 
 
+def test_dump_matrices_writes_the_row_loop_text(tmp_path, m8):
+    _, mats = m8
+    dump_matrices(mats, str(tmp_path))
+    items = {"H": mats.H, "A": mats.A, "B": mats.B, "C": mats.C, "D": mats.D,
+             "F": mats.F.reshape(1, -1), "mass": mats.mass.reshape(1, -1)}
+    assert sorted(os.listdir(tmp_path)) == sorted(f"{name}.csv" for name in items)
+    for name, arr in items.items():
+        want = "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in arr)
+        assert (tmp_path / f"{name}.csv").read_text(encoding="utf-8") == want, name
+
+
 def test_dump_matrices_roundtrip(tmp_path, m8):
     _, mats = m8
     dump_matrices(mats, str(tmp_path))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nnlif.assembly import assemble, normalize_gaussian
 from nnlif.basis import BasisSet
@@ -16,7 +17,7 @@ from nnlif.fdm import (
 )
 from nnlif.norms import l2_distance, norm_grid
 from nnlif.onepop import OnePopParams, solve
-from nnlif.twopop import TwoPopParams
+from nnlif.twopop import DELAY_NAMES, TwoPopParams
 
 
 @pytest.fixture(scope="module")
@@ -184,3 +185,29 @@ def test_reference_timestep_divides_t_final_and_every_delay(domain):
     # no step count of the search divides an incommensurate delay
     with pytest.raises(ConfigurationError, match="divides t_final"):
         reference_timestep(g, TwoPopParams(delay_e_to_e=0.1 * np.pi), 2.0)
+
+
+def test_reference_timestep_rejects_a_delay_only_near_a_step_count(domain):
+    # 0.1 sqrt(2) is within 1e-9 of 13,860 steps of 0.2 / 19,601, almost 40
+    # times as many steps as the stability bound needs
+    g = FdmGrid.build(domain, v_min=-6.0, h=1.0 / 32.0)
+    params = TwoPopParams(b_e_to_e=0.5, delay_e_to_e=0.04, delay_i_to_e=0.1 * np.sqrt(2))
+    with pytest.raises(ConfigurationError, match="delay_i_to_e=0.1414"):
+        reference_timestep(g, params, 0.2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_steps=st.integers(1, 5000),
+    t_final=st.sampled_from([0.05, 0.2, 1.0, 2.5, 10.0]),
+    lags=st.lists(st.integers(0, 5000), min_size=4, max_size=4),
+)
+def test_reference_timestep_accepts_whole_step_delays(domain, n_steps, t_final, lags):
+    # delays that are whole numbers of a step dividing t_final, as a config
+    # with that spectral step has them
+    g = FdmGrid.build(domain, v_min=-6.0, h=1.0 / 32.0)
+    dt = t_final / n_steps
+    params = TwoPopParams(b_e_to_e=0.5, **{name: lag * dt for name, lag in zip(DELAY_NAMES, lags)})
+    ref_dt = reference_timestep(g, params, t_final)
+    for lag in lags:
+        assert abs(round(lag * dt / ref_dt) * ref_dt - lag * dt) <= 1e-9 * max(1.0, lag * dt)

@@ -8,6 +8,7 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nnlif import assembly, cli, experiments
 from nnlif.basis import BasisSet
@@ -25,7 +26,7 @@ from nnlif.integrate import ONE_POPULATION, TWO_POPULATIONS, RunRecord, whole_st
 from nnlif.norms import norm_grid
 from nnlif.onepop import OnePopParams, solve
 from nnlif.quadrature import gauss_legendre
-from nnlif.records import emit_run_record, emit_table, parse_table
+from nnlif.records import _format, emit_run_record, emit_table, parse_table
 from nnlif.twopop import TwoPopParams, solve_twopop
 
 
@@ -78,6 +79,49 @@ def test_emit_empty_record_header_only(tmp_path):
     meta, parsed = parse_table(path)
     assert list(parsed.keys()) == ["t", "rate", "mass"]
     assert all(len(v) == 0 for v in parsed.values())
+
+
+# float64 values whose 17-digit text is easy to get wrong: signed zeros,
+# infinities, nan, subnormals and values near the ends of the exponent range
+_EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1e300, 1e-300, -1e-300, 0.1, 1 / 3, 123456789.0]
+_cell_floats = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def _tables(draw):
+    """(columns, n_rows): float64 array columns mixed with int, str, Python
+    float list and float32 columns."""
+    n_rows = draw(st.integers(0, 8))
+    kinds = draw(st.lists(st.sampled_from(["float64", "int", "str", "list", "float32"]), min_size=1, max_size=6))
+    columns = {}
+    for j, kind in enumerate(kinds):
+        if kind == "float64":
+            col = np.array(draw(st.lists(_cell_floats, min_size=n_rows, max_size=n_rows)), dtype=np.float64)
+        elif kind == "int":
+            col = np.array(draw(st.lists(st.integers(-(2**40), 2**40), min_size=n_rows, max_size=n_rows)))
+        elif kind == "str":
+            col = draw(st.lists(st.sampled_from(["completed", "blow-up-detected", "a b", ""]),
+                                min_size=n_rows, max_size=n_rows))
+        elif kind == "list":
+            col = draw(st.lists(_cell_floats, min_size=n_rows, max_size=n_rows))
+        else:
+            col = np.array(draw(st.lists(st.floats(width=32), min_size=n_rows, max_size=n_rows)),
+                           dtype=np.float32)
+        columns[f"c{j}_{kind}"] = col
+    return columns, n_rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=_tables())
+def test_emit_table_matches_per_cell_format(tmp_path_factory, table):
+    columns, n_rows = table
+    path = tmp_path_factory.mktemp("emit") / "table.csv"
+    meta = {"dt": 0.001, "status": "completed"}
+    emit_table(str(path), columns, meta)
+    want = "".join(f"# {key}={_format(meta[key])}\n" for key in sorted(meta)) + ",".join(columns) + "\n"
+    want += "".join(",".join(_format(col[i]) for col in columns.values()) + "\n" for i in range(n_rows))
+    assert path.read_bytes() == want.encode("utf-8")
 
 
 def test_emit_rejects_ragged_columns(tmp_path):

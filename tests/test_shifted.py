@@ -279,3 +279,26 @@ def test_zero_shift_denominator_is_a_solver_failure():
     assert run.times.size == 1
     with pytest.raises(LinearSolveError):
         step(started[0], params, mats, dt, stepper.shifted)
+
+
+def test_solves_leave_the_factors_unchanged():
+    mats = _mats(8)
+    params, dt = OnePopParams(1.0, 0.1, 0.5), 1e-3
+    e = params.a1 * (mats.C + mats.D) - params.b * mats.B
+    shifted = ShiftedSystem(system_matrix(mats, 0.0, params.a0, math.inf), e, mats, dt)
+    assert shifted.t.flags.f_contiguous
+    # the eigenvalue -2 makes 1 + 0.5 * lambda exactly zero
+    shifted.t[0, 0] = -2.0
+    factors = {name: getattr(shifted, name).copy() for name in ("t", "r", "z", "g_e")}
+    u_old = np.random.default_rng(3).standard_normal(_dim(8))
+    u_copy = u_old.copy()
+    shifts = (0.0, 0.25, -3.0, 40.0)
+    first = [shifted.solve(u_old, sigma) for sigma in shifts]
+    for _ in range(50):
+        with pytest.raises(LinearSolveError):
+            shifted.solve(u_old, 0.5)
+        for sigma, want in zip(shifts, first):
+            assert np.array_equal(shifted.solve(u_old, sigma), want)
+    for name, want in factors.items():
+        assert np.array_equal(getattr(shifted, name), want), name
+    assert np.array_equal(u_old, u_copy)
