@@ -16,10 +16,6 @@ class ConfigurationError(NnlifError, ValueError):
 class IllConditionedBasisError(NnlifError):
     """The Galerkin mass matrix could not be solved reliably."""
 
-    def __init__(self, message, condition_estimate=None):
-        super().__init__(message)
-        self.condition_estimate = condition_estimate
-
 
 class SingularFiringRateError(NnlifError):
     """The implicit firing-rate relation has no stable solution."""
@@ -34,6 +30,7 @@ class NonpositiveDiffusionError(NnlifError):
 
 
 def check_finite(name: str, value) -> None:
-    """Reject a parameter that is not a finite real number."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+    """Reject a parameter that is not a finite real number; a bool is not
+    one, although Python counts it as a ``numbers.Real``."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
         raise ConfigurationError(f"{name} must be a finite number, got {value!r}")

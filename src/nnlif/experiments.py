@@ -1,7 +1,7 @@
 """Experiment harness: config parsing, suite runners and regime detection.
 
-Each experiment kind reads a JSON config (schema below), runs its ladder or
-grid of deterministic cells, and writes CSV tables via :mod:`records`.
+Each experiment kind reads a JSON config, runs its ladder or grid of
+deterministic cells, and writes CSV tables via :mod:`records`.
 The config is parsed once into typed model parameters and initial
 densities, and each runner assembles the Galerkin matrices once per
 distinct expansion number before any reference run.  Every cell is one
@@ -16,31 +16,13 @@ results are identical for any worker count.  The pool and ``scipy.signal``
 (for the regime classifier's peak finder) are imported where they are used,
 so a serial run that classifies no regime loads neither.
 
-Config schema (version 1)::
-
-    {
-      "schema": 1,
-      "kind": "convergence-time" | "convergence-space" | "stability-grid" |
-              "efficiency" | "blowup" | "twopop-regimes" | "compare-fdm",
-      "domain":    {"v_reset": 1.0, "v_threshold": 2.0, "beta"},  # optional
-      "model":     one-population {"population": "one", "a0", "a1", "b"}
-                   or two-population {"population": "two", "b_e_to_e", ...},
-      "initial":   {"v0", "sigma0_sq"} or {"e": {...}, "i": {...}},
-      "numerics":  {"m", "dt", "t_final", "dt_values", "m_values", "n_q", ...},
-      "reference": {"method": "fdm"|"self", "h", "richardson", "v_min", "dt"},
-      "snapshot_times": [...],
-      "blowup_threshold": ...,
-      "bound": ...,                                      # stability-grid only
-      "detection": {"warmup_fraction", "steady_window_fraction",
-                    "steady_fluctuation", "peak_amplitude_fraction",
-                    "peak_spacing_tolerance"},
-      "sweep":     {"b_e_to_e": [...]}                  # twopop-regimes only
-    }
-
-A key the schema does not name, in any section, is a configuration error.
-Values mirror the canonical experiment tables.  The output headers echo the
-model, numerics and reference sections as given, plus ``blowup_threshold``;
-defaults the config leaves out, ``domain`` and ``detection`` are not echoed.
+The config format (schema version 1) is the table :data:`SCHEMA`: every key
+of every section, with its check and its default.  A key the table does not
+name, in any section, is a configuration error, and a JSON boolean is not a
+number.  Values mirror the canonical experiment tables.  The output headers
+echo the model, numerics and reference sections as given, plus
+``blowup_threshold``; defaults the config leaves out, ``domain`` and
+``detection`` are not echoed.
 """
 
 from __future__ import annotations
@@ -51,6 +33,7 @@ import os
 import statistics
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -58,7 +41,7 @@ from .assembly import GaussianIC, assemble, normalize_gaussian
 from .basis import BasisSet, Domain
 from .errors import ConfigurationError, check_finite
 from .fdm import DEFAULT_V_MIN, FdmGrid, fdm_reference, fdm_solve, reference_timestep
-from .integrate import STATUS_COMPLETED, whole_steps
+from .integrate import DEFAULT_BLOWUP_THRESHOLD, STATUS_COMPLETED, whole_steps
 from .norms import l2_distance, linf_distance, norm_grid
 from .onepop import OnePopParams, solve
 from .records import emit_run_record, emit_snapshot, emit_table
@@ -79,26 +62,6 @@ EXPERIMENT_KINDS = (
 # kinds whose runners only know the one-population model
 _ONE_POPULATION_KINDS = ("convergence-space", "stability-grid", "efficiency", "compare-fdm")
 
-_DETECTION_DEFAULTS = {
-    "warmup_fraction": 0.2,
-    "steady_window_fraction": 0.2,
-    "steady_fluctuation": 0.01,
-    "peak_amplitude_fraction": 0.05,
-    "peak_spacing_tolerance": 0.2,
-}
-
-# the interval each detection setting must lie in, and its test
-_DETECTION_RANGES = {
-    "warmup_fraction": ("[0, 1)", lambda x: 0 <= x < 1),
-    "steady_window_fraction": ("(0, 1]", lambda x: 0 < x <= 1),
-    "steady_fluctuation": ("(0, inf)", lambda x: x > 0),
-    "peak_amplitude_fraction": ("[0, inf)", lambda x: x >= 0),
-    "peak_spacing_tolerance": ("[0, inf)", lambda x: x >= 0),
-}
-
-# config sections that must be JSON objects when given
-_SECTIONS = ("domain", "model", "initial", "numerics", "reference", "detection", "sweep")
-
 # numerics keys each experiment kind reads without a default
 _REQUIRED_NUMERICS = {
     "convergence-time": ("dt_values", "t_final"),
@@ -111,338 +74,13 @@ _REQUIRED_NUMERICS = {
 }
 
 
-@dataclass
-class ExperimentConfig:
-    """A validated config.  ``params`` and ``ic`` are the parsed model: for
-    two populations TwoPopParams and an (E, I) pair of initial densities.
-    ``model`` is the model section as given, echoed into output headers."""
-
-    kind: str
-    domain: Domain
-    model: dict
-    params: OnePopParams | TwoPopParams
-    ic: GaussianIC | tuple
-    numerics: dict
-    reference: dict
-    snapshot_times: tuple
-    blowup_threshold: float
-    bound: float
-    detection: dict
-    sweep: dict
-
-    @property
-    def two_population(self) -> bool:
-        return isinstance(self.params, TwoPopParams)
-
-    @property
-    def m(self) -> int:
-        """The expansion number of single-M runs and of the self reference."""
-        return self.numerics.get("m", 16)
-
-    @property
-    def self_reference(self) -> bool:
-        """Whether the reference is the scheme itself (method "self") rather
-        than the FDM oracle (method "fdm", the default)."""
-        return self.reference.get("method") == "self"
-
-    @property
-    def v_min(self) -> float:
-        """The left end of every FDM grid."""
-        return self.reference.get("v_min", DEFAULT_V_MIN)
-
-
-def load_config(path: str) -> ExperimentConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path}: not valid JSON ({exc})") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigurationError(f"{path}: not UTF-8 text ({exc})") from exc
-    return parse_config(raw)
-
-
-def parse_config(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"a config must be a JSON object, got {type(raw).__name__}")
-    for section in _SECTIONS:
-        if not isinstance(raw.get(section, {}), dict):
-            raise ConfigurationError(f"config section {section!r} must be a JSON object, got {raw[section]!r}")
-    snapshot_times = raw.get("snapshot_times", [])
-    sweep = raw.get("sweep", {})
-    for name, value in (("snapshot_times", snapshot_times), ("sweep.b_e_to_e", sweep.get("b_e_to_e", []))):
-        if not isinstance(value, list):
-            raise ConfigurationError(f"{name} must be a JSON array, got {value!r}")
-    if raw.get("schema") != SCHEMA_VERSION:
-        raise ConfigurationError(f"unsupported config schema {raw.get('schema')!r}")
-    _check_keys(raw, _TOP_LEVEL_KEYS, "top-level")
-    for section, known in _SECTION_KEYS.items():
-        _check_keys(raw.get(section, {}), known, section)
-    kind = raw.get("kind")
-    if kind not in EXPERIMENT_KINDS:
-        raise ConfigurationError(f"unknown experiment kind {kind!r}")
-
-    dom_raw = raw.get("domain", {})
-    domain = Domain(
-        v_reset=dom_raw.get("v_reset", 1.0),
-        v_threshold=dom_raw.get("v_threshold", 2.0),
-        beta=dom_raw.get("beta"),
-    )
-    model = dict(raw.get("model", {}))
-    initial = raw.get("initial", {})
-    if model.get("population") == "one":
-        params, ic = _onepop_params(model), _initial_one(initial, domain)
-    elif model.get("population") == "two":
-        params, ic = _twopop_params(model), _initial_two(initial, domain)
-    else:
-        raise ConfigurationError("model.population must be 'one' or 'two'")
-    blowup_threshold = raw.get("blowup_threshold", 1e3)
-    _positive(blowup_threshold, "blowup_threshold")
-    bound = raw.get("bound", 0.2)
-    check_finite("bound", bound)
-
-    cfg = ExperimentConfig(
-        kind=kind,
-        domain=domain,
-        model=model,
-        params=params,
-        ic=ic,
-        numerics=dict(raw.get("numerics", {})),
-        reference=dict(raw.get("reference", {})),
-        snapshot_times=tuple(snapshot_times),
-        blowup_threshold=float(blowup_threshold),
-        bound=float(bound),
-        detection={**_DETECTION_DEFAULTS, **raw.get("detection", {})},
-        sweep=dict(sweep),
-    )
-    _validate(cfg)
-    return cfg
-
-
-def _positive(value, what: str) -> None:
-    check_finite(what, value)
-    if value <= 0:
-        raise ConfigurationError(f"{what} must be positive, got {value}")
-
-
-def _count(value, what: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigurationError(f"{what} must be a positive integer, got {value!r}")
-
-
-# the check for every numerics key a runner reads; *_values keys are lists
-_NUMERICS_CHECKS = {
-    "dt": _positive, "t_final": _positive, "fdm_h": _positive, "dt_values": _positive,
-    "h_values": _positive, "m": _count, "reference_m": _count, "repetitions": _count, "m_values": _count,
-    "n_q": _count,
-}
-
-_TOP_LEVEL_KEYS = ("schema", "kind", "snapshot_times", "blowup_threshold", "bound", *_SECTIONS)
-# the keys of the sections whose keys do not depend on the population count
-_SECTION_KEYS = {
-    "domain": ("v_reset", "v_threshold", "beta"),
-    "numerics": tuple(_NUMERICS_CHECKS),
-    "reference": ("method", "h", "richardson", "v_min", "dt"),
-    "detection": tuple(_DETECTION_RANGES),
-    "sweep": ("b_e_to_e",),
-}
-
-
-def _check_keys(section: dict, known, where: str) -> None:
-    for key in section:
-        if key not in known:
-            raise ConfigurationError(f"unknown {where} key {key!r}; known keys are {sorted(known)}")
-
-
-def _validate(cfg: ExperimentConfig) -> None:
-    num, ref = cfg.numerics, cfg.reference
-    if cfg.two_population and cfg.kind in _ONE_POPULATION_KINDS:
-        raise ConfigurationError(f"{cfg.kind} needs a one-population model")
-    if cfg.two_population and cfg.kind == "convergence-time" and cfg.self_reference:
-        raise ConfigurationError("two-population ladders use the fdm reference")
-    for key in _REQUIRED_NUMERICS[cfg.kind]:
-        if key not in num:
-            raise ConfigurationError(f"{cfg.kind} needs numerics.{key}")
-    for key, check in _NUMERICS_CHECKS.items():
-        if key not in num:
-            continue
-        values = num[key] if key.endswith("_values") else [num[key]]
-        if not (isinstance(values, list) and values):
-            raise ConfigurationError(f"numerics.{key} must be a non-empty list")
-        for value in values:
-            check(value, f"numerics.{key}")
-    if "method" in ref and ref["method"] not in ("fdm", "self"):
-        raise ConfigurationError(f"reference.method must be 'fdm' or 'self', got {ref['method']!r}")
-    if not isinstance(ref.get("richardson", True), bool):
-        raise ConfigurationError(f"reference.richardson must be true or false, got {ref['richardson']!r}")
-    for key in ("h", "dt"):
-        if key in ref:
-            _positive(ref[key], f"reference.{key}")
-    check_finite("reference.v_min", cfg.v_min)
-    for ts in cfg.snapshot_times:
-        check_finite("snapshot time", ts)
-    for key, value in cfg.detection.items():
-        check_finite(f"detection.{key}", value)
-        interval, admissible = _DETECTION_RANGES[key]
-        if not admissible(value):
-            raise ConfigurationError(f"detection.{key} must lie in {interval}, got {value}")
-
-    dt = num.get("dt")
-    t_final = num.get("t_final")
-    if cfg.kind == "convergence-time":
-        ladder = num["dt_values"]
-        # equal neighbours are tolerated and yield a NaN order sentinel
-        for a, b in zip(ladder[:-1], ladder[1:]):
-            if b > a:
-                raise ConfigurationError("dt_values must be non-increasing")
-    if cfg.kind == "twopop-regimes" and not (cfg.two_population and cfg.sweep.get("b_e_to_e")):
-        raise ConfigurationError("twopop-regimes needs a two-population model and sweep.b_e_to_e")
-    if dt is not None and t_final is not None:
-        _check_divisible(dt, t_final, "t_final")
-        for ts in cfg.snapshot_times:
-            _check_divisible(dt, ts, f"snapshot time {ts}")
-            if ts > t_final:
-                raise ConfigurationError(f"snapshot time {ts} exceeds t_final={t_final}")
-    if t_final is not None:
-        for dtv in num.get("dt_values", ()):
-            _check_divisible(dtv, t_final, "t_final")
-    if cfg.two_population:
-        for b_e_to_e in cfg.sweep.get("b_e_to_e", ()):
-            replace(cfg.params, b_e_to_e=b_e_to_e)
-        for dtv in ([dt] if dt is not None else []) + list(num.get("dt_values", ())):
-            cfg.params.delay_lags(dtv)
-
-
-def _check_divisible(dt: float, t: float, what: str) -> None:
-    if whole_steps(t, dt) is None:
-        raise ConfigurationError(f"{what}={t} is not an integer multiple of dt={dt}")
-
-
-def _onepop_params(model: dict) -> OnePopParams:
-    _check_keys(model, ("population", "a0", "a1", "b"), "model")
-    return OnePopParams(a0=model.get("a0", 1.0), a1=model.get("a1", 0.0), b=model.get("b", 0.0))
-
-
-def _twopop_params(model: dict) -> TwoPopParams:
-    kwargs = {key: value for key, value in model.items() if key != "population"}
-    try:
-        return TwoPopParams(**kwargs)
-    except TypeError as exc:  # unknown or missing model keys
-        raise ConfigurationError(f"model: {exc}") from exc
-
-
-def _initial_one(initial: dict, domain: Domain) -> GaussianIC:
-    _check_keys(initial, ("v0", "sigma0_sq"), "initial")
-    return normalize_gaussian(initial.get("v0", -1.0), initial.get("sigma0_sq", 0.5), domain)
-
-
-def _initial_two(initial: dict, domain: Domain) -> tuple:
-    _check_keys(initial, ("e", "i"), "initial")
-    e = initial.get("e", {"v0": -1.0, "sigma0_sq": 0.5})
-    i = initial.get("i", {"v0": -1.0, "sigma0_sq": 0.5})
-    for name, spec in (("e", e), ("i", i)):
-        if not (isinstance(spec, dict) and "v0" in spec and "sigma0_sq" in spec):
-            raise ConfigurationError("initial.e and initial.i each need v0 and sigma0_sq")
-        _check_keys(spec, ("v0", "sigma0_sq"), f"initial.{name}")
-    return (
-        normalize_gaussian(e["v0"], e["sigma0_sq"], domain),
-        normalize_gaussian(i["v0"], i["sigma0_sq"], domain),
-    )
-
-
-def _provenance(cfg: ExperimentConfig) -> dict:
-    meta = {"schema": SCHEMA_VERSION, "kind": cfg.kind}
-    for key, value in sorted(cfg.model.items()):
-        meta[f"model.{key}"] = value
-    for key, value in sorted(cfg.numerics.items()):
-        meta[f"numerics.{key}"] = value
-    for key, value in sorted(cfg.reference.items()):
-        meta[f"reference.{key}"] = value
-    meta["blowup_threshold"] = cfg.blowup_threshold
-    return meta
-
-
-# ---------------------------------------------------------------------------
-# spectral runs, reference solutions and cells
-
-
-def _matrices(cfg: ExperimentConfig, m_values) -> dict:
-    """Galerkin matrices for each distinct expansion number, assembled once
-    with the config's quadrature order."""
-    n_q = cfg.numerics.get("n_q")
-    return {m: assemble(BasisSet(cfg.domain, m), n_q) for m in dict.fromkeys(m_values)}
-
-
-def _run(cfg: ExperimentConfig, mats, dt: float, t_final: float, snapshot_times=()):
-    """The spectral run of the config's model on prebuilt matrices.  Every
-    spectral run starts here, and it is the cell of every ladder, grid and
-    sweep (top level, so it can cross a process boundary)."""
-    options = dict(dt=dt, t_final=t_final, snapshot_times=snapshot_times, blowup_threshold=cfg.blowup_threshold)
-    if cfg.two_population:
-        return solve_twopop(*cfg.ic, cfg.params, mats, **options)
-    return solve(cfg.ic, cfg.params, mats, **options)
-
-
-def _reference_m(cfg: ExperimentConfig) -> list:
-    """The expansion number of the self reference, if the config uses one."""
-    return [cfg.m] if cfg.self_reference else []
-
-
-def _reference_density(cfg: ExperimentConfig, t_final: float, mats: dict):
-    """Reference density on the comparison grid, (2, n) with rows E, I for
-    two populations.  ``mats`` holds the matrices of :func:`_reference_m`."""
-    ref = cfg.reference
-    if not cfg.self_reference:
-        return fdm_reference(
-            cfg.ic,
-            cfg.params,
-            cfg.domain,
-            t_final,
-            h=ref.get("h", 1.0 / 512.0),
-            v_min=cfg.v_min,
-            richardson=ref.get("richardson", True),
-        )
-    # self reference: the scheme itself at dt/16 of the finest step in play
-    ladder = cfg.numerics.get("dt_values") or [cfg.numerics["dt"]]
-    dt_ref = ref.get("dt", min(ladder) / 16.0)
-    return _run(cfg, mats[cfg.m], dt_ref, t_final, (t_final,)).final_density(f"reference run at dt={dt_ref}")
-
-
-def _cells(cfg: ExperimentConfig, keys, workers: int) -> tuple:
-    """The reference density and the run record of each (M, dt) cell in
-    ``keys``, run to t_final with t_final as its snapshot; the matrices are
-    assembled once per distinct M, the reference's included, first."""
-    t_final = cfg.numerics["t_final"]
-    mats = _matrices(cfg, [m for m, _ in keys] + _reference_m(cfg))
-    ref = _reference_density(cfg, t_final, mats)
-    return ref, _map_cells(_run, [(cfg, mats[m], dt, t_final, (t_final,)) for m, dt in keys], workers)
-
-
-def _population_suffixes(record) -> list[str]:
-    """"" for one population, "_e" and "_i" for two: the record's rate
-    columns, which come first, without their "rate" prefix."""
-    return [name.removeprefix("rate") for name in list(record.columns)[: len(record.trips)]]
-
-
-def _map_cells(fn, tasks, workers: int):
-    """Deterministic keyed map over cells, optionally in processes, at most
-    one per cell."""
-    workers = min(workers, len(tasks))
-    if workers <= 1:
-        return [fn(*args) for args in tasks]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, *args) for args in tasks]
-        return [f.result() for f in futures]
-
-
 # ---------------------------------------------------------------------------
 # regime classification
 
 
 def classify_regime(
     record,
+    *,
     warmup_fraction: float = 0.2,
     steady_window_fraction: float = 0.2,
     steady_fluctuation: float = 0.01,
@@ -452,7 +90,8 @@ def classify_regime(
     """Label a run as blow-up, periodic, steady or ambiguous.
 
     Pure function of the recorded series, so labels can be recomputed
-    offline from the emitted CSVs.
+    offline from the emitted CSVs.  The keyword defaults are those of a
+    config's ``detection`` section.
 
     * blow-up: the run tripped the rate threshold.
     * periodic: after the warm-up window, the last population's rate (the
@@ -505,6 +144,315 @@ def classify_regime(
 
 
 # ---------------------------------------------------------------------------
+# config schema and parsing: a check is called as check(key_path, value) and
+# raises ConfigurationError naming the key path
+
+
+def _count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _boolean(name: str, value) -> None:
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be true or false, got {value!r}")
+
+
+def _one_of(allowed: tuple, name: str, value) -> None:
+    if isinstance(value, bool) or value not in allowed:
+        raise ConfigurationError(f"{name} must be {' or '.join(map(repr, allowed))}, got {value!r}")
+
+
+def _within(interval: str, admissible, name: str, value) -> None:
+    """A finite number that ``admissible`` accepts; ``interval`` says which."""
+    check_finite(name, value)
+    if not admissible(value):
+        raise ConfigurationError(f"{name} must lie in {interval}, got {value}")
+
+
+def _list(item, name: str, value, non_empty: bool = True) -> None:
+    """A JSON array whose every element passes the check ``item``."""
+    if not isinstance(value, list) or (non_empty and not value):
+        raise ConfigurationError(f"{name} must be a {'non-empty ' * non_empty}list, got {value!r}")
+    for element in value:
+        item(name, element)
+
+
+_positive = partial(_within, "(0, inf)", lambda x: x > 0)
+_nonnegative = partial(_within, "[0, inf)", lambda x: x >= 0)
+
+# the default of a key the config must give
+_REQUIRED = object()
+# the FDM grid spacing of the reference and of compare-fdm's timed run
+_FDM_H = 1.0 / 512.0
+_GAUSSIAN = {"v0": (check_finite, -1.0), "sigma0_sq": (_positive, 0.5)}
+# the regime classifier's keyword defaults are the detection defaults
+_DETECTION = classify_regime.__kwdefaults__
+
+# Every config key: section -> key -> (check, default), a nested dict being a
+# section.  A key the config leaves out takes its default; a default of None
+# means "not set": the kind needs the key (_REQUIRED_NUMERICS), or it has a
+# default derived from other values where it is read (reference_m,
+# reference.dt, n_q, beta).  This is the one-population form; see
+# _TWO_POPULATION_SCHEMA for the other.
+SCHEMA = {
+    "schema": (partial(_one_of, (SCHEMA_VERSION,)), _REQUIRED),
+    "kind": (partial(_one_of, EXPERIMENT_KINDS), _REQUIRED),
+    "domain": {
+        "v_reset": (check_finite, Domain.v_reset),
+        "v_threshold": (check_finite, Domain.v_threshold),
+        # null, the default, matches the expansion's left scale (see Domain)
+        "beta": (lambda name, value: value is None or _positive(name, value), Domain.beta),
+    },
+    "model": {
+        "population": (partial(_one_of, ("one", "two")), _REQUIRED),
+        "a0": (check_finite, 1.0),
+        "a1": (check_finite, OnePopParams.a1),
+        "b": (check_finite, OnePopParams.b),
+    },
+    "initial": _GAUSSIAN,
+    "numerics": {
+        "m": (_count, 16),
+        "dt": (_positive, None),
+        "t_final": (_positive, None),
+        "dt_values": (partial(_list, _positive), None),
+        "m_values": (partial(_list, _count), [4, 8, 12, 16]),
+        "h_values": (partial(_list, _positive), [1.0 / 32, 1.0 / 64, 1.0 / 128]),
+        "fdm_h": (_positive, _FDM_H),
+        "reference_m": (_count, None),
+        "repetitions": (_count, 3),
+        "n_q": (_count, None),
+    },
+    "reference": {
+        "method": (partial(_one_of, ("fdm", "self")), "fdm"),
+        "h": (_positive, _FDM_H),
+        "richardson": (_boolean, True),
+        "v_min": (check_finite, DEFAULT_V_MIN),
+        "dt": (_positive, None),
+    },
+    "snapshot_times": (partial(_list, check_finite, non_empty=False), []),
+    "blowup_threshold": (_positive, DEFAULT_BLOWUP_THRESHOLD),
+    "bound": (check_finite, 0.2),
+    "detection": {
+        "warmup_fraction": (partial(_within, "[0, 1)", lambda x: 0 <= x < 1), _DETECTION["warmup_fraction"]),
+        "steady_window_fraction": (partial(_within, "(0, 1]", lambda x: 0 < x <= 1),
+                                   _DETECTION["steady_window_fraction"]),
+        "steady_fluctuation": (_positive, _DETECTION["steady_fluctuation"]),
+        "peak_amplitude_fraction": (_nonnegative, _DETECTION["peak_amplitude_fraction"]),
+        "peak_spacing_tolerance": (_nonnegative, _DETECTION["peak_spacing_tolerance"]),
+    },
+    "sweep": {"b_e_to_e": (partial(_list, check_finite, non_empty=False), [])},
+}
+
+# two populations: TwoPopParams checks the model's fields itself, and the
+# initial section holds one Gaussian per population
+_TWO_POPULATION_SCHEMA = {
+    **SCHEMA,
+    "model": (lambda name, value: None, {}),
+    "initial": {"e": _GAUSSIAN, "i": _GAUSSIAN},
+}
+
+
+@dataclass
+class ExperimentConfig:
+    """A parsed config whose sections hold every key of :data:`SCHEMA`,
+    defaults filled in.  ``params`` and ``ic`` are the parsed model: for two
+    populations TwoPopParams and an (E, I) pair of initial densities.
+    ``header`` is the provenance every output table starts with."""
+
+    kind: str
+    domain: Domain
+    params: OnePopParams | TwoPopParams
+    ic: GaussianIC | tuple
+    numerics: dict
+    reference: dict
+    snapshot_times: tuple
+    blowup_threshold: float
+    bound: float
+    detection: dict
+    sweep: dict
+    header: dict
+
+    @property
+    def two_population(self) -> bool:
+        return isinstance(self.params, TwoPopParams)
+
+
+def load_config(path: str) -> ExperimentConfig:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{path}: not valid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text ({exc})") from exc
+    return parse_config(raw)
+
+
+def parse_config(raw: dict) -> ExperimentConfig:
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"a config must be a JSON object, got {type(raw).__name__}")
+    two = isinstance(raw.get("model"), dict) and raw["model"].get("population") == "two"
+    resolved = _resolve(raw, _TWO_POPULATION_SCHEMA if two else SCHEMA, "")
+    domain = Domain(**resolved["domain"])
+    model = {key: value for key, value in resolved["model"].items() if key != "population"}
+    try:
+        params = (TwoPopParams if two else OnePopParams)(**model)
+    except TypeError as exc:  # unknown two-population model keys
+        raise ConfigurationError(f"model: {exc}") from exc
+    initial = resolved["initial"]
+    if two:
+        ic = tuple(normalize_gaussian(**initial[p], domain=domain) for p in ("e", "i"))
+    else:
+        ic = normalize_gaussian(**initial, domain=domain)
+
+    header = {"schema": SCHEMA_VERSION, "kind": resolved["kind"]}
+    for section in ("model", "numerics", "reference"):
+        for key, value in sorted(raw.get(section, {}).items()):
+            header[f"{section}.{key}"] = value
+    header["blowup_threshold"] = float(resolved["blowup_threshold"])
+
+    cfg = ExperimentConfig(
+        kind=resolved["kind"], domain=domain, params=params, ic=ic, numerics=resolved["numerics"],
+        reference=resolved["reference"], snapshot_times=tuple(resolved["snapshot_times"]),
+        blowup_threshold=float(resolved["blowup_threshold"]), bound=float(resolved["bound"]),
+        detection=resolved["detection"], sweep=resolved["sweep"], header=header,
+    )
+    _validate(cfg, raw.get("numerics", {}))
+    return cfg
+
+
+def _resolve(given, table: dict, where: str) -> dict:
+    """The config section ``given`` at key path ``where`` ("" for the top
+    level) checked against ``table``, with each key it leaves out set to its
+    default."""
+    if not isinstance(given, dict):
+        raise ConfigurationError(f"config section {where!r} must be a JSON object, got {given!r}")
+    for key in given:
+        if key not in table:
+            raise ConfigurationError(f"unknown {where or 'top-level'} key {key!r}; known keys are {sorted(table)}")
+    resolved = {}
+    for key, entry in table.items():
+        path = f"{where}.{key}" if where else key
+        if isinstance(entry, dict):
+            resolved[key] = _resolve(given.get(key, {}), entry, path)
+            continue
+        check, default = entry
+        if key in given or default is _REQUIRED:
+            check(path, given.get(key))
+        resolved[key] = given.get(key, default)
+    return resolved
+
+
+def _validate(cfg: ExperimentConfig, given_numerics: dict) -> None:
+    """The rules that tie keys together, on a config whose every key passed
+    its own check."""
+    num = cfg.numerics
+    if cfg.two_population and cfg.kind in _ONE_POPULATION_KINDS:
+        raise ConfigurationError(f"{cfg.kind} needs a one-population model")
+    if cfg.two_population and cfg.kind == "convergence-time" and cfg.reference["method"] == "self":
+        raise ConfigurationError("two-population ladders use the fdm reference")
+    for key in _REQUIRED_NUMERICS[cfg.kind]:
+        if key not in given_numerics:
+            raise ConfigurationError(f"{cfg.kind} needs numerics.{key}")
+
+    dt, t_final, ladder = num["dt"], num["t_final"], num["dt_values"] or []
+    if cfg.kind == "convergence-time":
+        # equal neighbours are tolerated and yield a NaN order sentinel
+        for a, b in zip(ladder[:-1], ladder[1:]):
+            if b > a:
+                raise ConfigurationError("dt_values must be non-increasing")
+    if cfg.kind == "twopop-regimes" and not (cfg.two_population and cfg.sweep["b_e_to_e"]):
+        raise ConfigurationError("twopop-regimes needs a two-population model and sweep.b_e_to_e")
+    steps = ([dt] if dt is not None else []) + ladder
+    for step in steps:
+        _check_divisible(step, t_final, "t_final")
+    if dt is not None:
+        for ts in cfg.snapshot_times:
+            _check_divisible(dt, ts, f"snapshot time {ts}")
+            if ts > t_final:
+                raise ConfigurationError(f"snapshot time {ts} exceeds t_final={t_final}")
+    if cfg.two_population:
+        for b_e_to_e in cfg.sweep["b_e_to_e"]:
+            replace(cfg.params, b_e_to_e=b_e_to_e)
+        for step in steps:
+            cfg.params.delay_lags(step)
+
+
+def _check_divisible(dt: float, t: float, what: str) -> None:
+    if whole_steps(t, dt) is None:
+        raise ConfigurationError(f"{what}={t} is not an integer multiple of dt={dt}")
+
+
+# ---------------------------------------------------------------------------
+# spectral runs, reference solutions and cells
+
+
+def _matrices(cfg: ExperimentConfig, m_values) -> dict:
+    """Galerkin matrices for each distinct expansion number, assembled once
+    with the config's quadrature order."""
+    n_q = cfg.numerics["n_q"]
+    return {m: assemble(BasisSet(cfg.domain, m), n_q) for m in dict.fromkeys(m_values)}
+
+
+def _run(cfg: ExperimentConfig, mats, dt: float, t_final: float, snapshot_times=()):
+    """The spectral run of the config's model on prebuilt matrices.  Every
+    spectral run starts here, and it is the cell of every ladder, grid and
+    sweep (top level, so it can cross a process boundary)."""
+    options = dict(dt=dt, t_final=t_final, snapshot_times=snapshot_times, blowup_threshold=cfg.blowup_threshold)
+    if cfg.two_population:
+        return solve_twopop(*cfg.ic, cfg.params, mats, **options)
+    return solve(cfg.ic, cfg.params, mats, **options)
+
+
+def _reference_m(cfg: ExperimentConfig) -> list:
+    """The expansion number of the self reference, if the config uses one."""
+    return [cfg.numerics["m"]] if cfg.reference["method"] == "self" else []
+
+
+def _reference_density(cfg: ExperimentConfig, t_final: float, mats: dict):
+    """Reference density on the comparison grid, (2, n) with rows E, I for
+    two populations.  ``mats`` holds the matrices of :func:`_reference_m`."""
+    ref, num = cfg.reference, cfg.numerics
+    if ref["method"] == "fdm":
+        return fdm_reference(cfg.ic, cfg.params, cfg.domain, t_final, h=ref["h"], v_min=ref["v_min"],
+                             richardson=ref["richardson"])
+    # self reference: the scheme itself, by default at dt/16 of the finest
+    # step in play
+    dt_ref = ref["dt"] or min(num["dt_values"] or [num["dt"]]) / 16.0
+    return _run(cfg, mats[num["m"]], dt_ref, t_final, (t_final,)).final_density(f"reference run at dt={dt_ref}")
+
+
+def _cells(cfg: ExperimentConfig, keys, workers: int) -> tuple:
+    """The reference density and the run record of each (M, dt) cell in
+    ``keys``, run to t_final with t_final as its snapshot; the matrices are
+    assembled once per distinct M, the reference's included, first."""
+    t_final = cfg.numerics["t_final"]
+    mats = _matrices(cfg, [m for m, _ in keys] + _reference_m(cfg))
+    ref = _reference_density(cfg, t_final, mats)
+    return ref, _map_cells(_run, [(cfg, mats[m], dt, t_final, (t_final,)) for m, dt in keys], workers)
+
+
+def _population_suffixes(record) -> list[str]:
+    """"" for one population, "_e" and "_i" for two: the record's rate
+    columns, which come first, without their "rate" prefix."""
+    return [name.removeprefix("rate") for name in list(record.columns)[: len(record.trips)]]
+
+
+def _map_cells(fn, tasks, workers: int):
+    """Deterministic keyed map over cells, optionally in processes, at most
+    one per cell."""
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        return [fn(*args) for args in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, *args) for args in tasks]
+        return [f.result() for f in futures]
+
+
+# ---------------------------------------------------------------------------
 # experiment suites
 
 
@@ -521,7 +469,7 @@ def _orders(errors):
 def run_convergence_time(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> dict:
     """Temporal-order ladder against the configured reference."""
     ladder = list(cfg.numerics["dt_values"])
-    ref, records = _cells(cfg, [(cfg.m, dt) for dt in ladder], workers)
+    ref, records = _cells(cfg, [(cfg.numerics["m"], dt) for dt in ladder], workers)
     grid = norm_grid(cfg.domain)
     # one table per population, from the rows of a two-population density
     files = (
@@ -542,7 +490,7 @@ def run_convergence_time(cfg: ExperimentConfig, out_dir: str, workers: int = 1) 
             "linf_error": linf,
             "order_linf": _orders(linf),
         }
-        emit_table(os.path.join(out_dir, name), table, _provenance(cfg))
+        emit_table(os.path.join(out_dir, name), table, cfg.header)
         results[tag] = table
     return results
 
@@ -565,7 +513,7 @@ def run_convergence_space(cfg: ExperimentConfig, out_dir: str, workers: int = 1)
         emit_table(
             os.path.join(out_dir, f"convergence_space_{label}.csv"),
             {"m": ms, "l2_error": errs, "ln_l2_error": lns},
-            {**_provenance(cfg), "fit_slope": slope},
+            {**cfg.header, "fit_slope": slope},
         )
         results[label] = {"m": ms, "l2_error": errs, "slope": slope}
     return results
@@ -591,7 +539,7 @@ def run_stability_grid(cfg: ExperimentConfig, out_dir: str, workers: int = 1) ->
         os.path.join(out_dir, "stability_grid.csv"),
         {"m": rows_m, "dt": rows_dt, "l2_error": errs, "status": [rec.status for rec in records],
          "exceeds_bound": flags},
-        {**_provenance(cfg), "bound": cfg.bound},
+        {**cfg.header, "bound": cfg.bound},
     )
     return {"m": rows_m, "dt": rows_dt, "l2_error": errs, "flags": flags}
 
@@ -599,8 +547,8 @@ def run_stability_grid(cfg: ExperimentConfig, out_dir: str, workers: int = 1) ->
 def run_blowup(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> dict:
     """Blow-up study: full rate series plus density snapshots."""
     num = cfg.numerics
-    rec = _run(cfg, _matrices(cfg, [cfg.m])[cfg.m], num["dt"], num["t_final"], cfg.snapshot_times)
-    emit_run_record(os.path.join(out_dir, "blowup_run.csv"), rec, _provenance(cfg))
+    rec = _run(cfg, _matrices(cfg, [num["m"]])[num["m"]], num["dt"], num["t_final"], cfg.snapshot_times)
+    emit_run_record(os.path.join(out_dir, "blowup_run.csv"), rec, cfg.header)
     # density_t*.csv, or density_e_t*.csv and density_i_t*.csv
     for snap in rec.snapshots:
         for suffix, density in zip(_population_suffixes(rec), np.atleast_2d(snap.density)):
@@ -612,7 +560,7 @@ def run_twopop_regimes(cfg: ExperimentConfig, out_dir: str, workers: int = 1) ->
     """Sweep the excitatory self-coupling and classify each run."""
     values = list(cfg.sweep["b_e_to_e"])
     num = cfg.numerics
-    mats = _matrices(cfg, [cfg.m])[cfg.m]
+    mats = _matrices(cfg, [num["m"]])[num["m"]]
     tasks = [(replace(cfg, params=replace(cfg.params, b_e_to_e=v)), mats, num["dt"], num["t_final"]) for v in values]
     records = _map_cells(_run, tasks, workers)
     cells = [{**classify_regime(rec, **cfg.detection), "record": rec} for rec in records]
@@ -620,23 +568,23 @@ def run_twopop_regimes(cfg: ExperimentConfig, out_dir: str, workers: int = 1) ->
         emit_run_record(
             os.path.join(out_dir, f"regime_b{v:g}.csv"),
             cell["record"],
-            {**_provenance(cfg), "regime": cell["regime"]},
+            {**cfg.header, "regime": cell["regime"]},
         )
     # a trip time is reported for a blow-up only
     trips = {key: [cell.get(key) or float("nan") for cell in cells] for key in records[0].trips}
     emit_table(
         os.path.join(out_dir, "regimes.csv"),
         {"b_e_to_e": values, "regime": [cell["regime"] for cell in cells], **trips},
-        _provenance(cfg),
+        cfg.header,
     )
     return dict(zip(values, cells))
 
 
 def _timed_run(cfg: ExperimentConfig, method: str, resolution, mats=None) -> tuple:
-    """Median loop wall time of ``numerics.repetitions`` (default 3)
-    identical runs to t_final, and the t_final density of the last: the
-    "spectral" scheme on ``mats``, whose M is ``resolution``, or the "fdm"
-    solver at grid spacing ``resolution`` with its reference timestep."""
+    """Median loop wall time of ``numerics.repetitions`` identical runs to
+    t_final, and the t_final density of the last: the "spectral" scheme on
+    ``mats``, whose M is ``resolution``, or the "fdm" solver at grid
+    spacing ``resolution`` with its reference timestep."""
     num = cfg.numerics
     t_final = num["t_final"]
     if method == "spectral":
@@ -646,14 +594,14 @@ def _timed_run(cfg: ExperimentConfig, method: str, resolution, mats=None) -> tup
             return _run(cfg, mats, num["dt"], t_final, (t_final,))
     else:
         what = f"fdm run at h={resolution:g}"
-        grid = FdmGrid.build(cfg.domain, v_min=cfg.v_min, h=resolution)
+        grid = FdmGrid.build(cfg.domain, v_min=cfg.reference["v_min"], h=resolution)
         dt = reference_timestep(grid, cfg.params, t_final)
 
         def run():
             return fdm_solve(cfg.ic, cfg.params, grid, dt, t_final, snapshot_times=(t_final,),
                              blowup_threshold=cfg.blowup_threshold)
     walls = []
-    for _ in range(num.get("repetitions", 3)):
+    for _ in range(num["repetitions"]):
         rec = run()
         walls.append(rec.wall_time)
     return statistics.median(walls), rec.final_density(what)
@@ -661,19 +609,19 @@ def _timed_run(cfg: ExperimentConfig, method: str, resolution, mats=None) -> tup
 
 def run_efficiency(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> dict:
     """Error-versus-time frontier: spectral M ladder and grid h ladder, each
-    against its own refined reference; loop wall times are medians of 3."""
+    against its own refined reference; loop wall times are medians of
+    ``numerics.repetitions`` runs."""
     num = cfg.numerics
     t_final = num["t_final"]
-    m_values = list(num.get("m_values", [4, 8, 12, 16]))
-    h_values = list(num.get("h_values", [1.0 / 32, 1.0 / 64, 1.0 / 128]))
-    m_ref = num.get("reference_m", max(m_values) + 8)
+    m_values, h_values = num["m_values"], num["h_values"]
+    m_ref = num["reference_m"] or max(m_values) + 8
     grid = norm_grid(cfg.domain)
     mats = _matrices(cfg, [m_ref, *m_values])
     spectral_ref = _run(cfg, mats[m_ref], num["dt"], t_final, (t_final,)).final_density(
         f"reference run at M={m_ref}"
     )
     fdm_ref = fdm_reference(cfg.ic, cfg.params, cfg.domain, t_final, h=min(h_values) / 2.0,
-                            v_min=cfg.v_min, richardson=True)
+                            v_min=cfg.reference["v_min"], richardson=True)
     runs = [("spectral", m, mats[m], spectral_ref) for m in m_values] + [("fdm", h, None, fdm_ref) for h in h_values]
 
     table = {"method": [], "resolution": [], "l2_error": [], "wall_time_s": []}
@@ -681,22 +629,22 @@ def run_efficiency(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> dic
         wall, density = _timed_run(cfg, method, resolution, matrices)
         for key, value in zip(table, (method, resolution, l2_distance(density, ref, grid), wall)):
             table[key].append(value)
-    emit_table(os.path.join(out_dir, "efficiency.csv"), table, _provenance(cfg))
+    emit_table(os.path.join(out_dir, "efficiency.csv"), table, cfg.header)
     return table
 
 
 def run_compare_fdm(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> dict:
     """Cross-method agreement and matched-error timing comparison."""
-    fdm_h = cfg.numerics.get("fdm_h", 1.0 / 512.0)
-    mats = _matrices(cfg, [cfg.m, *_reference_m(cfg)])
+    m, fdm_h = cfg.numerics["m"], cfg.numerics["fdm_h"]
+    mats = _matrices(cfg, [m, *_reference_m(cfg)])
     ref = _reference_density(cfg, cfg.numerics["t_final"], mats)
-    wall_s, p_spec = _timed_run(cfg, "spectral", cfg.m, mats[cfg.m])
+    wall_s, p_spec = _timed_run(cfg, "spectral", m, mats[m])
     wall_f, p_fdm = _timed_run(cfg, "fdm", fdm_h)
     grid = norm_grid(cfg.domain)
 
     table = {
         "method": ["spectral", "fdm"],
-        "resolution": [cfg.m, fdm_h],
+        "resolution": [m, fdm_h],
         "l2_error_vs_reference": [
             l2_distance(p_spec, ref, grid),
             l2_distance(p_fdm, ref, grid),
@@ -704,7 +652,7 @@ def run_compare_fdm(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> di
         "cross_l2_distance": [l2_distance(p_spec, p_fdm, grid)] * 2,
         "wall_time_s": [wall_s, wall_f],
     }
-    emit_table(os.path.join(out_dir, "compare_fdm.csv"), table, _provenance(cfg))
+    emit_table(os.path.join(out_dir, "compare_fdm.csv"), table, cfg.header)
     return table
 
 
@@ -720,7 +668,7 @@ RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> dict:
-    _count(workers, "workers")
+    _count("workers", workers)
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
     result = RUNNERS[cfg.kind](cfg, out_dir, workers)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +51,7 @@ class OnePopParams:
             raise ConfigurationError(f"a1 must be nonnegative, got {self.a1}")
 
 
-@dataclass(frozen=True)
-class PopulationState:
+class PopulationState(NamedTuple):
     u_hat: np.ndarray
     t: float
     rate: float

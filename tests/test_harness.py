@@ -1,10 +1,12 @@
 import concurrent.futures
+import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
 from concurrent.futures import Future
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from nnlif.assembly import assemble, normalize_gaussian
 from nnlif.cli import main
 from nnlif.errors import ConfigurationError
 from nnlif.experiments import (
+    SCHEMA,
     classify_regime,
     load_config,
     parse_config,
@@ -218,6 +221,62 @@ def test_config_errors_name_the_key():
         parse_config(_base_onepop(reference={"method": "FDM"}))
     with pytest.raises(ConfigurationError, match="reference.richardson must be true or false, got 1"):
         parse_config(_base_onepop(reference={"richardson": 1}))
+
+
+def _table_entries(table, path=()):
+    """(key path, (check, default)) for every key of a schema table."""
+    for key, entry in table.items():
+        if isinstance(entry, dict):
+            yield from _table_entries(entry, path + (key,))
+        else:
+            yield ".".join(path + (key,)), entry
+
+
+def _bad_values(check):
+    """Values the check must reject: wrong types, non-finite numbers and,
+    for a positive or count key, 0 and -1 (as elements, for a list key)."""
+    bad = [math.nan, math.inf, -math.inf, "bogus", [math.nan], {"x": 1.0}]
+    if check is not experiments._boolean:
+        bad.append(True)
+    is_list = isinstance(check, partial) and check.func is experiments._list
+    if (check.args[0] if is_list else check) in (experiments._positive, experiments._count):
+        bad += [[0], [-1]] if is_list else [0, -1]
+    return bad
+
+
+_BAD_CASES = [(path, value) for path, (check, _) in _table_entries(SCHEMA) for value in _bad_values(check)]
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(_BAD_CASES))
+def test_schema_rejects_bad_values_naming_the_key(case):
+    path, value = case
+    raw = _base_onepop()
+    *sections, key = path.split(".")
+    target = raw
+    for section in sections:
+        target = target.setdefault(section, {})
+    target[key] = value
+    with pytest.raises(ConfigurationError) as excinfo:
+        parse_config(raw)
+    assert path in str(excinfo.value)
+
+
+def test_schema_defaults_pass_their_own_checks():
+    for table in (SCHEMA, experiments._TWO_POPULATION_SCHEMA):
+        for path, (check, default) in _table_entries(table):
+            if default is not None and default is not experiments._REQUIRED:
+                check(path, default)
+    # a config that leaves a section out reads every key of it
+    cfg = parse_config(_base_onepop())
+    for section in ("numerics", "reference", "detection", "sweep"):
+        assert set(getattr(cfg, section)) == set(SCHEMA[section])
+
+
+def test_partial_twopop_initial_takes_the_defaults():
+    raw = _base_onepop(model={"population": "two", "b_e_to_e": 0.5}, initial={"e": {"v0": 0.0}})
+    ic_e, ic_i = parse_config(raw).ic
+    assert (ic_e.v0, ic_e.sigma0_sq, ic_i.v0, ic_i.sigma0_sq) == (0.0, 0.5, -1.0, 0.5)
 
 
 def test_config_rejects_misaligned_times():
@@ -838,6 +897,12 @@ def _twopop_initial(initial):
         _set("sweep", "b_e_to_ee", [1.0]),
         _twopop_initial({"e": _ONEPOP_INITIAL, "i": _ONEPOP_INITIAL, "x": _ONEPOP_INITIAL}),
         _twopop_initial({"e": {**_ONEPOP_INITIAL, "mean": 0.0}, "i": _ONEPOP_INITIAL}),
+        _replace("numerics", {"m": 8, "dt": True, "t_final": True}),
+        _set("model", "a0", True),
+        _replace("blowup_threshold", True),
+        _set("initial", "v0", 50.0),
+        _set("numerics", "m", 200),
+        _set("numerics", "n_q", 500),
     ],
     ids=[
         "a0-negative", "a0-nan", "a1-inf", "b-minus-inf", "dt-nan", "t_final-inf",
@@ -846,6 +911,8 @@ def _twopop_initial(initial):
         "detection-unknown-key", "top-level-unknown-key", "domain-unknown-key", "numerics-unknown-key",
         "reference-unknown-key", "reference-method-uppercase", "richardson-not-bool", "initial-unknown-key",
         "model-unknown-key", "sweep-unknown-key", "initial-twopop-unknown-key", "initial-e-unknown-key",
+        "dt-and-t_final-true", "a0-true", "blowup_threshold-true", "no-mass-below-threshold",
+        "m-past-laguerre-range", "n_q-past-laguerre-range",
     ],
 )
 def test_cli_bad_config_values_are_config_errors(tmp_path, capsys, edit):
@@ -871,7 +938,26 @@ def test_cli_dump_matrices(tmp_path):
     assert got.shape == (9, 9)
 
 
-def test_shipped_configs_parse():
+def test_cli_dump_matrices_past_laguerre_range(tmp_path, capsys):
+    assert main(["dump-matrices", "--m", "200", "--out", str(tmp_path / "mats")]) == 2
+    assert "error-category: config-invalid: quadrature order 408 too large" in capsys.readouterr().err
+
+
+_PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+
+
+def _load_workloads(monkeypatch):
+    """``perfbench/workloads.py``, loaded read-only (it imports perfbench's
+    ``checks`` and defines dataclasses, which look their module up)."""
+    monkeypatch.syspath_prepend(_PERFBENCH)
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", os.path.join(_PERFBENCH, "workloads.py"))
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_shipped_configs_parse(monkeypatch):
     base = os.path.join(os.path.dirname(__file__), "..", "configs")
     names = sorted(os.listdir(base))
     assert len(names) == 9
@@ -881,3 +967,10 @@ def test_shipped_configs_parse():
             "convergence-time", "convergence-space", "stability-grid",
             "efficiency", "blowup", "twopop-regimes", "compare-fdm",
         )
+    # the benchmark's workload configs, as run and as smoke-tested
+    perfbench = _load_workloads(monkeypatch)
+    assert sorted(perfbench.WORKLOADS) == ["grid", "onepop-long", "oracle", "regimes"]
+    for workload in perfbench.WORKLOADS.values():
+        for smoke in (False, True):
+            cfg = parse_config(workload.config(perfbench.DEFAULT_SEED, smoke=smoke))
+            assert cfg.kind == workload.base["kind"]

@@ -268,7 +268,7 @@ def test_zero_shift_denominator_is_a_solver_failure():
     started = []
 
     def start_at_singular_shift(rates):
-        started.append(replace(start(rates), rate=0.5))
+        started.append(start(rates)._replace(rate=0.5))
         # the eigenvalue -2 makes 1 + rate * lambda exactly zero
         stepper.shifted.t[0, 0] = -2.0
         return started[0]
