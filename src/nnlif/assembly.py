@@ -37,7 +37,8 @@ _PROJECTION_PANELS = 20
 MAX_N_Q = 382
 # the least mass an initial Gaussian may put below the threshold: the sum in
 # m0 = (1 + erf(z / sqrt 2)) / 2 cancels for z << 0, leaving m0 a relative
-# error of about 1e-16 / m0, and m0 = 0 makes the initial density 0/0
+# error of about 1e-16 / m0, and m0 = 0 makes the initial density 0/0; the
+# projection of an initial density onto the basis must hold as much, in size
 _MIN_INITIAL_MASS = 1e-8
 
 
@@ -199,7 +200,9 @@ def project_initial(matrices: GalerkinMatrices, p0) -> np.ndarray:
     onto the span of ``matrices.basis``.
 
     Solves H u = r with r_j = int p0 psi_j dv, followed by one step of
-    iterative refinement so the residual sits at rounding level.
+    iterative refinement so the residual sits at rounding level.  A
+    projection whose mass is smaller than ``_MIN_INITIAL_MASS`` in size (a
+    density the basis does not resolve) is a :class:`ConfigurationError`.
     """
     nodes = matrices.projection_nodes
     vals = matrices.basis.values_at(nodes)
@@ -214,6 +217,12 @@ def project_initial(matrices: GalerkinMatrices, p0) -> np.ndarray:
     residual = np.max(np.abs(H @ u - r))
     if residual > 1e-12:
         raise IllConditionedBasisError(f"projection residual {residual:.3e} exceeds 1e-12")
+    mass = float(matrices.mass @ u)
+    if not abs(mass) >= _MIN_INITIAL_MASS:
+        raise ConfigurationError(
+            f"the initial density projects to mass {mass:.3g} on the M={matrices.basis.m} basis, "
+            f"need |mass| >= {_MIN_INITIAL_MASS:g}: the basis does not resolve it"
+        )
     return u
 
 

@@ -54,26 +54,10 @@ class Domain:
         return self.v_threshold - self.v_reset
 
 
-def _unwrap(res, x):
-    return float(res[0]) if np.ndim(x) == 0 else res
-
-
-def laguerre_fn(n: int, x):
-    """Weighted Laguerre function exp(-x/2) * L_n(x) on x >= 0.
-
-    The recurrence is applied to the weighted form directly, which stays
-    bounded for any degree and argument.
-    """
-    return _unwrap(laguerre_fn_table(n, x)[n], x)
-
-
-def laguerre_fn_deriv(n: int, x):
-    """Exact derivative of :func:`laguerre_fn` with respect to x."""
-    return _unwrap(laguerre_fn_table(n, x, derivatives=True)[1][n], x)
-
-
 def laguerre_fn_table(n_max: int, x: np.ndarray, derivatives: bool = False):
-    """Weighted Laguerre functions of degrees 0..n_max at the points x.
+    """Weighted Laguerre functions exp(-x/2) L_n(x), degrees 0..n_max, at
+    the points x >= 0.  The recurrence runs on the weighted form, which stays
+    bounded for any degree and argument.
 
     Returns ``values`` of shape (n_max+1, len(x)); with ``derivatives`` also
     the derivative table.  The derivative recurrence is carried alongside the
@@ -128,23 +112,14 @@ def legendre_table(n_max: int, x: np.ndarray):
     return vals, ders
 
 
-def legendre(n: int, x):
-    return _unwrap(legendre_table(n, x)[0][n], x)
-
-
-def legendre_deriv(n: int, x):
-    return _unwrap(legendre_table(n, x)[1][n], x)
-
-
 @dataclass(frozen=True)
 class BoundaryTraces:
-    """Boundary data of every basis function, one entry per index."""
+    """Boundary data of every basis function, one entry per index: values at
+    the reset and at the threshold (all zero), slopes at the threshold."""
 
     value_at_reset: np.ndarray
     value_at_threshold: np.ndarray
     deriv_at_threshold: np.ndarray
-    deriv_at_reset_minus: np.ndarray
-    deriv_at_reset_plus: np.ndarray
 
 
 def default_left_scale(m: int) -> float:
@@ -212,8 +187,10 @@ class BasisSet:
         return q, r
 
     def _map_to_reference(self, v: np.ndarray) -> np.ndarray:
+        # exact at both ends on any domain, so every right-side function is
+        # exactly zero at the threshold, where traces() reads the tables
         dom = self.domain
-        return (v - 0.5 * (dom.v_threshold + dom.v_reset)) / (0.5 * dom.width)
+        return ((v - dom.v_reset) - (dom.v_threshold - v)) / dom.width
 
     def values_at(self, v) -> np.ndarray:
         """Table psi_k(v_i) of shape (dim, len(v)) for v <= v_threshold.
@@ -252,8 +229,7 @@ class BasisSet:
     def derivs_at(self, v) -> np.ndarray:
         """Table of d psi_k / d v, same layout as :meth:`values_at`.
 
-        At exactly v = v_reset the right-sided limit is returned; one-sided
-        derivatives live in :meth:`traces`.
+        At exactly v = v_reset the right-sided limit is returned.
         """
         v = np.atleast_1d(np.asarray(v, dtype=float))
         dom = self.domain
@@ -281,47 +257,13 @@ class BasisSet:
                 out[1 + self.m + j, right] = scale * (legd[j] - legd[j + 2])
         return out
 
-    def value(self, k: int, v):
-        if not 0 <= k < self.dim:
-            raise IndexError(f"basis index {k} out of range [0, {self.dim})")
-        return _unwrap(self.values_at(v)[k], v)
-
-    def deriv(self, k: int, v):
-        if not 0 <= k < self.dim:
-            raise IndexError(f"basis index {k} out of range [0, {self.dim})")
-        return _unwrap(self.derivs_at(v)[k], v)
-
     def traces(self) -> BoundaryTraces:
+        """Values at the reset and the threshold and slopes at the threshold,
+        read off :meth:`values_at` and :meth:`derivs_at`."""
         dom = self.domain
-        dim, m = self.dim, self.m
-
-        value_at_reset = np.zeros(dim)
-        value_at_reset[0] = 1.0
-        value_at_threshold = np.zeros(dim)
-
-        deriv_at_threshold = np.zeros(dim)
-        deriv_at_threshold[0] = 1.0 / (dom.v_reset - dom.v_threshold)
-        _, legd1 = legendre_table(m + 1, np.array([1.0]))
-        scale = 2.0 / dom.width
-        for j in range(m):
-            deriv_at_threshold[1 + m + j] = scale * (legd1[j, 0] - legd1[j + 2, 0])
-
-        deriv_at_reset_minus = np.zeros(dim)
-        deriv_at_reset_minus[0] = 0.5 * self.beta
-        _, lagd0 = laguerre_fn_table(m, np.array([0.0]), derivatives=True)
-        for j in range(m):
-            deriv_at_reset_minus[1 + j] = -self.left_scale * (lagd0[j, 0] - lagd0[j + 1, 0])
-
-        deriv_at_reset_plus = np.zeros(dim)
-        deriv_at_reset_plus[0] = 1.0 / (dom.v_reset - dom.v_threshold)
-        _, legdm1 = legendre_table(m + 1, np.array([-1.0]))
-        for j in range(m):
-            deriv_at_reset_plus[1 + m + j] = scale * (legdm1[j, 0] - legdm1[j + 2, 0])
-
+        vals = self.values_at([dom.v_reset, dom.v_threshold])
         return BoundaryTraces(
-            value_at_reset=value_at_reset,
-            value_at_threshold=value_at_threshold,
-            deriv_at_threshold=deriv_at_threshold,
-            deriv_at_reset_minus=deriv_at_reset_minus,
-            deriv_at_reset_plus=deriv_at_reset_plus,
+            value_at_reset=vals[:, 0],
+            value_at_threshold=vals[:, 1],
+            deriv_at_threshold=self.derivs_at([dom.v_threshold])[:, 0],
         )

@@ -29,6 +29,10 @@ from .errors import ConfigurationError, LinearSolveError, NnlifError, Nonpositiv
 DEFAULT_BLOWUP_THRESHOLD = 1e3
 _NEGATIVE_RATE_TOL = -1e-12
 _POST_TRIP_WINDOW = 1.0
+# the most steps one run may take: the record holds a float per step and
+# column, so this bounds it near 80 MB a column; 19x the largest run the
+# test suite makes (514,003 steps, the fine FDM reference at h = 1/1024)
+MAX_STEPS = 10**7
 
 STATUS_COMPLETED = "completed"
 STATUS_BLOWUP = "blow-up-detected"
@@ -127,12 +131,15 @@ def whole_steps(t: float, dt: float) -> int | None:
 
 def _validate_times(dt: float, t_final: float, snapshot_times) -> int:
     """Number of steps; rejects non-finite times, a dt that does not divide
-    t_final and snapshot times off the step lattice."""
+    t_final, more than :data:`MAX_STEPS` steps and snapshot times off the
+    step lattice."""
     if not (0.0 < dt < math.inf and 0.0 < t_final < math.inf):
         raise ConfigurationError(f"need finite dt > 0 and t_final > 0, got {dt}, {t_final}")
     n_steps = whole_steps(t_final, dt)
     if not n_steps:
         raise ConfigurationError(f"dt={dt} does not divide t_final={t_final}")
+    if n_steps > MAX_STEPS:
+        raise ConfigurationError(f"t_final={t_final} at dt={dt} takes {n_steps} steps, at most {MAX_STEPS} are allowed")
     for ts in snapshot_times:
         if not 0.0 <= ts <= t_final or whole_steps(ts, dt) is None:
             raise ConfigurationError(f"snapshot time {ts} is not a multiple of dt={dt}")

@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nnlif.basis import (
-    BasisSet,
-    Domain,
-    laguerre_fn,
-    laguerre_fn_deriv,
-    legendre,
-    legendre_deriv,
-)
+from nnlif.basis import BasisSet, Domain, laguerre_fn_table, legendre_table
 from nnlif.quadrature import gauss_laguerre
 
 
@@ -21,50 +14,57 @@ def unit_scale_basis(domain):
 
 
 def test_laguerre_fn_degree_zero():
-    assert laguerre_fn(0, 1.4) == pytest.approx(math.exp(-0.7), rel=1e-15)
+    assert laguerre_fn_table(0, 1.4)[0, 0] == pytest.approx(math.exp(-0.7), rel=1e-15)
 
 
 def test_laguerre_fn_at_zero_is_one():
-    for n in range(0, 8):
-        assert laguerre_fn(n, 0.0) == pytest.approx(1.0, abs=1e-15)
+    for value in laguerre_fn_table(7, 0.0)[:, 0]:
+        assert value == pytest.approx(1.0, abs=1e-15)
 
 
 def test_laguerre_fn_degree_two_hand_expansion():
     # L_2(x) = (x^2 - 4x + 2)/2 evaluated at 2 gives -1
-    assert laguerre_fn(2, 2.0) == pytest.approx(-math.exp(-1.0), rel=1e-14)
+    assert laguerre_fn_table(2, 2.0)[2, 0] == pytest.approx(-math.exp(-1.0), rel=1e-14)
 
 
 def test_laguerre_fn_deriv_degree_zero():
     x = 0.37
-    assert laguerre_fn_deriv(0, x) == pytest.approx(-0.5 * math.exp(-0.5 * x), rel=1e-14)
+    _, ders = laguerre_fn_table(0, x, derivatives=True)
+    assert ders[0, 0] == pytest.approx(-0.5 * math.exp(-0.5 * x), rel=1e-14)
 
 
 def test_laguerre_fn_deriv_degree_one_at_zero():
-    assert laguerre_fn_deriv(1, 0.0) == pytest.approx(-1.5, abs=1e-14)
+    _, ders = laguerre_fn_table(1, 0.0, derivatives=True)
+    assert ders[1, 0] == pytest.approx(-1.5, abs=1e-14)
 
 
 def test_laguerre_fn_deriv_matches_central_difference():
     h, x = 1e-6, 0.7
-    fd = (laguerre_fn(6, x + h) - laguerre_fn(6, x - h)) / (2 * h)
-    assert abs(laguerre_fn_deriv(6, x) - fd) < 1e-7
+    vals, ders = laguerre_fn_table(6, [x + h, x - h, x], derivatives=True)
+    fd = (vals[6, 0] - vals[6, 1]) / (2 * h)
+    assert abs(ders[6, 2] - fd) < 1e-7
 
 
 def test_legendre_degree_zero_constant():
-    for x in (-1.0, -0.3, 0.0, 0.9, 1.0):
-        assert legendre(0, x) == 1.0
+    vals, _ = legendre_table(0, [-1.0, -0.3, 0.0, 0.9, 1.0])
+    for value in vals[0]:
+        assert value == 1.0
 
 
 def test_legendre_endpoint_normalization():
-    for n in range(21):
-        assert legendre(n, 1.0) == pytest.approx(1.0, abs=1e-13)
+    vals, _ = legendre_table(20, 1.0)
+    for value in vals[:, 0]:
+        assert value == pytest.approx(1.0, abs=1e-13)
 
 
 def test_legendre_deriv_endpoint_identity():
+    _, ders = legendre_table(20, 1.0)
     for n in range(21):
-        assert legendre_deriv(n, 1.0) == pytest.approx(n * (n + 1) / 2, rel=1e-13)
+        assert ders[n, 0] == pytest.approx(n * (n + 1) / 2, rel=1e-13)
     h = 1e-6
-    fd = (legendre(7, 0.4 + h) - legendre(7, 0.4 - h)) / (2 * h)
-    assert abs(legendre_deriv(7, 0.4) - fd) < 1e-7
+    vals, ders = legendre_table(7, [0.4 + h, 0.4 - h, 0.4])
+    fd = (vals[7, 0] - vals[7, 1]) / (2 * h)
+    assert abs(ders[7, 2] - fd) < 1e-7
 
 
 def test_laguerre_functions_orthonormal():
@@ -86,48 +86,51 @@ def test_laguerre_functions_orthonormal():
 def test_interface_function_values(unit_scale_basis):
     b = unit_scale_basis
     vr, vf = b.domain.v_reset, b.domain.v_threshold
-    assert b.value(0, vr) == 1.0
-    assert b.value(0, vf) == 0.0
-    assert b.value(0, 0.0) == pytest.approx(math.exp(-0.5), rel=1e-14)
-    assert b.value(0, 1.5) == pytest.approx(0.5, rel=1e-14)
+    at_vr, at_vf, at_0, at_15 = b.values_at([vr, vf, 0.0, 1.5])[0]
+    assert at_vr == 1.0
+    assert at_vf == 0.0
+    assert at_0 == pytest.approx(math.exp(-0.5), rel=1e-14)
+    assert at_15 == pytest.approx(0.5, rel=1e-14)
 
 
 def test_left_family_vanishes_at_reset(unit_scale_basis):
     b = unit_scale_basis
-    assert b.value(1, b.domain.v_reset) == 0.0
+    vals = b.values_at([b.domain.v_reset, 1.5, 1.7])
+    assert vals[1, 0] == 0.0
     # zero extension on the right subinterval
-    assert b.value(1, 1.5) == 0.0
-    assert b.value(b.m, 1.7) == 0.0
+    assert vals[1, 1] == 0.0
+    assert vals[b.m, 2] == 0.0
 
 
 def test_right_family_vanishes_at_both_ends(unit_scale_basis):
     b = unit_scale_basis
-    assert b.value(b.m + 1, b.domain.v_threshold) == 0.0
-    assert b.value(b.m + 1, b.domain.v_reset) == 0.0
-    assert b.value(2 * b.m, -0.5) == 0.0
+    vals = b.values_at([b.domain.v_threshold, b.domain.v_reset, -0.5])
+    assert vals[b.m + 1, 0] == 0.0
+    assert vals[b.m + 1, 1] == 0.0
+    assert vals[2 * b.m, 2] == 0.0
 
 
 def test_unit_scale_left_values_match_function_difference(unit_scale_basis):
     b = unit_scale_basis
     v = -0.8
     x = b.domain.v_reset - v
+    lag = laguerre_fn_table(b.m, x)[:, 0]
+    vals = b.values_at([v])[:, 0]
     for j in range(b.m):
-        expect = laguerre_fn(j, x) - laguerre_fn(j + 1, x)
-        assert b.value(1 + j, v) == pytest.approx(expect, rel=1e-13)
+        expect = lag[j] - lag[j + 1]
+        assert vals[1 + j] == pytest.approx(expect, rel=1e-13)
 
 
 def test_interface_slope_on_right_branch(domain):
     b = BasisSet(domain, 4)
-    for v in (1.2, 1.5, 1.9):
-        assert b.deriv(0, v) == pytest.approx(
-            1.0 / (domain.v_reset - domain.v_threshold), rel=1e-14
-        )
+    for slope in b.derivs_at([1.2, 1.5, 1.9])[0]:
+        assert slope == pytest.approx(1.0 / (domain.v_reset - domain.v_threshold), rel=1e-14)
 
 
 def test_right_family_slope_at_threshold(domain):
     # 2 (L'_0(1) - L'_2(1)) = -6 when the right subinterval has unit width
     b = BasisSet(domain, 4)
-    assert b.deriv(b.m + 1, domain.v_threshold) == pytest.approx(-6.0, rel=1e-13)
+    assert b.derivs_at([domain.v_threshold])[b.m + 1, 0] == pytest.approx(-6.0, rel=1e-13)
 
 
 @pytest.mark.parametrize("left_scale", [1.0, None])
@@ -158,22 +161,18 @@ def test_traces(domain):
     # right-side slopes at the threshold: -(2k+3) * 2 / width
     for j in range(b.m):
         assert tr.deriv_at_threshold[1 + b.m + j] == pytest.approx(-2.0 * (2 * j + 3))
-    # one-sided slopes at the reset voltage
-    assert tr.deriv_at_reset_minus[0] == pytest.approx(0.5 * b.beta)
-    assert tr.deriv_at_reset_plus[0] == pytest.approx(-1.0)
-    assert np.array_equal(tr.deriv_at_reset_plus[1 : b.m + 1], np.zeros(b.m))
-    assert np.array_equal(tr.deriv_at_reset_minus[b.m + 1 :], np.zeros(b.m))
 
 
-def test_traces_match_one_sided_limits(domain):
-    b = BasisSet(domain, 6)
+@pytest.mark.parametrize("v_reset, v_threshold", [(1.0, 2.0), (0.1, 0.2), (-5.3, 7.9)])
+def test_threshold_traces_exact_on_any_domain(v_reset, v_threshold):
+    # the threshold maps to exactly 1 on the reference interval, so the right
+    # family vanishes there and its slopes are exactly -(2j+3) * 2 / width
+    b = BasisSet(Domain(v_reset, v_threshold), 7)
     tr = b.traces()
-    eps = 1e-9
-    vr = domain.v_reset
-    left = b.derivs_at(np.array([vr - eps]))[:, 0]
-    right = b.derivs_at(np.array([vr + eps]))[:, 0]
-    assert np.max(np.abs(left - tr.deriv_at_reset_minus)) < 1e-5
-    assert np.max(np.abs(right - tr.deriv_at_reset_plus)) < 1e-5
+    assert np.array_equal(b.values_at([v_threshold])[:, 0], np.zeros(b.dim))
+    assert np.array_equal(tr.value_at_threshold, np.zeros(b.dim))
+    slopes = (2.0 / b.domain.width) * -(2.0 * np.arange(b.m) + 3.0)
+    assert np.array_equal(tr.deriv_at_threshold[b.m + 1 :], slopes)
 
 
 def test_continuity_across_reset(domain):
@@ -194,14 +193,6 @@ def test_far_tail_decay(domain):
     b = BasisSet(domain, 16)
     vals = b.values_at(np.array([domain.v_reset - 80.0]))
     assert np.max(np.abs(vals)) < 1e-8
-
-
-def test_index_out_of_range(domain):
-    b = BasisSet(domain, 3)
-    with pytest.raises(IndexError):
-        b.value(b.dim, 0.0)
-    with pytest.raises(IndexError):
-        b.deriv(-1, 0.0)
 
 
 def test_evaluation_beyond_threshold_rejected(domain):

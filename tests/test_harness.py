@@ -25,7 +25,7 @@ from nnlif.experiments import (
     run_experiment,
 )
 from nnlif.fdm import FdmGrid, fdm_solve, fdm_solve_twopop, reference_timestep
-from nnlif.integrate import ONE_POPULATION, TWO_POPULATIONS, RunRecord, whole_steps
+from nnlif.integrate import ONE_POPULATION, TWO_POPULATIONS, RunRecord, integrate, whole_steps
 from nnlif.norms import norm_grid
 from nnlif.onepop import OnePopParams, solve
 from nnlif.quadrature import gauss_legendre
@@ -319,6 +319,25 @@ def test_whole_steps_counts_steps_to_a_relative_tolerance():
     assert whole_steps(0.2 + 1e-10, 0.04) == 5
     assert whole_steps(2000.0 + 1e-7, 0.5) == 4000
     assert whole_steps(2000.0 + 1e-5, 0.5) is None
+
+
+class _StartRaises:
+    """A stepper that fails the test as soon as a run starts."""
+
+    layout = ONE_POPULATION
+    out_grid = np.zeros(1)
+
+    def start(self, rates):
+        raise AssertionError("the run started")
+
+
+def test_integrate_bounds_the_step_count():
+    # 1e12 steps are rejected before a record array is allocated
+    with pytest.raises(ConfigurationError, match="takes 1000000000000 steps, at most 10000000"):
+        integrate(_StartRaises(), 1e-9, 1e3)
+    # exactly the bound passes it and starts
+    with pytest.raises(AssertionError, match="the run started"):
+        integrate(_StartRaises(), 1.0, 1e7)
 
 
 # --- classifier --------------------------------------------------------------
@@ -903,6 +922,9 @@ def _twopop_initial(initial):
         _set("initial", "v0", 50.0),
         _set("numerics", "m", 200),
         _set("numerics", "n_q", 500),
+        _replace("numerics", {"m": 8, "dt": 1e-9, "t_final": 1e3}),
+        _set("initial", "sigma0_sq", 1e-12),
+        _set("initial", "v0", -1e6),
     ],
     ids=[
         "a0-negative", "a0-nan", "a1-inf", "b-minus-inf", "dt-nan", "t_final-inf",
@@ -912,7 +934,8 @@ def _twopop_initial(initial):
         "reference-unknown-key", "reference-method-uppercase", "richardson-not-bool", "initial-unknown-key",
         "model-unknown-key", "sweep-unknown-key", "initial-twopop-unknown-key", "initial-e-unknown-key",
         "dt-and-t_final-true", "a0-true", "blowup_threshold-true", "no-mass-below-threshold",
-        "m-past-laguerre-range", "n_q-past-laguerre-range",
+        "m-past-laguerre-range", "n_q-past-laguerre-range", "steps-past-bound", "projection-massless-narrow",
+        "projection-massless-far-left",
     ],
 )
 def test_cli_bad_config_values_are_config_errors(tmp_path, capsys, edit):
