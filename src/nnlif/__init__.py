@@ -12,7 +12,7 @@ from .assembly import (
     reconstruct,
 )
 from .basis import BasisSet, Domain
-from .fdm import FdmGrid, fdm_reference, fdm_solve, fdm_solve_twopop
+from .fdm import FdmGrid, fdm_reference, fdm_solve
 from .integrate import RunRecord
 from .norms import l2_distance, linf_distance, norm_grid
 from .onepop import OnePopParams, PopulationState, firing_rate, solve, step
@@ -45,7 +45,6 @@ __all__ = [
     "dump_matrices",
     "fdm_reference",
     "fdm_solve",
-    "fdm_solve_twopop",
     "firing_rate",
     "gauss_laguerre",
     "gauss_legendre",

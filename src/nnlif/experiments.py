@@ -49,29 +49,18 @@ from .twopop import TwoPopParams, solve_twopop
 
 SCHEMA_VERSION = 1
 
-EXPERIMENT_KINDS = (
-    "convergence-time",
-    "convergence-space",
-    "stability-grid",
-    "efficiency",
-    "blowup",
-    "twopop-regimes",
-    "compare-fdm",
-)
-
-# kinds whose runners only know the one-population model
-_ONE_POPULATION_KINDS = ("convergence-space", "stability-grid", "efficiency", "compare-fdm")
-
-# numerics keys each experiment kind reads without a default
-_REQUIRED_NUMERICS = {
-    "convergence-time": ("dt_values", "t_final"),
-    "convergence-space": ("m_values", "dt", "t_final"),
-    "stability-grid": ("m_values", "dt_values", "t_final"),
-    "efficiency": ("dt", "t_final"),
-    "blowup": ("dt", "t_final"),
-    "twopop-regimes": ("dt", "t_final"),
-    "compare-fdm": ("dt", "t_final"),
+# every experiment kind: the numerics keys it reads without a default, and
+# the population model its runner knows, "one", "two" or None for either
+_KINDS = {
+    "convergence-time": (("dt_values", "t_final"), None),
+    "convergence-space": (("m_values", "dt", "t_final"), "one"),
+    "stability-grid": (("m_values", "dt_values", "t_final"), "one"),
+    "efficiency": (("dt", "t_final"), "one"),
+    "blowup": (("dt", "t_final"), None),
+    "twopop-regimes": (("dt", "t_final"), "two"),
+    "compare-fdm": (("dt", "t_final"), "one"),
 }
+EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +180,7 @@ _DETECTION = classify_regime.__kwdefaults__
 
 # Every config key: section -> key -> (check, default), a nested dict being a
 # section.  A key the config leaves out takes its default; a default of None
-# means "not set": the kind needs the key (_REQUIRED_NUMERICS), or it has a
+# means "not set": the kind needs the key (_KINDS), or it has a
 # default derived from other values where it is read (reference_m,
 # reference.dt, n_q, beta).  This is the one-population form; see
 # _TWO_POPULATION_SCHEMA for the other.
@@ -348,11 +337,12 @@ def _validate(cfg: ExperimentConfig, given_numerics: dict) -> None:
     """The rules that tie keys together, on a config whose every key passed
     its own check."""
     num = cfg.numerics
-    if cfg.two_population and cfg.kind in _ONE_POPULATION_KINDS:
-        raise ConfigurationError(f"{cfg.kind} needs a one-population model")
+    required, population = _KINDS[cfg.kind]
+    if population not in (None, "two" if cfg.two_population else "one"):
+        raise ConfigurationError(f"{cfg.kind} needs a {population}-population model")
     if cfg.two_population and cfg.kind == "convergence-time" and cfg.reference["method"] == "self":
         raise ConfigurationError("two-population ladders use the fdm reference")
-    for key in _REQUIRED_NUMERICS[cfg.kind]:
+    for key in required:
         if key not in given_numerics:
             raise ConfigurationError(f"{cfg.kind} needs numerics.{key}")
 
@@ -362,8 +352,8 @@ def _validate(cfg: ExperimentConfig, given_numerics: dict) -> None:
         for a, b in zip(ladder[:-1], ladder[1:]):
             if b > a:
                 raise ConfigurationError("dt_values must be non-increasing")
-    if cfg.kind == "twopop-regimes" and not (cfg.two_population and cfg.sweep["b_e_to_e"]):
-        raise ConfigurationError("twopop-regimes needs a two-population model and sweep.b_e_to_e")
+    if cfg.kind == "twopop-regimes" and not cfg.sweep["b_e_to_e"]:
+        raise ConfigurationError("twopop-regimes needs sweep.b_e_to_e")
     steps = ([dt] if dt is not None else []) + ladder
     for step in steps:
         _check_divisible(step, t_final, "t_final")

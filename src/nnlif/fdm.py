@@ -13,10 +13,12 @@ fine grids; :func:`fdm_reference` optionally Richardson-extrapolates a
 (h, h/2) pair, which removes the leading O(h) error while staying inside
 the same discretization family.
 
-The two-population model keeps both populations' cells in one (2, n)
-array, rows E, I, and advances them with one stencil call; it takes its
-delayed rates, lagged [target][source], from :mod:`twopop`.  A reference
-run's step divides t_final and every nonzero delay.
+One entry point, :func:`fdm_solve`, and one stability rule,
+:func:`stable_timestep`, serve both models, and one stencil, :func:`fdm_step`,
+advances one population's cells.  Two populations hold a pair of cell rows,
+E, I, as the spectral state does, with delayed rates, lagged
+[target][source], from :mod:`twopop`; a reference step divides t_final and
+every nonzero delay.
 """
 
 from __future__ import annotations
@@ -74,9 +76,17 @@ class FdmGrid:
         return self.v_min + np.arange(1, self.n_cells) * self.h
 
 
-def cfl_timestep(grid: FdmGrid, diffusion: float, rate_cap: float = 0.0, b: float = 0.0) -> float:
-    """Largest stable explicit step dt <= h^2 / (2 a + |u|_max h)."""
-    u_max = max(abs(grid.v_min), abs(grid.domain.v_threshold)) + abs(b) * rate_cap
+def stable_timestep(grid: FdmGrid, params, rate_cap: float = 0.0) -> float:
+    """Largest stable explicit step dt <= h^2 / (2 a + |u|_max h) of either
+    model while its rates stay below ``rate_cap``: a bounds the diffusion
+    and |u|_max the drift -v + offset over the grid."""
+    if isinstance(params, TwoPopParams):
+        diffusion = params.diffusion_constant
+        # the largest drift offset either population can see
+        offset = max(abs(b[0]) + abs(b[1]) for b in params.tables["b"]) * rate_cap + abs(params.drive_shift)
+    else:
+        diffusion, offset = params.a0 + params.a1 * rate_cap, abs(params.b) * rate_cap
+    u_max = max(abs(grid.v_min), abs(grid.domain.v_threshold)) + offset
     return grid.h * grid.h / (2.0 * diffusion + u_max * grid.h)
 
 
@@ -90,39 +100,31 @@ def fdm_rate(p: np.ndarray, params: OnePopParams, grid: FdmGrid) -> float:
     return params.a0 * g / denom
 
 
-def _advance(p: np.ndarray, grid: FdmGrid, dt: float, drift_offset, diffusion, inflow):
-    """One explicit step of the cell values with drift -v + ``drift_offset``,
-    the given diffusion, and ``inflow`` re-injected at the reset edge.
-
-    ``p`` holds one population's cells with scalar coefficients, or one row
-    per population with the coefficients as (2, 1) columns."""
+def fdm_step(p: np.ndarray, grid: FdmGrid, dt: float, drift_offset: float, diffusion: float,
+             inflow: float) -> np.ndarray:
+    """One explicit step of one population's cell values ``p`` with drift
+    -v + ``drift_offset``, the given diffusion, and ``inflow`` re-injected
+    at the reset edge; returns the new cell values."""
     h = grid.h
     u = -grid.inner_edges + drift_offset
-    left, right = p[..., :-1], p[..., 1:]
-    flux = np.empty(p.shape[:-1] + (grid.n_cells + 1,))
-    flux[..., 0] = 0.0  # zero-flux wall at v_min
-    flux[..., 1:-1] = np.where(u >= 0.0, u * left, u * right) - diffusion * (right - left) / h
+    left, right = p[:-1], p[1:]
+    flux = np.empty(grid.n_cells + 1)
+    flux[0] = 0.0  # zero-flux wall at v_min
+    flux[1:-1] = np.where(u >= 0.0, u * left, u * right) - diffusion * (right - left) / h
     # threshold edge: absorbing value p(V_F)=0 kills the drift flux there,
     # the diffusive outflux is exactly the firing rate
-    flux[..., -1:] = diffusion * p[..., -1:] / h
+    flux[-1] = diffusion * p[-1] / h
 
-    p_new = p - (dt / h) * (flux[..., 1:] - flux[..., :-1])
-    p_new[..., grid.i_reset:grid.i_reset + 1] += inflow * dt / h
+    p_new = p - (dt / h) * (flux[1:] - flux[:-1])
+    p_new[grid.i_reset] += inflow * dt / h
     return p_new
-
-
-def fdm_step(p: np.ndarray, rate: float, params: OnePopParams, grid: FdmGrid, dt: float):
-    """One explicit step from cell values ``p`` whose firing rate is
-    ``rate``; returns (new cell values, their firing rate)."""
-    p_new = _advance(p, grid, dt, params.b * rate, params.a0 + params.a1 * rate, rate)
-    return p_new, fdm_rate(p_new, params, grid)
 
 
 def _initial_cells(p0, grid: FdmGrid) -> np.ndarray:
     """Cell values of the initial density, normalized to exact unit mass."""
     p = np.asarray(p0(grid.centers), dtype=float)
     total = float(np.sum(p) * grid.h)
-    if total <= 0:
+    if not total > 0:  # NaN included
         raise ConfigurationError("initial density has nonpositive mass on the grid")
     return p / total
 
@@ -133,19 +135,6 @@ def _to_norm_grid(p: np.ndarray, grid: FdmGrid, out_grid: np.ndarray) -> np.ndar
     xs = np.concatenate(([grid.v_min], grid.centers, [grid.domain.v_threshold]))
     ys = np.concatenate(([p[0]], p, [0.0]))
     return np.interp(out_grid, xs, ys, left=0.0, right=0.0)
-
-
-def _stable_timestep(grid: FdmGrid, params, rate_cap: float) -> float:
-    """:func:`cfl_timestep` for either model while its rates stay below
-    ``rate_cap``."""
-    if isinstance(params, TwoPopParams):
-        # the largest drift offset either population can see
-        offset = (
-            max(abs(b[0]) + abs(b[1]) for b in params.tables["b"]) * rate_cap
-            + abs(params.drive_shift)
-        )
-        return cfl_timestep(grid, params.diffusion_constant, 1.0, offset)
-    return cfl_timestep(grid, params.a0 + params.a1 * rate_cap, rate_cap, params.b)
 
 
 def reference_timestep(grid: FdmGrid, params, t_final: float) -> float:
@@ -163,7 +152,7 @@ def reference_timestep(grid: FdmGrid, params, t_final: float) -> float:
     (rates up to 1); two populations bound the external drive only.
     """
     two = isinstance(params, TwoPopParams)
-    bound = 0.9 * _stable_timestep(grid, params, 0.0 if two else 1.0)
+    bound = 0.9 * stable_timestep(grid, params, 0.0 if two else 1.0)
     first = math.ceil(t_final / bound)
     delays = {name: d for name in DELAY_NAMES if (d := getattr(params, name)) > 0} if two else {}
     for name, delay in delays.items():
@@ -186,11 +175,12 @@ class _CellState(NamedTuple):
 
 
 class _FdmOnePop:
-    """The finite-volume single-population model as a :class:`Stepper`."""
+    """The finite-volume single-population model as a :class:`Stepper`:
+    drift b N, diffusion a0 + a1 N and inflow N."""
 
     layout = ONE_POPULATION
 
-    def __init__(self, p0, params: OnePopParams, grid: FdmGrid, dt: float):
+    def __init__(self, p0, params, grid: FdmGrid, dt: float):
         self.p0, self.params, self.grid, self.dt = p0, params, grid, dt
         self.out_grid = norm_grid(grid.domain)
 
@@ -199,9 +189,10 @@ class _FdmOnePop:
         return _CellState(p, 0, 0.0, fdm_rate(p, self.params, self.grid))
 
     def step(self, state: _CellState) -> _CellState:
-        p, rate = fdm_step(state.p, state.rate, self.params, self.grid, self.dt)
+        params, rate = self.params, state.rate
+        p = fdm_step(state.p, self.grid, self.dt, params.b * rate, params.a0 + params.a1 * rate, rate)
         n = state.step_index + 1
-        return _CellState(p, n, n * self.dt, rate)
+        return _CellState(p, n, n * self.dt, fdm_rate(p, params, self.grid))
 
     def observe(self, state: _CellState):
         return state.rate, float(state.p.sum() * self.grid.h)
@@ -210,35 +201,31 @@ class _FdmOnePop:
         return _to_norm_grid(state.p, self.grid, self.out_grid)
 
 
-class _FdmTwoPop:
-    """The finite-volume two-population model (constant diffusion) as a
-    :class:`Stepper`; the state's cell values are one (2, n) array, rows E,
-    I, and the reset inflow is the recovery rate M_alpha."""
+class _FdmTwoPop(_FdmOnePop):
+    """The two-population model (constant diffusion), set up as the single
+    one: the state's cell values are a pair of rows, E, I, and the reset
+    inflow is the recovery rate M_alpha."""
 
     layout = TWO_POPULATIONS
 
-    def __init__(self, p0, params: TwoPopParams, grid: FdmGrid, dt: float):
-        self.p0, self.params, self.grid, self.dt = p0, params, grid, dt
-        self.out_grid = norm_grid(grid.domain)
-
-    def _rate(self, p: np.ndarray) -> list:
-        return (self.params.diffusion_constant * p[:, -1] / self.grid.h).tolist()
+    def _rates(self, u) -> list:
+        return [self.params.diffusion_constant * float(p[-1]) / self.grid.h for p in u]
 
     def start(self, rates) -> TwoPopState:
         self.lags = self.params.delay_lags(self.dt)
-        p = np.array([_initial_cells(p0, self.grid) for p0 in self.p0])
-        return TwoPopState(p, (0.0, 0.0), 0.0, 0, self._rate(p), rates)
+        u = [_initial_cells(p0, self.grid) for p0 in self.p0]
+        return TwoPopState(u, (0.0, 0.0), 0.0, 0, self._rates(u), rates)
 
     def step(self, state: TwoPopState) -> TwoPopState:
         inflow = recovery(state.r, state.rate, self.params)
-        coeffs = (*coefficients(self.params, delayed_rates(state, self.lags)), inflow)
-        p = _advance(state.u, self.grid, self.dt, *np.array(coeffs)[..., None])
+        drift, diffusion = coefficients(self.params, delayed_rates(state, self.lags))
+        u = [fdm_step(p, self.grid, self.dt, v, a, m) for p, v, a, m in zip(state.u, drift, diffusion, inflow)]
         n = state.step_index + 1
         r = state.refractory_after(inflow, self.dt)
-        return TwoPopState(p, r, n * self.dt, n, self._rate(p), state.history)
+        return TwoPopState(u, r, n * self.dt, n, self._rates(u), state.history)
 
     def observe(self, state: TwoPopState):
-        return (*state.rate, *(state.u.sum(axis=1) * self.grid.h).tolist(), *state.r)
+        return (*state.rate, *(float(p.sum() * self.grid.h) for p in state.u), *state.r)
 
     def densities(self, state: TwoPopState) -> np.ndarray:
         return np.array([_to_norm_grid(p, self.grid, self.out_grid) for p in state.u])
@@ -246,7 +233,7 @@ class _FdmTwoPop:
 
 def fdm_solve(
     p0,
-    params: OnePopParams,
+    params,
     grid: FdmGrid,
     dt: float,
     t_final: float,
@@ -254,38 +241,22 @@ def fdm_solve(
     snapshot_times=(),
     blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
 ) -> RunRecord:
-    """Explicit run recording (t, N, mass) every step, same record shape as
-    the spectral solver."""
-    if dt > _stable_timestep(grid, params, 0.0):
-        raise ConfigurationError(
-            f"dt={dt} violates the explicit stability bound for h={grid.h}"
-        )
-    return integrate(_FdmOnePop(p0, params, grid, dt), dt, t_final, snapshot_times, blowup_threshold)
+    """Explicit run recording every step, same record shape as the spectral
+    solvers.
 
-
-def fdm_solve_twopop(
-    p0_e,
-    p0_i,
-    params: TwoPopParams,
-    grid: FdmGrid,
-    dt: float,
-    t_final: float,
-    *,
-    snapshot_times=(),
-    blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
-) -> RunRecord:
-    """Two-population variant with the same stencil per population, from
-    empty refractory states.
-
-    Restricted to constant diffusion (the configuration of every experiment
-    that uses this oracle); the reset inflow is the recovery rate M_alpha
-    and the refractory masses follow the forward-Euler balance.
+    ``p0`` and ``params`` are one density callable and OnePopParams, or an
+    (E, I) pair of callables and TwoPopParams.  Two populations start from
+    empty refractory states and need constant diffusion (the configuration
+    of every experiment that uses this oracle); their refractory masses
+    follow the forward-Euler balance.
     """
-    if params.diffusion_mode != DIFFUSION_CONSTANT:
+    two = isinstance(params, TwoPopParams)
+    if two and params.diffusion_mode != DIFFUSION_CONSTANT:
         raise ConfigurationError("the finite-difference oracle supports constant diffusion only")
-    if dt > _stable_timestep(grid, params, 0.0):
+    if dt > stable_timestep(grid, params):
         raise ConfigurationError(f"dt={dt} violates the explicit stability bound for h={grid.h}")
-    return integrate(_FdmTwoPop((p0_e, p0_i), params, grid, dt), dt, t_final, snapshot_times, blowup_threshold)
+    stepper = (_FdmTwoPop if two else _FdmOnePop)(p0, params, grid, dt)
+    return integrate(stepper, dt, t_final, snapshot_times, blowup_threshold)
 
 
 def fdm_reference(
@@ -305,15 +276,11 @@ def fdm_reference(
     leading O(h) upwind error is cancelled from a (h, h/2) pair; each run
     takes :func:`reference_timestep`.
     """
-    two = isinstance(params, TwoPopParams)
 
     def run(h_run: float) -> np.ndarray:
         grid = FdmGrid.build(domain, v_min=v_min, h=h_run)
-        dt = reference_timestep(grid, params, t_final)
-        if two:
-            rec = fdm_solve_twopop(*p0, params, grid, dt, t_final, snapshot_times=(t_final,))
-        else:
-            rec = fdm_solve(p0, params, grid, dt, t_final, snapshot_times=(t_final,))
+        rec = fdm_solve(p0, params, grid, reference_timestep(grid, params, t_final), t_final,
+                        snapshot_times=(t_final,))
         return rec.final_density(f"reference run at h={h_run}")
 
     coarse = run(h)

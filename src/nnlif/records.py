@@ -7,7 +7,9 @@ and column order is deterministic.
 Rows are written through one row template (:func:`write_rows`): a float64
 array column takes the ``%.17g`` field, filled from the column's
 ``tolist()``, and any other column a ``%s`` field filled cell by cell from
-:func:`_format`.  ``%.17g`` and ``format(x, ".17g")`` share CPython's float
+:func:`_format`.  Rows go out in blocks of ``_BLOCK_ROWS``, so a long
+record holds one block's cells as Python objects at a time, not its whole
+table.  ``%.17g`` and ``format(x, ".17g")`` share CPython's float
 formatter, so both give the same bytes, ``nan`` and ``inf`` included.  A
 2,001-row, 7-column float table takes 17 ms instead of the per-cell loop's
 27 ms, 14 ms of which is the float formatting itself.  The assembled
@@ -23,6 +25,9 @@ import numpy as np
 
 from .errors import ConfigurationError
 
+# rows :func:`write_rows` formats at a time
+_BLOCK_ROWS = 65_536
+
 
 def _format(value) -> str:
     if isinstance(value, (float, np.floating)):
@@ -34,17 +39,16 @@ def _format(value) -> str:
 
 def write_rows(fh, columns) -> None:
     """Write equal-length columns to ``fh`` as comma-separated rows, one
-    row template for all of them (see the module docstring)."""
-    fields, cells = [], []
-    for col in columns:
-        if isinstance(col, np.ndarray) and col.ndim == 1 and col.dtype == np.float64:
-            fields.append("%.17g")
-            cells.append(col.tolist())
-        else:
-            fields.append("%s")
-            cells.append([_format(value) for value in col])
-    template = ",".join(fields) + "\n"
-    fh.writelines(template % row for row in zip(*cells))
+    row template for all of them, block by block (see the module
+    docstring)."""
+    columns = list(columns)
+    floats = [isinstance(col, np.ndarray) and col.ndim == 1 and col.dtype == np.float64 for col in columns]
+    template = ",".join("%.17g" if f else "%s" for f in floats) + "\n"
+    for start in range(0, len(columns[0]) if columns else 0, _BLOCK_ROWS):
+        block = [col[start:start + _BLOCK_ROWS] for col in columns]
+        # unnamed, a block's cells are freed before the next block's are made
+        fh.writelines(template % row for row in zip(*(
+            col.tolist() if f else [_format(value) for value in col] for f, col in zip(floats, block))))
 
 
 def emit_table(path: str, columns: dict, meta: dict | None = None) -> None:

@@ -186,15 +186,15 @@ class TwoPopState(NamedTuple):
     """Densities, refractory masses and rates of both populations at step
     ``step_index``, populations in E, I order.
 
-    ``u`` holds the densities: a pair of coefficient vectors (spectral) or
-    one (2, n) array of cell values (finite volumes).  ``r`` and ``rate``
+    ``u`` holds the densities as a pair of vectors: coefficient vectors
+    (spectral) or rows of cell values (finite volumes).  ``r`` and ``rate``
     are pairs, the latter the rates of this state.  ``history`` is the pair
     of recorded rate columns of the run, entry k for step k; a step reads the
     entries before its own index that its delays reach, which with zero
     delays is none.
     """
 
-    u: Sequence[np.ndarray] | np.ndarray
+    u: Sequence[np.ndarray]
     r: Sequence[float]
     t: float
     step_index: int

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,13 +9,12 @@ from nnlif.basis import BasisSet
 from nnlif.errors import ConfigurationError
 from nnlif.fdm import (
     FdmGrid,
-    cfl_timestep,
     fdm_reference,
     fdm_solve,
     fdm_rate,
-    fdm_solve_twopop,
     fdm_step,
     reference_timestep,
+    stable_timestep,
 )
 from nnlif.norms import l2_distance, norm_grid
 from nnlif.onepop import OnePopParams, solve
@@ -26,9 +27,16 @@ def grid(domain):
 
 
 def _stable_dt(grid, params, t_final, rate_cap):
-    bound = 0.9 * cfl_timestep(grid, params.a0 + params.a1, max(1.0, rate_cap), params.b)
+    bound = 0.9 * stable_timestep(grid, params, max(1.0, rate_cap))
     n = int(np.ceil(t_final / bound))
     return t_final / n
+
+
+def _onepop_step(p, rate, params, grid, dt):
+    """One single-population step through the stencil (drift b N,
+    diffusion a0 + a1 N, inflow N) and the new cells' firing rate."""
+    p_new = fdm_step(p, grid, dt, params.b * rate, params.a0 + params.a1 * rate, rate)
+    return p_new, fdm_rate(p_new, params, grid)
 
 
 def test_grid_alignment(domain):
@@ -44,7 +52,7 @@ def test_grid_alignment(domain):
 def test_zero_density_stays_zero(grid):
     params = OnePopParams(a0=1.0, a1=0.1, b=0.5)
     p = np.zeros(grid.n_cells)
-    p_new, rate = fdm_step(p, 0.0, params, grid, 1e-5)
+    p_new, rate = _onepop_step(p, 0.0, params, grid, 1e-5)
     assert np.array_equal(p_new, p)
     assert rate == 0.0
 
@@ -54,7 +62,7 @@ def test_single_step_mass_exact(grid, domain):
     ic = normalize_gaussian(-1.0, 0.5, domain)
     p = np.asarray(ic(grid.centers))
     mass0 = float(np.sum(p) * grid.h)
-    p_new, _ = fdm_step(p, fdm_rate(p, params, grid), params, grid, 1e-5)
+    p_new, _ = _onepop_step(p, fdm_rate(p, params, grid), params, grid, 1e-5)
     assert abs(float(np.sum(p_new) * grid.h) - mass0) < 1e-12
 
 
@@ -82,7 +90,7 @@ def test_nonnegativity_linear_case(grid, domain):
     p /= float(np.sum(p) * grid.h)
     rate = fdm_rate(p, params, grid)
     for _ in range(round(0.05 / dt)):
-        p, rate = fdm_step(p, rate, params, grid, dt)
+        p, rate = _onepop_step(p, rate, params, grid, dt)
     assert p.min() >= 0.0
 
 
@@ -119,7 +127,7 @@ def test_twopop_combined_mass_exact(domain):
         tau_e=0.025, tau_i=0.025, refractory_mode="exponential",
     )
     ic = normalize_gaussian(-1.0, 0.5, domain)
-    rec = fdm_solve_twopop(ic, ic, params, g, reference_timestep(g, params, 0.1), 0.1)
+    rec = fdm_solve((ic, ic), params, g, reference_timestep(g, params, 0.1), 0.1)
     assert rec.status == "completed"
     assert np.max(np.abs(rec.columns["mass_e"] + rec.columns["refractory_e"] - 1.0)) < 1e-10
     assert np.max(np.abs(rec.columns["mass_i"] + rec.columns["refractory_i"] - 1.0)) < 1e-10
@@ -132,9 +140,87 @@ def test_twopop_reduces_to_onepop(domain):
     ic = normalize_gaussian(-1.0, 0.5, domain)
     dt = reference_timestep(g, params1, 0.1)
     rec1 = fdm_solve(ic, params1, g, dt, 0.1)
-    rec2 = fdm_solve_twopop(ic, ic, params2, g, dt, 0.1)
+    rec2 = fdm_solve((ic, ic), params2, g, dt, 0.1)
     assert np.max(np.abs(rec2.columns["rate_e"] - rec1.columns["rate"])) < 1e-12
     assert np.max(np.abs(rec2.columns["mass_e"] - rec1.columns["mass"])) < 1e-12
+
+
+@st.composite
+def _twopop_params(draw):
+    """Admissible constant-diffusion two-population parameters, either
+    recovery mode, no delays."""
+    exponential = draw(st.booleans())
+    couplings = {f"b_{x}_to_{y}": draw(st.floats(0.0, 1.0)) for x in "ei" for y in "ei"}
+    return TwoPopParams(
+        **couplings,
+        nu_ext=draw(st.floats(0.0, 2.0)),
+        diffusion_constant=draw(st.floats(0.5, 2.0)),
+        tau_e=draw(st.floats(0.01, 0.1)),
+        tau_i=draw(st.floats(0.01, 0.1)),
+        refractory_mode="exponential" if exponential else "pass-through",
+    )
+
+
+_gaussians = st.tuples(st.floats(-2.0, 0.0), st.floats(0.1, 1.0))
+
+
+@settings(max_examples=30)
+@given(
+    a0=st.floats(0.5, 2.0),
+    a1=st.floats(0.0, 0.5),
+    b=st.floats(-2.0, 2.0),
+    ic=_gaussians,
+    t_final=st.sampled_from([0.01, 0.025, 0.05]),
+)
+def test_onepop_mass_exact_at_random_parameters(domain, a0, a1, b, ic, t_final):
+    g = FdmGrid.build(domain, h=1.0 / 32.0)
+    params = OnePopParams(a0=a0, a1=a1, b=b)
+    rec = fdm_solve(normalize_gaussian(*ic, domain), params, g, reference_timestep(g, params, t_final), t_final)
+    assert rec.status == "completed"
+    assert np.max(np.abs(rec.columns["mass"] - 1.0)) < 1e-10
+
+
+@settings(max_examples=30)
+@given(
+    params=_twopop_params(),
+    ics=st.tuples(_gaussians, _gaussians),
+    t_final=st.sampled_from([0.01, 0.025, 0.05]),
+    lags=st.lists(st.integers(0, 150), min_size=4, max_size=4),
+)
+def test_twopop_mass_exact_at_random_parameters(domain, params, ics, t_final, lags):
+    g = FdmGrid.build(domain, h=1.0 / 32.0)
+    dt = reference_timestep(g, params, t_final)
+    params = replace(params, **{name: lag * dt for name, lag in zip(DELAY_NAMES, lags)})
+    rec = fdm_solve(tuple(normalize_gaussian(*ic, domain) for ic in ics), params, g, dt, t_final)
+    assert rec.status == "completed"
+    for pop in "ei":
+        assert np.max(np.abs(rec.columns[f"mass_{pop}"] + rec.columns[f"refractory_{pop}"] - 1.0)) < 1e-10
+
+
+@settings(max_examples=30)
+@given(a0=st.floats(0.2, 3.0), b=st.floats(0.0, 3.0), t_final=st.sampled_from([0.01, 0.025, 0.05]))
+def test_twopop_reduces_to_onepop_at_random_parameters(domain, a0, b, t_final):
+    g = FdmGrid.build(domain, h=1.0 / 32.0)
+    params1 = OnePopParams(a0=a0, a1=0.0, b=b)
+    params2 = TwoPopParams(b_e_to_e=b, diffusion_constant=a0, refractory_mode="pass-through")
+    ic = normalize_gaussian(-1.0, 0.5, domain)
+    dt = reference_timestep(g, params1, t_final)
+    rec1 = fdm_solve(ic, params1, g, dt, t_final, snapshot_times=(t_final,))
+    rec2 = fdm_solve((ic, ic), params2, g, dt, t_final, snapshot_times=(t_final,))
+    assert rec1.status == rec2.status == "completed"
+    assert np.max(np.abs(rec2.columns["rate_e"] - rec1.columns["rate"])) <= 1e-12
+    assert np.max(np.abs(rec2.columns["mass_e"] - rec1.columns["mass"])) <= 1e-12
+    assert np.max(np.abs(rec2.snapshots[0].density[0] - rec1.snapshots[0].density)) <= 1e-12
+
+
+@pytest.mark.parametrize("two", [False, True], ids=["one-population", "two-population"])
+def test_nan_initial_density_rejected(domain, two):
+    # a NaN total mass is not positive either; project_initial rejects the same density
+    g = FdmGrid.build(domain, h=1.0 / 32.0)
+    nan = lambda v: np.full_like(v, np.nan)  # noqa: E731
+    p0, params = ((normalize_gaussian(-1.0, 0.5, domain), nan), TwoPopParams()) if two else (nan, OnePopParams(1.0))
+    with pytest.raises(ConfigurationError, match="nonpositive mass"):
+        fdm_solve(p0, params, g, reference_timestep(g, params, 0.01), 0.01)
 
 
 @pytest.mark.parametrize("two", [False, True], ids=["one-population", "two-population"])
@@ -146,8 +232,8 @@ def test_final_snapshot_is_the_unextrapolated_reference(domain, two):
         ic = (ic, normalize_gaussian(0.0, 0.25, domain))
         params = TwoPopParams(b_e_to_e=0.5, b_e_to_i=0.5, b_i_to_e=0.75, tau_e=0.025, tau_i=0.025,
                               refractory_mode="exponential")
-        rec = fdm_solve_twopop(*ic, params, g, reference_timestep(g, params, t_final), t_final,
-                               snapshot_times=(t_final,))
+        rec = fdm_solve(ic, params, g, reference_timestep(g, params, t_final), t_final,
+                        snapshot_times=(t_final,))
     else:
         params = OnePopParams(a0=1.0, a1=0.1, b=0.5)
         rec = fdm_solve(ic, params, g, reference_timestep(g, params, t_final), t_final, snapshot_times=(t_final,))
@@ -162,14 +248,14 @@ def test_twopop_requires_constant_diffusion(domain):
     ic = normalize_gaussian(-1.0, 0.5, domain)
     params = TwoPopParams(diffusion_mode="model", d_e_to_e=1.0)
     with pytest.raises(ConfigurationError, match="constant diffusion"):
-        fdm_solve_twopop(ic, ic, params, g, 1e-5, 0.01)
+        fdm_solve((ic, ic), params, g, 1e-5, 0.01)
 
 
 def test_reference_timestep_divides_t_final_and_every_delay(domain):
     g = FdmGrid.build(domain, v_min=-6.0, h=1.0 / 32.0)
     t_final = 0.2
     undelayed = TwoPopParams(b_e_to_e=0.5, b_i_to_e=0.75)
-    bound = 0.9 * cfl_timestep(g, 1.0, 1.0, 0.0)
+    bound = 0.9 * stable_timestep(g, undelayed)
     assert reference_timestep(g, undelayed, t_final) == t_final / np.ceil(t_final / bound)
 
     delays = {"delay_e_to_e": 0.04, "delay_e_to_i": 0.0, "delay_i_to_e": 0.0125, "delay_i_to_i": 0.03}

@@ -5,14 +5,16 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import Future
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nnlif import assembly, cli, experiments
+from nnlif import assembly, cli, experiments, records
 from nnlif.basis import BasisSet
 from nnlif.assembly import assemble, normalize_gaussian
 from nnlif.cli import main
@@ -24,12 +26,12 @@ from nnlif.experiments import (
     parse_config,
     run_experiment,
 )
-from nnlif.fdm import FdmGrid, fdm_solve, fdm_solve_twopop, reference_timestep
+from nnlif.fdm import FdmGrid, fdm_solve, reference_timestep
 from nnlif.integrate import ONE_POPULATION, TWO_POPULATIONS, RunRecord, integrate, whole_steps
 from nnlif.norms import norm_grid
 from nnlif.onepop import OnePopParams, solve
 from nnlif.quadrature import gauss_legendre
-from nnlif.records import _format, emit_run_record, emit_table, parse_table
+from nnlif.records import _format, emit_run_record, emit_table, parse_table, write_rows
 from nnlif.twopop import TwoPopParams, solve_twopop
 
 
@@ -115,9 +117,7 @@ def _tables(draw):
     return columns, n_rows
 
 
-@settings(max_examples=150, deadline=None)
-@given(table=_tables())
-def test_emit_table_matches_per_cell_format(tmp_path_factory, table):
+def _check_per_cell_format(tmp_path_factory, table):
     columns, n_rows = table
     path = tmp_path_factory.mktemp("emit") / "table.csv"
     meta = {"dt": 0.001, "status": "completed"}
@@ -125,6 +125,34 @@ def test_emit_table_matches_per_cell_format(tmp_path_factory, table):
     want = "".join(f"# {key}={_format(meta[key])}\n" for key in sorted(meta)) + ",".join(columns) + "\n"
     want += "".join(",".join(_format(col[i]) for col in columns.values()) + "\n" for i in range(n_rows))
     assert path.read_bytes() == want.encode("utf-8")
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=_tables())
+def test_emit_table_matches_per_cell_format(tmp_path_factory, table):
+    _check_per_cell_format(tmp_path_factory, table)
+
+
+@settings(max_examples=50, deadline=None)
+@given(table=_tables())
+def test_emit_table_matches_per_cell_format_across_row_blocks(tmp_path_factory, table):
+    # up to 8 rows in blocks of 3: empty, partial and full last blocks
+    with mock.patch.object(records, "_BLOCK_ROWS", 3):
+        _check_per_cell_format(tmp_path_factory, table)
+
+
+def test_write_rows_holds_one_block_of_cells():
+    # 2 x 200,000 floats as Python objects (whole-column tolist) peak at
+    # about 12.8 MB; one 65,536-row block of them at about 4.2 MB
+    columns = [np.linspace(0.0, 1.0, 200_000), np.linspace(1.0, 2.0, 200_000)]
+    with open(os.devnull, "w", encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            write_rows(fh, columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_emit_rejects_ragged_columns(tmp_path):
@@ -171,8 +199,8 @@ def test_emit_run_record_writes_the_layout(tmp_path, domain, solver, layout, blo
         "fdm_solve": lambda: fdm_solve(
             ic, one, grid, reference_timestep(grid, one, t_final), t_final, blowup_threshold=blowup_threshold
         ),
-        "fdm_solve_twopop": lambda: fdm_solve_twopop(
-            ic, ic, two, grid, reference_timestep(grid, two, t_final), t_final, blowup_threshold=blowup_threshold
+        "fdm_solve_twopop": lambda: fdm_solve(
+            (ic, ic), two, grid, reference_timestep(grid, two, t_final), t_final, blowup_threshold=blowup_threshold
         ),
     }
     rec = runs[solver]()

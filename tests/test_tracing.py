@@ -7,8 +7,11 @@ renamed or moved target would otherwise only be reported as not traced.
 import importlib.util
 import os
 
+import pytest
+
 import nnlif.experiments  # noqa: F401  (imports every traced module)
-from nnlif import twopop
+from nnlif import OnePopParams, TwoPopParams, normalize_gaussian, twopop
+from nnlif.fdm import FdmGrid, fdm_solve, reference_timestep
 
 _TRACING = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracing.py")
 
@@ -31,3 +34,22 @@ def test_tracer_resolves_every_target():
     finally:
         tracer.uninstall()
     assert twopop.step_twopop is original
+
+
+@pytest.mark.parametrize("two", [False, True], ids=["one-population", "two-population"])
+def test_fdm_step_metrics_count_every_population_step(domain, two):
+    # the benchmark's fdm.* layer metrics divide by these two counts
+    grid = FdmGrid.build(domain, h=1.0 / 16.0)
+    ic = normalize_gaussian(-1.0, 0.5, domain)
+    p0, params = ((ic, ic), TwoPopParams(b_e_to_e=0.5, b_i_to_e=0.25)) if two else (ic, OnePopParams(a0=1.0))
+    t_final = 0.01
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        rec = tracer.call_run(1, fdm_solve, p0, params, grid, reference_timestep(grid, params, t_final), t_final)
+    finally:
+        tracer.uninstall()
+    spans, counts = tracer.per_run()
+    calls = spans[1]["fdm.fdm_step"][0]
+    assert calls == (2 if two else 1) * (rec.times.size - 1) > 0
+    assert counts[1]["fdm.cells_stepped"] == calls * grid.n_cells
