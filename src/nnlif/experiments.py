@@ -12,9 +12,10 @@ t_final: a run has one only if its status is "completed"
 reference or timed run that stopped or tripped is a run failure;
 stability-grid records such a cell with a NaN error and its status instead.
 Independent cells can execute in a process pool; aggregation is keyed, so
-results are identical for any worker count.  The pool and ``scipy.signal``
-(for the regime classifier's peak finder) are imported where they are used,
-so a serial run that classifies no regime loads neither.
+results are identical for any worker count.  The pool is imported where it
+is used, so a serial run does not load it, and the regime classifier finds
+its peaks with numpy alone (:func:`_find_peaks`), so classifying loads no
+scipy module.
 
 The config format (schema version 1) is the table :data:`SCHEMA`: every key
 of every section, with its check and its default.  A key the table does not
@@ -67,6 +68,45 @@ EXPERIMENT_KINDS = tuple(_KINDS)
 # regime classification
 
 
+def _find_peaks(x, prominence: float | None) -> np.ndarray:
+    """Indices of the local maxima of ``x`` whose prominence is >= ``prominence``
+    (every maximum when it is None), by the rules of scipy's
+    ``find_peaks(x, prominence=prominence)[0]``; see :func:`classify_regime`."""
+    x = np.asarray(x, dtype=float)
+    if x.size < 3:
+        return np.empty(0, dtype=np.intp)
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])  # runs of equal samples
+    ends = np.r_[starts[1:], x.size] - 1
+    v = x[starts]
+    run = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
+    peaks = (starts[run] + ends[run]) // 2
+    if prominence is None or peaks.size == 0:
+        return peaks
+    # Between a peak and the nearest strictly higher sample on one side, the
+    # lowest sample is the lowest of the stretches between the peaks passed
+    # on the way to the nearest strictly higher peak: a monotone stack over
+    # the peaks, fed each peak's stretch minimum.
+    heights = x[peaks].tolist()
+    stretches = np.minimum.reduceat(x, np.r_[0, peaks]).tolist()
+    left = _side_minima(heights, stretches[:-1])
+    right = _side_minima(heights[::-1], stretches[:0:-1])[::-1]
+    prominences = x[peaks] - np.maximum(left, right)
+    return peaks[prominences >= prominence]
+
+
+def _side_minima(heights: list, stretches: list) -> list:
+    """For each peak, the lowest sample back to its nearest strictly higher
+    peak (or the signal's start); ``stretches[k]`` is the lowest sample
+    between peak k - 1 and peak k."""
+    out, stack = [], []
+    for h, low in zip(heights, stretches):
+        while stack and stack[-1][0] <= h:
+            low = min(low, stack.pop()[1])
+        out.append(low)
+        stack.append((h, low))
+    return out
+
+
 def classify_regime(
     record,
     *,
@@ -87,12 +127,16 @@ def classify_regime(
       inhibitory one of two) has >= 3 local maxima of prominence >=
       ``peak_amplitude_fraction`` * mean whose mean height exceeds the series
       mean by the same fraction, with successive peak spacings within
-      ``peak_spacing_tolerance`` of their mean.
+      ``peak_spacing_tolerance`` of their mean.  A local maximum is a strict
+      rise, a run of equal samples and a strict fall, at the run's midpoint
+      ``(left + right) // 2``; the first and last samples never are.  Its
+      prominence is its height less the higher of the two side minima, each
+      taken up to the nearest strictly higher sample or the end of the
+      series.  When the mean is 0 every local maximum counts.  These are the
+      rules of scipy's ``find_peaks(x, prominence=p)``.
     * steady: every rate fluctuates by less than ``steady_fluctuation``
       (relative) over the trailing window.
     """
-    from scipy.signal import find_peaks
-
     if record.status == "blow-up-detected":
         return {"regime": "blow-up", **record.trips}
     if record.status != "completed":
@@ -104,7 +148,7 @@ def classify_regime(
     sig = record.columns["rate" + suffixes[-1]][start:]
     mean = float(np.mean(sig))
     prominence = peak_amplitude_fraction * abs(mean)
-    peaks, _ = find_peaks(sig, prominence=prominence if prominence > 0 else None)
+    peaks = _find_peaks(sig, prominence if prominence > 0 else None)
     periodic = False
     spacing_spread = float("nan")
     amplitude = float("nan")

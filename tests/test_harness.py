@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from concurrent.futures import Future
 from functools import partial
@@ -385,46 +386,105 @@ def _fake_record(rate_e, rate_i, status="completed", trip_e=None, trip_i=None):
     return RunRecord(np.linspace(0.0, 10.0, n), columns, trips, status, False, 0.0, 0.0, [])
 
 
+def _blowup_record():
+    return _fake_record([1.0] * 11, [1.0] * 11, status="blow-up-detected", trip_e=4.0)
+
+
+def _periodic_record():
+    t = np.linspace(0.0, 10.0, 5001)
+    sig = 2.0 + 1.5 * np.sin(2 * np.pi * t / 1.3)
+    return _fake_record(sig, sig)
+
+
+def _steady_record():
+    n = 5001
+    base = np.concatenate([np.linspace(2.0, 0.8, 1000), np.full(n - 1000, 0.8)])
+    return _fake_record(base, base)
+
+
+def _ambiguous_record():
+    t = np.linspace(0.0, 10.0, 5001)
+    drifting = 1.0 + 0.3 * t  # no peaks, not settling
+    return _fake_record(drifting, drifting)
+
+
+def _irregular_record():
+    t = np.linspace(0.0, 10.0, 5001)
+    sig = np.full(t.size, 2.0)
+    for center in (2.0, 3.1, 6.9, 9.4):  # erratic spacing
+        sig += 1.2 * np.exp(-((t - center) ** 2) / 0.005)
+    return _fake_record(sig, sig)
+
+
 def test_classifier_blowup_label():
-    rec = _fake_record([1.0] * 11, [1.0] * 11, status="blow-up-detected", trip_e=4.0)
-    out = classify_regime(rec)
+    out = classify_regime(_blowup_record())
     assert out["regime"] == "blow-up"
     assert out["trip_time_e"] == 4.0
 
 
 def test_classifier_periodic_label():
-    t = np.linspace(0.0, 10.0, 5001)
-    sig = 2.0 + 1.5 * np.sin(2 * np.pi * t / 1.3)
-    rec = _fake_record(sig, sig)
-    out = classify_regime(rec)
+    out = classify_regime(_periodic_record())
     assert out["regime"] == "periodic"
     assert out["n_peaks"] >= 3
     assert out["spacing_spread"] <= 0.2
 
 
 def test_classifier_steady_label():
-    n = 5001
-    base = np.concatenate([np.linspace(2.0, 0.8, 1000), np.full(n - 1000, 0.8)])
-    rec = _fake_record(base, base)
-    out = classify_regime(rec)
+    out = classify_regime(_steady_record())
     assert out["regime"] == "steady"
     assert out["fluctuation_i"] < 0.01
 
 
 def test_classifier_ambiguous_label():
-    t = np.linspace(0.0, 10.0, 5001)
-    drifting = 1.0 + 0.3 * t  # no peaks, not settling
-    rec = _fake_record(drifting, drifting)
-    assert classify_regime(rec)["regime"] == "ambiguous"
+    assert classify_regime(_ambiguous_record())["regime"] == "ambiguous"
 
 
-def test_classifier_irregular_peaks_not_periodic(rng):
-    t = np.linspace(0.0, 10.0, 5001)
-    sig = np.full(t.size, 2.0)
-    for center in (2.0, 3.1, 6.9, 9.4):  # erratic spacing
-        sig += 1.2 * np.exp(-((t - center) ** 2) / 0.005)
-    out = classify_regime(_fake_record(sig, sig))
-    assert out["regime"] == "ambiguous"
+def test_classifier_irregular_peaks_not_periodic():
+    assert classify_regime(_irregular_record())["regime"] == "ambiguous"
+
+
+def _scipy_peaks(x, prominence):
+    # the reference rules; only the tests load scipy.signal
+    from scipy.signal import find_peaks
+
+    return find_peaks(x, prominence=prominence)[0]
+
+
+_SIGNALS = st.one_of(
+    st.lists(st.floats(-10.0, 10.0), max_size=80),
+    st.lists(st.integers(0, 3), max_size=80),  # plateaus and equal peaks
+).map(lambda xs: np.asarray(xs, dtype=float))
+
+
+@settings(max_examples=400)
+@given(x=_SIGNALS, data=st.data())
+def test_find_peaks_matches_scipy(x, data):
+    from scipy.signal import peak_prominences
+
+    own = peak_prominences(x, _scipy_peaks(x, None))[0].tolist()
+    # None keeps every peak; a prominence drawn from the signal tests the >= tie
+    choices = [st.none(), st.just(0.0), st.floats(1e-3, 5.0)] + ([st.sampled_from(own)] if own else [])
+    prominence = data.draw(st.one_of(choices))
+    assert np.array_equal(experiments._find_peaks(x, prominence), _scipy_peaks(x, prominence))
+
+
+def test_find_peaks_matches_scipy_on_white_noise():
+    x = np.random.default_rng(0).standard_normal(100_001)
+    assert experiments._find_peaks(x, None).size > 30_000
+    start = time.perf_counter()
+    peaks = experiments._find_peaks(x, 0.5)
+    assert time.perf_counter() - start < 2.0
+    assert np.array_equal(peaks, _scipy_peaks(x, 0.5))
+
+
+@pytest.mark.parametrize(
+    "record", [_blowup_record, _periodic_record, _steady_record, _ambiguous_record, _irregular_record]
+)
+def test_classifier_matches_a_scipy_backed_call(monkeypatch, record):
+    ours = classify_regime(record())
+    monkeypatch.setattr(experiments, "_find_peaks", _scipy_peaks)
+    # repr: every key and value, int against float and NaN included
+    assert repr(ours) == repr(classify_regime(record()))
 
 
 def test_run_reaching_t_final_after_a_trip_is_a_blowup():
@@ -637,6 +697,16 @@ with tempfile.TemporaryDirectory() as out:
     run_experiment(parse_config(raw), out)
 """
 
+_REGIMES_RUN = """
+import tempfile
+from nnlif.experiments import parse_config, run_experiment
+raw = {{"schema": 1, "kind": "twopop-regimes", "model": {{"population": "two", "b_e_to_e": 0.5}},
+       "initial": {{"e": {{"v0": -1.0, "sigma0_sq": 0.5}}, "i": {{"v0": 0.0, "sigma0_sq": 0.25}}}},
+       "numerics": {{"m": 4, "dt": {dt}, "t_final": 0.1}}, "sweep": {{"b_e_to_e": [0.5]}}}}
+with tempfile.TemporaryDirectory() as out:
+    run_experiment(parse_config(raw), out)
+"""
+
 
 @pytest.mark.parametrize(
     "body, factored",
@@ -646,12 +716,16 @@ with tempfile.TemporaryDirectory() as out:
         (_GRID_RUN.format(dt_values=[0.05, 0.025]), False),
         # 20 steps at dim 9 pass factor_pays_off: the run factors its operator
         (_GRID_RUN.format(dt_values=[0.005]), True),
+        # 2 populations x 2 steps at dim 9: a dense run, and its classified regime
+        (_REGIMES_RUN.format(dt=0.05), False),
+        # 2 populations x 20 steps pass factor_pays_off at dim 9
+        (_REGIMES_RUN.format(dt=0.005), True),
     ],
-    ids=["import-cli", "dense-grid", "factored-grid"],
+    ids=["import-cli", "dense-grid", "factored-grid", "dense-regimes", "factored-regimes"],
 )
 def test_scipy_imported_only_where_used(body, factored):
     """A fresh interpreter loads scipy only for the factored stepper
-    (scipy.linalg) and the regime classifier (scipy.signal)."""
+    (scipy.linalg); classifying a regime loads none."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", _SCIPY_MODULES.format(body=body)], env=env,

@@ -1,10 +1,13 @@
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nnlif.assembly import assemble, normalize_gaussian, project_initial
 from nnlif.basis import BasisSet
 from nnlif.errors import ConfigurationError, NonpositiveDiffusionError
-from nnlif.onepop import OnePopParams, solve
+from nnlif.onepop import OnePopParams, factor_pays_off, solve
 from nnlif import twopop
 from nnlif.twopop import (
     TwoPopParams,
@@ -23,13 +26,18 @@ def m16(domain):
     return basis, assemble(basis)
 
 
-def _decoupled(b_e_to_e=0.5):
+def _decoupled(b_e_to_e=0.5, diffusion_constant=1.0):
     return TwoPopParams(
         b_e_to_e=b_e_to_e,
         diffusion_mode="constant",
-        diffusion_constant=1.0,
+        diffusion_constant=diffusion_constant,
         refractory_mode="pass-through",
     )
+
+
+@cache
+def _matrices(domain, m):
+    return assemble(BasisSet(domain, m))
 
 
 # --- delayed lookups over recorded rates ------------------------------------
@@ -206,6 +214,35 @@ def test_reduction_to_single_population(m16, domain):
     ic = normalize_gaussian(-1.0, 0.5, domain)
     rec1 = solve(ic, OnePopParams(a0=1.0, a1=0.0, b=0.5), mats, dt=1e-3, t_final=0.1)
     rec2 = solve_twopop(ic, ic, _decoupled(0.5), mats, dt=1e-3, t_final=0.1)
+    assert np.max(np.abs(rec2.columns["rate_e"] - rec1.columns["rate"])) <= 1e-10
+    assert np.max(np.abs(rec2.columns["mass_e"] - rec1.columns["mass"])) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "dt, t_final, factored",
+    # at M in [4, 16] (dim 9..33): 5 steps always solve densely, 100 steps
+    # (one population) and 2 x 100 (two) always factor
+    [(0.01, 0.05, False), (1e-3, 0.1, True)],
+    ids=["dense", "factored"],
+)
+@settings(max_examples=20)
+@given(
+    a0=st.floats(0.2, 2.0),
+    b=st.floats(0.0, 1.0),
+    ic_e=st.tuples(st.floats(-2.0, 0.5), st.floats(0.1, 1.0)),
+    ic_i=st.tuples(st.floats(-2.0, 0.5), st.floats(0.1, 1.0)),
+    m=st.integers(4, 16),
+)
+def test_reduction_to_single_population_at_random_parameters(domain, dt, t_final, factored, a0, b, ic_e, ic_i, m):
+    # E driven only by itself, with constant diffusion a0 and no delay, input
+    # or refractory hold, is the one-population model (a0, a1 = 0, b)
+    mats = _matrices(domain, m)
+    ic = normalize_gaussian(*ic_e, domain)
+    rec1 = solve(ic, OnePopParams(a0=a0, a1=0.0, b=b), mats, dt=dt, t_final=t_final)
+    rec2 = solve_twopop(ic, normalize_gaussian(*ic_i, domain), _decoupled(b, a0), mats, dt=dt, t_final=t_final)
+    assert factor_pays_off([rec1.columns["rate"]], mats) == factored
+    assert factor_pays_off([rec2.columns["rate_e"], rec2.columns["rate_i"]], mats) == factored
+    assert rec1.status == rec2.status == "completed"
     assert np.max(np.abs(rec2.columns["rate_e"] - rec1.columns["rate"])) <= 1e-10
     assert np.max(np.abs(rec2.columns["mass_e"] - rec1.columns["mass"])) <= 1e-10
 
