@@ -131,11 +131,12 @@ def assemble(basis: BasisSet, n_q: int | None = None) -> GalerkinMatrices:
     F = traces.value_at_reset.copy()
     D = np.outer(F, traces.deriv_at_threshold)
 
+    # one table per decay rate; each row keeps its own dot product
     mass = np.zeros(dim)
-    for k in range(m + 1):
-        c = basis.left_decay(k)
-        q, _ = basis.left_poly_parts([k], lag.nodes / c)
-        mass[k] = np.dot(lag.weights, q[0]) / c
+    for rows, c in ((idx_g, c_g), (idx_l, c_l)):
+        q, _ = basis.left_poly_parts(rows, lag.nodes / c)
+        for k, q_k in zip(rows, q):
+            mass[k] = np.dot(lag.weights, q_k) / c
     mass += vals @ w
 
     nodes, weights = _projection_rule(basis)

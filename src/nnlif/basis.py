@@ -12,6 +12,10 @@ Index convention (0-based, dimension 2M+1):
 * ``0``           -- interface function g
 * ``1 .. M``      -- left-side functions, index k holds degree k-1
 * ``M+1 .. 2M``   -- right-side functions, index k holds degree k-M-1
+
+One Laguerre recurrence, :func:`laguerre_fn_table`, serves both the weighted
+functions of the tables and, at decay 0, the classical polynomial factors
+that assembly integrates (:meth:`BasisSet.left_poly_parts`).
 """
 
 from __future__ import annotations
@@ -54,10 +58,11 @@ class Domain:
         return self.v_threshold - self.v_reset
 
 
-def laguerre_fn_table(n_max: int, x: np.ndarray, derivatives: bool = False):
-    """Weighted Laguerre functions exp(-x/2) L_n(x), degrees 0..n_max, at
-    the points x >= 0.  The recurrence runs on the weighted form, which stays
-    bounded for any degree and argument.
+def laguerre_fn_table(n_max: int, x: np.ndarray, derivatives: bool = False, decay: float = 0.5):
+    """Laguerre functions exp(-decay x) L_n(x), degrees 0..n_max, at the
+    points x >= 0: the weighted functions at the default decay 1/2, the
+    classical polynomials at decay 0.  The recurrence runs on the weighted
+    form, which at decay 1/2 stays bounded for any degree and argument.
 
     Returns ``values`` of shape (n_max+1, len(x)); with ``derivatives`` also
     the derivative table.  The derivative recurrence is carried alongside the
@@ -65,7 +70,7 @@ def laguerre_fn_table(n_max: int, x: np.ndarray, derivatives: bool = False):
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     vals = np.empty((n_max + 1, x.size))
-    vals[0] = np.exp(-0.5 * x)
+    vals[0] = np.exp(-decay * x)
     if n_max >= 1:
         vals[1] = (1.0 - x) * vals[0]
     for k in range(1, n_max):
@@ -73,26 +78,10 @@ def laguerre_fn_table(n_max: int, x: np.ndarray, derivatives: bool = False):
     if not derivatives:
         return vals
     ders = np.empty_like(vals)
-    ders[0] = -0.5 * vals[0]
+    ders[0] = -decay * vals[0]
     if n_max >= 1:
-        ders[1] = -vals[0] - 0.5 * vals[1]
+        ders[1] = -vals[0] - decay * vals[1]
     for k in range(1, n_max):
-        ders[k + 1] = ((2 * k + 1 - x) * ders[k] - vals[k] - k * ders[k - 1]) / (k + 1)
-    return vals, ders
-
-
-def laguerre_poly_table(n_max: int, x: np.ndarray):
-    """Classical (unweighted) Laguerre polynomials and derivatives, degrees
-    0..n_max.  Used where the exp(-x/2) factor is accounted for separately."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = np.empty((n_max + 1, x.size))
-    ders = np.zeros((n_max + 1, x.size))
-    vals[0] = 1.0
-    if n_max >= 1:
-        vals[1] = 1.0 - x
-        ders[1] = -1.0
-    for k in range(1, n_max):
-        vals[k + 1] = ((2 * k + 1 - x) * vals[k] - k * vals[k - 1]) / (k + 1)
         ders[k + 1] = ((2 * k + 1 - x) * ders[k] - vals[k] - k * ders[k - 1]) / (k + 1)
     return vals, ders
 
@@ -150,40 +139,27 @@ class BasisSet:
         self.left_scale = float(left_scale) if left_scale is not None else default_left_scale(m)
         self.beta = float(domain.beta) if domain.beta is not None else self.left_scale
 
-    # decay rate of exp(-c x) in each left-branch function (x = v_reset - v)
-    def left_decay(self, k: int) -> float:
-        if k == 0:
-            return 0.5 * self.beta
-        if 1 <= k <= self.m:
-            return 0.5 * self.left_scale
-        raise IndexError(f"index {k} has no left branch (m={self.m})")
-
     def left_poly_parts(self, indices, x: np.ndarray):
         """Polynomial factors of the left branches at x = v_reset - v >= 0.
 
         For each requested index returns q with psi(v) = exp(-c x) q(x) and
-        r = c q - q', the polynomial factor of d psi / d v.  These make every
-        assembly integral on the left subinterval an (exp-weight x polynomial)
+        r = c q - q', the polynomial factor of d psi / d v; c is beta/2 for
+        index 0 and left_scale/2 for the rest.  These make every assembly
+        integral on the left subinterval an (exp-weight x polynomial)
         expression, hence exactly Gauss-Laguerre representable.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         scale = self.left_scale
-        need_lag = any(k >= 1 for k in indices)
-        if need_lag:
-            lv, ld = laguerre_poly_table(self.m, scale * x)
-        q = np.empty((len(indices), x.size))
+        if any(indices):  # index 0 reads no Laguerre table
+            lv, ld = laguerre_fn_table(self.m, scale * x, derivatives=True, decay=0.0)
+        q = np.ones((len(indices), x.size))
         r = np.empty((len(indices), x.size))
         for row, k in enumerate(indices):
-            c = self.left_decay(k)
             if k == 0:
-                q[row] = 1.0
-                r[row] = c
+                r[row] = 0.5 * self.beta
             else:
-                deg = k - 1
-                qk = lv[deg] - lv[deg + 1]
-                dqk = scale * (ld[deg] - ld[deg + 1])
-                q[row] = qk
-                r[row] = c * qk - dqk
+                q[row] = lv[k - 1] - lv[k]
+                r[row] = 0.5 * scale * q[row] - scale * (ld[k - 1] - ld[k])
         return q, r
 
     def _map_to_reference(self, v: np.ndarray) -> np.ndarray:

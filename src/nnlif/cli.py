@@ -57,28 +57,15 @@ def _same_outputs(out_dir: str, repeat_dir: str) -> bool:
 def _run_kind(args) -> int:
     try:
         cfg = load_config(args.config)
-    except OSError as exc:
-        return _fail("io-error", str(exc), EXIT_IO)
-    except ConfigurationError as exc:
-        return _fail("config-invalid", str(exc), EXIT_CONFIG)
-    if cfg.kind != args.kind:
-        return _fail(
-            "config-invalid",
-            f"config is for kind {cfg.kind!r} but subcommand is {args.kind!r}",
-            EXIT_CONFIG,
-        )
-
-    try:
+        if cfg.kind != args.kind:
+            raise ConfigurationError(f"config is for kind {cfg.kind!r} but subcommand is {args.kind!r}")
         result = run_experiment(cfg, args.out, workers=args.workers)
         if args.check_determinism:
             with tempfile.TemporaryDirectory() as tmp:
                 run_experiment(cfg, tmp, workers=args.workers)
                 if not _same_outputs(args.out, tmp):
-                    return _fail(
-                        "determinism-violation",
-                        "repeated run produced different output files",
-                        EXIT_DETERMINISM,
-                    )
+                    message = "repeated run produced different output files"
+                    return _fail("determinism-violation", message, EXIT_DETERMINISM)
     except ConfigurationError as exc:
         return _fail("config-invalid", str(exc), EXIT_CONFIG)
     except NnlifError as exc:

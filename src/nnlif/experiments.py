@@ -42,7 +42,7 @@ from .assembly import GaussianIC, assemble, normalize_gaussian
 from .basis import BasisSet, Domain
 from .errors import ConfigurationError, check_finite
 from .fdm import DEFAULT_V_MIN, FdmGrid, fdm_reference, fdm_solve, reference_timestep
-from .integrate import DEFAULT_BLOWUP_THRESHOLD, STATUS_COMPLETED, whole_steps
+from .integrate import DEFAULT_BLOWUP_THRESHOLD, STATUS_COMPLETED, check_times
 from .norms import l2_distance, linf_distance, norm_grid
 from .onepop import OnePopParams, solve
 from .records import emit_run_record, emit_snapshot, emit_table
@@ -398,24 +398,16 @@ def _validate(cfg: ExperimentConfig, given_numerics: dict) -> None:
                 raise ConfigurationError("dt_values must be non-increasing")
     if cfg.kind == "twopop-regimes" and not cfg.sweep["b_e_to_e"]:
         raise ConfigurationError("twopop-regimes needs sweep.b_e_to_e")
-    steps = ([dt] if dt is not None else []) + ladder
-    for step in steps:
-        _check_divisible(step, t_final, "t_final")
+    # the loop's own time checks, so a run it would refuse fails here
     if dt is not None:
-        for ts in cfg.snapshot_times:
-            _check_divisible(dt, ts, f"snapshot time {ts}")
-            if ts > t_final:
-                raise ConfigurationError(f"snapshot time {ts} exceeds t_final={t_final}")
+        check_times(dt, t_final, cfg.snapshot_times)
+    for step in ladder:
+        check_times(step, t_final)
     if cfg.two_population:
         for b_e_to_e in cfg.sweep["b_e_to_e"]:
             replace(cfg.params, b_e_to_e=b_e_to_e)
-        for step in steps:
+        for step in ([dt] if dt is not None else []) + ladder:
             cfg.params.delay_lags(step)
-
-
-def _check_divisible(dt: float, t: float, what: str) -> None:
-    if whole_steps(t, dt) is None:
-        raise ConfigurationError(f"{what}={t} is not an integer multiple of dt={dt}")
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +578,8 @@ def run_blowup(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> dict:
     # density_t*.csv, or density_e_t*.csv and density_i_t*.csv
     for snap in rec.snapshots:
         for suffix, density in zip(_population_suffixes(rec), np.atleast_2d(snap.density)):
-            emit_snapshot(os.path.join(out_dir, f"density{suffix}_t{snap.t:g}.csv"), replace(snap, density=density))
+            emit_snapshot(os.path.join(out_dir, f"density{suffix}_t{snap.t:g}.csv"), replace(snap, density=density),
+                          cfg.header)
     return {"record": rec}
 
 

@@ -85,7 +85,7 @@ def stable_timestep(grid: FdmGrid, params, rate_cap: float = 0.0) -> float:
         # the largest drift offset either population can see
         offset = max(abs(b[0]) + abs(b[1]) for b in params.tables["b"]) * rate_cap + abs(params.drive_shift)
     else:
-        diffusion, offset = params.a0 + params.a1 * rate_cap, abs(params.b) * rate_cap
+        diffusion, offset = params.diffusion(rate_cap), abs(params.b) * rate_cap
     u_max = max(abs(grid.v_min), abs(grid.domain.v_threshold)) + offset
     return grid.h * grid.h / (2.0 * diffusion + u_max * grid.h)
 
@@ -190,7 +190,7 @@ class _FdmOnePop:
 
     def step(self, state: _CellState) -> _CellState:
         params, rate = self.params, state.rate
-        p = fdm_step(state.p, self.grid, self.dt, params.b * rate, params.a0 + params.a1 * rate, rate)
+        p = fdm_step(state.p, self.grid, self.dt, params.b * rate, params.diffusion(rate), rate)
         n = state.step_index + 1
         return _CellState(p, n, n * self.dt, fdm_rate(p, params, self.grid))
 

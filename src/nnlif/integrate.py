@@ -129,20 +129,22 @@ def whole_steps(t: float, dt: float) -> int | None:
     return k if abs(k * dt - t) <= 1e-9 * max(1.0, abs(t)) else None
 
 
-def _validate_times(dt: float, t_final: float, snapshot_times) -> int:
-    """Number of steps; rejects non-finite times, a dt that does not divide
-    t_final, more than :data:`MAX_STEPS` steps and snapshot times off the
-    step lattice."""
+def check_times(dt: float, t_final: float, snapshot_times=()) -> int:
+    """Number of steps; rejects non-finite times, a t_final off the dt
+    lattice, more than :data:`MAX_STEPS` steps and snapshot times off the
+    lattice or outside [0, t_final].  The config parser checks here too."""
     if not (0.0 < dt < math.inf and 0.0 < t_final < math.inf):
         raise ConfigurationError(f"need finite dt > 0 and t_final > 0, got {dt}, {t_final}")
     n_steps = whole_steps(t_final, dt)
     if not n_steps:
-        raise ConfigurationError(f"dt={dt} does not divide t_final={t_final}")
+        raise ConfigurationError(f"t_final={t_final} is not an integer multiple of dt={dt}")
     if n_steps > MAX_STEPS:
         raise ConfigurationError(f"t_final={t_final} at dt={dt} takes {n_steps} steps, at most {MAX_STEPS} are allowed")
     for ts in snapshot_times:
-        if not 0.0 <= ts <= t_final or whole_steps(ts, dt) is None:
-            raise ConfigurationError(f"snapshot time {ts} is not a multiple of dt={dt}")
+        if not 0.0 <= ts <= t_final:
+            raise ConfigurationError(f"snapshot time {ts} is negative or exceeds t_final={t_final}")
+        if whole_steps(ts, dt) is None:
+            raise ConfigurationError(f"snapshot time {ts} is not an integer multiple of dt={dt}")
     return n_steps
 
 
@@ -156,7 +158,7 @@ def integrate(
     """Step ``stepper`` from its initial state to ``t_final``, recording
     every step; a solver error in a step ends the run with status
     "solver-failure".  The snapshot densities are taken after the loop."""
-    n_steps = _validate_times(dt, t_final, snapshot_times)
+    n_steps = check_times(dt, t_final, snapshot_times)
     snap_lookup = {round(ts / dt): ts for ts in snapshot_times}
     layout = stepper.layout
     k = len(layout.trips)

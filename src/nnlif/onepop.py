@@ -26,7 +26,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .assembly import GalerkinMatrices, project_initial, reconstruct
-from .errors import ConfigurationError, LinearSolveError, SingularFiringRateError, check_finite
+from .errors import (
+    ConfigurationError, LinearSolveError, NonpositiveDiffusionError, SingularFiringRateError, check_finite,
+)
 from .integrate import DEFAULT_BLOWUP_THRESHOLD, ONE_POPULATION, RunRecord, integrate
 from .norms import norm_grid
 
@@ -49,6 +51,13 @@ class OnePopParams:
             raise ConfigurationError(f"a0 must be positive, got {self.a0}")
         if self.a1 < 0:
             raise ConfigurationError(f"a1 must be nonnegative, got {self.a1}")
+
+    def diffusion(self, rate: float) -> float:
+        """The diffusion a0 + a1 N of a step from rate N; raises when it is <= 0."""
+        diffusion = self.a0 + self.a1 * rate
+        if diffusion <= 0:
+            raise NonpositiveDiffusionError(f"diffusion a0 + a1 N is {diffusion:.6g} <= 0 at rate N={rate:.6g}")
+        return diffusion
 
 
 class PopulationState(NamedTuple):
@@ -172,7 +181,8 @@ def step(
     dt: float,
     shifted: ShiftedSystem | None = None,
 ) -> PopulationState:
-    """Advance one time increment; raises on singular systems.
+    """Advance one time increment; raises on singular systems and on a
+    diffusion <= 0 (:meth:`OnePopParams.diffusion`), on either path.
 
     ``state.rate`` must be the firing rate of ``state.u_hat``, as it is for
     every state that :func:`solve` or this function produces.  ``shifted``,
@@ -182,10 +192,10 @@ def step(
     if dt <= 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
     rate = state.rate
+    diffusion = params.diffusion(rate)
     if shifted is not None:
         u_next = shifted.solve(state.u_hat, rate)
     else:
-        diffusion = params.a0 + params.a1 * rate
         lhs = system_matrix(matrices, params.b * rate, diffusion, dt)
         rhs = matrices.H @ state.u_hat / dt
         try:

@@ -239,11 +239,15 @@ def _resolve_rates(params: TwoPopParams, n: int, slopes, lags, history):
             else:
                 rhs[y] -= s * d * float(history[x][i])
     det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
+    if math.isnan(det):
+        # slopes of a non-finite state, whose masses trip the run anyway
+        return [math.nan, math.nan]
     if abs(det) < 1e-12:
-        raise SingularFiringRateError(
-            f"implicit two-population rate system singular (det={det:.3e})"
-        )
-    return [float(rate) for rate in np.linalg.solve(mat, rhs)]
+        raise SingularFiringRateError(f"implicit two-population rate system singular (det={det:.3e})")
+    try:
+        return [float(rate) for rate in np.linalg.solve(mat, rhs)]
+    except np.linalg.LinAlgError as exc:  # a zero pivot that rounding hid from det
+        raise SingularFiringRateError(f"implicit two-population rate system singular: {exc}") from exc
 
 
 def step_twopop(
@@ -257,16 +261,13 @@ def step_twopop(
     """Advance both populations and the refractory masses by one step.
 
     The current rates come from ``state`` and the delayed ones from its
-    history; ``state`` itself is left untouched.  When the new state's
-    rates cannot be resolved they are NaN, and stepping that state raises
-    :class:`SingularFiringRateError`.  ``shifted``, the run's factored
-    constant-diffusion operator, replaces the dense solves; it must have
-    been built from the same parameters, matrices and dt.
+    history; ``state`` itself is left untouched.  A rate system that has no
+    solution raises :class:`SingularFiringRateError`.  ``shifted``, the
+    run's factored constant-diffusion operator, replaces the dense solves;
+    it must have been built from the same parameters, matrices and dt.
     """
     if lags is None:
         lags = params.delay_lags(dt)
-    if any(map(math.isnan, state.rate)):
-        raise SingularFiringRateError(f"firing rates at t={state.t:.6g} are unresolved")
     inflow = recovery(state.r, state.rate, params)
     implicit_flux = params.refractory_mode == RECOVERY_PASS_THROUGH
     deriv_tr = matrices.traces.deriv_at_threshold
@@ -289,10 +290,7 @@ def step_twopop(
         u.append(u_new)
         slopes.append(float(deriv_tr.dot(u_new)))
 
-    try:
-        rate = _resolve_rates(params, state.step_index + 1, slopes, lags, state.history)
-    except (SingularFiringRateError, np.linalg.LinAlgError):
-        rate = [math.nan, math.nan]
+    rate = _resolve_rates(params, state.step_index + 1, slopes, lags, state.history)
     r = state.refractory_after(inflow, dt)
     return TwoPopState(u, r, state.t + dt, state.step_index + 1, rate, state.history)
 

@@ -1,9 +1,15 @@
+import importlib.util
+import os
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from nnlif import Domain, OnePopParams, TwoPopParams, normalize_gaussian
 from nnlif.fdm import fdm_reference
+
+_PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
 # canonical geometry of every experiment
 V_RESET = 1.0
@@ -76,3 +82,15 @@ def twopop_reference(domain, twopop_ladder_params, twopop_ics):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def perfbench_workloads(monkeypatch):
+    """``perfbench/workloads.py``, loaded read-only (it imports perfbench's
+    ``checks`` and defines dataclasses, which look their module up)."""
+    monkeypatch.syspath_prepend(_PERFBENCH)
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", os.path.join(_PERFBENCH, "workloads.py"))
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module

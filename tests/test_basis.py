@@ -209,3 +209,18 @@ def test_default_scale_tracks_expansion_number(domain):
     assert BasisSet(domain, 16).beta == 8.0
     pinned = Domain(domain.v_reset, domain.v_threshold, beta=1.25)
     assert BasisSet(pinned, 16).beta == 1.25
+
+
+def test_classical_laguerre_table_matches_scipy():
+    # decay 0 gives L_n and L_n' = -L^(1)_{n-1}; errors relative to each
+    # degree's largest magnitude on the grid, worst seen 3.1e-15 (values)
+    # and 5.6e-15 (derivatives)
+    from scipy.special import eval_genlaguerre, eval_laguerre
+
+    x = np.linspace(0.0, 40.0, 4001)
+    vals, ders = laguerre_fn_table(30, x, derivatives=True, decay=0.0)
+    for n in range(31):
+        ref = eval_laguerre(n, x)
+        dref = -eval_genlaguerre(n - 1, 1, x) if n else np.zeros_like(x)
+        assert np.max(np.abs(vals[n] - ref)) <= 1e-13 * np.max(np.abs(ref)), n
+        assert np.max(np.abs(ders[n] - dref)) <= 1e-13 * max(np.max(np.abs(dref)), 1.0), n

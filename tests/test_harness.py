@@ -1,5 +1,4 @@
 import concurrent.futures
-import importlib.util
 import json
 import math
 import os
@@ -369,6 +368,28 @@ def test_integrate_bounds_the_step_count():
         integrate(_StartRaises(), 1.0, 1e7)
 
 
+def test_config_rejects_a_negative_snapshot_time():
+    with pytest.raises(ConfigurationError, match="snapshot time -0.05 is negative"):
+        parse_config(_base_onepop(snapshot_times=[-0.05]))
+
+
+def _fdm_reference_ran(*args, **kwargs):
+    raise AssertionError("the FDM reference ran")
+
+
+def test_step_bound_is_checked_at_parse(tmp_path, capsys, monkeypatch):
+    # one ladder entry past MAX_STEPS fails before the reference runs
+    raw = _base_onepop(kind="convergence-time", numerics={"m": 4, "dt_values": [0.01, 1e-8], "t_final": 0.2},
+                       reference={"method": "fdm", "h": 0.125})
+    with pytest.raises(ConfigurationError, match="takes 20000000 steps, at most 10000000"):
+        parse_config(raw)
+    monkeypatch.setattr(experiments, "fdm_reference", _fdm_reference_ran)
+    rc = main(["convergence-time", "--config", _write(tmp_path, "cfg.json", raw), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error-category: config-invalid" in err and "takes 20000000 steps" in err
+
+
 # --- classifier --------------------------------------------------------------
 
 
@@ -580,6 +601,31 @@ def _tiny(kind, numerics, reference=None, model=_ONEPOP_MODEL, initial=_ONEPOP_I
     if reference is not None:
         raw["reference"] = reference
     return raw
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        _base_onepop(snapshot_times=[0.05, 0.1]),
+        _base_onepop(model=_TWOPOP_MODEL, initial=_TWOPOP_INITIAL, numerics={"m": 6, "dt": 0.01, "t_final": 0.1},
+                     snapshot_times=[0.1]),
+    ],
+    ids=["one-population", "two-population"],
+)
+def test_snapshot_files_carry_the_config(tmp_path, raw):
+    out = str(tmp_path / "res")
+    rec = run_experiment(parse_config(raw), out)["record"]
+    suffixes = ["_e", "_i"] if len(rec.trips) == 2 else [""]
+    names = [name for name in os.listdir(out) if name.startswith("density")]
+    assert len(names) == len(rec.snapshots) * len(suffixes) > 0
+    keys = {"schema", "kind", "blowup_threshold", "t", *(f"model.{key}" for key in raw["model"])}
+    for snap in rec.snapshots:
+        for suffix, density in zip(suffixes, np.atleast_2d(snap.density)):
+            meta, cols = parse_table(os.path.join(out, f"density{suffix}_t{snap.t:g}.csv"))
+            assert keys <= set(meta)
+            assert meta["kind"] == "blowup" and float(meta["t"]) == snap.t
+            assert list(cols) == ["v", "density"]
+            assert np.array_equal(cols["v"], snap.grid) and np.array_equal(cols["density"], density)
 
 
 @pytest.mark.parametrize(
@@ -1068,21 +1114,7 @@ def test_cli_dump_matrices_past_laguerre_range(tmp_path, capsys):
     assert "error-category: config-invalid: quadrature order 408 too large" in capsys.readouterr().err
 
 
-_PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
-
-
-def _load_workloads(monkeypatch):
-    """``perfbench/workloads.py``, loaded read-only (it imports perfbench's
-    ``checks`` and defines dataclasses, which look their module up)."""
-    monkeypatch.syspath_prepend(_PERFBENCH)
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", os.path.join(_PERFBENCH, "workloads.py"))
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_shipped_configs_parse(monkeypatch):
+def test_shipped_configs_parse(perfbench_workloads):
     base = os.path.join(os.path.dirname(__file__), "..", "configs")
     names = sorted(os.listdir(base))
     assert len(names) == 9
@@ -1093,7 +1125,7 @@ def test_shipped_configs_parse(monkeypatch):
             "efficiency", "blowup", "twopop-regimes", "compare-fdm",
         )
     # the benchmark's workload configs, as run and as smoke-tested
-    perfbench = _load_workloads(monkeypatch)
+    perfbench = perfbench_workloads
     assert sorted(perfbench.WORKLOADS) == ["grid", "onepop-long", "oracle", "regimes"]
     for workload in perfbench.WORKLOADS.values():
         for smoke in (False, True):

@@ -1,9 +1,13 @@
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from nnlif.assembly import assemble, normalize_gaussian, project_initial
 from nnlif.basis import BasisSet
-from nnlif.errors import ConfigurationError, SingularFiringRateError
+from nnlif.errors import ConfigurationError, NonpositiveDiffusionError, SingularFiringRateError
+from nnlif.fdm import FdmGrid, fdm_solve, reference_timestep
 from nnlif.onepop import (
     OnePopParams,
     PopulationState,
@@ -216,3 +220,61 @@ def test_time_validation(m16, domain):
         solve(ic, params, mats, dt=1e-3, t_final=0.2, snapshot_times=(0.1234e-1,))
     with pytest.raises(ConfigurationError):
         solve(ic, params, mats, dt=1e-3, t_final=0.2, snapshot_times=(0.3,))
+
+
+def test_diffusion_rule():
+    params = OnePopParams(a0=1.0, a1=0.5)
+    assert params.diffusion(2.0) == 2.0
+    with pytest.raises(NonpositiveDiffusionError):
+        params.diffusion(-2.0)
+
+
+@cache
+def _matrices(domain, m):
+    return assemble(BasisSet(domain, m))
+
+
+# the model draws of both solvers' randomized invariants
+_MODELS = dict(
+    a0=st.floats(0.5, 2.0),
+    a1=st.floats(0.0, 0.5),
+    b=st.floats(-1.0, 1.5),
+    v0=st.floats(-2.0, 0.5),
+    sigma0_sq=st.floats(0.1, 1.0),
+)
+
+
+def _check_run_invariants(run, params):
+    """A repeated run is identical, a completed run is finite, and no step
+    was taken with a diffusion a0 + a1 N <= 0."""
+    rec, again = run(), run()
+    assert rec.status == again.status
+    assert np.array_equal(rec.times, again.times)
+    for name, column in rec.columns.items():
+        assert np.array_equal(column, again.columns[name], equal_nan=True), name
+    if rec.status == "completed":
+        assert np.all(np.isfinite(rec.columns["rate"])) and np.all(np.isfinite(rec.columns["mass"]))
+    # a step is taken from every recorded state but the last
+    assert np.all(params.a0 + params.a1 * rec.columns["rate"][:-1] > 0)
+
+
+@given(**_MODELS, m=st.integers(4, 24), dt=st.sampled_from([1e-3, 5e-3, 1e-2]))
+# a Gaussian close to the threshold: the first rate is -28.6, its diffusion -10.6
+@example(a0=1.564, a1=0.426, b=-0.623, v0=0.155, sigma0_sq=0.434, m=19, dt=0.01)
+def test_spectral_run_invariants_at_random_parameters(domain, a0, a1, b, v0, sigma0_sq, m, dt):
+    params = OnePopParams(a0, a1, b)
+    ic = normalize_gaussian(v0, sigma0_sq, domain)
+    mats = _matrices(domain, m)
+    _check_run_invariants(lambda: solve(ic, params, mats, dt=dt, t_final=0.5), params)
+
+
+@given(**_MODELS, h=st.sampled_from([1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0]))
+# the first rate is -4.5, its diffusion -1.26
+@example(a0=1.0, a1=0.5, b=0.0, v0=0.0, sigma0_sq=1.0, h=1.0 / 64.0)
+def test_finite_volume_run_invariants_at_random_parameters(domain, a0, a1, b, v0, sigma0_sq, h):
+    params = OnePopParams(a0, a1, b)
+    ic = normalize_gaussian(v0, sigma0_sq, domain)
+    grid = FdmGrid.build(domain, h=h)
+    t_final = 0.02
+    dt = reference_timestep(grid, params, t_final)
+    _check_run_invariants(lambda: fdm_solve(ic, params, grid, dt, t_final), params)

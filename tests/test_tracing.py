@@ -10,7 +10,7 @@ import os
 import pytest
 
 import nnlif.experiments  # noqa: F401  (imports every traced module)
-from nnlif import OnePopParams, TwoPopParams, normalize_gaussian, twopop
+from nnlif import OnePopParams, TwoPopParams, experiments, normalize_gaussian, twopop
 from nnlif.fdm import FdmGrid, fdm_solve, reference_timestep
 
 _TRACING = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracing.py")
@@ -53,3 +53,24 @@ def test_fdm_step_metrics_count_every_population_step(domain, two):
     calls = spans[1]["fdm.fdm_step"][0]
     assert calls == (2 if two else 1) * (rec.times.size - 1) > 0
     assert counts[1]["fdm.cells_stepped"] == calls * grid.n_cells
+
+
+def test_workload_smoke_runs_reach_every_traced_layer(tmp_path, perfbench_workloads):
+    # every per-layer metric of the benchmark reads a traced function that
+    # some workload calls; parse_config is the exception: the benchmark
+    # parses each config outside the traced run, so it reads 0 calls
+    workloads = perfbench_workloads
+    configs = {
+        name: experiments.parse_config(workload.config(workloads.DEFAULT_SEED, smoke=True))
+        for name, workload in workloads.WORKLOADS.items()
+    }
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        for run_id, (name, cfg) in enumerate(configs.items(), start=1):
+            tracer.call_run(run_id, experiments.run_experiment, cfg, str(tmp_path / name))
+    finally:
+        tracer.uninstall()
+    spans, _ = tracer.per_run()
+    reached = {label for run in spans.values() for label, (calls, _, _) in run.items() if calls}
+    assert set(tracer.labels) - reached <= {"experiments.parse_config"}

@@ -1,3 +1,4 @@
+import math
 from functools import cache
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from nnlif.assembly import assemble, normalize_gaussian, project_initial
 from nnlif.basis import BasisSet
-from nnlif.errors import ConfigurationError, NonpositiveDiffusionError
+from nnlif.errors import ConfigurationError, NonpositiveDiffusionError, SingularFiringRateError
 from nnlif.onepop import OnePopParams, factor_pays_off, solve
 from nnlif import twopop
 from nnlif.twopop import (
@@ -207,6 +208,46 @@ def test_discarded_probe_step_leaves_trajectory_unchanged(m16, domain, monkeypat
     probed = solve_twopop(ic, ic, params, mats, dt=dt, t_final=0.05)
     for name, column in plain.columns.items():
         assert np.array_equal(probed.columns[name], column), name
+
+
+def test_unresolvable_rates_end_the_run_at_their_step(m16, domain, monkeypatch):
+    # the step that meets a rate system with no solution is not recorded:
+    # the run keeps the k states before it, each with finite rates
+    _, mats = m16
+    ic = normalize_gaussian(-1.0, 0.5, domain)
+    k = 7
+    original = twopop._resolve_rates
+
+    def failing(params, n, *args):
+        if n == k:
+            raise SingularFiringRateError(f"no rates at step {n}")
+        return original(params, n, *args)
+
+    monkeypatch.setattr(twopop, "_resolve_rates", failing)
+    rec = solve_twopop(ic, ic, _decoupled(), mats, dt=1e-3, t_final=0.02)
+    assert rec.status == "solver-failure"
+    assert rec.times.size == k
+    assert np.all(np.isfinite(rec.columns["rate_e"])) and np.all(np.isfinite(rec.columns["rate_i"]))
+
+
+def test_rate_system_raises_typed_errors_only():
+    # model diffusion, no delays: row y of the system is N_y + s_y a_y = ...
+    params = TwoPopParams(d_e_to_e=1.0, d_i_to_i=1.0, nu_ext=1.0, diffusion_mode="model")
+    lags, history = params.delay_lags(1e-3), ([0.0], [0.0])
+    # a finite singular system, 1 + s_e d_e_to_e = 0
+    with pytest.raises(SingularFiringRateError):
+        twopop._resolve_rates(params, 0, [-1.0, 0.5], lags, history)
+    # a non-finite slope, with the other row singular, leaves the rates to
+    # the run's finiteness check
+    assert all(map(math.isnan, twopop._resolve_rates(params, 0, [math.nan, -1.0], lags, history)))
+    # det rounds to -1.5e-11, while an LU factorisation without fused
+    # multiply-add meets a zero pivot; either way no raw LinAlgError escapes
+    rounded = TwoPopParams(d_e_to_e=559.6394622302311, d_i_to_e=955.4173266933418, d_e_to_i=229.74365144767037,
+                           d_i_to_i=390.51911358098494, diffusion_mode="model")
+    try:
+        twopop._resolve_rates(rounded, 0, [1.0, 1.0], lags, history)
+    except SingularFiringRateError:
+        pass
 
 
 def test_reduction_to_single_population(m16, domain):
