@@ -403,6 +403,17 @@ def _validate(cfg: ExperimentConfig, given_numerics: dict) -> None:
         check_times(dt, t_final, cfg.snapshot_times)
     for step in ladder:
         check_times(step, t_final)
+    # every finite-volume run the config implies, at its reference timestep
+    ref, fv_h = cfg.reference, []
+    if ref["method"] == "fdm" and cfg.kind not in ("efficiency", "blowup", "twopop-regimes"):
+        fv_h += [ref["h"], ref["h"] / 2.0] if ref["richardson"] else [ref["h"]]
+    if cfg.kind == "compare-fdm":
+        fv_h.append(num["fdm_h"])
+    if cfg.kind == "efficiency":
+        fv_h += num["h_values"] + [min(num["h_values"]) / 2.0, min(num["h_values"]) / 4.0]
+    for h in fv_h:
+        grid = FdmGrid.build(cfg.domain, v_min=ref["v_min"], h=h)
+        check_times(reference_timestep(grid, cfg.params, t_final), t_final)
     if cfg.two_population:
         for b_e_to_e in cfg.sweep["b_e_to_e"]:
             replace(cfg.params, b_e_to_e=b_e_to_e)

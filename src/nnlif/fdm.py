@@ -169,8 +169,6 @@ def reference_timestep(grid: FdmGrid, params, t_final: float) -> float:
 
 class _CellState(NamedTuple):
     p: np.ndarray
-    step_index: int
-    t: float
     rate: float
 
 
@@ -186,13 +184,12 @@ class _FdmOnePop:
 
     def start(self, rates) -> _CellState:
         p = _initial_cells(self.p0, self.grid)
-        return _CellState(p, 0, 0.0, fdm_rate(p, self.params, self.grid))
+        return _CellState(p, fdm_rate(p, self.params, self.grid))
 
     def step(self, state: _CellState) -> _CellState:
         params, rate = self.params, state.rate
         p = fdm_step(state.p, self.grid, self.dt, params.b * rate, params.diffusion(rate), rate)
-        n = state.step_index + 1
-        return _CellState(p, n, n * self.dt, fdm_rate(p, params, self.grid))
+        return _CellState(p, fdm_rate(p, params, self.grid))
 
     def observe(self, state: _CellState):
         return state.rate, float(state.p.sum() * self.grid.h)

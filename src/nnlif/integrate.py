@@ -5,10 +5,12 @@ initial state, a pure step, its observables and its densities.  The loop
 owns the rest: the record buffers, the states kept at snapshot times,
 solver-failure handling, the loop timer and the trip policy, and it returns
 one :class:`RunRecord` for every model.
-A population trips when its rate passes the blow-up threshold; the run stops
-when every population has tripped, when the state goes non-finite (the
-populations not yet tripped trip then), or ``_POST_TRIP_WINDOW`` after the
-first trip, which gives near-simultaneous events a trip time each.
+The loop is the only clock: step n is at n·dt, in the time column and the
+trip times.  A population trips when its rate passes the blow-up threshold;
+the run stops when every population has tripped, when the state goes
+non-finite (the populations not yet tripped trip then), or once the steps
+since the first trip span more than ``_POST_TRIP_WINDOW``, which gives
+near-simultaneous events a trip time each.
 Status "completed" means the run reached t_final with no population tripped:
 a run with a trip ends "blow-up-detected" even when it reaches t_final, and
 only a completed run has a density at t_final
@@ -27,7 +29,6 @@ import numpy as np
 from .errors import ConfigurationError, LinearSolveError, NnlifError, NonpositiveDiffusionError, SingularFiringRateError
 
 DEFAULT_BLOWUP_THRESHOLD = 1e3
-_NEGATIVE_RATE_TOL = -1e-12
 _POST_TRIP_WINDOW = 1.0
 # the most steps one run may take: the record holds a float per step and
 # column, so this bounds it near 80 MB a column; 19x the largest run the
@@ -70,17 +71,17 @@ class DensitySnapshot:
 class RunRecord:
     """Every recorded step of one run, whatever its model.
 
-    ``columns`` maps the layout's column names to per-step series and
-    ``trips`` its trip keys to the time each population passed the blow-up
-    threshold (None if it did not); ``wall_time`` covers the stepping loop
-    only.  ``snapshots`` holds the densities at the snapshot times reached.
+    ``times`` holds n·dt for step n.  ``columns`` maps the layout's column
+    names to per-step series and ``trips`` its trip keys to the time k·dt of
+    the step k at which each population passed the blow-up threshold (None
+    if it did not); ``wall_time`` covers the stepping loop only.
+    ``snapshots`` holds the densities at the snapshot times reached.
     """
 
     times: np.ndarray
     columns: dict[str, np.ndarray]
     trips: dict[str, float | None]
     status: str
-    negative_rate: bool
     wall_time: float
     dt: float
     snapshots: list[DensitySnapshot]
@@ -102,10 +103,10 @@ class Stepper(Protocol):
     record's rate columns, one per population, and returns the initial
     state; entry k of a column holds the rate of step k once that step is
     recorded, so a step may read the entries before its own index.
-    ``step`` returns the next state without modifying its argument; every
-    state has a time ``t``.  ``observe`` returns a state's values in the
-    layout's column order: the rates, as many masses, then optionally as
-    many refractory masses; a mass is non-finite whenever any entry of its
+    ``step`` returns the next state without modifying its argument; the
+    loop keeps time.  ``observe`` returns a state's values in the layout's
+    column order: the rates, as many masses, then optionally as many
+    refractory masses; a mass is non-finite whenever any entry of its
     density is, so finiteness is tested on it.  ``densities`` returns the
     state's density on ``out_grid`` in the :class:`DensitySnapshot` shape.
     """
@@ -165,12 +166,10 @@ def integrate(
     rates = [np.empty(n_steps + 1) for _ in range(k)]
     state = stepper.start(rates)
     columns = rates + [np.empty(n_steps + 1) for _ in layout.columns[k:]]
-    times = np.empty(n_steps + 1)
     snapshots: list[tuple[float, Any]] = []
     step, observe = stepper.step, stepper.observe
 
     def record(n: int, st, values) -> None:
-        times[n] = st.t
         for col, value in zip(columns, values):
             col[n] = value
         if n in snap_lookup:
@@ -178,8 +177,8 @@ def integrate(
 
     record(0, state, observe(state))
     status = STATUS_COMPLETED
-    negative = False
-    trips: list[float | None] = [None] * k
+    # the step at which each population tripped
+    trips: list[int | None] = [None] * k
     first_trip = None
     last = 0
     t_start = time.perf_counter()
@@ -193,7 +192,6 @@ def integrate(
         record(n, state, values)
         last = n
         rates_n, masses = values[:k], values[k:2 * k]
-        negative = negative or any(rate < _NEGATIVE_RATE_TOL for rate in rates_n)
         # the common step: nothing tripped, everything finite (a NaN rate
         # never trips, and max() returns NaN only when the first rate is)
         if first_trip is None and max(rates_n) <= blowup_threshold and math.isfinite(sum(masses)):
@@ -201,11 +199,11 @@ def integrate(
         # a non-finite state trips every population: none can be advanced further
         finite = all(math.isfinite(mass) for mass in masses)
         trips = [
-            state.t if trip is None and (rate > blowup_threshold or not finite) else trip
+            n if trip is None and (rate > blowup_threshold or not finite) else trip
             for trip, rate in zip(trips, rates_n)
         ]
         first_trip = min((trip for trip in trips if trip is not None), default=None)
-        if None not in trips or (first_trip is not None and state.t - first_trip > _POST_TRIP_WINDOW):
+        if None not in trips or (first_trip is not None and (n - first_trip) * dt > _POST_TRIP_WINDOW):
             break
     wall = time.perf_counter() - t_start
     # a trip ends the run blown up, also when it reached t_final inside the window
@@ -214,11 +212,10 @@ def integrate(
 
     keep = last + 1
     return RunRecord(
-        times[:keep],
+        dt * np.arange(keep),
         {name: col[:keep] for name, col in zip(layout.columns, columns)},
-        dict(zip(layout.trips, trips)),
+        {key: None if trip is None else trip * dt for key, trip in zip(layout.trips, trips)},
         status,
-        negative,
         wall,
         dt,
         [DensitySnapshot(t, stepper.out_grid, stepper.densities(st)) for t, st in snapshots],

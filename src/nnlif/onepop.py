@@ -62,7 +62,7 @@ class OnePopParams:
 
 class PopulationState(NamedTuple):
     u_hat: np.ndarray
-    t: float
+    t: float  # advanced by the public steps; the run loop does not read it
     rate: float
 
 

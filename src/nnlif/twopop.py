@@ -196,7 +196,7 @@ class TwoPopState(NamedTuple):
 
     u: Sequence[np.ndarray]
     r: Sequence[float]
-    t: float
+    t: float  # advanced by the public steps; the run loop does not read it
     step_index: int
     rate: Sequence[float]
     history: Sequence[Sequence[float]] = ((), ())

@@ -377,17 +377,37 @@ def _fdm_reference_ran(*args, **kwargs):
     raise AssertionError("the FDM reference ran")
 
 
-def test_step_bound_is_checked_at_parse(tmp_path, capsys, monkeypatch):
-    # one ladder entry past MAX_STEPS fails before the reference runs
-    raw = _base_onepop(kind="convergence-time", numerics={"m": 4, "dt_values": [0.01, 1e-8], "t_final": 0.2},
-                       reference={"method": "fdm", "h": 0.125})
-    with pytest.raises(ConfigurationError, match="takes 20000000 steps, at most 10000000"):
+def _fdm_run_ran(*args, **kwargs):
+    raise AssertionError("a finite-volume run ran")
+
+
+@pytest.mark.parametrize(
+    "raw, steps",
+    [
+        # one spectral ladder entry past MAX_STEPS
+        (_base_onepop(kind="convergence-time", numerics={"m": 4, "dt_values": [0.01, 1e-8], "t_final": 0.2},
+                      reference={"method": "fdm", "h": 0.125}), 20000000),
+        # finite-volume runs at h = 1/8192: compare-fdm's timed run, the
+        # reference of a ladder and efficiency's grid ladder
+        (_base_onepop(kind="compare-fdm", numerics={"m": 8, "dt": 0.01, "t_final": 0.2, "fdm_h": 1 / 8192},
+                      reference={"method": "fdm", "h": 1 / 16}), 29842546),
+        (_base_onepop(kind="convergence-time", numerics={"m": 8, "dt_values": [0.02, 0.01], "t_final": 0.2},
+                      reference={"method": "fdm", "h": 1 / 8192}), 29842546),
+        (_base_onepop(kind="efficiency", numerics={"m": 8, "dt": 0.01, "t_final": 0.2, "h_values": [1 / 8192]}),
+         29842546),
+    ],
+    ids=["spectral-ladder", "compare-fdm", "fdm-reference", "efficiency"],
+)
+def test_step_bound_is_checked_at_parse(tmp_path, capsys, monkeypatch, raw, steps):
+    # a run past MAX_STEPS fails before any finite-volume run starts
+    with pytest.raises(ConfigurationError, match=f"takes {steps} steps, at most 10000000"):
         parse_config(raw)
     monkeypatch.setattr(experiments, "fdm_reference", _fdm_reference_ran)
-    rc = main(["convergence-time", "--config", _write(tmp_path, "cfg.json", raw), "--out", str(tmp_path / "out")])
+    monkeypatch.setattr(experiments, "fdm_solve", _fdm_run_ran)
+    rc = main([raw["kind"], "--config", _write(tmp_path, "cfg.json", raw), "--out", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "error-category: config-invalid" in err and "takes 20000000 steps" in err
+    assert "error-category: config-invalid" in err and f"takes {steps} steps" in err
 
 
 # --- classifier --------------------------------------------------------------
@@ -404,7 +424,7 @@ def _fake_record(rate_e, rate_i, status="completed", trip_e=None, trip_i=None):
         "refractory_i": np.zeros(n),
     }
     trips = {"trip_time_e": trip_e, "trip_time_i": trip_i}
-    return RunRecord(np.linspace(0.0, 10.0, n), columns, trips, status, False, 0.0, 0.0, [])
+    return RunRecord(np.linspace(0.0, 10.0, n), columns, trips, status, 0.0, 0.0, [])
 
 
 def _blowup_record():
@@ -508,20 +528,35 @@ def test_classifier_matches_a_scipy_backed_call(monkeypatch, record):
     assert repr(ours) == repr(classify_regime(record()))
 
 
-def test_run_reaching_t_final_after_a_trip_is_a_blowup():
-    # E trips at t = 3.74, within the post-trip window of t_final = 4, and I
-    # never does: the run reaches t_final, but blown up
+def _tripping_twopop_run(t_final):
+    """The shipped two-population blow-up config at M 6 and dt 0.01, whose E
+    population trips at step 374 and whose I population never does."""
     with open(os.path.join(os.path.dirname(__file__), "..", "configs", "blowup_twopop.json")) as fh:
         raw = json.load(fh)
-    raw["numerics"] = {"m": 6, "dt": 0.01, "t_final": 4.0}
+    raw["numerics"] = {"m": 6, "dt": 0.01, "t_final": t_final}
     raw["snapshot_times"] = []
     cfg = parse_config(raw)
     mats = assemble(BasisSet(cfg.domain, 6))
-    rec = solve_twopop(*cfg.ic, cfg.params, mats, dt=0.01, t_final=4.0, blowup_threshold=cfg.blowup_threshold)
-    assert rec.times[-1] == pytest.approx(4.0)
-    assert rec.trips["trip_time_e"] == pytest.approx(3.74) and rec.trips["trip_time_i"] is None
+    return solve_twopop(*cfg.ic, cfg.params, mats, dt=0.01, t_final=t_final, blowup_threshold=cfg.blowup_threshold)
+
+
+def test_run_reaching_t_final_after_a_trip_is_a_blowup():
+    # E trips within the post-trip window of t_final = 4: the run reaches
+    # t_final, but blown up
+    rec = _tripping_twopop_run(4.0)
+    assert rec.times[-1] == 4.0
+    assert rec.trips["trip_time_e"] == 374 * 0.01 and rec.trips["trip_time_i"] is None
     assert rec.status == "blow-up-detected"
     assert classify_regime(rec)["regime"] == "blow-up"
+
+
+def test_post_trip_window_counts_steps():
+    # the run stops once the steps since the trip span more than the window
+    # of 1.0: 101 steps after it, at 475 * 0.01
+    rec = _tripping_twopop_run(6.0)
+    assert rec.trips["trip_time_e"] == 374 * 0.01 and rec.trips["trip_time_i"] is None
+    assert rec.times.size == 476 and rec.times[-1] == 4.75
+    assert rec.status == "blow-up-detected"
 
 
 # --- experiment plumbing -----------------------------------------------------
@@ -861,6 +896,17 @@ def test_cli_run_that_stopped_before_t_final_is_a_run_failure(tmp_path, capsys, 
 
 
 # --- CLI ---------------------------------------------------------------------
+
+
+def test_cli_twopop_regimes_records_end_on_the_lattice(tmp_path):
+    # each sweep cell's last row is step 20 at exactly 20 * 0.01
+    raw = _tiny("twopop-regimes", {"m": 6, "dt": 0.01, "t_final": 0.2}, model=_TWOPOP_MODEL,
+                initial=_TWOPOP_INITIAL, sweep={"b_e_to_e": [0.5, 1.0]})
+    out = tmp_path / "out"
+    assert main(["twopop-regimes", "--config", _write(tmp_path, "cfg.json", raw), "--out", str(out)]) == 0
+    for name in ("regime_b0.5.csv", "regime_b1.csv"):
+        last_row = (out / name).read_text().splitlines()[-1]
+        assert last_row.split(",")[0] == "0.20000000000000001", name
 
 
 def test_cli_runs_and_is_deterministic(tmp_path):

@@ -15,6 +15,7 @@ from nnlif.onepop import (
     solve,
     step,
 )
+from nnlif.twopop import TwoPopParams, solve_twopop
 
 
 @pytest.fixture(scope="module")
@@ -179,24 +180,36 @@ def test_spatial_self_convergence_per_parity(domain):
         assert all(b < a for a, b in zip(lns[:-1], lns[1:])), errs
 
 
-def test_negative_rate_flagged_not_fatal(m16):
+def test_negative_rate_not_fatal(m16):
     # start from a trial-space member with positive threshold slope: the
-    # rate comes out negative, the run flags it and keeps going
+    # rate comes out negative, and the run keeps going
     basis, mats = m16
     params = OnePopParams(a0=1.0, a1=0.0, b=0.0)
     rec = solve(lambda v: -basis.values_at(v)[basis.m + 1], params, mats,
                 dt=1e-3, t_final=0.01)
     assert rec.status == "completed"
-    assert rec.negative_rate
     assert rec.columns["rate"][0] < 0.0
 
 
-def test_timestamps_uniform(m16, domain):
-    _, mats = m16
-    rec = solve(normalize_gaussian(-1.0, 0.5, domain), OnePopParams(a0=1.0), mats,
-                dt=1e-3, t_final=0.05)
-    assert np.allclose(np.diff(rec.times), 1e-3, rtol=0, atol=1e-15)
-    assert rec.times[0] == 0.0
+def _lattice_run(solver, ic, mats):
+    """A 0.05-long run of one of the four solvers; the spectral ones step
+    at dt 1e-3, the finite-volume ones at their reference step for h 1/16."""
+    two = solver.endswith("two")
+    params = TwoPopParams(b_e_to_i=0.5, b_i_to_e=0.75) if two else OnePopParams(a0=1.0)
+    p0 = (ic, ic) if two else ic
+    if solver.startswith("spectral"):
+        return solve_twopop(*p0, params, mats, 1e-3, 0.05) if two else solve(p0, params, mats, 1e-3, 0.05)
+    grid = FdmGrid.build(mats.basis.domain, h=1.0 / 16.0)
+    return fdm_solve(p0, params, grid, reference_timestep(grid, params, 0.05), 0.05)
+
+
+@pytest.mark.parametrize("solver", ["spectral-one", "spectral-two", "fdm-one", "fdm-two"])
+def test_timestamps_uniform(m16, domain, solver):
+    # the loop records step n at exactly n*dt, whatever the model
+    rec = _lattice_run(solver, normalize_gaussian(-1.0, 0.5, domain), m16[1])
+    assert rec.status == "completed"
+    assert np.array_equal(rec.times, rec.dt * np.arange(rec.times.size))
+    assert rec.times[-1] == pytest.approx(0.05, abs=1e-15)
 
 
 def test_determinism(m16, domain):
