@@ -11,6 +11,10 @@ up to rounding -- no tail truncation anywhere.
 The only inexact quadrature in the build is the initial-condition projection
 right-hand side (the Gaussian is not weight-times-polynomial); it uses
 oversampled composite panels instead.
+
+:func:`assemble` takes every basis of a run at once, so that all of the
+run's Gauss rules, the projection panels' included, come from one pass of
+each family's recurrence (:mod:`quadrature`).
 """
 
 from __future__ import annotations
@@ -69,20 +73,48 @@ class GalerkinMatrices:
     projection_weights: np.ndarray
 
 
-def assemble(basis: BasisSet, n_q: int | None = None) -> GalerkinMatrices:
-    """Assemble H, A, B, C, D, F and the mass functional.
+def assemble(basis: BasisSet, *more: BasisSet, n_q: int | None = None):
+    """Assemble H, A, B, C, D, F and the mass functional of each basis.
 
-    ``n_q`` defaults to 2M+8 which is exact (with margin) for every
-    integrand; orders below 2M+6 are rejected, and so are orders above
-    :data:`MAX_N_Q`, where the Gauss-Laguerre rule fails its check.
+    ``n_q`` defaults to 2M+8 of each basis, which is exact (with margin) for
+    every integrand; orders below 2M+6 are rejected, and so are orders above
+    :data:`MAX_N_Q`, where the Gauss-Laguerre rule fails its check.  Every
+    basis is checked before any rule is built.
+
+    Like the rules of :mod:`quadrature`, one basis returns its
+    :class:`GalerkinMatrices` and several return a tuple in argument order.
+    All the bases' rules come from one :func:`gauss_laguerre` call and one
+    :func:`gauss_legendre` call, which shares one recurrence pass among
+    them; the projection rules are in that call too.
     """
-    m, dim = basis.m, basis.dim
+    bases = (basis, *more)
+    orders = [_quadrature_order(b, n_q) for b in bases]
+    lags = gauss_laguerre(*orders)
+    # the projection panels' rules, 4M+32 nodes each, follow the assembly rules
+    legs = gauss_legendre(*orders, *(4 * b.m + 32 for b in bases))
+    if not more:
+        lags = (lags,)
+    n = len(bases)
+    mats = tuple(map(_assemble_one, bases, orders, lags, legs[:n], legs[n:]))
+    return mats if more else mats[0]
+
+
+def _quadrature_order(basis: BasisSet, n_q: int | None) -> int:
+    """The assembly rule's order for one basis: ``n_q``, by default 2M+8."""
+    m = basis.m
     if n_q is None:
         n_q = 2 * m + 8
     if n_q < 2 * m + 6:
         raise ConfigurationError(f"quadrature order {n_q} too small, need >= {2 * m + 6}")
     if n_q > MAX_N_Q:
         raise ConfigurationError(f"quadrature order {n_q} too large, the Gauss-Laguerre rule holds up to {MAX_N_Q}")
+    return n_q
+
+
+def _assemble_one(basis: BasisSet, n_q: int, lag, leg_ref, projection_ref) -> GalerkinMatrices:
+    """The matrices of one basis from its Gauss-Laguerre rule, its reference
+    Gauss-Legendre rule and the reference rule of its projection panels."""
+    m, dim = basis.m, basis.dim
     dom = basis.domain
 
     H = np.zeros((dim, dim))
@@ -91,7 +123,6 @@ def assemble(basis: BasisSet, n_q: int | None = None) -> GalerkinMatrices:
     C = np.zeros((dim, dim))
 
     # left subinterval: ordered pair groups share the decay rate gamma
-    lag = gauss_laguerre(n_q)
     idx_g = [0]
     idx_l = list(range(1, m + 1))
     c_g = 0.5 * basis.beta
@@ -118,7 +149,7 @@ def assemble(basis: BasisSet, n_q: int | None = None) -> GalerkinMatrices:
         C[sel] += np.einsum("i,ai,bi->ab", ww, r_r, r_c)
 
     # right subinterval: polynomials under a mapped Gauss-Legendre rule
-    leg = map_affine(gauss_legendre(n_q), dom.v_reset, dom.v_threshold)
+    leg = map_affine(leg_ref, dom.v_reset, dom.v_threshold)
     vals = basis.values_at(leg.nodes)
     ders = basis.derivs_at(leg.nodes)
     w = leg.weights
@@ -139,7 +170,7 @@ def assemble(basis: BasisSet, n_q: int | None = None) -> GalerkinMatrices:
             mass[k] = np.dot(lag.weights, q_k) / c
     mass += vals @ w
 
-    nodes, weights = _projection_rule(basis)
+    nodes, weights = _projection_rule(basis, projection_ref)
     return GalerkinMatrices(
         basis=basis, n_q=n_q, H=H, A=A, B=B, C=C, D=D, F=F, mass=mass, traces=traces,
         projection_nodes=nodes, projection_weights=weights,
@@ -179,11 +210,10 @@ def normalize_gaussian(v0: float, sigma0_sq: float, domain) -> GaussianIC:
     return GaussianIC(v0=v0, sigma0_sq=sigma0_sq, m0=m0, v_threshold=domain.v_threshold)
 
 
-def _projection_rule(basis: BasisSet):
-    """Composite Gauss-Legendre nodes, 4M+32 per panel, covering
-    [v_reset - span, v_threshold]."""
+def _projection_rule(basis: BasisSet, ref):
+    """Composite Gauss-Legendre nodes covering [v_reset - span, v_threshold]:
+    the reference rule ``ref``, 4M+32 nodes, on each panel."""
     dom = basis.domain
-    ref = gauss_legendre(4 * basis.m + 32)
     edges = np.linspace(dom.v_reset - _PROJECTION_SPAN, dom.v_reset, _PROJECTION_PANELS + 1)
     nodes, weights = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):

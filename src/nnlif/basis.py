@@ -13,9 +13,12 @@ Index convention (0-based, dimension 2M+1):
 * ``1 .. M``      -- left-side functions, index k holds degree k-1
 * ``M+1 .. 2M``   -- right-side functions, index k holds degree k-M-1
 
-One Laguerre recurrence, :func:`laguerre_fn_table`, serves both the weighted
-functions of the tables and, at decay 0, the classical polynomial factors
-that assembly integrates (:meth:`BasisSet.left_poly_parts`).
+Each family has one recurrence, streamed one degree at a time
+(:func:`laguerre_fn_rows`, :func:`legendre_rows`).  The tables are built from
+the stream, and the Gauss rules of :mod:`quadrature` read the few degrees
+they need from it.  The Laguerre stream serves both the weighted functions
+and, at decay 0, the classical polynomial factors that assembly integrates
+(:meth:`BasisSet.left_poly_parts`).
 """
 
 from __future__ import annotations
@@ -58,47 +61,79 @@ class Domain:
         return self.v_threshold - self.v_reset
 
 
-def laguerre_fn_table(n_max: int, x: np.ndarray, derivatives: bool = False, decay: float = 0.5):
-    """Laguerre functions exp(-decay x) L_n(x), degrees 0..n_max, at the
-    points x >= 0: the weighted functions at the default decay 1/2, the
-    classical polynomials at decay 0.  The recurrence runs on the weighted
-    form, which at decay 1/2 stays bounded for any degree and argument.
+def laguerre_fn_rows(n_max: int, x, derivatives: bool = False, decay: float = 0.5):
+    """Laguerre functions exp(-decay x) L_k(x) at the points x >= 0, streamed
+    one degree at a time, k = 0..n_max: the weighted functions at the default
+    decay 1/2, the classical polynomials at decay 0.  The recurrence runs on
+    the weighted form, which at decay 1/2 stays bounded for any degree and
+    argument.
 
-    Returns ``values`` of shape (n_max+1, len(x)); with ``derivatives`` also
-    the derivative table.  The derivative recurrence is carried alongside the
-    value recurrence so x = 0 needs no special casing.
+    Yields ``(values, derivatives)`` rows of len(x), with ``derivatives``
+    None unless asked for.  The derivative recurrence is carried alongside
+    the value recurrence so x = 0 needs no special casing.  Only the last two
+    rows are held, so a caller that reads a few degrees keeps O(len(x))
+    memory; the rows are the recurrence's own state, not to be written to.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = np.empty((n_max + 1, x.size))
-    vals[0] = np.exp(-decay * x)
-    if n_max >= 1:
-        vals[1] = (1.0 - x) * vals[0]
+    v = np.exp(-decay * x)
+    d = -decay * v if derivatives else None
+    yield v, d
+    if n_max < 1:
+        return
+    v_prev, v = v, (1.0 - x) * v
+    if derivatives:
+        d_prev, d = d, -v_prev - decay * v
+    yield v, d
     for k in range(1, n_max):
-        vals[k + 1] = ((2 * k + 1 - x) * vals[k] - k * vals[k - 1]) / (k + 1)
-    if not derivatives:
-        return vals
-    ders = np.empty_like(vals)
-    ders[0] = -decay * vals[0]
-    if n_max >= 1:
-        ders[1] = -vals[0] - decay * vals[1]
-    for k in range(1, n_max):
-        ders[k + 1] = ((2 * k + 1 - x) * ders[k] - vals[k] - k * ders[k - 1]) / (k + 1)
-    return vals, ders
+        a = 2 * k + 1 - x
+        v_prev, v = v, (a * v - k * v_prev) / (k + 1)
+        if derivatives:
+            d_prev, d = d, (a * d - v_prev - k * d_prev) / (k + 1)
+        yield v, d
 
 
-def legendre_table(n_max: int, x: np.ndarray):
-    """Legendre polynomials and derivatives, degrees 0..n_max, on [-1, 1]."""
+def legendre_rows(n_max: int, x, derivatives: bool = False):
+    """Legendre polynomials on [-1, 1], streamed like :func:`laguerre_fn_rows`."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = np.empty((n_max + 1, x.size))
-    ders = np.zeros((n_max + 1, x.size))
-    vals[0] = 1.0
-    if n_max >= 1:
-        vals[1] = x
-        ders[1] = 1.0
+    v = np.ones_like(x)
+    d = np.zeros_like(x) if derivatives else None
+    yield v, d
+    if n_max < 1:
+        return
+    v_prev, v = v, x
+    if derivatives:
+        d_prev, d = d, np.ones_like(x)
+    yield v, d
     for k in range(1, n_max):
-        vals[k + 1] = ((2 * k + 1) * x * vals[k] - k * vals[k - 1]) / (k + 1)
-        ders[k + 1] = ((2 * k + 1) * (vals[k] + x * ders[k]) - k * ders[k - 1]) / (k + 1)
-    return vals, ders
+        v_prev, v = v, ((2 * k + 1) * x * v - k * v_prev) / (k + 1)
+        if derivatives:
+            d_prev, d = d, ((2 * k + 1) * (v_prev + x * d) - k * d_prev) / (k + 1)
+        yield v, d
+
+
+def _table(rows, n_max: int, x: np.ndarray, derivatives: bool):
+    """The rows of a stream as a (n_max+1, len(x)) table, or a pair of
+    tables with ``derivatives``."""
+    vals = np.empty((n_max + 1, x.size))
+    ders = np.empty_like(vals) if derivatives else None
+    for k, (v, d) in enumerate(rows):
+        vals[k] = v
+        if derivatives:
+            ders[k] = d
+    return (vals, ders) if derivatives else vals
+
+
+def laguerre_fn_table(n_max: int, x, derivatives: bool = False, decay: float = 0.5):
+    """:func:`laguerre_fn_rows` as a table: ``values`` of shape
+    (n_max+1, len(x)); with ``derivatives`` also the derivative table."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return _table(laguerre_fn_rows(n_max, x, derivatives, decay), n_max, x, derivatives)
+
+
+def legendre_table(n_max: int, x, derivatives: bool = False):
+    """:func:`legendre_rows` as a table, laid out like :func:`laguerre_fn_table`."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return _table(legendre_rows(n_max, x, derivatives), n_max, x, derivatives)
 
 
 @dataclass(frozen=True)
@@ -186,17 +221,15 @@ class BasisSet:
             x = dom.v_reset - v[left]
             out[0, left] = np.exp(-0.5 * self.beta * x)
             lag = laguerre_fn_table(self.m, self.left_scale * x)
-            for j in range(self.m):
-                out[1 + j, left] = lag[j] - lag[j + 1]
+            out[1:self.m + 1, left] = lag[:-1] - lag[1:]
 
         right = v > dom.v_reset
         if np.any(right):
             vr = v[right]
             out[0, right] = (vr - dom.v_threshold) / (dom.v_reset - dom.v_threshold)
             xr = self._map_to_reference(vr)
-            leg, _ = legendre_table(self.m + 1, xr)
-            for j in range(self.m):
-                out[1 + self.m + j, right] = leg[j] - leg[j + 2]
+            leg = legendre_table(self.m + 1, xr)
+            out[self.m + 1:, right] = leg[:-2] - leg[2:]
 
         at_reset = v == dom.v_reset
         out[0, at_reset] = 1.0
@@ -218,19 +251,16 @@ class BasisSet:
             x = dom.v_reset - v[left]
             out[0, left] = 0.5 * self.beta * np.exp(-0.5 * self.beta * x)
             _, lagd = laguerre_fn_table(self.m, self.left_scale * x, derivatives=True)
-            for j in range(self.m):
-                # chain rule: scale*(v_reset - v) contributes a -scale factor
-                out[1 + j, left] = -self.left_scale * (lagd[j] - lagd[j + 1])
+            # chain rule: scale*(v_reset - v) contributes a -scale factor
+            out[1:self.m + 1, left] = -self.left_scale * (lagd[:-1] - lagd[1:])
 
         right = ~left
         if np.any(right):
             vr = v[right]
             out[0, right] = 1.0 / (dom.v_reset - dom.v_threshold)
             xr = self._map_to_reference(vr)
-            _, legd = legendre_table(self.m + 1, xr)
-            scale = 2.0 / dom.width
-            for j in range(self.m):
-                out[1 + self.m + j, right] = scale * (legd[j] - legd[j + 2])
+            _, legd = legendre_table(self.m + 1, xr, derivatives=True)
+            out[self.m + 1:, right] = 2.0 / dom.width * (legd[:-2] - legd[2:])
         return out
 
     def traces(self) -> BoundaryTraces:

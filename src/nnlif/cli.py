@@ -81,7 +81,7 @@ def _dump_matrices(args) -> int:
     try:
         domain = Domain(v_reset=args.v_reset, v_threshold=args.v_threshold, beta=args.beta)
         basis = BasisSet(domain, args.m, left_scale=args.left_scale)
-        mats = assemble(basis, args.n_q)
+        mats = assemble(basis, n_q=args.n_q)
         dump_matrices(mats, args.out)
     except (ValueError, ConfigurationError) as exc:
         return _fail("config-invalid", str(exc), EXIT_CONFIG)

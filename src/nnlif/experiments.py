@@ -427,9 +427,10 @@ def _validate(cfg: ExperimentConfig, given_numerics: dict) -> None:
 
 def _matrices(cfg: ExperimentConfig, m_values) -> dict:
     """Galerkin matrices for each distinct expansion number, assembled once
-    with the config's quadrature order."""
-    n_q = cfg.numerics["n_q"]
-    return {m: assemble(BasisSet(cfg.domain, m), n_q) for m in dict.fromkeys(m_values)}
+    with the config's quadrature order, in one :func:`assemble` call."""
+    ms = list(dict.fromkeys(m_values))
+    mats = assemble(*(BasisSet(cfg.domain, m) for m in ms), n_q=cfg.numerics["n_q"])
+    return dict(zip(ms, mats if len(ms) > 1 else (mats,)))
 
 
 def _run(cfg: ExperimentConfig, mats, dt: float, t_final: float, snapshot_times=()):

@@ -75,6 +75,10 @@ class FdmGrid:
     def inner_edges(self) -> np.ndarray:
         return self.v_min + np.arange(1, self.n_cells) * self.h
 
+    @cached_property
+    def neg_inner_edges(self) -> np.ndarray:
+        return -self.inner_edges
+
 
 def stable_timestep(grid: FdmGrid, params, rate_cap: float = 0.0) -> float:
     """Largest stable explicit step dt <= h^2 / (2 a + |u|_max h) of either
@@ -106,16 +110,26 @@ def fdm_step(p: np.ndarray, grid: FdmGrid, dt: float, drift_offset: float, diffu
     -v + ``drift_offset``, the given diffusion, and ``inflow`` re-injected
     at the reset edge; returns the new cell values."""
     h = grid.h
-    u = -grid.inner_edges + drift_offset
-    left, right = p[:-1], p[1:]
+    u = grid.neg_inner_edges + drift_offset
+    # the drift -e + offset is >= 0 exactly on the edges e <= offset: those
+    # take the upwind value from their left cell, the rest from their right
+    k = np.searchsorted(grid.inner_edges, drift_offset, side="right")
     flux = np.empty(grid.n_cells + 1)
     flux[0] = 0.0  # zero-flux wall at v_min
-    flux[1:-1] = np.where(u >= 0.0, u * left, u * right) - diffusion * (right - left) / h
+    inner = flux[1:-1]
+    np.multiply(u[:k], p[:k], out=inner[:k])
+    np.multiply(u[k:], p[k + 1:], out=inner[k:])
+    grad = np.subtract(p[1:], p[:-1])
+    grad *= diffusion
+    grad /= h
+    inner -= grad
     # threshold edge: absorbing value p(V_F)=0 kills the drift flux there,
     # the diffusive outflux is exactly the firing rate
     flux[-1] = diffusion * p[-1] / h
 
-    p_new = p - (dt / h) * (flux[1:] - flux[:-1])
+    p_new = np.subtract(flux[1:], flux[:-1])
+    p_new *= dt / h
+    np.subtract(p, p_new, out=p_new)
     p_new[grid.i_reset] += inflow * dt / h
     return p_new
 

@@ -1,10 +1,15 @@
 import math
 import os
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nnlif import assembly
 from nnlif.assembly import (
+    MAX_N_Q,
     assemble,
     dump_matrices,
     normalize_gaussian,
@@ -12,6 +17,7 @@ from nnlif.assembly import (
     reconstruct,
 )
 from nnlif.basis import BasisSet, Domain
+from nnlif.errors import ConfigurationError
 
 # the left tail of the brute-force window: products of basis functions carry
 # at least exp(-x) decay, so 120 voltage units push the integrands below
@@ -117,6 +123,45 @@ def test_quadrature_order_too_small_rejected(domain):
     basis = BasisSet(domain, 8)
     with pytest.raises(ValueError, match="too small"):
         assemble(basis, n_q=2 * basis.m + 5)
+
+
+def _field_bytes(mats):
+    """Every array of a GalerkinMatrices, the traces' included, as bytes."""
+    out = {}
+    for field in dataclasses.fields(mats):
+        value = getattr(mats, field.name)
+        if isinstance(value, np.ndarray):
+            out[field.name] = value.tobytes()
+    for field in dataclasses.fields(mats.traces):
+        out["traces." + field.name] = getattr(mats.traces, field.name).tobytes()
+    out["n_q"] = mats.n_q
+    return out
+
+
+@settings(max_examples=15)
+@given(ms=st.lists(st.integers(1, 40), min_size=2, max_size=4), unit_scale=st.booleans(), shared_n_q=st.booleans())
+def test_assembling_bases_together_equals_one_at_a_time(domain, ms, unit_scale, shared_n_q):
+    # one quadrature pass for all bases gives each basis its own matrices,
+    # byte for byte: H, A, B, C, D, F, mass, traces and the projection rule
+    bases = [BasisSet(domain, m, left_scale=1.0 if unit_scale else None) for m in ms]
+    n_q = 2 * max(ms) + 8 if shared_n_q else None
+    together = assemble(*bases, n_q=n_q)
+    assert [mats.basis for mats in together] == bases
+    for basis, mats in zip(bases, together):
+        assert _field_bytes(mats) == _field_bytes(assemble(basis, n_q=n_q))
+
+
+def test_every_basis_is_checked_before_any_rule_is_built(domain, monkeypatch):
+    def no_rules(*orders):
+        raise AssertionError("a rule was built")
+
+    monkeypatch.setattr(assembly, "gauss_laguerre", no_rules)
+    monkeypatch.setattr(assembly, "gauss_legendre", no_rules)
+    # n_q = 20 holds M = 4 but not M = 8
+    with pytest.raises(ConfigurationError, match="too small, need >= 22"):
+        assemble(BasisSet(domain, 4), BasisSet(domain, 8), n_q=20)
+    with pytest.raises(ConfigurationError, match="too large"):
+        assemble(BasisSet(domain, 4), BasisSet(domain, 8), n_q=MAX_N_Q + 1)
 
 
 def test_projecting_a_span_member_returns_coordinates(m8):

@@ -46,23 +46,23 @@ def test_laguerre_fn_deriv_matches_central_difference():
 
 
 def test_legendre_degree_zero_constant():
-    vals, _ = legendre_table(0, [-1.0, -0.3, 0.0, 0.9, 1.0])
+    vals = legendre_table(0, [-1.0, -0.3, 0.0, 0.9, 1.0])
     for value in vals[0]:
         assert value == 1.0
 
 
 def test_legendre_endpoint_normalization():
-    vals, _ = legendre_table(20, 1.0)
+    vals = legendre_table(20, 1.0)
     for value in vals[:, 0]:
         assert value == pytest.approx(1.0, abs=1e-13)
 
 
 def test_legendre_deriv_endpoint_identity():
-    _, ders = legendre_table(20, 1.0)
+    _, ders = legendre_table(20, 1.0, derivatives=True)
     for n in range(21):
         assert ders[n, 0] == pytest.approx(n * (n + 1) / 2, rel=1e-13)
     h = 1e-6
-    vals, ders = legendre_table(7, [0.4 + h, 0.4 - h, 0.4])
+    vals, ders = legendre_table(7, [0.4 + h, 0.4 - h, 0.4], derivatives=True)
     fd = (vals[7, 0] - vals[7, 1]) / (2 * h)
     assert abs(ders[7, 2] - fd) < 1e-7
 

@@ -743,13 +743,13 @@ def test_matrices_assembled_once_per_distinct_m(tmp_path, monkeypatch):
     calls = []
     legendre_calls = []
 
-    def counting_assemble(basis, n_q=None):
-        calls.append(basis.m)
-        return assemble(basis, n_q)
+    def counting_assemble(*bases, n_q=None):
+        calls.append([basis.m for basis in bases])
+        return assemble(*bases, n_q=n_q)
 
-    def counting_gauss_legendre(n):
-        legendre_calls.append(n)
-        return gauss_legendre(n)
+    def counting_gauss_legendre(*orders):
+        legendre_calls.append(orders)
+        return gauss_legendre(*orders)
 
     monkeypatch.setattr(experiments, "assemble", counting_assemble)
     monkeypatch.setattr(assembly, "gauss_legendre", counting_gauss_legendre)
@@ -757,9 +757,10 @@ def test_matrices_assembled_once_per_distinct_m(tmp_path, monkeypatch):
                 {"method": "self", "dt": 0.0125})
     res = run_experiment(parse_config(raw), str(tmp_path / "res"))
     assert len(res["l2_error"]) == 6
-    assert sorted(calls) == [4, 5, 6]
-    # per distinct M: the assembly rule and the projection rule, none per run
-    assert len(legendre_calls) == 6
+    assert calls == [[4, 5, 6]]
+    # one call for the run: each distinct M's assembly rule and projection
+    # rule, none per cell
+    assert legendre_calls == [(16, 18, 20, 48, 52, 56)]
 
 
 _SCIPY_MODULES = """

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nnlif.quadrature import gauss_laguerre, gauss_legendre, map_affine
+from nnlif.quadrature import QuadratureRule, gauss_laguerre, gauss_legendre, map_affine
 
 
 def test_legendre_one_point_is_midpoint_rule():
@@ -137,3 +139,60 @@ def test_laguerre_rule_beyond_double_range_fails_its_check():
     # corrections must fail the post-check rather than pass as a rule
     with pytest.raises(RuntimeError, match="n_q=400"), np.errstate(invalid="ignore"):
         gauss_laguerre(400)
+
+
+def _one_by_one(fn, orders):
+    return tuple(fn(n) for n in orders)
+
+
+def _same_bytes(a, b):
+    return a.kind == b.kind and a.nodes.tobytes() == b.nodes.tobytes() and a.weights.tobytes() == b.weights.tobytes()
+
+
+@settings(max_examples=12)
+@given(orders=st.lists(st.integers(1, 382), min_size=2, max_size=5).flatmap(
+    lambda xs: st.permutations(xs + xs[: len(xs) // 2])))
+def test_batched_rules_equal_one_order_rules_byte_for_byte(orders):
+    # the shared recurrence pass does the same arithmetic on every node;
+    # repeated orders included
+    for fn in (gauss_legendre, gauss_laguerre):
+        batched = fn(*orders)
+        assert len(batched) == len(orders)
+        assert all(_same_bytes(a, b) for a, b in zip(batched, _one_by_one(fn, orders)))
+
+
+def test_one_order_returns_its_rule_and_repeats_share_one():
+    assert isinstance(gauss_legendre(5), QuadratureRule)
+    a, b, c = gauss_laguerre(7, 3, 7)
+    assert a is c and _same_bytes(b, gauss_laguerre(3))
+
+
+def test_failing_order_in_a_batch_is_named():
+    with pytest.raises(RuntimeError, match="n_q=383"), np.errstate(invalid="ignore", divide="ignore"):
+        gauss_laguerre(20, 383, 40)
+    for fn in (gauss_legendre, gauss_laguerre):
+        with pytest.raises(ValueError, match="got 0"):
+            fn(4, 0, 9)
+
+
+# the Gauss-Legendre orders of a stability-grid run over M = 3..13 with the
+# M = 16 self reference: assembly rules 2M+8, projection rules 4M+32
+_GRID_MS = [*range(3, 14), 16]
+_GRID_ORDERS = [2 * m + 8 for m in _GRID_MS] + [4 * m + 32 for m in _GRID_MS]
+
+
+def _traced_peak(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_batched_rules_hold_no_more_memory_than_one_at_a_time():
+    # the recurrence is streamed: a batch holds a few rows over all its
+    # nodes, never a (degree x nodes) table
+    batched = _traced_peak(lambda: gauss_legendre(*_GRID_ORDERS))
+    single = _traced_peak(lambda: _one_by_one(gauss_legendre, _GRID_ORDERS))
+    assert batched <= single

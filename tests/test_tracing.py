@@ -74,3 +74,19 @@ def test_workload_smoke_runs_reach_every_traced_layer(tmp_path, perfbench_worklo
     spans, _ = tracer.per_run()
     reached = {label for run in spans.values() for label, (calls, _, _) in run.items() if calls}
     assert set(tracer.labels) - reached <= {"experiments.parse_config"}
+
+
+def test_grid_run_builds_its_rules_in_one_pass(tmp_path, perfbench_workloads):
+    # one assemble call per run, and in it one call per rule family for
+    # every basis and projection rule of the run
+    cfg = experiments.parse_config(perfbench_workloads.WORKLOADS["grid"].config(perfbench_workloads.DEFAULT_SEED,
+                                                                                 smoke=True))
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        tracer.call_run(1, experiments.run_experiment, cfg, str(tmp_path / "grid"))
+    finally:
+        tracer.uninstall()
+    spans, _ = tracer.per_run()
+    for label in ("quadrature.gauss_legendre", "quadrature.gauss_laguerre", "assembly.assemble"):
+        assert spans[1][label][0] == 1
