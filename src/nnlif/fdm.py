@@ -108,28 +108,32 @@ def fdm_step(p: np.ndarray, grid: FdmGrid, dt: float, drift_offset: float, diffu
              inflow: float) -> np.ndarray:
     """One explicit step of one population's cell values ``p`` with drift
     -v + ``drift_offset``, the given diffusion, and ``inflow`` re-injected
-    at the reset edge; returns the new cell values."""
+    at the reset edge; returns the new cell values.
+
+    The step is in flux form, p - (dt/h)(F_right - F_left), computed as
+    p - F_right + F_left with the edge fluxes F scaled by dt/h once.  The
+    sum over cells telescopes to the boundary edges: the mass changes by dt
+    times the inflow less dt times the threshold outflux, the rate."""
     h = grid.h
     u = grid.neg_inner_edges + drift_offset
     # the drift -e + offset is >= 0 exactly on the edges e <= offset: those
     # take the upwind value from their left cell, the rest from their right
-    k = np.searchsorted(grid.inner_edges, drift_offset, side="right")
+    k = grid.inner_edges.searchsorted(drift_offset, side="right")
     flux = np.empty(grid.n_cells + 1)
     flux[0] = 0.0  # zero-flux wall at v_min
     inner = flux[1:-1]
     np.multiply(u[:k], p[:k], out=inner[:k])
     np.multiply(u[k:], p[k + 1:], out=inner[k:])
     grad = np.subtract(p[1:], p[:-1])
-    grad *= diffusion
-    grad /= h
+    grad *= diffusion / h
     inner -= grad
     # threshold edge: absorbing value p(V_F)=0 kills the drift flux there,
     # the diffusive outflux is exactly the firing rate
     flux[-1] = diffusion * p[-1] / h
+    flux *= dt / h
 
-    p_new = np.subtract(flux[1:], flux[:-1])
-    p_new *= dt / h
-    np.subtract(p, p_new, out=p_new)
+    p_new = np.subtract(p, flux[1:])
+    p_new += flux[:-1]
     p_new[grid.i_reset] += inflow * dt / h
     return p_new
 

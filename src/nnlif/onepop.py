@@ -10,11 +10,12 @@ and the firing rate obtained in closed form from the threshold slope.
 The operator is K0 + N^n E with K0 = H/dt + A + a0 (C + D) and
 E = a1 (C + D) - b B, so it changes between steps only through the rate.
 A run of more than 2 dim steps factors it once (:class:`ShiftedSystem`)
-and then solves each step in O(dim^2); a shorter run, which the
-factorisation would not pay for, solves the assembled system densely at
-every step.  Only the factorisation needs scipy (``schur`` and LAPACK
-``ztrtrs``): :class:`ShiftedSystem` imports ``scipy.linalg`` when it is
-built, so a run that solves densely never loads it.
+and then solves each step in O(dim^2), with two real matvecs around one
+triangular solve; a shorter run, which the factorisation would not pay
+for, solves the assembled system densely at every step.  Only the
+factorisation needs scipy (``schur`` and LAPACK ``ztrtrs``):
+:class:`ShiftedSystem` imports ``scipy.linalg`` when it is built, so a run
+that solves densely never loads it.
 """
 
 from __future__ import annotations
@@ -107,10 +108,14 @@ class ShiftedSystem:
     A step is solved for its increment: u = u_old - K_sigma^-1 r with
     K_sigma = K0 + sigma E and r = (G + sigma E) u_old - m F, and the
     complex Schur form K0^-1 E = Z T Z^* gives
-    K_sigma^-1 = Z (I + sigma T)^-1 Z^* K0^-1.  So a step costs one real
-    matvec ([G; E] u_old), one complex matvec (R = Z^* K0^-1), a triangular
-    solve and one more complex matvec (Z).  Two choices keep a long run as
-    close to the dense solve as a second dense solver would be:
+    K_sigma^-1 = Z (I + sigma T)^-1 Z^* K0^-1.  The build folds the fixed
+    factors together: with R = Z^* K0^-1, it stores R [G | E (| F)] as the
+    real matrix ``w``, whose rows interleave the real and imaginary parts,
+    and Re(Z .) as the real matrix ``zr``.  So a step costs one real matvec
+    (w [u_old; sigma u_old (; -m)], the floats of R r), the triangular
+    solve and one more real matvec (Re(Z y) = zr times the floats of y).
+    Two choices keep a long run as close to the dense solve as a second
+    dense solver would be:
 
     * the unitary Z is well conditioned, where an eigenvector basis of
       K0^-1 E is not (condition 1e8 at M = 16 for E = a1 (C + D) - b B);
@@ -118,14 +123,22 @@ class ShiftedSystem:
       multiplies the increment, which is O(dt).  Applied to u_old itself,
       through a precomputed Z^* K0^-1 H / dt, it adds up step after step.
 
-    At M = 16 (dim 33) a solve takes about 21 us on one core of a shared
-    2-vCPU x86-64 host: 11 us for the three matvecs and the residual, 5 us
-    to build I + sigma T and 3 us in LAPACK ``ztrtrs``.  I + sigma T is
-    built as sigma T with 1 added to its diagonal in place; ``ztrtrs`` reads
-    only the upper triangle, where that is the same matrix.  T is kept
-    Fortran-ordered, so sigma T is too and the f2py wrapper passes it to
-    ``ztrtrs`` without copying it into Fortran order; the right-hand side,
-    fresh at every solve, is overwritten by the solution.
+    At M = 16 (dim 33) a solve takes about 9.4 us on one core of a shared
+    2-vCPU x86-64 host (best of 31 rounds), of which
+
+        x = [u_old; sigma u_old]        1.3 us
+        w @ x, read as complex R r      1.8 us
+        I + sigma T                     2.5 us
+        LAPACK ``ztrtrs``               1.1 us
+        u_old - zr @ y                  1.8 us
+
+    and the rest is the Python call.
+
+    I + sigma T is built as sigma T with 1 added to its diagonal in place;
+    ``ztrtrs`` reads only the upper triangle, where that is the same matrix.
+    T is kept Fortran-ordered, so sigma T is too and the f2py wrapper passes
+    it to ``ztrtrs`` without copying it into Fortran order; the right-hand
+    side, fresh at every solve, is overwritten by the solution.
 
     ``g`` is the operator without its mass term,
     ``system_matrix(matrices, 0, a, inf)``; ``source`` selects whether the
@@ -141,36 +154,48 @@ class ShiftedSystem:
             k0_inv = np.linalg.inv(matrices.H / dt + g)
         except np.linalg.LinAlgError as exc:
             raise LinearSolveError(f"unshifted step operator singular: {exc}") from exc
-        t, self.z = schur(k0_inv @ e, output="complex")
+        t, z = schur(k0_inv @ e, output="complex")
         self.t = np.asfortranarray(t)
-        self.r = self.z.conj().T @ k0_inv
-        self.g_e = np.stack([g, e])
-        self.f = matrices.F if source else None
+        self.source = source
+        dim = g.shape[0]
+        # R [G | E (| F)] = Z^* S with S = K0^-1 [G | E (| F)] real: its
+        # real and imaginary parts fill alternate rows of w
+        s = k0_inv @ np.column_stack((g, e, matrices.F) if source else (g, e))
+        self.w = np.empty((2 * dim, s.shape[1]))
+        self.w[0::2], self.w[1::2] = z.real.T @ s, -z.imag.T @ s
+        # Re(Z y) = Re Z Re y - Im Z Im y: Re Z and -Im Z fill alternate
+        # columns of zr, as Re y and Im y alternate in the floats of y
+        self.zr = np.empty((dim, 2 * dim))
+        self.zr[:, 0::2], self.zr[:, 1::2] = z.real, -z.imag
 
     def solve(self, u_old: np.ndarray, sigma: float, inflow: float = 0.0) -> np.ndarray:
         """u of the step from ``u_old`` at shift ``sigma`` with reset inflow
         ``inflow``; raises :class:`LinearSolveError` when some 1 + sigma
         lambda (a diagonal entry of I + sigma T) is zero."""
-        gu, eu = self.g_e @ u_old
-        residual = gu + sigma * eu
-        if self.f is not None:
-            residual -= inflow * self.f
+        x = np.concatenate((u_old, sigma * u_old, (-inflow,)) if self.source else (u_old, sigma * u_old))
+        rhs = (self.w @ x).view(np.complex128)
         shifted = sigma * self.t
         # a fresh array is contiguous, so its diagonal is every (dim + 1)-th
         # element in memory order, in C and in Fortran order alike
         shifted.ravel("K")[:: shifted.shape[0] + 1] += 1.0
-        y, info = self.ztrtrs(shifted, self.r @ residual, overwrite_b=1)
+        y, info = self.ztrtrs(shifted, rhs, overwrite_b=1)
         if info > 0:
             raise LinearSolveError(f"shifted step system singular at shift {sigma:.6g}")
-        return u_old - (self.z @ y).real
+        return u_old - self.zr @ y.view(np.float64)
 
 
 def factor_pays_off(rates, matrices: GalerkinMatrices) -> bool:
     """Whether a run with these record rate columns, one per population,
-    makes more than 2 dim solves (populations times steps).  Building a
-    :class:`ShiftedSystem` costs about what its cheaper solves save over
-    2 dim solves (measured at M = 8, 16, 24), and one factorisation serves
-    every population."""
+    makes more than 2 dim solves (populations times steps); one
+    factorisation serves every population.
+
+    At M = 8, 16 and 24 (2 dim = 34, 66 and 98) a :class:`ShiftedSystem`
+    takes about 0.17, 0.62 and 1.7 ms to build, and a factored step saves
+    6-7, 13-16 and 26-30 us over a dense one, so the build has paid for
+    itself after 25-29, 46-75 and 61-69 solves (three interleaved
+    measurements on one core of a shared 2-vCPU x86-64 host).  A run past
+    2 dim solves therefore gains, and every shorter run keeps the dense,
+    factorisation-free path."""
     return len(rates) * (len(rates[0]) - 1) > 2 * matrices.H.shape[0]
 
 

@@ -1,9 +1,11 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nnlif import Domain
 from nnlif.assembly import assemble, normalize_gaussian
 from nnlif.basis import BasisSet
 from nnlif.errors import ConfigurationError
@@ -211,6 +213,73 @@ def test_twopop_reduces_to_onepop_at_random_parameters(domain, a0, b, t_final):
     assert np.max(np.abs(rec2.columns["rate_e"] - rec1.columns["rate"])) <= 1e-12
     assert np.max(np.abs(rec2.columns["mass_e"] - rec1.columns["mass"])) <= 1e-12
     assert np.max(np.abs(rec2.snapshots[0].density[0] - rec1.snapshots[0].density)) <= 1e-12
+
+
+def _reference_fluxes(p, grid, drift_offset, diffusion):
+    """Edge fluxes of the stencil, each formed whole: the upwind drift flux
+    less the diffusion times the gradient, over h."""
+    h = grid.h
+    u = -grid.inner_edges + drift_offset
+    k = np.searchsorted(grid.inner_edges, drift_offset, side="right")
+    flux = np.zeros(grid.n_cells + 1)
+    flux[1:-1] = np.concatenate((u[:k] * p[:k], u[k:] * p[k + 1:])) - diffusion * (p[1:] - p[:-1]) / h
+    flux[-1] = diffusion * p[-1] / h
+    return flux
+
+
+def _reference_step(p, grid, dt, drift_offset, diffusion, inflow):
+    """The stencil in flux-difference form, p - (F_right - F_left) dt/h:
+    the order of operations that :func:`fdm_step` rearranges."""
+    flux = _reference_fluxes(p, grid, drift_offset, diffusion)
+    p_new = p - (flux[1:] - flux[:-1]) * (dt / grid.h)
+    p_new[grid.i_reset] += inflow * dt / grid.h
+    return p_new
+
+
+@st.composite
+def _stencil_cases(draw, finite_offsets=False):
+    """(cells, grid, dt, drift offset, diffusion, inflow) of one stencil
+    call: some cells are zero, and the offset may lie on a cell edge, far
+    outside the grid or, unless ``finite_offsets``, be +-inf or NaN."""
+    grid = FdmGrid.build(Domain(1.0, 2.0), v_min=draw(st.sampled_from([-6.0, -2.0, 0.0])),
+                         h=1.0 / draw(st.sampled_from([8, 16, 32, 64])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    p = rng.uniform(0.0, 10.0, grid.n_cells) * (rng.random(grid.n_cells) < 0.8)
+    extremes = [1e300, -1e300] + ([] if finite_offsets else [math.inf, -math.inf, math.nan])
+    offset = draw(st.one_of(
+        st.floats(-20.0, 20.0),
+        st.integers(0, grid.n_cells - 2).map(lambda j: float(grid.inner_edges[j])),
+        st.sampled_from(extremes),
+    ))
+    return p, grid, draw(st.floats(1e-7, 1e-2)), offset, draw(st.floats(0.01, 10.0)), draw(st.floats(0.0, 100.0))
+
+
+@settings(max_examples=200)
+@given(case=_stencil_cases())
+def test_fdm_step_matches_the_flux_difference_form(case):
+    p, grid, dt, offset, diffusion, inflow = case
+    with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf at infinite offsets
+        got = fdm_step(p, grid, dt, offset, diffusion, inflow)
+        want = _reference_step(p, grid, dt, offset, diffusion, inflow)
+        flux = _reference_fluxes(p, grid, offset, diffusion)
+    for kind in (np.isnan, np.isposinf, np.isneginf):
+        assert np.array_equal(kind(got), kind(want)), kind.__name__
+    # a reordered sum differs by rounding in its terms, not in its value
+    terms = np.abs(p) + dt / grid.h * (np.abs(flux[1:]) + np.abs(flux[:-1]))
+    terms[grid.i_reset] += inflow * dt / grid.h
+    finite = np.isfinite(want)
+    assert np.all(np.abs(got[finite] - want[finite]) <= 1e-12 * terms[finite])
+
+
+@settings(max_examples=200)
+@given(case=_stencil_cases(finite_offsets=True))
+def test_fdm_step_telescopes_to_the_boundary_fluxes(case):
+    p, grid, dt, offset, diffusion, inflow = case
+    h = grid.h
+    mass = float(np.sum(fdm_step(p, grid, dt, offset, diffusion, inflow)) * h)
+    want = float(np.sum(p) * h) - dt * diffusion * p[-1] / h + dt * inflow
+    flux = _reference_fluxes(p, grid, offset, diffusion)
+    assert abs(mass - want) <= 1e-13 * (float(np.sum(p)) * h + dt * float(np.sum(np.abs(flux))) + dt * inflow)
 
 
 @pytest.mark.parametrize("two", [False, True], ids=["one-population", "two-population"])

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nnlif import Domain, normalize_gaussian
 from nnlif.assembly import assemble, reconstruct
@@ -95,6 +95,9 @@ def _density(mats, u):
 # --- strategies ----------------------------------------------------------------
 
 m_values = st.integers(4, 24)
+# single solves reach M = 64 on a ladder: an assembly there takes most of a
+# second, so each M is assembled once for both solve properties
+solve_m_values = st.sampled_from([4, 7, 12, 16, 24, 32, 48, 64])
 dts = st.sampled_from([1e-4, 5e-4, 1e-3, 5e-3, 1e-2])
 onepop_params = st.builds(
     OnePopParams,
@@ -127,7 +130,9 @@ def _with_delays(params, lag, dt):
 
 
 @settings(max_examples=60)
-@given(m=m_values, dt=dts, params=onepop_params, rate=st.floats(0.0, 20.0), seed=st.integers(0, 2**16))
+@given(m=solve_m_values, dt=dts, params=onepop_params, rate=st.floats(0.0, 20.0), seed=st.integers(0, 2**16))
+@example(m=16, dt=1e-3, params=OnePopParams(1.0, 0.1, 0.5), rate=0.0, seed=0)
+@example(m=64, dt=1e-2, params=OnePopParams(1.0, 0.1, -3.0), rate=0.0, seed=1)
 def test_onepop_shifted_solve_matches_dense(m, dt, params, rate, seed):
     mats = _mats(m)
     e = params.a1 * (mats.C + mats.D) - params.b * mats.B
@@ -140,7 +145,7 @@ def test_onepop_shifted_solve_matches_dense(m, dt, params, rate, seed):
 
 @settings(max_examples=60)
 @given(
-    m=m_values,
+    m=solve_m_values,
     dt=dts,
     diffusion=st.floats(0.5, 2.0),
     refractory_mode=st.sampled_from(["pass-through", "exponential"]),
@@ -148,6 +153,10 @@ def test_onepop_shifted_solve_matches_dense(m, dt, params, rate, seed):
     inflow=st.floats(0.0, 50.0),
     seed=st.integers(0, 2**16),
 )
+@example(m=16, dt=1e-3, diffusion=1.0, refractory_mode="exponential", shift=0.0, inflow=0.0, seed=0)
+@example(m=16, dt=1e-3, diffusion=1.0, refractory_mode="exponential", shift=0.0, inflow=5.0, seed=1)
+@example(m=64, dt=1e-2, diffusion=0.5, refractory_mode="exponential", shift=-20.0, inflow=0.0, seed=2)
+@example(m=64, dt=1e-2, diffusion=0.5, refractory_mode="pass-through", shift=0.0, inflow=0.0, seed=3)
 def test_twopop_shifted_solve_matches_dense(m, dt, diffusion, refractory_mode, shift, inflow, seed):
     mats = _mats(m)
     implicit_flux = refractory_mode == "pass-through"
@@ -289,7 +298,7 @@ def test_solves_leave_the_factors_unchanged():
     assert shifted.t.flags.f_contiguous
     # the eigenvalue -2 makes 1 + 0.5 * lambda exactly zero
     shifted.t[0, 0] = -2.0
-    factors = {name: getattr(shifted, name).copy() for name in ("t", "r", "z", "g_e")}
+    factors = {name: getattr(shifted, name).copy() for name in ("t", "w", "zr")}
     u_old = np.random.default_rng(3).standard_normal(_dim(8))
     u_copy = u_old.copy()
     shifts = (0.0, 0.25, -3.0, 40.0)
