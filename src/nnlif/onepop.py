@@ -109,11 +109,16 @@ class ShiftedSystem:
     K_sigma = K0 + sigma E and r = (G + sigma E) u_old - m F, and the
     complex Schur form K0^-1 E = Z T Z^* gives
     K_sigma^-1 = Z (I + sigma T)^-1 Z^* K0^-1.  The build folds the fixed
-    factors together: with R = Z^* K0^-1, it stores R [G | E (| F)] as the
-    real matrix ``w``, whose rows interleave the real and imaginary parts,
-    and Re(Z .) as the real matrix ``zr``.  So a step costs one real matvec
-    (w [u_old; sigma u_old (; -m)], the floats of R r), the triangular
-    solve and one more real matvec (Re(Z y) = zr times the floats of y).
+    factors together: with R = Z^* K0^-1, it stores R [G | E (| -F)], whose
+    rows interleave the real and imaginary parts, as the transposed real
+    matrix ``w``, and Re(Z .) as the transposed real matrix ``zr``.  So a
+    step costs one real product (x w with x = [u_old, sigma u_old (, m)],
+    the floats of R r), the triangular solve and one more real product
+    (Re(Z y) = the floats of y times zr).  A (k, dim) stack of densities,
+    each row with its own shift and inflow, takes one product each way for
+    all its rows and one triangular solve per row, whose I + sigma T is its
+    own; the two-population step solves its E and I rows so.
+
     Two choices keep a long run as close to the dense solve as a second
     dense solver would be:
 
@@ -123,14 +128,17 @@ class ShiftedSystem:
       multiplies the increment, which is O(dt).  Applied to u_old itself,
       through a precomputed Z^* K0^-1 H / dt, it adds up step after step.
 
-    At M = 16 (dim 33) a solve takes about 9.4 us on one core of a shared
-    2-vCPU x86-64 host (best of 31 rounds), of which
+    At M = 16 (dim 33), on one core of a shared 2-vCPU x86-64 host (best
+    of 31 interleaved rounds), a one-row solve takes about 9.6 us and a
+    two-row stack with a source 16.9 us, against 20.6 us for its rows
+    solved one at a time.  Of these,
 
-        x = [u_old; sigma u_old]        1.3 us
-        w @ x, read as complex R r      1.8 us
-        I + sigma T                     2.5 us
-        LAPACK ``ztrtrs``               1.1 us
-        u_old - zr @ y                  1.8 us
+                                          one row    two rows
+        x = [u_old, sigma u_old (, m)]    1.3 us     3.0 us
+        x @ w, read as complex R r        1.7 us     2.1 us
+        I + sigma T, per row              2.3 us     2.3 us
+        LAPACK ``ztrtrs``, per row        1.4 us     1.4 us
+        u_old - y @ zr                    1.7 us     1.9 us
 
     and the rest is the Python call.
 
@@ -138,7 +146,8 @@ class ShiftedSystem:
     ``ztrtrs`` reads only the upper triangle, where that is the same matrix.
     T is kept Fortran-ordered, so sigma T is too and the f2py wrapper passes
     it to ``ztrtrs`` without copying it into Fortran order; the right-hand
-    side, fresh at every solve, is overwritten by the solution.
+    side, fresh at every solve, is overwritten by the solution row by row.
+    The system keeps no buffers: a solve writes only arrays it made.
 
     ``g`` is the operator without its mass term,
     ``system_matrix(matrices, 0, a, inf)``; ``source`` selects whether the
@@ -158,30 +167,40 @@ class ShiftedSystem:
         self.t = np.asfortranarray(t)
         self.source = source
         dim = g.shape[0]
-        # R [G | E (| F)] = Z^* S with S = K0^-1 [G | E (| F)] real: its
+        # R [G | E (| -F)] = Z^* S with S = K0^-1 [G | E (| -F)] real: its
         # real and imaginary parts fill alternate rows of w
-        s = k0_inv @ np.column_stack((g, e, matrices.F) if source else (g, e))
-        self.w = np.empty((2 * dim, s.shape[1]))
-        self.w[0::2], self.w[1::2] = z.real.T @ s, -z.imag.T @ s
+        s = k0_inv @ np.column_stack((g, e, -matrices.F) if source else (g, e))
+        w = np.empty((2 * dim, s.shape[1]))
+        w[0::2], w[1::2] = z.real.T @ s, -z.imag.T @ s
         # Re(Z y) = Re Z Re y - Im Z Im y: Re Z and -Im Z fill alternate
         # columns of zr, as Re y and Im y alternate in the floats of y
-        self.zr = np.empty((dim, 2 * dim))
-        self.zr[:, 0::2], self.zr[:, 1::2] = z.real, -z.imag
+        zr = np.empty((dim, 2 * dim))
+        zr[:, 0::2], zr[:, 1::2] = z.real, -z.imag
+        # both are kept as transposed views, so that a row or a stack of rows
+        # multiplies from the left
+        self.w, self.zr = w.T, zr.T
 
-    def solve(self, u_old: np.ndarray, sigma: float, inflow: float = 0.0) -> np.ndarray:
+    def solve(self, u_old: np.ndarray, sigma, inflow=0.0) -> np.ndarray:
         """u of the step from ``u_old`` at shift ``sigma`` with reset inflow
-        ``inflow``; raises :class:`LinearSolveError` when some 1 + sigma
-        lambda (a diagonal entry of I + sigma T) is zero."""
-        x = np.concatenate((u_old, sigma * u_old, (-inflow,)) if self.source else (u_old, sigma * u_old))
-        rhs = (self.w @ x).view(np.complex128)
-        shifted = sigma * self.t
-        # a fresh array is contiguous, so its diagonal is every (dim + 1)-th
-        # element in memory order, in C and in Fortran order alike
-        shifted.ravel("K")[:: shifted.shape[0] + 1] += 1.0
-        y, info = self.ztrtrs(shifted, rhs, overwrite_b=1)
-        if info > 0:
-            raise LinearSolveError(f"shifted step system singular at shift {sigma:.6g}")
-        return u_old - self.zr @ y.view(np.float64)
+        ``inflow``: one vector with scalar ``sigma`` and ``inflow``, or a
+        (k, dim) stack of rows with a sequence of k shifts and k inflows,
+        one per row.  Raises :class:`LinearSolveError` when some 1 + sigma
+        lambda (a diagonal entry of a row's I + sigma T) is zero."""
+        stacked = u_old.ndim == 2
+        scaled = (np.array(sigma)[:, None] if stacked else sigma) * u_old
+        x = (u_old, scaled, np.array(inflow)[:, None] if stacked else (inflow,)) if self.source else (u_old, scaled)
+        # the rows of x @ w are the floats of R r, one row per density
+        rhs = (np.concatenate(x, -1) @ self.w).view(np.complex128)
+        for shift, row in zip(sigma, rhs) if stacked else ((sigma, rhs),):
+            shifted = shift * self.t
+            # a fresh array is contiguous, so its diagonal is every (dim + 1)-th
+            # element in memory order, in C and in Fortran order alike
+            shifted.ravel("K")[:: shifted.shape[0] + 1] += 1.0
+            # the row is contiguous and complex, so ztrtrs solves in place
+            _, info = self.ztrtrs(shifted, row, overwrite_b=1)
+            if info > 0:
+                raise LinearSolveError(f"shifted step system singular at shift {shift:.6g}")
+        return u_old - rhs.view(np.float64) @ self.zr
 
 
 def factor_pays_off(rates, matrices: GalerkinMatrices) -> bool:

@@ -6,13 +6,16 @@ population, with drift offset V_alpha and diffusion a_alpha evaluated from
 delayed firing rates.  The refractory masses follow the forward-Euler update
 R^{n+1} = R^n + dt (N^n - M^n).
 
-With constant diffusion the operator of population alpha is K0 - V_alpha B,
-so it changes between steps only through the drift offset V_alpha, and K0
-is the same for both populations.  A run of more than dim steps (2 dim
-solves) then factors K0^-1 B once (:class:`onepop.ShiftedSystem`) and
-solves each population's step in O(dim^2).  Model-mode diffusion, whose
-operator moves with two independent scalars, and shorter runs solve the
-assembled system densely at every step.
+The spectral state holds both densities as one C-contiguous (2, dim)
+stack of coefficient rows, E then I.  With constant diffusion the operator
+of population alpha is K0 - V_alpha B, so it changes between steps only
+through the drift offset V_alpha, and K0 is the same for both populations.
+A run of more than dim steps (2 dim solves) then factors K0^-1 B once
+(:class:`onepop.ShiftedSystem`) and solves the stack in O(dim^2) per row:
+one matrix product maps both rows forward, each row gets its own
+triangular solve at its own shift, and one product maps both back.
+Model-mode diffusion, whose operator moves with two independent scalars,
+and shorter runs solve each row's assembled system densely at every step.
 
 Delayed rates are read from the run's recorded rate columns at the clamped
 step max(0, n - delay/dt); the current step's rates travel on the state,
@@ -30,10 +33,12 @@ Recovery modes:
 
 Parameter names spell out the coupling direction: ``b_e_to_i`` is the
 strength with which the excitatory rate drives the inhibitory population.
-The model is written once for both populations: every pair (densities,
-refractory masses, rates, recorded rates, coefficients) is in E, I order,
-and the coupling, delay and lag tables and the delayed rates are indexed
-[target][source], so entry [y][x] is the influence of population x on y.
+Every pair (density rows, refractory masses, rates, recorded rates,
+coefficients) is in E, I order, and the coupling, delay and lag tables and
+the delayed rates are indexed [target][source], so entry [y][x] is the
+influence of population x on y.  The helpers of a step write their two or
+four entries out one by one: a per-entry loop costs more than the
+arithmetic at this size.
 """
 
 from __future__ import annotations
@@ -133,11 +138,6 @@ class TwoPopParams:
         return (self.b_e_to_i - self.b_e_to_e) * self.nu_ext
 
     @cached_property
-    def taus(self) -> tuple[float, float]:
-        """Refractory durations of both populations."""
-        return self.tau_e, self.tau_i
-
-    @cached_property
     def constant_diffusions(self) -> tuple[float, float]:
         """Diffusions of both populations in constant-diffusion mode."""
         return (self.diffusion_constant,) * 2
@@ -156,62 +156,76 @@ def recovery(r, rates, params: TwoPopParams):
     ``r`` and rates."""
     if params.refractory_mode == RECOVERY_PASS_THROUGH:
         return rates
-    return [mass / tau for mass, tau in zip(r, params.taus)]
+    return r[0] / params.tau_e, r[1] / params.tau_i
 
 
 def coefficients(params: TwoPopParams, delayed):
     """Drift offsets V and diffusions a of both populations, from the delayed
     rates indexed [target][source] (:func:`delayed_rates`)."""
-    # the excitatory source (index 0) raises the drift, the inhibitory one lowers it
-    drift = [b[0] * seen[0] - b[1] * seen[1] for b, seen in zip(params.tables["b"], delayed)]
-    drift[1] += params.drive_shift
+    (seen_ee, seen_ie), (seen_ei, seen_ii) = delayed
+    # the excitatory source raises the drift, the inhibitory one lowers it
+    drift = (
+        params.b_e_to_e * seen_ee - params.b_i_to_e * seen_ie,
+        params.b_e_to_i * seen_ei - params.b_i_to_i * seen_ii + params.drive_shift,
+    )
     if params.diffusion_mode == DIFFUSION_CONSTANT:
         return drift, params.constant_diffusions
-    diffusion = [d[0] * (params.nu_ext + seen[0]) + d[1] * seen[1] for d, seen in zip(params.tables["d"], delayed)]
+    diffusion = (
+        params.d_e_to_e * (params.nu_ext + seen_ee) + params.d_i_to_e * seen_ie,
+        params.d_e_to_i * (params.nu_ext + seen_ei) + params.d_i_to_i * seen_ii,
+    )
     for pop, diff in zip(POPULATIONS, diffusion):
         if diff <= 0:
             raise NonpositiveDiffusionError(f"diffusion for population {pop} is {diff:.6g} <= 0")
     return drift, diffusion
 
 
-def lagged_rate(history, current: float, n: int, lag: int) -> float:
-    """Rate at the clamped delayed step max(0, n - lag) seen from step n:
-    ``current`` when that is step n itself, else the recorded ``history``
-    entry of that step."""
-    i = max(0, n - lag)
-    return current if i == n else float(history[i])
-
-
 class TwoPopState(NamedTuple):
     """Densities, refractory masses and rates of both populations at step
     ``step_index``, populations in E, I order.
 
-    ``u`` holds the densities as a pair of vectors: coefficient vectors
-    (spectral) or rows of cell values (finite volumes).  ``r`` and ``rate``
-    are pairs, the latter the rates of this state.  ``history`` is the pair
-    of recorded rate columns of the run, entry k for step k; a step reads the
-    entries before its own index that its delays reach, which with zero
-    delays is none.
+    ``u`` holds the densities: a C-contiguous (2, dim) stack of coefficient
+    rows (spectral), or a pair of rows of cell values (finite volumes).
+    ``r`` and ``rate`` are pairs, the latter the rates of this state.
+    ``history`` is the pair of recorded rate columns of the run, entry k for
+    step k; a step reads the entries before its own index that its delays
+    reach, which with zero delays is none.
     """
 
-    u: Sequence[np.ndarray]
+    u: np.ndarray | Sequence[np.ndarray]
     r: Sequence[float]
     t: float  # advanced by the public steps; the run loop does not read it
     step_index: int
     rate: Sequence[float]
     history: Sequence[Sequence[float]] = ((), ())
 
-    def refractory_after(self, inflow, dt: float) -> list:
+    def refractory_after(self, inflow, dt: float) -> tuple[float, float]:
         """Refractory masses one forward-Euler step later, R + dt (N - M),
         with recovery rates ``inflow``."""
-        return [r + dt * (rate - m) for r, rate, m in zip(self.r, self.rate, inflow)]
+        (r_e, r_i), (rate_e, rate_i), (m_e, m_i) = self.r, self.rate, inflow
+        return r_e + dt * (rate_e - m_e), r_i + dt * (rate_i - m_i)
 
 
 def delayed_rates(state: TwoPopState, lags):
-    """Delayed rates at the state's step indexed [target][source]: entry
-    [y][x] is the rate of population x that population y sees."""
-    n, rate, history = state.step_index, state.rate, state.history
-    return [[*map(lagged_rate, history, rate, (n, n), row)] for row in lags]
+    """Delayed rates at the state's step n indexed [target][source]: entry
+    [y][x] is the rate of population x that population y sees, the rate at
+    step max(0, n - lag) for the lag ``lags[y][x]``.  That is the state's own
+    rate when the step is n itself (lag 0, or n = 0), else the history
+    entry of that step."""
+    n, (rate_e, rate_i), (history_e, history_i) = state.step_index, state.rate, state.history
+    if n == 0:
+        return [[rate_e, rate_i], [rate_e, rate_i]]
+    (lag_ee, lag_ie), (lag_ei, lag_ii) = lags
+    return [
+        [
+            rate_e if lag_ee == 0 else float(history_e[n - lag_ee if n > lag_ee else 0]),
+            rate_i if lag_ie == 0 else float(history_i[n - lag_ie if n > lag_ie else 0]),
+        ],
+        [
+            rate_e if lag_ei == 0 else float(history_e[n - lag_ei if n > lag_ei else 0]),
+            rate_i if lag_ii == 0 else float(history_i[n - lag_ii if n > lag_ii else 0]),
+        ],
+    ]
 
 
 def _resolve_rates(params: TwoPopParams, n: int, slopes, lags, history):
@@ -223,14 +237,15 @@ def _resolve_rates(params: TwoPopParams, n: int, slopes, lags, history):
     diffusion the two rate relations stay affine in (N_E, N_I) and the 2x2
     system is solved exactly.  Earlier steps are read from the history.
     """
+    s_e, s_i = slopes
     if params.diffusion_mode == DIFFUSION_CONSTANT:
         a_const = params.diffusion_constant
-        return [-a_const * s for s in slopes]
+        return -a_const * s_e, -a_const * s_i
 
     # row y is the relation for N_y; unknown entries are the lookups that
     # clamp to the current step
     mat = np.eye(2)
-    rhs = np.array([-s * d_row[0] * params.nu_ext for s, d_row in zip(slopes, params.tables["d"])])
+    rhs = np.array((-s_e * params.d_e_to_e * params.nu_ext, -s_i * params.d_e_to_i * params.nu_ext))
     for y, (s, d_row, lag_row) in enumerate(zip(slopes, params.tables["d"], lags)):
         for x, (d, lag) in enumerate(zip(d_row, lag_row)):
             i = max(0, n - lag)
@@ -241,11 +256,12 @@ def _resolve_rates(params: TwoPopParams, n: int, slopes, lags, history):
     det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
     if math.isnan(det):
         # slopes of a non-finite state, whose masses trip the run anyway
-        return [math.nan, math.nan]
+        return math.nan, math.nan
     if abs(det) < 1e-12:
         raise SingularFiringRateError(f"implicit two-population rate system singular (det={det:.3e})")
     try:
-        return [float(rate) for rate in np.linalg.solve(mat, rhs)]
+        rate_e, rate_i = np.linalg.solve(mat, rhs)
+        return float(rate_e), float(rate_i)
     except np.linalg.LinAlgError as exc:  # a zero pivot that rounding hid from det
         raise SingularFiringRateError(f"implicit two-population rate system singular: {exc}") from exc
 
@@ -261,38 +277,38 @@ def step_twopop(
     """Advance both populations and the refractory masses by one step.
 
     The current rates come from ``state`` and the delayed ones from its
-    history; ``state`` itself is left untouched.  A rate system that has no
-    solution raises :class:`SingularFiringRateError`.  ``shifted``, the
-    run's factored constant-diffusion operator, replaces the dense solves;
-    it must have been built from the same parameters, matrices and dt.
+    history; ``state`` itself is left untouched, and the new state's (2,
+    dim) ``u`` is a fresh array.  A rate system that has no solution raises
+    :class:`SingularFiringRateError`.  ``shifted``, the run's factored
+    constant-diffusion operator, replaces the dense solves with one stacked
+    solve of both rows; it must have been built from the same parameters,
+    matrices and dt.
     """
     if lags is None:
         lags = params.delay_lags(dt)
+    u_old = np.asarray(state.u)
     inflow = recovery(state.r, state.rate, params)
-    implicit_flux = params.refractory_mode == RECOVERY_PASS_THROUGH
-    deriv_tr = matrices.traces.deriv_at_threshold
-    u, slopes = [], []
     drift, diffusion = coefficients(params, delayed_rates(state, lags))
-    for pop, u_old, v_drift, diff, m_rate in zip(POPULATIONS, state.u, drift, diffusion, inflow):
-        if shifted is not None:
-            u_new = shifted.solve(u_old, v_drift, m_rate)
-        else:
+    if shifted is not None:
+        u = shifted.solve(u_old, drift, inflow)
+    else:
+        implicit_flux = params.refractory_mode == RECOVERY_PASS_THROUGH
+        u = np.empty_like(u_old)
+        for pop, row, row_old, v_drift, diff, m_rate in zip(POPULATIONS, u, u_old, drift, diffusion, inflow):
             lhs = system_matrix(matrices, v_drift, diff, dt, flux_shift_implicit=implicit_flux)
-            rhs = matrices.H @ u_old / dt
+            rhs = matrices.H @ row_old / dt
             if not implicit_flux:
                 rhs = rhs + m_rate * matrices.F
             try:
-                u_new = np.linalg.solve(lhs, rhs)
+                row[:] = np.linalg.solve(lhs, rhs)
             except np.linalg.LinAlgError as exc:
                 raise LinearSolveError(
                     f"population {pop} system singular at t={state.t:.6g}: {exc}"
                 ) from exc
-        u.append(u_new)
-        slopes.append(float(deriv_tr.dot(u_new)))
-
-    rate = _resolve_rates(params, state.step_index + 1, slopes, lags, state.history)
-    r = state.refractory_after(inflow, dt)
-    return TwoPopState(u, r, state.t + dt, state.step_index + 1, rate, state.history)
+    deriv_tr = matrices.traces.deriv_at_threshold
+    n = state.step_index + 1
+    rate = _resolve_rates(params, n, (float(deriv_tr.dot(u[0])), float(deriv_tr.dot(u[1]))), lags, state.history)
+    return TwoPopState(u, state.refractory_after(inflow, dt), state.t + dt, n, rate, state.history)
 
 
 class _TwoPop:
@@ -313,18 +329,19 @@ class _TwoPop:
             implicit_flux = params.refractory_mode == RECOVERY_PASS_THROUGH
             g = system_matrix(mats, 0.0, params.diffusion_constant, math.inf, flux_shift_implicit=implicit_flux)
             self.shifted = ShiftedSystem(g, -mats.B, mats, self.dt, source=not implicit_flux)
-        u = [project_initial(mats, p0) for p0 in self.p0]
+        u = np.array([project_initial(mats, p0) for p0 in self.p0])
         # rates at t=0 follow the delayed-coefficient rule of the first step
         # (every lookup clamps to the current step)
-        slopes = [float(mats.traces.deriv_at_threshold.dot(c)) for c in u]
+        deriv_tr = mats.traces.deriv_at_threshold
+        slopes = float(deriv_tr.dot(u[0])), float(deriv_tr.dot(u[1]))
         return TwoPopState(u, (0.0, 0.0), 0.0, 0, _resolve_rates(params, 0, slopes, self.lags, rates), rates)
 
     def step(self, state: TwoPopState) -> TwoPopState:
         return step_twopop(state, self.params, self.matrices, self.dt, self.lags, self.shifted)
 
     def observe(self, state: TwoPopState):
-        mass = self.matrices.mass
-        return (*state.rate, *map(mass.dot, state.u), *state.r)
+        mass, u = self.matrices.mass, state.u
+        return (*state.rate, mass.dot(u[0]), mass.dot(u[1]), *state.r)
 
     def densities(self, state: TwoPopState) -> np.ndarray:
         return np.array([reconstruct(self.matrices.basis, c, self.out_grid) for c in state.u])

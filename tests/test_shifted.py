@@ -170,6 +170,52 @@ def test_twopop_shifted_solve_matches_dense(m, dt, diffusion, refractory_mode, s
     assert _rel(shifted.solve(u_old, shift, inflow), np.linalg.solve(lhs, rhs)) <= SOLVE_RTOL
 
 
+@settings(max_examples=40)
+@given(
+    m=solve_m_values,
+    dt=dts,
+    diffusion=st.floats(0.5, 2.0),
+    refractory_mode=st.sampled_from(["pass-through", "exponential"]),
+    shifts=st.tuples(st.floats(-20.0, 40.0), st.floats(-20.0, 40.0)),
+    inflows=st.tuples(st.floats(0.0, 50.0), st.floats(0.0, 50.0)),
+    seed=st.integers(0, 2**16),
+)
+@example(m=16, dt=1e-3, diffusion=1.0, refractory_mode="exponential", shifts=(0.0, 3.0), inflows=(0.0, 5.0), seed=0)
+@example(m=64, dt=1e-2, diffusion=0.5, refractory_mode="pass-through", shifts=(-20.0, 40.0), inflows=(1.0, 2.0),
+         seed=1)
+def test_stacked_solve_is_one_solve_per_row(m, dt, diffusion, refractory_mode, shifts, inflows, seed):
+    # a (2, dim) stack with a shift and an inflow per row solves each row's
+    # own system, as two single solves and the dense solve do
+    mats = _mats(m)
+    implicit_flux = refractory_mode == "pass-through"
+    g = system_matrix(mats, 0.0, diffusion, math.inf, flux_shift_implicit=implicit_flux)
+    shifted = ShiftedSystem(g, -mats.B, mats, dt, source=not implicit_flux)
+    u_old = np.random.default_rng(seed).standard_normal((2, _dim(m)))
+    stacked = shifted.solve(u_old, shifts, inflows)
+    assert stacked.shape == u_old.shape and stacked.flags.c_contiguous
+    for row, row_old, shift, inflow in zip(stacked, u_old, shifts, inflows):
+        lhs = system_matrix(mats, shift, diffusion, dt, flux_shift_implicit=implicit_flux)
+        rhs = mats.H @ row_old / dt
+        if not implicit_flux:
+            rhs = rhs + inflow * mats.F
+        assert _rel(row, np.linalg.solve(lhs, rhs)) <= SOLVE_RTOL
+        assert _rel(row, shifted.solve(row_old, shift, inflow)) <= SOLVE_RTOL
+
+
+@pytest.mark.parametrize("singular_row", [0, 1])
+def test_stacked_solve_fails_on_a_zero_denominator_in_either_row(singular_row):
+    mats = _mats(8)
+    shifted = ShiftedSystem(system_matrix(mats, 0.0, 1.0, math.inf, flux_shift_implicit=False), -mats.B, mats, 1e-3,
+                            source=True)
+    # the eigenvalue -2 makes 1 + 0.5 * lambda exactly zero
+    shifted.t[0, 0] = -2.0
+    shifts = [0.25, 0.25]
+    shifts[singular_row] = 0.5
+    u_old = np.random.default_rng(4).standard_normal((2, _dim(8)))
+    with pytest.raises(LinearSolveError):
+        shifted.solve(u_old, shifts, (1.0, 2.0))
+
+
 # --- factored runs against the dense step loop -----------------------------
 
 
@@ -298,16 +344,23 @@ def test_solves_leave_the_factors_unchanged():
     assert shifted.t.flags.f_contiguous
     # the eigenvalue -2 makes 1 + 0.5 * lambda exactly zero
     shifted.t[0, 0] = -2.0
-    factors = {name: getattr(shifted, name).copy() for name in ("t", "w", "zr")}
-    u_old = np.random.default_rng(3).standard_normal(_dim(8))
-    u_copy = u_old.copy()
+    # every array the system stores is a factor that no solve may write
+    factors = {name: value.copy() for name, value in vars(shifted).items() if isinstance(value, np.ndarray)}
+    assert sorted(factors) == ["t", "w", "zr"]
+    stack = np.random.default_rng(3).standard_normal((2, _dim(8)))
+    u_old = stack[0]
+    stack_copy = stack.copy()
     shifts = (0.0, 0.25, -3.0, 40.0)
     first = [shifted.solve(u_old, sigma) for sigma in shifts]
+    first_stacked = shifted.solve(stack, shifts[2:])
     for _ in range(50):
         with pytest.raises(LinearSolveError):
             shifted.solve(u_old, 0.5)
+        with pytest.raises(LinearSolveError):
+            shifted.solve(stack, (0.25, 0.5))
         for sigma, want in zip(shifts, first):
             assert np.array_equal(shifted.solve(u_old, sigma), want)
+        assert np.array_equal(shifted.solve(stack, shifts[2:]), first_stacked)
     for name, want in factors.items():
         assert np.array_equal(getattr(shifted, name), want), name
-    assert np.array_equal(u_old, u_copy)
+    assert np.array_equal(stack, stack_copy)
