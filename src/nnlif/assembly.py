@@ -184,7 +184,6 @@ class GaussianIC:
     v0: float
     sigma0_sq: float
     m0: float
-    v_threshold: float
 
     def __call__(self, v):
         v = np.asarray(v, dtype=float)
@@ -207,7 +206,7 @@ def normalize_gaussian(v0: float, sigma0_sq: float, domain) -> GaussianIC:
             f"a Gaussian at v0={v0} with variance {sigma0_sq} has mass {m0:.3g} below the threshold, "
             f"need >= {_MIN_INITIAL_MASS:g}"
         )
-    return GaussianIC(v0=v0, sigma0_sq=sigma0_sq, m0=m0, v_threshold=domain.v_threshold)
+    return GaussianIC(v0=v0, sigma0_sq=sigma0_sq, m0=m0)
 
 
 def _projection_rule(basis: BasisSet, ref):

@@ -15,10 +15,11 @@ the same discretization family.
 
 One entry point, :func:`fdm_solve`, and one stability rule,
 :func:`stable_timestep`, serve both models, and one stencil, :func:`fdm_step`,
-advances one population's cells.  Two populations hold a pair of cell rows,
-E, I, as the spectral state does, with delayed rates, lagged
-[target][source], from :mod:`twopop`; a reference step divides t_final and
-every nonzero delay.
+advances one population's cells.  The states are the spectral ones with
+cell values in ``u``: one population's rate is :meth:`OnePopParams.rate` at
+the slope -p_last / h, and two populations hold a pair of cell rows, E, I,
+with delayed rates, lagged [target][source], from :mod:`twopop`; a
+reference step divides t_final and every nonzero delay.
 """
 
 from __future__ import annotations
@@ -27,15 +28,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 from .basis import Domain
-from .errors import ConfigurationError, SingularFiringRateError
+from .errors import ConfigurationError
 from .integrate import DEFAULT_BLOWUP_THRESHOLD, ONE_POPULATION, TWO_POPULATIONS, RunRecord, integrate, whole_steps
 from .norms import norm_grid
-from .onepop import OnePopParams
+from .onepop import PopulationState
 from .twopop import DELAY_NAMES, DIFFUSION_CONSTANT, TwoPopParams, TwoPopState, coefficients, delayed_rates, recovery
 
 DEFAULT_V_MIN = -6.0
@@ -92,16 +92,6 @@ def stable_timestep(grid: FdmGrid, params, rate_cap: float = 0.0) -> float:
         diffusion, offset = params.diffusion(rate_cap), abs(params.b) * rate_cap
     u_max = max(abs(grid.v_min), abs(grid.domain.v_threshold)) + offset
     return grid.h * grid.h / (2.0 * diffusion + u_max * grid.h)
-
-
-def fdm_rate(p: np.ndarray, params: OnePopParams, grid: FdmGrid) -> float:
-    """Firing rate of the cell values from the discrete threshold slope:
-    N = a(N) p_last / h."""
-    g = p[-1] / grid.h
-    denom = 1.0 - params.a1 * g
-    if abs(denom) < 1e-12:
-        raise SingularFiringRateError("discrete firing-rate relation singular")
-    return params.a0 * g / denom
 
 
 def fdm_step(p: np.ndarray, grid: FdmGrid, dt: float, drift_offset: float, diffusion: float,
@@ -185,11 +175,6 @@ def reference_timestep(grid: FdmGrid, params, t_final: float) -> float:
     raise ConfigurationError(f"no reference timestep below {bound:.6g} divides t_final={t_final} and the delays")
 
 
-class _CellState(NamedTuple):
-    p: np.ndarray
-    rate: float
-
-
 class _FdmOnePop:
     """The finite-volume single-population model as a :class:`Stepper`:
     drift b N, diffusion a0 + a1 N and inflow N."""
@@ -200,20 +185,20 @@ class _FdmOnePop:
         self.p0, self.params, self.grid, self.dt = p0, params, grid, dt
         self.out_grid = norm_grid(grid.domain)
 
-    def start(self, rates) -> _CellState:
+    def start(self, rates) -> PopulationState:
         p = _initial_cells(self.p0, self.grid)
-        return _CellState(p, fdm_rate(p, self.params, self.grid))
+        return PopulationState(p, self.params.rate(-(p[-1] / self.grid.h)))
 
-    def step(self, state: _CellState) -> _CellState:
+    def step(self, state: PopulationState) -> PopulationState:
         params, rate = self.params, state.rate
-        p = fdm_step(state.p, self.grid, self.dt, params.b * rate, params.diffusion(rate), rate)
-        return _CellState(p, fdm_rate(p, params, self.grid))
+        p = fdm_step(state.u, self.grid, self.dt, params.b * rate, params.diffusion(rate), rate)
+        return PopulationState(p, params.rate(-(p[-1] / self.grid.h)))
 
-    def observe(self, state: _CellState):
-        return state.rate, float(state.p.sum() * self.grid.h)
+    def observe(self, state: PopulationState):
+        return state.rate, float(state.u.sum() * self.grid.h)
 
-    def densities(self, state: _CellState) -> np.ndarray:
-        return _to_norm_grid(state.p, self.grid, self.out_grid)
+    def densities(self, state: PopulationState) -> np.ndarray:
+        return _to_norm_grid(state.u, self.grid, self.out_grid)
 
 
 class _FdmTwoPop(_FdmOnePop):
@@ -229,7 +214,7 @@ class _FdmTwoPop(_FdmOnePop):
     def start(self, rates) -> TwoPopState:
         self.lags = self.params.delay_lags(self.dt)
         u = [_initial_cells(p0, self.grid) for p0 in self.p0]
-        return TwoPopState(u, (0.0, 0.0), 0.0, 0, self._rates(u), rates)
+        return TwoPopState(u, (0.0, 0.0), 0, self._rates(u), rates)
 
     def step(self, state: TwoPopState) -> TwoPopState:
         inflow = recovery(state.r, state.rate, self.params)
@@ -237,7 +222,7 @@ class _FdmTwoPop(_FdmOnePop):
         u = [fdm_step(p, self.grid, self.dt, v, a, m) for p, v, a, m in zip(state.u, drift, diffusion, inflow)]
         n = state.step_index + 1
         r = state.refractory_after(inflow, self.dt)
-        return TwoPopState(u, r, n * self.dt, n, self._rates(u), state.history)
+        return TwoPopState(u, r, n, self._rates(u), state.history)
 
     def observe(self, state: TwoPopState):
         return (*state.rate, *(float(p.sum() * self.grid.h) for p in state.u), *state.r)

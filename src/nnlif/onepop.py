@@ -12,7 +12,8 @@ E = a1 (C + D) - b B, so it changes between steps only through the rate.
 A run of more than 2 dim steps factors it once (:class:`ShiftedSystem`)
 and then solves each step in O(dim^2), with two real matvecs around one
 triangular solve; a shorter run, which the factorisation would not pay
-for, solves the assembled system densely at every step.  Only the
+for, solves the assembled system densely at every step
+(:func:`dense_solve`, which the two-population step shares).  Only the
 factorisation needs scipy (``schur`` and LAPACK ``ztrtrs``):
 :class:`ShiftedSystem` imports ``scipy.linalg`` when it is built, so a run
 that solves densely never loads it.
@@ -60,25 +61,29 @@ class OnePopParams:
             raise NonpositiveDiffusionError(f"diffusion a0 + a1 N is {diffusion:.6g} <= 0 at rate N={rate:.6g}")
         return diffusion
 
+    def rate(self, slope: float) -> float:
+        """The firing rate N = -a0 s / (1 + a1 s) from the density's slope s
+        at the threshold, the unique solution of N = -(a0 + a1 N) s; raises
+        when 1 + a1 s is numerically zero."""
+        denom = 1.0 + self.a1 * slope
+        if abs(denom) < _RATE_DENOM_TOL:
+            raise SingularFiringRateError(f"firing-rate denominator 1 + a1*s = {denom:.3e} is numerically singular")
+        return -self.a0 * slope / denom
+
 
 class PopulationState(NamedTuple):
-    u_hat: np.ndarray
-    t: float  # advanced by the public steps; the run loop does not read it
+    """One population's density and its firing rate, the state of both
+    one-population solvers: ``u`` holds coefficients (spectral) or cell
+    values (finite volumes)."""
+
+    u: np.ndarray
     rate: float
 
 
-def firing_rate(u_hat: np.ndarray, deriv_at_threshold: np.ndarray, params: OnePopParams) -> float:
-    """Mean firing rate from the threshold slope s = sum u_k psi_k'(V_F).
-
-    N = -a0 s / (1 + a1 s) is the unique solution of N = -(a0 + a1 N) s.
-    """
-    s = float(np.dot(deriv_at_threshold, u_hat))
-    denom = 1.0 + params.a1 * s
-    if abs(denom) < _RATE_DENOM_TOL:
-        raise SingularFiringRateError(
-            f"firing-rate denominator 1 + a1*s = {denom:.3e} is numerically singular"
-        )
-    return -params.a0 * s / denom
+def firing_rate(u: np.ndarray, deriv_at_threshold: np.ndarray, params: OnePopParams) -> float:
+    """Mean firing rate (:meth:`OnePopParams.rate`) from the threshold slope
+    s = sum u_k psi_k'(V_F)."""
+    return params.rate(float(np.dot(deriv_at_threshold, u)))
 
 
 def system_matrix(
@@ -203,6 +208,22 @@ class ShiftedSystem:
         return u_old - rhs.view(np.float64) @ self.zr
 
 
+def dense_solve(matrices: GalerkinMatrices, u_old: np.ndarray, drift: float, diffusion: float, dt: float,
+                inflow: float | None = None) -> np.ndarray:
+    """u of one semi-implicit step from the coefficients ``u_old``, solved
+    densely.  With ``inflow`` None the reset inflow is the rate, folded into
+    the operator through D; else it is the explicit source ``inflow`` F.
+    Raises :class:`LinearSolveError` when the system is singular."""
+    lhs = system_matrix(matrices, drift, diffusion, dt, flux_shift_implicit=inflow is None)
+    rhs = matrices.H @ u_old / dt
+    if inflow is not None:
+        rhs = rhs + inflow * matrices.F
+    try:
+        return np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise LinearSolveError(f"step system singular at drift {drift:.6g}, diffusion {diffusion:.6g}: {exc}") from exc
+
+
 def factor_pays_off(rates, matrices: GalerkinMatrices) -> bool:
     """Whether a run with these record rate columns, one per population,
     makes more than 2 dim solves (populations times steps); one
@@ -228,7 +249,7 @@ def step(
     """Advance one time increment; raises on singular systems and on a
     diffusion <= 0 (:meth:`OnePopParams.diffusion`), on either path.
 
-    ``state.rate`` must be the firing rate of ``state.u_hat``, as it is for
+    ``state.rate`` must be the firing rate of ``state.u``, as it is for
     every state that :func:`solve` or this function produces.  ``shifted``,
     the run's factored operator, replaces the dense solve; it must have
     been built from the same parameters, matrices and dt.
@@ -238,17 +259,10 @@ def step(
     rate = state.rate
     diffusion = params.diffusion(rate)
     if shifted is not None:
-        u_next = shifted.solve(state.u_hat, rate)
+        u = shifted.solve(state.u, rate)
     else:
-        lhs = system_matrix(matrices, params.b * rate, diffusion, dt)
-        rhs = matrices.H @ state.u_hat / dt
-        try:
-            u_next = np.linalg.solve(lhs, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise LinearSolveError(f"step system singular at t={state.t:.6g}: {exc}") from exc
-    t_next = state.t + dt
-    rate_next = firing_rate(u_next, matrices.traces.deriv_at_threshold, params)
-    return PopulationState(u_hat=u_next, t=t_next, rate=rate_next)
+        u = dense_solve(matrices, state.u, params.b * rate, diffusion, dt)
+    return PopulationState(u, firing_rate(u, matrices.traces.deriv_at_threshold, params))
 
 
 class _OnePop:
@@ -267,16 +281,16 @@ class _OnePop:
             e = params.a1 * (mats.C + mats.D) - params.b * mats.B
             self.shifted = ShiftedSystem(system_matrix(mats, 0.0, params.a0, math.inf), e, mats, dt)
         u0 = project_initial(mats, self.p0)
-        return PopulationState(u_hat=u0, t=0.0, rate=firing_rate(u0, mats.traces.deriv_at_threshold, params))
+        return PopulationState(u0, firing_rate(u0, mats.traces.deriv_at_threshold, params))
 
     def step(self, state: PopulationState) -> PopulationState:
         return step(state, self.params, self.matrices, self.dt, self.shifted)
 
     def observe(self, state: PopulationState):
-        return state.rate, float(np.dot(self.matrices.mass, state.u_hat))
+        return state.rate, float(np.dot(self.matrices.mass, state.u))
 
     def densities(self, state: PopulationState) -> np.ndarray:
-        return reconstruct(self.matrices.basis, state.u_hat, self.out_grid)
+        return reconstruct(self.matrices.basis, state.u, self.out_grid)
 
 
 def solve(

@@ -15,7 +15,8 @@ A run of more than dim steps (2 dim solves) then factors K0^-1 B once
 one matrix product maps both rows forward, each row gets its own
 triangular solve at its own shift, and one product maps both back.
 Model-mode diffusion, whose operator moves with two independent scalars,
-and shorter runs solve each row's assembled system densely at every step.
+and shorter runs solve each row's assembled system densely at every step
+(:func:`onepop.dense_solve`).
 
 Delayed rates are read from the run's recorded rate columns at the clamped
 step max(0, n - delay/dt); the current step's rates travel on the state,
@@ -52,16 +53,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .assembly import GalerkinMatrices, project_initial, reconstruct
-from .errors import (
-    ConfigurationError,
-    LinearSolveError,
-    NonpositiveDiffusionError,
-    SingularFiringRateError,
-    check_finite,
-)
+from .errors import ConfigurationError, NonpositiveDiffusionError, SingularFiringRateError, check_finite
 from .integrate import DEFAULT_BLOWUP_THRESHOLD, TWO_POPULATIONS, RunRecord, integrate, whole_steps
 from .norms import norm_grid
-from .onepop import ShiftedSystem, factor_pays_off, system_matrix
+from .onepop import ShiftedSystem, dense_solve, factor_pays_off, system_matrix
 
 RECOVERY_PASS_THROUGH = "pass-through"
 RECOVERY_EXPONENTIAL = "exponential"
@@ -194,7 +189,6 @@ class TwoPopState(NamedTuple):
 
     u: np.ndarray | Sequence[np.ndarray]
     r: Sequence[float]
-    t: float  # advanced by the public steps; the run loop does not read it
     step_index: int
     rate: Sequence[float]
     history: Sequence[Sequence[float]] = ((), ())
@@ -292,23 +286,13 @@ def step_twopop(
     if shifted is not None:
         u = shifted.solve(u_old, drift, inflow)
     else:
-        implicit_flux = params.refractory_mode == RECOVERY_PASS_THROUGH
-        u = np.empty_like(u_old)
-        for pop, row, row_old, v_drift, diff, m_rate in zip(POPULATIONS, u, u_old, drift, diffusion, inflow):
-            lhs = system_matrix(matrices, v_drift, diff, dt, flux_shift_implicit=implicit_flux)
-            rhs = matrices.H @ row_old / dt
-            if not implicit_flux:
-                rhs = rhs + m_rate * matrices.F
-            try:
-                row[:] = np.linalg.solve(lhs, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise LinearSolveError(
-                    f"population {pop} system singular at t={state.t:.6g}: {exc}"
-                ) from exc
+        # pass-through recovery folds its inflow, the rate, into the operator
+        sources = (None, None) if params.refractory_mode == RECOVERY_PASS_THROUGH else inflow
+        u = np.array([dense_solve(matrices, row, v, a, dt, m) for row, v, a, m in zip(u_old, drift, diffusion, sources)])
     deriv_tr = matrices.traces.deriv_at_threshold
     n = state.step_index + 1
     rate = _resolve_rates(params, n, (float(deriv_tr.dot(u[0])), float(deriv_tr.dot(u[1]))), lags, state.history)
-    return TwoPopState(u, state.refractory_after(inflow, dt), state.t + dt, n, rate, state.history)
+    return TwoPopState(u, state.refractory_after(inflow, dt), n, rate, state.history)
 
 
 class _TwoPop:
@@ -334,7 +318,7 @@ class _TwoPop:
         # (every lookup clamps to the current step)
         deriv_tr = mats.traces.deriv_at_threshold
         slopes = float(deriv_tr.dot(u[0])), float(deriv_tr.dot(u[1]))
-        return TwoPopState(u, (0.0, 0.0), 0.0, 0, _resolve_rates(params, 0, slopes, self.lags, rates), rates)
+        return TwoPopState(u, (0.0, 0.0), 0, _resolve_rates(params, 0, slopes, self.lags, rates), rates)
 
     def step(self, state: TwoPopState) -> TwoPopState:
         return step_twopop(state, self.params, self.matrices, self.dt, self.lags, self.shifted)

@@ -325,11 +325,11 @@ def test_criterion_10_reduction_equivalence(domain, gaussian_ic):
     )
     dt = 1e-3
     u0 = project_initial(mats, gaussian_ic)
-    one = PopulationState(u0, 0.0, firing_rate(u0, mats.traces.deriv_at_threshold, params1))
+    one = PopulationState(u0, firing_rate(u0, mats.traces.deriv_at_threshold, params1))
     # constant diffusion: N = -a s for each population
     rate0 = -params2.diffusion_constant * float(np.dot(mats.traces.deriv_at_threshold, u0))
     two = TwoPopState(
-        u=(u0.copy(), u0.copy()), r=(0.0, 0.0), t=0.0, step_index=0,
+        u=(u0.copy(), u0.copy()), r=(0.0, 0.0), step_index=0,
         rate=(rate0, rate0),
     )
     lags = params2.delay_lags(dt)
@@ -337,7 +337,7 @@ def test_criterion_10_reduction_equivalence(domain, gaussian_ic):
     for _ in range(100):
         one = step(one, params1, mats, dt)
         two = step_twopop(two, params2, mats, dt, lags)
-        worst = max(worst, float(np.max(np.abs(two.u[0] - one.u_hat))))
+        worst = max(worst, float(np.max(np.abs(two.u[0] - one.u))))
     assert worst <= 1e-10
 
     _report(10, time.perf_counter() - t0, 10.0, f"max per-step coefficient gap {worst:.1e}")

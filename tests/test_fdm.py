@@ -3,17 +3,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nnlif import Domain
 from nnlif.assembly import assemble, normalize_gaussian
 from nnlif.basis import BasisSet
-from nnlif.errors import ConfigurationError
+from nnlif.errors import ConfigurationError, SingularFiringRateError
 from nnlif.fdm import (
     FdmGrid,
     fdm_reference,
     fdm_solve,
-    fdm_rate,
     fdm_step,
     reference_timestep,
     stable_timestep,
@@ -38,7 +37,7 @@ def _onepop_step(p, rate, params, grid, dt):
     """One single-population step through the stencil (drift b N,
     diffusion a0 + a1 N, inflow N) and the new cells' firing rate."""
     p_new = fdm_step(p, grid, dt, params.b * rate, params.a0 + params.a1 * rate, rate)
-    return p_new, fdm_rate(p_new, params, grid)
+    return p_new, params.rate(-(p_new[-1] / grid.h))
 
 
 def test_grid_alignment(domain):
@@ -64,7 +63,7 @@ def test_single_step_mass_exact(grid, domain):
     ic = normalize_gaussian(-1.0, 0.5, domain)
     p = np.asarray(ic(grid.centers))
     mass0 = float(np.sum(p) * grid.h)
-    p_new, _ = _onepop_step(p, fdm_rate(p, params, grid), params, grid, 1e-5)
+    p_new, _ = _onepop_step(p, params.rate(-(p[-1] / grid.h)), params, grid, 1e-5)
     assert abs(float(np.sum(p_new) * grid.h) - mass0) < 1e-12
 
 
@@ -90,7 +89,7 @@ def test_nonnegativity_linear_case(grid, domain):
     dt = reference_timestep(grid, params, 0.05)
     p = np.asarray(ic(grid.centers))
     p /= float(np.sum(p) * grid.h)
-    rate = fdm_rate(p, params, grid)
+    rate = params.rate(-(p[-1] / grid.h))
     for _ in range(round(0.05 / dt)):
         p, rate = _onepop_step(p, rate, params, grid, dt)
     assert p.min() >= 0.0
@@ -280,6 +279,40 @@ def test_fdm_step_telescopes_to_the_boundary_fluxes(case):
     want = float(np.sum(p) * h) - dt * diffusion * p[-1] / h + dt * inflow
     flux = _reference_fluxes(p, grid, offset, diffusion)
     assert abs(mass - want) <= 1e-13 * (float(np.sum(p)) * h + dt * float(np.sum(np.abs(flux))) + dt * inflow)
+
+
+def _closed_form_rate(a0, a1, p_last, h):
+    """The finite-volume rate in its own closed form, N = a0 g / (1 - a1 g)
+    with the discrete threshold outflux g = p_last / h."""
+    g = p_last / h
+    denom = 1.0 - a1 * g
+    if abs(denom) < 1e-12:
+        raise SingularFiringRateError("discrete firing-rate relation singular")
+    return a0 * g / denom
+
+
+@settings(max_examples=300)
+@given(
+    a0=st.floats(0.0, 10.0, exclude_min=True),
+    a1=st.floats(0.0, 5.0),
+    p_last=st.floats(0.0, 1e6),
+    h=st.sampled_from([1.0 / 16.0, 1.0 / 80.0, 1.0 / 512.0]),
+)
+@example(a0=1.0, a1=0.5, p_last=0.125, h=1.0 / 16.0)  # 1 - a1 g is exactly 0
+@example(a0=1.0, a1=1.0, p_last=(1.0 + 1e-13) / 16.0, h=1.0 / 16.0)  # and below the tolerance
+@example(a0=1.0, a1=0.0, p_last=0.0, h=1.0 / 80.0)
+def test_onepop_rate_rule_is_the_finite_volume_closed_form(a0, a1, p_last, h):
+    # the steppers read p_last from a float64 array
+    p_last = np.float64(p_last)
+    params = OnePopParams(a0, a1)
+    try:
+        want = _closed_form_rate(a0, a1, p_last, h)
+    except SingularFiringRateError:
+        with pytest.raises(SingularFiringRateError):
+            params.rate(-(p_last / h))
+        return
+    # bit for bit: the slope's sign flips only the signs of exact products
+    assert float(params.rate(-(p_last / h))).hex() == float(want).hex()
 
 
 @pytest.mark.parametrize("two", [False, True], ids=["one-population", "two-population"])

@@ -73,9 +73,9 @@ def test_params_validation():
 def test_zero_state_is_fixed_point(m16):
     _, mats = m16
     params = OnePopParams(a0=1.0, a1=0.1, b=2.0)
-    state = PopulationState(np.zeros(mats.basis.dim), 0.0, 0.0)
+    state = PopulationState(np.zeros(mats.basis.dim), 0.0)
     out = step(state, params, mats, 1e-3)
-    assert np.array_equal(out.u_hat, np.zeros(mats.basis.dim))
+    assert np.array_equal(out.u, np.zeros(mats.basis.dim))
     assert out.rate == 0.0
 
 
@@ -83,7 +83,7 @@ def test_one_step_increment_scales_linearly_with_dt(m16, domain):
     basis, mats = m16
     params = OnePopParams(a0=1.0, a1=0.1)
     u0 = project_initial(mats, normalize_gaussian(-1.0, 0.5, domain))
-    state = PopulationState(u0, 0.0, firing_rate(u0, mats.traces.deriv_at_threshold, params))
+    state = PopulationState(u0, firing_rate(u0, mats.traces.deriv_at_threshold, params))
     # march past the projection transient so the stiff modes have decayed
     # and the one-step map is in its smooth regime
     for _ in range(1000):
@@ -91,7 +91,7 @@ def test_one_step_increment_scales_linearly_with_dt(m16, domain):
     deltas = []
     for dt in (2e-3, 1e-3):
         out = step(state, params, mats, dt)
-        deltas.append(np.linalg.norm(out.u_hat - state.u_hat))
+        deltas.append(np.linalg.norm(out.u - state.u))
     assert deltas[0] / deltas[1] == pytest.approx(2.0, rel=0.05)
 
 
@@ -99,9 +99,9 @@ def test_one_step_mass_drift_small(m16, domain):
     basis, mats = m16
     params = OnePopParams(a0=1.0, a1=0.1, b=0.0)
     u0 = project_initial(mats, normalize_gaussian(-1.0, 0.5, domain))
-    state = PopulationState(u0, 0.0, firing_rate(u0, mats.traces.deriv_at_threshold, params))
+    state = PopulationState(u0, firing_rate(u0, mats.traces.deriv_at_threshold, params))
     out = step(state, params, mats, 0.01)
-    drift = abs(float(np.dot(mats.mass, out.u_hat) - np.dot(mats.mass, u0)))
+    drift = abs(float(np.dot(mats.mass, out.u) - np.dot(mats.mass, u0)))
     assert drift < 1e-3
 
 
@@ -109,12 +109,12 @@ def test_linear_run_relaxes_to_steady_profile(m16, domain):
     basis, mats = m16
     params = OnePopParams(a0=1.0, a1=0.0, b=0.0)
     u = project_initial(mats, normalize_gaussian(-1.0, 0.5, domain))
-    state = PopulationState(u, 0.0, firing_rate(u, mats.traces.deriv_at_threshold, params))
+    state = PopulationState(u, firing_rate(u, mats.traces.deriv_at_threshold, params))
     dt = 1e-2
     for _ in range(1000):  # to t = 10
-        prev = state.u_hat
+        prev = state.u
         state = step(state, params, mats, dt)
-    assert np.linalg.norm(state.u_hat - prev) / dt < 1e-4
+    assert np.linalg.norm(state.u - prev) / dt < 1e-4
     assert 0.0 < state.rate < 1.0
 
 
@@ -122,10 +122,10 @@ def test_firing_rate_consistency_along_run(m16, domain):
     basis, mats = m16
     params = OnePopParams(a0=1.0, a1=0.1, b=0.5)
     u = project_initial(mats, normalize_gaussian(-1.0, 0.5, domain))
-    state = PopulationState(u, 0.0, firing_rate(u, mats.traces.deriv_at_threshold, params))
+    state = PopulationState(u, firing_rate(u, mats.traces.deriv_at_threshold, params))
     for _ in range(50):
         state = step(state, params, mats, 1e-3)
-        s = float(np.dot(mats.traces.deriv_at_threshold, state.u_hat))
+        s = float(np.dot(mats.traces.deriv_at_threshold, state.u))
         assert abs(state.rate + (params.a0 + params.a1 * state.rate) * s) < 1e-12
 
 

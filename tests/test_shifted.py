@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nnlif import Domain, normalize_gaussian
+from nnlif import Domain, normalize_gaussian, onepop
 from nnlif.assembly import assemble, reconstruct
 from nnlif.basis import BasisSet
 from nnlif.errors import LinearSolveError
@@ -62,12 +62,12 @@ def _rel(got, want) -> float:
 def _dense_onepop(params, mats, dt, n_steps):
     """(rates, masses, final coefficients) of ``n_steps`` dense steps."""
     state = _OnePop(IC, params, mats, dt).start([np.empty(1)])
-    rates, masses = [state.rate], [float(np.dot(mats.mass, state.u_hat))]
+    rates, masses = [state.rate], [float(np.dot(mats.mass, state.u))]
     for _ in range(n_steps):
         state = step(state, params, mats, dt)
         rates.append(state.rate)
-        masses.append(float(np.dot(mats.mass, state.u_hat)))
-    return np.array(rates), np.array(masses), state.u_hat
+        masses.append(float(np.dot(mats.mass, state.u)))
+    return np.array(rates), np.array(masses), state.u
 
 
 def _dense_twopop(params, mats, dt, n_steps):
@@ -334,6 +334,29 @@ def test_zero_shift_denominator_is_a_solver_failure():
     assert run.times.size == 1
     with pytest.raises(LinearSolveError):
         step(started[0], params, mats, dt, stepper.shifted)
+
+
+def test_singular_dense_system_is_a_solver_failure(monkeypatch):
+    mats = _mats(8)
+    dt = 1e-3
+    # every dense step of both models builds its operator through this one function
+    monkeypatch.setattr(onepop, "system_matrix", lambda matrices, *args, **kwargs: np.zeros_like(matrices.H))
+    params = OnePopParams(1.0, 0.1, 0.5)
+    with pytest.raises(LinearSolveError):
+        step(_OnePop(IC, params, mats, dt).start([np.empty(2)]), params, mats, dt)
+    # pass-through folds the inflow into the operator, exponential recovery adds it as a source
+    for refractory_mode in ("pass-through", "exponential"):
+        params2 = TwoPopParams(b_e_to_e=1.0, refractory_mode=refractory_mode, tau_e=0.02, tau_i=0.02)
+        state = _TwoPop((IC, IC_I), params2, mats, dt).start([np.empty(2), np.empty(2)])
+        with pytest.raises(LinearSolveError):
+            step_twopop(state, params2, mats, dt)
+        # a short run solves densely and ends at its first step
+        run = solve_twopop(IC, IC_I, params2, mats, dt, 5 * dt)
+        assert run.status == STATUS_SOLVER_FAILURE
+        assert run.times.size == 1
+    run = solve(IC, params, mats, dt, 5 * dt)
+    assert run.status == STATUS_SOLVER_FAILURE
+    assert run.times.size == 1
 
 
 def test_solves_leave_the_factors_unchanged():

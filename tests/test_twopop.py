@@ -48,7 +48,7 @@ def lagged_rate(recorded, current, n, lag):
     """The rate that every population sees at step n through a delay of
     ``lag`` steps, with ``recorded`` as the history and ``current`` as the
     rate of both populations; the four lookups must agree."""
-    state = TwoPopState(u=None, r=(0.0, 0.0), t=0.0, step_index=n, rate=(current, current),
+    state = TwoPopState(u=None, r=(0.0, 0.0), step_index=n, rate=(current, current),
                         history=(recorded, recorded))
     (ee, ie), (ei, ii) = delayed_rates(state, ((lag, lag), (lag, lag)))
     assert ee == ie == ei == ii
@@ -162,7 +162,7 @@ def test_pairs_are_indexed_target_then_source():
     assert lags == ((1, 3), (2, 4))
     history = (np.arange(10.0) + 100.0, np.arange(10.0) + 200.0)
     n = 8
-    state = TwoPopState(u=(None, None), r=(0.0, 0.0), t=n * dt, step_index=n, rate=(-1.0, -2.0), history=history)
+    state = TwoPopState(u=(None, None), r=(0.0, 0.0), step_index=n, rate=(-1.0, -2.0), history=history)
     delayed = twopop.delayed_rates(state, lags)
     # delayed[y][x]: the rate of source x that target y sees, from step n - lag
     assert delayed == [[history[0][n - 1], history[1][n - 3]], [history[0][n - 2], history[1][n - 4]]]
@@ -186,7 +186,7 @@ def test_zero_state_stays_zero(m16):
     dim = basis.dim
     state = TwoPopState(
         u=(np.zeros(dim), np.zeros(dim)), r=(0.0, 0.0),
-        t=0.0, step_index=0, rate=(0.0, 0.0),
+        step_index=0, rate=(0.0, 0.0),
     )
     out = step_twopop(state, params, mats, 1e-3)
     assert np.array_equal(out.u[0], np.zeros(dim))
