@@ -15,7 +15,7 @@ from .basis import BasisSet, Domain
 from .fdm import FdmGrid, fdm_reference, fdm_solve
 from .integrate import RunRecord
 from .norms import l2_distance, linf_distance, norm_grid
-from .onepop import OnePopParams, PopulationState, firing_rate, solve, step
+from .onepop import OnePopParams, PopulationState, Spectral, firing_rate, solve, step
 from .quadrature import QuadratureRule, gauss_laguerre, gauss_legendre, map_affine
 from .twopop import (
     TwoPopParams,
@@ -38,6 +38,7 @@ __all__ = [
     "PopulationState",
     "QuadratureRule",
     "RunRecord",
+    "Spectral",
     "TwoPopParams",
     "TwoPopState",
     "assemble",

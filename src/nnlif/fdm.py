@@ -8,18 +8,17 @@ re-injected at the reset edge, so total (density + refractory) mass is
 conserved to rounding by telescoping.
 
 Agreement between this solver and the spectral one is therefore evidence,
-not tautology.  For reference duty the plain first-order scheme needs very
-fine grids; :func:`fdm_reference` optionally Richardson-extrapolates a
-(h, h/2) pair, which removes the leading O(h) error while staying inside
-the same discretization family.
+not tautology: the two share the model, not the discretization.  For
+reference duty the plain first-order scheme needs very fine grids;
+:func:`fdm_reference` optionally Richardson-extrapolates a (h, h/2) pair,
+which removes the leading O(h) error while staying inside the same
+discretization family.
 
-One entry point, :func:`fdm_solve`, and one stability rule,
-:func:`stable_timestep`, serve both models, and one stencil, :func:`fdm_step`,
-advances one population's cells.  The states are the spectral ones with
-cell values in ``u``: one population's rate is :meth:`OnePopParams.rate` at
-the slope -p_last / h, and two populations hold a pair of cell rows, E, I,
-with delayed rates, lagged [target][source], from :mod:`twopop`; a
-reference step divides t_final and every nonzero delay.
+:class:`FdmGrid` is the space in which :func:`onepop.step` and
+:func:`twopop.step_twopop` advance rows of cell values by one stencil,
+:func:`fdm_step`; a row's threshold slope is -p_last / h.  One entry point,
+:func:`fdm_solve`, and one stability rule, :func:`stable_timestep`, serve
+both models; a reference step divides t_final and every nonzero delay.
 """
 
 from __future__ import annotations
@@ -33,10 +32,10 @@ import numpy as np
 
 from .basis import Domain
 from .errors import ConfigurationError
-from .integrate import DEFAULT_BLOWUP_THRESHOLD, ONE_POPULATION, TWO_POPULATIONS, RunRecord, integrate, whole_steps
+from .integrate import DEFAULT_BLOWUP_THRESHOLD, RunRecord, integrate, whole_steps
 from .norms import norm_grid
-from .onepop import PopulationState
-from .twopop import DELAY_NAMES, DIFFUSION_CONSTANT, TwoPopParams, TwoPopState, coefficients, delayed_rates, recovery
+from .onepop import _OnePop
+from .twopop import DELAY_NAMES, DIFFUSION_CONSTANT, TwoPopParams, _TwoPop
 
 DEFAULT_V_MIN = -6.0
 DEFAULT_H = 1.0 / 128.0
@@ -79,12 +78,50 @@ class FdmGrid:
     def neg_inner_edges(self) -> np.ndarray:
         return -self.inner_edges
 
+    @cached_property
+    def out_grid(self) -> np.ndarray:
+        return norm_grid(self.domain)
+
+    def initial(self, p0) -> np.ndarray:
+        """Cell values of the initial density, normalized to exact unit mass."""
+        p = np.asarray(p0(self.centers), dtype=float)
+        total = float(np.sum(p) * self.h)
+        if not total > 0:  # NaN included
+            raise ConfigurationError("initial density has nonpositive mass on the grid")
+        return p / total
+
+    def slope(self, p: np.ndarray) -> float:
+        return -(float(p[-1]) / self.h)
+
+    def mass(self, p: np.ndarray) -> float:
+        return float(p.sum() * self.h)
+
+    def density(self, p: np.ndarray) -> np.ndarray:
+        """Cell values on ``out_grid``: zero outside, absorbing at the threshold."""
+        xs = np.concatenate(([self.v_min], self.centers, [self.domain.v_threshold]))
+        ys = np.concatenate(([p[0]], p, [0.0]))
+        return np.interp(self.out_grid, xs, ys, left=0.0, right=0.0)
+
+    def advance(self, p: np.ndarray, dt: float, drift, diffusion, inflow, folded: bool) -> np.ndarray:
+        """:func:`fdm_step`.  It re-injects the explicit ``inflow`` whether or
+        not the spectral step would fold it, which keeps the mass exact."""
+        return fdm_step(p, self, dt, drift, diffusion, inflow)
+
+    def stack(self, rows) -> tuple:
+        return tuple(rows)
+
+    def factored(self, rates, build) -> None:
+        return None
+
 
 def stable_timestep(grid: FdmGrid, params, rate_cap: float = 0.0) -> float:
     """Largest stable explicit step dt <= h^2 / (2 a + |u|_max h) of either
     model while its rates stay below ``rate_cap``: a bounds the diffusion
-    and |u|_max the drift -v + offset over the grid."""
+    and |u|_max the drift -v + offset over the grid.  Two populations need
+    constant diffusion."""
     if isinstance(params, TwoPopParams):
+        if params.diffusion_mode != DIFFUSION_CONSTANT:
+            raise ConfigurationError("the finite-difference oracle supports constant diffusion only")
         diffusion = params.diffusion_constant
         # the largest drift offset either population can see
         offset = max(abs(b[0]) + abs(b[1]) for b in params.tables["b"]) * rate_cap + abs(params.drive_shift)
@@ -128,23 +165,6 @@ def fdm_step(p: np.ndarray, grid: FdmGrid, dt: float, drift_offset: float, diffu
     return p_new
 
 
-def _initial_cells(p0, grid: FdmGrid) -> np.ndarray:
-    """Cell values of the initial density, normalized to exact unit mass."""
-    p = np.asarray(p0(grid.centers), dtype=float)
-    total = float(np.sum(p) * grid.h)
-    if not total > 0:  # NaN included
-        raise ConfigurationError("initial density has nonpositive mass on the grid")
-    return p / total
-
-
-def _to_norm_grid(p: np.ndarray, grid: FdmGrid, out_grid: np.ndarray) -> np.ndarray:
-    """Interpolate cell-center values onto the comparison grid (zero outside,
-    absorbing value at the threshold)."""
-    xs = np.concatenate(([grid.v_min], grid.centers, [grid.domain.v_threshold]))
-    ys = np.concatenate(([p[0]], p, [0.0]))
-    return np.interp(out_grid, xs, ys, left=0.0, right=0.0)
-
-
 def reference_timestep(grid: FdmGrid, params, t_final: float) -> float:
     """Largest step at most 0.9 times the stability bound that divides
     t_final and, for two populations (TwoPopParams), every nonzero delay;
@@ -175,62 +195,6 @@ def reference_timestep(grid: FdmGrid, params, t_final: float) -> float:
     raise ConfigurationError(f"no reference timestep below {bound:.6g} divides t_final={t_final} and the delays")
 
 
-class _FdmOnePop:
-    """The finite-volume single-population model as a :class:`Stepper`:
-    drift b N, diffusion a0 + a1 N and inflow N."""
-
-    layout = ONE_POPULATION
-
-    def __init__(self, p0, params, grid: FdmGrid, dt: float):
-        self.p0, self.params, self.grid, self.dt = p0, params, grid, dt
-        self.out_grid = norm_grid(grid.domain)
-
-    def start(self, rates) -> PopulationState:
-        p = _initial_cells(self.p0, self.grid)
-        return PopulationState(p, self.params.rate(-(p[-1] / self.grid.h)))
-
-    def step(self, state: PopulationState) -> PopulationState:
-        params, rate = self.params, state.rate
-        p = fdm_step(state.u, self.grid, self.dt, params.b * rate, params.diffusion(rate), rate)
-        return PopulationState(p, params.rate(-(p[-1] / self.grid.h)))
-
-    def observe(self, state: PopulationState):
-        return state.rate, float(state.u.sum() * self.grid.h)
-
-    def densities(self, state: PopulationState) -> np.ndarray:
-        return _to_norm_grid(state.u, self.grid, self.out_grid)
-
-
-class _FdmTwoPop(_FdmOnePop):
-    """The two-population model (constant diffusion), set up as the single
-    one: the state's cell values are a pair of rows, E, I, and the reset
-    inflow is the recovery rate M_alpha."""
-
-    layout = TWO_POPULATIONS
-
-    def _rates(self, u) -> list:
-        return [self.params.diffusion_constant * float(p[-1]) / self.grid.h for p in u]
-
-    def start(self, rates) -> TwoPopState:
-        self.lags = self.params.delay_lags(self.dt)
-        u = [_initial_cells(p0, self.grid) for p0 in self.p0]
-        return TwoPopState(u, (0.0, 0.0), 0, self._rates(u), rates)
-
-    def step(self, state: TwoPopState) -> TwoPopState:
-        inflow = recovery(state.r, state.rate, self.params)
-        drift, diffusion = coefficients(self.params, delayed_rates(state, self.lags))
-        u = [fdm_step(p, self.grid, self.dt, v, a, m) for p, v, a, m in zip(state.u, drift, diffusion, inflow)]
-        n = state.step_index + 1
-        r = state.refractory_after(inflow, self.dt)
-        return TwoPopState(u, r, n, self._rates(u), state.history)
-
-    def observe(self, state: TwoPopState):
-        return (*state.rate, *(float(p.sum() * self.grid.h) for p in state.u), *state.r)
-
-    def densities(self, state: TwoPopState) -> np.ndarray:
-        return np.array([_to_norm_grid(p, self.grid, self.out_grid) for p in state.u])
-
-
 def fdm_solve(
     p0,
     params,
@@ -250,12 +214,9 @@ def fdm_solve(
     of every experiment that uses this oracle); their refractory masses
     follow the forward-Euler balance.
     """
-    two = isinstance(params, TwoPopParams)
-    if two and params.diffusion_mode != DIFFUSION_CONSTANT:
-        raise ConfigurationError("the finite-difference oracle supports constant diffusion only")
     if dt > stable_timestep(grid, params):
         raise ConfigurationError(f"dt={dt} violates the explicit stability bound for h={grid.h}")
-    stepper = (_FdmTwoPop if two else _FdmOnePop)(p0, params, grid, dt)
+    stepper = (_TwoPop if isinstance(params, TwoPopParams) else _OnePop)(p0, params, grid, dt)
     return integrate(stepper, dt, t_final, snapshot_times, blowup_threshold)
 
 

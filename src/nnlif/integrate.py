@@ -97,7 +97,8 @@ class RunRecord:
 
 
 class Stepper(Protocol):
-    """One model as :func:`integrate` drives it.
+    """One model as :func:`integrate` drives it, in the space of either solver:
+    ``onepop._OnePop`` or ``twopop._TwoPop``, each written once for both.
 
     ``layout`` names the record's columns and trips.  ``start`` gets the
     record's rate columns, one per population, and returns the initial

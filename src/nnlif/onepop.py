@@ -7,13 +7,16 @@ One step solves
 with the rate-dependent diffusion a^n = a0 + a1 N^n evaluated explicitly
 and the firing rate obtained in closed form from the threshold slope.
 
-The operator is K0 + N^n E with K0 = H/dt + A + a0 (C + D) and
+:func:`step` is written once for both solvers, over a space that holds the
+rows and advances them: :class:`Spectral` or :class:`fdm.FdmGrid`.
+
+The spectral operator is K0 + N^n E with K0 = H/dt + A + a0 (C + D) and
 E = a1 (C + D) - b B, so it changes between steps only through the rate.
 A run of more than 2 dim steps factors it once (:class:`ShiftedSystem`)
 and then solves each step in O(dim^2), with two real matvecs around one
 triangular solve; a shorter run, which the factorisation would not pay
 for, solves the assembled system densely at every step
-(:func:`dense_solve`, which the two-population step shares).  Only the
+(:meth:`Spectral.advance`, which the two-population step shares).  Only the
 factorisation needs scipy (``schur`` and LAPACK ``ztrtrs``):
 :class:`ShiftedSystem` imports ``scipy.linalg`` when it is built, so a run
 that solves densely never loads it.
@@ -80,10 +83,10 @@ class PopulationState(NamedTuple):
     rate: float
 
 
-def firing_rate(u: np.ndarray, deriv_at_threshold: np.ndarray, params: OnePopParams) -> float:
+def firing_rate(u: np.ndarray, space, params: OnePopParams) -> float:
     """Mean firing rate (:meth:`OnePopParams.rate`) from the threshold slope
-    s = sum u_k psi_k'(V_F)."""
-    return params.rate(float(np.dot(deriv_at_threshold, u)))
+    of the row ``u`` in ``space``."""
+    return params.rate(space.slope(u))
 
 
 def system_matrix(
@@ -208,22 +211,6 @@ class ShiftedSystem:
         return u_old - rhs.view(np.float64) @ self.zr
 
 
-def dense_solve(matrices: GalerkinMatrices, u_old: np.ndarray, drift: float, diffusion: float, dt: float,
-                inflow: float | None = None) -> np.ndarray:
-    """u of one semi-implicit step from the coefficients ``u_old``, solved
-    densely.  With ``inflow`` None the reset inflow is the rate, folded into
-    the operator through D; else it is the explicit source ``inflow`` F.
-    Raises :class:`LinearSolveError` when the system is singular."""
-    lhs = system_matrix(matrices, drift, diffusion, dt, flux_shift_implicit=inflow is None)
-    rhs = matrices.H @ u_old / dt
-    if inflow is not None:
-        rhs = rhs + inflow * matrices.F
-    try:
-        return np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise LinearSolveError(f"step system singular at drift {drift:.6g}, diffusion {diffusion:.6g}: {exc}") from exc
-
-
 def factor_pays_off(rates, matrices: GalerkinMatrices) -> bool:
     """Whether a run with these record rate columns, one per population,
     makes more than 2 dim solves (populations times steps); one
@@ -239,15 +226,59 @@ def factor_pays_off(rates, matrices: GalerkinMatrices) -> bool:
     return len(rates) * (len(rates[0]) - 1) > 2 * matrices.H.shape[0]
 
 
+class Spectral:
+    """The Galerkin space of ``matrices``: rows of coefficients, with
+    threshold slope s = sum u_k psi_k'(V_F), and a dense row solve."""
+
+    def __init__(self, matrices: GalerkinMatrices):
+        self.matrices = matrices
+        self.out_grid = norm_grid(matrices.basis.domain)
+        self._deriv, self._mass = matrices.traces.deriv_at_threshold, matrices.mass
+
+    def initial(self, p0) -> np.ndarray:
+        return project_initial(self.matrices, p0)
+
+    def slope(self, row: np.ndarray) -> float:
+        return float(self._deriv.dot(row))
+
+    def mass(self, row: np.ndarray) -> float:
+        return self._mass.dot(row)
+
+    def density(self, row: np.ndarray) -> np.ndarray:
+        return reconstruct(self.matrices.basis, row, self.out_grid)
+
+    def advance(self, row: np.ndarray, dt: float, drift, diffusion, inflow, folded: bool) -> np.ndarray:
+        """The row one step later, solved densely; a ``folded`` inflow is the
+        rate, folded into the operator through D, else the source ``inflow`` F.
+        Raises :class:`LinearSolveError` when the system is singular."""
+        mats = self.matrices
+        lhs = system_matrix(mats, drift, diffusion, dt, flux_shift_implicit=folded)
+        rhs = mats.H @ row / dt
+        if not folded:
+            rhs = rhs + inflow * mats.F
+        try:
+            return np.linalg.solve(lhs, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise LinearSolveError(
+                f"step system singular at drift {drift:.6g}, diffusion {diffusion:.6g}: {exc}") from exc
+
+    def stack(self, rows) -> np.ndarray:
+        return np.array(rows)
+
+    def factored(self, rates, build):
+        """``build(matrices)`` when it pays off (:func:`factor_pays_off`), else None."""
+        return build(self.matrices) if factor_pays_off(rates, self.matrices) else None
+
+
 def step(
     state: PopulationState,
     params: OnePopParams,
-    matrices: GalerkinMatrices,
+    space,
     dt: float,
     shifted: ShiftedSystem | None = None,
 ) -> PopulationState:
-    """Advance one time increment; raises on singular systems and on a
-    diffusion <= 0 (:meth:`OnePopParams.diffusion`), on either path.
+    """Advance one time increment in ``space``; raises on singular systems
+    and on a diffusion <= 0 (:meth:`OnePopParams.diffusion`), on every path.
 
     ``state.rate`` must be the firing rate of ``state.u``, as it is for
     every state that :func:`solve` or this function produces.  ``shifted``,
@@ -261,36 +292,38 @@ def step(
     if shifted is not None:
         u = shifted.solve(state.u, rate)
     else:
-        u = dense_solve(matrices, state.u, params.b * rate, diffusion, dt)
-    return PopulationState(u, firing_rate(u, matrices.traces.deriv_at_threshold, params))
+        u = space.advance(state.u, dt, params.b * rate, diffusion, rate, True)
+    return PopulationState(u, firing_rate(u, space, params))
 
 
 class _OnePop:
-    """The spectral single-population model as a :class:`Stepper`."""
+    """The single-population model in a space as a :class:`Stepper`."""
 
     layout = ONE_POPULATION
 
-    def __init__(self, p0, params: OnePopParams, matrices: GalerkinMatrices, dt: float):
-        self.p0, self.params, self.matrices, self.dt = p0, params, matrices, dt
-        self.out_grid = norm_grid(matrices.basis.domain)
+    def __init__(self, p0, params: OnePopParams, space, dt: float):
+        self.p0, self.params, self.space, self.dt = p0, params, space, dt
+        self.out_grid = space.out_grid
+
+    def _factor(self, mats: GalerkinMatrices) -> ShiftedSystem:
+        params = self.params
+        e = params.a1 * (mats.C + mats.D) - params.b * mats.B
+        return ShiftedSystem(system_matrix(mats, 0.0, params.a0, math.inf), e, mats, self.dt)
 
     def start(self, rates) -> PopulationState:
-        mats, params, dt = self.matrices, self.params, self.dt
-        self.shifted = None
-        if factor_pays_off(rates, mats):
-            e = params.a1 * (mats.C + mats.D) - params.b * mats.B
-            self.shifted = ShiftedSystem(system_matrix(mats, 0.0, params.a0, math.inf), e, mats, dt)
-        u0 = project_initial(mats, self.p0)
-        return PopulationState(u0, firing_rate(u0, mats.traces.deriv_at_threshold, params))
+        space = self.space
+        self.shifted = space.factored(rates, self._factor)
+        u0 = space.initial(self.p0)
+        return PopulationState(u0, firing_rate(u0, space, self.params))
 
     def step(self, state: PopulationState) -> PopulationState:
-        return step(state, self.params, self.matrices, self.dt, self.shifted)
+        return step(state, self.params, self.space, self.dt, self.shifted)
 
     def observe(self, state: PopulationState):
-        return state.rate, float(np.dot(self.matrices.mass, state.u))
+        return state.rate, self.space.mass(state.u)
 
     def densities(self, state: PopulationState) -> np.ndarray:
-        return reconstruct(self.matrices.basis, state.u, self.out_grid)
+        return self.space.density(state.u)
 
 
 def solve(
@@ -311,4 +344,4 @@ def solve(
     coefficients go non-finite; singular systems stop the run with status
     "solver-failure" instead of raising.
     """
-    return integrate(_OnePop(p0, params, matrices, dt), dt, t_final, snapshot_times, blowup_threshold)
+    return integrate(_OnePop(p0, params, Spectral(matrices), dt), dt, t_final, snapshot_times, blowup_threshold)

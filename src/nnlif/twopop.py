@@ -6,8 +6,9 @@ population, with drift offset V_alpha and diffusion a_alpha evaluated from
 delayed firing rates.  The refractory masses follow the forward-Euler update
 R^{n+1} = R^n + dt (N^n - M^n).
 
-The spectral state holds both densities as one C-contiguous (2, dim)
-stack of coefficient rows, E then I.  With constant diffusion the operator
+As for one population, :func:`step_twopop` serves both solvers, over a
+space that stacks the rows, E then I; the spectral stack is one
+C-contiguous (2, dim) array.  With constant diffusion the operator
 of population alpha is K0 - V_alpha B, so it changes between steps only
 through the drift offset V_alpha, and K0 is the same for both populations.
 A run of more than dim steps (2 dim solves) then factors K0^-1 B once
@@ -15,8 +16,8 @@ A run of more than dim steps (2 dim solves) then factors K0^-1 B once
 one matrix product maps both rows forward, each row gets its own
 triangular solve at its own shift, and one product maps both back.
 Model-mode diffusion, whose operator moves with two independent scalars,
-and shorter runs solve each row's assembled system densely at every step
-(:func:`onepop.dense_solve`).
+and shorter runs advance each row on its own at every step
+(:meth:`onepop.Spectral.advance`).
 
 Delayed rates are read from the run's recorded rate columns at the clamped
 step max(0, n - delay/dt); the current step's rates travel on the state,
@@ -26,9 +27,10 @@ no effect outside the state it returns.
 Recovery modes:
 
 * ``pass-through`` (M_alpha = N_alpha): the reset inflow equals the
-  instantaneous rate, so it is folded into the system matrix through the
-  threshold-flux coupling D, exactly as the one-population scheme does.
-  With the cross couplings zeroed the two solvers then agree step for step.
+  instantaneous rate, so it is folded into the spectral system matrix
+  through the threshold-flux coupling D, exactly as the one-population
+  scheme does (finite volumes re-inject the explicit N^n, keeping mass
+  exact).  With the cross couplings zeroed the two models agree step for step.
 * ``exponential`` (M_alpha = R_alpha / tau_alpha): the inflow is known data
   at step n and enters as the explicit source M^n F.
 
@@ -52,11 +54,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .assembly import GalerkinMatrices, project_initial, reconstruct
+from .assembly import GalerkinMatrices
 from .errors import ConfigurationError, NonpositiveDiffusionError, SingularFiringRateError, check_finite
 from .integrate import DEFAULT_BLOWUP_THRESHOLD, TWO_POPULATIONS, RunRecord, integrate, whole_steps
-from .norms import norm_grid
-from .onepop import ShiftedSystem, dense_solve, factor_pays_off, system_matrix
+from .onepop import ShiftedSystem, Spectral, system_matrix
 
 RECOVERY_PASS_THROUGH = "pass-through"
 RECOVERY_EXPONENTIAL = "exponential"
@@ -180,7 +181,7 @@ class TwoPopState(NamedTuple):
     ``step_index``, populations in E, I order.
 
     ``u`` holds the densities: a C-contiguous (2, dim) stack of coefficient
-    rows (spectral), or a pair of rows of cell values (finite volumes).
+    rows (spectral), or a tuple of two rows of cell values (finite volumes).
     ``r`` and ``rate`` are pairs, the latter the rates of this state.
     ``history`` is the pair of recorded rate columns of the run, entry k for
     step k; a step reads the entries before its own index that its delays
@@ -263,72 +264,72 @@ def _resolve_rates(params: TwoPopParams, n: int, slopes, lags, history):
 def step_twopop(
     state: TwoPopState,
     params: TwoPopParams,
-    matrices: GalerkinMatrices,
+    space,
     dt: float,
     lags: tuple | None = None,
     shifted: ShiftedSystem | None = None,
 ) -> TwoPopState:
-    """Advance both populations and the refractory masses by one step.
+    """Advance both populations in ``space`` and the refractory masses by one
+    step.
 
     The current rates come from ``state`` and the delayed ones from its
-    history; ``state`` itself is left untouched, and the new state's (2,
-    dim) ``u`` is a fresh array.  A rate system that has no solution raises
+    history; ``state`` itself is left untouched, and the new state's ``u``
+    is a fresh stack.  A rate system that has no solution raises
     :class:`SingularFiringRateError`.  ``shifted``, the run's factored
-    constant-diffusion operator, replaces the dense solves with one stacked
-    solve of both rows; it must have been built from the same parameters,
-    matrices and dt.
+    constant-diffusion operator, replaces the row solves with one stacked
+    solve of the (2, dim) ``u``; it must have been built from the same
+    parameters, matrices and dt.
     """
     if lags is None:
         lags = params.delay_lags(dt)
-    u_old = np.asarray(state.u)
     inflow = recovery(state.r, state.rate, params)
     drift, diffusion = coefficients(params, delayed_rates(state, lags))
     if shifted is not None:
-        u = shifted.solve(u_old, drift, inflow)
+        u = shifted.solve(np.asarray(state.u), drift, inflow)
     else:
-        # pass-through recovery folds its inflow, the rate, into the operator
-        sources = (None, None) if params.refractory_mode == RECOVERY_PASS_THROUGH else inflow
-        u = np.array([dense_solve(matrices, row, v, a, dt, m) for row, v, a, m in zip(u_old, drift, diffusion, sources)])
-    deriv_tr = matrices.traces.deriv_at_threshold
+        folded = params.refractory_mode == RECOVERY_PASS_THROUGH
+        u = space.stack([space.advance(row, dt, v, a, m, folded)
+                         for row, v, a, m in zip(state.u, drift, diffusion, inflow)])
     n = state.step_index + 1
-    rate = _resolve_rates(params, n, (float(deriv_tr.dot(u[0])), float(deriv_tr.dot(u[1]))), lags, state.history)
+    rate = _resolve_rates(params, n, (space.slope(u[0]), space.slope(u[1])), lags, state.history)
     return TwoPopState(u, state.refractory_after(inflow, dt), n, rate, state.history)
 
 
 class _TwoPop:
-    """The spectral two-population model as a :class:`Stepper`; ``p0`` is the
-    (E, I) pair of initial densities."""
+    """The two-population model in a space as a :class:`Stepper`; ``p0`` is
+    the (E, I) pair of initial densities."""
 
     layout = TWO_POPULATIONS
 
-    def __init__(self, p0, params, matrices, dt):
-        self.p0, self.params, self.matrices, self.dt = p0, params, matrices, dt
-        self.out_grid = norm_grid(matrices.basis.domain)
+    def __init__(self, p0, params, space, dt):
+        self.p0, self.params, self.space, self.dt = p0, params, space, dt
+        self.out_grid = space.out_grid
+
+    def _factor(self, mats: GalerkinMatrices) -> ShiftedSystem:
+        params = self.params
+        implicit_flux = params.refractory_mode == RECOVERY_PASS_THROUGH
+        g = system_matrix(mats, 0.0, params.diffusion_constant, math.inf, flux_shift_implicit=implicit_flux)
+        return ShiftedSystem(g, -mats.B, mats, self.dt, source=not implicit_flux)
 
     def start(self, rates) -> TwoPopState:
-        mats, params = self.matrices, self.params
+        space, params = self.space, self.params
         self.lags = params.delay_lags(self.dt)
-        self.shifted = None
-        if params.diffusion_mode == DIFFUSION_CONSTANT and factor_pays_off(rates, mats):
-            implicit_flux = params.refractory_mode == RECOVERY_PASS_THROUGH
-            g = system_matrix(mats, 0.0, params.diffusion_constant, math.inf, flux_shift_implicit=implicit_flux)
-            self.shifted = ShiftedSystem(g, -mats.B, mats, self.dt, source=not implicit_flux)
-        u = np.array([project_initial(mats, p0) for p0 in self.p0])
+        self.shifted = space.factored(rates, self._factor) if params.diffusion_mode == DIFFUSION_CONSTANT else None
+        u = space.stack([space.initial(p0) for p0 in self.p0])
         # rates at t=0 follow the delayed-coefficient rule of the first step
         # (every lookup clamps to the current step)
-        deriv_tr = mats.traces.deriv_at_threshold
-        slopes = float(deriv_tr.dot(u[0])), float(deriv_tr.dot(u[1]))
+        slopes = space.slope(u[0]), space.slope(u[1])
         return TwoPopState(u, (0.0, 0.0), 0, _resolve_rates(params, 0, slopes, self.lags, rates), rates)
 
     def step(self, state: TwoPopState) -> TwoPopState:
-        return step_twopop(state, self.params, self.matrices, self.dt, self.lags, self.shifted)
+        return step_twopop(state, self.params, self.space, self.dt, self.lags, self.shifted)
 
     def observe(self, state: TwoPopState):
-        mass, u = self.matrices.mass, state.u
-        return (*state.rate, mass.dot(u[0]), mass.dot(u[1]), *state.r)
+        mass, u = self.space.mass, state.u
+        return (*state.rate, mass(u[0]), mass(u[1]), *state.r)
 
     def densities(self, state: TwoPopState) -> np.ndarray:
-        return np.array([reconstruct(self.matrices.basis, c, self.out_grid) for c in state.u])
+        return np.array([self.space.density(row) for row in state.u])
 
 
 def solve_twopop(
@@ -350,4 +351,5 @@ def solve_twopop(
     threshold (up to a bounded window) so near-simultaneous events yield a
     trip time for each population.
     """
-    return integrate(_TwoPop((p0_e, p0_i), params, matrices, dt), dt, t_final, snapshot_times, blowup_threshold)
+    return integrate(_TwoPop((p0_e, p0_i), params, Spectral(matrices), dt), dt, t_final, snapshot_times,
+                     blowup_threshold)

@@ -16,7 +16,7 @@ from nnlif.assembly import assemble, project_initial
 from nnlif.basis import BasisSet
 from nnlif.fdm import FdmGrid, fdm_solve, reference_timestep
 from nnlif.norms import l2_distance, linf_distance, norm_grid
-from nnlif.onepop import OnePopParams, PopulationState, firing_rate, solve, step
+from nnlif.onepop import OnePopParams, PopulationState, Spectral, firing_rate, solve, step
 from nnlif.quadrature import gauss_laguerre, gauss_legendre
 from nnlif.experiments import classify_regime
 from nnlif.twopop import TwoPopParams, TwoPopState, solve_twopop, step_twopop
@@ -325,7 +325,7 @@ def test_criterion_10_reduction_equivalence(domain, gaussian_ic):
     )
     dt = 1e-3
     u0 = project_initial(mats, gaussian_ic)
-    one = PopulationState(u0, firing_rate(u0, mats.traces.deriv_at_threshold, params1))
+    one = PopulationState(u0, firing_rate(u0, Spectral(mats), params1))
     # constant diffusion: N = -a s for each population
     rate0 = -params2.diffusion_constant * float(np.dot(mats.traces.deriv_at_threshold, u0))
     two = TwoPopState(
@@ -335,8 +335,8 @@ def test_criterion_10_reduction_equivalence(domain, gaussian_ic):
     lags = params2.delay_lags(dt)
     worst = 0.0
     for _ in range(100):
-        one = step(one, params1, mats, dt)
-        two = step_twopop(two, params2, mats, dt, lags)
+        one = step(one, params1, Spectral(mats), dt)
+        two = step_twopop(two, params2, Spectral(mats), dt, lags)
         worst = max(worst, float(np.max(np.abs(two.u[0] - one.u))))
     assert worst <= 1e-10
 

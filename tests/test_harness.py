@@ -933,6 +933,16 @@ def test_cli_delayed_twopop_ladder_against_fdm_reference(tmp_path, capsys):
         assert np.all(np.isfinite(cols["l2_error"]))
 
 
+def test_parser_rejects_a_model_mode_fdm_reference():
+    # the finite-difference oracle has constant diffusion only, so the
+    # parser's check of each reference run the config implies rejects it
+    raw = _shipped_config("convergence_time_twopop.json")
+    raw["model"].update(diffusion_mode="model", d_e_to_e=0.5, d_e_to_i=0.5, d_i_to_e=0.25, d_i_to_i=0.25,
+                        nu_ext=2.0)
+    with pytest.raises(ConfigurationError, match="constant diffusion"):
+        parse_config(raw)
+
+
 _TINY_EFFICIENCY = _tiny("efficiency", {"dt": 0.01, "t_final": 0.1, "m_values": [4], "h_values": [0.125],
                                          "reference_m": 6, "repetitions": 1})
 

@@ -1,8 +1,9 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every private module-level name is read somewhere in the package.
 
 No linter ships with the test dependencies, so this reads the source with
-``ast``.  ``__init__.py`` is left out: its imports are the package's public
-names.
+``ast``.  ``__init__.py`` is left out of the import check: its imports are
+the package's public names.
 """
 
 import ast
@@ -41,3 +42,38 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(sources: dict) -> list:
+    """(module, name) of every module-level ``_name`` (function, class or
+    assigned constant) defined in ``sources``, {module: source}, that no
+    source reads, as a name or as an attribute."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(module, name) for name in names if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted((module, name) for module, name in defined if name not in read)
+
+
+def test_the_check_sees_an_unread_private_function():
+    source = "def _used():\n    return 1\n\n\ndef _orphan():\n    return _used()\n"
+    assert unread_private_names({"m.py": source}) == [("m.py", "_orphan")]
+
+
+def test_package_reads_every_private_name():
+    assert unread_private_names({p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}) == []

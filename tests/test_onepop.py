@@ -11,6 +11,7 @@ from nnlif.fdm import FdmGrid, fdm_solve, reference_timestep
 from nnlif.onepop import (
     OnePopParams,
     PopulationState,
+    Spectral,
     firing_rate,
     solve,
     step,
@@ -24,13 +25,18 @@ def m16(domain):
     return basis, assemble(basis)
 
 
+class _FirstEntrySlope:
+    """A space whose threshold slope is the row's first entry."""
+
+    def slope(self, u):
+        return float(u[0])
+
+
 def _rate_from_slope(s, params, dim=5):
     """Drive firing_rate with a crafted threshold slope."""
-    deriv = np.zeros(dim)
-    deriv[0] = 1.0
     u = np.zeros(dim)
     u[0] = s
-    return firing_rate(u, deriv, params)
+    return firing_rate(u, _FirstEntrySlope(), params)
 
 
 def test_firing_rate_zero_slope():
@@ -74,7 +80,7 @@ def test_zero_state_is_fixed_point(m16):
     _, mats = m16
     params = OnePopParams(a0=1.0, a1=0.1, b=2.0)
     state = PopulationState(np.zeros(mats.basis.dim), 0.0)
-    out = step(state, params, mats, 1e-3)
+    out = step(state, params, Spectral(mats), 1e-3)
     assert np.array_equal(out.u, np.zeros(mats.basis.dim))
     assert out.rate == 0.0
 
@@ -83,14 +89,14 @@ def test_one_step_increment_scales_linearly_with_dt(m16, domain):
     basis, mats = m16
     params = OnePopParams(a0=1.0, a1=0.1)
     u0 = project_initial(mats, normalize_gaussian(-1.0, 0.5, domain))
-    state = PopulationState(u0, firing_rate(u0, mats.traces.deriv_at_threshold, params))
+    state = PopulationState(u0, firing_rate(u0, Spectral(mats), params))
     # march past the projection transient so the stiff modes have decayed
     # and the one-step map is in its smooth regime
     for _ in range(1000):
-        state = step(state, params, mats, 1e-4)
+        state = step(state, params, Spectral(mats), 1e-4)
     deltas = []
     for dt in (2e-3, 1e-3):
-        out = step(state, params, mats, dt)
+        out = step(state, params, Spectral(mats), dt)
         deltas.append(np.linalg.norm(out.u - state.u))
     assert deltas[0] / deltas[1] == pytest.approx(2.0, rel=0.05)
 
@@ -99,8 +105,8 @@ def test_one_step_mass_drift_small(m16, domain):
     basis, mats = m16
     params = OnePopParams(a0=1.0, a1=0.1, b=0.0)
     u0 = project_initial(mats, normalize_gaussian(-1.0, 0.5, domain))
-    state = PopulationState(u0, firing_rate(u0, mats.traces.deriv_at_threshold, params))
-    out = step(state, params, mats, 0.01)
+    state = PopulationState(u0, firing_rate(u0, Spectral(mats), params))
+    out = step(state, params, Spectral(mats), 0.01)
     drift = abs(float(np.dot(mats.mass, out.u) - np.dot(mats.mass, u0)))
     assert drift < 1e-3
 
@@ -109,11 +115,11 @@ def test_linear_run_relaxes_to_steady_profile(m16, domain):
     basis, mats = m16
     params = OnePopParams(a0=1.0, a1=0.0, b=0.0)
     u = project_initial(mats, normalize_gaussian(-1.0, 0.5, domain))
-    state = PopulationState(u, firing_rate(u, mats.traces.deriv_at_threshold, params))
+    state = PopulationState(u, firing_rate(u, Spectral(mats), params))
     dt = 1e-2
     for _ in range(1000):  # to t = 10
         prev = state.u
-        state = step(state, params, mats, dt)
+        state = step(state, params, Spectral(mats), dt)
     assert np.linalg.norm(state.u - prev) / dt < 1e-4
     assert 0.0 < state.rate < 1.0
 
@@ -122,9 +128,9 @@ def test_firing_rate_consistency_along_run(m16, domain):
     basis, mats = m16
     params = OnePopParams(a0=1.0, a1=0.1, b=0.5)
     u = project_initial(mats, normalize_gaussian(-1.0, 0.5, domain))
-    state = PopulationState(u, firing_rate(u, mats.traces.deriv_at_threshold, params))
+    state = PopulationState(u, firing_rate(u, Spectral(mats), params))
     for _ in range(50):
-        state = step(state, params, mats, 1e-3)
+        state = step(state, params, Spectral(mats), 1e-3)
         s = float(np.dot(mats.traces.deriv_at_threshold, state.u))
         assert abs(state.rate + (params.a0 + params.a1 * state.rate) * s) < 1e-12
 

@@ -23,7 +23,7 @@ from nnlif.basis import BasisSet
 from nnlif.errors import LinearSolveError
 from nnlif.integrate import STATUS_COMPLETED, STATUS_SOLVER_FAILURE, integrate
 from nnlif.norms import norm_grid
-from nnlif.onepop import OnePopParams, ShiftedSystem, _OnePop, solve, step, system_matrix
+from nnlif.onepop import OnePopParams, ShiftedSystem, Spectral, _OnePop, solve, step, system_matrix
 from nnlif.twopop import TwoPopParams, _TwoPop, solve_twopop, step_twopop
 
 DOMAIN = Domain(1.0, 2.0)
@@ -61,10 +61,10 @@ def _rel(got, want) -> float:
 
 def _dense_onepop(params, mats, dt, n_steps):
     """(rates, masses, final coefficients) of ``n_steps`` dense steps."""
-    state = _OnePop(IC, params, mats, dt).start([np.empty(1)])
+    state = _OnePop(IC, params, Spectral(mats), dt).start([np.empty(1)])
     rates, masses = [state.rate], [float(np.dot(mats.mass, state.u))]
     for _ in range(n_steps):
-        state = step(state, params, mats, dt)
+        state = step(state, params, Spectral(mats), dt)
         rates.append(state.rate)
         masses.append(float(np.dot(mats.mass, state.u)))
     return np.array(rates), np.array(masses), state.u
@@ -75,11 +75,11 @@ def _dense_twopop(params, mats, dt, n_steps):
     ``n_steps`` dense steps from the stepper's initial state, with the
     delayed rates read from columns filled as the integrator fills them."""
     cols = [np.empty(n_steps + 1), np.empty(n_steps + 1)]
-    state = _TwoPop((IC, IC_I), params, mats, dt).start(cols)
+    state = _TwoPop((IC, IC_I), params, Spectral(mats), dt).start(cols)
     series = {key: [] for key in ("rate_e", "rate_i", "mass_e", "mass_i")}
     for n in range(n_steps + 1):
         if n:
-            state = step_twopop(state, params, mats, dt)
+            state = step_twopop(state, params, Spectral(mats), dt)
         cols[0][n], cols[1][n] = state.rate
         series["rate_e"].append(state.rate[0])
         series["rate_i"].append(state.rate[1])
@@ -261,7 +261,7 @@ def test_twopop_factored_run_matches_dense_loop(m, dt, drawn, extra):
 def test_fast_path_only_past_2dim_solves():
     mats = _mats(8)
     dim = _dim(8)
-    onepop = _OnePop(IC, OnePopParams(1.0, 0.1, 0.5), mats, 1e-3)
+    onepop = _OnePop(IC, OnePopParams(1.0, 0.1, 0.5), Spectral(mats), 1e-3)
     onepop.start([np.empty(2 * dim + 1)])
     assert onepop.shifted is None
     onepop.start([np.empty(2 * dim + 2)])
@@ -271,7 +271,7 @@ def test_fast_path_only_past_2dim_solves():
     model = replace(constant, diffusion_mode="model", d_e_to_e=0.5, d_e_to_i=0.5, nu_ext=2.0)
     long_run = [np.empty(dim + 2), np.empty(dim + 2)]
     for params, factored in ((constant, True), (model, False)):
-        twopop = _TwoPop((IC, IC_I), params, mats, 1e-3)
+        twopop = _TwoPop((IC, IC_I), params, Spectral(mats), 1e-3)
         twopop.start(long_run)
         assert (twopop.shifted is not None) == factored
         twopop.start([np.empty(dim + 1), np.empty(dim + 1)])
@@ -318,7 +318,7 @@ def test_zero_shift_denominator_is_a_solver_failure():
     mats = _mats(8)
     params, dt = OnePopParams(1.0, 0.1, 0.5), 1e-3
     n_steps = 2 * _dim(8) + 10
-    stepper = _OnePop(IC, params, mats, dt)
+    stepper = _OnePop(IC, params, Spectral(mats), dt)
     start = stepper.start
     started = []
 
@@ -333,7 +333,7 @@ def test_zero_shift_denominator_is_a_solver_failure():
     assert run.status == STATUS_SOLVER_FAILURE
     assert run.times.size == 1
     with pytest.raises(LinearSolveError):
-        step(started[0], params, mats, dt, stepper.shifted)
+        step(started[0], params, Spectral(mats), dt, stepper.shifted)
 
 
 def test_singular_dense_system_is_a_solver_failure(monkeypatch):
@@ -343,13 +343,13 @@ def test_singular_dense_system_is_a_solver_failure(monkeypatch):
     monkeypatch.setattr(onepop, "system_matrix", lambda matrices, *args, **kwargs: np.zeros_like(matrices.H))
     params = OnePopParams(1.0, 0.1, 0.5)
     with pytest.raises(LinearSolveError):
-        step(_OnePop(IC, params, mats, dt).start([np.empty(2)]), params, mats, dt)
+        step(_OnePop(IC, params, Spectral(mats), dt).start([np.empty(2)]), params, Spectral(mats), dt)
     # pass-through folds the inflow into the operator, exponential recovery adds it as a source
     for refractory_mode in ("pass-through", "exponential"):
         params2 = TwoPopParams(b_e_to_e=1.0, refractory_mode=refractory_mode, tau_e=0.02, tau_i=0.02)
-        state = _TwoPop((IC, IC_I), params2, mats, dt).start([np.empty(2), np.empty(2)])
+        state = _TwoPop((IC, IC_I), params2, Spectral(mats), dt).start([np.empty(2), np.empty(2)])
         with pytest.raises(LinearSolveError):
-            step_twopop(state, params2, mats, dt)
+            step_twopop(state, params2, Spectral(mats), dt)
         # a short run solves densely and ends at its first step
         run = solve_twopop(IC, IC_I, params2, mats, dt, 5 * dt)
         assert run.status == STATUS_SOLVER_FAILURE

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from nnlif.assembly import assemble, normalize_gaussian, project_initial
 from nnlif.basis import BasisSet
 from nnlif.errors import ConfigurationError, NonpositiveDiffusionError, SingularFiringRateError
-from nnlif.onepop import OnePopParams, factor_pays_off, solve
+from nnlif.onepop import OnePopParams, Spectral, factor_pays_off, solve
 from nnlif import twopop
 from nnlif.twopop import (
     TwoPopParams,
@@ -188,7 +188,7 @@ def test_zero_state_stays_zero(m16):
         u=(np.zeros(dim), np.zeros(dim)), r=(0.0, 0.0),
         step_index=0, rate=(0.0, 0.0),
     )
-    out = step_twopop(state, params, mats, 1e-3)
+    out = step_twopop(state, params, Spectral(mats), 1e-3)
     assert np.array_equal(out.u[0], np.zeros(dim))
     assert np.array_equal(out.u[1], np.zeros(dim))
     assert out.r[0] == 0.0 and out.r[1] == 0.0
@@ -207,7 +207,7 @@ def test_step_leaves_its_input_state_unchanged(m16, domain, factored):
         refractory_mode="exponential",
     )
     stepper = twopop._TwoPop(
-        (normalize_gaussian(-1.0, 0.5, domain), normalize_gaussian(0.0, 0.25, domain)), params, mats, dt
+        (normalize_gaussian(-1.0, 0.5, domain), normalize_gaussian(0.0, 0.25, domain)), params, Spectral(mats), dt
     )
     history = (np.zeros(n_steps + 1), np.zeros(n_steps + 1))
     state = stepper.start(history)
@@ -217,7 +217,7 @@ def test_step_leaves_its_input_state_unchanged(m16, domain, factored):
         state = stepper.step(state)
     assert state.u.shape == (2, basis.dim) and state.u.flags.c_contiguous
     u_bytes, history_bytes = state.u.tobytes(), [h.tobytes() for h in history]
-    out = step_twopop(state, params, mats, dt, stepper.lags, stepper.shifted)
+    out = step_twopop(state, params, Spectral(mats), dt, stepper.lags, stepper.shifted)
     assert state.u.tobytes() == u_bytes
     assert [h.tobytes() for h in history] == history_bytes
     assert out.u.shape == state.u.shape and out.u.flags.c_contiguous
