@@ -2,9 +2,9 @@
 
 Every integral splits over the two open subintervals.  On the bounded right
 subinterval the integrands are plain polynomials, handled by an affinely
-mapped Gauss-Legendre rule.  On the semi-infinite left subinterval every
-product of basis functions (and derivatives) has the form
-exp(-gamma x) * polynomial with gamma in {beta, (beta+1)/2, 1}; substituting
+mapped Gauss-Legendre rule.  On the semi-infinite left subinterval branch k
+decays like exp(-c_k x), so the product of a pair (j, k) (and derivatives)
+is exp(-gamma x) * polynomial with gamma = c_j + c_k; substituting
 u = gamma x turns each into a Gauss-Laguerre integral, so assembly is exact
 up to rounding -- no tail truncation anywhere.
 
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSet, BoundaryTraces
-from .errors import ConfigurationError, IllConditionedBasisError, check_finite
+from .basis import BasisSet
+from .errors import ConfigurationError, IllConditionedBasisError, check_finite, check_integer
 from .quadrature import gauss_laguerre, gauss_legendre, map_affine
 from .records import write_rows
 
@@ -52,9 +52,10 @@ class GalerkinMatrices:
 
     H: mass matrix, A: drift (leak) matrix, B: rate-drift matrix,
     C: stiffness matrix, D: threshold-flux coupling (nonzero only in the
-    interface row), F: reset-point values, mass: integrals of each basis
-    function.  The threshold trace coupling needs no matrix: every basis
-    member vanishes at the threshold, so that term is identically zero.
+    interface row), F: reset-point values, mass and slope: the functionals
+    of the integral and of the threshold slope of each basis function.  The
+    threshold trace coupling needs no matrix: every basis member vanishes at
+    the threshold, so that term is identically zero.
     ``projection_nodes`` and ``projection_weights`` are the composite rule
     of :func:`project_initial`, built once with the matrices.
     """
@@ -68,13 +69,13 @@ class GalerkinMatrices:
     D: np.ndarray
     F: np.ndarray
     mass: np.ndarray
-    traces: BoundaryTraces
+    slope: np.ndarray
     projection_nodes: np.ndarray
     projection_weights: np.ndarray
 
 
 def assemble(basis: BasisSet, *more: BasisSet, n_q: int | None = None):
-    """Assemble H, A, B, C, D, F and the mass functional of each basis.
+    """Assemble H, A, B, C, D, F and the mass and slope functionals of each basis.
 
     ``n_q`` defaults to 2M+8 of each basis, which is exact (with margin) for
     every integrand; orders below 2M+6 are rejected, and so are orders above
@@ -104,6 +105,7 @@ def _quadrature_order(basis: BasisSet, n_q: int | None) -> int:
     m = basis.m
     if n_q is None:
         n_q = 2 * m + 8
+    check_integer("quadrature order", n_q)
     if n_q < 2 * m + 6:
         raise ConfigurationError(f"quadrature order {n_q} too small, need >= {2 * m + 6}")
     if n_q > MAX_N_Q:
@@ -122,31 +124,19 @@ def _assemble_one(basis: BasisSet, n_q: int, lag, leg_ref, projection_ref) -> Ga
     B = np.zeros((dim, dim))
     C = np.zeros((dim, dim))
 
-    # left subinterval: ordered pair groups share the decay rate gamma
-    idx_g = [0]
-    idx_l = list(range(1, m + 1))
-    c_g = 0.5 * basis.beta
-    c_l = 0.5 * basis.left_scale
-    groups = [
-        (idx_g, idx_g, 2 * c_g),
-        (idx_g, idx_l, c_g + c_l),
-        (idx_l, idx_g, c_g + c_l),
-        (idx_l, idx_l, 2 * c_l),
-    ]
-    for rows, cols, gamma in groups:
-        x = lag.nodes / gamma
-        ww = lag.weights / gamma
-        q_r, r_r = basis.left_poly_parts(rows, x)
-        if cols == rows:
-            q_c, r_c = q_r, r_r
-        else:
-            q_c, r_c = basis.left_poly_parts(cols, x)
-        sel = np.ix_(rows, cols)
-        vfac = dom.v_reset - x
-        H[sel] += np.einsum("i,ai,bi->ab", ww, q_r, q_c)
-        A[sel] += np.einsum("i,ai,bi->ab", ww * vfac, r_r, q_c)
-        B[sel] += np.einsum("i,ai,bi->ab", ww, r_r, q_c)
-        C[sel] += np.einsum("i,ai,bi->ab", ww, r_r, r_c)
+    # left subinterval: branch k decays like exp(-c_k x), so pair (j, k)
+    # decays at c_j + c_k; one table per distinct sum, and each entry adds
+    # the integral under its own sum
+    c = np.full(m + 1, 0.5 * basis.left_scale)
+    c[0] = 0.5 * basis.beta
+    decay = c[:, None] + c
+    for gamma in dict.fromkeys(decay.flat):
+        x, ww = lag.nodes / gamma, lag.weights / gamma
+        q, r = basis.left_poly_parts(x)
+        parts = (ww, q, q), (ww * (dom.v_reset - x), r, q), (ww, r, q), (ww, r, r)
+        for mat, (wt, a, b) in zip((H, A, B, C), parts):
+            block = mat[:m + 1, :m + 1]
+            np.add(block, np.einsum("i,ai,bi->ab", wt, a, b), out=block, where=decay == gamma)
 
     # right subinterval: polynomials under a mapped Gauss-Legendre rule
     leg = map_affine(leg_ref, dom.v_reset, dom.v_threshold)
@@ -158,21 +148,21 @@ def _assemble_one(basis: BasisSet, n_q: int, lag, leg_ref, projection_ref) -> Ga
     B += np.einsum("i,ai,bi->ab", w, ders, vals)
     C += np.einsum("i,ai,bi->ab", w, ders, ders)
 
-    traces = basis.traces()
-    F = traces.value_at_reset.copy()
-    D = np.outer(F, traces.deriv_at_threshold)
+    F = basis.values_at([dom.v_reset])[:, 0]
+    slope = basis.derivs_at([dom.v_threshold])[:, 0]
+    D = np.outer(F, slope)
 
     # one table per decay rate; each row keeps its own dot product
     mass = np.zeros(dim)
-    for rows, c in ((idx_g, c_g), (idx_l, c_l)):
-        q, _ = basis.left_poly_parts(rows, lag.nodes / c)
-        for k, q_k in zip(rows, q):
-            mass[k] = np.dot(lag.weights, q_k) / c
+    for c_k in dict.fromkeys(c.flat):
+        q, _ = basis.left_poly_parts(lag.nodes / c_k)
+        for k in np.flatnonzero(c == c_k):
+            mass[k] = np.dot(lag.weights, q[k]) / c_k
     mass += vals @ w
 
     nodes, weights = _projection_rule(basis, projection_ref)
     return GalerkinMatrices(
-        basis=basis, n_q=n_q, H=H, A=A, B=B, C=C, D=D, F=F, mass=mass, traces=traces,
+        basis=basis, n_q=n_q, H=H, A=A, B=B, C=C, D=D, F=F, mass=mass, slope=slope,
         projection_nodes=nodes, projection_weights=weights,
     )
 

@@ -18,7 +18,11 @@ Each family has one recurrence, streamed one degree at a time
 the stream, and the Gauss rules of :mod:`quadrature` read the few degrees
 they need from it.  The Laguerre stream serves both the weighted functions
 and, at decay 0, the classical polynomial factors that assembly integrates
-(:meth:`BasisSet.left_poly_parts`).
+(:meth:`BasisSet.left_poly_parts`): left branch k is exp(-c_k x) times a
+polynomial in x = v_reset - v, so a pair (j, k) decays at c_j + c_k.  The
+boundary data assembly needs are the values at the reset and the slopes at
+the threshold, read off :meth:`BasisSet.values_at` and
+:meth:`BasisSet.derivs_at`; the values at the threshold are zero.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, check_finite
+from .errors import ConfigurationError, check_finite, check_integer
 
 
 @dataclass(frozen=True)
@@ -136,16 +140,6 @@ def legendre_table(n_max: int, x, derivatives: bool = False):
     return _table(legendre_rows(n_max, x, derivatives), n_max, x, derivatives)
 
 
-@dataclass(frozen=True)
-class BoundaryTraces:
-    """Boundary data of every basis function, one entry per index: values at
-    the reset and at the threshold (all zero), slopes at the threshold."""
-
-    value_at_reset: np.ndarray
-    value_at_threshold: np.ndarray
-    deriv_at_threshold: np.ndarray
-
-
 def default_left_scale(m: int) -> float:
     """Dilation of the Laguerre coordinate on the left subinterval.
 
@@ -164,6 +158,7 @@ class BasisSet:
     """
 
     def __init__(self, domain: Domain, m: int, left_scale: float | None = None):
+        check_integer("expansion number", m)
         if m < 1:
             raise ConfigurationError(f"expansion number must be >= 1, got {m}")
         if left_scale is not None and not left_scale > 0:
@@ -174,32 +169,26 @@ class BasisSet:
         self.left_scale = float(left_scale) if left_scale is not None else default_left_scale(m)
         self.beta = float(domain.beta) if domain.beta is not None else self.left_scale
 
-    def left_poly_parts(self, indices, x: np.ndarray):
-        """Polynomial factors of the left branches at x = v_reset - v >= 0.
+    def left_poly_parts(self, x: np.ndarray):
+        """Polynomial factors of the M+1 left branches at x = v_reset - v >= 0.
 
-        For each requested index returns q with psi(v) = exp(-c x) q(x) and
-        r = c q - q', the polynomial factor of d psi / d v; c is beta/2 for
-        index 0 and left_scale/2 for the rest.  These make every assembly
-        integral on the left subinterval an (exp-weight x polynomial)
-        expression, hence exactly Gauss-Laguerre representable.
+        Returns q with psi_k(v) = exp(-c_k x) q_k(x) and r = c q - q', the
+        polynomial factor of d psi / d v; c_k is beta/2 for index 0 and
+        left_scale/2 for the rest.  These make every assembly integral on the
+        left subinterval an (exp-weight x polynomial) expression, hence
+        exactly Gauss-Laguerre representable.
         """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
         scale = self.left_scale
-        if any(indices):  # index 0 reads no Laguerre table
-            lv, ld = laguerre_fn_table(self.m, scale * x, derivatives=True, decay=0.0)
-        q = np.ones((len(indices), x.size))
-        r = np.empty((len(indices), x.size))
-        for row, k in enumerate(indices):
-            if k == 0:
-                r[row] = 0.5 * self.beta
-            else:
-                q[row] = lv[k - 1] - lv[k]
-                r[row] = 0.5 * scale * q[row] - scale * (ld[k - 1] - ld[k])
+        lv, ld = laguerre_fn_table(self.m, scale * np.asarray(x, dtype=float), derivatives=True, decay=0.0)
+        q = np.ones_like(lv)
+        r = np.full_like(lv, 0.5 * self.beta)
+        q[1:] = lv[:-1] - lv[1:]
+        r[1:] = 0.5 * scale * q[1:] - scale * (ld[:-1] - ld[1:])
         return q, r
 
     def _map_to_reference(self, v: np.ndarray) -> np.ndarray:
         # exact at both ends on any domain, so every right-side function is
-        # exactly zero at the threshold, where traces() reads the tables
+        # exactly zero at the threshold and its slope there is exact
         dom = self.domain
         return ((v - dom.v_reset) - (dom.v_threshold - v)) / dom.width
 
@@ -262,14 +251,3 @@ class BasisSet:
             _, legd = legendre_table(self.m + 1, xr, derivatives=True)
             out[self.m + 1:, right] = 2.0 / dom.width * (legd[:-2] - legd[2:])
         return out
-
-    def traces(self) -> BoundaryTraces:
-        """Values at the reset and the threshold and slopes at the threshold,
-        read off :meth:`values_at` and :meth:`derivs_at`."""
-        dom = self.domain
-        vals = self.values_at([dom.v_reset, dom.v_threshold])
-        return BoundaryTraces(
-            value_at_reset=vals[:, 0],
-            value_at_threshold=vals[:, 1],
-            deriv_at_threshold=self.derivs_at([dom.v_threshold])[:, 0],
-        )

@@ -34,3 +34,10 @@ def check_finite(name: str, value) -> None:
     one, although Python counts it as a ``numbers.Real``."""
     if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
         raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+
+
+def check_integer(name: str, value) -> None:
+    """Reject a value that is not an integer; NumPy integers are, a bool is
+    not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")

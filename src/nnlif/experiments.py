@@ -42,7 +42,7 @@ from .assembly import GaussianIC, assemble, normalize_gaussian
 from .basis import BasisSet, Domain
 from .errors import ConfigurationError, check_finite
 from .fdm import DEFAULT_V_MIN, FdmGrid, fdm_reference, fdm_solve, reference_timestep
-from .integrate import DEFAULT_BLOWUP_THRESHOLD, STATUS_COMPLETED, check_times
+from .integrate import DEFAULT_BLOWUP_THRESHOLD, STATUS_BLOWUP, STATUS_COMPLETED, check_times
 from .norms import l2_distance, linf_distance, norm_grid
 from .onepop import OnePopParams, solve
 from .records import emit_run_record, emit_snapshot, emit_table
@@ -137,9 +137,9 @@ def classify_regime(
     * steady: every rate fluctuates by less than ``steady_fluctuation``
       (relative) over the trailing window.
     """
-    if record.status == "blow-up-detected":
+    if record.status == STATUS_BLOWUP:
         return {"regime": "blow-up", **record.trips}
-    if record.status != "completed":
+    if record.status != STATUS_COMPLETED:
         return {"regime": "ambiguous", "reason": record.status}
 
     suffixes = _population_suffixes(record)

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .basis import Domain
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_finite
 from .integrate import DEFAULT_BLOWUP_THRESHOLD, RunRecord, integrate, whole_steps
 from .norms import norm_grid
 from .onepop import _OnePop
@@ -56,14 +56,17 @@ class FdmGrid:
 
     @classmethod
     def build(cls, domain: Domain, v_min: float = DEFAULT_V_MIN, h: float = DEFAULT_H) -> "FdmGrid":
-        if v_min >= domain.v_reset:
-            raise ConfigurationError(f"v_min={v_min} must lie below the reset voltage")
+        check_finite("v_min", v_min)
+        if not (h > 0 and v_min < domain.v_reset):
+            raise ConfigurationError(f"need grid spacing h > 0 and v_min < v_reset, got h={h}, v_min={v_min}")
         n_f = (domain.v_threshold - v_min) / h
         n_r = (domain.v_reset - v_min) / h
-        if abs(n_f - round(n_f)) > 1e-9 or abs(n_r - round(n_r)) > 1e-9:
+        if not math.isfinite(n_f) or abs(n_f - round(n_f)) > 1e-9 or abs(n_r - round(n_r)) > 1e-9:
             raise ConfigurationError(
                 f"grid spacing h={h} does not align v_reset and v_threshold with cell edges"
             )
+        if not 0 < round(n_r) < round(n_f):
+            raise ConfigurationError(f"grid spacing h={h} leaves no cell on one side of the reset voltage")
         return cls(domain=domain, v_min=v_min, h=h, n_cells=round(n_f), i_reset=round(n_r))
 
     @property
@@ -181,6 +184,8 @@ def reference_timestep(grid: FdmGrid, params, t_final: float) -> float:
     """
     two = isinstance(params, TwoPopParams)
     bound = 0.9 * stable_timestep(grid, params, 0.0 if two else 1.0)
+    if not bound > 0 or not math.isfinite(t_final / bound):
+        raise ConfigurationError(f"grid spacing h={grid.h} gives a stability bound {bound:.6g} with no step count")
     first = math.ceil(t_final / bound)
     delays = {name: d for name in DELAY_NAMES if (d := getattr(params, name)) > 0} if two else {}
     for name, delay in delays.items():

@@ -233,7 +233,7 @@ class Spectral:
     def __init__(self, matrices: GalerkinMatrices):
         self.matrices = matrices
         self.out_grid = norm_grid(matrices.basis.domain)
-        self._deriv, self._mass = matrices.traces.deriv_at_threshold, matrices.mass
+        self._deriv, self._mass = matrices.slope, matrices.mass
 
     def initial(self, p0) -> np.ndarray:
         return project_initial(self.matrices, p0)

@@ -75,10 +75,10 @@ def test_criterion_01_quadrature_and_basis_properties(domain, rng):
 
     # exact boundary traces
     basis = BasisSet(domain, 16)
-    tr = basis.traces()
-    assert tr.value_at_reset[0] == 1.0
-    assert np.array_equal(tr.value_at_reset[1:], np.zeros(basis.dim - 1))
-    assert np.array_equal(tr.value_at_threshold, np.zeros(basis.dim))
+    value_at_reset, value_at_threshold = basis.values_at([domain.v_reset, domain.v_threshold]).T
+    assert value_at_reset[0] == 1.0
+    assert np.array_equal(value_at_reset[1:], np.zeros(basis.dim - 1))
+    assert np.array_equal(value_at_threshold, np.zeros(basis.dim))
     at_reset = basis.values_at(np.array([domain.v_reset]))[:, 0]
     assert at_reset[0] == 1.0 and np.array_equal(at_reset[1:], np.zeros(basis.dim - 1))
 
@@ -327,7 +327,7 @@ def test_criterion_10_reduction_equivalence(domain, gaussian_ic):
     u0 = project_initial(mats, gaussian_ic)
     one = PopulationState(u0, firing_rate(u0, Spectral(mats), params1))
     # constant diffusion: N = -a s for each population
-    rate0 = -params2.diffusion_constant * float(np.dot(mats.traces.deriv_at_threshold, u0))
+    rate0 = -params2.diffusion_constant * float(np.dot(mats.slope, u0))
     two = TwoPopState(
         u=(u0.copy(), u0.copy()), r=(0.0, 0.0), step_index=0,
         rate=(rate0, rate0),

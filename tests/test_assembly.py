@@ -68,8 +68,12 @@ def test_interface_mass_entry_closed_form(domain):
     assert assemble(scaled).H[0, 0] == pytest.approx(1.0 / scaled.beta + 1.0 / 3.0, rel=1e-12)
 
 
-def test_matrices_match_simpson_oracle(m8):
-    basis, mats = m8
+@pytest.mark.parametrize("beta", [None, 1.25], ids=["default-beta", "pinned-beta"])
+def test_matrices_match_simpson_oracle(domain, beta):
+    # a pinned beta gives the interface branch its own decay rate, so the
+    # left subinterval integrates under three distinct sums of rates
+    basis = BasisSet(dataclasses.replace(domain, beta=beta), 8)
+    mats = assemble(basis)
     oracle = _simpson_oracle(basis)
     for name in ("H", "A", "B", "C"):
         diff = np.max(np.abs(getattr(mats, name) - oracle[name]))
@@ -79,8 +83,10 @@ def test_matrices_match_simpson_oracle(m8):
 
 def test_threshold_coupling_from_traces(m8):
     basis, mats = m8
-    tr = mats.traces
-    expect = np.outer(tr.value_at_reset - tr.value_at_threshold, tr.deriv_at_threshold)
+    dom = basis.domain
+    value_at_reset, value_at_threshold = basis.values_at([dom.v_reset, dom.v_threshold]).T
+    assert np.array_equal(mats.slope, basis.derivs_at([dom.v_threshold])[:, 0])
+    expect = np.outer(value_at_reset - value_at_threshold, mats.slope)
     assert np.array_equal(mats.D, expect)
     # only the interface row can be nonzero
     assert np.all(mats.D[1:] == 0.0)
@@ -119,6 +125,17 @@ def test_quadrature_order_stability(domain):
         assert np.max(np.abs(getattr(a, name) - getattr(b, name))) < 1e-12
 
 
+@pytest.mark.parametrize("n_q", [20.5, 20.0, True])
+def test_quadrature_order_must_be_an_integer(domain, n_q):
+    with pytest.raises(ConfigurationError, match="must be an integer"):
+        assemble(BasisSet(domain, 1), n_q=n_q)
+
+
+def test_numpy_integer_quadrature_order(domain):
+    basis = BasisSet(domain, 1)
+    assert _field_bytes(assemble(basis, n_q=np.int64(20))) == _field_bytes(assemble(basis, n_q=20))
+
+
 def test_quadrature_order_too_small_rejected(domain):
     basis = BasisSet(domain, 8)
     with pytest.raises(ValueError, match="too small"):
@@ -126,14 +143,12 @@ def test_quadrature_order_too_small_rejected(domain):
 
 
 def _field_bytes(mats):
-    """Every array of a GalerkinMatrices, the traces' included, as bytes."""
+    """Every array of a GalerkinMatrices as bytes."""
     out = {}
     for field in dataclasses.fields(mats):
         value = getattr(mats, field.name)
         if isinstance(value, np.ndarray):
             out[field.name] = value.tobytes()
-    for field in dataclasses.fields(mats.traces):
-        out["traces." + field.name] = getattr(mats.traces, field.name).tobytes()
     out["n_q"] = mats.n_q
     return out
 
@@ -142,7 +157,7 @@ def _field_bytes(mats):
 @given(ms=st.lists(st.integers(1, 40), min_size=2, max_size=4), unit_scale=st.booleans(), shared_n_q=st.booleans())
 def test_assembling_bases_together_equals_one_at_a_time(domain, ms, unit_scale, shared_n_q):
     # one quadrature pass for all bases gives each basis its own matrices,
-    # byte for byte: H, A, B, C, D, F, mass, traces and the projection rule
+    # byte for byte: H, A, B, C, D, F, mass, slope and the projection rule
     bases = [BasisSet(domain, m, left_scale=1.0 if unit_scale else None) for m in ms]
     n_q = 2 * max(ms) + 8 if shared_n_q else None
     together = assemble(*bases, n_q=n_q)

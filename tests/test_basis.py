@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nnlif.basis import BasisSet, Domain, laguerre_fn_table, legendre_table
+from nnlif.errors import ConfigurationError
 from nnlif.quadrature import gauss_laguerre
 
 
@@ -150,17 +151,18 @@ def test_derivatives_match_central_differences(domain, rng, left_scale):
 
 def test_traces(domain):
     b = BasisSet(domain, 5)
-    tr = b.traces()
+    value_at_reset, value_at_threshold = b.values_at([domain.v_reset, domain.v_threshold]).T
+    deriv_at_threshold = b.derivs_at([domain.v_threshold])[:, 0]
     expect_reset = np.zeros(b.dim)
     expect_reset[0] = 1.0
-    assert np.array_equal(tr.value_at_reset, expect_reset)
-    assert np.array_equal(tr.value_at_threshold, np.zeros(b.dim))
+    assert np.array_equal(value_at_reset, expect_reset)
+    assert np.array_equal(value_at_threshold, np.zeros(b.dim))
     # interface slope at the threshold, zero for the decaying side
-    assert tr.deriv_at_threshold[0] == pytest.approx(-1.0)
-    assert np.array_equal(tr.deriv_at_threshold[1 : b.m + 1], np.zeros(b.m))
+    assert deriv_at_threshold[0] == pytest.approx(-1.0)
+    assert np.array_equal(deriv_at_threshold[1 : b.m + 1], np.zeros(b.m))
     # right-side slopes at the threshold: -(2k+3) * 2 / width
     for j in range(b.m):
-        assert tr.deriv_at_threshold[1 + b.m + j] == pytest.approx(-2.0 * (2 * j + 3))
+        assert deriv_at_threshold[1 + b.m + j] == pytest.approx(-2.0 * (2 * j + 3))
 
 
 @pytest.mark.parametrize("v_reset, v_threshold", [(1.0, 2.0), (0.1, 0.2), (-5.3, 7.9)])
@@ -168,11 +170,9 @@ def test_threshold_traces_exact_on_any_domain(v_reset, v_threshold):
     # the threshold maps to exactly 1 on the reference interval, so the right
     # family vanishes there and its slopes are exactly -(2j+3) * 2 / width
     b = BasisSet(Domain(v_reset, v_threshold), 7)
-    tr = b.traces()
     assert np.array_equal(b.values_at([v_threshold])[:, 0], np.zeros(b.dim))
-    assert np.array_equal(tr.value_at_threshold, np.zeros(b.dim))
     slopes = (2.0 / b.domain.width) * -(2.0 * np.arange(b.m) + 3.0)
-    assert np.array_equal(tr.deriv_at_threshold[b.m + 1 :], slopes)
+    assert np.array_equal(b.derivs_at([v_threshold])[b.m + 1 :, 0], slopes)
 
 
 def test_continuity_across_reset(domain):
@@ -199,6 +199,16 @@ def test_evaluation_beyond_threshold_rejected(domain):
     b = BasisSet(domain, 3)
     with pytest.raises(ValueError):
         b.values_at(np.array([domain.v_threshold + 0.1]))
+
+
+@pytest.mark.parametrize("m", [2.5, 3.0, True, "3"], ids=["2.5", "3.0", "bool", "str"])
+def test_expansion_number_must_be_an_integer(domain, m):
+    with pytest.raises(ConfigurationError, match="must be an integer"):
+        BasisSet(domain, m)
+
+
+def test_numpy_integer_expansion_number(domain):
+    assert BasisSet(domain, np.int64(3)).dim == 7
 
 
 def test_default_scale_tracks_expansion_number(domain):

@@ -50,6 +50,16 @@ def test_grid_alignment(domain):
         FdmGrid.build(domain, v_min=1.5, h=1.0 / 128.0)
 
 
+@pytest.mark.parametrize(
+    "v_min, h",
+    [(-6.0, 0.0), (-6.0, math.nan), (-math.inf, 1.0 / 128.0), (-6.0, -1.0 / 64.0), (-6.0, 1e300)],
+    ids=["zero-h", "nan-h", "infinite-v_min", "negative-h", "no-cell"],
+)
+def test_grid_rejects_a_spacing_or_origin_that_gives_no_grid(domain, v_min, h):
+    with pytest.raises(ConfigurationError):
+        FdmGrid.build(domain, v_min=v_min, h=h)
+
+
 def test_zero_density_stays_zero(grid):
     params = OnePopParams(a0=1.0, a1=0.1, b=0.5)
     p = np.zeros(grid.n_cells)

@@ -763,10 +763,10 @@ def test_matrices_assembled_once_per_distinct_m(tmp_path, monkeypatch):
     assert legendre_calls == [(16, 18, 20, 48, 52, 56)]
 
 
-_SCIPY_MODULES = """
+_WATCHED_MODULES = """
 import json, sys
 {body}
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"])))
 """
 
 _GRID_RUN = """
@@ -807,10 +807,12 @@ with tempfile.TemporaryDirectory() as out:
 )
 def test_scipy_imported_only_where_used(body, factored):
     """A fresh interpreter loads scipy only for the factored stepper
-    (scipy.linalg); classifying a regime loads none."""
+    (scipy.linalg); classifying a regime loads none.  A dense run loads no
+    numpy.ma either (np.unique would); scipy.linalg loads it through its
+    array-API layer, so the factored runs may."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", _SCIPY_MODULES.format(body=body)], env=env,
+    out = subprocess.run([sys.executable, "-c", _WATCHED_MODULES.format(body=body)], env=env,
                          capture_output=True, text=True, check=True).stdout
     modules = json.loads(out)
     if factored:
@@ -931,6 +933,30 @@ def test_cli_delayed_twopop_ladder_against_fdm_reference(tmp_path, capsys):
     for name in os.listdir(out):
         _, cols = parse_table(str(out / name))
         assert np.all(np.isfinite(cols["l2_error"]))
+
+
+@pytest.mark.parametrize(
+    "name, section, key, h",
+    [
+        ("convergence_time_onepop.json", "reference", "h", 1e-300),
+        ("convergence_time_onepop.json", "reference", "h", 1e-160),
+        ("compare_fdm_onepop.json", "numerics", "fdm_h", 1e300),
+    ],
+    ids=["bound-underflows", "step-count-overflows", "no-cell"],
+)
+def test_parser_rejects_a_spacing_with_no_grid_or_no_step(name, section, key, h):
+    raw = _shipped_config(name)
+    raw[section][key] = h
+    with pytest.raises(ConfigurationError, match="grid spacing"):
+        parse_config(raw)
+
+
+def test_cli_rejects_a_spacing_with_no_step(tmp_path, capsys):
+    raw = _shipped_config("convergence_time_onepop.json")
+    raw["reference"]["h"] = 1e-300
+    cfg_path = _write(tmp_path, "cfg.json", raw)
+    assert main([raw["kind"], "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+    assert "error-category: config-invalid" in capsys.readouterr().err
 
 
 def test_parser_rejects_a_model_mode_fdm_reference():

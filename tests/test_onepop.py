@@ -131,7 +131,7 @@ def test_firing_rate_consistency_along_run(m16, domain):
     state = PopulationState(u, firing_rate(u, Spectral(mats), params))
     for _ in range(50):
         state = step(state, params, Spectral(mats), 1e-3)
-        s = float(np.dot(mats.traces.deriv_at_threshold, state.u))
+        s = float(np.dot(mats.slope, state.u))
         assert abs(state.rate + (params.a0 + params.a1 * state.rate) * s) < 1e-12
 
 

@@ -452,7 +452,7 @@ def test_implicit_rate_resolution_model_mode(m16, domain):
     rec = solve_twopop(ic, ic, params, mats, dt=1e-3, t_final=0.02)
     assert rec.status == "completed"
     u_e = project_initial(mats, ic)
-    deriv = mats.traces.deriv_at_threshold
+    deriv = mats.slope
     s = float(np.dot(deriv, u_e))
     n_e, n_i = rec.columns["rate_e"][0], rec.columns["rate_i"][0]
     a_e = params.d_e_to_e * (params.nu_ext + n_e) + params.d_i_to_e * n_i
