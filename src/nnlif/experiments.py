@@ -5,9 +5,11 @@ deterministic cells, and writes CSV tables via :mod:`records`.
 The config is parsed once into typed model parameters and initial
 densities, and each runner assembles the Galerkin matrices once per
 distinct expansion number before any reference run.  Every cell is one
-spectral run (:func:`_run`) of the parsed config on its prebuilt matrices,
-and returns its run record.  One completion rule decides every density at
-t_final: a run has one only if its status is "completed"
+spectral run of the parsed config on its prebuilt matrices, and returns
+its run record: :func:`_run`, or for the cells of a sweep, which step in
+lockstep groups, :func:`_run_sweep`, each cell's record the same as
+alone.  One completion rule decides every density at t_final: a run has
+one only if its status is "completed"
 (:meth:`~nnlif.integrate.RunRecord.final_density`), so a ladder cell,
 reference or timed run that stopped or tripped is a run failure;
 stability-grid records such a cell with a NaN error and its status instead.
@@ -414,8 +416,12 @@ def _validate(cfg: ExperimentConfig, given_numerics: dict) -> None:
     for h in fv_h:
         grid = FdmGrid.build(cfg.domain, v_min=ref["v_min"], h=h)
         check_times(reference_timestep(grid, cfg.params, t_final), t_final)
+    # each sweep value names its output, regime_b<value:g>.csv, and keys its result
+    sweep = cfg.sweep["b_e_to_e"]
+    if len(set(sweep)) < len(sweep) or len({f"{v:g}" for v in sweep}) < len(sweep):
+        raise ConfigurationError(f"sweep.b_e_to_e repeats a value or a name regime_b<value:g>.csv, got {sweep}")
     if cfg.two_population:
-        for b_e_to_e in cfg.sweep["b_e_to_e"]:
+        for b_e_to_e in sweep:
             replace(cfg.params, b_e_to_e=b_e_to_e)
         for step in ([dt] if dt is not None else []) + ladder:
             cfg.params.delay_lags(step)
@@ -435,8 +441,8 @@ def _matrices(cfg: ExperimentConfig, m_values) -> dict:
 
 def _run(cfg: ExperimentConfig, mats, dt: float, t_final: float, snapshot_times=()):
     """The spectral run of the config's model on prebuilt matrices.  Every
-    spectral run starts here, and it is the cell of every ladder, grid and
-    sweep (top level, so it can cross a process boundary)."""
+    spectral run but a sweep's starts here, and it is the cell of every
+    ladder and grid (top level, so it can cross a process boundary)."""
     options = dict(dt=dt, t_final=t_final, snapshot_times=snapshot_times, blowup_threshold=cfg.blowup_threshold)
     if cfg.two_population:
         return solve_twopop(*cfg.ic, cfg.params, mats, **options)
@@ -595,13 +601,24 @@ def run_blowup(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> dict:
     return {"record": rec}
 
 
+def _run_sweep(cfg: ExperimentConfig, values, mats):
+    """The records of the sweep cells at b_e_to_e ``values``, stepped as one
+    lockstep batch (top level, so it can cross a process boundary)."""
+    num = cfg.numerics
+    return solve_twopop(*cfg.ic, [replace(cfg.params, b_e_to_e=v) for v in values], mats, num["dt"], num["t_final"],
+                        blowup_threshold=cfg.blowup_threshold)
+
+
 def run_twopop_regimes(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> dict:
-    """Sweep the excitatory self-coupling and classify each run."""
+    """Sweep the excitatory self-coupling and classify each run.  The cells
+    run as min(workers, cells) contiguous groups, each one lockstep batch in
+    one process; a cell's record is the same in any group."""
     values = list(cfg.sweep["b_e_to_e"])
     num = cfg.numerics
     mats = _matrices(cfg, [num["m"]])[num["m"]]
-    tasks = [(replace(cfg, params=replace(cfg.params, b_e_to_e=v)), mats, num["dt"], num["t_final"]) for v in values]
-    records = _map_cells(_run, tasks, workers)
+    k, groups = len(values), min(workers, len(values))
+    tasks = [(cfg, values[g * k // groups:(g + 1) * k // groups], mats) for g in range(groups)]
+    records = [rec for group in _map_cells(_run_sweep, tasks, workers) for rec in group]
     cells = [{**classify_regime(rec, **cfg.detection), "record": rec} for rec in records]
     for v, cell in zip(values, cells):
         emit_run_record(

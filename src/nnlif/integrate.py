@@ -5,6 +5,14 @@ initial state, a pure step, its observables and its densities.  The loop
 owns the rest: the record buffers, the states kept at snapshot times,
 solver-failure handling, the loop timer and the trip policy, and it returns
 one :class:`RunRecord` for every model.
+A list of steppers is a lockstep batch of independent runs: the loop makes
+one batch step per time step (:meth:`Stepper.lockstep`, which lets the
+cells of a two-population sweep share one stacked solve) and keeps each
+run's record, trips and stop apart; a run that stops leaves the batch.  A
+solver error in a batch step re-steps each run alone, so it ends only the
+run that raised it.  A single run is a batch of one, which steps with
+:meth:`Stepper.step`, and each run of a batch records the bytes it records
+alone.
 The loop is the only clock: step n is at n·dt, in the time column and the
 trip times.  A population trips when its rate passes the blow-up threshold;
 the run stops when every population has tripped, when the state goes
@@ -22,7 +30,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Any, NamedTuple, Protocol
+from typing import Any, Callable, NamedTuple, Protocol
 
 import numpy as np
 
@@ -74,7 +82,9 @@ class RunRecord:
     ``times`` holds n·dt for step n.  ``columns`` maps the layout's column
     names to per-step series and ``trips`` its trip keys to the time k·dt of
     the step k at which each population passed the blow-up threshold (None
-    if it did not); ``wall_time`` covers the stepping loop only.
+    if it did not); ``wall_time`` covers the stepping loop only, from its
+    start to the run's stop, so for a run of a lockstep batch it includes
+    the steps of the batch's other runs until this one stopped.
     ``snapshots`` holds the densities at the snapshot times reached.
     """
 
@@ -105,9 +115,13 @@ class Stepper(Protocol):
     state; entry k of a column holds the rate of step k once that step is
     recorded, so a step may read the entries before its own index.
     ``step`` returns the next state without modifying its argument; the
-    loop keeps time.  ``observe`` returns a state's values in the layout's
-    column order: the rates, as many masses, then optionally as many
-    refractory masses; a mass is non-finite whenever any entry of its
+    loop keeps time.  ``lockstep``, needed only by a model whose runs go in
+    lockstep batches (the two-population sweep), gives the step of a batch
+    of two or more steppers of this model on one space, self first: a
+    function from their states, all at one step, to their next states, each
+    bit for bit what ``step`` gives it.  ``observe`` returns a state's values in the
+    layout's column order: the rates, as many masses, then optionally as
+    many refractory masses; a mass is non-finite whenever any entry of its
     density is, so finiteness is tested on it.  ``densities`` returns the
     state's density on ``out_grid`` in the :class:`DensitySnapshot` shape.
     """
@@ -118,6 +132,8 @@ class Stepper(Protocol):
     def start(self, rates: list[np.ndarray]) -> Any: ...
 
     def step(self, state: Any) -> Any: ...
+
+    def lockstep(self, cells: list) -> Callable[[list], list]: ...
 
     def observe(self, state: Any) -> tuple[float, ...]: ...
 
@@ -150,74 +166,140 @@ def check_times(dt: float, t_final: float, snapshot_times=()) -> int:
     return n_steps
 
 
+class _Run:
+    """One run of a batch while the loop steps it: its stepper, record
+    columns, the states kept at snapshot times and its trip steps, and once
+    it stops, its last recorded step, status and loop time."""
+
+    def __init__(self, stepper: Stepper, n_steps: int):
+        k = len(stepper.layout.trips)
+        rates = [np.empty(n_steps + 1) for _ in range(k)]
+        self.state = stepper.start(rates)
+        self.stepper, self.step, self.observe = stepper, stepper.step, stepper.observe
+        self.columns = rates + [np.empty(n_steps + 1) for _ in stepper.layout.columns[k:]]
+        self.snapshots: list[tuple[float, Any]] = []
+        # the step at which each population tripped
+        self.trips: list[int | None] = [None] * k
+        self.first_trip = None
+        self.last, self.status, self.wall = 0, STATUS_COMPLETED, None
+
+    def record(self, n: int, state, values, snap_lookup: dict) -> None:
+        for col, value in zip(self.columns, values):
+            col[n] = value
+        if n in snap_lookup:
+            self.snapshots.append((snap_lookup[n], state))
+
+    def trip(self, n: int, rates_n, masses, dt: float, blowup_threshold: float) -> bool:
+        """Trip the populations that tripped at step n; whether the run stops
+        there."""
+        # a non-finite state trips every population: none can be advanced further
+        finite = all(math.isfinite(mass) for mass in masses)
+        self.trips = [
+            n if trip is None and (rate > blowup_threshold or not finite) else trip
+            for trip, rate in zip(self.trips, rates_n)
+        ]
+        first = self.first_trip = min((trip for trip in self.trips if trip is not None), default=None)
+        return None not in self.trips or (first is not None and (n - first) * dt > _POST_TRIP_WINDOW)
+
+    def stop(self, last: int, t_start: float, status: str = STATUS_COMPLETED) -> None:
+        self.last, self.status, self.wall = last, status, time.perf_counter() - t_start
+
+    def result(self, dt: float) -> RunRecord:
+        layout, stepper, keep = self.stepper.layout, self.stepper, self.last + 1
+        # a trip ends the run blown up, also when it reached t_final inside the window
+        status = STATUS_BLOWUP if self.status == STATUS_COMPLETED and self.first_trip is not None else self.status
+        return RunRecord(
+            dt * np.arange(keep),
+            {name: col[:keep] for name, col in zip(layout.columns, self.columns)},
+            {key: None if trip is None else trip * dt for key, trip in zip(layout.trips, self.trips)},
+            status,
+            self.wall,
+            dt,
+            [DensitySnapshot(t, stepper.out_grid, stepper.densities(st)) for t, st in self.snapshots],
+        )
+
+
+def _lockstep(runs: list) -> Callable[[list], list] | None:
+    """The step of the live runs' lockstep batch (:meth:`Stepper.lockstep`),
+    or None for a lone run, which takes its own step."""
+    cells = [run.stepper for run in runs]
+    return cells[0].lockstep(cells) if len(cells) > 1 else None
+
+
+def _alone(runs: list, states: list, n: int, t_start: float) -> tuple[list, list]:
+    """Step n for each run alone, after a solver error in their batch's step:
+    the error ends the run that raises it with status "solver-failure" (a
+    lone run is not stepped again).  Returns the runs that stepped and their
+    states."""
+    if len(runs) == 1:
+        runs[0].stop(n - 1, t_start, STATUS_SOLVER_FAILURE)
+        return [], []
+    stepped = []
+    for run, state in zip(runs, states):
+        try:
+            stepped.append((run, run.step(state)))
+        except _SOLVER_ERRORS:
+            run.stop(n - 1, t_start, STATUS_SOLVER_FAILURE)
+    return [run for run, _ in stepped], [state for _, state in stepped]
+
+
 def integrate(
-    stepper: Stepper,
+    stepper: Stepper | list,
     dt: float,
     t_final: float,
     snapshot_times=(),
     blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
-) -> RunRecord:
+) -> RunRecord | list[RunRecord]:
     """Step ``stepper`` from its initial state to ``t_final``, recording
     every step; a solver error in a step ends the run with status
-    "solver-failure".  The snapshot densities are taken after the loop."""
+    "solver-failure".  The snapshot densities are taken after the loop.
+
+    A list of steppers is a lockstep batch: independent runs of one model
+    on one space, stepped together (:meth:`Stepper.lockstep`), which
+    returns their records in order.  Each run keeps its own record, trips
+    and stop, and leaves the batch when it stops.
+    """
+    if not isinstance(stepper, list):
+        return integrate([stepper], dt, t_final, snapshot_times, blowup_threshold)[0]
     n_steps = check_times(dt, t_final, snapshot_times)
     snap_lookup = {round(ts / dt): ts for ts in snapshot_times}
-    layout = stepper.layout
-    k = len(layout.trips)
-    rates = [np.empty(n_steps + 1) for _ in range(k)]
-    state = stepper.start(rates)
-    columns = rates + [np.empty(n_steps + 1) for _ in layout.columns[k:]]
-    snapshots: list[tuple[float, Any]] = []
-    step, observe = stepper.step, stepper.observe
+    runs = [_Run(cell, n_steps) for cell in stepper]
+    k = len(runs[0].trips)
 
-    def record(n: int, st, values) -> None:
-        for col, value in zip(columns, values):
-            col[n] = value
-        if n in snap_lookup:
-            snapshots.append((snap_lookup[n], st))
-
-    record(0, state, observe(state))
-    status = STATUS_COMPLETED
-    # the step at which each population tripped
-    trips: list[int | None] = [None] * k
-    first_trip = None
-    last = 0
+    for run in runs:
+        run.record(0, run.state, run.observe(run.state), snap_lookup)
+    live, states = runs, [run.state for run in runs]
+    advance = _lockstep(live)
     t_start = time.perf_counter()
     for n in range(1, n_steps + 1):
         try:
-            state = step(state)
+            if advance is None:
+                states[0] = live[0].step(states[0])
+            else:
+                states = advance(states)
         except _SOLVER_ERRORS:
-            status = STATUS_SOLVER_FAILURE
-            break
-        values = observe(state)
-        record(n, state, values)
-        last = n
-        rates_n, masses = values[:k], values[k:2 * k]
-        # the common step: nothing tripped, everything finite (a NaN rate
-        # never trips, and max() returns NaN only when the first rate is)
-        if first_trip is None and max(rates_n) <= blowup_threshold and math.isfinite(sum(masses)):
-            continue
-        # a non-finite state trips every population: none can be advanced further
-        finite = all(math.isfinite(mass) for mass in masses)
-        trips = [
-            n if trip is None and (rate > blowup_threshold or not finite) else trip
-            for trip, rate in zip(trips, rates_n)
-        ]
-        first_trip = min((trip for trip in trips if trip is not None), default=None)
-        if None not in trips or (first_trip is not None and (n - first_trip) * dt > _POST_TRIP_WINDOW):
-            break
-    wall = time.perf_counter() - t_start
-    # a trip ends the run blown up, also when it reached t_final inside the window
-    if status == STATUS_COMPLETED and first_trip is not None:
-        status = STATUS_BLOWUP
-
-    keep = last + 1
-    return RunRecord(
-        dt * np.arange(keep),
-        {name: col[:keep] for name, col in zip(layout.columns, columns)},
-        {key: None if trip is None else trip * dt for key, trip in zip(layout.trips, trips)},
-        status,
-        wall,
-        dt,
-        [DensitySnapshot(t, stepper.out_grid, stepper.densities(st)) for t, st in snapshots],
-    )
+            live, states = _alone(live, states, n, t_start)
+            if not live:
+                break
+            advance = _lockstep(live)
+        stopped = False
+        for run, state in zip(live, states):
+            values = run.observe(state)
+            run.record(n, state, values, snap_lookup)
+            rates_n, masses = values[:k], values[k:2 * k]
+            # the common step: nothing tripped, everything finite (a NaN rate
+            # never trips, and max() returns NaN only when the first rate is)
+            if run.first_trip is None and max(rates_n) <= blowup_threshold and math.isfinite(sum(masses)):
+                continue
+            if run.trip(n, rates_n, masses, dt, blowup_threshold):
+                run.stop(n, t_start)
+                stopped = True
+        if stopped:
+            kept = [(run, state) for run, state in zip(live, states) if run.wall is None]
+            live, states = [run for run, _ in kept], [state for _, state in kept]
+            if not live:
+                break
+            advance = _lockstep(live)
+    for run in live:
+        run.stop(n_steps, t_start)
+    return [run.result(dt) for run in runs]

@@ -125,7 +125,10 @@ class ShiftedSystem:
     (Re(Z y) = the floats of y times zr).  A (k, dim) stack of densities,
     each row with its own shift and inflow, takes one product each way for
     all its rows and one triangular solve per row, whose I + sigma T is its
-    own; the two-population step solves its E and I rows so.
+    own; the two-population step solves its E and I rows so.  A (K, 2, dim)
+    stack, the rows of the K cells of a lockstep sweep, takes one batched
+    product each way, which multiplies each cell's (2, dim) slice as its
+    own step would.
 
     Two choices keep a long run as close to the dense solve as a second
     dense solver would be:
@@ -137,16 +140,17 @@ class ShiftedSystem:
       through a precomputed Z^* K0^-1 H / dt, it adds up step after step.
 
     At M = 16 (dim 33), on one core of a shared 2-vCPU x86-64 host (best
-    of 31 interleaved rounds), a one-row solve takes about 9.6 us and a
-    two-row stack with a source 16.9 us, against 20.6 us for its rows
-    solved one at a time.  Of these,
+    of 31 interleaved rounds), a one-row solve takes about 10.1 us, a
+    two-row stack with a source 18.3 us, and the (3, 2, dim) stack of a
+    3-cell lockstep batch with a source 39.0 us, against 56.0 us for its
+    three (2, dim) stacks solved one at a time.  Of these,
 
-                                          one row    two rows
-        x = [u_old, sigma u_old (, m)]    1.3 us     3.0 us
-        x @ w, read as complex R r        1.7 us     2.1 us
-        I + sigma T, per row              2.3 us     2.3 us
-        LAPACK ``ztrtrs``, per row        1.4 us     1.4 us
-        u_old - y @ zr                    1.7 us     1.9 us
+                                          one row    two rows   3 cells
+        x = [u_old, sigma u_old (, m)]    1.4 us     2.8 us     3.7 us
+        x @ w, read as complex R r        1.8 us     2.1 us     3.2 us
+        I + sigma T, per row              2.7 us     2.7 us     2.7 us
+        LAPACK ``ztrtrs``, per row        1.8 us     1.7 us     1.5 us
+        u_old - y @ zr                    1.9 us     2.1 us     3.2 us
 
     and the rest is the Python call.
 
@@ -191,15 +195,20 @@ class ShiftedSystem:
     def solve(self, u_old: np.ndarray, sigma, inflow=0.0) -> np.ndarray:
         """u of the step from ``u_old`` at shift ``sigma`` with reset inflow
         ``inflow``: one vector with scalar ``sigma`` and ``inflow``, or a
-        (k, dim) stack of rows with a sequence of k shifts and k inflows,
-        one per row.  Raises :class:`LinearSolveError` when some 1 + sigma
-        lambda (a diagonal entry of a row's I + sigma T) is zero."""
-        stacked = u_old.ndim == 2
-        scaled = (np.array(sigma)[:, None] if stacked else sigma) * u_old
-        x = (u_old, scaled, np.array(inflow)[:, None] if stacked else (inflow,)) if self.source else (u_old, scaled)
-        # the rows of x @ w are the floats of R r, one row per density
+        (..., dim) stack of rows whose shifts and inflows are shaped like its
+        leading axes, one per row.  Raises :class:`LinearSolveError` when
+        some 1 + sigma lambda (a diagonal entry of a row's I + sigma T) is
+        zero."""
+        stacked = u_old.ndim > 1
+        if stacked:
+            sigma = np.asarray(sigma)
+        scaled = (sigma[..., None] if stacked else sigma) * u_old
+        x = (u_old, scaled, np.asarray(inflow)[..., None] if stacked else (inflow,)) if self.source else (u_old, scaled)
+        # the rows of x @ w are the floats of R r, one row per density; matmul
+        # takes a stack's (2, dim) slices one product each, so each gives the
+        # bytes it gives alone (one product of the flattened rows would not)
         rhs = (np.concatenate(x, -1) @ self.w).view(np.complex128)
-        for shift, row in zip(sigma, rhs) if stacked else ((sigma, rhs),):
+        for shift, row in zip(sigma.ravel().tolist(), rhs.reshape(-1, rhs.shape[-1])) if stacked else ((sigma, rhs),):
             shifted = shift * self.t
             # a fresh array is contiguous, so its diagonal is every (dim + 1)-th
             # element in memory order, in C and in Fortran order alike
@@ -234,6 +243,7 @@ class Spectral:
         self.matrices = matrices
         self.out_grid = norm_grid(matrices.basis.domain)
         self._deriv, self._mass = matrices.slope, matrices.mass
+        self._factors = {}
 
     def initial(self, p0) -> np.ndarray:
         return project_initial(self.matrices, p0)
@@ -265,9 +275,15 @@ class Spectral:
     def stack(self, rows) -> np.ndarray:
         return np.array(rows)
 
-    def factored(self, rates, build):
-        """``build(matrices)`` when it pays off (:func:`factor_pays_off`), else None."""
-        return build(self.matrices) if factor_pays_off(rates, self.matrices) else None
+    def factored(self, rates, key, build):
+        """``build(matrices)`` when it pays off (:func:`factor_pays_off`), else
+        None.  It is built once per ``key``, the build's inputs besides the
+        matrices, so the runs of a lockstep batch on this space share it."""
+        if not factor_pays_off(rates, self.matrices):
+            return None
+        if key not in self._factors:
+            self._factors[key] = build(self.matrices)
+        return self._factors[key]
 
 
 def step(
@@ -312,7 +328,7 @@ class _OnePop:
 
     def start(self, rates) -> PopulationState:
         space = self.space
-        self.shifted = space.factored(rates, self._factor)
+        self.shifted = space.factored(rates, (self.dt, self.params), self._factor)
         u0 = space.initial(self.p0)
         return PopulationState(u0, firing_rate(u0, space, self.params))
 

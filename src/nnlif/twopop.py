@@ -19,6 +19,13 @@ Model-mode diffusion, whose operator moves with two independent scalars,
 and shorter runs advance each row on its own at every step
 (:meth:`onepop.Spectral.advance`).
 
+K0 and B do not depend on the couplings, so the cells of a sweep over them
+share one factor: their runs step in lockstep (:func:`integrate.integrate`
+with a list of steppers, from :func:`solve_twopop` with a list of
+parameters), and one :func:`step_twopop` call advances them all with one
+solve of the (K, 2, dim) stack.  That solve multiplies slice by slice, so
+each cell's bytes are those of its run alone.
+
 Delayed rates are read from the run's recorded rate columns at the clamped
 step max(0, n - delay/dt); the current step's rates travel on the state,
 where the previous step left them.  A step only reads the record, so it has
@@ -261,14 +268,22 @@ def _resolve_rates(params: TwoPopParams, n: int, slopes, lags, history):
         raise SingularFiringRateError(f"implicit two-population rate system singular: {exc}") from exc
 
 
+def _stepped(state: TwoPopState, params: TwoPopParams, space, dt: float, lags, u, inflow) -> TwoPopState:
+    """The state after ``state`` whose densities ``u`` its step solved with
+    recovery rates ``inflow``: its rates and refractory masses."""
+    n = state.step_index + 1
+    rate = _resolve_rates(params, n, (space.slope(u[0]), space.slope(u[1])), lags, state.history)
+    return TwoPopState(u, state.refractory_after(inflow, dt), n, rate, state.history)
+
+
 def step_twopop(
-    state: TwoPopState,
-    params: TwoPopParams,
+    state: TwoPopState | list[TwoPopState],
+    params: TwoPopParams | list[TwoPopParams],
     space,
     dt: float,
-    lags: tuple | None = None,
+    lags: tuple | list | None = None,
     shifted: ShiftedSystem | None = None,
-) -> TwoPopState:
+) -> TwoPopState | list[TwoPopState]:
     """Advance both populations in ``space`` and the refractory masses by one
     step.
 
@@ -279,7 +294,18 @@ def step_twopop(
     constant-diffusion operator, replaces the row solves with one stacked
     solve of the (2, dim) ``u``; it must have been built from the same
     parameters, matrices and dt.
+
+    A lockstep batch on one factor passes lists for ``state``, ``params``
+    and ``lags``, one entry per cell, its states all at one step, and the
+    ``shifted`` every cell shares.  Its cells make one solve of the
+    (K, 2, dim) stack of their ``u``, and it returns the list of their next
+    states, each bit for bit the one the cell's own step gives.
     """
+    if not isinstance(state, TwoPopState):
+        inflows = [recovery(st.r, st.rate, p) for st, p in zip(state, params)]
+        drifts = [coefficients(p, delayed_rates(st, lag))[0] for st, p, lag in zip(state, params, lags)]
+        us = shifted.solve(np.array([st.u for st in state]), drifts, inflows)
+        return [_stepped(st, p, space, dt, lag, u, m) for st, p, lag, u, m in zip(state, params, lags, us, inflows)]
     if lags is None:
         lags = params.delay_lags(dt)
     inflow = recovery(state.r, state.rate, params)
@@ -290,9 +316,7 @@ def step_twopop(
         folded = params.refractory_mode == RECOVERY_PASS_THROUGH
         u = space.stack([space.advance(row, dt, v, a, m, folded)
                          for row, v, a, m in zip(state.u, drift, diffusion, inflow)])
-    n = state.step_index + 1
-    rate = _resolve_rates(params, n, (space.slope(u[0]), space.slope(u[1])), lags, state.history)
-    return TwoPopState(u, state.refractory_after(inflow, dt), n, rate, state.history)
+    return _stepped(state, params, space, dt, lags, u, inflow)
 
 
 class _TwoPop:
@@ -314,7 +338,10 @@ class _TwoPop:
     def start(self, rates) -> TwoPopState:
         space, params = self.space, self.params
         self.lags = params.delay_lags(self.dt)
-        self.shifted = space.factored(rates, self._factor) if params.diffusion_mode == DIFFUSION_CONSTANT else None
+        # the factor reads these besides the matrices: the cells of a sweep
+        # over the couplings share it
+        key = (self.dt, params.diffusion_constant, params.refractory_mode)
+        self.shifted = space.factored(rates, key, self._factor) if params.diffusion_mode == DIFFUSION_CONSTANT else None
         u = space.stack([space.initial(p0) for p0 in self.p0])
         # rates at t=0 follow the delayed-coefficient rule of the first step
         # (every lookup clamps to the current step)
@@ -323,6 +350,15 @@ class _TwoPop:
 
     def step(self, state: TwoPopState) -> TwoPopState:
         return step_twopop(state, self.params, self.space, self.dt, self.lags, self.shifted)
+
+    def lockstep(self, cells):
+        """One stacked step when the cells share this cell's factor, else one
+        step per cell (each dense in model mode)."""
+        shifted, space, dt = self.shifted, self.space, self.dt
+        if shifted is not None and all(cell.shifted is shifted for cell in cells):
+            params, lags = [cell.params for cell in cells], [cell.lags for cell in cells]
+            return lambda states: step_twopop(states, params, space, dt, lags, shifted)
+        return lambda states: [cell.step(state) for cell, state in zip(cells, states)]
 
     def observe(self, state: TwoPopState):
         mass, u = self.space.mass, state.u
@@ -335,21 +371,27 @@ class _TwoPop:
 def solve_twopop(
     p0_e,
     p0_i,
-    params: TwoPopParams,
+    params: TwoPopParams | list[TwoPopParams],
     matrices: GalerkinMatrices,
     dt: float,
     t_final: float,
     *,
     snapshot_times=(),
     blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
-) -> RunRecord:
+) -> RunRecord | list[RunRecord]:
     """Run the coupled scheme from empty refractory states; records rates,
     masses and refractory states, and the densities of both populations on
     the comparison grid at each snapshot time.
 
     The run keeps going after the first population trips the blow-up
     threshold (up to a bounded window) so near-simultaneous events yield a
-    trip time for each population.
+    trip time for each population.  A list of ``params`` runs one cell per
+    entry as a lockstep batch and returns their records in order, each the
+    record of its run alone.
     """
-    return integrate(_TwoPop((p0_e, p0_i), params, Spectral(matrices), dt), dt, t_final, snapshot_times,
-                     blowup_threshold)
+    space = Spectral(matrices)
+    if isinstance(params, TwoPopParams):
+        stepper = _TwoPop((p0_e, p0_i), params, space, dt)
+    else:
+        stepper = [_TwoPop((p0_e, p0_i), p, space, dt) for p in params]
+    return integrate(stepper, dt, t_final, snapshot_times, blowup_threshold)

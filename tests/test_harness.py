@@ -7,6 +7,7 @@ import sys
 import time
 import tracemalloc
 from concurrent.futures import Future
+from dataclasses import replace
 from functools import partial
 from unittest import mock
 
@@ -14,11 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nnlif import assembly, cli, experiments, records
+from nnlif import assembly, cli, experiments, records, twopop
 from nnlif.basis import BasisSet
 from nnlif.assembly import assemble, normalize_gaussian
 from nnlif.cli import main
-from nnlif.errors import ConfigurationError
+from nnlif.errors import ConfigurationError, SingularFiringRateError
 from nnlif.experiments import (
     SCHEMA,
     classify_regime,
@@ -737,6 +738,109 @@ def test_workers_capped_at_cell_count(tmp_path, monkeypatch, sweep, pool_sizes):
     res = run_experiment(parse_config(raw), str(tmp_path / "res"), workers=64)
     assert started == pool_sizes
     assert sorted(k for k in res if k != "_elapsed_s") == sorted(sweep)
+
+
+def _blowup_sweep(sweep, t_final=3.0):
+    """The shipped two-population blow-up model as a sweep at M 6 and dt
+    0.01: b_e_to_e 1 and 2 complete, 8 trips both populations and stops at
+    step 188, 20 trips E at step 75 and stops 101 steps later."""
+    raw = _shipped_config("blowup_twopop.json")
+    del raw["snapshot_times"]
+    raw.update(kind="twopop-regimes", numerics={"m": 6, "dt": 0.01, "t_final": t_final}, sweep={"b_e_to_e": sweep})
+    return raw
+
+
+def _cells_alone(cfg, out_dir):
+    """Each sweep cell run alone and written as the sweep writes it."""
+    mats = experiments._matrices(cfg, [cfg.numerics["m"]])[cfg.numerics["m"]]
+    records_alone = {}
+    for v in cfg.sweep["b_e_to_e"]:
+        rec = solve_twopop(*cfg.ic, replace(cfg.params, b_e_to_e=v), mats, cfg.numerics["dt"], cfg.numerics["t_final"],
+                           blowup_threshold=cfg.blowup_threshold)
+        regime = classify_regime(rec, **cfg.detection)["regime"]
+        emit_run_record(os.path.join(out_dir, f"regime_b{v:g}.csv"), rec, {**cfg.header, "regime": regime})
+        records_alone[v] = rec
+    return records_alone
+
+
+@pytest.mark.parametrize("which", ["regimes-smoke", "early-blowup", "model-mode"])
+def test_lockstep_sweep_cells_are_their_runs_alone(tmp_path, perfbench_workloads, which):
+    # the sweep steps its cells together on one factor (model mode: densely,
+    # cell by cell); each cell's file is byte for byte its run alone, also
+    # when a cell stops early and leaves the batch
+    if which == "regimes-smoke":
+        raw = perfbench_workloads.WORKLOADS["regimes"].config(perfbench_workloads.DEFAULT_SEED, smoke=True)
+    else:
+        raw = _blowup_sweep([1.0, 20.0, 2.0, 8.0])
+        if which == "model-mode":
+            raw["model"].update(diffusion_mode="model", d_e_to_e=0.5, d_e_to_i=0.5, nu_ext=2.0)
+    cfg = parse_config(raw)
+    res = run_experiment(cfg, str(tmp_path / "sweep"))
+    alone = _cells_alone(cfg, str(tmp_path / "alone"))
+    for v, rec in alone.items():
+        name = f"regime_b{v:g}.csv"
+        assert (tmp_path / "sweep" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes(), name
+        batched = res[v]["record"]
+        assert (batched.status, batched.trips, batched.times.size) == (rec.status, rec.trips, rec.times.size)
+    if which == "early-blowup":
+        assert [alone[v].times.size for v in (1.0, 20.0, 2.0, 8.0)] == [301, 177, 301, 189]
+        assert alone[20.0].trips == {"trip_time_e": 0.75, "trip_time_i": None}
+
+
+def test_lockstep_solver_failure_ends_only_its_cell(monkeypatch):
+    # the failing cell ends "solver-failure" at the step it ends alone; the
+    # batch steps the others on, each still its run alone
+    cfg = parse_config(_blowup_sweep([1.0, 20.0, 2.0]))
+    original = twopop._resolve_rates
+
+    def failing(params, n, *args):
+        if params.b_e_to_e == 20.0 and n == 40:
+            raise SingularFiringRateError(f"no rates at step {n}")
+        return original(params, n, *args)
+
+    monkeypatch.setattr(twopop, "_resolve_rates", failing)
+    mats = experiments._matrices(cfg, [6])[6]
+    params = [replace(cfg.params, b_e_to_e=v) for v in cfg.sweep["b_e_to_e"]]
+    batch = solve_twopop(*cfg.ic, params, mats, 0.01, 3.0, blowup_threshold=cfg.blowup_threshold)
+    assert [rec.status for rec in batch] == ["completed", "solver-failure", "completed"]
+    assert batch[1].times.size == 40
+    for p, rec in zip(params, batch):
+        want = solve_twopop(*cfg.ic, p, mats, 0.01, 3.0, blowup_threshold=cfg.blowup_threshold)
+        assert (rec.status, rec.trips, rec.times.size) == (want.status, want.trips, want.times.size)
+        for name, column in want.columns.items():
+            assert np.array_equal(rec.columns[name], column), name
+
+
+def test_sweep_outputs_do_not_depend_on_workers(tmp_path):
+    # 4 cells in 1 to 4 groups (2 + 2, 1 + 1 + 2, 1 + 1 + 1 + 1)
+    cfg = parse_config(_blowup_sweep([1.0, 20.0, 2.0, 8.0], t_final=2.0))
+    outputs = []
+    for workers in (1, 2, 3, 4):
+        out = tmp_path / str(workers)
+        run_experiment(cfg, str(out), workers=workers)
+        outputs.append({name: (out / name).read_bytes() for name in sorted(os.listdir(out))})
+    assert len(outputs[0]) == 5
+    assert all(output == outputs[0] for output in outputs[1:])
+
+
+@pytest.mark.parametrize("sweep", [[0.5, 0.5000001], [0.5, 1.0, 0.5], [0.0, -0.0]],
+                         ids=["same-name", "repeated", "signed-zero"])
+def test_sweep_values_that_share_an_output_are_rejected(sweep):
+    raw = _tiny("twopop-regimes", {"m": 6, "dt": 0.01, "t_final": 0.05}, model=_TWOPOP_MODEL,
+                initial=_TWOPOP_INITIAL, sweep={"b_e_to_e": sweep})
+    with pytest.raises(ConfigurationError, match="sweep.b_e_to_e repeats"):
+        parse_config(raw)
+
+
+def test_cli_colliding_sweep_values_are_a_config_error(tmp_path, capsys):
+    # at 0.5 and 0.5000001 both cells would write regime_b0.5.csv
+    raw = _tiny("twopop-regimes", {"m": 6, "dt": 0.01, "t_final": 0.05}, model=_TWOPOP_MODEL,
+                initial=_TWOPOP_INITIAL, sweep={"b_e_to_e": [0.5, 0.5000001]})
+    rc = main(["twopop-regimes", "--config", _write(tmp_path, "cfg.json", raw), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error-category: config-invalid" in err and "sweep.b_e_to_e" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_matrices_assembled_once_per_distinct_m(tmp_path, monkeypatch):

@@ -216,6 +216,38 @@ def test_stacked_solve_fails_on_a_zero_denominator_in_either_row(singular_row):
         shifted.solve(u_old, shifts, (1.0, 2.0))
 
 
+@pytest.mark.parametrize("refractory_mode", ["pass-through", "exponential"], ids=["no-source", "source"])
+def test_cell_stack_solve_is_each_cell_solved_alone(refractory_mode):
+    # a lockstep batch solves the (K, 2, dim) stack of its cells' densities,
+    # each row at its own shift and inflow, bit for bit as each cell's own
+    # (2, dim) solve
+    mats = _mats(16)
+    implicit_flux = refractory_mode == "pass-through"
+    g = system_matrix(mats, 0.0, 1.0, math.inf, flux_shift_implicit=implicit_flux)
+    shifted = ShiftedSystem(g, -mats.B, mats, 1e-4, source=not implicit_flux)
+    rng = np.random.default_rng(5)
+    u_old = rng.standard_normal((3, 2, _dim(16)))
+    shifts, inflows = rng.uniform(-20.0, 40.0, (3, 2)), rng.uniform(0.0, 50.0, (3, 2))
+    stacked = shifted.solve(u_old, [tuple(s) for s in shifts], [tuple(m) for m in inflows])
+    assert stacked.shape == u_old.shape and stacked.flags.c_contiguous
+    for cell, cell_old, shift, inflow in zip(stacked, u_old, shifts, inflows):
+        assert np.array_equal(cell, shifted.solve(cell_old, tuple(shift), tuple(inflow)))
+
+
+@pytest.mark.parametrize("singular", [(0, 0), (0, 1), (1, 0), (2, 1)])
+def test_cell_stack_solve_fails_on_a_zero_denominator_in_any_row(singular):
+    mats = _mats(8)
+    shifted = ShiftedSystem(system_matrix(mats, 0.0, 1.0, math.inf, flux_shift_implicit=False), -mats.B, mats, 1e-3,
+                            source=True)
+    # the eigenvalue -2 makes 1 + 0.5 * lambda exactly zero
+    shifted.t[0, 0] = -2.0
+    shifts = np.full((3, 2), 0.25)
+    shifts[singular] = 0.5
+    u_old = np.random.default_rng(6).standard_normal((3, 2, _dim(8)))
+    with pytest.raises(LinearSolveError, match="shift 0.5"):
+        shifted.solve(u_old, shifts, np.ones((3, 2)))
+
+
 # --- factored runs against the dense step loop -----------------------------
 
 
