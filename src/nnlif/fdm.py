@@ -113,7 +113,7 @@ class FdmGrid:
     def stack(self, rows) -> tuple:
         return tuple(rows)
 
-    def factored(self, rates, key, build) -> None:
+    def factored(self, rates, build) -> None:
         return None
 
 

@@ -83,8 +83,9 @@ class RunRecord:
     names to per-step series and ``trips`` its trip keys to the time k·dt of
     the step k at which each population passed the blow-up threshold (None
     if it did not); ``wall_time`` covers the stepping loop only, from its
-    start to the run's stop, so for a run of a lockstep batch it includes
-    the steps of the batch's other runs until this one stopped.
+    start to the run's stop: for a run of a lockstep batch, its share of
+    the loop time, which is split evenly among the runs in the batch while
+    they step together.
     ``snapshots`` holds the densities at the snapshot times reached.
     """
 
@@ -167,9 +168,10 @@ def check_times(dt: float, t_final: float, snapshot_times=()) -> int:
 
 
 class _Run:
-    """One run of a batch while the loop steps it: its stepper, record
-    columns, the states kept at snapshot times and its trip steps, and once
-    it stops, its last recorded step, status and loop time."""
+    """One run of a batch while the loop steps it: its stepper, its state,
+    record columns, the states kept at snapshot times, its trip steps and
+    its share of the loop time, and once it stops, its last recorded step
+    and status."""
 
     def __init__(self, stepper: Stepper, n_steps: int):
         k = len(stepper.layout.trips)
@@ -181,13 +183,7 @@ class _Run:
         # the step at which each population tripped
         self.trips: list[int | None] = [None] * k
         self.first_trip = None
-        self.last, self.status, self.wall = 0, STATUS_COMPLETED, None
-
-    def record(self, n: int, state, values, snap_lookup: dict) -> None:
-        for col, value in zip(self.columns, values):
-            col[n] = value
-        if n in snap_lookup:
-            self.snapshots.append((snap_lookup[n], state))
+        self.last, self.status, self.wall = None, STATUS_COMPLETED, 0.0
 
     def trip(self, n: int, rates_n, masses, dt: float, blowup_threshold: float) -> bool:
         """Trip the populations that tripped at step n; whether the run stops
@@ -200,9 +196,6 @@ class _Run:
         ]
         first = self.first_trip = min((trip for trip in self.trips if trip is not None), default=None)
         return None not in self.trips or (first is not None and (n - first) * dt > _POST_TRIP_WINDOW)
-
-    def stop(self, last: int, t_start: float, status: str = STATUS_COMPLETED) -> None:
-        self.last, self.status, self.wall = last, status, time.perf_counter() - t_start
 
     def result(self, dt: float) -> RunRecord:
         layout, stepper, keep = self.stepper.layout, self.stepper, self.last + 1
@@ -219,28 +212,39 @@ class _Run:
         )
 
 
-def _lockstep(runs: list) -> Callable[[list], list] | None:
-    """The step of the live runs' lockstep batch (:meth:`Stepper.lockstep`),
-    or None for a lone run, which takes its own step."""
+def _share(runs: list, since: float) -> float:
+    """Split the loop time since ``since`` evenly among the live ``runs``,
+    which stepped together all that time; returns the time now."""
+    now = time.perf_counter()
+    for run in runs:
+        run.wall += (now - since) / len(runs)
+    return now
+
+
+def _lockstep(runs: list) -> tuple[Callable | None, _Run | None]:
+    """How the live runs step: for a batch, :meth:`Stepper.lockstep` (from
+    their states to their next states) and None; for a lone run, None and
+    the run, which takes its own step."""
+    if len(runs) == 1:
+        return None, runs[0]
     cells = [run.stepper for run in runs]
-    return cells[0].lockstep(cells) if len(cells) > 1 else None
+    return cells[0].lockstep(cells), None
 
 
-def _alone(runs: list, states: list, n: int, t_start: float) -> tuple[list, list]:
+def _alone(runs: list, n: int) -> list:
     """Step n for each run alone, after a solver error in their batch's step:
     the error ends the run that raises it with status "solver-failure" (a
-    lone run is not stepped again).  Returns the runs that stepped and their
-    states."""
+    lone run, which raised it, is not stepped again).  Returns the runs that
+    stepped."""
     if len(runs) == 1:
-        runs[0].stop(n - 1, t_start, STATUS_SOLVER_FAILURE)
-        return [], []
-    stepped = []
-    for run, state in zip(runs, states):
+        runs[0].last, runs[0].status = n - 1, STATUS_SOLVER_FAILURE
+        return []
+    for run in runs:
         try:
-            stepped.append((run, run.step(state)))
+            run.state = run.step(run.state)
         except _SOLVER_ERRORS:
-            run.stop(n - 1, t_start, STATUS_SOLVER_FAILURE)
-    return [run for run, _ in stepped], [state for _, state in stepped]
+            run.last, run.status = n - 1, STATUS_SOLVER_FAILURE
+    return [run for run in runs if run.last is None]
 
 
 def integrate(
@@ -265,41 +269,50 @@ def integrate(
     snap_lookup = {round(ts / dt): ts for ts in snapshot_times}
     runs = [_Run(cell, n_steps) for cell in stepper]
     k = len(runs[0].trips)
-
     for run in runs:
-        run.record(0, run.state, run.observe(run.state), snap_lookup)
-    live, states = runs, [run.state for run in runs]
-    advance = _lockstep(live)
-    t_start = time.perf_counter()
+        for col, value in zip(run.columns, run.observe(run.state)):
+            col[0] = value
+        if 0 in snap_lookup:
+            run.snapshots.append((snap_lookup[0], run.state))
+
+    live = runs
+    advance, one = _lockstep(live)
+    t_since = time.perf_counter()
     for n in range(1, n_steps + 1):
         try:
-            if advance is None:
-                states[0] = live[0].step(states[0])
+            if one is not None:
+                one.state = one.step(one.state)
             else:
-                states = advance(states)
+                for run, state in zip(live, advance([run.state for run in live])):
+                    run.state = state
         except _SOLVER_ERRORS:
-            live, states = _alone(live, states, n, t_start)
+            t_since = _share(live, t_since)
+            live = _alone(live, n)
             if not live:
                 break
-            advance = _lockstep(live)
+            advance, one = _lockstep(live)
         stopped = False
-        for run, state in zip(live, states):
+        for run in live:
+            state = run.state
             values = run.observe(state)
-            run.record(n, state, values, snap_lookup)
-            rates_n, masses = values[:k], values[k:2 * k]
+            for col, value in zip(run.columns, values):
+                col[n] = value
+            if n in snap_lookup:
+                run.snapshots.append((snap_lookup[n], state))
             # the common step: nothing tripped, everything finite (a NaN rate
             # never trips, and max() returns NaN only when the first rate is)
-            if run.first_trip is None and max(rates_n) <= blowup_threshold and math.isfinite(sum(masses)):
+            if max(values[:k]) <= blowup_threshold and math.isfinite(sum(values[k:2 * k])) and run.first_trip is None:
                 continue
-            if run.trip(n, rates_n, masses, dt, blowup_threshold):
-                run.stop(n, t_start)
+            if run.trip(n, values[:k], values[k:2 * k], dt, blowup_threshold):
+                run.last = n
                 stopped = True
         if stopped:
-            kept = [(run, state) for run, state in zip(live, states) if run.wall is None]
-            live, states = [run for run, _ in kept], [state for _, state in kept]
+            t_since = _share(live, t_since)
+            live = [run for run in live if run.last is None]
             if not live:
                 break
-            advance = _lockstep(live)
+            advance, one = _lockstep(live)
+    _share(live, t_since)
     for run in live:
-        run.stop(n_steps, t_start)
+        run.last = n_steps
     return [run.result(dt) for run in runs]

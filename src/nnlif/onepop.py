@@ -243,7 +243,6 @@ class Spectral:
         self.matrices = matrices
         self.out_grid = norm_grid(matrices.basis.domain)
         self._deriv, self._mass = matrices.slope, matrices.mass
-        self._factors = {}
 
     def initial(self, p0) -> np.ndarray:
         return project_initial(self.matrices, p0)
@@ -275,15 +274,9 @@ class Spectral:
     def stack(self, rows) -> np.ndarray:
         return np.array(rows)
 
-    def factored(self, rates, key, build):
-        """``build(matrices)`` when it pays off (:func:`factor_pays_off`), else
-        None.  It is built once per ``key``, the build's inputs besides the
-        matrices, so the runs of a lockstep batch on this space share it."""
-        if not factor_pays_off(rates, self.matrices):
-            return None
-        if key not in self._factors:
-            self._factors[key] = build(self.matrices)
-        return self._factors[key]
+    def factored(self, rates, build):
+        """``build(matrices)`` when it pays off (:func:`factor_pays_off`), else None."""
+        return build(self.matrices) if factor_pays_off(rates, self.matrices) else None
 
 
 def step(
@@ -328,7 +321,7 @@ class _OnePop:
 
     def start(self, rates) -> PopulationState:
         space = self.space
-        self.shifted = space.factored(rates, (self.dt, self.params), self._factor)
+        self.shifted = space.factored(rates, self._factor)
         u0 = space.initial(self.p0)
         return PopulationState(u0, firing_rate(u0, space, self.params))
 

@@ -22,9 +22,10 @@ and shorter runs advance each row on its own at every step
 K0 and B do not depend on the couplings, so the cells of a sweep over them
 share one factor: their runs step in lockstep (:func:`integrate.integrate`
 with a list of steppers, from :func:`solve_twopop` with a list of
-parameters), and one :func:`step_twopop` call advances them all with one
-solve of the (K, 2, dim) stack.  That solve multiplies slice by slice, so
-each cell's bytes are those of its run alone.
+parameters).  :func:`step_twopop` advances such a batch, a run alone
+being a batch of one, with one solve of the (K, 2, dim) stack of its
+cells' densities.  That solve multiplies slice by slice, so each cell's
+bytes are those of its run alone.
 
 Delayed rates are read from the run's recorded rate columns at the clamped
 step max(0, n - delay/dt); the current step's rates travel on the state,
@@ -268,55 +269,51 @@ def _resolve_rates(params: TwoPopParams, n: int, slopes, lags, history):
         raise SingularFiringRateError(f"implicit two-population rate system singular: {exc}") from exc
 
 
-def _stepped(state: TwoPopState, params: TwoPopParams, space, dt: float, lags, u, inflow) -> TwoPopState:
-    """The state after ``state`` whose densities ``u`` its step solved with
-    recovery rates ``inflow``: its rates and refractory masses."""
-    n = state.step_index + 1
-    rate = _resolve_rates(params, n, (space.slope(u[0]), space.slope(u[1])), lags, state.history)
-    return TwoPopState(u, state.refractory_after(inflow, dt), n, rate, state.history)
-
-
 def step_twopop(
-    state: TwoPopState | list[TwoPopState],
-    params: TwoPopParams | list[TwoPopParams],
+    states: list[TwoPopState],
+    params: list[TwoPopParams],
     space,
     dt: float,
-    lags: tuple | list | None = None,
+    lags: list | None = None,
     shifted: ShiftedSystem | None = None,
-) -> TwoPopState | list[TwoPopState]:
-    """Advance both populations in ``space`` and the refractory masses by one
-    step.
+) -> list[TwoPopState]:
+    """Advance both populations in ``space`` and the refractory masses of
+    each cell of a lockstep batch by one step: ``states``, ``params`` and
+    ``lags`` have one entry per cell, the states all at one step, and a run
+    alone is a batch of one.
 
-    The current rates come from ``state`` and the delayed ones from its
-    history; ``state`` itself is left untouched, and the new state's ``u``
-    is a fresh stack.  A rate system that has no solution raises
-    :class:`SingularFiringRateError`.  ``shifted``, the run's factored
-    constant-diffusion operator, replaces the row solves with one stacked
-    solve of the (2, dim) ``u``; it must have been built from the same
-    parameters, matrices and dt.
-
-    A lockstep batch on one factor passes lists for ``state``, ``params``
-    and ``lags``, one entry per cell, its states all at one step, and the
-    ``shifted`` every cell shares.  Its cells make one solve of the
-    (K, 2, dim) stack of their ``u``, and it returns the list of their next
-    states, each bit for bit the one the cell's own step gives.
+    The current rates come from each state and the delayed ones from its
+    history; the states themselves are left untouched, and each new state's
+    ``u`` is a fresh stack.  A rate system that has no solution raises
+    :class:`SingularFiringRateError`.  ``shifted``, the factored
+    constant-diffusion operator the cells share, replaces the row solves
+    with one solve of the (K, 2, dim) stack of their ``u``; it must have
+    been built from the same parameters, matrices and dt.  That solve
+    multiplies slice by slice, so each cell's next state is bit for bit the
+    one it gets in a batch of one.
     """
-    if not isinstance(state, TwoPopState):
-        inflows = [recovery(st.r, st.rate, p) for st, p in zip(state, params)]
-        drifts = [coefficients(p, delayed_rates(st, lag))[0] for st, p, lag in zip(state, params, lags)]
-        us = shifted.solve(np.array([st.u for st in state]), drifts, inflows)
-        return [_stepped(st, p, space, dt, lag, u, m) for st, p, lag, u, m in zip(state, params, lags, us, inflows)]
     if lags is None:
-        lags = params.delay_lags(dt)
-    inflow = recovery(state.r, state.rate, params)
-    drift, diffusion = coefficients(params, delayed_rates(state, lags))
+        lags = [p.delay_lags(dt) for p in params]
+    inflows, drifts, diffusions = [], [], []
+    for st, p, lag in zip(states, params, lags):
+        inflows.append(recovery(st.r, st.rate, p))
+        drift, diffusion = coefficients(p, delayed_rates(st, lag))
+        drifts.append(drift)
+        diffusions.append(diffusion)
     if shifted is not None:
-        u = shifted.solve(np.asarray(state.u), drift, inflow)
+        us = shifted.solve(np.array([st.u for st in states]), drifts, inflows)
     else:
-        folded = params.refractory_mode == RECOVERY_PASS_THROUGH
-        u = space.stack([space.advance(row, dt, v, a, m, folded)
-                         for row, v, a, m in zip(state.u, drift, diffusion, inflow)])
-    return _stepped(state, params, space, dt, lags, u, inflow)
+        us = [
+            space.stack([space.advance(row, dt, v, a, m, p.refractory_mode == RECOVERY_PASS_THROUGH)
+                         for row, v, a, m in zip(st.u, drift, diffusion, inflow)])
+            for st, p, drift, diffusion, inflow in zip(states, params, drifts, diffusions, inflows)
+        ]
+    stepped = []
+    for st, p, lag, u, inflow in zip(states, params, lags, us, inflows):
+        n = st.step_index + 1
+        rate = _resolve_rates(p, n, (space.slope(u[0]), space.slope(u[1])), lag, st.history)
+        stepped.append(TwoPopState(u, st.refractory_after(inflow, dt), n, rate, st.history))
+    return stepped
 
 
 class _TwoPop:
@@ -325,23 +322,27 @@ class _TwoPop:
 
     layout = TWO_POPULATIONS
 
-    def __init__(self, p0, params, space, dt):
+    def __init__(self, p0, params, space, dt, factors=None):
         self.p0, self.params, self.space, self.dt = p0, params, space, dt
         self.out_grid = space.out_grid
+        # the factors built, by the parameters they read besides the space
+        # and dt: the cells of a sweep over the couplings, given one dict,
+        # share one factor
+        self.factors = {} if factors is None else factors
 
     def _factor(self, mats: GalerkinMatrices) -> ShiftedSystem:
         params = self.params
-        implicit_flux = params.refractory_mode == RECOVERY_PASS_THROUGH
-        g = system_matrix(mats, 0.0, params.diffusion_constant, math.inf, flux_shift_implicit=implicit_flux)
-        return ShiftedSystem(g, -mats.B, mats, self.dt, source=not implicit_flux)
+        key = params.diffusion_constant, params.refractory_mode
+        if key not in self.factors:
+            implicit_flux = params.refractory_mode == RECOVERY_PASS_THROUGH
+            g = system_matrix(mats, 0.0, params.diffusion_constant, math.inf, flux_shift_implicit=implicit_flux)
+            self.factors[key] = ShiftedSystem(g, -mats.B, mats, self.dt, source=not implicit_flux)
+        return self.factors[key]
 
     def start(self, rates) -> TwoPopState:
         space, params = self.space, self.params
         self.lags = params.delay_lags(self.dt)
-        # the factor reads these besides the matrices: the cells of a sweep
-        # over the couplings share it
-        key = (self.dt, params.diffusion_constant, params.refractory_mode)
-        self.shifted = space.factored(rates, key, self._factor) if params.diffusion_mode == DIFFUSION_CONSTANT else None
+        self.shifted = space.factored(rates, self._factor) if params.diffusion_mode == DIFFUSION_CONSTANT else None
         u = space.stack([space.initial(p0) for p0 in self.p0])
         # rates at t=0 follow the delayed-coefficient rule of the first step
         # (every lookup clamps to the current step)
@@ -349,16 +350,16 @@ class _TwoPop:
         return TwoPopState(u, (0.0, 0.0), 0, _resolve_rates(params, 0, slopes, self.lags, rates), rates)
 
     def step(self, state: TwoPopState) -> TwoPopState:
-        return step_twopop(state, self.params, self.space, self.dt, self.lags, self.shifted)
+        return step_twopop([state], [self.params], self.space, self.dt, [self.lags], self.shifted)[0]
 
     def lockstep(self, cells):
-        """One stacked step when the cells share this cell's factor, else one
-        step per cell (each dense in model mode)."""
+        """One :func:`step_twopop` for the cells when they share this cell's
+        factor (or all step densely), else one step per cell."""
         shifted, space, dt = self.shifted, self.space, self.dt
-        if shifted is not None and all(cell.shifted is shifted for cell in cells):
-            params, lags = [cell.params for cell in cells], [cell.lags for cell in cells]
-            return lambda states: step_twopop(states, params, space, dt, lags, shifted)
-        return lambda states: [cell.step(state) for cell, state in zip(cells, states)]
+        if any(cell.shifted is not shifted for cell in cells):
+            return lambda states: [cell.step(state) for cell, state in zip(cells, states)]
+        params, lags = [cell.params for cell in cells], [cell.lags for cell in cells]
+        return lambda states: step_twopop(states, params, space, dt, lags, shifted)
 
     def observe(self, state: TwoPopState):
         mass, u = self.space.mass, state.u
@@ -391,7 +392,7 @@ def solve_twopop(
     """
     space = Spectral(matrices)
     if isinstance(params, TwoPopParams):
-        stepper = _TwoPop((p0_e, p0_i), params, space, dt)
-    else:
-        stepper = [_TwoPop((p0_e, p0_i), p, space, dt) for p in params]
-    return integrate(stepper, dt, t_final, snapshot_times, blowup_threshold)
+        return integrate(_TwoPop((p0_e, p0_i), params, space, dt), dt, t_final, snapshot_times, blowup_threshold)
+    factors = {}
+    cells = [_TwoPop((p0_e, p0_i), p, space, dt, factors) for p in params]
+    return integrate(cells, dt, t_final, snapshot_times, blowup_threshold)

@@ -811,6 +811,22 @@ def test_lockstep_solver_failure_ends_only_its_cell(monkeypatch):
             assert np.array_equal(rec.columns[name], column), name
 
 
+def test_lockstep_wall_time_is_each_cell_share_of_the_loop():
+    # the batch's loop time is split evenly among the cells stepping together:
+    # the cells that run to t_final get equal shares, the one that leaves at
+    # step 176 less, and the shares add up to no more than the call took
+    cfg = parse_config(_blowup_sweep([1.0, 20.0, 2.0]))
+    mats = experiments._matrices(cfg, [6])[6]
+    params = [replace(cfg.params, b_e_to_e=v) for v in cfg.sweep["b_e_to_e"]]
+    t0 = time.perf_counter()
+    batch = solve_twopop(*cfg.ic, params, mats, 0.01, 3.0, blowup_threshold=cfg.blowup_threshold)
+    elapsed = time.perf_counter() - t0
+    walls = [rec.wall_time for rec in batch]
+    assert [rec.times.size for rec in batch] == [301, 177, 301]
+    assert walls[0] == walls[2] > walls[1] > 0.0
+    assert sum(walls) <= elapsed
+
+
 def test_sweep_outputs_do_not_depend_on_workers(tmp_path):
     # 4 cells in 1 to 4 groups (2 + 2, 1 + 1 + 2, 1 + 1 + 1 + 1)
     cfg = parse_config(_blowup_sweep([1.0, 20.0, 2.0, 8.0], t_final=2.0))

@@ -79,7 +79,7 @@ def _dense_twopop(params, mats, dt, n_steps):
     series = {key: [] for key in ("rate_e", "rate_i", "mass_e", "mass_i")}
     for n in range(n_steps + 1):
         if n:
-            state = step_twopop(state, params, Spectral(mats), dt)
+            state = step_twopop([state], [params], Spectral(mats), dt)[0]
         cols[0][n], cols[1][n] = state.rate
         series["rate_e"].append(state.rate[0])
         series["rate_i"].append(state.rate[1])
@@ -381,7 +381,7 @@ def test_singular_dense_system_is_a_solver_failure(monkeypatch):
         params2 = TwoPopParams(b_e_to_e=1.0, refractory_mode=refractory_mode, tau_e=0.02, tau_i=0.02)
         state = _TwoPop((IC, IC_I), params2, Spectral(mats), dt).start([np.empty(2), np.empty(2)])
         with pytest.raises(LinearSolveError):
-            step_twopop(state, params2, Spectral(mats), dt)
+            step_twopop([state], [params2], Spectral(mats), dt)
         # a short run solves densely and ends at its first step
         run = solve_twopop(IC, IC_I, params2, mats, dt, 5 * dt)
         assert run.status == STATUS_SOLVER_FAILURE

@@ -188,7 +188,7 @@ def test_zero_state_stays_zero(m16):
         u=(np.zeros(dim), np.zeros(dim)), r=(0.0, 0.0),
         step_index=0, rate=(0.0, 0.0),
     )
-    out = step_twopop(state, params, Spectral(mats), 1e-3)
+    (out,) = step_twopop([state], [params], Spectral(mats), 1e-3)
     assert np.array_equal(out.u[0], np.zeros(dim))
     assert np.array_equal(out.u[1], np.zeros(dim))
     assert out.r[0] == 0.0 and out.r[1] == 0.0
@@ -217,7 +217,7 @@ def test_step_leaves_its_input_state_unchanged(m16, domain, factored):
         state = stepper.step(state)
     assert state.u.shape == (2, basis.dim) and state.u.flags.c_contiguous
     u_bytes, history_bytes = state.u.tobytes(), [h.tobytes() for h in history]
-    out = step_twopop(state, params, Spectral(mats), dt, stepper.lags, stepper.shifted)
+    (out,) = step_twopop([state], [params], Spectral(mats), dt, [stepper.lags], stepper.shifted)
     assert state.u.tobytes() == u_bytes
     assert [h.tobytes() for h in history] == history_bytes
     assert out.u.shape == state.u.shape and out.u.flags.c_contiguous
@@ -240,10 +240,10 @@ def test_discarded_probe_step_leaves_trajectory_unchanged(m16, domain, monkeypat
     plain = solve_twopop(ic, ic, params, mats, dt=dt, t_final=0.05)
     original = twopop.step_twopop
 
-    def probing(state, *args):
-        if state.step_index == 10:
-            original(state, *args)
-        return original(state, *args)
+    def probing(states, *args):
+        if states[0].step_index == 10:
+            original(states, *args)
+        return original(states, *args)
 
     monkeypatch.setattr(twopop, "step_twopop", probing)
     probed = solve_twopop(ic, ic, params, mats, dt=dt, t_final=0.05)
