@@ -416,12 +416,14 @@ def _validate(cfg: ExperimentConfig, given_numerics: dict) -> None:
     for h in fv_h:
         grid = FdmGrid.build(cfg.domain, v_min=ref["v_min"], h=h)
         check_times(reference_timestep(grid, cfg.params, t_final), t_final)
-    # each sweep value names its output, regime_b<value:g>.csv, and keys its result
-    sweep = cfg.sweep["b_e_to_e"]
-    if len(set(sweep)) < len(sweep) or len({f"{v:g}" for v in sweep}) < len(sweep):
-        raise ConfigurationError(f"sweep.b_e_to_e repeats a value or a name regime_b<value:g>.csv, got {sweep}")
+    # each sweep value names its output, regime_b<value:g>.csv, and keys its
+    # result; each snapshot time names its density_t<t:g>.csv
+    for key, values, name in (("sweep.b_e_to_e", cfg.sweep["b_e_to_e"], "regime_b<value:g>.csv"),
+                              ("snapshot_times", cfg.snapshot_times, "density_t<t:g>.csv")):
+        if len(set(values)) < len(values) or len({f"{v:g}" for v in values}) < len(values):
+            raise ConfigurationError(f"{key} repeats a value or a name {name}, got {list(values)}")
     if cfg.two_population:
-        for b_e_to_e in sweep:
+        for b_e_to_e in cfg.sweep["b_e_to_e"]:
             replace(cfg.params, b_e_to_e=b_e_to_e)
         for step in ([dt] if dt is not None else []) + ladder:
             cfg.params.delay_lags(step)

@@ -113,9 +113,6 @@ class FdmGrid:
     def stack(self, rows) -> tuple:
         return tuple(rows)
 
-    def factored(self, rates, build) -> None:
-        return None
-
 
 def stable_timestep(grid: FdmGrid, params, rate_cap: float = 0.0) -> float:
     """Largest stable explicit step dt <= h^2 / (2 a + |u|_max h) of either

@@ -111,24 +111,26 @@ class Stepper(Protocol):
     """One model as :func:`integrate` drives it, in the space of either solver:
     ``onepop._OnePop`` or ``twopop._TwoPop``, each written once for both.
 
-    ``layout`` names the record's columns and trips.  ``start`` gets the
-    record's rate columns, one per population, and returns the initial
-    state; entry k of a column holds the rate of step k once that step is
-    recorded, so a step may read the entries before its own index.
-    ``step`` returns the next state without modifying its argument; the
-    loop keeps time.  ``lockstep``, needed only by a model whose runs go in
-    lockstep batches (the two-population sweep), gives the step of a batch
-    of two or more steppers of this model on one space, self first: a
-    function from their states, all at one step, to their next states, each
-    bit for bit what ``step`` gives it.  ``observe`` returns a state's values in the
+    A stepper is immutable: it holds what its run needs from construction,
+    and no method writes to it.  ``layout`` names the record's columns and
+    trips.  ``start`` is pure: it gets the record's rate columns, one per
+    population, and returns the initial state; entry k of a column holds
+    the rate of step k once that step is recorded, so a step may read the
+    entries before its own index.  ``step`` returns the next state without
+    modifying its argument; the loop keeps time.  ``lockstep``, needed only
+    by a model whose runs go in lockstep batches (the two-population
+    sweep), gives the step of a batch of two or more steppers of this model
+    that share one space, dt and factored operator, self first: a function
+    from their states, all at one step, to their next states, each bit for
+    bit what ``step`` gives it.  ``observe`` returns a state's values in the
     layout's column order: the rates, as many masses, then optionally as
     many refractory masses; a mass is non-finite whenever any entry of its
     density is, so finiteness is tested on it.  ``densities`` returns the
-    state's density on ``out_grid`` in the :class:`DensitySnapshot` shape.
+    state's density on ``space.out_grid`` in the :class:`DensitySnapshot` shape.
     """
 
     layout: Layout
-    out_grid: np.ndarray
+    space: Any
 
     def start(self, rates: list[np.ndarray]) -> Any: ...
 
@@ -208,7 +210,7 @@ class _Run:
             status,
             self.wall,
             dt,
-            [DensitySnapshot(t, stepper.out_grid, stepper.densities(st)) for t, st in self.snapshots],
+            [DensitySnapshot(t, stepper.space.out_grid, stepper.densities(st)) for t, st in self.snapshots],
         )
 
 

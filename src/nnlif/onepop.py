@@ -12,11 +12,12 @@ rows and advances them: :class:`Spectral` or :class:`fdm.FdmGrid`.
 
 The spectral operator is K0 + N^n E with K0 = H/dt + A + a0 (C + D) and
 E = a1 (C + D) - b B, so it changes between steps only through the rate.
-A run of more than 2 dim steps factors it once (:class:`ShiftedSystem`)
-and then solves each step in O(dim^2), with two real matvecs around one
-triangular solve; a shorter run, which the factorisation would not pay
-for, solves the assembled system densely at every step
-(:meth:`Spectral.advance`, which the two-population step shares).  Only the
+For a run of more than 2 dim steps, :func:`solve` factors it once before
+the loop (:class:`ShiftedSystem`) for the run's stepper, which then solves
+each step in O(dim^2), with two real matvecs around one triangular solve;
+a shorter run, which the factorisation would not pay for, solves the
+assembled system densely at every step (:meth:`Spectral.advance`, which
+the two-population step shares).  Only the
 factorisation needs scipy (``schur`` and LAPACK ``ztrtrs``):
 :class:`ShiftedSystem` imports ``scipy.linalg`` when it is built, so a run
 that solves densely never loads it.
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .assembly import GalerkinMatrices, project_initial, reconstruct
 from .errors import (
     ConfigurationError, LinearSolveError, NonpositiveDiffusionError, SingularFiringRateError, check_finite,
 )
-from .integrate import DEFAULT_BLOWUP_THRESHOLD, ONE_POPULATION, RunRecord, integrate
+from .integrate import DEFAULT_BLOWUP_THRESHOLD, ONE_POPULATION, RunRecord, check_times, integrate
 from .norms import norm_grid
 
 _RATE_DENOM_TOL = 1e-12
@@ -220,10 +221,9 @@ class ShiftedSystem:
         return u_old - rhs.view(np.float64) @ self.zr
 
 
-def factor_pays_off(rates, matrices: GalerkinMatrices) -> bool:
-    """Whether a run with these record rate columns, one per population,
-    makes more than 2 dim solves (populations times steps); one
-    factorisation serves every population.
+def factor_pays_off(solves: int, matrices: GalerkinMatrices) -> bool:
+    """Whether a run of ``solves`` solves (populations times steps) makes
+    more than 2 dim of them; one factorisation serves every population.
 
     At M = 8, 16 and 24 (2 dim = 34, 66 and 98) a :class:`ShiftedSystem`
     takes about 0.17, 0.62 and 1.7 ms to build, and a factored step saves
@@ -232,7 +232,7 @@ def factor_pays_off(rates, matrices: GalerkinMatrices) -> bool:
     measurements on one core of a shared 2-vCPU x86-64 host).  A run past
     2 dim solves therefore gains, and every shorter run keeps the dense,
     factorisation-free path."""
-    return len(rates) * (len(rates[0]) - 1) > 2 * matrices.H.shape[0]
+    return solves > 2 * matrices.H.shape[0]
 
 
 class Spectral:
@@ -274,10 +274,6 @@ class Spectral:
     def stack(self, rows) -> np.ndarray:
         return np.array(rows)
 
-    def factored(self, rates, build):
-        """``build(matrices)`` when it pays off (:func:`factor_pays_off`), else None."""
-        return build(self.matrices) if factor_pays_off(rates, self.matrices) else None
-
 
 def step(
     state: PopulationState,
@@ -305,25 +301,22 @@ def step(
     return PopulationState(u, firing_rate(u, space, params))
 
 
+@dataclass(frozen=True)
 class _OnePop:
-    """The single-population model in a space as a :class:`Stepper`."""
+    """The single-population model in a space as a :class:`Stepper`, with
+    the run's factored operator ``shifted`` (None: solve densely)."""
 
     layout = ONE_POPULATION
 
-    def __init__(self, p0, params: OnePopParams, space, dt: float):
-        self.p0, self.params, self.space, self.dt = p0, params, space, dt
-        self.out_grid = space.out_grid
-
-    def _factor(self, mats: GalerkinMatrices) -> ShiftedSystem:
-        params = self.params
-        e = params.a1 * (mats.C + mats.D) - params.b * mats.B
-        return ShiftedSystem(system_matrix(mats, 0.0, params.a0, math.inf), e, mats, self.dt)
+    p0: Callable
+    params: OnePopParams
+    space: Any
+    dt: float
+    shifted: ShiftedSystem | None = None
 
     def start(self, rates) -> PopulationState:
-        space = self.space
-        self.shifted = space.factored(rates, self._factor)
-        u0 = space.initial(self.p0)
-        return PopulationState(u0, firing_rate(u0, space, self.params))
+        u0 = self.space.initial(self.p0)
+        return PopulationState(u0, firing_rate(u0, self.space, self.params))
 
     def step(self, state: PopulationState) -> PopulationState:
         return step(state, self.params, self.space, self.dt, self.shifted)
@@ -353,4 +346,8 @@ def solve(
     coefficients go non-finite; singular systems stop the run with status
     "solver-failure" instead of raising.
     """
-    return integrate(_OnePop(p0, params, Spectral(matrices), dt), dt, t_final, snapshot_times, blowup_threshold)
+    space, shifted = Spectral(matrices), None
+    if factor_pays_off(check_times(dt, t_final, snapshot_times), matrices):
+        e = params.a1 * (matrices.C + matrices.D) - params.b * matrices.B
+        shifted = ShiftedSystem(system_matrix(matrices, 0.0, params.a0, math.inf), e, matrices, dt)
+    return integrate(_OnePop(p0, params, space, dt, shifted), dt, t_final, snapshot_times, blowup_threshold)

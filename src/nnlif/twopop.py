@@ -11,8 +11,9 @@ space that stacks the rows, E then I; the spectral stack is one
 C-contiguous (2, dim) array.  With constant diffusion the operator
 of population alpha is K0 - V_alpha B, so it changes between steps only
 through the drift offset V_alpha, and K0 is the same for both populations.
-A run of more than dim steps (2 dim solves) then factors K0^-1 B once
-(:class:`onepop.ShiftedSystem`) and solves the stack in O(dim^2) per row:
+For a run of more than dim steps (2 dim solves) :func:`solve_twopop`
+then factors K0^-1 B once, before the loop (:class:`onepop.ShiftedSystem`),
+and the run's immutable stepper solves the stack in O(dim^2) per row:
 one matrix product maps both rows forward, each row gets its own
 triangular solve at its own shift, and one product maps both back.
 Model-mode diffusion, whose operator moves with two independent scalars,
@@ -20,12 +21,13 @@ and shorter runs advance each row on its own at every step
 (:meth:`onepop.Spectral.advance`).
 
 K0 and B do not depend on the couplings, so the cells of a sweep over them
-share one factor: their runs step in lockstep (:func:`integrate.integrate`
-with a list of steppers, from :func:`solve_twopop` with a list of
-parameters).  :func:`step_twopop` advances such a batch, a run alone
-being a batch of one, with one solve of the (K, 2, dim) stack of its
-cells' densities.  That solve multiplies slice by slice, so each cell's
-bytes are those of its run alone.
+share one factor by construction: :func:`solve_twopop`, given a list of
+parameters that agree in everything K0 reads, builds it once and hands it
+to every cell, and the cells step in lockstep (:func:`integrate.integrate`
+with a list of steppers).  :func:`step_twopop` advances such a batch, a
+run alone being a batch of one, with one solve of the (K, 2, dim) stack of
+its cells' densities.  That solve multiplies slice by slice, so each
+cell's bytes are those of its run alone.
 
 Delayed rates are read from the run's recorded rate columns at the clamped
 step max(0, n - delay/dt); the current step's rates travel on the state,
@@ -56,16 +58,16 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from .assembly import GalerkinMatrices
 from .errors import ConfigurationError, NonpositiveDiffusionError, SingularFiringRateError, check_finite
-from .integrate import DEFAULT_BLOWUP_THRESHOLD, TWO_POPULATIONS, RunRecord, integrate, whole_steps
-from .onepop import ShiftedSystem, Spectral, system_matrix
+from .integrate import DEFAULT_BLOWUP_THRESHOLD, TWO_POPULATIONS, RunRecord, check_times, integrate, whole_steps
+from .onepop import ShiftedSystem, Spectral, factor_pays_off, system_matrix
 
 RECOVERY_PASS_THROUGH = "pass-through"
 RECOVERY_EXPONENTIAL = "exponential"
@@ -316,49 +318,39 @@ def step_twopop(
     return stepped
 
 
+@dataclass(frozen=True)
 class _TwoPop:
     """The two-population model in a space as a :class:`Stepper`; ``p0`` is
-    the (E, I) pair of initial densities."""
+    the (E, I) pair of initial densities and ``shifted`` the run's factored
+    operator (None: solve densely), which the cells of a batch share."""
 
     layout = TWO_POPULATIONS
 
-    def __init__(self, p0, params, space, dt, factors=None):
-        self.p0, self.params, self.space, self.dt = p0, params, space, dt
-        self.out_grid = space.out_grid
-        # the factors built, by the parameters they read besides the space
-        # and dt: the cells of a sweep over the couplings, given one dict,
-        # share one factor
-        self.factors = {} if factors is None else factors
+    p0: tuple
+    params: TwoPopParams
+    space: Any
+    dt: float
+    shifted: ShiftedSystem | None = None
+    lags: tuple = field(init=False)
 
-    def _factor(self, mats: GalerkinMatrices) -> ShiftedSystem:
-        params = self.params
-        key = params.diffusion_constant, params.refractory_mode
-        if key not in self.factors:
-            implicit_flux = params.refractory_mode == RECOVERY_PASS_THROUGH
-            g = system_matrix(mats, 0.0, params.diffusion_constant, math.inf, flux_shift_implicit=implicit_flux)
-            self.factors[key] = ShiftedSystem(g, -mats.B, mats, self.dt, source=not implicit_flux)
-        return self.factors[key]
+    def __post_init__(self):
+        object.__setattr__(self, "lags", self.params.delay_lags(self.dt))
 
     def start(self, rates) -> TwoPopState:
-        space, params = self.space, self.params
-        self.lags = params.delay_lags(self.dt)
-        self.shifted = space.factored(rates, self._factor) if params.diffusion_mode == DIFFUSION_CONSTANT else None
+        space = self.space
         u = space.stack([space.initial(p0) for p0 in self.p0])
         # rates at t=0 follow the delayed-coefficient rule of the first step
         # (every lookup clamps to the current step)
         slopes = space.slope(u[0]), space.slope(u[1])
-        return TwoPopState(u, (0.0, 0.0), 0, _resolve_rates(params, 0, slopes, self.lags, rates), rates)
+        return TwoPopState(u, (0.0, 0.0), 0, _resolve_rates(self.params, 0, slopes, self.lags, rates), rates)
 
     def step(self, state: TwoPopState) -> TwoPopState:
         return step_twopop([state], [self.params], self.space, self.dt, [self.lags], self.shifted)[0]
 
     def lockstep(self, cells):
-        """One :func:`step_twopop` for the cells when they share this cell's
-        factor (or all step densely), else one step per cell."""
-        shifted, space, dt = self.shifted, self.space, self.dt
-        if any(cell.shifted is not shifted for cell in cells):
-            return lambda states: [cell.step(state) for cell, state in zip(cells, states)]
+        """One :func:`step_twopop` for the cells, which share this cell's space, dt and factor."""
         params, lags = [cell.params for cell in cells], [cell.lags for cell in cells]
+        space, dt, shifted = self.space, self.dt, self.shifted
         return lambda states: step_twopop(states, params, space, dt, lags, shifted)
 
     def observe(self, state: TwoPopState):
@@ -388,11 +380,20 @@ def solve_twopop(
     threshold (up to a bounded window) so near-simultaneous events yield a
     trip time for each population.  A list of ``params`` runs one cell per
     entry as a lockstep batch and returns their records in order, each the
-    record of its run alone.
+    record of its run alone.  The cells share one operator, factored here
+    before the loop, so they must agree in everything it reads.
     """
-    space = Spectral(matrices)
-    if isinstance(params, TwoPopParams):
-        return integrate(_TwoPop((p0_e, p0_i), params, space, dt), dt, t_final, snapshot_times, blowup_threshold)
-    factors = {}
-    cells = [_TwoPop((p0_e, p0_i), p, space, dt, factors) for p in params]
-    return integrate(cells, dt, t_final, snapshot_times, blowup_threshold)
+    n_steps = check_times(dt, t_final, snapshot_times)
+    cells = [params] if isinstance(params, TwoPopParams) else params
+    first = cells[0]
+    for name in ("diffusion_mode", "diffusion_constant", "refractory_mode"):
+        if any(getattr(p, name) != getattr(first, name) for p in cells):
+            raise ConfigurationError(f"the cells of a batch differ in {name}, which they must share")
+    space, shifted = Spectral(matrices), None
+    if first.diffusion_mode == DIFFUSION_CONSTANT and factor_pays_off(2 * n_steps, matrices):
+        implicit_flux = first.refractory_mode == RECOVERY_PASS_THROUGH
+        g = system_matrix(matrices, 0.0, first.diffusion_constant, math.inf, flux_shift_implicit=implicit_flux)
+        shifted = ShiftedSystem(g, -matrices.B, matrices, dt, source=not implicit_flux)
+    steppers = [_TwoPop((p0_e, p0_i), p, space, dt, shifted) for p in cells]
+    records = integrate(steppers, dt, t_final, snapshot_times, blowup_threshold)
+    return records[0] if isinstance(params, TwoPopParams) else records

@@ -354,7 +354,6 @@ class _StartRaises:
     """A stepper that fails the test as soon as a run starts."""
 
     layout = ONE_POPULATION
-    out_grid = np.zeros(1)
 
     def start(self, rates):
         raise AssertionError("the run started")
@@ -856,6 +855,23 @@ def test_cli_colliding_sweep_values_are_a_config_error(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "error-category: config-invalid" in err and "sweep.b_e_to_e" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("snapshot_times", [[0.1000001, 0.1000002], [0.1, 0.2, 0.1]], ids=["same-name", "repeated"])
+def test_snapshot_times_that_share_an_output_are_rejected(snapshot_times):
+    raw = _tiny("blowup", {"m": 4, "dt": 1e-7, "t_final": 0.2}, snapshot_times=snapshot_times)
+    with pytest.raises(ConfigurationError, match="snapshot_times repeats"):
+        parse_config(raw)
+
+
+def test_cli_colliding_snapshot_times_are_a_config_error(tmp_path, capsys):
+    # at 0.1000001 and 0.1000002 both snapshots would write density_t0.1.csv
+    raw = _tiny("blowup", {"m": 4, "dt": 1e-7, "t_final": 0.1000002}, snapshot_times=[0.1000001, 0.1000002])
+    rc = main(["blowup", "--config", _write(tmp_path, "cfg.json", raw), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error-category: config-invalid" in err and "snapshot_times" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -77,3 +77,65 @@ def test_the_check_sees_an_unread_private_function():
 
 def test_package_reads_every_private_name():
     assert unread_private_names({p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}) == []
+
+
+def _written(target):
+    """The roots of an assignment target: each name or attribute it binds,
+    unpacked from tuples and with its subscripts and attributes stripped
+    down to the name they start from, with whether anything was stripped."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from _written(elt)
+    elif isinstance(target, ast.Starred):
+        yield from _written(target.value)
+    else:
+        stripped = False
+        while isinstance(target, (ast.Subscript, ast.Attribute)):
+            target, stripped = target.value, True
+        yield target, stripped
+
+
+def self_writes(source: str) -> list:
+    """(line, method) of every assignment to ``self.<name>`` or
+    ``self.<name>[...]`` in a method of ``source`` other than ``__init__``
+    and ``__post_init__``."""
+    writes = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for method in cls.body:
+            if not isinstance(method, ast.FunctionDef) or method.name in ("__init__", "__post_init__"):
+                continue
+            for node in ast.walk(method):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.For)):
+                    targets = [node.target]
+                else:
+                    continue
+                if any(isinstance(root, ast.Name) and root.id == "self" and stripped
+                       for target in targets for root, stripped in _written(target)):
+                    writes.append((node.lineno, method.name))
+    return writes
+
+
+def test_the_check_sees_a_method_that_writes_to_self():
+    source = (
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self.a = {}\n"
+        "\n"
+        "    def start(self, d):\n"
+        "        self.b, c = 2, 3\n"
+        "        self.a[0] += 1\n"
+        "        d[self.a] = self\n"
+        "        return c\n"
+    )
+    assert self_writes(source) == [(6, "start"), (7, "start")]
+
+
+@pytest.mark.parametrize("name", ["onepop.py", "twopop.py", "fdm.py"])
+def test_solver_methods_write_no_attribute_outside_construction(name):
+    # a stepper holds what its run needs from construction: a method that
+    # wrote to its object would be state shared by every run that reads it
+    assert self_writes((SRC / name).read_text()) == []

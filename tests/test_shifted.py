@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nnlif import Domain, normalize_gaussian, onepop
+from nnlif import Domain, normalize_gaussian, onepop, twopop
 from nnlif.assembly import assemble, reconstruct
 from nnlif.basis import BasisSet
 from nnlif.errors import LinearSolveError
@@ -290,24 +290,60 @@ def test_twopop_factored_run_matches_dense_loop(m, dt, drawn, extra):
 # --- path selection ------------------------------------------------------------
 
 
-def test_fast_path_only_past_2dim_solves():
-    mats = _mats(8)
-    dim = _dim(8)
-    onepop = _OnePop(IC, OnePopParams(1.0, 0.1, 0.5), Spectral(mats), 1e-3)
-    onepop.start([np.empty(2 * dim + 1)])
-    assert onepop.shifted is None
-    onepop.start([np.empty(2 * dim + 2)])
-    assert onepop.shifted is not None
+def _count_factors(monkeypatch) -> list:
+    """The ShiftedSystems that ``solve`` and ``solve_twopop`` build from
+    now on, in order."""
+    built = []
+
+    class Counted(ShiftedSystem):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(onepop, "ShiftedSystem", Counted)
+    monkeypatch.setattr(twopop, "ShiftedSystem", Counted)
+    return built
+
+
+def _steppers(monkeypatch) -> list:
+    """The steppers that ``solve_twopop`` hands the loop from now on, which
+    then runs none of them."""
+    handed = []
+
+    def integrate(steppers, *args):
+        handed.extend(steppers)
+        return [None] * len(steppers)
+
+    monkeypatch.setattr(twopop, "integrate", integrate)
+    return handed
+
+
+def test_fast_path_only_past_2dim_solves(monkeypatch):
+    # the solve function builds the run's factor before its loop, once the
+    # run makes more than 2 dim solves: one per step and population
+    mats, dim, dt = _mats(8), _dim(8), 1e-3
+    built = _count_factors(monkeypatch)
+    for n_steps, factored in ((2 * dim, False), (2 * dim + 1, True)):
+        built.clear()
+        solve(IC, OnePopParams(1.0, 0.1, 0.5), mats, dt, n_steps * dt)
+        assert len(built) == factored
 
     constant = TwoPopParams(b_e_to_e=0.5, b_e_to_i=0.5)
     model = replace(constant, diffusion_mode="model", d_e_to_e=0.5, d_e_to_i=0.5, nu_ext=2.0)
-    long_run = [np.empty(dim + 2), np.empty(dim + 2)]
-    for params, factored in ((constant, True), (model, False)):
-        twopop = _TwoPop((IC, IC_I), params, Spectral(mats), 1e-3)
-        twopop.start(long_run)
-        assert (twopop.shifted is not None) == factored
-        twopop.start([np.empty(dim + 1), np.empty(dim + 1)])
-        assert twopop.shifted is None
+    for params, n_steps, factored in ((constant, dim, False), (constant, dim + 1, True), (model, dim + 1, False)):
+        built.clear()
+        solve_twopop(IC, IC_I, params, mats, dt, n_steps * dt)
+        assert len(built) == factored
+
+
+def test_factored_sweep_builds_one_factor_its_cells_share(monkeypatch):
+    mats, dt = _mats(8), 1e-3
+    built, handed = _count_factors(monkeypatch), _steppers(monkeypatch)
+    params = [TwoPopParams(b_e_to_e=b, b_e_to_i=0.5) for b in (0.5, 1.0, 2.0)]
+    solve_twopop(IC, IC_I, params, mats, dt, (_dim(8) + 1) * dt)
+    assert len(built) == 1
+    assert [cell.params for cell in handed] == params
+    assert all(cell.shifted is built[0] for cell in handed)
 
 
 @pytest.mark.parametrize("extra", [-20, 0])
@@ -350,22 +386,18 @@ def test_zero_shift_denominator_is_a_solver_failure():
     mats = _mats(8)
     params, dt = OnePopParams(1.0, 0.1, 0.5), 1e-3
     n_steps = 2 * _dim(8) + 10
-    stepper = _OnePop(IC, params, Spectral(mats), dt)
-    start = stepper.start
-    started = []
-
-    def start_at_singular_shift(rates):
-        started.append(start(rates)._replace(rate=0.5))
-        # the eigenvalue -2 makes 1 + rate * lambda exactly zero
-        stepper.shifted.t[0, 0] = -2.0
-        return started[0]
-
-    stepper.start = start_at_singular_shift
+    e = params.a1 * (mats.C + mats.D) - params.b * mats.B
+    shifted = ShiftedSystem(system_matrix(mats, 0.0, params.a0, math.inf), e, mats, dt)
+    stepper = _OnePop(IC, params, Spectral(mats), dt, shifted)
+    started = stepper.start([])
+    # the eigenvalue -1 / rate makes 1 + rate * lambda exactly zero at the initial rate
+    shifted.t[0, 0] = -1.0 / started.rate
+    assert 1.0 + started.rate * shifted.t[0, 0] == 0.0
     run = integrate(stepper, dt, n_steps * dt)
     assert run.status == STATUS_SOLVER_FAILURE
     assert run.times.size == 1
     with pytest.raises(LinearSolveError):
-        step(started[0], params, Spectral(mats), dt, stepper.shifted)
+        step(started, params, Spectral(mats), dt, shifted)
 
 
 def test_singular_dense_system_is_a_solver_failure(monkeypatch):
