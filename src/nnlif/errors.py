@@ -41,3 +41,10 @@ def check_integer(name: str, value) -> None:
     not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
+
+def check_positive(name: str, value) -> None:
+    """Reject a time outside (0, inf), NaN included: a run's dt and t_final,
+    and the dt of a public step."""
+    if not 0.0 < value < math.inf:
+        raise ConfigurationError(f"{name} must be finite and > 0, got {value!r}")

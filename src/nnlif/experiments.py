@@ -43,7 +43,7 @@ import numpy as np
 from .assembly import GaussianIC, assemble, normalize_gaussian
 from .basis import BasisSet, Domain
 from .errors import ConfigurationError, check_finite
-from .fdm import DEFAULT_V_MIN, FdmGrid, fdm_reference, fdm_solve, reference_timestep
+from .fdm import DEFAULT_V_MIN, FdmGrid, fdm_reference, reference_run, reference_timestep
 from .integrate import DEFAULT_BLOWUP_THRESHOLD, STATUS_BLOWUP, STATUS_COMPLETED, check_times
 from .norms import l2_distance, linf_distance, norm_grid
 from .onepop import OnePopParams, solve
@@ -641,23 +641,16 @@ def run_twopop_regimes(cfg: ExperimentConfig, out_dir: str, workers: int = 1) ->
 def _timed_run(cfg: ExperimentConfig, method: str, resolution, mats=None) -> tuple:
     """Median loop wall time of ``numerics.repetitions`` identical runs to
     t_final, and the t_final density of the last: the "spectral" scheme on
-    ``mats``, whose M is ``resolution``, or the "fdm" solver at grid
-    spacing ``resolution`` with its reference timestep."""
+    ``mats``, whose M is ``resolution``, or the :func:`fdm.reference_run`
+    at grid spacing ``resolution``."""
     num = cfg.numerics
     t_final = num["t_final"]
     if method == "spectral":
-        what = f"spectral run at M={resolution}"
-
-        def run():
-            return _run(cfg, mats, num["dt"], t_final, (t_final,))
+        what, run = f"spectral run at M={resolution}", partial(_run, cfg, mats, num["dt"], t_final, (t_final,))
     else:
-        what = f"fdm run at h={resolution:g}"
-        grid = FdmGrid.build(cfg.domain, v_min=cfg.reference["v_min"], h=resolution)
-        dt = reference_timestep(grid, cfg.params, t_final)
-
-        def run():
-            return fdm_solve(cfg.ic, cfg.params, grid, dt, t_final, snapshot_times=(t_final,),
-                             blowup_threshold=cfg.blowup_threshold)
+        what, run = f"fdm run at h={resolution:g}", partial(
+            reference_run, cfg.ic, cfg.params, cfg.domain, t_final, resolution, cfg.reference["v_min"],
+            cfg.blowup_threshold)
     walls = []
     for _ in range(num["repetitions"]):
         rec = run()

@@ -18,7 +18,8 @@ discretization family.
 :func:`twopop.step_twopop` advance rows of cell values by one stencil,
 :func:`fdm_step`; a row's threshold slope is -p_last / h.  One entry point,
 :func:`fdm_solve`, and one stability rule, :func:`stable_timestep`, serve
-both models; a reference step divides t_final and every nonzero delay.
+both models; a reference step divides t_final and every nonzero delay, in
+closed form (:func:`reference_timestep`), and :func:`reference_run` runs at it.
 """
 
 from __future__ import annotations
@@ -32,14 +33,14 @@ import numpy as np
 
 from .basis import Domain
 from .errors import ConfigurationError, check_finite
-from .integrate import DEFAULT_BLOWUP_THRESHOLD, RunRecord, integrate, whole_steps
+from .integrate import DEFAULT_BLOWUP_THRESHOLD, RunRecord, integrate
 from .norms import norm_grid
 from .onepop import _OnePop
 from .twopop import DELAY_NAMES, DIFFUSION_CONSTANT, TwoPopParams, _TwoPop
 
 DEFAULT_V_MIN = -6.0
 DEFAULT_H = 1.0 / 128.0
-# step counts :func:`reference_timestep` tries, from the stability bound down
+# step counts past the stability bound's that :func:`reference_timestep` allows
 _STEP_SEARCH = 100_000
 
 
@@ -76,10 +77,6 @@ class FdmGrid:
     @cached_property
     def inner_edges(self) -> np.ndarray:
         return self.v_min + np.arange(1, self.n_cells) * self.h
-
-    @cached_property
-    def neg_inner_edges(self) -> np.ndarray:
-        return -self.inner_edges
 
     @cached_property
     def out_grid(self) -> np.ndarray:
@@ -142,7 +139,7 @@ def fdm_step(p: np.ndarray, grid: FdmGrid, dt: float, drift_offset: float, diffu
     sum over cells telescopes to the boundary edges: the mass changes by dt
     times the inflow less dt times the threshold outflux, the rate."""
     h = grid.h
-    u = grid.neg_inner_edges + drift_offset
+    u = drift_offset - grid.inner_edges
     # the drift -e + offset is >= 0 exactly on the edges e <= offset: those
     # take the upwind value from their left cell, the rest from their right
     k = grid.inner_edges.searchsorted(drift_offset, side="right")
@@ -167,14 +164,14 @@ def fdm_step(p: np.ndarray, grid: FdmGrid, dt: float, drift_offset: float, diffu
 
 def reference_timestep(grid: FdmGrid, params, t_final: float) -> float:
     """Largest step at most 0.9 times the stability bound that divides
-    t_final and, for two populations (TwoPopParams), every nonzero delay;
-    the search looks at ``_STEP_SEARCH`` step counts.
+    t_final and, for two populations (TwoPopParams), every nonzero delay.
 
     A nonzero delay must be, to rounding (1e-12 relative), a fraction p/q
-    of t_final with q below the search's last step count: only the step
-    counts that q divides hold it exactly.  Any other delay is rejected,
-    because it still comes within the 1e-9 of :func:`whole_steps` at some
-    step count, which can lie far past the stability bound.
+    of t_final with q below the bound's step count plus ``_STEP_SEARCH``.
+    Only the counts that q divides hold it exactly, so the step count is the
+    first multiple of the lcm of the q from the bound's, within
+    ``_STEP_SEARCH`` of it.  Any other delay is rejected, though it comes
+    within the 1e-9 of :func:`whole_steps` at some count far past the bound.
 
     One population allows for mild rate-driven growth of drift and diffusion
     (rates up to 1); two populations bound the external drive only.
@@ -185,16 +182,19 @@ def reference_timestep(grid: FdmGrid, params, t_final: float) -> float:
         raise ConfigurationError(f"grid spacing h={grid.h} gives a stability bound {bound:.6g} with no step count")
     first = math.ceil(t_final / bound)
     delays = {name: d for name in DELAY_NAMES if (d := getattr(params, name)) > 0} if two else {}
+    lattice = 1
     for name, delay in delays.items():
         ratio = delay / t_final
-        if not math.isclose(Fraction(ratio).limit_denominator(first + _STEP_SEARCH - 1), ratio, rel_tol=1e-12):
+        fraction = Fraction(ratio).limit_denominator(first + _STEP_SEARCH - 1)
+        if not math.isclose(fraction, ratio, rel_tol=1e-12):
             raise ConfigurationError(
                 f"no reference timestep below {bound:.6g} divides t_final={t_final} and {name}={delay}"
             )
-    for n_steps in range(first, first + _STEP_SEARCH):
-        if all(whole_steps(d, t_final / n_steps) is not None for d in delays.values()):
-            return t_final / n_steps
-    raise ConfigurationError(f"no reference timestep below {bound:.6g} divides t_final={t_final} and the delays")
+        lattice = math.lcm(lattice, fraction.denominator)
+    n_steps = -(-first // lattice) * lattice
+    if n_steps >= first + _STEP_SEARCH:
+        raise ConfigurationError(f"no reference timestep below {bound:.6g} divides t_final={t_final} and the delays")
+    return t_final / n_steps
 
 
 def fdm_solve(
@@ -219,7 +219,16 @@ def fdm_solve(
     if dt > stable_timestep(grid, params):
         raise ConfigurationError(f"dt={dt} violates the explicit stability bound for h={grid.h}")
     stepper = (_TwoPop if isinstance(params, TwoPopParams) else _OnePop)(p0, params, grid, dt)
-    return integrate(stepper, dt, t_final, snapshot_times, blowup_threshold)
+    return integrate([stepper], dt, t_final, snapshot_times, blowup_threshold)[0]
+
+
+def reference_run(p0, params, domain: Domain, t_final: float, h: float = DEFAULT_H, v_min: float = DEFAULT_V_MIN,
+                  blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD) -> RunRecord:
+    """:func:`fdm_solve` on the grid of spacing ``h`` from ``v_min`` at its
+    :func:`reference_timestep`, with t_final as its one snapshot time."""
+    grid = FdmGrid.build(domain, v_min=v_min, h=h)
+    return fdm_solve(p0, params, grid, reference_timestep(grid, params, t_final), t_final,
+                     snapshot_times=(t_final,), blowup_threshold=blowup_threshold)
 
 
 def fdm_reference(
@@ -237,17 +246,11 @@ def fdm_reference(
     (E, I) pair of callables and TwoPopParams; the latter gives a (2, n)
     array whose rows are the E and I densities.  With ``richardson`` the
     leading O(h) upwind error is cancelled from a (h, h/2) pair; each run
-    takes :func:`reference_timestep`.
+    is a :func:`reference_run`.
     """
 
     def run(h_run: float) -> np.ndarray:
-        grid = FdmGrid.build(domain, v_min=v_min, h=h_run)
-        rec = fdm_solve(p0, params, grid, reference_timestep(grid, params, t_final), t_final,
-                        snapshot_times=(t_final,))
-        return rec.final_density(f"reference run at h={h_run}")
+        return reference_run(p0, params, domain, t_final, h_run, v_min).final_density(f"reference run at h={h_run}")
 
     coarse = run(h)
-    if not richardson:
-        return coarse
-    fine = run(0.5 * h)
-    return 2.0 * fine - coarse
+    return 2.0 * run(0.5 * h) - coarse if richardson else coarse

@@ -1,18 +1,17 @@
 """The one time-integration loop shared by every solver.
 
-A model hands :func:`integrate` a :class:`Stepper`: its record layout, its
-initial state, a pure step, its observables and its densities.  The loop
-owns the rest: the record buffers, the states kept at snapshot times,
-solver-failure handling, the loop timer and the trip policy, and it returns
-one :class:`RunRecord` for every model.
-A list of steppers is a lockstep batch of independent runs: the loop makes
-one batch step per time step (:meth:`Stepper.lockstep`, which lets the
-cells of a two-population sweep share one stacked solve) and keeps each
-run's record, trips and stop apart; a run that stops leaves the batch.  A
-solver error in a batch step re-steps each run alone, so it ends only the
-run that raised it.  A single run is a batch of one, which steps with
-:meth:`Stepper.step`, and each run of a batch records the bytes it records
-alone.
+A model hands :func:`integrate` a list of :class:`Stepper` objects, each
+with its record layout, initial state, pure step, observables and
+densities.  The loop owns the rest: the record buffers, the states kept at
+snapshot times, solver-failure handling, the loop timer and the trip
+policy, and it returns one :class:`RunRecord` per stepper, for every model.
+The list is a lockstep batch of independent runs: one batch step per time
+step (:meth:`Stepper.lockstep`, which lets the cells of a two-population
+sweep share one stacked solve), each run's record, trips and stop kept
+apart; a run that stops leaves the batch.  A solver error in a batch step
+re-steps each run alone, so it ends only the run that raised it.  A lone
+run, a batch of one, steps with :meth:`Stepper.step`, and each run of a
+batch records the bytes it records alone.
 The loop is the only clock: step n is at n·dt, in the time column and the
 trip times.  A population trips when its rate passes the blow-up threshold;
 the run stops when every population has tripped, when the state goes
@@ -34,7 +33,8 @@ from typing import Any, Callable, NamedTuple, Protocol
 
 import numpy as np
 
-from .errors import ConfigurationError, LinearSolveError, NnlifError, NonpositiveDiffusionError, SingularFiringRateError
+from .errors import (ConfigurationError, LinearSolveError, NnlifError, NonpositiveDiffusionError,
+                     SingularFiringRateError, check_positive)
 
 DEFAULT_BLOWUP_THRESHOLD = 1e3
 _POST_TRIP_WINDOW = 1.0
@@ -150,12 +150,15 @@ def whole_steps(t: float, dt: float) -> int | None:
     return k if abs(k * dt - t) <= 1e-9 * max(1.0, abs(t)) else None
 
 
-def check_times(dt: float, t_final: float, snapshot_times=()) -> int:
+def check_times(dt: float, t_final: float, snapshot_times=(), blowup_threshold=DEFAULT_BLOWUP_THRESHOLD) -> int:
     """Number of steps; rejects non-finite times, a t_final off the dt
-    lattice, more than :data:`MAX_STEPS` steps and snapshot times off the
-    lattice or outside [0, t_final].  The config parser checks here too."""
-    if not (0.0 < dt < math.inf and 0.0 < t_final < math.inf):
-        raise ConfigurationError(f"need finite dt > 0 and t_final > 0, got {dt}, {t_final}")
+    lattice, more than :data:`MAX_STEPS` steps, snapshot times off the
+    lattice or outside [0, t_final] and a blow-up threshold that is not > 0
+    (NaN included; +inf never trips).  The config parser checks here too."""
+    check_positive("dt", dt)
+    check_positive("t_final", t_final)
+    if not blowup_threshold > 0:
+        raise ConfigurationError(f"blowup_threshold must be > 0, got {blowup_threshold}")
     n_steps = whole_steps(t_final, dt)
     if not n_steps:
         raise ConfigurationError(f"t_final={t_final} is not an integer multiple of dt={dt}")
@@ -234,13 +237,9 @@ def _lockstep(runs: list) -> tuple[Callable | None, _Run | None]:
 
 
 def _alone(runs: list, n: int) -> list:
-    """Step n for each run alone, after a solver error in their batch's step:
-    the error ends the run that raises it with status "solver-failure" (a
-    lone run, which raised it, is not stepped again).  Returns the runs that
-    stepped."""
-    if len(runs) == 1:
-        runs[0].last, runs[0].status = n - 1, STATUS_SOLVER_FAILURE
-        return []
+    """Step n for each run alone, after a solver error in their batch's step
+    (steps are pure, so the run that raised it raises again): the error ends
+    that run with status "solver-failure".  Returns the runs that stepped."""
     for run in runs:
         try:
             run.state = run.step(run.state)
@@ -250,26 +249,23 @@ def _alone(runs: list, n: int) -> list:
 
 
 def integrate(
-    stepper: Stepper | list,
+    steppers: list[Stepper],
     dt: float,
     t_final: float,
     snapshot_times=(),
     blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
-) -> RunRecord | list[RunRecord]:
-    """Step ``stepper`` from its initial state to ``t_final``, recording
-    every step; a solver error in a step ends the run with status
-    "solver-failure".  The snapshot densities are taken after the loop.
-
-    A list of steppers is a lockstep batch: independent runs of one model
-    on one space, stepped together (:meth:`Stepper.lockstep`), which
-    returns their records in order.  Each run keeps its own record, trips
-    and stop, and leaves the batch when it stops.
-    """
-    if not isinstance(stepper, list):
-        return integrate([stepper], dt, t_final, snapshot_times, blowup_threshold)[0]
-    n_steps = check_times(dt, t_final, snapshot_times)
+) -> list[RunRecord]:
+    """Step the lockstep batch ``steppers`` (independent runs of one model
+    on one space) to ``t_final``, recording every step; returns their
+    records in order.  Each run keeps its own record, trips and stop, and a
+    solver error in its step ends it with status "solver-failure".  The
+    snapshot densities are taken after the loop.  Rejects an empty batch
+    and the inputs :func:`check_times` rejects."""
+    n_steps = check_times(dt, t_final, snapshot_times, blowup_threshold)
+    if not steppers:
+        raise ConfigurationError("a batch needs at least one run")
     snap_lookup = {round(ts / dt): ts for ts in snapshot_times}
-    runs = [_Run(cell, n_steps) for cell in stepper]
+    runs = [_Run(cell, n_steps) for cell in steppers]
     k = len(runs[0].trips)
     for run in runs:
         for col, value in zip(run.columns, run.observe(run.state)):

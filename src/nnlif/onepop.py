@@ -34,6 +34,7 @@ import numpy as np
 from .assembly import GalerkinMatrices, project_initial, reconstruct
 from .errors import (
     ConfigurationError, LinearSolveError, NonpositiveDiffusionError, SingularFiringRateError, check_finite,
+    check_positive,
 )
 from .integrate import DEFAULT_BLOWUP_THRESHOLD, ONE_POPULATION, RunRecord, check_times, integrate
 from .norms import norm_grid
@@ -282,16 +283,16 @@ def step(
     dt: float,
     shifted: ShiftedSystem | None = None,
 ) -> PopulationState:
-    """Advance one time increment in ``space``; raises on singular systems
-    and on a diffusion <= 0 (:meth:`OnePopParams.diffusion`), on every path.
+    """Advance one time increment in ``space``; raises on singular systems,
+    a diffusion <= 0 (:meth:`OnePopParams.diffusion`) and a bad ``dt``
+    (:func:`errors.check_positive`), on every path.
 
     ``state.rate`` must be the firing rate of ``state.u``, as it is for
     every state that :func:`solve` or this function produces.  ``shifted``,
     the run's factored operator, replaces the dense solve; it must have
     been built from the same parameters, matrices and dt.
     """
-    if dt <= 0:
-        raise ConfigurationError(f"dt must be positive, got {dt}")
+    check_positive("dt", dt)
     rate = state.rate
     diffusion = params.diffusion(rate)
     if shifted is not None:
@@ -347,7 +348,7 @@ def solve(
     "solver-failure" instead of raising.
     """
     space, shifted = Spectral(matrices), None
-    if factor_pays_off(check_times(dt, t_final, snapshot_times), matrices):
+    if factor_pays_off(check_times(dt, t_final, snapshot_times, blowup_threshold), matrices):
         e = params.a1 * (matrices.C + matrices.D) - params.b * matrices.B
         shifted = ShiftedSystem(system_matrix(matrices, 0.0, params.a0, math.inf), e, matrices, dt)
-    return integrate(_OnePop(p0, params, space, dt, shifted), dt, t_final, snapshot_times, blowup_threshold)
+    return integrate([_OnePop(p0, params, space, dt, shifted)], dt, t_final, snapshot_times, blowup_threshold)[0]

@@ -18,7 +18,6 @@ matrices (:func:`nnlif.assembly.dump_matrices`) go through the same writer.
 
 from __future__ import annotations
 
-import math
 import os
 
 import numpy as np
@@ -31,8 +30,6 @@ _BLOCK_ROWS = 65_536
 
 def _format(value) -> str:
     if isinstance(value, (float, np.floating)):
-        if math.isnan(value):
-            return "nan"
         return f"{float(value):.17g}"
     return str(value)
 

@@ -32,7 +32,9 @@ cell's bytes are those of its run alone.
 Delayed rates are read from the run's recorded rate columns at the clamped
 step max(0, n - delay/dt); the current step's rates travel on the state,
 where the previous step left them.  A step only reads the record, so it has
-no effect outside the state it returns.
+no effect outside the state it returns.  Rates follow from threshold slopes
+(:func:`_resolve_rates`): N = -a s with constant diffusion, else a 2x2
+system solved by Cramer's rule, singular exactly when |det| < 1e-12.
 
 Recovery modes:
 
@@ -65,7 +67,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .assembly import GalerkinMatrices
-from .errors import ConfigurationError, NonpositiveDiffusionError, SingularFiringRateError, check_finite
+from .errors import ConfigurationError, NonpositiveDiffusionError, SingularFiringRateError, check_finite, check_positive
 from .integrate import DEFAULT_BLOWUP_THRESHOLD, TWO_POPULATIONS, RunRecord, check_times, integrate, whole_steps
 from .onepop import ShiftedSystem, Spectral, factor_pays_off, system_matrix
 
@@ -240,7 +242,8 @@ def _resolve_rates(params: TwoPopParams, n: int, slopes, lags, history):
     Delayed lookups whose clamped index is n itself are implicit: with
     constant diffusion they drop out of the rate (N = -a s), with model-mode
     diffusion the two rate relations stay affine in (N_E, N_I) and the 2x2
-    system is solved exactly.  Earlier steps are read from the history.
+    system is solved by Cramer's rule; |det| < 1e-12 raises
+    :class:`SingularFiringRateError`.  Earlier steps are read from the history.
     """
     s_e, s_i = slopes
     if params.diffusion_mode == DIFFUSION_CONSTANT:
@@ -249,26 +252,21 @@ def _resolve_rates(params: TwoPopParams, n: int, slopes, lags, history):
 
     # row y is the relation for N_y; unknown entries are the lookups that
     # clamp to the current step
-    mat = np.eye(2)
-    rhs = np.array((-s_e * params.d_e_to_e * params.nu_ext, -s_i * params.d_e_to_i * params.nu_ext))
+    mat = [[1.0, 0.0], [0.0, 1.0]]
+    rhs = [-s_e * params.d_e_to_e * params.nu_ext, -s_i * params.d_e_to_i * params.nu_ext]
     for y, (s, d_row, lag_row) in enumerate(zip(slopes, params.tables["d"], lags)):
         for x, (d, lag) in enumerate(zip(d_row, lag_row)):
             i = max(0, n - lag)
             if i == n:
-                mat[y, x] += s * d
+                mat[y][x] += s * d
             else:
                 rhs[y] -= s * d * float(history[x][i])
-    det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-    if math.isnan(det):
-        # slopes of a non-finite state, whose masses trip the run anyway
-        return math.nan, math.nan
+    (m_ee, m_ei), (m_ie, m_ii) = mat
+    det = m_ee * m_ii - m_ei * m_ie
     if abs(det) < 1e-12:
         raise SingularFiringRateError(f"implicit two-population rate system singular (det={det:.3e})")
-    try:
-        rate_e, rate_i = np.linalg.solve(mat, rhs)
-        return float(rate_e), float(rate_i)
-    except np.linalg.LinAlgError as exc:  # a zero pivot that rounding hid from det
-        raise SingularFiringRateError(f"implicit two-population rate system singular: {exc}") from exc
+    # a NaN det passes the test and gives NaN rates: a non-finite state trips the run
+    return (rhs[0] * m_ii - m_ei * rhs[1]) / det, (m_ee * rhs[1] - m_ie * rhs[0]) / det
 
 
 def step_twopop(
@@ -287,13 +285,15 @@ def step_twopop(
     The current rates come from each state and the delayed ones from its
     history; the states themselves are left untouched, and each new state's
     ``u`` is a fresh stack.  A rate system that has no solution raises
-    :class:`SingularFiringRateError`.  ``shifted``, the factored
+    :class:`SingularFiringRateError`, and a ``dt`` outside (0, inf)
+    :class:`ConfigurationError`.  ``shifted``, the factored
     constant-diffusion operator the cells share, replaces the row solves
     with one solve of the (K, 2, dim) stack of their ``u``; it must have
     been built from the same parameters, matrices and dt.  That solve
     multiplies slice by slice, so each cell's next state is bit for bit the
     one it gets in a batch of one.
     """
+    check_positive("dt", dt)
     if lags is None:
         lags = [p.delay_lags(dt) for p in params]
     inflows, drifts, diffusions = [], [], []
@@ -383,8 +383,10 @@ def solve_twopop(
     record of its run alone.  The cells share one operator, factored here
     before the loop, so they must agree in everything it reads.
     """
-    n_steps = check_times(dt, t_final, snapshot_times)
+    n_steps = check_times(dt, t_final, snapshot_times, blowup_threshold)
     cells = [params] if isinstance(params, TwoPopParams) else params
+    if not cells:
+        raise ConfigurationError("a batch needs at least one run")
     first = cells[0]
     for name in ("diffusion_mode", "diffusion_constant", "refractory_mode"):
         if any(getattr(p, name) != getattr(first, name) for p in cells):

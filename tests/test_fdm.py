@@ -10,6 +10,7 @@ from nnlif.assembly import assemble, normalize_gaussian
 from nnlif.basis import BasisSet
 from nnlif.errors import ConfigurationError, SingularFiringRateError
 from nnlif.fdm import (
+    _STEP_SEARCH,
     FdmGrid,
     fdm_reference,
     fdm_solve,
@@ -17,6 +18,7 @@ from nnlif.fdm import (
     reference_timestep,
     stable_timestep,
 )
+from nnlif.integrate import whole_steps
 from nnlif.norms import l2_distance, norm_grid
 from nnlif.onepop import OnePopParams, solve
 from nnlif.twopop import DELAY_NAMES, TwoPopParams
@@ -412,3 +414,59 @@ def test_reference_timestep_accepts_whole_step_delays(domain, n_steps, t_final, 
     ref_dt = reference_timestep(g, params, t_final)
     for lag in lags:
         assert abs(round(lag * dt / ref_dt) * ref_dt - lag * dt) <= 1e-9 * max(1.0, lag * dt)
+
+
+def test_reference_timestep_takes_no_near_miss(domain):
+    # 61,490 steps of 0.05 come within 1e-9 of both delays, 488/688 and
+    # 997/987 of t_final, without holding either exactly; the step counts
+    # that do are the multiples of lcm(86, 987) = 84,882
+    g = FdmGrid.build(domain, v_min=-6.0, h=1.0 / 64.0)
+    delays = {"delay_e_to_e": 488 / 688 * 0.05, "delay_i_to_i": 997 / 987 * 0.05}
+    assert all(whole_steps(d, 0.05 / 61490) is not None for d in delays.values())
+    assert reference_timestep(g, TwoPopParams(**delays), 0.05) == 0.05 / 84882
+
+
+def _searched_step_count(t_final, delays, first):
+    """The search that :func:`reference_timestep` used to make: the first
+    of the ``_STEP_SEARCH`` step counts from ``first`` at which t_final / n
+    holds every delay to the tolerance of :func:`whole_steps`, or None.  It
+    runs over all counts at once, with the float operations of
+    :func:`whole_steps`, so a set of delays that no count holds costs
+    milliseconds."""
+    n = np.arange(first, first + _STEP_SEARCH)
+    dt = t_final / n
+    fits = np.ones(n.size, dtype=bool)
+    for d in delays:
+        fits &= np.abs(np.round(d / dt) * dt - d) <= 1e-9 * max(1.0, abs(d))
+    hits = np.flatnonzero(fits)
+    return int(n[hits[0]]) if hits.size else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cells_per_unit=st.sampled_from([16, 32, 64, 128]),
+    t_final=st.sampled_from([0.2, 1.0, 2.5]),
+    fractions=st.lists(st.tuples(st.integers(1, 3000), st.integers(1, 1000)), min_size=1, max_size=4),
+)
+def test_reference_timestep_is_the_step_search_in_closed_form(domain, cells_per_unit, t_final, fractions):
+    # delays p/q of t_final: the closed form takes the smallest multiple of
+    # the lcm of the q from the bound's step count, which is the search's
+    # count.  A count n that q does not divide misses the delay d by
+    # dt |k - n p/q| >= t_final / (n q).  On these grids and times n stays
+    # below 2e5, so n q < 1e9 t_final and n p < 1e9: the miss exceeds the
+    # 1e-9 max(1, d) of whole_steps, and the search too finds only the
+    # multiples of every q
+    g = FdmGrid.build(domain, v_min=-6.0, h=1.0 / cells_per_unit)
+    delays = [p / q * t_final for p, q in fractions]
+    params = TwoPopParams(**dict(zip(DELAY_NAMES, delays)))
+    bound = 0.9 * stable_timestep(g, params, 0.0)
+    searched = _searched_step_count(t_final, delays, math.ceil(t_final / bound))
+    if searched is None:
+        with pytest.raises(ConfigurationError, match="divides t_final"):
+            reference_timestep(g, params, t_final)
+        return
+    dt = reference_timestep(g, params, t_final)
+    assert dt <= bound
+    assert whole_steps(t_final, dt) is not None and all(whole_steps(d, dt) is not None for d in delays)
+    # no step count between the bound's and the returned one holds them all
+    assert dt == t_final / searched

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nnlif import assembly, cli, experiments, records, twopop
+from nnlif import assembly, cli, experiments, onepop, records, twopop
 from nnlif.basis import BasisSet
 from nnlif.assembly import assemble, normalize_gaussian
 from nnlif.cli import main
@@ -30,10 +30,10 @@ from nnlif.experiments import (
 from nnlif.fdm import FdmGrid, fdm_solve, reference_timestep
 from nnlif.integrate import ONE_POPULATION, TWO_POPULATIONS, RunRecord, integrate, whole_steps
 from nnlif.norms import norm_grid
-from nnlif.onepop import OnePopParams, solve
+from nnlif.onepop import OnePopParams, Spectral, _OnePop, solve
 from nnlif.quadrature import gauss_legendre
 from nnlif.records import _format, emit_run_record, emit_table, parse_table, write_rows
-from nnlif.twopop import TwoPopParams, solve_twopop
+from nnlif.twopop import TwoPopParams, _TwoPop, solve_twopop
 
 
 def _shipped_config(name):
@@ -362,10 +362,65 @@ class _StartRaises:
 def test_integrate_bounds_the_step_count():
     # 1e12 steps are rejected before a record array is allocated
     with pytest.raises(ConfigurationError, match="takes 1000000000000 steps, at most 10000000"):
-        integrate(_StartRaises(), 1e-9, 1e3)
+        integrate([_StartRaises()], 1e-9, 1e3)
     # exactly the bound passes it and starts
     with pytest.raises(AssertionError, match="the run started"):
-        integrate(_StartRaises(), 1.0, 1e7)
+        integrate([_StartRaises()], 1.0, 1e7)
+
+
+@pytest.fixture(scope="module")
+def entry(domain):
+    """Cheap inputs for the library's entry points: an initial density, one-
+    and two-population parameters, M = 6 matrices, an FV grid and a
+    started state of each model."""
+    ic, one, two = normalize_gaussian(-1.0, 0.5, domain), OnePopParams(a0=1.0, b=3.0), TwoPopParams(b_e_to_e=0.5)
+    mats = assemble(BasisSet(domain, 6))
+    return {
+        "ic": ic, "one": one, "two": two, "mats": mats, "grid": FdmGrid.build(domain, h=1.0 / 16.0),
+        "state": _OnePop(ic, one, Spectral(mats), 0.01).start([]),
+        "state2": _TwoPop((ic, ic), two, Spectral(mats), 0.01).start([np.zeros(11), np.zeros(11)]),
+    }
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        # a blow-up threshold that is not > 0: NaN never trips, -1 and 0 trip at once
+        (lambda e: solve(e["ic"], e["one"], e["mats"], 0.01, 0.1, blowup_threshold=math.nan), "blowup_threshold"),
+        (lambda e: solve(e["ic"], e["one"], e["mats"], 0.01, 0.1, blowup_threshold=-1.0), "blowup_threshold"),
+        (lambda e: solve(e["ic"], e["one"], e["mats"], 0.01, 0.1, blowup_threshold=0.0), "blowup_threshold"),
+        (lambda e: solve_twopop(e["ic"], e["ic"], e["two"], e["mats"], 0.01, 0.1, blowup_threshold=math.nan),
+         "blowup_threshold"),
+        (lambda e: fdm_solve(e["ic"], e["one"], e["grid"], reference_timestep(e["grid"], e["one"], 0.1), 0.1,
+                             blowup_threshold=math.nan), "blowup_threshold"),
+        (lambda e: integrate([_StartRaises()], 0.01, 0.1, (), -1.0), "blowup_threshold"),
+        # a step outside (0, inf)
+        (lambda e: onepop.step(e["state"], e["one"], Spectral(e["mats"]), math.nan), "dt"),
+        (lambda e: onepop.step(e["state"], e["one"], Spectral(e["mats"]), math.inf), "dt"),
+        (lambda e: twopop.step_twopop([e["state2"]], [e["two"]], Spectral(e["mats"]), -0.01), "dt"),
+        (lambda e: twopop.step_twopop([e["state2"]], [e["two"]], Spectral(e["mats"]), math.nan), "dt"),
+        (lambda e: twopop.step_twopop([e["state2"]], [e["two"]], Spectral(e["mats"]), math.inf, [((0, 0), (0, 0))]),
+         "dt"),
+        # an empty batch
+        (lambda e: solve_twopop(e["ic"], e["ic"], [], e["mats"], 0.01, 0.1), "at least one run"),
+        (lambda e: integrate([], 0.01, 0.1), "at least one run"),
+    ],
+    ids=[
+        "solve-threshold-nan", "solve-threshold-negative", "solve-threshold-zero", "solve_twopop-threshold-nan",
+        "fdm_solve-threshold-nan", "integrate-threshold-negative", "step-dt-nan", "step-dt-inf",
+        "step_twopop-dt-negative", "step_twopop-dt-nan", "step_twopop-dt-inf", "solve_twopop-empty",
+        "integrate-empty",
+    ],
+)
+def test_library_entry_points_reject_bad_inputs(entry, call, match):
+    with pytest.raises(ConfigurationError, match=match):
+        call(entry)
+
+
+def test_an_infinite_blowup_threshold_never_trips(entry):
+    # +inf is a valid threshold: it switches detection off
+    rec = solve(entry["ic"], entry["one"], entry["mats"], 0.01, 0.1, blowup_threshold=math.inf)
+    assert rec.status == "completed" and rec.trips == {"blowup_time": None}
 
 
 def test_config_rejects_a_negative_snapshot_time():
@@ -403,7 +458,7 @@ def test_step_bound_is_checked_at_parse(tmp_path, capsys, monkeypatch, raw, step
     with pytest.raises(ConfigurationError, match=f"takes {steps} steps, at most 10000000"):
         parse_config(raw)
     monkeypatch.setattr(experiments, "fdm_reference", _fdm_reference_ran)
-    monkeypatch.setattr(experiments, "fdm_solve", _fdm_run_ran)
+    monkeypatch.setattr(experiments, "reference_run", _fdm_run_ran)
     rc = main([raw["kind"], "--config", _write(tmp_path, "cfg.json", raw), "--out", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err

@@ -393,7 +393,7 @@ def test_zero_shift_denominator_is_a_solver_failure():
     # the eigenvalue -1 / rate makes 1 + rate * lambda exactly zero at the initial rate
     shifted.t[0, 0] = -1.0 / started.rate
     assert 1.0 + started.rate * shifted.t[0, 0] == 0.0
-    run = integrate(stepper, dt, n_steps * dt)
+    run = integrate([stepper], dt, n_steps * dt)[0]
     assert run.status == STATUS_SOLVER_FAILURE
     assert run.times.size == 1
     with pytest.raises(LinearSolveError):

@@ -4,7 +4,7 @@ from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nnlif.assembly import assemble, normalize_gaussian, project_initial
 from nnlif.basis import BasisSet
@@ -288,6 +288,36 @@ def test_unresolvable_rates_end_the_run_at_their_step(m16, domain, monkeypatch):
     assert np.all(np.isfinite(rec.columns["rate_e"])) and np.all(np.isfinite(rec.columns["rate_i"]))
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    d=st.lists(st.floats(0.0, 3.0), min_size=4, max_size=4),
+    nu_ext=st.floats(0.0, 3.0),
+    slopes=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
+    lags=st.lists(st.integers(0, 2), min_size=4, max_size=4),
+    history=st.lists(st.floats(0.0, 10.0), min_size=6, max_size=6),
+)
+def test_rate_system_matches_a_dense_solve(d, nu_ext, slopes, lags, history):
+    # model mode at step 3: a lag-0 lookup is an unknown, a delayed one a
+    # history entry; the affine system is built here from its definition
+    dt, n, names = 0.01, 3, ("e_to_e", "i_to_e", "e_to_i", "i_to_i")
+    params = TwoPopParams(**{f"d_{name}": value for name, value in zip(names, d)},
+                          **{f"delay_{name}": lag * dt for name, lag in zip(names, lags)},
+                          nu_ext=nu_ext, diffusion_mode="model")
+    table, columns = params.delay_lags(dt), (history[:3] + [0.0], history[3:] + [0.0])
+    mat, rhs = np.eye(2), np.array([-slopes[0] * params.d_e_to_e * nu_ext, -slopes[1] * params.d_e_to_i * nu_ext])
+    for y in range(2):
+        for x in range(2):
+            coupling = slopes[y] * params.tables["d"][y][x]
+            if table[y][x] == 0:
+                mat[y, x] += coupling
+            else:
+                rhs[y] -= coupling * columns[x][n - table[y][x]]
+    assume(np.linalg.cond(mat) < 1e3)
+    want = np.linalg.solve(mat, rhs)
+    got = np.array(twopop._resolve_rates(params, n, slopes, table, columns))
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
+
+
 def test_rate_system_raises_typed_errors_only():
     # model diffusion, no delays: row y of the system is N_y + s_y a_y = ...
     params = TwoPopParams(d_e_to_e=1.0, d_i_to_i=1.0, nu_ext=1.0, diffusion_mode="model")
@@ -298,14 +328,11 @@ def test_rate_system_raises_typed_errors_only():
     # a non-finite slope, with the other row singular, leaves the rates to
     # the run's finiteness check
     assert all(map(math.isnan, twopop._resolve_rates(params, 0, [math.nan, -1.0], lags, history)))
-    # det rounds to -1.5e-11, while an LU factorisation without fused
-    # multiply-add meets a zero pivot; either way no raw LinAlgError escapes
+    # det rounds to -1.5e-11, past the 1e-12 singularity test, and Cramer's
+    # rule solves the system from it; no raw error escapes
     rounded = TwoPopParams(d_e_to_e=559.6394622302311, d_i_to_e=955.4173266933418, d_e_to_i=229.74365144767037,
                            d_i_to_i=390.51911358098494, diffusion_mode="model")
-    try:
-        twopop._resolve_rates(rounded, 0, [1.0, 1.0], lags, history)
-    except SingularFiringRateError:
-        pass
+    assert twopop._resolve_rates(rounded, 0, [1.0, 1.0], lags, history) == (0.0, 0.0)
 
 
 def test_reduction_to_single_population(m16, domain):
