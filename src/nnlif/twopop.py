@@ -12,10 +12,12 @@ C-contiguous (2, dim) array.  With constant diffusion the operator
 of population alpha is K0 - V_alpha B, so it changes between steps only
 through the drift offset V_alpha, and K0 is the same for both populations.
 For a run of more than dim steps (2 dim solves) :func:`solve_twopop`
-then factors K0^-1 B once, before the loop (:class:`onepop.ShiftedSystem`),
-and the run's immutable stepper solves the stack in O(dim^2) per row:
-one matrix product maps both rows forward, each row gets its own
-triangular solve at its own shift, and one product maps both back.
+then factors K0^-1 B once, before the loop, in the real Schur form
+(:class:`onepop.ShiftedSystem` with ``stacked``), and the run's immutable
+stepper solves the stack in O(dim^2) per row: one matrix product maps both
+rows forward, one LAPACK ``dtrsyl`` call solves the rows' quasi-triangular
+systems, each at its own shift, as one Sylvester equation, and one product
+maps both back.
 Model-mode diffusion, whose operator moves with two independent scalars,
 and shorter runs advance each row on its own at every step
 (:meth:`onepop.Spectral.advance`).
@@ -26,8 +28,9 @@ parameters that agree in everything K0 reads, builds it once and hands it
 to every cell, and the cells step in lockstep (:func:`integrate.integrate`
 with a list of steppers).  :func:`step_twopop` advances such a batch, a
 run alone being a batch of one, with one solve of the (K, 2, dim) stack of
-its cells' densities.  That solve multiplies slice by slice, so each
-cell's bytes are those of its run alone.
+its cells' densities.  That solve multiplies slice by slice and solves
+each row's column of the Sylvester equation on its own, so each cell's
+bytes are those of its run alone.
 
 Delayed rates are read from the run's recorded rate columns at the clamped
 step max(0, n - delay/dt); the current step's rates travel on the state,
@@ -290,8 +293,8 @@ def step_twopop(
     constant-diffusion operator the cells share, replaces the row solves
     with one solve of the (K, 2, dim) stack of their ``u``; it must have
     been built from the same parameters, matrices and dt.  That solve
-    multiplies slice by slice, so each cell's next state is bit for bit the
-    one it gets in a batch of one.
+    treats each cell's slice as its own, so each cell's next state is bit
+    for bit the one it gets in a batch of one.
     """
     check_positive("dt", dt)
     if lags is None:
@@ -395,7 +398,7 @@ def solve_twopop(
     if first.diffusion_mode == DIFFUSION_CONSTANT and factor_pays_off(2 * n_steps, matrices):
         implicit_flux = first.refractory_mode == RECOVERY_PASS_THROUGH
         g = system_matrix(matrices, 0.0, first.diffusion_constant, math.inf, flux_shift_implicit=implicit_flux)
-        shifted = ShiftedSystem(g, -matrices.B, matrices, dt, source=not implicit_flux)
+        shifted = ShiftedSystem(g, -matrices.B, matrices, dt, source=not implicit_flux, stacked=True)
     steppers = [_TwoPop((p0_e, p0_i), p, space, dt, shifted) for p in cells]
     records = integrate(steppers, dt, t_final, snapshot_times, blowup_threshold)
     return records[0] if isinstance(params, TwoPopParams) else records

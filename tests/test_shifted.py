@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.linalg.lapack import dtrsyl
 
 from nnlif import Domain, normalize_gaussian, onepop, twopop
 from nnlif.assembly import assemble, reconstruct
@@ -24,7 +25,7 @@ from nnlif.errors import LinearSolveError
 from nnlif.integrate import STATUS_COMPLETED, STATUS_SOLVER_FAILURE, integrate
 from nnlif.norms import norm_grid
 from nnlif.onepop import OnePopParams, ShiftedSystem, Spectral, _OnePop, solve, step, system_matrix
-from nnlif.twopop import TwoPopParams, _TwoPop, solve_twopop, step_twopop
+from nnlif.twopop import TwoPopParams, _TwoPop, coefficients, delayed_rates, solve_twopop, step_twopop
 
 DOMAIN = Domain(1.0, 2.0)
 IC = normalize_gaussian(-1.0, 0.5, DOMAIN)
@@ -54,6 +55,35 @@ def _close(got, want, rtol=RUN_RTOL):
 
 def _rel(got, want) -> float:
     return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+def _make_singular(shifted, shift):
+    """Set a 1x1 diagonal block of the system's (quasi-)triangular T to
+    -1 / ``shift``, which makes 1 + shift lambda exactly zero for that
+    eigenvalue; the entries of a 2x2 block are not eigenvalues."""
+    t = shifted.t
+    sub = np.append(np.diag(t, -1), 0.0)
+    i = next(i for i in range(t.shape[0]) if sub[i] == 0.0 and (i == 0 or sub[i - 1] == 0.0))
+    t[i, i] = -1.0 / shift
+
+
+def _twopop_factor(mats, dt, source):
+    """The factored two-population operator at diffusion 1, as
+    :func:`solve_twopop` builds it; ``source``: exponential recovery."""
+    g = system_matrix(mats, 0.0, 1.0, math.inf, flux_shift_implicit=not source)
+    return ShiftedSystem(g, -mats.B, mats, dt, source=source, stacked=True)
+
+
+def _dense_rows(mats, dt, u_old, shifts, inflows, source):
+    """Each row of the stack ``u_old`` solved densely at its shift and inflow."""
+    want = np.empty_like(u_old)
+    for index in np.ndindex(u_old.shape[:-1]):
+        lhs = system_matrix(mats, shifts[index], 1.0, dt, flux_shift_implicit=not source)
+        rhs = mats.H @ u_old[index] / dt
+        if source:
+            rhs = rhs + inflows[index] * mats.F
+        want[index] = np.linalg.solve(lhs, rhs)
+    return want
 
 
 # --- dense step loops (the oracle) -------------------------------------------
@@ -161,7 +191,7 @@ def test_twopop_shifted_solve_matches_dense(m, dt, diffusion, refractory_mode, s
     mats = _mats(m)
     implicit_flux = refractory_mode == "pass-through"
     g = system_matrix(mats, 0.0, diffusion, math.inf, flux_shift_implicit=implicit_flux)
-    shifted = ShiftedSystem(g, -mats.B, mats, dt, source=not implicit_flux)
+    shifted = ShiftedSystem(g, -mats.B, mats, dt, source=not implicit_flux, stacked=True)
     u_old = np.random.default_rng(seed).standard_normal(_dim(m))
     lhs = system_matrix(mats, shift, diffusion, dt, flux_shift_implicit=implicit_flux)
     rhs = mats.H @ u_old / dt
@@ -189,7 +219,7 @@ def test_stacked_solve_is_one_solve_per_row(m, dt, diffusion, refractory_mode, s
     mats = _mats(m)
     implicit_flux = refractory_mode == "pass-through"
     g = system_matrix(mats, 0.0, diffusion, math.inf, flux_shift_implicit=implicit_flux)
-    shifted = ShiftedSystem(g, -mats.B, mats, dt, source=not implicit_flux)
+    shifted = ShiftedSystem(g, -mats.B, mats, dt, source=not implicit_flux, stacked=True)
     u_old = np.random.default_rng(seed).standard_normal((2, _dim(m)))
     stacked = shifted.solve(u_old, shifts, inflows)
     assert stacked.shape == u_old.shape and stacked.flags.c_contiguous
@@ -205,47 +235,159 @@ def test_stacked_solve_is_one_solve_per_row(m, dt, diffusion, refractory_mode, s
 @pytest.mark.parametrize("singular_row", [0, 1])
 def test_stacked_solve_fails_on_a_zero_denominator_in_either_row(singular_row):
     mats = _mats(8)
-    shifted = ShiftedSystem(system_matrix(mats, 0.0, 1.0, math.inf, flux_shift_implicit=False), -mats.B, mats, 1e-3,
-                            source=True)
-    # the eigenvalue -2 makes 1 + 0.5 * lambda exactly zero
-    shifted.t[0, 0] = -2.0
+    shifted = _twopop_factor(mats, 1e-3, source=True)
+    _make_singular(shifted, 0.5)
     shifts = [0.25, 0.25]
     shifts[singular_row] = 0.5
     u_old = np.random.default_rng(4).standard_normal((2, _dim(8)))
-    with pytest.raises(LinearSolveError):
+    with pytest.raises(LinearSolveError, match="shift 0.5"):
         shifted.solve(u_old, shifts, (1.0, 2.0))
 
 
+@settings(max_examples=20)
+@given(
+    m=st.sampled_from([8, 16, 24]),
+    k=st.sampled_from([1, 3, 11]),
+    shifts=st.lists(st.floats(-20.0, 40.0), min_size=22, max_size=22),
+    seed=st.integers(0, 2**16),
+)
 @pytest.mark.parametrize("refractory_mode", ["pass-through", "exponential"], ids=["no-source", "source"])
-def test_cell_stack_solve_is_each_cell_solved_alone(refractory_mode):
+def test_cell_stack_solve_is_each_cell_solved_alone(refractory_mode, m, k, shifts, seed):
     # a lockstep batch solves the (K, 2, dim) stack of its cells' densities,
     # each row at its own shift and inflow, bit for bit as each cell's own
-    # (2, dim) solve
-    mats = _mats(16)
-    implicit_flux = refractory_mode == "pass-through"
-    g = system_matrix(mats, 0.0, 1.0, math.inf, flux_shift_implicit=implicit_flux)
-    shifted = ShiftedSystem(g, -mats.B, mats, 1e-4, source=not implicit_flux)
-    rng = np.random.default_rng(5)
-    u_old = rng.standard_normal((3, 2, _dim(16)))
-    shifts, inflows = rng.uniform(-20.0, 40.0, (3, 2)), rng.uniform(0.0, 50.0, (3, 2))
-    stacked = shifted.solve(u_old, [tuple(s) for s in shifts], [tuple(m) for m in inflows])
+    # (2, dim) solve, and each row as the dense solve does
+    mats, dt, source = _mats(m), 1e-4, refractory_mode == "exponential"
+    shifted = _twopop_factor(mats, dt, source)
+    rng = np.random.default_rng(seed)
+    u_old = rng.standard_normal((k, 2, _dim(m)))
+    shifts, inflows = np.reshape(shifts[:2 * k], (k, 2)), rng.uniform(0.0, 50.0, (k, 2))
+    stacked = shifted.solve(u_old, [tuple(s) for s in shifts], [tuple(i) for i in inflows])
     assert stacked.shape == u_old.shape and stacked.flags.c_contiguous
     for cell, cell_old, shift, inflow in zip(stacked, u_old, shifts, inflows):
         assert np.array_equal(cell, shifted.solve(cell_old, tuple(shift), tuple(inflow)))
+    want = _dense_rows(mats, dt, u_old, shifts, inflows, source)
+    for row, row_want in zip(stacked.reshape(-1, _dim(m)), want.reshape(-1, _dim(m))):
+        assert _rel(row, row_want) <= SOLVE_RTOL
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 0)])
+def test_cell_stack_solve_keeps_a_non_finite_row_to_its_cell(where, value):
+    # dtrsyl would carry a non-finite row into every later row of the
+    # stack (0 * inf); each finite cell keeps its own solve
+    mats, dt = _mats(8), 1e-3
+    shifted = _twopop_factor(mats, dt, source=True)
+    rng = np.random.default_rng(8)
+    u_old = rng.standard_normal((3, 2, _dim(8)))
+    u_old[where][3] = value
+    shifts, inflows = rng.uniform(-20.0, 40.0, (3, 2)), rng.uniform(0.0, 50.0, (3, 2))
+    stacked = shifted.solve(u_old, shifts, inflows)
+    assert not np.isfinite(stacked[where]).all()
+    for c, (cell, cell_old) in enumerate(zip(stacked, u_old)):
+        assert np.array_equal(cell, shifted.solve(cell_old, shifts[c], inflows[c]), equal_nan=True)
+        if c != where[0]:
+            want = _dense_rows(mats, dt, cell_old, shifts[c], inflows[c], True)
+            for row, row_want in zip(cell, want):
+                assert _rel(row, row_want) <= SOLVE_RTOL
+
+
+def test_cell_stack_solve_at_a_common_scale_solves_each_row():
+    # a row near overflow makes dtrsyl scale the whole stack's solution by
+    # one factor < 1; each row is still the solution of its own system
+    mats, dt = _mats(8), 1e-3
+    shifted = _twopop_factor(mats, dt, source=False)
+    u_old = np.random.default_rng(7).standard_normal((3, 2, _dim(8)))
+    u_old[1] *= 1e300
+    shifts = np.full((3, 2), 2.0)
+    # the stack's right-hand sides R r / sigma, as the solve forms them
+    rows = (np.concatenate((u_old / 2.0, u_old), -1) @ shifted.w).reshape(-1, _dim(8))
+    _, scale, info = dtrsyl(shifted.t, np.eye(6) / 2.0, rows.T.copy(order="F"))
+    assert info == 0 and scale < 1.0
+    stacked = shifted.solve(u_old, shifts)
+    want = _dense_rows(mats, dt, u_old, shifts, None, False)
+    for c in range(3):
+        assert np.array_equal(stacked[c], shifted.solve(u_old[c], shifts[c]))
+        for row, row_want in zip(stacked[c], want[c]):
+            assert np.max(np.abs(row - row_want)) <= SOLVE_RTOL * np.max(np.abs(row_want))
+
+
+def test_zero_shift_rows_match_the_dense_solve():
+    # a population with no drift offset (zero couplings and nu_ext 0, as the
+    # inhibitory row of criterion 10) steps at shift 0, which has no
+    # 1 / sigma: its rows are solved outside the one dtrsyl call
+    mats, dt = _mats(16), 1e-3
+    shifted = _twopop_factor(mats, dt, source=True)
+    rng = np.random.default_rng(9)
+    u_old = rng.standard_normal((3, 2, _dim(16)))
+    shifts, inflows = np.array([[0.5, 0.0], [0.0, 0.0], [-3.0, 0.0]]), rng.uniform(0.0, 50.0, (3, 2))
+    stacked = shifted.solve(u_old, shifts, inflows)
+    want = _dense_rows(mats, dt, u_old, shifts, inflows, True)
+    for c in range(3):
+        assert np.array_equal(stacked[c], shifted.solve(u_old[c], shifts[c], inflows[c]))
+        for row, row_want in zip(stacked[c], want[c]):
+            assert _rel(row, row_want) <= SOLVE_RTOL
+    # a factored run whose inhibitory row keeps shift 0 at every step
+    params, n_steps = TwoPopParams(b_e_to_e=0.5), _dim(8) + 5
+    rec = solve_twopop(IC, IC_I, params, _mats(8), dt, n_steps * dt, blowup_threshold=np.inf)
+    series, _, _ = _dense_twopop(params, _mats(8), dt, n_steps)
+    for key, want in series.items():
+        _close(rec.columns[key], want)
+
+
+def test_small_shift_rows_leave_the_other_rows_one_call(monkeypatch):
+    # a row at shift 0 needs no LAPACK call and one at 0 < |shift| < 1e-8 a
+    # call of its own; the other rows of the stack still take one call
+    mats, dt = _mats(8), 1e-3
+    shifted = _twopop_factor(mats, dt, source=True)
+    columns = []
+
+    def counted(a, b, c):
+        columns.append(c.shape[1])
+        return dtrsyl(a, b, c)
+
+    monkeypatch.setattr(shifted, "dtrsyl", counted)
+    rng = np.random.default_rng(10)
+    u_old = rng.standard_normal((3, 2, _dim(8)))
+    shifts, inflows = np.array([[0.5, 0.0], [1e-9, 0.0], [-3.0, 0.25]]), rng.uniform(0.0, 50.0, (3, 2))
+    stacked = shifted.solve(u_old, shifts, inflows)
+    assert columns == [3, 1]
+    want = _dense_rows(mats, dt, u_old, shifts, inflows, True)
+    for row, row_want in zip(stacked.reshape(-1, _dim(8)), want.reshape(-1, _dim(8))):
+        assert _rel(row, row_want) <= SOLVE_RTOL
 
 
 @pytest.mark.parametrize("singular", [(0, 0), (0, 1), (1, 0), (2, 1)])
 def test_cell_stack_solve_fails_on_a_zero_denominator_in_any_row(singular):
     mats = _mats(8)
-    shifted = ShiftedSystem(system_matrix(mats, 0.0, 1.0, math.inf, flux_shift_implicit=False), -mats.B, mats, 1e-3,
-                            source=True)
-    # the eigenvalue -2 makes 1 + 0.5 * lambda exactly zero
-    shifted.t[0, 0] = -2.0
+    shifted = _twopop_factor(mats, 1e-3, source=True)
+    _make_singular(shifted, 0.5)
     shifts = np.full((3, 2), 0.25)
     shifts[singular] = 0.5
     u_old = np.random.default_rng(6).standard_normal((3, 2, _dim(8)))
     with pytest.raises(LinearSolveError, match="shift 0.5"):
         shifted.solve(u_old, shifts, np.ones((3, 2)))
+
+
+def test_singular_shift_ends_only_its_cell_of_a_lockstep_batch():
+    # one cell's first E shift is singular: that cell ends "solver-failure"
+    # at the step where it fails alone, and the others step on, each bit for
+    # bit its run alone
+    mats, dt = _mats(8), 1e-3
+    n_steps = _dim(8) + 10
+    shifted = _twopop_factor(mats, dt, source=False)
+    steppers = [_TwoPop((IC, IC_I), TwoPopParams(b_e_to_e=b, b_e_to_i=0.5), Spectral(mats), dt, shifted)
+                for b in (0.5, 1.0, 2.0)]
+    started = steppers[1].start([np.empty(n_steps + 1), np.empty(n_steps + 1)])
+    (drift_e, _), _ = coefficients(steppers[1].params, delayed_rates(started, steppers[1].lags))
+    _make_singular(shifted, drift_e)
+    batch = integrate(steppers, dt, n_steps * dt)
+    assert [rec.status for rec in batch] == [STATUS_COMPLETED, STATUS_SOLVER_FAILURE, STATUS_COMPLETED]
+    assert batch[1].times.size == 1
+    for rec, stepper in zip(batch, steppers):
+        alone = integrate([stepper], dt, n_steps * dt)[0]
+        assert (rec.status, rec.times.size) == (alone.status, alone.times.size)
+        for name, column in alone.columns.items():
+            assert np.array_equal(rec.columns[name], column), name
 
 
 # --- factored runs against the dense step loop -----------------------------
@@ -427,27 +569,29 @@ def test_solves_leave_the_factors_unchanged():
     mats = _mats(8)
     params, dt = OnePopParams(1.0, 0.1, 0.5), 1e-3
     e = params.a1 * (mats.C + mats.D) - params.b * mats.B
-    shifted = ShiftedSystem(system_matrix(mats, 0.0, params.a0, math.inf), e, mats, dt)
-    assert shifted.t.flags.f_contiguous
-    # the eigenvalue -2 makes 1 + 0.5 * lambda exactly zero
-    shifted.t[0, 0] = -2.0
-    # every array the system stores is a factor that no solve may write
-    factors = {name: value.copy() for name, value in vars(shifted).items() if isinstance(value, np.ndarray)}
-    assert sorted(factors) == ["t", "w", "zr"]
+    one_row = ShiftedSystem(system_matrix(mats, 0.0, params.a0, math.inf), e, mats, dt)
     stack = np.random.default_rng(3).standard_normal((2, _dim(8)))
-    u_old = stack[0]
     stack_copy = stack.copy()
+    u_old = stack[0]
     shifts = (0.0, 0.25, -3.0, 40.0)
-    first = [shifted.solve(u_old, sigma) for sigma in shifts]
-    first_stacked = shifted.solve(stack, shifts[2:])
-    for _ in range(50):
-        with pytest.raises(LinearSolveError):
-            shifted.solve(u_old, 0.5)
-        with pytest.raises(LinearSolveError):
-            shifted.solve(stack, (0.25, 0.5))
-        for sigma, want in zip(shifts, first):
-            assert np.array_equal(shifted.solve(u_old, sigma), want)
-        assert np.array_equal(shifted.solve(stack, shifts[2:]), first_stacked)
-    for name, want in factors.items():
-        assert np.array_equal(getattr(shifted, name), want), name
-    assert np.array_equal(stack, stack_copy)
+    # the one-row system solves rows, the stacked one rows and stacks
+    for shifted, stacks in ((one_row, False), (_twopop_factor(mats, dt, source=False), True)):
+        assert shifted.t.flags.f_contiguous
+        _make_singular(shifted, 0.5)
+        # every array the system stores is a factor that no solve may write
+        factors = {name: value.copy() for name, value in vars(shifted).items() if isinstance(value, np.ndarray)}
+        assert sorted(factors) == ["t", "w", "zr"]
+        first = [shifted.solve(u_old, sigma) for sigma in shifts]
+        first_stacked = shifted.solve(stack, shifts[2:]) if stacks else None
+        for _ in range(50):
+            with pytest.raises(LinearSolveError):
+                shifted.solve(u_old, 0.5)
+            for sigma, want in zip(shifts, first):
+                assert np.array_equal(shifted.solve(u_old, sigma), want)
+            if stacks:
+                with pytest.raises(LinearSolveError):
+                    shifted.solve(stack, (0.25, 0.5))
+                assert np.array_equal(shifted.solve(stack, shifts[2:]), first_stacked)
+        for name, want in factors.items():
+            assert np.array_equal(getattr(shifted, name), want), name
+        assert np.array_equal(stack, stack_copy)
