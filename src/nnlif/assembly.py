@@ -53,7 +53,9 @@ class GalerkinMatrices:
     H: mass matrix, A: drift (leak) matrix, B: rate-drift matrix,
     C: stiffness matrix, D: threshold-flux coupling (nonzero only in the
     interface row), F: reset-point values, mass and slope: the functionals
-    of the integral and of the threshold slope of each basis function.  The
+    of the integral and of the threshold slope of each basis function, and
+    ``readout`` the (dim, 2) matrix [slope | mass] that reads both from one
+    product with a stack of rows.  The
     threshold trace coupling needs no matrix: every basis member vanishes at
     the threshold, so that term is identically zero.
     ``projection_nodes`` and ``projection_weights`` are the composite rule
@@ -70,6 +72,7 @@ class GalerkinMatrices:
     F: np.ndarray
     mass: np.ndarray
     slope: np.ndarray
+    readout: np.ndarray
     projection_nodes: np.ndarray
     projection_weights: np.ndarray
 
@@ -163,7 +166,7 @@ def _assemble_one(basis: BasisSet, n_q: int, lag, leg_ref, projection_ref) -> Ga
     nodes, weights = _projection_rule(basis, projection_ref)
     return GalerkinMatrices(
         basis=basis, n_q=n_q, H=H, A=A, B=B, C=C, D=D, F=F, mass=mass, slope=slope,
-        projection_nodes=nodes, projection_weights=weights,
+        readout=np.column_stack((slope, mass)), projection_nodes=nodes, projection_weights=weights,
     )
 
 

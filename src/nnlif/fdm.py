@@ -96,6 +96,10 @@ class FdmGrid:
     def mass(self, p: np.ndarray) -> float:
         return float(p.sum() * self.h)
 
+    def readout(self, cells) -> list:
+        """The (slope, mass) pair of each row of each cell of a batch."""
+        return [[(self.slope(p), self.mass(p)) for p in rows] for rows in cells]
+
     def density(self, p: np.ndarray) -> np.ndarray:
         """Cell values on ``out_grid``: zero outside, absorbing at the threshold."""
         xs = np.concatenate(([self.v_min], self.centers, [self.domain.v_threshold]))

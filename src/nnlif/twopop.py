@@ -30,7 +30,12 @@ with a list of steppers).  :func:`step_twopop` advances such a batch, a
 run alone being a batch of one, with one solve of the (K, 2, dim) stack of
 its cells' densities.  That solve multiplies slice by slice and solves
 each row's column of the Sylvester equation on its own, so each cell's
-bytes are those of its run alone.
+bytes are those of its run alone.  On the factored and dense paths alike,
+the step then reads every cell's threshold slopes and masses from one
+readout of the new stack: one product with the (dim, 2) matrix
+[slope | mass] of the :class:`GalerkinMatrices`, again slice by slice
+(finite volumes: -p_last / h and sum h per row).  Each new state carries
+its masses, so observing a state is arithmetic-free.
 
 Delayed rates are read from the run's recorded rate columns at the clamped
 step max(0, n - delay/dt); the current step's rates travel on the state,
@@ -192,18 +197,21 @@ def coefficients(params: TwoPopParams, delayed):
 
 
 class TwoPopState(NamedTuple):
-    """Densities, refractory masses and rates of both populations at step
-    ``step_index``, populations in E, I order.
+    """Densities, their masses, refractory masses and rates of both
+    populations at step ``step_index``, populations in E, I order.
 
     ``u`` holds the densities: a C-contiguous (2, dim) stack of coefficient
     rows (spectral), or a tuple of two rows of cell values (finite volumes).
-    ``r`` and ``rate`` are pairs, the latter the rates of this state.
+    ``mass``, ``r`` and ``rate`` are pairs: the masses of the rows of ``u``,
+    read with the threshold slopes that give the rates (the space's
+    ``readout``), the refractory masses, and the rates of this state.
     ``history`` is the pair of recorded rate columns of the run, entry k for
     step k; a step reads the entries before its own index that its delays
     reach, which with zero delays is none.
     """
 
     u: np.ndarray | Sequence[np.ndarray]
+    mass: Sequence[float]
     r: Sequence[float]
     step_index: int
     rate: Sequence[float]
@@ -287,18 +295,24 @@ def step_twopop(
 
     The current rates come from each state and the delayed ones from its
     history; the states themselves are left untouched, and each new state's
-    ``u`` is a fresh stack.  A rate system that has no solution raises
-    :class:`SingularFiringRateError`, and a ``dt`` outside (0, inf)
+    ``u`` is a slice of a fresh stack of the cells' rows, whose one
+    ``space.readout`` gives every cell's threshold slopes, and so its
+    rates, and masses.  A rate system that has no solution raises
+    :class:`SingularFiringRateError`; a ``dt`` outside (0, inf), or
+    ``states``, ``params`` and ``lags`` of different lengths,
     :class:`ConfigurationError`.  ``shifted``, the factored
     constant-diffusion operator the cells share, replaces the row solves
     with one solve of the (K, 2, dim) stack of their ``u``; it must have
-    been built from the same parameters, matrices and dt.  That solve
-    treats each cell's slice as its own, so each cell's next state is bit
-    for bit the one it gets in a batch of one.
+    been built from the same parameters, matrices and dt.  That solve and
+    the readout treat each cell's slice as its own, so each cell's next
+    state is bit for bit the one it gets in a batch of one.
     """
     check_positive("dt", dt)
     if lags is None:
         lags = [p.delay_lags(dt) for p in params]
+    if not len(states) == len(params) == len(lags):
+        raise ConfigurationError(f"a batch needs one params and one lags per state, got {len(states)} states, "
+                                 f"{len(params)} params and {len(lags)} lags")
     inflows, drifts, diffusions = [], [], []
     for st, p, lag in zip(states, params, lags):
         inflows.append(recovery(st.r, st.rate, p))
@@ -308,16 +322,16 @@ def step_twopop(
     if shifted is not None:
         us = shifted.solve(np.array([st.u for st in states]), drifts, inflows)
     else:
-        us = [
+        us = space.stack([
             space.stack([space.advance(row, dt, v, a, m, p.refractory_mode == RECOVERY_PASS_THROUGH)
                          for row, v, a, m in zip(st.u, drift, diffusion, inflow)])
             for st, p, drift, diffusion, inflow in zip(states, params, drifts, diffusions, inflows)
-        ]
+        ])
     stepped = []
-    for st, p, lag, u, inflow in zip(states, params, lags, us, inflows):
+    for st, p, lag, u, inflow, ((s_e, m_e), (s_i, m_i)) in zip(states, params, lags, us, inflows, space.readout(us)):
         n = st.step_index + 1
-        rate = _resolve_rates(p, n, (space.slope(u[0]), space.slope(u[1])), lag, st.history)
-        stepped.append(TwoPopState(u, st.refractory_after(inflow, dt), n, rate, st.history))
+        rate = _resolve_rates(p, n, (s_e, s_i), lag, st.history)
+        stepped.append(TwoPopState(u, (m_e, m_i), st.refractory_after(inflow, dt), n, rate, st.history))
     return stepped
 
 
@@ -342,10 +356,11 @@ class _TwoPop:
     def start(self, rates) -> TwoPopState:
         space = self.space
         u = space.stack([space.initial(p0) for p0 in self.p0])
+        (s_e, m_e), (s_i, m_i) = space.readout([u])[0]
         # rates at t=0 follow the delayed-coefficient rule of the first step
         # (every lookup clamps to the current step)
-        slopes = space.slope(u[0]), space.slope(u[1])
-        return TwoPopState(u, (0.0, 0.0), 0, _resolve_rates(self.params, 0, slopes, self.lags, rates), rates)
+        rate = _resolve_rates(self.params, 0, (s_e, s_i), self.lags, rates)
+        return TwoPopState(u, (m_e, m_i), (0.0, 0.0), 0, rate, rates)
 
     def step(self, state: TwoPopState) -> TwoPopState:
         return step_twopop([state], [self.params], self.space, self.dt, [self.lags], self.shifted)[0]
@@ -357,8 +372,7 @@ class _TwoPop:
         return lambda states: step_twopop(states, params, space, dt, lags, shifted)
 
     def observe(self, state: TwoPopState):
-        mass, u = self.space.mass, state.u
-        return (*state.rate, mass(u[0]), mass(u[1]), *state.r)
+        return (*state.rate, *state.mass, *state.r)
 
     def densities(self, state: TwoPopState) -> np.ndarray:
         return np.array([self.space.density(row) for row in state.u])

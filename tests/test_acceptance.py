@@ -329,7 +329,7 @@ def test_criterion_10_reduction_equivalence(domain, gaussian_ic):
     # constant diffusion: N = -a s for each population
     rate0 = -params2.diffusion_constant * float(np.dot(mats.slope, u0))
     two = TwoPopState(
-        u=(u0.copy(), u0.copy()), r=(0.0, 0.0), step_index=0,
+        u=(u0.copy(), u0.copy()), mass=(float(mats.mass @ u0),) * 2, r=(0.0, 0.0), step_index=0,
         rate=(rate0, rate0),
     )
     lags = params2.delay_lags(dt)

@@ -404,12 +404,19 @@ def entry(domain):
         # an empty batch
         (lambda e: solve_twopop(e["ic"], e["ic"], [], e["mats"], 0.01, 0.1), "at least one run"),
         (lambda e: integrate([], 0.01, 0.1), "at least one run"),
+        # a batch whose states, params and lags differ in length
+        (lambda e: twopop.step_twopop([e["state2"]] * 2, [e["two"]], Spectral(e["mats"]), 0.01),
+         "2 states, 1 params and 1 lags"),
+        (lambda e: twopop.step_twopop([e["state2"]], [e["two"]] * 2, Spectral(e["mats"]), 0.01),
+         "1 states, 2 params and 2 lags"),
+        (lambda e: twopop.step_twopop([e["state2"]] * 2, [e["two"]] * 2, Spectral(e["mats"]), 0.01,
+                                      [((0, 0), (0, 0))]), "2 states, 2 params and 1 lags"),
     ],
     ids=[
         "solve-threshold-nan", "solve-threshold-negative", "solve-threshold-zero", "solve_twopop-threshold-nan",
         "fdm_solve-threshold-nan", "integrate-threshold-negative", "step-dt-nan", "step-dt-inf",
         "step_twopop-dt-negative", "step_twopop-dt-nan", "step_twopop-dt-inf", "solve_twopop-empty",
-        "integrate-empty",
+        "integrate-empty", "step_twopop-more-states", "step_twopop-more-params", "step_twopop-fewer-lags",
     ],
 )
 def test_library_entry_points_reject_bad_inputs(entry, call, match):
@@ -863,6 +870,28 @@ def test_lockstep_solver_failure_ends_only_its_cell(monkeypatch):
         assert (rec.status, rec.trips, rec.times.size) == (want.status, want.trips, want.times.size)
         for name, column in want.columns.items():
             assert np.array_equal(rec.columns[name], column), name
+
+
+def test_lockstep_cell_that_goes_non_finite_ends_only_its_cell():
+    # with tau_e = 1e-300 the middle cell's recovery inflow R / tau_e
+    # overflows within a few steps of the factored M = 16 batch: its slice of
+    # the stack, and of its readout, turns non-finite mid-batch while the
+    # other cells step on, each still its run alone
+    raw = _shipped_config("twopop_regimes.json")
+    raw["numerics"].update(dt=1e-3, t_final=0.2)
+    cfg = parse_config(raw)
+    mats = experiments._matrices(cfg, [16])[16]
+    params = [replace(cfg.params, b_e_to_e=3.5), replace(cfg.params, b_e_to_e=3.82, tau_e=1e-300),
+              replace(cfg.params, b_e_to_e=4.0)]
+    batch = solve_twopop(*cfg.ic, params, mats, 1e-3, 0.2, blowup_threshold=math.inf)
+    assert [rec.status for rec in batch] == ["completed", "blow-up-detected", "completed"]
+    assert [rec.times.size for rec in batch] == [201, 4, 201]
+    assert not np.isfinite(batch[1].columns["mass_e"][-1])
+    for p, rec in zip(params, batch):
+        want = solve_twopop(*cfg.ic, p, mats, 1e-3, 0.2, blowup_threshold=math.inf)
+        assert (rec.status, rec.trips, rec.times.size) == (want.status, want.trips, want.times.size)
+        for name, column in want.columns.items():
+            assert np.array_equal(rec.columns[name], column, equal_nan=True), name
 
 
 def test_lockstep_wall_time_is_each_cell_share_of_the_loop():

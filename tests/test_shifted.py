@@ -113,8 +113,8 @@ def _dense_twopop(params, mats, dt, n_steps):
         cols[0][n], cols[1][n] = state.rate
         series["rate_e"].append(state.rate[0])
         series["rate_i"].append(state.rate[1])
-        series["mass_e"].append(float(np.dot(mats.mass, state.u[0])))
-        series["mass_i"].append(float(np.dot(mats.mass, state.u[1])))
+        series["mass_e"].append(state.mass[0])
+        series["mass_i"].append(state.mass[1])
     return {key: np.array(v) for key, v in series.items()}, state.u[0], state.u[1]
 
 

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from nnlif.assembly import assemble, normalize_gaussian, project_initial
 from nnlif.basis import BasisSet
 from nnlif.errors import ConfigurationError, NonpositiveDiffusionError, SingularFiringRateError
+from nnlif.fdm import FdmGrid
 from nnlif.onepop import OnePopParams, Spectral, factor_pays_off, solve
 from nnlif import twopop
 from nnlif.twopop import (
@@ -49,7 +50,7 @@ def lagged_rate(recorded, current, n, lag):
     """The rate that every population sees at step n through a delay of
     ``lag`` steps, with ``recorded`` as the history and ``current`` as the
     rate of both populations; the four lookups must agree."""
-    state = TwoPopState(u=None, r=(0.0, 0.0), step_index=n, rate=(current, current),
+    state = TwoPopState(u=None, mass=(1.0, 1.0), r=(0.0, 0.0), step_index=n, rate=(current, current),
                         history=(recorded, recorded))
     (ee, ie), (ei, ii) = delayed_rates(state, ((lag, lag), (lag, lag)))
     assert ee == ie == ei == ii
@@ -163,7 +164,8 @@ def test_pairs_are_indexed_target_then_source():
     assert lags == ((1, 3), (2, 4))
     history = (np.arange(10.0) + 100.0, np.arange(10.0) + 200.0)
     n = 8
-    state = TwoPopState(u=(None, None), r=(0.0, 0.0), step_index=n, rate=(-1.0, -2.0), history=history)
+    state = TwoPopState(u=(None, None), mass=(1.0, 1.0), r=(0.0, 0.0), step_index=n, rate=(-1.0, -2.0),
+                        history=history)
     delayed = twopop.delayed_rates(state, lags)
     # delayed[y][x]: the rate of source x that target y sees, from step n - lag
     assert delayed == [[history[0][n - 1], history[1][n - 3]], [history[0][n - 2], history[1][n - 4]]]
@@ -178,6 +180,32 @@ def test_pairs_are_indexed_target_then_source():
     assert rates[1] == pytest.approx(2.0 * (0.2 * (7.0 + 106.0) + 0.5 * 204.0))
 
 
+# --- readout -----------------------------------------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.sampled_from([8, 16, 24]), k=st.sampled_from([1, 3, 11]), seed=st.integers(0, 2**16))
+def test_readout_reads_each_cell_as_alone(domain, m, k, seed):
+    # a step reads every cell's slopes and masses from one product with the
+    # (K, 2, dim) stack: each cell reads as its (2, dim) stack does alone, and
+    # each row as the space's slope and mass, to rounding of the dot products
+    space = Spectral(_matrices(domain, m))
+    rng = np.random.default_rng(seed)
+    dim = space.matrices.H.shape[0]
+    cells = rng.standard_normal((k, 2, dim)) * 10.0 ** rng.uniform(-3.0, 3.0, (k, 2, 1))
+    read = np.array(space.readout(cells))
+    assert read.shape == (k, 2, 2)
+    for cell, cell_read in zip(cells, read):
+        assert np.array_equal(cell_read, space.readout(cell))
+        assert np.array_equal(cell_read, space.readout([cell])[0])
+        for row, (slope, mass) in zip(cell, cell_read):
+            assert abs(slope - space.slope(row)) <= 1e-13 * (np.abs(space.matrices.slope) @ np.abs(row))
+            assert abs(mass - space.mass(row)) <= 1e-13 * (np.abs(space.matrices.mass) @ np.abs(row))
+    grid = FdmGrid.build(domain, h=1.0 / 2 ** rng.integers(2, 6))
+    fdm_cells = [tuple(rng.standard_normal((2, grid.n_cells))) for _ in range(k)]
+    assert grid.readout(fdm_cells) == [[(grid.slope(row), grid.mass(row)) for row in cell] for cell in fdm_cells]
+
+
 # --- stepping ----------------------------------------------------------------
 
 
@@ -186,7 +214,7 @@ def test_zero_state_stays_zero(m16):
     params = _decoupled(b_e_to_e=1.0)
     dim = basis.dim
     state = TwoPopState(
-        u=(np.zeros(dim), np.zeros(dim)), r=(0.0, 0.0),
+        u=(np.zeros(dim), np.zeros(dim)), mass=(0.0, 0.0), r=(0.0, 0.0),
         step_index=0, rate=(0.0, 0.0),
     )
     (out,) = step_twopop([state], [params], Spectral(mats), 1e-3)
