@@ -12,14 +12,14 @@ C-contiguous (2, dim) array.  With constant diffusion the operator
 of population alpha is K0 - V_alpha B, so it changes between steps only
 through the drift offset V_alpha, and K0 is the same for both populations.
 For a run of more than dim steps (2 dim solves) :func:`solve_twopop`
-then factors K0^-1 B once, before the loop, in the real Schur form
-(:class:`onepop.ShiftedSystem` with ``stacked``), and the run's immutable
-stepper solves the stack in O(dim^2) per row: one matrix product maps both
-rows forward, one LAPACK ``dtrsyl`` call solves the rows' quasi-triangular
-systems, each at its own shift, as one Sylvester equation, and one product
-maps both back.
+then diagonalises K0^-1 (-B) once, before the loop, with numpy
+(:class:`ModalSystem`), and the run's immutable stepper solves the stack in
+O(dim^2) per row: one matrix product maps both rows into the eigenbasis,
+one elementwise division by 1 + V_alpha lambda solves each row at its own
+shift, and one product maps both back.  No scipy module is loaded.
 Model-mode diffusion, whose operator moves with two independent scalars,
-and shorter runs advance each row on its own at every step
+shorter runs, and runs whose eigenvector basis is too ill conditioned to
+solve with advance each row on its own at every step
 (:meth:`onepop.Spectral.advance`).
 
 K0 and B do not depend on the couplings, so the cells of a sweep over them
@@ -28,14 +28,14 @@ parameters that agree in everything K0 reads, builds it once and hands it
 to every cell, and the cells step in lockstep (:func:`integrate.integrate`
 with a list of steppers).  :func:`step_twopop` advances such a batch, a
 run alone being a batch of one, with one solve of the (K, 2, dim) stack of
-its cells' densities.  That solve multiplies slice by slice and solves
-each row's column of the Sylvester equation on its own, so each cell's
-bytes are those of its run alone.  On the factored and dense paths alike,
-the step then reads every cell's threshold slopes and masses from one
-readout of the new stack: one product with the (dim, 2) matrix
-[slope | mass] of the :class:`GalerkinMatrices`, again slice by slice
-(finite volumes: -p_last / h and sum h per row).  Each new state carries
-its masses, so observing a state is arithmetic-free.
+its cells' densities.  That solve multiplies slice by slice and divides
+element by element, so each cell's bytes are those of its run alone.  On
+the factored and dense paths alike, the step then reads every cell's
+threshold slopes and masses from one readout of the new stack: one
+product with the (dim, 2) matrix [slope | mass] of the
+:class:`GalerkinMatrices`, again slice by slice (finite volumes:
+-p_last / h and sum h per row).  Each new state carries its masses, so
+observing a state is arithmetic-free.
 
 Delayed rates are read from the run's recorded rate columns at the clamped
 step max(0, n - delay/dt); the current step's rates travel on the state,
@@ -75,9 +75,12 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .assembly import GalerkinMatrices
-from .errors import ConfigurationError, NonpositiveDiffusionError, SingularFiringRateError, check_finite, check_positive
+from .errors import (
+    ConfigurationError, LinearSolveError, NonpositiveDiffusionError, SingularFiringRateError, check_finite,
+    check_positive,
+)
 from .integrate import DEFAULT_BLOWUP_THRESHOLD, TWO_POPULATIONS, RunRecord, check_times, integrate, whole_steps
-from .onepop import ShiftedSystem, Spectral, factor_pays_off, system_matrix
+from .onepop import Spectral, factor_pays_off, increment_operands, system_matrix
 
 RECOVERY_PASS_THROUGH = "pass-through"
 RECOVERY_EXPONENTIAL = "exponential"
@@ -165,6 +168,96 @@ class TwoPopParams:
             if whole_steps(getattr(self, name), dt) is None:
                 raise ConfigurationError(f"{name}={getattr(self, name)} is not an integer multiple of dt={dt}")
         return tuple(tuple(whole_steps(d, dt) for d in row) for row in self.tables["delay"])
+
+
+# the largest condition number kappa_2(V) of an eigenvector basis that a
+# modal factor is built on: a solve's relative error grows like kappa_2(V)
+# times the rounding unit; with the factors built under this bound, solves
+# at M <= 64, dt <= 1e-2 and diffusion 0.5 to 2 stay within 1.1e-13 of the
+# dense solve
+MAX_MODAL_CONDITION = 1e3
+
+
+@dataclass(frozen=True, eq=False)
+class ModalSystem:
+    """Solves (K0 + sigma E) u = H u_old / dt + m F for a stack of rows,
+    each at its own shift sigma and inflow m, in the eigenbasis of
+    K0^-1 E = V Lambda V^-1; K0 = H / dt + G.
+
+    A row is solved for its increment, as in :class:`onepop.ShiftedSystem`:
+    u = u_old - K_sigma^-1 r with r = (G + sigma E) u_old - m F, and
+    K_sigma^-1 = V (I + sigma Lambda)^-1 V^-1 K0^-1.  The build folds the
+    fixed factors into W = V^-1 K0^-1 [G | E (| -F)].  So a (..., dim) stack
+    takes one product x W with x = [u_old, sigma u_old (, m)] per row, one
+    elementwise division of each row by 1 + sigma lambda, and one product
+    back through V.  W and V are complex, so the real and imaginary parts
+    of W fill alternate columns of ``w``, and Re V, -Im V alternate rows of
+    ``v``, as Re y and Im y alternate in the floats of a complex row y.
+    Every row's arithmetic reads only that row: a row at sigma = 0 needs no
+    path of its own, and a non-finite row touches no other.  matmul
+    multiplies a (K, 2, dim) stack, the rows of the K cells of a lockstep
+    sweep, one (2, dim) slice at a time, so each cell's bytes are those of
+    its own (2, dim) solve.
+
+    An eigenvector basis can be ill conditioned (kappa_2(V) = 1e8 at M = 16
+    for the one-population E = a1 (C + D) - b B, which therefore keeps its
+    Schur form).  For the two-population E = -B, kappa_2(V) is 4 to 230 at
+    M <= 24, dt <= 1e-2 and diffusion 0.1 to 10, but reaches 6e4 at M = 24
+    and dt = 4e-2, and 2e5 at M = 64 and dt = 1e-2.  :meth:`build` gives no
+    factor past :data:`MAX_MODAL_CONDITION`, and the run then solves
+    densely.
+
+    At M = 16 (dim 33), on one core of a shared 2-vCPU x86-64 host (best of
+    15 rounds of 2,000 solves, with a source), a solve of a (1, 2, dim)
+    stack takes 11.8 us, (3, 2, dim) 15.5 us, (11, 2, dim) 30.5 us and
+    (33, 2, dim) 63.4 us.  Of a (1, 2, dim) solve, building x takes about
+    2.7 us, forming 1 + sigma lambda and testing it for a zero 3.2 us, the
+    two products 4.1 us and the division 0.7 us; a solve makes no LAPACK
+    call.
+    """
+
+    w: np.ndarray
+    v: np.ndarray
+    lam: np.ndarray
+    source: bool
+
+    @classmethod
+    def build(cls, g: np.ndarray, e: np.ndarray, matrices: GalerkinMatrices, dt: float,
+              source: bool = False) -> ModalSystem | None:
+        """The factor of K0 + sigma E, or None when its eigenvector basis
+        is too ill conditioned to solve with; ``g`` is the operator without
+        its mass term, ``source`` selects whether the inflow m F is part of
+        the right-hand side.  Raises :class:`LinearSolveError` when K0 is
+        singular."""
+        k0_inv_e, s = increment_operands(g, e, matrices, dt, source)
+        lam, vecs = np.linalg.eig(k0_inv_e)
+        if not np.linalg.cond(vecs) <= MAX_MODAL_CONDITION:
+            return None
+        y = np.linalg.solve(vecs, s)
+        dim = g.shape[0]
+        w, v = np.empty((y.shape[1], 2 * dim)), np.empty((2 * dim, dim))
+        w[:, 0::2], w[:, 1::2] = y.real.T, y.imag.T
+        v[0::2], v[1::2] = vecs.real.T, -vecs.imag.T
+        return cls(w, v, lam, source)
+
+    def solve(self, u_old: np.ndarray, sigma, inflow=0.0) -> np.ndarray:
+        """u of the step from each row of ``u_old``, (..., dim), at its shift
+        and inflow; ``sigma`` and ``inflow`` are shaped like the leading
+        axes.  Raises :class:`LinearSolveError`, naming the shift, when some
+        row's 1 + sigma lambda is zero."""
+        sigma = np.asarray(sigma, dtype=float)
+        dim = u_old.shape[-1]
+        x = np.empty(u_old.shape[:-1] + (self.w.shape[0],))
+        x[..., :dim] = u_old
+        np.multiply(sigma[..., None], u_old, out=x[..., dim:2 * dim])
+        if self.source:
+            x[..., -1] = inflow
+        denom = 1.0 + sigma[..., None] * self.lam
+        if not denom.all():
+            shift = float(sigma[~denom.all(axis=-1)].flat[0])
+            raise LinearSolveError(f"shifted step system singular at shift {shift:.6g}")
+        y = (x @ self.w).view(np.complex128) / denom
+        return u_old - y.view(np.float64) @ self.v
 
 
 def recovery(r, rates, params: TwoPopParams):
@@ -286,7 +379,7 @@ def step_twopop(
     space,
     dt: float,
     lags: list | None = None,
-    shifted: ShiftedSystem | None = None,
+    shifted: ModalSystem | None = None,
 ) -> list[TwoPopState]:
     """Advance both populations in ``space`` and the refractory masses of
     each cell of a lockstep batch by one step: ``states``, ``params`` and
@@ -347,7 +440,7 @@ class _TwoPop:
     params: TwoPopParams
     space: Any
     dt: float
-    shifted: ShiftedSystem | None = None
+    shifted: ModalSystem | None = None
     lags: tuple = field(init=False)
 
     def __post_init__(self):
@@ -398,7 +491,8 @@ def solve_twopop(
     trip time for each population.  A list of ``params`` runs one cell per
     entry as a lockstep batch and returns their records in order, each the
     record of its run alone.  The cells share one operator, factored here
-    before the loop, so they must agree in everything it reads.
+    before the loop, so they must agree in everything it reads; when
+    :meth:`ModalSystem.build` gives no factor, every cell solves densely.
     """
     n_steps = check_times(dt, t_final, snapshot_times, blowup_threshold)
     cells = [params] if isinstance(params, TwoPopParams) else params
@@ -412,7 +506,7 @@ def solve_twopop(
     if first.diffusion_mode == DIFFUSION_CONSTANT and factor_pays_off(2 * n_steps, matrices):
         implicit_flux = first.refractory_mode == RECOVERY_PASS_THROUGH
         g = system_matrix(matrices, 0.0, first.diffusion_constant, math.inf, flux_shift_implicit=implicit_flux)
-        shifted = ShiftedSystem(g, -matrices.B, matrices, dt, source=not implicit_flux, stacked=True)
+        shifted = ModalSystem.build(g, -matrices.B, matrices, dt, source=not implicit_flux)
     steppers = [_TwoPop((p0_e, p0_i), p, space, dt, shifted) for p in cells]
     records = integrate(steppers, dt, t_final, snapshot_times, blowup_threshold)
     return records[0] if isinstance(params, TwoPopParams) else records

@@ -1011,7 +1011,7 @@ with tempfile.TemporaryDirectory() as out:
 
 
 @pytest.mark.parametrize(
-    "body, factored",
+    "body, schur",
     [
         ("import nnlif.cli", False),
         # 2 and 4 steps at dim 9: every run, the reference included, solves densely
@@ -1020,22 +1020,24 @@ with tempfile.TemporaryDirectory() as out:
         (_GRID_RUN.format(dt_values=[0.005]), True),
         # 2 populations x 2 steps at dim 9: a dense run, and its classified regime
         (_REGIMES_RUN.format(dt=0.05), False),
-        # 2 populations x 20 steps pass factor_pays_off at dim 9
-        (_REGIMES_RUN.format(dt=0.005), True),
+        # 2 populations x 20 steps pass factor_pays_off at dim 9: a modal
+        # factor, built by numpy alone
+        (_REGIMES_RUN.format(dt=0.005), False),
     ],
     ids=["import-cli", "dense-grid", "factored-grid", "dense-regimes", "factored-regimes"],
 )
-def test_scipy_imported_only_where_used(body, factored):
-    """A fresh interpreter loads scipy only for the factored stepper
-    (scipy.linalg); classifying a regime loads none.  A dense run loads no
+def test_scipy_imported_only_where_used(body, schur):
+    """A fresh interpreter loads scipy only for the one-population factored
+    stepper (scipy.linalg, for its Schur form); a two-population run, dense
+    or factored, and classifying a regime load none.  Those runs load no
     numpy.ma either (np.unique would); scipy.linalg loads it through its
-    array-API layer, so the factored runs may."""
+    array-API layer, so the factored one-population run may."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", _WATCHED_MODULES.format(body=body)], env=env,
                          capture_output=True, text=True, check=True).stdout
     modules = json.loads(out)
-    if factored:
+    if schur:
         assert "scipy.linalg" in modules
         assert not [m for m in modules if m.startswith("scipy.signal")]
     else:
@@ -1434,3 +1436,61 @@ def test_shipped_configs_parse(perfbench_workloads):
         for smoke in (False, True):
             cfg = parse_config(workload.config(perfbench.DEFAULT_SEED, smoke=smoke))
             assert cfg.kind == workload.base["kind"]
+
+
+def _script(name):
+    """``scripts/<name>.py``, loaded as a module."""
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"script_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ab_claim_holds_needs_nine_in_ten_pairs_and_a_gap_past_the_iqr():
+    ab = _script("ab")
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.0, 1.1, 1.2, 1.3, 1.4]
+    assert ab.claim_holds(parent, [p - 0.5 for p in parent], True) == (10, True)
+    # better in every pair, but by less than the parent's spread
+    assert ab.claim_holds(parent, [p - 0.01 for p in parent], True) == (10, False)
+    # better in 8 of 10 pairs only
+    assert ab.claim_holds(parent, [p - 0.5 for p in parent[:8]] + parent[8:], True) == (8, False)
+    # higher is better
+    assert ab.claim_holds(parent, [p + 0.5 for p in parent], False) == (10, True)
+
+
+def test_ab_prints_a_verdict_for_each_seed(tmp_path, monkeypatch, capsys):
+    ab = _script("ab")
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    for tree in trees.values():
+        tree.mkdir()
+    end_to_end = [{"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    (trees["parent"] / "BENCHMARK.json").write_text(json.dumps({"end_to_end": end_to_end}))
+    calls = []
+
+    def fake_run(tree, args, seed):
+        calls.append((tree.name, seed))
+        # the change is twice as fast at seed 0 and as fast at seed 2
+        value = 1.0 + 0.01 * len(calls)
+        if tree.name == "change" and seed == 0:
+            value /= 2.0
+        return {"metrics": {"run_s": {"value": value}}, "failed": 0, "attempted": 3, "correct": True}
+
+    monkeypatch.setattr(ab, "run", fake_run)
+    argv = ["--parent", str(trees["parent"]), "--change", str(trees["change"]), "--workload", "regimes",
+            "--seeds", "0", "2", "--pairs", "4"]
+    assert ab.main(argv) == 0
+    out = capsys.readouterr().out
+    assert "workload regimes, seed 0, 4 pairs" in out and "workload regimes, seed 2, 4 pairs" in out
+    assert "verdict, seed 0: run_s gain holds: True" in out
+    assert "verdict, seed 2: run_s gain holds: False" in out
+    # every pair alternates which side runs first, one seed after the other
+    first = [("parent", 0), ("change", 0), ("change", 0), ("parent", 0)]
+    assert calls == first * 2 + [(side, 2) for side, _ in first * 2]
+    # --seed, as before, runs one seed
+    calls.clear()
+    assert ab.main(argv[:6] + ["--seed", "2", "--pairs", "2"]) == 0
+    assert calls == [("parent", 2), ("change", 2), ("change", 2), ("parent", 2)]
+    assert "verdict, seed 2: run_s gain holds: False" in capsys.readouterr().out

@@ -2,11 +2,13 @@
 
 A run that makes more than twice the system's dimension in solves (a
 two-population step makes two) factors its operator once and solves each
-step through :class:`nnlif.onepop.ShiftedSystem`; shorter runs and
-model-mode two-population runs solve densely.  The dense solve is
-the oracle here: one factored solve agrees with it to rounding, a factored
-run agrees with a loop over the dense step to a small multiple of that, and
-a run that takes the dense path is bit-identical to the loop.
+step through :class:`nnlif.onepop.ShiftedSystem` (one population) or
+:class:`nnlif.twopop.ModalSystem` (two populations, unless its eigenvector
+basis is too ill conditioned); shorter runs, model-mode two-population runs
+and runs refused a modal factor solve densely.  The dense solve is the
+oracle here: one factored solve agrees with it to rounding, a factored run
+agrees with a loop over the dense step to a small multiple of that, and a
+run that takes the dense path is bit-identical to the loop.
 """
 
 import math
@@ -16,7 +18,6 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.linalg.lapack import dtrsyl
 
 from nnlif import Domain, normalize_gaussian, onepop, twopop
 from nnlif.assembly import assemble, reconstruct
@@ -25,7 +26,9 @@ from nnlif.errors import LinearSolveError
 from nnlif.integrate import STATUS_COMPLETED, STATUS_SOLVER_FAILURE, integrate
 from nnlif.norms import norm_grid
 from nnlif.onepop import OnePopParams, ShiftedSystem, Spectral, _OnePop, solve, step, system_matrix
-from nnlif.twopop import TwoPopParams, _TwoPop, coefficients, delayed_rates, solve_twopop, step_twopop
+from nnlif.twopop import (
+    MAX_MODAL_CONDITION, ModalSystem, TwoPopParams, _TwoPop, coefficients, delayed_rates, solve_twopop, step_twopop,
+)
 
 DOMAIN = Domain(1.0, 2.0)
 IC = normalize_gaussian(-1.0, 0.5, DOMAIN)
@@ -58,20 +61,31 @@ def _rel(got, want) -> float:
 
 
 def _make_singular(shifted, shift):
-    """Set a 1x1 diagonal block of the system's (quasi-)triangular T to
-    -1 / ``shift``, which makes 1 + shift lambda exactly zero for that
-    eigenvalue; the entries of a 2x2 block are not eigenvalues."""
-    t = shifted.t
-    sub = np.append(np.diag(t, -1), 0.0)
-    i = next(i for i in range(t.shape[0]) if sub[i] == 0.0 and (i == 0 or sub[i - 1] == 0.0))
-    t[i, i] = -1.0 / shift
+    """Set one eigenvalue lambda of the factor to -1 / ``shift``, which
+    makes 1 + shift lambda exactly zero (checked: the product could round
+    off -1).  An eigenvalue is a diagonal entry of the one-row system's
+    triangular T, or an entry of the modal system's ``lam``."""
+    lam = -1.0 / shift
+    assert 1.0 + shift * lam == 0.0
+    if isinstance(shifted, ModalSystem):
+        shifted.lam[0] = lam
+    else:
+        shifted.t[0, 0] = lam
+
+
+def _condition(mats, dt, g) -> float:
+    """kappa_2 of the eigenvector basis of K0^-1 (-B), formed as the modal
+    factor forms it."""
+    return float(np.linalg.cond(np.linalg.eig(np.linalg.inv(mats.H / dt + g) @ -mats.B)[1]))
 
 
 def _twopop_factor(mats, dt, source):
     """The factored two-population operator at diffusion 1, as
     :func:`solve_twopop` builds it; ``source``: exponential recovery."""
     g = system_matrix(mats, 0.0, 1.0, math.inf, flux_shift_implicit=not source)
-    return ShiftedSystem(g, -mats.B, mats, dt, source=source, stacked=True)
+    shifted = ModalSystem.build(g, -mats.B, mats, dt, source=source)
+    assert shifted is not None
+    return shifted
 
 
 def _dense_rows(mats, dt, u_old, shifts, inflows, source):
@@ -188,10 +202,15 @@ def test_onepop_shifted_solve_matches_dense(m, dt, params, rate, seed):
 @example(m=64, dt=1e-2, diffusion=0.5, refractory_mode="exponential", shift=-20.0, inflow=0.0, seed=2)
 @example(m=64, dt=1e-2, diffusion=0.5, refractory_mode="pass-through", shift=0.0, inflow=0.0, seed=3)
 def test_twopop_shifted_solve_matches_dense(m, dt, diffusion, refractory_mode, shift, inflow, seed):
+    # a modal factor is built exactly when its eigenvector basis is within
+    # the conditioning bound, and every factor built meets SOLVE_RTOL
     mats = _mats(m)
     implicit_flux = refractory_mode == "pass-through"
     g = system_matrix(mats, 0.0, diffusion, math.inf, flux_shift_implicit=implicit_flux)
-    shifted = ShiftedSystem(g, -mats.B, mats, dt, source=not implicit_flux, stacked=True)
+    shifted = ModalSystem.build(g, -mats.B, mats, dt, source=not implicit_flux)
+    assert (shifted is None) == (_condition(mats, dt, g) > MAX_MODAL_CONDITION)
+    if shifted is None:
+        return
     u_old = np.random.default_rng(seed).standard_normal(_dim(m))
     lhs = system_matrix(mats, shift, diffusion, dt, flux_shift_implicit=implicit_flux)
     rhs = mats.H @ u_old / dt
@@ -219,7 +238,10 @@ def test_stacked_solve_is_one_solve_per_row(m, dt, diffusion, refractory_mode, s
     mats = _mats(m)
     implicit_flux = refractory_mode == "pass-through"
     g = system_matrix(mats, 0.0, diffusion, math.inf, flux_shift_implicit=implicit_flux)
-    shifted = ShiftedSystem(g, -mats.B, mats, dt, source=not implicit_flux, stacked=True)
+    shifted = ModalSystem.build(g, -mats.B, mats, dt, source=not implicit_flux)
+    assert (shifted is None) == (_condition(mats, dt, g) > MAX_MODAL_CONDITION)
+    if shifted is None:
+        return
     u_old = np.random.default_rng(seed).standard_normal((2, _dim(m)))
     stacked = shifted.solve(u_old, shifts, inflows)
     assert stacked.shape == u_old.shape and stacked.flags.c_contiguous
@@ -273,8 +295,8 @@ def test_cell_stack_solve_is_each_cell_solved_alone(refractory_mode, m, k, shift
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 @pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 0)])
 def test_cell_stack_solve_keeps_a_non_finite_row_to_its_cell(where, value):
-    # dtrsyl would carry a non-finite row into every later row of the
-    # stack (0 * inf); each finite cell keeps its own solve
+    # every row's arithmetic reads only that row, so a non-finite row
+    # touches no other cell; each finite cell keeps its own solve
     mats, dt = _mats(8), 1e-3
     shifted = _twopop_factor(mats, dt, source=True)
     rng = np.random.default_rng(8)
@@ -291,19 +313,16 @@ def test_cell_stack_solve_keeps_a_non_finite_row_to_its_cell(where, value):
                 assert _rel(row, row_want) <= SOLVE_RTOL
 
 
-def test_cell_stack_solve_at_a_common_scale_solves_each_row():
-    # a row near overflow makes dtrsyl scale the whole stack's solution by
-    # one factor < 1; each row is still the solution of its own system
+def test_cell_stack_solve_keeps_a_huge_row_to_its_cell():
+    # a cell whose rows are near overflow (1e300) is solved as its own
+    # system, and the cells beside it as theirs
     mats, dt = _mats(8), 1e-3
     shifted = _twopop_factor(mats, dt, source=False)
     u_old = np.random.default_rng(7).standard_normal((3, 2, _dim(8)))
     u_old[1] *= 1e300
     shifts = np.full((3, 2), 2.0)
-    # the stack's right-hand sides R r / sigma, as the solve forms them
-    rows = (np.concatenate((u_old / 2.0, u_old), -1) @ shifted.w).reshape(-1, _dim(8))
-    _, scale, info = dtrsyl(shifted.t, np.eye(6) / 2.0, rows.T.copy(order="F"))
-    assert info == 0 and scale < 1.0
     stacked = shifted.solve(u_old, shifts)
+    assert np.isfinite(stacked).all()
     want = _dense_rows(mats, dt, u_old, shifts, None, False)
     for c in range(3):
         assert np.array_equal(stacked[c], shifted.solve(u_old[c], shifts[c]))
@@ -313,8 +332,8 @@ def test_cell_stack_solve_at_a_common_scale_solves_each_row():
 
 def test_zero_shift_rows_match_the_dense_solve():
     # a population with no drift offset (zero couplings and nu_ext 0, as the
-    # inhibitory row of criterion 10) steps at shift 0, which has no
-    # 1 / sigma: its rows are solved outside the one dtrsyl call
+    # inhibitory row of criterion 10) steps at shift 0, where 1 + sigma
+    # lambda is 1: its rows take the same arithmetic as every other row
     mats, dt = _mats(16), 1e-3
     shifted = _twopop_factor(mats, dt, source=True)
     rng = np.random.default_rng(9)
@@ -334,26 +353,20 @@ def test_zero_shift_rows_match_the_dense_solve():
         _close(rec.columns[key], want)
 
 
-def test_small_shift_rows_leave_the_other_rows_one_call(monkeypatch):
-    # a row at shift 0 needs no LAPACK call and one at 0 < |shift| < 1e-8 a
-    # call of its own; the other rows of the stack still take one call
+def test_zero_and_tiny_shift_rows_in_one_stack_match_the_dense_solve():
+    # rows at shift 0 and 1e-9 share a stack with rows at ordinary shifts:
+    # each matches its dense solve, and each cell its own solve
     mats, dt = _mats(8), 1e-3
     shifted = _twopop_factor(mats, dt, source=True)
-    columns = []
-
-    def counted(a, b, c):
-        columns.append(c.shape[1])
-        return dtrsyl(a, b, c)
-
-    monkeypatch.setattr(shifted, "dtrsyl", counted)
     rng = np.random.default_rng(10)
     u_old = rng.standard_normal((3, 2, _dim(8)))
-    shifts, inflows = np.array([[0.5, 0.0], [1e-9, 0.0], [-3.0, 0.25]]), rng.uniform(0.0, 50.0, (3, 2))
+    shifts, inflows = np.array([[0.5, 0.0], [1e-9, 0.0], [-3.0, 1e-9]]), rng.uniform(0.0, 50.0, (3, 2))
     stacked = shifted.solve(u_old, shifts, inflows)
-    assert columns == [3, 1]
     want = _dense_rows(mats, dt, u_old, shifts, inflows, True)
-    for row, row_want in zip(stacked.reshape(-1, _dim(8)), want.reshape(-1, _dim(8))):
-        assert _rel(row, row_want) <= SOLVE_RTOL
+    for c in range(3):
+        assert np.array_equal(stacked[c], shifted.solve(u_old[c], shifts[c], inflows[c]))
+        for row, row_want in zip(stacked[c], want[c]):
+            assert _rel(row, row_want) <= SOLVE_RTOL
 
 
 @pytest.mark.parametrize("singular", [(0, 0), (0, 1), (1, 0), (2, 1)])
@@ -433,8 +446,8 @@ def test_twopop_factored_run_matches_dense_loop(m, dt, drawn, extra):
 
 
 def _count_factors(monkeypatch) -> list:
-    """The ShiftedSystems that ``solve`` and ``solve_twopop`` build from
-    now on, in order."""
+    """The factors that ``solve`` (a ShiftedSystem) and ``solve_twopop``
+    (a ModalSystem) build from now on, in order."""
     built = []
 
     class Counted(ShiftedSystem):
@@ -442,8 +455,16 @@ def _count_factors(monkeypatch) -> list:
             super().__init__(*args, **kwargs)
             built.append(self)
 
+    class CountedModal(ModalSystem):
+        @classmethod
+        def build(cls, *args, **kwargs):
+            factor = super().build(*args, **kwargs)
+            if factor is not None:
+                built.append(factor)
+            return factor
+
     monkeypatch.setattr(onepop, "ShiftedSystem", Counted)
-    monkeypatch.setattr(twopop, "ShiftedSystem", Counted)
+    monkeypatch.setattr(twopop, "ModalSystem", CountedModal)
     return built
 
 
@@ -524,6 +545,29 @@ def test_dense_twopop_runs_are_the_dense_loop(params, extra):
     assert np.array_equal(rec.snapshots[0].density[1], _density(mats, u_i))
 
 
+def test_run_refused_a_modal_factor_is_the_dense_loop(monkeypatch):
+    # at M = 64, dt = 1e-2 and diffusion 0.5 the eigenvector basis of
+    # K0^-1 (-B) has kappa_2 near 2e5, and a modal solve would miss
+    # SOLVE_RTOL: a run long enough to factor its operator builds no factor,
+    # hands its stepper none and gives the dense loop's bytes
+    mats, dt = _mats(64), 1e-2
+    params = TwoPopParams(b_e_to_e=0.5, b_e_to_i=0.5, b_i_to_e=0.75, diffusion_constant=0.5)
+    g = system_matrix(mats, 0.0, 0.5, math.inf)
+    assert _condition(mats, dt, g) > 100 * MAX_MODAL_CONDITION
+    n_steps = _dim(64) + 1
+    t_final = n_steps * dt
+    assert onepop.factor_pays_off(2 * n_steps, mats)
+    built = _count_factors(monkeypatch)
+    rec = solve_twopop(IC, IC_I, params, mats, dt, t_final, snapshot_times=(t_final,))
+    assert built == []
+    assert rec.status == STATUS_COMPLETED and rec.times.size == n_steps + 1
+    series, u_e, u_i = _dense_twopop(params, mats, dt, n_steps)
+    for key, want in series.items():
+        assert np.array_equal(rec.columns[key], want), key
+    assert np.array_equal(rec.snapshots[0].density[0], _density(mats, u_e))
+    assert np.array_equal(rec.snapshots[0].density[1], _density(mats, u_i))
+
+
 def test_zero_shift_denominator_is_a_solver_failure():
     mats = _mats(8)
     params, dt = OnePopParams(1.0, 0.1, 0.5), 1e-3
@@ -574,13 +618,15 @@ def test_solves_leave_the_factors_unchanged():
     stack_copy = stack.copy()
     u_old = stack[0]
     shifts = (0.0, 0.25, -3.0, 40.0)
-    # the one-row system solves rows, the stacked one rows and stacks
-    for shifted, stacks in ((one_row, False), (_twopop_factor(mats, dt, source=False), True)):
-        assert shifted.t.flags.f_contiguous
+    # the one-row system solves rows, the modal one rows and stacks
+    for shifted, stacks, names in ((one_row, False, ["t", "w", "zr"]),
+                                   (_twopop_factor(mats, dt, source=False), True, ["lam", "v", "w"])):
+        if not stacks:
+            assert shifted.t.flags.f_contiguous
         _make_singular(shifted, 0.5)
         # every array the system stores is a factor that no solve may write
         factors = {name: value.copy() for name, value in vars(shifted).items() if isinstance(value, np.ndarray)}
-        assert sorted(factors) == ["t", "w", "zr"]
+        assert sorted(factors) == names
         first = [shifted.solve(u_old, sigma) for sigma in shifts]
         first_stacked = shifted.solve(stack, shifts[2:]) if stacks else None
         for _ in range(50):
