@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSet
-from .errors import ConfigurationError, IllConditionedBasisError, check_finite, check_integer
+from .errors import ConfigurationError, IllConditionedBasisError, check_finite, check_positive, check_positive_integer
 from .quadrature import gauss_laguerre, gauss_legendre, map_affine
 from .records import write_rows
 
@@ -108,7 +108,7 @@ def _quadrature_order(basis: BasisSet, n_q: int | None) -> int:
     m = basis.m
     if n_q is None:
         n_q = 2 * m + 8
-    check_integer("quadrature order", n_q)
+    check_positive_integer("quadrature order", n_q)
     if n_q < 2 * m + 6:
         raise ConfigurationError(f"quadrature order {n_q} too small, need >= {2 * m + 6}")
     if n_q > MAX_N_Q:
@@ -188,9 +188,7 @@ class GaussianIC:
 def normalize_gaussian(v0: float, sigma0_sq: float, domain) -> GaussianIC:
     """Normalization factor so the Gaussian integrates to 1 on (-inf, v_threshold]."""
     check_finite("v0", v0)
-    check_finite("sigma0_sq", sigma0_sq)
-    if sigma0_sq <= 0:
-        raise ConfigurationError(f"variance must be positive, got {sigma0_sq}")
+    check_positive("sigma0_sq", sigma0_sq)
     sigma = math.sqrt(sigma0_sq)
     z = (domain.v_threshold - v0) / sigma
     m0 = 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, check_finite, check_integer
+from .errors import ConfigurationError, check_finite, check_positive, check_positive_integer
 
 
 @dataclass(frozen=True)
@@ -52,13 +52,11 @@ class Domain:
         check_finite("v_reset", self.v_reset)
         check_finite("v_threshold", self.v_threshold)
         if self.beta is not None:
-            check_finite("beta", self.beta)
+            check_positive("beta", self.beta)
         if not self.v_reset < self.v_threshold:
             raise ConfigurationError(
                 f"need v_reset < v_threshold, got {self.v_reset} >= {self.v_threshold}"
             )
-        if self.beta is not None and self.beta <= 0:
-            raise ConfigurationError(f"beta must be positive, got {self.beta}")
 
     @property
     def width(self) -> float:
@@ -158,11 +156,9 @@ class BasisSet:
     """
 
     def __init__(self, domain: Domain, m: int, left_scale: float | None = None):
-        check_integer("expansion number", m)
-        if m < 1:
-            raise ConfigurationError(f"expansion number must be >= 1, got {m}")
-        if left_scale is not None and not left_scale > 0:
-            raise ConfigurationError(f"left_scale must be positive, got {left_scale}")
+        check_positive_integer("expansion number", m)
+        if left_scale is not None:
+            check_positive("left_scale", left_scale)
         self.domain = domain
         self.m = m
         self.dim = 2 * m + 1

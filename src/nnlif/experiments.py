@@ -42,7 +42,8 @@ import numpy as np
 
 from .assembly import GaussianIC, assemble, normalize_gaussian
 from .basis import BasisSet, Domain
-from .errors import ConfigurationError, check_finite
+from .errors import (ConfigurationError, check_finite, check_nonnegative, check_one_of, check_positive,
+                     check_positive_integer, check_within)
 from .fdm import DEFAULT_V_MIN, FdmGrid, fdm_reference, reference_run, reference_timestep
 from .integrate import DEFAULT_BLOWUP_THRESHOLD, STATUS_BLOWUP, STATUS_COMPLETED, check_times
 from .norms import l2_distance, linf_distance, norm_grid
@@ -180,29 +181,13 @@ def classify_regime(
 
 # ---------------------------------------------------------------------------
 # config schema and parsing: a check is called as check(key_path, value) and
-# raises ConfigurationError naming the key path
-
-
-def _count(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
+# raises ConfigurationError naming the key path; the single-value rules are
+# those of errors.py
 
 
 def _boolean(name: str, value) -> None:
     if not isinstance(value, bool):
         raise ConfigurationError(f"{name} must be true or false, got {value!r}")
-
-
-def _one_of(allowed: tuple, name: str, value) -> None:
-    if isinstance(value, bool) or value not in allowed:
-        raise ConfigurationError(f"{name} must be {' or '.join(map(repr, allowed))}, got {value!r}")
-
-
-def _within(interval: str, admissible, name: str, value) -> None:
-    """A finite number that ``admissible`` accepts; ``interval`` says which."""
-    check_finite(name, value)
-    if not admissible(value):
-        raise ConfigurationError(f"{name} must lie in {interval}, got {value}")
 
 
 def _list(item, name: str, value, non_empty: bool = True) -> None:
@@ -213,14 +198,11 @@ def _list(item, name: str, value, non_empty: bool = True) -> None:
         item(name, element)
 
 
-_positive = partial(_within, "(0, inf)", lambda x: x > 0)
-_nonnegative = partial(_within, "[0, inf)", lambda x: x >= 0)
-
 # the default of a key the config must give
 _REQUIRED = object()
 # the FDM grid spacing of the reference and of compare-fdm's timed run
 _FDM_H = 1.0 / 512.0
-_GAUSSIAN = {"v0": (check_finite, -1.0), "sigma0_sq": (_positive, 0.5)}
+_GAUSSIAN = {"v0": (check_finite, -1.0), "sigma0_sq": (check_positive, 0.5)}
 # the regime classifier's keyword defaults are the detection defaults
 _DETECTION = classify_regime.__kwdefaults__
 
@@ -231,50 +213,49 @@ _DETECTION = classify_regime.__kwdefaults__
 # reference.dt, n_q, beta).  This is the one-population form; see
 # _TWO_POPULATION_SCHEMA for the other.
 SCHEMA = {
-    "schema": (partial(_one_of, (SCHEMA_VERSION,)), _REQUIRED),
-    "kind": (partial(_one_of, EXPERIMENT_KINDS), _REQUIRED),
+    "schema": (partial(check_one_of, allowed=(SCHEMA_VERSION,)), _REQUIRED),
+    "kind": (partial(check_one_of, allowed=EXPERIMENT_KINDS), _REQUIRED),
     "domain": {
         "v_reset": (check_finite, Domain.v_reset),
         "v_threshold": (check_finite, Domain.v_threshold),
         # null, the default, matches the expansion's left scale (see Domain)
-        "beta": (lambda name, value: value is None or _positive(name, value), Domain.beta),
+        "beta": (lambda name, value: value is None or check_positive(name, value), Domain.beta),
     },
     "model": {
-        "population": (partial(_one_of, ("one", "two")), _REQUIRED),
+        "population": (partial(check_one_of, allowed=("one", "two")), _REQUIRED),
         "a0": (check_finite, 1.0),
         "a1": (check_finite, OnePopParams.a1),
         "b": (check_finite, OnePopParams.b),
     },
     "initial": _GAUSSIAN,
     "numerics": {
-        "m": (_count, 16),
-        "dt": (_positive, None),
-        "t_final": (_positive, None),
-        "dt_values": (partial(_list, _positive), None),
-        "m_values": (partial(_list, _count), [4, 8, 12, 16]),
-        "h_values": (partial(_list, _positive), [1.0 / 32, 1.0 / 64, 1.0 / 128]),
-        "fdm_h": (_positive, _FDM_H),
-        "reference_m": (_count, None),
-        "repetitions": (_count, 3),
-        "n_q": (_count, None),
+        "m": (check_positive_integer, 16),
+        "dt": (check_positive, None),
+        "t_final": (check_positive, None),
+        "dt_values": (partial(_list, check_positive), None),
+        "m_values": (partial(_list, check_positive_integer), [4, 8, 12, 16]),
+        "h_values": (partial(_list, check_positive), [1.0 / 32, 1.0 / 64, 1.0 / 128]),
+        "fdm_h": (check_positive, _FDM_H),
+        "reference_m": (check_positive_integer, None),
+        "repetitions": (check_positive_integer, 3),
+        "n_q": (check_positive_integer, None),
     },
     "reference": {
-        "method": (partial(_one_of, ("fdm", "self")), "fdm"),
-        "h": (_positive, _FDM_H),
+        "method": (partial(check_one_of, allowed=("fdm", "self")), "fdm"),
+        "h": (check_positive, _FDM_H),
         "richardson": (_boolean, True),
         "v_min": (check_finite, DEFAULT_V_MIN),
-        "dt": (_positive, None),
+        "dt": (check_positive, None),
     },
     "snapshot_times": (partial(_list, check_finite, non_empty=False), []),
-    "blowup_threshold": (_positive, DEFAULT_BLOWUP_THRESHOLD),
+    "blowup_threshold": (check_positive, DEFAULT_BLOWUP_THRESHOLD),
     "bound": (check_finite, 0.2),
     "detection": {
-        "warmup_fraction": (partial(_within, "[0, 1)", lambda x: 0 <= x < 1), _DETECTION["warmup_fraction"]),
-        "steady_window_fraction": (partial(_within, "(0, 1]", lambda x: 0 < x <= 1),
-                                   _DETECTION["steady_window_fraction"]),
-        "steady_fluctuation": (_positive, _DETECTION["steady_fluctuation"]),
-        "peak_amplitude_fraction": (_nonnegative, _DETECTION["peak_amplitude_fraction"]),
-        "peak_spacing_tolerance": (_nonnegative, _DETECTION["peak_spacing_tolerance"]),
+        "warmup_fraction": (partial(check_within, interval="[0, 1)"), _DETECTION["warmup_fraction"]),
+        "steady_window_fraction": (partial(check_within, interval="(0, 1]"), _DETECTION["steady_window_fraction"]),
+        "steady_fluctuation": (check_positive, _DETECTION["steady_fluctuation"]),
+        "peak_amplitude_fraction": (check_nonnegative, _DETECTION["peak_amplitude_fraction"]),
+        "peak_spacing_tolerance": (check_nonnegative, _DETECTION["peak_spacing_tolerance"]),
     },
     "sweep": {"b_e_to_e": (partial(_list, check_finite, non_empty=False), [])},
 }
@@ -719,7 +700,7 @@ RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> dict:
-    _count("workers", workers)
+    check_positive_integer("workers", workers)
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
     result = RUNNERS[cfg.kind](cfg, out_dir, workers)

@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .basis import Domain
-from .errors import ConfigurationError, check_finite
+from .errors import ConfigurationError, check_finite, check_positive
 from .integrate import DEFAULT_BLOWUP_THRESHOLD, RunRecord, integrate
 from .norms import norm_grid
 from .onepop import _OnePop
@@ -58,8 +58,9 @@ class FdmGrid:
     @classmethod
     def build(cls, domain: Domain, v_min: float = DEFAULT_V_MIN, h: float = DEFAULT_H) -> "FdmGrid":
         check_finite("v_min", v_min)
-        if not (h > 0 and v_min < domain.v_reset):
-            raise ConfigurationError(f"need grid spacing h > 0 and v_min < v_reset, got h={h}, v_min={v_min}")
+        check_positive("h", h)
+        if not v_min < domain.v_reset:
+            raise ConfigurationError(f"need v_min < v_reset, got v_min={v_min}")
         n_f = (domain.v_threshold - v_min) / h
         n_r = (domain.v_reset - v_min) / h
         if not math.isfinite(n_f) or abs(n_f - round(n_f)) > 1e-9 or abs(n_r - round(n_r)) > 1e-9:
@@ -220,6 +221,7 @@ def fdm_solve(
     of every experiment that uses this oracle); their refractory masses
     follow the forward-Euler balance.
     """
+    check_positive("dt", dt)
     if dt > stable_timestep(grid, params):
         raise ConfigurationError(f"dt={dt} violates the explicit stability bound for h={grid.h}")
     stepper = (_TwoPop if isinstance(params, TwoPopParams) else _OnePop)(p0, params, grid, dt)

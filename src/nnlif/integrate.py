@@ -34,7 +34,7 @@ from typing import Any, Callable, NamedTuple, Protocol
 import numpy as np
 
 from .errors import (ConfigurationError, LinearSolveError, NnlifError, NonpositiveDiffusionError,
-                     SingularFiringRateError, check_positive)
+                     SingularFiringRateError, check_finite, check_positive)
 
 DEFAULT_BLOWUP_THRESHOLD = 1e3
 _POST_TRIP_WINDOW = 1.0
@@ -151,20 +151,22 @@ def whole_steps(t: float, dt: float) -> int | None:
 
 
 def check_times(dt: float, t_final: float, snapshot_times=(), blowup_threshold=DEFAULT_BLOWUP_THRESHOLD) -> int:
-    """Number of steps; rejects non-finite times, a t_final off the dt
-    lattice, more than :data:`MAX_STEPS` steps, snapshot times off the
-    lattice or outside [0, t_final] and a blow-up threshold that is not > 0
-    (NaN included; +inf never trips).  The config parser checks here too."""
+    """Number of steps; rejects a dt or t_final outside (0, inf), a t_final
+    off the dt lattice, more than :data:`MAX_STEPS` steps, snapshot times
+    that are not finite, off the lattice or outside [0, t_final] and a
+    blow-up threshold outside (0, inf], where +inf never trips.  The config
+    parser checks here too."""
     check_positive("dt", dt)
     check_positive("t_final", t_final)
-    if not blowup_threshold > 0:
-        raise ConfigurationError(f"blowup_threshold must be > 0, got {blowup_threshold}")
+    if blowup_threshold != math.inf:
+        check_positive("blowup_threshold", blowup_threshold)
     n_steps = whole_steps(t_final, dt)
     if not n_steps:
         raise ConfigurationError(f"t_final={t_final} is not an integer multiple of dt={dt}")
     if n_steps > MAX_STEPS:
         raise ConfigurationError(f"t_final={t_final} at dt={dt} takes {n_steps} steps, at most {MAX_STEPS} are allowed")
     for ts in snapshot_times:
+        check_finite("snapshot time", ts)
         if not 0.0 <= ts <= t_final:
             raise ConfigurationError(f"snapshot time {ts} is negative or exceeds t_final={t_final}")
         if whole_steps(ts, dt) is None:
@@ -276,40 +278,44 @@ def integrate(
     live = runs
     advance, one = _lockstep(live)
     t_since = time.perf_counter()
-    for n in range(1, n_steps + 1):
-        try:
-            if one is not None:
-                one.state = one.step(one.state)
-            else:
-                for run, state in zip(live, advance([run.state for run in live])):
-                    run.state = state
-        except _SOLVER_ERRORS:
-            t_since = _share(live, t_since)
-            live = _alone(live, n)
-            if not live:
-                break
-            advance, one = _lockstep(live)
-        stopped = False
-        for run in live:
-            state = run.state
-            values = run.observe(state)
-            for col, value in zip(run.columns, values):
-                col[n] = value
-            if n in snap_lookup:
-                run.snapshots.append((snap_lookup[n], state))
-            # the common step: nothing tripped, everything finite (a NaN rate
-            # never trips, and max() returns NaN only when the first rate is)
-            if max(values[:k]) <= blowup_threshold and math.isfinite(sum(values[k:2 * k])) and run.first_trip is None:
-                continue
-            if run.trip(n, values[:k], values[k:2 * k], dt, blowup_threshold):
-                run.last = n
-                stopped = True
-        if stopped:
-            t_since = _share(live, t_since)
-            live = [run for run in live if run.last is None]
-            if not live:
-                break
-            advance, one = _lockstep(live)
+    # a state that goes non-finite is the trip test's to report: the solves
+    # that produce it print no numpy warning
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for n in range(1, n_steps + 1):
+            try:
+                if one is not None:
+                    one.state = one.step(one.state)
+                else:
+                    for run, state in zip(live, advance([run.state for run in live])):
+                        run.state = state
+            except _SOLVER_ERRORS:
+                t_since = _share(live, t_since)
+                live = _alone(live, n)
+                if not live:
+                    break
+                advance, one = _lockstep(live)
+            stopped = False
+            for run in live:
+                state = run.state
+                values = run.observe(state)
+                for col, value in zip(run.columns, values):
+                    col[n] = value
+                if n in snap_lookup:
+                    run.snapshots.append((snap_lookup[n], state))
+                # the common step: nothing tripped, everything finite (a NaN rate
+                # never trips, and max() returns NaN only when the first rate is)
+                if max(values[:k]) <= blowup_threshold and math.isfinite(sum(values[k:2 * k])) \
+                        and run.first_trip is None:
+                    continue
+                if run.trip(n, values[:k], values[k:2 * k], dt, blowup_threshold):
+                    run.last = n
+                    stopped = True
+            if stopped:
+                t_since = _share(live, t_since)
+                live = [run for run in live if run.last is None]
+                if not live:
+                    break
+                advance, one = _lockstep(live)
     _share(live, t_since)
     for run in live:
         run.last = n_steps

@@ -34,7 +34,7 @@ import numpy as np
 
 from .assembly import GalerkinMatrices, project_initial, reconstruct
 from .errors import (
-    ConfigurationError, LinearSolveError, NonpositiveDiffusionError, SingularFiringRateError, check_finite,
+    LinearSolveError, NonpositiveDiffusionError, SingularFiringRateError, check_finite, check_nonnegative,
     check_positive,
 )
 from .integrate import DEFAULT_BLOWUP_THRESHOLD, ONE_POPULATION, RunRecord, check_times, integrate
@@ -53,12 +53,9 @@ class OnePopParams:
     b: float = 0.0
 
     def __post_init__(self):
-        for name in ("a0", "a1", "b"):
-            check_finite(name, getattr(self, name))
-        if self.a0 <= 0:
-            raise ConfigurationError(f"a0 must be positive, got {self.a0}")
-        if self.a1 < 0:
-            raise ConfigurationError(f"a1 must be nonnegative, got {self.a1}")
+        check_positive("a0", self.a0)
+        check_nonnegative("a1", self.a1)
+        check_finite("b", self.b)
 
     def diffusion(self, rate: float) -> float:
         """The diffusion a0 + a1 N of a step from rate N; raises when it is <= 0."""
@@ -126,19 +123,19 @@ def increment_operands(g: np.ndarray, e: np.ndarray, matrices: GalerkinMatrices,
 
 
 class ShiftedSystem:
-    """Solves (K0 + sigma E) u = H u_old / dt + m F for any scalar shift
-    sigma after one factorisation; K0 = H / dt + G.
+    """Solves (K0 + sigma E) u = H u_old / dt for any scalar shift sigma
+    after one factorisation; K0 = H / dt + G.
 
     A step is solved for its increment: u = u_old - K_sigma^-1 r with
-    K_sigma = K0 + sigma E and r = (G + sigma E) u_old - m F, and the
-    complex Schur form K0^-1 E = Z T Z^* gives
+    K_sigma = K0 + sigma E and r = (G + sigma E) u_old, and the complex
+    Schur form K0^-1 E = Z T Z^* gives
     K_sigma^-1 = Z (I + sigma T)^-1 Z^* K0^-1.  The build folds the fixed
-    factors together: with R = Z^* K0^-1, it stores R [G | E (| -F)] as the
+    factors together: with R = Z^* K0^-1, it stores R [G | E] as the
     transposed matrix ``w`` and Z as the transposed real matrix ``zr``.
-    R [G | E (| -F)] is complex, so its real and imaginary parts fill
-    alternate rows of ``w``, and Re Z, -Im Z alternate columns of ``zr``.
-    So a step costs one real product (x w with x = [u_old, sigma u_old
-    (, m)], the floats of R r), one LAPACK ``ztrtrs`` on the triangular
+    R [G | E] is complex, so its real and imaginary parts fill alternate
+    rows of ``w``, and Re Z, -Im Z alternate columns of ``zr``.  So a step
+    costs one real product (x w with x = [u_old, sigma u_old], the floats
+    of R r), one LAPACK ``ztrtrs`` on the triangular
     I + sigma T, built as sigma T with 1 added to its diagonal in place
     (``ztrtrs`` reads only the upper triangle, where that is the same
     matrix), and one more real product.
@@ -155,8 +152,8 @@ class ShiftedSystem:
       through a precomputed Z^* K0^-1 H / dt, it adds up step after step.
 
     At M = 16 (dim 33), on one core of a shared 2-vCPU x86-64 host (best
-    of 15 interleaved rounds of 2,000 solves, with a source), a solve
-    takes 9.3 us.
+    of 21 rounds of 2,000 solves, five processes), a solve takes 9.1 to
+    9.5 us.
 
     T is kept Fortran-ordered, so the f2py wrapper passes it (and sigma T,
     made so) to LAPACK without copying it; ``ztrtrs`` overwrites its
@@ -164,20 +161,18 @@ class ShiftedSystem:
     keeps no buffers: a solve writes only arrays it made.
 
     ``g`` is the operator without its mass term,
-    ``system_matrix(matrices, 0, a, inf)``; ``source`` selects whether the
-    inflow m F is part of the right-hand side.
+    ``system_matrix(matrices, 0, a, inf)``.
     """
 
-    def __init__(self, g: np.ndarray, e: np.ndarray, matrices: GalerkinMatrices, dt: float, source: bool = False):
+    def __init__(self, g: np.ndarray, e: np.ndarray, matrices: GalerkinMatrices, dt: float):
         from scipy.linalg import schur
         from scipy.linalg.lapack import ztrtrs
 
         self.ztrtrs = ztrtrs
-        # R [G | E (| -F)] = Z^* S with S = K0^-1 [G | E (| -F)] real
-        k0_inv_e, s = increment_operands(g, e, matrices, dt, source)
+        # R [G | E] = Z^* S with S = K0^-1 [G | E] real
+        k0_inv_e, s = increment_operands(g, e, matrices, dt, False)
         t, z = schur(k0_inv_e, output="complex")
         self.t = np.asfortranarray(t)
-        self.source = source
         # the real and imaginary parts of Z^* S fill alternate rows of w;
         # Re(Z y) = Re Z Re y - Im Z Im y: Re Z and -Im Z fill alternate
         # columns of zr, as Re y and Im y alternate in the floats of y
@@ -189,12 +184,10 @@ class ShiftedSystem:
         # the left
         self.w, self.zr = w.T, zr.T
 
-    def solve(self, u_old: np.ndarray, sigma: float, inflow: float = 0.0) -> np.ndarray:
-        """u of the step from the row ``u_old`` at shift ``sigma`` with reset
-        inflow ``inflow``.  Raises :class:`LinearSolveError` when
-        I + sigma T is singular."""
-        x = (u_old, sigma * u_old, (inflow,)) if self.source else (u_old, sigma * u_old)
-        rhs = (np.concatenate(x) @ self.w).view(np.complex128)
+    def solve(self, u_old: np.ndarray, sigma: float) -> np.ndarray:
+        """u of the step from the row ``u_old`` at shift ``sigma``.  Raises
+        :class:`LinearSolveError` when I + sigma T is singular."""
+        rhs = (np.concatenate((u_old, sigma * u_old)) @ self.w).view(np.complex128)
         shifted = sigma * self.t
         # a fresh array is contiguous, so its diagonal is every (dim + 1)-th
         # element in memory order, in C and in Fortran order alike

@@ -77,7 +77,7 @@ import numpy as np
 from .assembly import GalerkinMatrices
 from .errors import (
     ConfigurationError, LinearSolveError, NonpositiveDiffusionError, SingularFiringRateError, check_finite,
-    check_positive,
+    check_nonnegative, check_one_of, check_positive,
 )
 from .integrate import DEFAULT_BLOWUP_THRESHOLD, TWO_POPULATIONS, RunRecord, check_times, integrate, whole_steps
 from .onepop import Spectral, factor_pays_off, increment_operands, system_matrix
@@ -120,25 +120,20 @@ class TwoPopParams:
     refractory_mode: str = RECOVERY_PASS_THROUGH
 
     def __post_init__(self):
-        nonnegative = (
+        for name in (
             "b_e_to_e", "b_e_to_i", "b_i_to_e", "b_i_to_i",
             "d_e_to_e", "d_e_to_i", "d_i_to_e", "d_i_to_i",
             "delay_e_to_e", "delay_e_to_i", "delay_i_to_e", "delay_i_to_i",
             "nu_ext",
-        )
-        for name in nonnegative + ("tau_e", "tau_i", "diffusion_constant"):
-            check_finite(name, getattr(self, name))
-        for name in nonnegative:
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be nonnegative")
-        if self.diffusion_mode not in (DIFFUSION_CONSTANT, DIFFUSION_MODEL):
-            raise ConfigurationError(f"unknown diffusion mode {self.diffusion_mode!r}")
-        if self.refractory_mode not in (RECOVERY_PASS_THROUGH, RECOVERY_EXPONENTIAL):
-            raise ConfigurationError(f"unknown refractory mode {self.refractory_mode!r}")
-        if self.diffusion_mode == DIFFUSION_CONSTANT and self.diffusion_constant <= 0:
-            raise ConfigurationError("constant diffusion coefficient must be positive")
-        if self.refractory_mode == RECOVERY_EXPONENTIAL and (self.tau_e <= 0 or self.tau_i <= 0):
-            raise ConfigurationError("exponential recovery needs positive refractory durations")
+        ):
+            check_nonnegative(name, getattr(self, name))
+        check_one_of("diffusion_mode", self.diffusion_mode, (DIFFUSION_CONSTANT, DIFFUSION_MODEL))
+        check_one_of("refractory_mode", self.refractory_mode, (RECOVERY_PASS_THROUGH, RECOVERY_EXPONENTIAL))
+        # the refractory durations and the constant diffusion must be > 0
+        # in the mode that reads them
+        exponential, constant = self.refractory_mode == RECOVERY_EXPONENTIAL, self.diffusion_mode == DIFFUSION_CONSTANT
+        for name, read in (("tau_e", exponential), ("tau_i", exponential), ("diffusion_constant", constant)):
+            (check_positive if read else check_finite)(name, getattr(self, name))
 
     @cached_property
     def tables(self) -> dict[str, tuple]:

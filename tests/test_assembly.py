@@ -127,7 +127,7 @@ def test_quadrature_order_stability(domain):
 
 @pytest.mark.parametrize("n_q", [20.5, 20.0, True])
 def test_quadrature_order_must_be_an_integer(domain, n_q):
-    with pytest.raises(ConfigurationError, match="must be an integer"):
+    with pytest.raises(ConfigurationError, match="must be a positive integer"):
         assemble(BasisSet(domain, 1), n_q=n_q)
 
 

@@ -203,7 +203,7 @@ def test_evaluation_beyond_threshold_rejected(domain):
 
 @pytest.mark.parametrize("m", [2.5, 3.0, True, "3"], ids=["2.5", "3.0", "bool", "str"])
 def test_expansion_number_must_be_an_integer(domain, m):
-    with pytest.raises(ConfigurationError, match="must be an integer"):
+    with pytest.raises(ConfigurationError, match="must be a positive integer"):
         BasisSet(domain, m)
 
 

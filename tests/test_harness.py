@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nnlif import assembly, cli, experiments, onepop, records, twopop
+from nnlif import assembly, cli, errors, experiments, onepop, records, twopop
 from nnlif.basis import BasisSet
 from nnlif.assembly import assemble, normalize_gaussian
 from nnlif.cli import main
@@ -268,7 +268,7 @@ def _bad_values(check):
     if check is not experiments._boolean:
         bad.append(True)
     is_list = isinstance(check, partial) and check.func is experiments._list
-    if (check.args[0] if is_list else check) in (experiments._positive, experiments._count):
+    if (check.args[0] if is_list else check) in (errors.check_positive, errors.check_positive_integer):
         bad += [[0], [-1]] if is_list else [0, -1]
     return bad
 
@@ -382,6 +382,35 @@ def entry(domain):
     }
 
 
+# every run entry point, called with a dt and a t_final, and the public steps,
+# called with a dt
+_RUNS = {
+    "solve": lambda e, dt, t_final: solve(e["ic"], e["one"], e["mats"], dt, t_final),
+    "solve_twopop": lambda e, dt, t_final: solve_twopop(e["ic"], e["ic"], e["two"], e["mats"], dt, t_final),
+    "fdm_solve": lambda e, dt, t_final: fdm_solve(e["ic"], e["one"], e["grid"], dt, t_final),
+}
+_STEPS = {
+    "step": lambda e, dt: onepop.step(e["state"], e["one"], Spectral(e["mats"]), dt),
+    "step_twopop": lambda e, dt: twopop.step_twopop([e["state2"]], [e["two"]], Spectral(e["mats"]), dt),
+}
+# a time of the wrong type, each of which a run once met with a raw TypeError
+# or, for a bool, ran with
+_WRONG_TYPES = {"bool": True, "str": "0.1", "none": None}
+_WRONG_TYPE_CASES = {
+    **{f"{name}-{key}-{kind}": (partial(run, **{"dt": 1e-4, "t_final": 0.1, key: value}),
+                                f"{key} must be a finite number")
+       for name, run in _RUNS.items() for key in ("dt", "t_final") for kind, value in _WRONG_TYPES.items()},
+    **{f"{name}-dt-{kind}": (partial(step, dt=value), "dt must be a finite number")
+       for name, step in _STEPS.items() for kind, value in _WRONG_TYPES.items()},
+    "solve-threshold-str": (lambda e: solve(e["ic"], e["one"], e["mats"], 0.01, 0.1, blowup_threshold="3"),
+                            "blowup_threshold must be a finite number"),
+    "solve-snapshot-str": (lambda e: solve(e["ic"], e["one"], e["mats"], 0.01, 0.1, snapshot_times=("0.05",)),
+                           "snapshot time must be a finite number"),
+    "BasisSet-left_scale-inf": (lambda e: BasisSet(e["mats"].basis.domain, 4, left_scale=math.inf),
+                                "left_scale must be a finite number"),
+}
+
+
 @pytest.mark.parametrize(
     "call, match",
     [
@@ -411,12 +440,14 @@ def entry(domain):
          "1 states, 2 params and 2 lags"),
         (lambda e: twopop.step_twopop([e["state2"]] * 2, [e["two"]] * 2, Spectral(e["mats"]), 0.01,
                                       [((0, 0), (0, 0))]), "2 states, 2 params and 1 lags"),
+        *_WRONG_TYPE_CASES.values(),
     ],
     ids=[
         "solve-threshold-nan", "solve-threshold-negative", "solve-threshold-zero", "solve_twopop-threshold-nan",
         "fdm_solve-threshold-nan", "integrate-threshold-negative", "step-dt-nan", "step-dt-inf",
         "step_twopop-dt-negative", "step_twopop-dt-nan", "step_twopop-dt-inf", "solve_twopop-empty",
         "integrate-empty", "step_twopop-more-states", "step_twopop-more-params", "step_twopop-fewer-lags",
+        *_WRONG_TYPE_CASES,
     ],
 )
 def test_library_entry_points_reject_bad_inputs(entry, call, match):
@@ -1417,6 +1448,14 @@ def test_cli_dump_matrices(tmp_path):
 def test_cli_dump_matrices_past_laguerre_range(tmp_path, capsys):
     assert main(["dump-matrices", "--m", "200", "--out", str(tmp_path / "mats")]) == 2
     assert "error-category: config-invalid: quadrature order 408 too large" in capsys.readouterr().err
+
+
+def test_cli_dump_matrices_infinite_left_scale(tmp_path, capsys):
+    # an infinite scale once gave NaN matrices and exit 0
+    out = tmp_path / "mats"
+    assert main(["dump-matrices", "--m", "4", "--left-scale", "inf", "--out", str(out)]) == 2
+    assert "error-category: config-invalid: left_scale must be a finite number" in capsys.readouterr().err
+    assert not out.exists() or not list(out.glob("*.csv"))
 
 
 def test_shipped_configs_parse(perfbench_workloads):
