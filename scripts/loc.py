@@ -1,5 +1,6 @@
 """Print the physical lines and the code lines of each ``src/nnlif`` module,
-and their totals.
+and their totals, then one total line each for the ``tests`` and
+``scripts`` directories of the checkout that holds this script.
 
 A code line holds at least one token of code.  Blank lines, lines that
 hold only a comment, and the lines of a docstring (a string that opens a
@@ -46,10 +47,18 @@ def count(source: str) -> tuple[int, int]:
     return len(source.splitlines()), len(code - docstring_lines(ast.parse(source)))
 
 
+def total(name: str, paths) -> tuple[str, int, int]:
+    """(name, physical lines, code lines) of the modules ``paths``."""
+    counts = [count(path.read_text(encoding="utf-8")) for path in paths]
+    return name, sum(c[0] for c in counts), sum(c[1] for c in counts)
+
+
 def main(argv: list[str]) -> int:
-    package = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "nnlif"
-    rows = [(path.name, *count(path.read_text(encoding="utf-8"))) for path in sorted(package.glob("*.py"))]
-    rows.append(("total", sum(row[1] for row in rows), sum(row[2] for row in rows)))
+    root = Path(__file__).resolve().parent.parent
+    package = Path(argv[0]) if argv else root / "src" / "nnlif"
+    rows = [total(path.name, [path]) for path in sorted(package.glob("*.py"))]
+    rows.append(total("total", sorted(package.glob("*.py"))))
+    rows += [total(f"{name}/", sorted((root / name).rglob("*.py"))) for name in ("tests", "scripts")]
     width = max(len(row[0]) for row in rows)
     print(f"{'module':<{width}}  {'physical':>8}  {'code':>6}")
     for name, physical, code in rows:

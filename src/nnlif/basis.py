@@ -54,9 +54,7 @@ class Domain:
         if self.beta is not None:
             check_positive("beta", self.beta)
         if not self.v_reset < self.v_threshold:
-            raise ConfigurationError(
-                f"need v_reset < v_threshold, got {self.v_reset} >= {self.v_threshold}"
-            )
+            raise ConfigurationError(f"v_threshold must exceed v_reset, got {self.v_threshold} <= {self.v_reset}")
 
     @property
     def width(self) -> float:

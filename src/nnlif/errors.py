@@ -6,6 +6,7 @@ type.  Rules that tie values together stay with the code that reads them.
 
 import math
 import numbers
+import sys
 
 
 class NnlifError(Exception):
@@ -40,8 +41,8 @@ _INTERVALS = {"(0, inf)": lambda x: x > 0, "[0, inf)": lambda x: x >= 0, "[0, 1)
 
 def check_finite(name: str, value) -> None:
     """A finite real number; a bool is not one, although Python counts it as
-    a ``numbers.Real``."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
+    a ``numbers.Real``, and nor is an integer past the float range."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max):
         raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
 
 

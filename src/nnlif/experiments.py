@@ -20,12 +20,15 @@ its peaks with numpy alone (:func:`_find_peaks`), so classifying loads no
 scipy module.
 
 The config format (schema version 1) is the table :data:`SCHEMA`: every key
-of every section, with its check and its default.  A key the table does not
-name, in any section, is a configuration error, and a JSON boolean is not a
-number.  Values mirror the canonical experiment tables.  The output headers
-echo the model, numerics and reference sections as given, plus
-``blowup_threshold``; defaults the config leaves out, ``domain`` and
-``detection`` are not echoed.
+of every section, with its check and its default.  The ``domain`` and
+``model`` sections are the fields of :class:`~nnlif.basis.Domain` and of
+:class:`~nnlif.onepop.OnePopParams` or :class:`~nnlif.twopop.TwoPopParams`,
+whose defaults and rules they are.  A key the table does not name, in any
+section, is a configuration error, every error names its key path, and a
+JSON boolean is not a number.  Values mirror the canonical experiment
+tables.  The output headers echo the model, numerics and reference sections
+as given, plus ``blowup_threshold``; defaults the config leaves out,
+``domain`` and ``detection`` are not echoed.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import math
 import os
 import statistics
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -182,7 +185,9 @@ def classify_regime(
 # ---------------------------------------------------------------------------
 # config schema and parsing: a check is called as check(key_path, value) and
 # raises ConfigurationError naming the key path; the single-value rules are
-# those of errors.py
+# those of errors.py.  The domain and model sections are the fields of
+# Domain and of the population's params class, which check their own
+# values (see _keyed)
 
 
 def _boolean(name: str, value) -> None:
@@ -206,6 +211,15 @@ _GAUSSIAN = {"v0": (check_finite, -1.0), "sigma0_sq": (check_positive, 0.5)}
 # the regime classifier's keyword defaults are the detection defaults
 _DETECTION = classify_regime.__kwdefaults__
 
+
+def _fields_of(cls) -> dict:
+    """A section read off the dataclass ``cls``: each field with its default
+    and no check of its own, as ``cls`` checks it when built."""
+    return {field.name: (lambda name, value: None, field.default) for field in fields(cls)}
+
+
+_POPULATION = (partial(check_one_of, allowed=("one", "two")), _REQUIRED)
+
 # Every config key: section -> key -> (check, default), a nested dict being a
 # section.  A key the config leaves out takes its default; a default of None
 # means "not set": the kind needs the key (_KINDS), or it has a
@@ -215,18 +229,8 @@ _DETECTION = classify_regime.__kwdefaults__
 SCHEMA = {
     "schema": (partial(check_one_of, allowed=(SCHEMA_VERSION,)), _REQUIRED),
     "kind": (partial(check_one_of, allowed=EXPERIMENT_KINDS), _REQUIRED),
-    "domain": {
-        "v_reset": (check_finite, Domain.v_reset),
-        "v_threshold": (check_finite, Domain.v_threshold),
-        # null, the default, matches the expansion's left scale (see Domain)
-        "beta": (lambda name, value: value is None or check_positive(name, value), Domain.beta),
-    },
-    "model": {
-        "population": (partial(check_one_of, allowed=("one", "two")), _REQUIRED),
-        "a0": (check_finite, 1.0),
-        "a1": (check_finite, OnePopParams.a1),
-        "b": (check_finite, OnePopParams.b),
-    },
+    "domain": _fields_of(Domain),
+    "model": {"population": _POPULATION, **_fields_of(OnePopParams)},
     "initial": _GAUSSIAN,
     "numerics": {
         "m": (check_positive_integer, 16),
@@ -260,11 +264,11 @@ SCHEMA = {
     "sweep": {"b_e_to_e": (partial(_list, check_finite, non_empty=False), [])},
 }
 
-# two populations: TwoPopParams checks the model's fields itself, and the
-# initial section holds one Gaussian per population
+# two populations: the model is TwoPopParams, and the initial section holds
+# one Gaussian per population
 _TWO_POPULATION_SCHEMA = {
     **SCHEMA,
-    "model": (lambda name, value: None, {}),
+    "model": {"population": _POPULATION, **_fields_of(TwoPopParams)},
     "initial": {"e": _GAUSSIAN, "i": _GAUSSIAN},
 }
 
@@ -310,12 +314,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigurationError(f"a config must be a JSON object, got {type(raw).__name__}")
     two = isinstance(raw.get("model"), dict) and raw["model"].get("population") == "two"
     resolved = _resolve(raw, _TWO_POPULATION_SCHEMA if two else SCHEMA, "")
-    domain = Domain(**resolved["domain"])
+    domain = _keyed("domain", Domain, **resolved["domain"])
     model = {key: value for key, value in resolved["model"].items() if key != "population"}
-    try:
-        params = (TwoPopParams if two else OnePopParams)(**model)
-    except TypeError as exc:  # unknown two-population model keys
-        raise ConfigurationError(f"model: {exc}") from exc
+    params = _keyed("model", TwoPopParams if two else OnePopParams, **model)
     initial = resolved["initial"]
     if two:
         ic = tuple(normalize_gaussian(**initial[p], domain=domain) for p in ("e", "i"))
@@ -338,15 +339,22 @@ def parse_config(raw: dict) -> ExperimentConfig:
     return cfg
 
 
+def _keyed(section: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, whose ConfigurationError names a key of
+    ``section``: its message is prefixed with ``section``, so that it names
+    the key path."""
+    try:
+        return build(*args, **kwargs)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{section}.{exc}") from exc
+
+
 def _resolve(given, table: dict, where: str) -> dict:
     """The config section ``given`` at key path ``where`` ("" for the top
     level) checked against ``table``, with each key it leaves out set to its
     default."""
     if not isinstance(given, dict):
         raise ConfigurationError(f"config section {where!r} must be a JSON object, got {given!r}")
-    for key in given:
-        if key not in table:
-            raise ConfigurationError(f"unknown {where or 'top-level'} key {key!r}; known keys are {sorted(table)}")
     resolved = {}
     for key, entry in table.items():
         path = f"{where}.{key}" if where else key
@@ -357,6 +365,11 @@ def _resolve(given, table: dict, where: str) -> dict:
         if key in given or default is _REQUIRED:
             check(path, given.get(key))
         resolved[key] = given.get(key, default)
+    # after the keys' own checks, so that a bad model.population is named
+    # rather than the keys of the population it would select
+    for key in given:
+        if key not in table:
+            raise ConfigurationError(f"unknown {where or 'top-level'} key {key!r}; known keys are {sorted(table)}")
     return resolved
 
 
@@ -405,9 +418,9 @@ def _validate(cfg: ExperimentConfig, given_numerics: dict) -> None:
             raise ConfigurationError(f"{key} repeats a value or a name {name}, got {list(values)}")
     if cfg.two_population:
         for b_e_to_e in cfg.sweep["b_e_to_e"]:
-            replace(cfg.params, b_e_to_e=b_e_to_e)
+            _keyed("sweep", replace, cfg.params, b_e_to_e=b_e_to_e)
         for step in ([dt] if dt is not None else []) + ladder:
-            cfg.params.delay_lags(step)
+            _keyed("model", cfg.params.delay_lags, step)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ class OnePopParams:
     """Baseline diffusion a0, rate-diffusion gain a1 and connectivity b
     (positive excitatory, negative inhibitory)."""
 
-    a0: float
+    a0: float = 1.0
     a1: float = 0.0
     b: float = 0.0
 
@@ -144,8 +144,9 @@ class ShiftedSystem:
     dense solver would be:
 
     * the unitary Z is well conditioned, where an eigenvector basis of
-      K0^-1 E is not (condition 1e8 at M = 16 for E = a1 (C + D) - b B;
-      the two-population E = -B is mostly better behaved, and its
+      K0^-1 E need not be (condition 8e7 at M = 16 and dt = 1e-3 for
+      E = a1 (C + D) - b B with a1 = 0.1 and b = 0.5; at most 31 with one
+      term; the two-population E = -B is mostly better behaved, and its
       :class:`twopop.ModalSystem` solves in an eigenvector basis);
     * the rounding error of the factors, the same at every step, only
       multiplies the increment, which is O(dt).  Applied to u_old itself,

@@ -194,11 +194,14 @@ class ModalSystem:
     sweep, one (2, dim) slice at a time, so each cell's bytes are those of
     its own (2, dim) solve.
 
-    An eigenvector basis can be ill conditioned (kappa_2(V) = 1e8 at M = 16
-    for the one-population E = a1 (C + D) - b B, which therefore keeps its
-    Schur form).  For the two-population E = -B, kappa_2(V) is 4 to 230 at
-    M <= 24, dt <= 1e-2 and diffusion 0.1 to 10, but reaches 6e4 at M = 24
-    and dt = 4e-2, and 2e5 at M = 64 and dt = 1e-2.  :meth:`build` gives no
+    An eigenvector basis can be ill conditioned.  The one-population
+    E = a1 (C + D) - b B with both terms gives kappa_2(V) = 8e7 at M = 16
+    and dt = 1e-3 (a1 = 0.1, b = 0.5), a cluster of eigenvalues with no pair
+    to split off, so one population keeps its Schur form; with one term it
+    stays at or below 31 in the shipped configs.  For the two-population
+    E = -B, kappa_2(V) is 4 to 230 at M <= 24, dt <= 1e-2 and diffusion 0.1
+    to 10, but reaches 6e4 at M = 24 and dt = 4e-2, and 2e5 at M = 64 and
+    dt = 1e-2.  :meth:`build` gives no
     factor past :data:`MAX_MODAL_CONDITION`, and the run then solves
     densely.
 

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import tracemalloc
 from concurrent.futures import Future
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nnlif import assembly, cli, errors, experiments, onepop, records, twopop
-from nnlif.basis import BasisSet
+from nnlif.basis import BasisSet, Domain
 from nnlif.assembly import assemble, normalize_gaussian
 from nnlif.cli import main
 from nnlif.errors import ConfigurationError, SingularFiringRateError
@@ -252,6 +254,72 @@ def test_config_errors_name_the_key():
         parse_config(_base_onepop(reference={"richardson": 1}))
 
 
+_TWOPOP_INITIAL = {"e": {"v0": -1.0, "sigma0_sq": 0.5}, "i": {"v0": 0.0, "sigma0_sq": 0.25}}
+_EXPONENTIAL = {"population": "two", "refractory_mode": "exponential", "tau_e": 0.1, "tau_i": 0.1}
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (_base_onepop(model={"population": "one", "a0": 0.0}), "model.a0 must lie in (0, inf), got 0.0"),
+        (_base_onepop(model={**_EXPONENTIAL, "tau_e": -1.0}, initial=_TWOPOP_INITIAL),
+         "model.tau_e must lie in (0, inf), got -1.0"),
+        (_base_onepop(model={"population": "two", "zz": 1.0}, initial=_TWOPOP_INITIAL),
+         "unknown model key 'zz'; known keys are ['b_e_to_e', "),
+        (_base_onepop(domain={"v_reset": 2.0}), "domain.v_threshold must exceed v_reset, got 2.0 <= 2.0"),
+        (_base_onepop(domain={"beta": -1.0}), "domain.beta must lie in (0, inf), got -1.0"),
+        # the value of a sweep is the model key it replaces
+        (_base_onepop(kind="twopop-regimes", model={"population": "two"}, initial=_TWOPOP_INITIAL,
+                      sweep={"b_e_to_e": [3.5, -1.0]}), "sweep.b_e_to_e must lie in [0, inf), got -1.0"),
+        (_base_onepop(model={"population": "two", "delay_e_to_e": 0.00015}, initial=_TWOPOP_INITIAL,
+                      numerics={"m": 8, "dt": 1e-4, "t_final": 0.1}),
+         "model.delay_e_to_e=0.00015 is not an integer multiple of dt=0.0001"),
+        # a bad population is named, not the keys of the population it would select
+        (_base_onepop(model={"population": "three", "b_e_to_e": 0.5}), "model.population must be 'one' or 'two'"),
+        # an integer past the float range is no finite number, and no raw OverflowError
+        (_base_onepop(model={"population": "one", "b": 10**400}), "model.b must be a finite number"),
+    ],
+    ids=["a0-zero", "twopop-tau_e-negative", "twopop-unknown-key", "v_reset-at-threshold", "beta-negative",
+         "sweep-negative", "delay-off-lattice", "population-three", "b-huge-integer"],
+)
+def test_domain_and_model_errors_name_the_key_path(raw, message):
+    with pytest.raises(ConfigurationError) as excinfo:
+        parse_config(raw)
+    assert str(excinfo.value).startswith(message)
+
+
+# values that break the rule of every domain and model key: no key takes
+# "bogus", a list, a non-finite number or a bool
+_WRONG = ("bogus", [1.0], math.nan, math.inf, -math.inf, True, 10**400)
+_SHIPPED = sorted(os.listdir(os.path.join(os.path.dirname(__file__), "..", "configs")))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data())
+def test_shipped_configs_with_one_bad_domain_or_model_key_name_its_path(data):
+    # parsing only: each example sets one domain or model key of a shipped
+    # config to a bad value, or adds an unknown key; the config is then
+    # accepted or refused with a ConfigurationError, and a value that breaks
+    # the key's own rule is named by its key path
+    raw = _shipped_config(data.draw(st.sampled_from(_SHIPPED)))
+    table = experiments._TWO_POPULATION_SCHEMA if raw["model"]["population"] == "two" else SCHEMA
+    section = data.draw(st.sampled_from(("domain", "model")))
+    key = data.draw(st.sampled_from(sorted(table[section]) + ["zz"]))
+    value = data.draw(st.sampled_from(_WRONG + (0, -1, 1e300)))
+    raw.setdefault(section, {})[key] = value
+    try:
+        parse_config(raw)
+        message = None
+    except ConfigurationError as exc:
+        message = str(exc)
+    if key == "zz":
+        assert message.startswith(f"unknown {section} key 'zz'; known keys are {sorted(table[section])}")
+    elif any(value is wrong for wrong in _WRONG):
+        assert message.startswith(f"{section}.{key} must")
+    elif message is not None and (f"{key} must" in message or f"{key}=" in message):
+        assert message.startswith(f"{section}.{key}")
+
+
 def _table_entries(table, path=()):
     """(key path, (check, default)) for every key of a schema table."""
     for key, entry in table.items():
@@ -296,6 +364,13 @@ def test_schema_defaults_pass_their_own_checks():
         for path, (check, default) in _table_entries(table):
             if default is not None and default is not experiments._REQUIRED:
                 check(path, default)
+    # the domain and model sections are the fields of the types that check
+    # them, which build from the sections' defaults
+    for table, section, cls in ((SCHEMA, "domain", Domain), (SCHEMA, "model", OnePopParams),
+                                (experiments._TWO_POPULATION_SCHEMA, "model", TwoPopParams)):
+        names = {field.name for field in dataclasses.fields(cls)}
+        assert set(table[section]) == names | ({"population"} if section == "model" else set())
+        assert cls(**{name: table[section][name][1] for name in names}) == cls()
     # a config that leaves a section out reads every key of it
     cfg = parse_config(_base_onepop())
     for section in ("numerics", "reference", "detection", "sweep"):
@@ -721,7 +796,6 @@ _TWOPOP_MODEL = {
     "population": "two", "b_e_to_e": 0.5, "b_e_to_i": 0.5, "b_i_to_e": 0.75, "b_i_to_i": 0.25,
     "tau_e": 0.025, "tau_i": 0.025, "delay_e_to_e": 0.02, "refractory_mode": "exponential",
 }
-_TWOPOP_INITIAL = {"e": {"v0": -1.0, "sigma0_sq": 0.5}, "i": {"v0": 0.0, "sigma0_sq": 0.25}}
 
 
 def _tiny(kind, numerics, reference=None, model=_ONEPOP_MODEL, initial=_ONEPOP_INITIAL, **extra):
@@ -1431,6 +1505,13 @@ def test_cli_bad_config_values_are_config_errors(tmp_path, capsys, edit):
     assert "error-category: config-invalid" in capsys.readouterr().err
 
 
+def test_cli_bad_twopop_model_value_names_its_key_path(tmp_path, capsys):
+    cfg = _base_onepop(model={**_EXPONENTIAL, "tau_e": -1.0}, initial=_TWOPOP_INITIAL)
+    cfg_path = _write(tmp_path, "cfg.json", cfg)
+    assert main(["blowup", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+    assert "error-category: config-invalid: model.tau_e must lie in (0, inf)" in capsys.readouterr().err
+
+
 def test_cli_kind_mismatch(tmp_path, capsys):
     cfg_path = _write(tmp_path, "cfg.json", _base_onepop())
     rc = main(["stability-grid", "--config", cfg_path, "--out", str(tmp_path)])
@@ -1533,3 +1614,14 @@ def test_ab_prints_a_verdict_for_each_seed(tmp_path, monkeypatch, capsys):
     assert ab.main(argv[:6] + ["--seed", "2", "--pairs", "2"]) == 0
     assert calls == [("parent", 2), ("change", 2), ("change", 2), ("parent", 2)]
     assert "verdict, seed 2: run_s gain holds: False" in capsys.readouterr().out
+
+
+def test_loc_prints_the_package_modules_and_the_tests_and_scripts_totals(capsys):
+    loc = _script("loc")
+    assert loc.main([]) == 0
+    rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()[1:]}
+    assert "experiments.py" in rows and "total" in rows
+    # one line each for tests/ and scripts/, this file and loc.py among them
+    here = loc.count(Path(__file__).read_text(encoding="utf-8"))
+    assert int(rows["tests/"][0]) > here[0] and int(rows["tests/"][1]) > here[1]
+    assert int(rows["scripts/"][1]) > loc.count(Path(loc.__file__).read_text(encoding="utf-8"))[1]

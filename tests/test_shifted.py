@@ -572,6 +572,17 @@ def test_run_refused_a_modal_factor_is_the_dense_loop(monkeypatch):
     assert np.array_equal(rec.snapshots[0].density[1], _density(mats, u_i))
 
 
+def test_modal_factor_refuses_the_mixed_onepop_operator():
+    # the one-population E = a1 (C + D) - b B with both terms, as in the
+    # onepop-long benchmark workload (M = 16, dt = 1e-3, a1 = 0.1, b = 0.5),
+    # has a cluster of ill-conditioned eigenvalues near 6.5e-4 and
+    # kappa_2(V) near 8e7, where a modal solve misses SOLVE_RTOL: one
+    # population keeps its Schur factor
+    mats, dt, params = _mats(16), 1e-3, OnePopParams(1.0, 0.1, 0.5)
+    e = params.a1 * (mats.C + mats.D) - params.b * mats.B
+    assert ModalSystem.build(system_matrix(mats, 0.0, params.a0, math.inf), e, mats, dt) is None
+
+
 def test_zero_shift_denominator_is_a_solver_failure():
     mats = _mats(8)
     params, dt = OnePopParams(1.0, 0.1, 0.5), 1e-3
