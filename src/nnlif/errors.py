@@ -66,8 +66,9 @@ def check_nonnegative(name: str, value) -> None:
 
 
 def check_positive_integer(name: str, value) -> None:
-    """An integer >= 1; NumPy integers are integers, a bool is not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+    """An integer >= 1 within the float range; NumPy integers are integers,
+    a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not 1 <= value <= sys.float_info.max:
         raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
 
 

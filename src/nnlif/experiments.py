@@ -47,7 +47,7 @@ from .assembly import GaussianIC, assemble, normalize_gaussian
 from .basis import BasisSet, Domain
 from .errors import (ConfigurationError, check_finite, check_nonnegative, check_one_of, check_positive,
                      check_positive_integer, check_within)
-from .fdm import DEFAULT_V_MIN, FdmGrid, fdm_reference, reference_run, reference_timestep
+from .fdm import DEFAULT_V_MIN, FdmGrid, check_v_min, fdm_reference, reference_run, reference_timestep
 from .integrate import DEFAULT_BLOWUP_THRESHOLD, STATUS_BLOWUP, STATUS_COMPLETED, check_times
 from .norms import l2_distance, linf_distance, norm_grid
 from .onepop import OnePopParams, solve
@@ -314,9 +314,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigurationError(f"a config must be a JSON object, got {type(raw).__name__}")
     two = isinstance(raw.get("model"), dict) and raw["model"].get("population") == "two"
     resolved = _resolve(raw, _TWO_POPULATION_SCHEMA if two else SCHEMA, "")
-    domain = _keyed("domain", Domain, **resolved["domain"])
+    domain = _keyed("domain.", Domain, **resolved["domain"])
     model = {key: value for key, value in resolved["model"].items() if key != "population"}
-    params = _keyed("model", TwoPopParams if two else OnePopParams, **model)
+    params = _keyed("model.", TwoPopParams if two else OnePopParams, **model)
     initial = resolved["initial"]
     if two:
         ic = tuple(normalize_gaussian(**initial[p], domain=domain) for p in ("e", "i"))
@@ -339,14 +339,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
     return cfg
 
 
-def _keyed(section: str, build, *args, **kwargs):
-    """``build(*args, **kwargs)``, whose ConfigurationError names a key of
-    ``section``: its message is prefixed with ``section``, so that it names
-    the key path."""
+def _keyed(prefix: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, whose ConfigurationError names a key: its
+    message is prefixed with ``prefix``, a section ("model.") or a key path,
+    so that it names the key path."""
     try:
         return build(*args, **kwargs)
     except ConfigurationError as exc:
-        raise ConfigurationError(f"{section}.{exc}") from exc
+        raise ConfigurationError(f"{prefix}{exc}") from exc
 
 
 def _resolve(given, table: dict, where: str) -> dict:
@@ -399,17 +399,21 @@ def _validate(cfg: ExperimentConfig, given_numerics: dict) -> None:
         check_times(dt, t_final, cfg.snapshot_times)
     for step in ladder:
         check_times(step, t_final)
-    # every finite-volume run the config implies, at its reference timestep
-    ref, fv_h = cfg.reference, []
+    # every finite-volume run the config implies, at its reference
+    # timestep, with the key of its spacing
+    ref, fv_h, h_values = cfg.reference, [], num["h_values"]
     if ref["method"] == "fdm" and cfg.kind not in ("efficiency", "blowup", "twopop-regimes"):
-        fv_h += [ref["h"], ref["h"] / 2.0] if ref["richardson"] else [ref["h"]]
+        fv_h += [("reference.h", h) for h in ([ref["h"], ref["h"] / 2.0] if ref["richardson"] else [ref["h"]])]
     if cfg.kind == "compare-fdm":
-        fv_h.append(num["fdm_h"])
+        fv_h.append(("numerics.fdm_h", num["fdm_h"]))
     if cfg.kind == "efficiency":
-        fv_h += num["h_values"] + [min(num["h_values"]) / 2.0, min(num["h_values"]) / 4.0]
-    for h in fv_h:
-        grid = FdmGrid.build(cfg.domain, v_min=ref["v_min"], h=h)
-        check_times(reference_timestep(grid, cfg.params, t_final), t_final)
+        fv_h += [("numerics.h_values", h) for h in h_values + [min(h_values) / 2.0, min(h_values) / 4.0]]
+    if fv_h:
+        _keyed("reference.", check_v_min, ref["v_min"], cfg.domain)
+    for key, h in fv_h:
+        prefix = f"{key} (finite-volume run at h={h:g}): "
+        grid = _keyed(prefix, FdmGrid.build, cfg.domain, v_min=ref["v_min"], h=h)
+        _keyed(prefix, check_times, _keyed(prefix, reference_timestep, grid, cfg.params, t_final), t_final)
     # each sweep value names its output, regime_b<value:g>.csv, and keys its
     # result; each snapshot time names its density_t<t:g>.csv
     for key, values, name in (("sweep.b_e_to_e", cfg.sweep["b_e_to_e"], "regime_b<value:g>.csv"),
@@ -418,9 +422,9 @@ def _validate(cfg: ExperimentConfig, given_numerics: dict) -> None:
             raise ConfigurationError(f"{key} repeats a value or a name {name}, got {list(values)}")
     if cfg.two_population:
         for b_e_to_e in cfg.sweep["b_e_to_e"]:
-            _keyed("sweep", replace, cfg.params, b_e_to_e=b_e_to_e)
+            _keyed("sweep.", replace, cfg.params, b_e_to_e=b_e_to_e)
         for step in ([dt] if dt is not None else []) + ladder:
-            _keyed("model", cfg.params.delay_lags, step)
+            _keyed("model.", cfg.params.delay_lags, step)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,13 @@ DEFAULT_H = 1.0 / 128.0
 _STEP_SEARCH = 100_000
 
 
+def check_v_min(v_min: float, domain: Domain) -> None:
+    """The bottom edge of a grid: finite and below the reset voltage."""
+    check_finite("v_min", v_min)
+    if not v_min < domain.v_reset:
+        raise ConfigurationError(f"v_min must lie below domain.v_reset ({domain.v_reset}), got {v_min}")
+
+
 @dataclass(frozen=True)
 class FdmGrid:
     """Uniform cell grid on [v_min, v_threshold] with the reset and threshold
@@ -57,10 +64,8 @@ class FdmGrid:
 
     @classmethod
     def build(cls, domain: Domain, v_min: float = DEFAULT_V_MIN, h: float = DEFAULT_H) -> "FdmGrid":
-        check_finite("v_min", v_min)
+        check_v_min(v_min, domain)
         check_positive("h", h)
-        if not v_min < domain.v_reset:
-            raise ConfigurationError(f"need v_min < v_reset, got v_min={v_min}")
         n_f = (domain.v_threshold - v_min) / h
         n_r = (domain.v_reset - v_min) / h
         if not math.isfinite(n_f) or abs(n_f - round(n_f)) > 1e-9 or abs(n_r - round(n_r)) > 1e-9:

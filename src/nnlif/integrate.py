@@ -5,13 +5,20 @@ with its record layout, initial state, pure step, observables and
 densities.  The loop owns the rest: the record buffers, the states kept at
 snapshot times, solver-failure handling, the loop timer and the trip
 policy, and it returns one :class:`RunRecord` per stepper, for every model.
-The list is a lockstep batch of independent runs: one batch step per time
-step (:meth:`Stepper.lockstep`, which lets the cells of a two-population
-sweep share one stacked solve), each run's record, trips and stop kept
-apart; a run that stops leaves the batch.  A solver error in a batch step
-re-steps each run alone, so it ends only the run that raised it.  A lone
-run, a batch of one, steps with :meth:`Stepper.step`, and each run of a
-batch records the bytes it records alone.
+The list is a lockstep batch of independent runs, each with its own
+record, trips and stop; a run that stops leaves the batch.  Every run's
+record columns are rows of one (runs, columns, n + 1) buffer.  Two or more
+runs whose model steps them as arrays (:meth:`Stepper.lockstep`: a
+factored two-population sweep) take one batch step per time step, whose
+state the loop holds; it writes column n of every live run with one
+assignment and tests them all for a trip or a non-finite mass with one
+comparison over their rates and one over their masses.  Only a step where
+some run trips or has tripped, goes non-finite, reaches a snapshot time or
+raises a solver error goes through the runs' own states: the per-run trip
+policy and snapshots, and after a solver error a step of each run alone,
+so that the error ends only the run that raised it.  A lone run, and runs
+without an array batch, step each with :meth:`Stepper.step`.  Each run of
+a batch records the bytes it records alone.
 The loop is the only clock: step n is at n·dt, in the time column and the
 trip times.  A population trips when its rate passes the blow-up threshold;
 the run stops when every population has tripped, when the state goes
@@ -29,7 +36,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple, Protocol
+from typing import Any, NamedTuple, Protocol
 
 import numpy as np
 
@@ -119,13 +126,17 @@ class Stepper(Protocol):
     entries before its own index.  ``step`` returns the next state without
     modifying its argument; the loop keeps time.  ``lockstep``, needed only
     by a model whose runs go in lockstep batches (the two-population
-    sweep), gives the step of a batch of two or more steppers of this model
-    that share one space, dt and factored operator, self first: a function
-    from their states, all at one step, to their next states, each bit for
-    bit what ``step`` gives it.  ``observe`` returns a state's values in the
-    layout's column order: the rates, as many masses, then optionally as
-    many refractory masses; a mass is non-finite whenever any entry of its
-    density is, so finiteness is tested on it.  ``densities`` returns the
+    sweep), gives two or more steppers of this model that share one space,
+    dt and factored operator, self first, at ``states``, all at one step,
+    and whose columns are the rows ``rows`` of the loop's ``record``, as one
+    array batch and its state; or None, and they then step alone.  The
+    batch's ``step`` returns the next batch state, each cell bit for bit
+    what ``step`` gives it; ``observe`` returns the (cells, columns) array
+    of its values in the layout's order, and ``unpack`` each cell's own
+    state.  The loop holds the batch state.  ``observe`` returns a state's
+    values in the layout's column order: the rates, as many masses, then
+    optionally as many refractory masses; a mass is non-finite whenever any
+    entry of its density is, so finiteness is tested on it.  ``densities`` returns the
     state's density on ``space.out_grid`` in the :class:`DensitySnapshot` shape.
     """
 
@@ -136,7 +147,7 @@ class Stepper(Protocol):
 
     def step(self, state: Any) -> Any: ...
 
-    def lockstep(self, cells: list) -> Callable[[list], list]: ...
+    def lockstep(self, cells: list, states: list, record: np.ndarray, rows: list) -> tuple | None: ...
 
     def observe(self, state: Any) -> tuple[float, ...]: ...
 
@@ -180,12 +191,11 @@ class _Run:
     its share of the loop time, and once it stops, its last recorded step
     and status."""
 
-    def __init__(self, stepper: Stepper, n_steps: int):
+    def __init__(self, stepper: Stepper, record: np.ndarray, row: int):
         k = len(stepper.layout.trips)
-        rates = [np.empty(n_steps + 1) for _ in range(k)]
-        self.state = stepper.start(rates)
+        self.row, self.columns = row, list(record[row])
+        self.state = stepper.start(self.columns[:k])
         self.stepper, self.step, self.observe = stepper, stepper.step, stepper.observe
-        self.columns = rates + [np.empty(n_steps + 1) for _ in stepper.layout.columns[k:]]
         self.snapshots: list[tuple[float, Any]] = []
         # the step at which each population tripped
         self.trips: list[int | None] = [None] * k
@@ -228,26 +238,17 @@ def _share(runs: list, since: float) -> float:
     return now
 
 
-def _lockstep(runs: list) -> tuple[Callable | None, _Run | None]:
-    """How the live runs step: for a batch, :meth:`Stepper.lockstep` (from
-    their states to their next states) and None; for a lone run, None and
-    the run, which takes its own step."""
-    if len(runs) == 1:
-        return None, runs[0]
-    cells = [run.stepper for run in runs]
-    return cells[0].lockstep(cells), None
-
-
-def _alone(runs: list, n: int) -> list:
-    """Step n for each run alone, after a solver error in their batch's step
-    (steps are pure, so the run that raised it raises again): the error ends
-    that run with status "solver-failure".  Returns the runs that stepped."""
-    for run in runs:
-        try:
-            run.state = run.step(run.state)
-        except _SOLVER_ERRORS:
-            run.last, run.status = n - 1, STATUS_SOLVER_FAILURE
-    return [run for run in runs if run.last is None]
+def _batch(runs: list, record: np.ndarray) -> tuple | None:
+    """The live runs as an array batch and its state (:meth:`Stepper.lockstep`),
+    and the index of their rows in ``record``, a slice while the rows are
+    contiguous, as they are until a run stops; None for a lone run, or for
+    runs that step alone."""
+    if len(runs) < 2:
+        return None
+    rows = [run.row for run in runs]
+    batch = runs[0].stepper.lockstep([run.stepper for run in runs], [run.state for run in runs], record, rows)
+    contiguous = rows[-1] - rows[0] == len(rows) - 1
+    return None if batch is None else (*batch, slice(rows[0], rows[-1] + 1) if contiguous else rows)
 
 
 def integrate(
@@ -267,7 +268,10 @@ def integrate(
     if not steppers:
         raise ConfigurationError("a batch needs at least one run")
     snap_lookup = {round(ts / dt): ts for ts in snapshot_times}
-    runs = [_Run(cell, n_steps) for cell in steppers]
+    # every run's columns are rows of one record, so that a batch step
+    # records all its cells with one assignment
+    record = np.empty((len(steppers), len(steppers[0].layout.columns), n_steps + 1))
+    runs = [_Run(cell, record, row) for row, cell in enumerate(steppers)]
     k = len(runs[0].trips)
     for run in runs:
         for col, value in zip(run.columns, run.observe(run.state)):
@@ -275,27 +279,43 @@ def integrate(
         if 0 in snap_lookup:
             run.snapshots.append((snap_lookup[0], run.state))
 
-    live = runs
-    advance, one = _lockstep(live)
+    live, batch, tripped = runs, _batch(runs, record), False
     t_since = time.perf_counter()
     # a state that goes non-finite is the trip test's to report: the solves
     # that produce it print no numpy warning
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for n in range(1, n_steps + 1):
-            try:
-                if one is not None:
-                    one.state = one.step(one.state)
-                else:
-                    for run, state in zip(live, advance([run.state for run in live])):
-                        run.state = state
-            except _SOLVER_ERRORS:
-                t_since = _share(live, t_since)
-                live = _alone(live, n)
-                if not live:
-                    break
-                advance, one = _lockstep(live)
             stopped = False
+            if batch is not None:
+                cells, state, rows = batch
+                try:
+                    state = cells.step(state)
+                except _SOLVER_ERRORS:
+                    # each run steps alone below, from its state: steps are
+                    # pure, so the run that raised the error raises it again
+                    batch = None
+                else:
+                    batch, values = (cells, state, rows), cells.observe(state)
+                    record[rows, :, n] = values
+                    # the common batch step: no rate past the threshold (nor
+                    # NaN), every mass finite, no snapshot and no trip yet
+                    if np.maximum.reduce(values[:, :k], None) <= blowup_threshold \
+                            and math.isfinite(np.add.reduce(values[:, k:2 * k], None)) \
+                            and n not in snap_lookup and not tripped:
+                        continue
+                # any other step goes through the runs' own states
+                for run, cell_state in zip(live, cells.unpack(state)):
+                    run.state = cell_state
+            if batch is None:
+                # a solver error ends only the run that raised it
+                for run in live:
+                    try:
+                        run.state = run.step(run.state)
+                    except _SOLVER_ERRORS:
+                        run.last, run.status, stopped = n - 1, STATUS_SOLVER_FAILURE, True
             for run in live:
+                if run.last is not None:
+                    continue
                 state = run.state
                 values = run.observe(state)
                 for col, value in zip(run.columns, values):
@@ -310,12 +330,14 @@ def integrate(
                 if run.trip(n, values[:k], values[k:2 * k], dt, blowup_threshold):
                     run.last = n
                     stopped = True
+                tripped = tripped or run.first_trip is not None
             if stopped:
                 t_since = _share(live, t_since)
                 live = [run for run in live if run.last is None]
                 if not live:
                     break
-                advance, one = _lockstep(live)
+                batch = _batch(live, record)
+                tripped = any(run.first_trip is not None for run in live)
     _share(live, t_since)
     for run in live:
         run.last = n_steps

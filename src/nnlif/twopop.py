@@ -26,16 +26,22 @@ K0 and B do not depend on the couplings, so the cells of a sweep over them
 share one factor by construction: :func:`solve_twopop`, given a list of
 parameters that agree in everything K0 reads, builds it once and hands it
 to every cell, and the cells step in lockstep (:func:`integrate.integrate`
-with a list of steppers).  :func:`step_twopop` advances such a batch, a
-run alone being a batch of one, with one solve of the (K, 2, dim) stack of
-its cells' densities.  That solve multiplies slice by slice and divides
-element by element, so each cell's bytes are those of its run alone.  On
-the factored and dense paths alike, the step then reads every cell's
-threshold slopes and masses from one readout of the new stack: one
+with a list of steppers).  A factored batch of K >= 2 cells steps as
+arrays (:class:`_Cells`): its state holds ``u`` (K, 2, dim) and the masses,
+refractory masses and rates as (K, 2) arrays, and its tables (couplings,
+lags, drive shifts and tau) are built once per batch.  One
+:func:`step_twopop` call advances it: one clamped gather of the delayed
+rates from the batch's record, elementwise drifts, inflows, rates and
+refractory masses in the order of the per-cell step, one solve of the
+(K, 2, dim) stack and one readout of its threshold slopes and masses, the
 product with the (dim, 2) matrix [slope | mass] of the
-:class:`GalerkinMatrices`, again slice by slice (finite volumes:
--p_last / h and sum h per row).  Each new state carries its masses, so
-observing a state is arithmetic-free.
+:class:`GalerkinMatrices`.  The solve and the readout multiply slice by
+slice and divide element by element, so each cell's bytes are those of its
+run alone.  A run alone, and a batch that solves densely, step cell by
+cell: :func:`step_twopop` takes lists of states, params and lags, solves
+the stack of their rows (a lone run's (1, 2, dim)) and reads them with one
+``space.readout`` (finite volumes: -p_last / h and sum h per row).  Each
+new state carries its masses, so observing a state is arithmetic-free.
 
 Delayed rates are read from the run's recorded rate columns at the clamped
 step max(0, n - delay/dt); the current step's rates travel on the state,
@@ -61,7 +67,9 @@ coefficients) is in E, I order, and the coupling, delay and lag tables and
 the delayed rates are indexed [target][source], so entry [y][x] is the
 influence of population x on y.  The helpers of a step write their two or
 four entries out one by one: a per-entry loop costs more than the
-arithmetic at this size.
+arithmetic at this size.  Given a batch's :class:`_Cells` in place of the
+params, :func:`coefficients` and :func:`_resolve_rates` compute every
+cell's entries at once.
 """
 
 from __future__ import annotations
@@ -268,7 +276,12 @@ def recovery(r, rates, params: TwoPopParams):
 
 def coefficients(params: TwoPopParams, delayed):
     """Drift offsets V and diffusions a of both populations, from the delayed
-    rates indexed [target][source] (:func:`delayed_rates`)."""
+    rates indexed [target][source] (:func:`delayed_rates`).  For a batch's
+    :class:`_Cells`, the (K, 2) drifts from its (K, 2, 2) delayed rates, and
+    None for the constant diffusion its factor holds."""
+    if type(params) is _Cells:
+        # the products and differences of the terms below, in their order
+        return (bd := params.b * delayed)[..., 0] - bd[..., 1] + params.shift, None
     (seen_ee, seen_ie), (seen_ei, seen_ii) = delayed
     # the excitatory source raises the drift, the inhibitory one lowers it
     drift = (
@@ -346,7 +359,11 @@ def _resolve_rates(params: TwoPopParams, n: int, slopes, lags, history):
     diffusion the two rate relations stay affine in (N_E, N_I) and the 2x2
     system is solved by Cramer's rule; |det| < 1e-12 raises
     :class:`SingularFiringRateError`.  Earlier steps are read from the history.
+    For a batch's :class:`_Cells`, whose diffusion is constant, ``slopes``
+    and the rates are (K, 2) arrays.
     """
+    if type(params) is _Cells:
+        return -params.stepper.params.diffusion_constant * slopes
     s_e, s_i = slopes
     if params.diffusion_mode == DIFFUSION_CONSTANT:
         a_const = params.diffusion_constant
@@ -397,8 +414,23 @@ def step_twopop(
     been built from the same parameters, matrices and dt.  That solve and
     the readout treat each cell's slice as its own, so each cell's next
     state is bit for bit the one it gets in a batch of one.
+
+    A factored batch of two or more cells steps as arrays instead:
+    ``states`` is its one state of (K, ...) arrays and ``params`` its
+    :class:`_Cells`; ``lags`` is unused.  It returns the batch's next
+    state, each cell's slice bit for bit the state the per-cell step gives.
     """
     check_positive("dt", dt)
+    if type(params) is _Cells:
+        # one state of (K, ...) arrays; the delayed rates are one clamped
+        # gather from the batch's record, entry [k][y][x] at max(0, n - lag)
+        n, history = states.step_index, states.history
+        inflow = states.rate if params.tau is None else states.r / params.tau
+        drift, _ = coefficients(params, history.take(np.maximum(params.lagged + n, params.start)))
+        u = shifted.solve(states.u, drift, inflow)
+        read = u @ space.matrices.readout
+        rate = _resolve_rates(params, n + 1, read[..., 0], None, history)
+        return TwoPopState(u, read[..., 1], states.r + dt * (states.rate - inflow), n + 1, rate, history)
     if lags is None:
         lags = [p.delay_lags(dt) for p in params]
     if not len(states) == len(params) == len(lags):
@@ -456,17 +488,68 @@ class _TwoPop:
     def step(self, state: TwoPopState) -> TwoPopState:
         return step_twopop([state], [self.params], self.space, self.dt, [self.lags], self.shifted)[0]
 
-    def lockstep(self, cells):
-        """One :func:`step_twopop` for the cells, which share this cell's space, dt and factor."""
-        params, lags = [cell.params for cell in cells], [cell.lags for cell in cells]
-        space, dt, shifted = self.space, self.dt, self.shifted
-        return lambda states: step_twopop(states, params, space, dt, lags, shifted)
+    def lockstep(self, cells, states, record, rows):
+        """The cells, which share this cell's space, dt and factor, as one
+        array batch (:class:`_Cells`) and its state; None when they solve
+        densely, and so step alone."""
+        if self.shifted is None:
+            return None
+        params, rows = [cell.params for cell in cells], np.array(rows)
+        # (K, 1, 2): the index in the record of each source's rate at step 0
+        start = np.ravel_multi_index((rows[:, None, None], np.arange(2), 0), record.shape)
+        exponential = self.params.refractory_mode == RECOVERY_EXPONENTIAL
+        cells = _Cells(self, rows, np.array([p.tables["b"] for p in params]), start, start - [c.lags for c in cells],
+                       np.array([(-0.0, p.drive_shift) for p in params]),
+                       np.array([(p.tau_e, p.tau_i) for p in params]) if exponential else None)
+        u, mass, r, rate = (np.array(pairs) for pairs in zip(*((st.u, st.mass, st.r, st.rate) for st in states)))
+        return cells, TwoPopState(u, mass, r, states[0].step_index, rate, record)
 
     def observe(self, state: TwoPopState):
         return (*state.rate, *state.mass, *state.r)
 
     def densities(self, state: TwoPopState) -> np.ndarray:
         return np.array([self.space.density(row) for row in state.u])
+
+
+@dataclass(frozen=True, eq=False)
+class _Cells:
+    """A lockstep batch of K >= 2 factored cells as arrays, with its tables,
+    built once per batch: ``stepper`` is its first cell, whose space, dt,
+    factor and constant diffusion every cell shares, and the cells' record
+    columns are the rows ``rows`` of the loop's (runs, 6, n + 1) record.
+    Tables indexed [cell][target][source]: ``b``, the couplings, (K, 2, 2);
+    ``start``, the flat index in the record of the source's rate at step 0,
+    (K, 1, 2); and ``lagged``, ``start`` minus the lag in steps, so that
+    max(lagged + n, start) indexes each delayed rate of step n.  Pairs,
+    (K, 2): ``shift``, the drive shifts (-0.0 for E, which adds nothing to
+    any drift), and ``tau``, None with pass-through recovery.
+
+    Its state is a :class:`TwoPopState` of arrays: ``u`` (K, 2, dim),
+    ``mass``, ``r`` and ``rate`` (K, 2), and the record as its history.
+    :func:`step_twopop` steps it with elementwise expressions in the order
+    of the per-cell step, and the solve and readout treat each cell's slice
+    as its own, so every cell gets the bytes of its run alone.
+    """
+
+    stepper: _TwoPop
+    rows: np.ndarray
+    b: np.ndarray
+    start: np.ndarray
+    lagged: np.ndarray
+    shift: np.ndarray
+    tau: np.ndarray | None
+
+    def step(self, state: TwoPopState) -> TwoPopState:
+        return step_twopop(state, self, self.stepper.space, self.stepper.dt, None, self.stepper.shifted)
+
+    def observe(self, state: TwoPopState) -> np.ndarray:
+        """The (K, 6) values of the cells, in the layout's column order."""
+        return np.concatenate((state.rate, state.mass, state.r), axis=1)
+
+    def unpack(self, state: TwoPopState) -> list[TwoPopState]:
+        """The state of each cell, as a run alone holds it."""
+        return [TwoPopState(u, mass, r, state.step_index, rate, tuple(state.history[row, :2])) for u, mass, r, rate, row
+                in zip(state.u, state.mass.tolist(), state.r.tolist(), state.rate.tolist(), self.rows)]
 
 
 def solve_twopop(

@@ -302,11 +302,12 @@ def test_criterion_08_blowup_regimes(domain, gaussian_ic):
 def test_criterion_09_regime_transitions(domain, gaussian_ic):
     t0 = time.perf_counter()
     mats = assemble(BasisSet(domain, 16))
-    labels = {}
-    for b_e_to_e in (3.5, 3.82, 4.0):
-        rec = solve_twopop(gaussian_ic, gaussian_ic, _regimes_params(b_e_to_e), mats,
+    # one lockstep batch; each cell's record is that of its run alone
+    # (tests/test_harness.py::test_lockstep_sweep_cells_are_their_runs_alone)
+    sweep = (3.5, 3.82, 4.0)
+    records = solve_twopop(gaussian_ic, gaussian_ic, [_regimes_params(b_e_to_e) for b_e_to_e in sweep], mats,
                            dt=1e-4, t_final=10.0, blowup_threshold=1e3)
-        labels[b_e_to_e] = classify_regime(rec)["regime"]
+    labels = {b_e_to_e: classify_regime(rec)["regime"] for b_e_to_e, rec in zip(sweep, records)}
     assert labels[3.5] == "periodic", labels
     assert labels[3.82] == "steady", labels
     assert labels[4.0] == "blow-up", labels

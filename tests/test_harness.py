@@ -578,6 +578,49 @@ def test_step_bound_is_checked_at_parse(tmp_path, capsys, monkeypatch, raw, step
     assert "error-category: config-invalid" in err and f"takes {steps} steps" in err
 
 
+@pytest.mark.parametrize(
+    "raw, key",
+    [
+        (_base_onepop(kind="compare-fdm", numerics={"m": 8, "dt": 0.01, "t_final": 0.2, "fdm_h": 1 / 8192},
+                      reference={"method": "fdm", "h": 1 / 16}), "numerics.fdm_h"),
+        (_base_onepop(kind="convergence-time", numerics={"m": 8, "dt_values": [0.02, 0.01], "t_final": 0.2},
+                      reference={"method": "fdm", "h": 1 / 8192}), "reference.h"),
+        (_base_onepop(kind="efficiency", numerics={"m": 8, "dt": 0.01, "t_final": 0.2, "h_values": [1 / 8192]}),
+         "numerics.h_values"),
+    ],
+    ids=["compare-fdm", "fdm-reference", "efficiency"],
+)
+def test_finite_volume_step_bound_names_the_spacing_key(raw, key):
+    with pytest.raises(ConfigurationError) as excinfo:
+        parse_config(raw)
+    assert str(excinfo.value).startswith(f"{key} (finite-volume run at h=")
+
+
+@pytest.mark.parametrize("section, key, value", [("domain", "v_reset", -1e300), ("reference", "v_min", 1.5)])
+def test_finite_volume_bottom_edge_names_its_key_paths(section, key, value):
+    # the grid's bottom edge, reference.v_min, must lie below domain.v_reset
+    raw = _shipped_config("compare_fdm_onepop.json")
+    raw.setdefault(section, {})[key] = value
+    with pytest.raises(ConfigurationError) as excinfo:
+        parse_config(raw)
+    assert str(excinfo.value).startswith("reference.v_min must lie below domain.v_reset")
+
+
+@pytest.mark.parametrize("config, key, value", [("blowup_onepop.json", "m", 10**400),
+                                                ("convergence_space_onepop.json", "m_values", [4, 10**400])],
+                         ids=["m", "m_values"])
+def test_integer_past_the_float_range_is_a_config_error(tmp_path, capsys, config, key, value):
+    # refused at parse, so that no raw OverflowError reaches the CLI
+    raw = _shipped_config(config)
+    raw["numerics"][key] = value
+    with pytest.raises(ConfigurationError, match=f"^numerics.{key} must be a positive integer"):
+        parse_config(raw)
+    rc = main([raw["kind"], "--config", _write(tmp_path, "cfg.json", raw), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error-category: config-invalid" in err and f"numerics.{key} must be a positive integer" in err
+
+
 # --- classifier --------------------------------------------------------------
 
 
@@ -960,7 +1003,10 @@ def test_lockstep_solver_failure_ends_only_its_cell(monkeypatch):
     original = twopop._resolve_rates
 
     def failing(params, n, *args):
-        if params.b_e_to_e == 20.0 and n == 40:
+        # the batch's call at step 40 fails while cell b = 20 is in it, and
+        # then that cell's own call alone
+        b_e_to_e = params.b[:, 0, 0] if type(params) is twopop._Cells else [params.b_e_to_e]
+        if 20.0 in b_e_to_e and n == 40:
             raise SingularFiringRateError(f"no rates at step {n}")
         return original(params, n, *args)
 
@@ -997,6 +1043,63 @@ def test_lockstep_cell_that_goes_non_finite_ends_only_its_cell():
         assert (rec.status, rec.trips, rec.times.size) == (want.status, want.trips, want.times.size)
         for name, column in want.columns.items():
             assert np.array_equal(rec.columns[name], column, equal_nan=True), name
+
+
+@pytest.mark.parametrize("refractory_mode", ["pass-through", "exponential"])
+def test_lockstep_batch_with_snapshots_lags_and_a_trip_is_each_run_alone(monkeypatch, refractory_mode):
+    # three factored cells with zero delays, 3-step delays and 60-step
+    # delays (past the first snapshot at step 50); the 3-step cell trips E
+    # mid-run and leaves the batch.  The batch steps as arrays, one
+    # step_twopop call per step, and each cell's status, trips, columns and
+    # snapshot densities are those of its run alone
+    raw = _blowup_sweep([1.0])
+    raw["model"].update(refractory_mode=refractory_mode, tau_e=0.025, tau_i=0.025)
+    cfg = parse_config(raw)
+    mats = experiments._matrices(cfg, [6])[6]
+
+    def delays(d):
+        return {f"delay_{x}_to_{y}": d for x in "ei" for y in "ei"}
+
+    params = [replace(cfg.params, b_e_to_e=1.0), replace(cfg.params, b_e_to_e=20.0, **delays(0.03)),
+              replace(cfg.params, b_e_to_e=2.0, **delays(0.6))]
+    options = dict(snapshot_times=(0.5, 3.0), blowup_threshold=cfg.blowup_threshold)
+    calls, original = [], twopop.step_twopop
+    monkeypatch.setattr(twopop, "step_twopop", lambda *args: calls.append(1) or original(*args))
+    batch = solve_twopop(*cfg.ic, params, mats, 0.01, 3.0, **options)
+    monkeypatch.setattr(twopop, "step_twopop", original)
+    assert len(calls) == 300
+    assert [rec.status for rec in batch] == ["completed", "blow-up-detected", "completed"]
+    assert batch[1].trips["trip_time_e"] is not None and 50 < batch[1].times.size < 301
+    for p, rec in zip(params, batch):
+        want = solve_twopop(*cfg.ic, p, mats, 0.01, 3.0, **options)
+        assert (rec.status, rec.trips, rec.times.size) == (want.status, want.trips, want.times.size)
+        for name, column in want.columns.items():
+            assert np.array_equal(rec.columns[name], column), name
+        assert [snap.t for snap in rec.snapshots] == [snap.t for snap in want.snapshots]
+        for snap, snap_want in zip(rec.snapshots, want.snapshots):
+            assert np.array_equal(snap.density, snap_want.density)
+    assert [len(rec.snapshots) for rec in batch] == [2, 1, 2]
+
+
+def test_lockstep_cell_whose_rate_falls_back_keeps_its_post_trip_window():
+    # at threshold 4 the b = 3.5 cell's oscillating I rate trips at 0.967
+    # and falls back under the threshold; the cell still stops when the
+    # window after its trip ends, 1.0 later, as it does alone, while the
+    # b = 3.82 cell completes
+    raw = _shipped_config("twopop_regimes.json")
+    raw["numerics"].update(m=8, dt=1e-3, t_final=3.0)
+    cfg = parse_config(raw)
+    mats = experiments._matrices(cfg, [8])[8]
+    params = [replace(cfg.params, b_e_to_e=3.5), replace(cfg.params, b_e_to_e=3.82)]
+    batch = solve_twopop(*cfg.ic, params, mats, 1e-3, 3.0, blowup_threshold=4.0)
+    assert [rec.status for rec in batch] == ["blow-up-detected", "completed"]
+    assert batch[0].trips == {"trip_time_e": None, "trip_time_i": 0.967} and batch[0].times.size == 1969
+    assert batch[0].columns["rate_i"][-1] < 4.0
+    for p, rec in zip(params, batch):
+        want = solve_twopop(*cfg.ic, p, mats, 1e-3, 3.0, blowup_threshold=4.0)
+        assert (rec.status, rec.trips, rec.times.size) == (want.status, want.trips, want.times.size)
+        for name, column in want.columns.items():
+            assert np.array_equal(rec.columns[name], column), name
 
 
 def test_lockstep_wall_time_is_each_cell_share_of_the_loop():

@@ -94,9 +94,9 @@ def test_grid_run_builds_its_rules_in_one_pass(tmp_path, perfbench_workloads):
 
 def test_regimes_run_calls_the_traced_steps_once_per_step(tmp_path, perfbench_workloads):
     # the benchmark's twopop.* per-layer metrics sum over calls: one
-    # step_twopop call per step of the sweep's one lockstep batch, one
-    # coefficients call per cell step, and one _resolve_rates call per cell
-    # step plus one for each cell's initial rates
+    # step_twopop, one coefficients and one _resolve_rates call per step of
+    # the sweep's one lockstep batch, which steps its cells as arrays, plus
+    # one _resolve_rates call for each cell's initial rates
     cfg = experiments.parse_config(
         perfbench_workloads.WORKLOADS["regimes"].config(perfbench_workloads.DEFAULT_SEED, smoke=True)
     )
@@ -110,6 +110,7 @@ def test_regimes_run_calls_the_traced_steps_once_per_step(tmp_path, perfbench_wo
     steps = sum(rec.times.size - 1 for rec in records)
     assert len(records) == len(cfg.sweep["b_e_to_e"]) and steps > 0
     spans, _ = tracer.per_run()
-    assert spans[1]["twopop.step_twopop"][0] == max(rec.times.size - 1 for rec in records)
-    assert spans[1]["twopop.coefficients"][0] == steps
-    assert spans[1]["twopop._resolve_rates"][0] == steps + len(records)
+    batch_steps = max(rec.times.size - 1 for rec in records)
+    assert spans[1]["twopop.step_twopop"][0] == batch_steps
+    assert spans[1]["twopop.coefficients"][0] == batch_steps
+    assert spans[1]["twopop._resolve_rates"][0] == batch_steps + len(records)
