@@ -1,5 +1,6 @@
-"""Time the two-population step of one or more source trees: the cost per
-cell-step of a lockstep batch and the per-step cost of a lone cell.
+"""Time the steps of one or more source trees: the two-population cost per
+cell-step of a lockstep batch and per step of a lone cell, and the cost per
+step of a lone one-population finite-volume (FV) run.
 
     python scripts/sweep_cost.py --src TREE [--src TREE ...] [--processes 8]
 
@@ -8,13 +9,19 @@ script starts ``--processes`` fresh processes per tree, pinned to one core
 (``--cpu``), and alternates the trees between rounds: round r runs them in
 order when r is even and in reverse order when r is odd.  Each process
 loads the model of ``configs/twopop_regimes.json`` (from this script's
-checkout, so every tree runs the same model) and prints two figures:
+checkout, so every tree runs the same model) and prints these figures:
 
 * the loop time per cell-step of a lockstep batch of K cells, for each K
   of ``--cells`` (b_e_to_e evenly spaced over [3.5, 3.82], to
   ``--batch-t``), best of ``--repeats`` batches;
 * the loop time per step of a lone cell at b_e_to_e = 3.82 (to
-  ``--lone-t``), best of ``--lone-repeats`` runs.
+  ``--lone-t``), best of ``--lone-repeats`` runs;
+* the loop time per step of a lone one-population FV run of the ``oracle``
+  benchmark workload's model (a0 = 1, a1 = 0.1, b = 0, from a Gaussian at
+  v0 = -1 with variance 0.5, v_min = -6, the domain of the config) at
+  h = 1/160 (1,280 cells) and h = 1/1024 (8,192 cells): a fixed number of
+  steps (``FV_RUNS``) at the grid's reference timestep, best of
+  ``FV_REPEATS`` runs.
 
 Loop time is the records' ``wall_time``, the stepping loop alone, so
 neither assembly nor the factor's build is counted.  It is given at the
@@ -43,6 +50,9 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIG = ROOT / "configs" / "twopop_regimes.json"
 B_RANGE = (3.5, 3.82)
 LONE_B = 3.82
+# (cells per unit voltage, steps) of each lone FV run, and runs per process
+FV_RUNS = ((160, 10_000), (1024, 2_000))
+FV_REPEATS = 5
 
 
 def _per_step(run, speed) -> float:
@@ -66,6 +76,9 @@ def measure(args) -> dict:
     import speed
 
     from nnlif import experiments
+    from nnlif.assembly import normalize_gaussian
+    from nnlif.fdm import FdmGrid, fdm_solve, reference_timestep
+    from nnlif.onepop import OnePopParams
     from nnlif.twopop import solve_twopop
 
     cfg = experiments.load_config(str(CONFIG))
@@ -84,7 +97,21 @@ def measure(args) -> dict:
         cells = [replace(cfg.params, b_e_to_e=b) for b in np.linspace(*B_RANGE, k)] if k > 1 else [lone]
         figures[f"K={k}"] = min(_per_step(lambda: solve_twopop(*cfg.ic, cells, mats, dt, args.batch_t), speed)
                                 for _ in range(args.repeats)) if batched else None
+    oracle, ic = OnePopParams(a0=1.0, a1=0.1, b=0.0), normalize_gaussian(-1.0, 0.5, cfg.domain)
+    for cells_per_unit, n_steps in FV_RUNS:
+        grid = FdmGrid.build(cfg.domain, v_min=-6.0, h=1.0 / cells_per_unit)
+        fv_dt = reference_timestep(grid, oracle, 1.0)
+        figures[f"FV h=1/{cells_per_unit}"] = min(
+            _per_step(lambda: fdm_solve(ic, oracle, grid, fv_dt, n_steps * fv_dt), speed) for _ in range(FV_REPEATS))
     return figures
+
+
+def _label(key: str) -> str:
+    if key == "lone":
+        return "lone b = 3.82, us per step"
+    if key.startswith("FV"):
+        return f"lone one-population FV run, {key[3:]}, us per step"
+    return f"{key}, us per cell-step"
 
 
 def _spawn(tree: str, args) -> dict:
@@ -120,8 +147,8 @@ def main(argv: list[str]) -> int:
             runs[tree].append(_spawn(tree, args))
             print(f"round {r}: {tree}: {runs[tree][-1]}", file=sys.stderr)
     first = trees[0]
-    for key in ["lone", *(f"K={k}" for k in args.cells)]:
-        print(f"{'lone b = 3.82, us per step' if key == 'lone' else key + ', us per cell-step'} (reference speed)")
+    for key in ["lone", *(f"K={k}" for k in args.cells), *(f"FV h=1/{n}" for n, _ in FV_RUNS)]:
+        print(f"{_label(key)} (reference speed)")
         for tree in trees:
             values = [run[key] for run in runs[tree]]
             if None in values:

@@ -302,10 +302,12 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path}: not valid JSON ({exc})") from exc
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"{path}: not UTF-8 text ({exc})") from exc
+    # JSONDecodeError, an integer past the int-string conversion limit, and
+    # nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
+        raise ConfigurationError(f"{path}: not valid JSON ({exc})") from exc
     return parse_config(raw)
 
 

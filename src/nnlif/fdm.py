@@ -14,9 +14,12 @@ reference duty the plain first-order scheme needs very fine grids;
 which removes the leading O(h) error while staying inside the same
 discretization family.
 
-:class:`FdmGrid` is the space in which :func:`onepop.step` and
-:func:`twopop.step_twopop` advance rows of cell values by one stencil,
-:func:`fdm_step`; a row's threshold slope is -p_last / h.  One entry point,
+An :class:`FdmGrid` at one run's step dt, its :class:`FdmStencil`, is the
+space in which :func:`onepop.step` and :func:`twopop.step_twopop` advance
+rows of cell values by one stencil, :func:`fdm_step`; a row's threshold
+slope is -p_last / h.  :func:`fdm_solve` builds the stencil's geometry once
+per run, the inner edges times dt/h and the edges as a list, so that a step
+makes 7 array passes and one ``bisect``.  One entry point,
 :func:`fdm_solve`, and one stability rule, :func:`stable_timestep`, serve
 both models; a reference step divides t_final and every nonzero delay, in
 closed form (:func:`reference_timestep`), and :func:`reference_run` runs at it.
@@ -25,6 +28,7 @@ closed form (:func:`reference_timestep`), and :func:`reference_run` runs at it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -100,7 +104,7 @@ class FdmGrid:
         return -(float(p[-1]) / self.h)
 
     def mass(self, p: np.ndarray) -> float:
-        return float(p.sum() * self.h)
+        return float(np.add.reduce(p)) * self.h
 
     def readout(self, cells) -> list:
         """The (slope, mass) pair of each row of each cell of a batch."""
@@ -112,13 +116,30 @@ class FdmGrid:
         ys = np.concatenate(([p[0]], p, [0.0]))
         return np.interp(self.out_grid, xs, ys, left=0.0, right=0.0)
 
-    def advance(self, p: np.ndarray, dt: float, drift, diffusion, inflow, folded: bool) -> np.ndarray:
-        """:func:`fdm_step`.  It re-injects the explicit ``inflow`` whether or
-        not the spectral step would fold it, which keeps the mass exact."""
-        return fdm_step(p, self, dt, drift, diffusion, inflow)
-
     def stack(self, rows) -> tuple:
         return tuple(rows)
+
+    def at(self, dt: float) -> "FdmStencil":
+        """This grid at one run's step ``dt``."""
+        lam = dt / self.h
+        return FdmStencil(self.domain, self.v_min, self.h, self.n_cells, self.i_reset, lam, self.inner_edges * lam,
+                          self.inner_edges.tolist())
+
+
+@dataclass(frozen=True, eq=False)
+class FdmStencil(FdmGrid):
+    """An :class:`FdmGrid` at one run's step dt (:meth:`FdmGrid.at`), the
+    space of that run: the geometry of :func:`fdm_step`, built once."""
+
+    lam: float  # dt / h
+    lam_edges: np.ndarray  # the inner edges times lam
+    edges: list  # the inner edges, for bisect
+
+    def advance(self, p: np.ndarray, dt: float, drift, diffusion, inflow, folded: bool) -> np.ndarray:
+        """:func:`fdm_step`, whose dt is the one the stencil was built at
+        (``dt``).  It re-injects the explicit ``inflow`` whether or not the
+        spectral step would fold it, which keeps the mass exact."""
+        return fdm_step(p, self, drift, diffusion, inflow)
 
 
 def stable_timestep(grid: FdmGrid, params, rate_cap: float = 0.0) -> float:
@@ -138,37 +159,39 @@ def stable_timestep(grid: FdmGrid, params, rate_cap: float = 0.0) -> float:
     return grid.h * grid.h / (2.0 * diffusion + u_max * grid.h)
 
 
-def fdm_step(p: np.ndarray, grid: FdmGrid, dt: float, drift_offset: float, diffusion: float,
+def fdm_step(p: np.ndarray, stencil: FdmStencil, drift_offset: float, diffusion: float,
              inflow: float) -> np.ndarray:
-    """One explicit step of one population's cell values ``p`` with drift
-    -v + ``drift_offset``, the given diffusion, and ``inflow`` re-injected
-    at the reset edge; returns the new cell values.
+    """One explicit step, at the stencil's dt, of one population's cell
+    values ``p`` with drift -v + ``drift_offset``, the given diffusion, and
+    ``inflow`` re-injected at the reset edge; returns the new cell values.
 
-    The step is in flux form, p - (dt/h)(F_right - F_left), computed as
-    p - F_right + F_left with the edge fluxes F scaled by dt/h once.  The
-    sum over cells telescopes to the boundary edges: the mass changes by dt
-    times the inflow less dt times the threshold outflux, the rate."""
-    h = grid.h
-    u = drift_offset - grid.inner_edges
+    The step is in flux form, p - lam (F_right - F_left) with lam = dt/h,
+    computed as p - G_right + G_left from the scaled edge fluxes G = lam F:
+    the drift term takes offset lam - lam e from the stencil's scaled edges,
+    and the gradient is scaled by mu = a lam / h, so a step makes 7 array
+    passes.  The sum over cells telescopes to the boundary edges: the mass
+    changes by dt times the inflow less dt times the threshold outflux, the
+    rate."""
+    lam, h = stencil.lam, stencil.h
     # the drift -e + offset is >= 0 exactly on the edges e <= offset: those
     # take the upwind value from their left cell, the rest from their right
-    k = grid.inner_edges.searchsorted(drift_offset, side="right")
-    flux = np.empty(grid.n_cells + 1)
+    k = bisect_right(stencil.edges, drift_offset)
+    u = np.subtract(drift_offset * lam, stencil.lam_edges)
+    flux = np.empty(stencil.n_cells + 1)
     flux[0] = 0.0  # zero-flux wall at v_min
     inner = flux[1:-1]
     np.multiply(u[:k], p[:k], out=inner[:k])
     np.multiply(u[k:], p[k + 1:], out=inner[k:])
     grad = np.subtract(p[1:], p[:-1])
-    grad *= diffusion / h
+    grad *= diffusion * lam / h
     inner -= grad
     # threshold edge: absorbing value p(V_F)=0 kills the drift flux there,
     # the diffusive outflux is exactly the firing rate
-    flux[-1] = diffusion * p[-1] / h
-    flux *= dt / h
+    flux[-1] = diffusion * lam * p[-1] / h
 
     p_new = np.subtract(p, flux[1:])
     p_new += flux[:-1]
-    p_new[grid.i_reset] += inflow * dt / h
+    p_new[stencil.i_reset] += inflow * lam
     return p_new
 
 
@@ -229,7 +252,7 @@ def fdm_solve(
     check_positive("dt", dt)
     if dt > stable_timestep(grid, params):
         raise ConfigurationError(f"dt={dt} violates the explicit stability bound for h={grid.h}")
-    stepper = (_TwoPop if isinstance(params, TwoPopParams) else _OnePop)(p0, params, grid, dt)
+    stepper = (_TwoPop if isinstance(params, TwoPopParams) else _OnePop)(p0, params, grid.at(dt), dt)
     return integrate([stepper], dt, t_final, snapshot_times, blowup_threshold)[0]
 
 

@@ -8,7 +8,7 @@ with the rate-dependent diffusion a^n = a0 + a1 N^n evaluated explicitly
 and the firing rate obtained in closed form from the threshold slope.
 
 :func:`step` is written once for both solvers, over a space that holds the
-rows and advances them: :class:`Spectral` or :class:`fdm.FdmGrid`.
+rows and advances them: :class:`Spectral` or :class:`fdm.FdmStencil`.
 
 The spectral operator is K0 + N^n E with K0 = H/dt + A + a0 (C + D) and
 E = a1 (C + D) - b B, so it changes between steps only through the rate.

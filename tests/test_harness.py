@@ -1504,6 +1504,32 @@ def test_cli_config_not_utf8_is_a_config_error(tmp_path, capsys):
     assert "not UTF-8 text" in err
 
 
+def test_cli_config_integer_past_the_digit_limit_is_a_config_error(tmp_path, capsys):
+    # json.load raises ValueError on an integer literal of more than 4,300 digits
+    text = (Path(__file__).resolve().parent.parent / "configs" / "blowup_onepop.json").read_text(encoding="utf-8")
+    m = json.loads(text)["numerics"]["m"]
+    text = text.replace(f'"m": {m}', '"m": 1' + "0" * 5000)
+    assert "0" * 5000 in text
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text, encoding="utf-8")
+    rc = main(["blowup", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error-category: config-invalid: {cfg_path}: not valid JSON" in err
+    assert "Traceback" not in err
+
+
+def test_cli_config_nested_past_the_recursion_limit_is_a_config_error(tmp_path, capsys):
+    # json.load raises RecursionError on arrays nested this deep
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text("[" * 200_000, encoding="utf-8")
+    rc = main(["blowup", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error-category: config-invalid: {cfg_path}: not valid JSON" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_cli_workers_below_one_is_a_config_error(tmp_path, capsys, monkeypatch, workers):
     monkeypatch.setattr(experiments, "_run", _run_started)
@@ -1717,6 +1743,92 @@ def test_ab_prints_a_verdict_for_each_seed(tmp_path, monkeypatch, capsys):
     assert ab.main(argv[:6] + ["--seed", "2", "--pairs", "2"]) == 0
     assert calls == [("parent", 2), ("change", 2), ("change", 2), ("parent", 2)]
     assert "verdict, seed 2: run_s gain holds: False" in capsys.readouterr().out
+
+
+def _table(path, rows, meta=("# kind=demo",), header="label,x,wall_time_s"):
+    path.write_text("\n".join([*meta, header, *rows]) + "\n", encoding="utf-8")
+    return path
+
+
+def test_same_outputs_compares_tables_column_by_column(tmp_path):
+    same = _script("same_outputs")
+    rows = ["a,1.0,0.5", "b,-2.0,0.25", "c,nan,0.1"]
+    parent = _table(tmp_path / "parent.csv", rows)
+
+    def compare(rows, **table):
+        return same.compare_file(parent, _table(tmp_path / "change.csv", rows, **table), 1e-9)
+
+    assert compare(rows) == (True, "byte-identical", 0.0)
+    assert compare(["a,1.0,9", "b,-2.0,9", "c,nan,9"]) == (True, "identical but for wall_time_s", 0.0)
+    # a move is max |a - b| over the column's largest |b|, here 2
+    passes, verdict, worst = compare(["a,1.000000000004,0.5", "b,-2.0,0.25", "c,nan,0.1"])
+    assert passes and worst == pytest.approx(2e-12, rel=1e-3) and verdict == "within rtol 1e-09: x 2e-12"
+    passes, verdict, worst = compare(["a,1.0,0.5", "b,-2.00002,0.25", "c,nan,0.1"])
+    assert not passes and worst == pytest.approx(1e-5, rel=1e-3) and verdict.startswith("PAST rtol 1e-09")
+    # labels, non-finite cells, provenance text, keys and header, and the row count
+    for changed, table in [
+        (["z,1.0,0.5", *rows[1:]], {}),
+        ([*rows[:2], "c,inf,0.1"], {}),
+        ([*rows[:2], "c,0.0,0.1"], {}),
+        (rows, {"meta": ("# kind=other",)}),
+        (rows, {"meta": ("# sort=demo",)}),
+        (rows, {"header": "label,y,wall_time_s"}),
+        (rows[:2], {}),
+    ]:
+        assert compare(changed, **table)[0] is False, (changed, table)
+    # a numeric provenance value is a column of one cell
+    parent = _table(tmp_path / "parent.csv", rows, meta=("# fit_slope=-0.5",))
+    assert compare(rows, meta=("# fit_slope=-0.5000000000001",))[:2] == (True, "within rtol 1e-09: # fit_slope 2e-13")
+    assert compare(rows, meta=("# fit_slope=-0.6",))[0] is False
+
+
+def test_same_outputs_quick_coarsens_only_the_finite_volume_spacings():
+    same = _script("same_outputs")
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    for path in sorted(configs.glob("*.json")):
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        coarse = same.quick(raw)
+        parse_config(coarse)  # the parser takes every coarsened config
+        for section in ("reference", "numerics"):
+            for key, value in (raw.get(section) or {}).items():
+                if key in ("h", "fdm_h"):
+                    assert coarse[section][key] == 16 * value
+                elif key == "h_values":
+                    assert coarse[section][key] == [16 * h for h in value]
+                else:
+                    assert coarse[section][key] == value
+        assert {k: v for k, v in coarse.items() if k not in ("reference", "numerics")} \
+            == {k: v for k, v in raw.items() if k not in ("reference", "numerics")}
+
+
+def test_same_outputs_prints_a_verdict_per_file_and_exits_1_past_the_tolerance(tmp_path, monkeypatch, capsys):
+    same = _script("same_outputs")
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    for tree in trees.values():
+        (tree / "configs").mkdir(parents=True)
+        for name in ("one", "two"):
+            (tree / "configs" / f"{name}.json").write_text(json.dumps({"kind": "blowup"}))
+    moved = {"value": "1.0000000001"}
+
+    def fake_run(tree, config, out):
+        out.mkdir()
+        _table(out / "run.csv", [f"a,{moved['value'] if tree.name == 'change' else '1.0'},0.5"])
+        _table(out / "labels.csv", ["a,1.0,0.5"])
+        return 0, "", 0.1
+
+    monkeypatch.setattr(same, "run_config", fake_run)
+    argv = ["--src", str(trees["parent"]), "--src", str(trees["change"])]
+    assert same.main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["one/labels.csv: byte-identical", "one/run.csv: within rtol 1e-09: x 1e-10"]
+    assert out[-1].startswith("overall: 4 files, 2 byte-identical, 2 more within rtol 1e-09, 0 past it")
+    assert out[-1].endswith("same outputs")
+    assert same.main([*argv, "--rtol", "1e-11"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1].endswith("OUTPUTS DIFFER")
+    # a run that fails in either tree fails the comparison
+    monkeypatch.setattr(same, "run_config", lambda tree, config, out: (2, "error-category: config-invalid: x", 0.1))
+    assert same.main(argv) == 1
+    assert "exited 2" in capsys.readouterr().out
 
 
 def test_loc_prints_the_package_modules_and_the_tests_and_scripts_totals(capsys):
