@@ -1,6 +1,6 @@
 """Time the steps of one or more source trees: the two-population cost per
 cell-step of a lockstep batch and per step of a lone cell, and the cost per
-step of a lone one-population finite-volume (FV) run.
+step of a lone one- and two-population finite-volume (FV) run.
 
     python scripts/sweep_cost.py --src TREE [--src TREE ...] [--processes 8]
 
@@ -21,7 +21,10 @@ checkout, so every tree runs the same model) and prints these figures:
   v0 = -1 with variance 0.5, v_min = -6, the domain of the config) at
   h = 1/160 (1,280 cells) and h = 1/1024 (8,192 cells): a fixed number of
   steps (``FV_RUNS``) at the grid's reference timestep, best of
-  ``FV_REPEATS`` runs.
+  ``FV_REPEATS`` runs;
+* the same figures for a lone two-population FV run of the model and
+  initial densities of ``configs/convergence_time_twopop.json``, whose
+  reference runs take this path, on the same grids.
 
 Loop time is the records' ``wall_time``, the stepping loop alone, so
 neither assembly nor the factor's build is counted.  It is given at the
@@ -48,6 +51,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG = ROOT / "configs" / "twopop_regimes.json"
+FV_TWOPOP_CONFIG = ROOT / "configs" / "convergence_time_twopop.json"
 B_RANGE = (3.5, 3.82)
 LONE_B = 3.82
 # (cells per unit voltage, steps) of each lone FV run, and runs per process
@@ -97,20 +101,27 @@ def measure(args) -> dict:
         cells = [replace(cfg.params, b_e_to_e=b) for b in np.linspace(*B_RANGE, k)] if k > 1 else [lone]
         figures[f"K={k}"] = min(_per_step(lambda: solve_twopop(*cfg.ic, cells, mats, dt, args.batch_t), speed)
                                 for _ in range(args.repeats)) if batched else None
-    oracle, ic = OnePopParams(a0=1.0, a1=0.1, b=0.0), normalize_gaussian(-1.0, 0.5, cfg.domain)
-    for cells_per_unit, n_steps in FV_RUNS:
-        grid = FdmGrid.build(cfg.domain, v_min=-6.0, h=1.0 / cells_per_unit)
-        fv_dt = reference_timestep(grid, oracle, 1.0)
-        figures[f"FV h=1/{cells_per_unit}"] = min(
-            _per_step(lambda: fdm_solve(ic, oracle, grid, fv_dt, n_steps * fv_dt), speed) for _ in range(FV_REPEATS))
+    ladder = experiments.load_config(str(FV_TWOPOP_CONFIG))
+    for population, p0, params in (("one", normalize_gaussian(-1.0, 0.5, cfg.domain), OnePopParams(a0=1.0, a1=0.1)),
+                                   ("two", ladder.ic, ladder.params)):
+        for cells_per_unit, n_steps in FV_RUNS:
+            grid = FdmGrid.build(cfg.domain, v_min=-6.0, h=1.0 / cells_per_unit)
+            fv_dt = reference_timestep(grid, params, 1.0)
+            figures[_fv_key(population, cells_per_unit)] = min(
+                _per_step(lambda: fdm_solve(p0, params, grid, fv_dt, n_steps * fv_dt), speed)
+                for _ in range(FV_REPEATS))
     return figures
+
+
+def _fv_key(population: str, cells_per_unit: int) -> str:
+    return f"{population}-population FV run, h=1/{cells_per_unit}"
 
 
 def _label(key: str) -> str:
     if key == "lone":
         return "lone b = 3.82, us per step"
-    if key.startswith("FV"):
-        return f"lone one-population FV run, {key[3:]}, us per step"
+    if "FV" in key:
+        return f"lone {key}, us per step"
     return f"{key}, us per cell-step"
 
 
@@ -147,7 +158,8 @@ def main(argv: list[str]) -> int:
             runs[tree].append(_spawn(tree, args))
             print(f"round {r}: {tree}: {runs[tree][-1]}", file=sys.stderr)
     first = trees[0]
-    for key in ["lone", *(f"K={k}" for k in args.cells), *(f"FV h=1/{n}" for n, _ in FV_RUNS)]:
+    fv_keys = [_fv_key(population, n) for population in ("one", "two") for n, _ in FV_RUNS]
+    for key in ["lone", *(f"K={k}" for k in args.cells), *fv_keys]:
         print(f"{_label(key)} (reference speed)")
         for tree in trees:
             values = [run[key] for run in runs[tree]]

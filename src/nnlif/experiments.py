@@ -396,6 +396,12 @@ def _validate(cfg: ExperimentConfig, given_numerics: dict) -> None:
                 raise ConfigurationError("dt_values must be non-increasing")
     if cfg.kind == "twopop-regimes" and not cfg.sweep["b_e_to_e"]:
         raise ConfigurationError("twopop-regimes needs sweep.b_e_to_e")
+    # each sweep value names its output, regime_b<value:g>.csv, and keys its
+    # result; each snapshot time names its density_t<t:g>.csv
+    for key, values, name in (("sweep.b_e_to_e", cfg.sweep["b_e_to_e"], "regime_b<value:g>.csv"),
+                              ("snapshot_times", cfg.snapshot_times, "density_t<t:g>.csv")):
+        if len(set(values)) < len(values) or len({f"{v:g}" for v in values}) < len(values):
+            raise ConfigurationError(f"{key} repeats a value or a name {name}, got {list(values)}")
     # the loop's own time checks, so a run it would refuse fails here
     if dt is not None:
         check_times(dt, t_final, cfg.snapshot_times)
@@ -416,12 +422,6 @@ def _validate(cfg: ExperimentConfig, given_numerics: dict) -> None:
         prefix = f"{key} (finite-volume run at h={h:g}): "
         grid = _keyed(prefix, FdmGrid.build, cfg.domain, v_min=ref["v_min"], h=h)
         _keyed(prefix, check_times, _keyed(prefix, reference_timestep, grid, cfg.params, t_final), t_final)
-    # each sweep value names its output, regime_b<value:g>.csv, and keys its
-    # result; each snapshot time names its density_t<t:g>.csv
-    for key, values, name in (("sweep.b_e_to_e", cfg.sweep["b_e_to_e"], "regime_b<value:g>.csv"),
-                              ("snapshot_times", cfg.snapshot_times, "density_t<t:g>.csv")):
-        if len(set(values)) < len(values) or len({f"{v:g}" for v in values}) < len(values):
-            raise ConfigurationError(f"{key} repeats a value or a name {name}, got {list(values)}")
     if cfg.two_population:
         for b_e_to_e in cfg.sweep["b_e_to_e"]:
             _keyed("sweep.", replace, cfg.params, b_e_to_e=b_e_to_e)

@@ -106,9 +106,9 @@ class FdmGrid:
     def mass(self, p: np.ndarray) -> float:
         return float(np.add.reduce(p)) * self.h
 
-    def readout(self, cells) -> list:
-        """The (slope, mass) pair of each row of each cell of a batch."""
-        return [[(self.slope(p), self.mass(p)) for p in rows] for rows in cells]
+    def readout(self, rows) -> list:
+        """The (slope, mass) pair of each row of one cell."""
+        return [(self.slope(p), self.mass(p)) for p in rows]
 
     def density(self, p: np.ndarray) -> np.ndarray:
         """Cell values on ``out_grid``: zero outside, absorbing at the threshold."""

@@ -164,7 +164,8 @@ def whole_steps(t: float, dt: float) -> int | None:
 def check_times(dt: float, t_final: float, snapshot_times=(), blowup_threshold=DEFAULT_BLOWUP_THRESHOLD) -> int:
     """Number of steps; rejects a dt or t_final outside (0, inf), a t_final
     off the dt lattice, more than :data:`MAX_STEPS` steps, snapshot times
-    that are not finite, off the lattice or outside [0, t_final] and a
+    that are not finite, off the lattice or outside [0, t_final], two
+    snapshot times on one step, of which the run could keep only one, and a
     blow-up threshold outside (0, inf], where +inf never trips.  The config
     parser checks here too."""
     check_positive("dt", dt)
@@ -176,12 +177,16 @@ def check_times(dt: float, t_final: float, snapshot_times=(), blowup_threshold=D
         raise ConfigurationError(f"t_final={t_final} is not an integer multiple of dt={dt}")
     if n_steps > MAX_STEPS:
         raise ConfigurationError(f"t_final={t_final} at dt={dt} takes {n_steps} steps, at most {MAX_STEPS} are allowed")
+    snapshot_steps = {}
     for ts in snapshot_times:
         check_finite("snapshot time", ts)
         if not 0.0 <= ts <= t_final:
             raise ConfigurationError(f"snapshot time {ts} is negative or exceeds t_final={t_final}")
-        if whole_steps(ts, dt) is None:
+        if (k := whole_steps(ts, dt)) is None:
             raise ConfigurationError(f"snapshot time {ts} is not an integer multiple of dt={dt}")
+        if k in snapshot_steps:
+            raise ConfigurationError(f"snapshot times {snapshot_steps[k]} and {ts} fall on one step, {k}, of dt={dt}")
+        snapshot_steps[k] = ts
     return n_steps
 
 

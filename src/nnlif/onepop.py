@@ -238,12 +238,10 @@ class Spectral:
     def mass(self, row: np.ndarray) -> float:
         return self._mass.dot(row)
 
-    def readout(self, cells) -> list:
-        """The [slope, mass] pair of each row of a stack of rows, (..., dim),
-        as nested lists, from one product with ``matrices.readout``; matmul
-        multiplies a (K, 2, dim) stack slice by slice, so each cell reads
-        as it does alone."""
-        return (cells @ self.matrices.readout).tolist()
+    def readout(self, rows) -> list:
+        """The [slope, mass] pair of each row of one cell's (2, dim) stack,
+        as lists, from one product with ``matrices.readout``."""
+        return (rows @ self.matrices.readout).tolist()
 
     def density(self, row: np.ndarray) -> np.ndarray:
         return reconstruct(self.matrices.basis, row, self.out_grid)

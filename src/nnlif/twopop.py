@@ -37,11 +37,11 @@ refractory masses in the order of the per-cell step, one solve of the
 product with the (dim, 2) matrix [slope | mass] of the
 :class:`GalerkinMatrices`.  The solve and the readout multiply slice by
 slice and divide element by element, so each cell's bytes are those of its
-run alone.  A run alone, and a batch that solves densely, step cell by
-cell: :func:`step_twopop` takes lists of states, params and lags, solves
-the stack of their rows (a lone run's (1, 2, dim)) and reads them with one
-``space.readout`` (finite volumes: -p_last / h and sum h per row).  Each
-new state carries its masses, so observing a state is arithmetic-free.
+run alone.  A run alone, and each cell of a batch that solves densely,
+steps one state: :func:`step_twopop` solves its (2, dim) stack of rows and
+reads them with one ``space.readout`` (finite volumes: -p_last / h and
+sum h per row).  Each new state carries its masses, so observing a state
+is arithmetic-free.
 
 Delayed rates are read from the run's recorded rate columns at the clamped
 step max(0, n - delay/dt); the current step's rates travel on the state,
@@ -214,12 +214,13 @@ class ModalSystem:
     densely.
 
     At M = 16 (dim 33), on one core of a shared 2-vCPU x86-64 host (best of
-    15 rounds of 2,000 solves, with a source), a solve of a (1, 2, dim)
-    stack takes 11.8 us, (3, 2, dim) 15.5 us, (11, 2, dim) 30.5 us and
-    (33, 2, dim) 63.4 us.  Of a (1, 2, dim) solve, building x takes about
-    2.7 us, forming 1 + sigma lambda and testing it for a zero 3.2 us, the
-    two products 4.1 us and the division 0.7 us; a solve makes no LAPACK
-    call.
+    15 rounds of 2,000 solves, with a source), a solve of a lone run's
+    (2, dim) stack takes 11.0 us, as does a (1, 2, dim) stack; (3, 2, dim)
+    13.8 us, (11, 2, dim) 24.0 us and (33, 2, dim) 50.5 us.  Of a
+    (1, 2, dim) solve, in an earlier measurement on the same host that
+    timed it at 11.8 us, building x took about 2.7 us, forming
+    1 + sigma lambda and testing it for a zero 3.2 us, the two products
+    4.1 us and the division 0.7 us; a solve makes no LAPACK call.
     """
 
     w: np.ndarray
@@ -389,73 +390,56 @@ def _resolve_rates(params: TwoPopParams, n: int, slopes, lags, history):
 
 
 def step_twopop(
-    states: list[TwoPopState],
-    params: list[TwoPopParams],
+    state: TwoPopState,
+    params: TwoPopParams,
     space,
     dt: float,
-    lags: list | None = None,
+    lags: tuple | None = None,
     shifted: ModalSystem | None = None,
-) -> list[TwoPopState]:
-    """Advance both populations in ``space`` and the refractory masses of
-    each cell of a lockstep batch by one step: ``states``, ``params`` and
-    ``lags`` have one entry per cell, the states all at one step, and a run
-    alone is a batch of one.
+) -> TwoPopState:
+    """Advance both populations in ``space`` and the refractory masses by
+    one step; ``lags`` are the params' delays in steps
+    (:meth:`TwoPopParams.delay_lags`, found here when None).
 
-    The current rates come from each state and the delayed ones from its
-    history; the states themselves are left untouched, and each new state's
-    ``u`` is a slice of a fresh stack of the cells' rows, whose one
-    ``space.readout`` gives every cell's threshold slopes, and so its
-    rates, and masses.  A rate system that has no solution raises
-    :class:`SingularFiringRateError`; a ``dt`` outside (0, inf), or
-    ``states``, ``params`` and ``lags`` of different lengths,
-    :class:`ConfigurationError`.  ``shifted``, the factored
-    constant-diffusion operator the cells share, replaces the row solves
-    with one solve of the (K, 2, dim) stack of their ``u``; it must have
-    been built from the same parameters, matrices and dt.  That solve and
-    the readout treat each cell's slice as its own, so each cell's next
-    state is bit for bit the one it gets in a batch of one.
+    The current rates come from the state and the delayed ones from its
+    history; the state itself is left untouched, and the new state's ``u``
+    is a fresh stack of rows, whose ``space.readout`` gives their threshold
+    slopes, and so the rates, and masses.  A rate system that has no
+    solution raises :class:`SingularFiringRateError`; a ``dt`` outside
+    (0, inf), :class:`ConfigurationError`.  ``shifted``, the factored
+    constant-diffusion operator, replaces the row solves with one solve of
+    the (2, dim) stack; it must have been built from the same parameters,
+    matrices and dt.
 
-    A factored batch of two or more cells steps as arrays instead:
-    ``states`` is its one state of (K, ...) arrays and ``params`` its
-    :class:`_Cells`; ``lags`` is unused.  It returns the batch's next
-    state, each cell's slice bit for bit the state the per-cell step gives.
+    A factored lockstep batch steps as arrays instead: ``state`` is its one
+    state of (K, ...) arrays and ``params`` its :class:`_Cells`; ``lags`` is
+    unused.  It returns the batch's next state, each cell's slice bit for
+    bit the state the step of that cell alone gives.
     """
     check_positive("dt", dt)
     if type(params) is _Cells:
         # one state of (K, ...) arrays; the delayed rates are one clamped
         # gather from the batch's record, entry [k][y][x] at max(0, n - lag)
-        n, history = states.step_index, states.history
-        inflow = states.rate if params.tau is None else states.r / params.tau
+        n, history = state.step_index, state.history
+        inflow = state.rate if params.tau is None else state.r / params.tau
         drift, _ = coefficients(params, history.take(np.maximum(params.lagged + n, params.start)))
-        u = shifted.solve(states.u, drift, inflow)
+        u = shifted.solve(state.u, drift, inflow)
         read = u @ space.matrices.readout
         rate = _resolve_rates(params, n + 1, read[..., 0], None, history)
-        return TwoPopState(u, read[..., 1], states.r + dt * (states.rate - inflow), n + 1, rate, history)
-    if lags is None:
-        lags = [p.delay_lags(dt) for p in params]
-    if not len(states) == len(params) == len(lags):
-        raise ConfigurationError(f"a batch needs one params and one lags per state, got {len(states)} states, "
-                                 f"{len(params)} params and {len(lags)} lags")
-    inflows, drifts, diffusions = [], [], []
-    for st, p, lag in zip(states, params, lags):
-        inflows.append(recovery(st.r, st.rate, p))
-        drift, diffusion = coefficients(p, delayed_rates(st, lag))
-        drifts.append(drift)
-        diffusions.append(diffusion)
+        return TwoPopState(u, read[..., 1], state.r + dt * (state.rate - inflow), n + 1, rate, history)
+    lags = params.delay_lags(dt) if lags is None else lags
+    inflow = recovery(state.r, state.rate, params)
+    drift, diffusion = coefficients(params, delayed_rates(state, lags))
     if shifted is not None:
-        us = shifted.solve(np.array([st.u for st in states]), drifts, inflows)
+        u = shifted.solve(state.u, drift, inflow)
     else:
-        us = space.stack([
-            space.stack([space.advance(row, dt, v, a, m, p.refractory_mode == RECOVERY_PASS_THROUGH)
-                         for row, v, a, m in zip(st.u, drift, diffusion, inflow)])
-            for st, p, drift, diffusion, inflow in zip(states, params, drifts, diffusions, inflows)
-        ])
-    stepped = []
-    for st, p, lag, u, inflow, ((s_e, m_e), (s_i, m_i)) in zip(states, params, lags, us, inflows, space.readout(us)):
-        n = st.step_index + 1
-        rate = _resolve_rates(p, n, (s_e, s_i), lag, st.history)
-        stepped.append(TwoPopState(u, (m_e, m_i), st.refractory_after(inflow, dt), n, rate, st.history))
-    return stepped
+        folded = params.refractory_mode == RECOVERY_PASS_THROUGH
+        u = space.stack([space.advance(row, dt, v, a, m, folded)
+                         for row, v, a, m in zip(state.u, drift, diffusion, inflow)])
+    (s_e, m_e), (s_i, m_i) = space.readout(u)
+    n = state.step_index + 1
+    rate = _resolve_rates(params, n, (s_e, s_i), lags, state.history)
+    return TwoPopState(u, (m_e, m_i), state.refractory_after(inflow, dt), n, rate, state.history)
 
 
 @dataclass(frozen=True)
@@ -479,14 +463,14 @@ class _TwoPop:
     def start(self, rates) -> TwoPopState:
         space = self.space
         u = space.stack([space.initial(p0) for p0 in self.p0])
-        (s_e, m_e), (s_i, m_i) = space.readout([u])[0]
+        (s_e, m_e), (s_i, m_i) = space.readout(u)
         # rates at t=0 follow the delayed-coefficient rule of the first step
         # (every lookup clamps to the current step)
         rate = _resolve_rates(self.params, 0, (s_e, s_i), self.lags, rates)
         return TwoPopState(u, (m_e, m_i), (0.0, 0.0), 0, rate, rates)
 
     def step(self, state: TwoPopState) -> TwoPopState:
-        return step_twopop([state], [self.params], self.space, self.dt, [self.lags], self.shifted)[0]
+        return step_twopop(state, self.params, self.space, self.dt, self.lags, self.shifted)
 
     def lockstep(self, cells, states, record, rows):
         """The cells, which share this cell's space, dt and factor, as one

@@ -337,7 +337,7 @@ def test_criterion_10_reduction_equivalence(domain, gaussian_ic):
     worst = 0.0
     for _ in range(100):
         one = step(one, params1, Spectral(mats), dt)
-        (two,) = step_twopop([two], [params2], Spectral(mats), dt, [lags])
+        two = step_twopop(two, params2, Spectral(mats), dt, lags)
         worst = max(worst, float(np.max(np.abs(two.u[0] - one.u))))
     assert worst <= 1e-10
 

@@ -466,7 +466,7 @@ _RUNS = {
 }
 _STEPS = {
     "step": lambda e, dt: onepop.step(e["state"], e["one"], Spectral(e["mats"]), dt),
-    "step_twopop": lambda e, dt: twopop.step_twopop([e["state2"]], [e["two"]], Spectral(e["mats"]), dt),
+    "step_twopop": lambda e, dt: twopop.step_twopop(e["state2"], e["two"], Spectral(e["mats"]), dt),
 }
 # a time of the wrong type, each of which a run once met with a raw TypeError
 # or, for a bool, ran with
@@ -501,27 +501,30 @@ _WRONG_TYPE_CASES = {
         # a step outside (0, inf)
         (lambda e: onepop.step(e["state"], e["one"], Spectral(e["mats"]), math.nan), "dt"),
         (lambda e: onepop.step(e["state"], e["one"], Spectral(e["mats"]), math.inf), "dt"),
-        (lambda e: twopop.step_twopop([e["state2"]], [e["two"]], Spectral(e["mats"]), -0.01), "dt"),
-        (lambda e: twopop.step_twopop([e["state2"]], [e["two"]], Spectral(e["mats"]), math.nan), "dt"),
-        (lambda e: twopop.step_twopop([e["state2"]], [e["two"]], Spectral(e["mats"]), math.inf, [((0, 0), (0, 0))]),
-         "dt"),
+        (lambda e: twopop.step_twopop(e["state2"], e["two"], Spectral(e["mats"]), -0.01), "dt"),
+        (lambda e: twopop.step_twopop(e["state2"], e["two"], Spectral(e["mats"]), math.nan), "dt"),
+        (lambda e: twopop.step_twopop(e["state2"], e["two"], Spectral(e["mats"]), math.inf, ((0, 0), (0, 0))), "dt"),
         # an empty batch
         (lambda e: solve_twopop(e["ic"], e["ic"], [], e["mats"], 0.01, 0.1), "at least one run"),
         (lambda e: integrate([], 0.01, 0.1), "at least one run"),
-        # a batch whose states, params and lags differ in length
-        (lambda e: twopop.step_twopop([e["state2"]] * 2, [e["two"]], Spectral(e["mats"]), 0.01),
-         "2 states, 1 params and 1 lags"),
-        (lambda e: twopop.step_twopop([e["state2"]], [e["two"]] * 2, Spectral(e["mats"]), 0.01),
-         "1 states, 2 params and 2 lags"),
-        (lambda e: twopop.step_twopop([e["state2"]] * 2, [e["two"]] * 2, Spectral(e["mats"]), 0.01,
-                                      [((0, 0), (0, 0))]), "2 states, 2 params and 1 lags"),
+        # two snapshot times on one step, of which a run would keep only one
+        (lambda e: solve(e["ic"], e["one"], e["mats"], 0.01, 0.1, snapshot_times=(0.0, 1e-10)),
+         "snapshot times 0.0 and 1e-10 fall on one step, 0,"),
+        (lambda e: solve_twopop(e["ic"], e["ic"], e["two"], e["mats"], 0.01, 0.1,
+                                snapshot_times=(0.1, 0.0, 0.1 - 1e-12)),
+         "snapshot times 0.1 and 0.099999999999 fall on one step, 10,"),
+        (lambda e: fdm_solve(e["ic"], e["one"], e["grid"], reference_timestep(e["grid"], e["one"], 0.1), 0.1,
+                             snapshot_times=(0.0, 1e-10)), "snapshot times 0.0 and 1e-10 fall on one step"),
+        (lambda e: integrate([_StartRaises()], 0.01, 0.1, (0.05, 0.05)),
+         "snapshot times 0.05 and 0.05 fall on one step"),
         *_WRONG_TYPE_CASES.values(),
     ],
     ids=[
         "solve-threshold-nan", "solve-threshold-negative", "solve-threshold-zero", "solve_twopop-threshold-nan",
         "fdm_solve-threshold-nan", "integrate-threshold-negative", "step-dt-nan", "step-dt-inf",
         "step_twopop-dt-negative", "step_twopop-dt-nan", "step_twopop-dt-inf", "solve_twopop-empty",
-        "integrate-empty", "step_twopop-more-states", "step_twopop-more-params", "step_twopop-fewer-lags",
+        "integrate-empty", "solve-snapshots-one-step", "solve_twopop-snapshots-one-step",
+        "fdm_solve-snapshots-one-step", "integrate-snapshots-one-step",
         *_WRONG_TYPE_CASES,
     ],
 )
@@ -1164,6 +1167,17 @@ def test_cli_colliding_snapshot_times_are_a_config_error(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "error-category: config-invalid" in err and "snapshot_times" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_two_snapshot_times_on_one_step_are_a_config_error(tmp_path, capsys):
+    # 0 and 1e-10 name density_t0.csv and density_t1e-10.csv, but fall on
+    # one step: the run would write only the second
+    raw = _tiny("blowup", {"m": 4, "dt": 0.01, "t_final": 0.1}, snapshot_times=[0.0, 1e-10])
+    rc = main(["blowup", "--config", _write(tmp_path, "cfg.json", raw), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error-category: config-invalid" in err and "snapshot times 0.0 and 1e-10 fall on one step, 0" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -186,24 +186,24 @@ def test_pairs_are_indexed_target_then_source():
 @settings(max_examples=30, deadline=None)
 @given(m=st.sampled_from([8, 16, 24]), k=st.sampled_from([1, 3, 11]), seed=st.integers(0, 2**16))
 def test_readout_reads_each_cell_as_alone(domain, m, k, seed):
-    # a step reads every cell's slopes and masses from one product with the
-    # (K, 2, dim) stack: each cell reads as its (2, dim) stack does alone, and
-    # each row as the space's slope and mass, to rounding of the dot products
+    # a lockstep batch reads every cell's slopes and masses from one product
+    # of its (K, 2, dim) stack with the (dim, 2) readout matrix: each cell's
+    # slice is what the space's readout of that cell alone gives, and each
+    # row reads as the space's slope and mass, to rounding of the dot products
     space = Spectral(_matrices(domain, m))
     rng = np.random.default_rng(seed)
     dim = space.matrices.H.shape[0]
     cells = rng.standard_normal((k, 2, dim)) * 10.0 ** rng.uniform(-3.0, 3.0, (k, 2, 1))
-    read = np.array(space.readout(cells))
+    read = cells @ space.matrices.readout
     assert read.shape == (k, 2, 2)
     for cell, cell_read in zip(cells, read):
         assert np.array_equal(cell_read, space.readout(cell))
-        assert np.array_equal(cell_read, space.readout([cell])[0])
         for row, (slope, mass) in zip(cell, cell_read):
             assert abs(slope - space.slope(row)) <= 1e-13 * (np.abs(space.matrices.slope) @ np.abs(row))
             assert abs(mass - space.mass(row)) <= 1e-13 * (np.abs(space.matrices.mass) @ np.abs(row))
     grid = FdmGrid.build(domain, h=1.0 / 2 ** rng.integers(2, 6))
-    fdm_cells = [tuple(rng.standard_normal((2, grid.n_cells))) for _ in range(k)]
-    assert grid.readout(fdm_cells) == [[(grid.slope(row), grid.mass(row)) for row in cell] for cell in fdm_cells]
+    for cell in (tuple(rng.standard_normal((2, grid.n_cells))) for _ in range(k)):
+        assert grid.readout(cell) == [(grid.slope(row), grid.mass(row)) for row in cell]
 
 
 # --- stepping ----------------------------------------------------------------
@@ -217,7 +217,7 @@ def test_zero_state_stays_zero(m16):
         u=(np.zeros(dim), np.zeros(dim)), mass=(0.0, 0.0), r=(0.0, 0.0),
         step_index=0, rate=(0.0, 0.0),
     )
-    (out,) = step_twopop([state], [params], Spectral(mats), 1e-3)
+    out = step_twopop(state, params, Spectral(mats), 1e-3)
     assert np.array_equal(out.u[0], np.zeros(dim))
     assert np.array_equal(out.u[1], np.zeros(dim))
     assert out.r[0] == 0.0 and out.r[1] == 0.0
@@ -249,7 +249,7 @@ def test_step_leaves_its_input_state_unchanged(m16, domain, factored, monkeypatc
         state = stepper.step(state)
     assert state.u.shape == (2, basis.dim) and state.u.flags.c_contiguous
     u_bytes, history_bytes = state.u.tobytes(), [h.tobytes() for h in history]
-    (out,) = step_twopop([state], [params], Spectral(mats), dt, [stepper.lags], stepper.shifted)
+    out = step_twopop(state, params, Spectral(mats), dt, stepper.lags, stepper.shifted)
     assert state.u.tobytes() == u_bytes
     assert [h.tobytes() for h in history] == history_bytes
     assert out.u.shape == state.u.shape and out.u.flags.c_contiguous
@@ -285,10 +285,10 @@ def test_discarded_probe_step_leaves_trajectory_unchanged(m16, domain, monkeypat
     plain = solve_twopop(ic, ic, params, mats, dt=dt, t_final=0.05)
     original = twopop.step_twopop
 
-    def probing(states, *args):
-        if states[0].step_index == 10:
-            original(states, *args)
-        return original(states, *args)
+    def probing(state, *args):
+        if state.step_index == 10:
+            original(state, *args)
+        return original(state, *args)
 
     monkeypatch.setattr(twopop, "step_twopop", probing)
     probed = solve_twopop(ic, ic, params, mats, dt=dt, t_final=0.05)
